@@ -171,13 +171,14 @@ void SolverWorkspace::record_solution(const Allocation& allocation) {
 
 void SolverWorkspace::maybe_compact() {
   if (!primed()) return;
-  // Dead rows cost O(1) per Dinic BFS phase each, every solve, so they are
-  // expelled eagerly: compacting at a 25% dead fraction still amortizes to
-  // O(1) rebuild work per departure while keeping the network near its
-  // live size.
-  const int dead = transport_->total_rows() - transport_->live_rows();
-  if (transport_->total_rows() >= 16 && dead * 4 >= transport_->total_rows())
-    transport_->compact();
+  // Masked rows cost O(1) per Dinic BFS phase each, every solve, so they
+  // are expelled eagerly: compacting once they are a quarter of the rows
+  // the network holds still amortizes to O(1) rebuild work per departure
+  // while keeping the network near its live size. Rows compacted away
+  // earlier no longer count; their ids stay dead in total_rows().
+  const int masked = transport_->masked_rows();
+  const int held = transport_->live_rows() + masked;
+  if (held >= 16 && masked * 4 >= held) transport_->compact();
 }
 
 }  // namespace amf::core

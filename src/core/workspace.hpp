@@ -70,8 +70,9 @@ class SolverWorkspace {
   }
   void record_solution(const Allocation& allocation);
 
-  /// Rebuilds the network without its dead (departed-job) rows once they
-  /// dominate. Safe to call any time; bit-for-bit neutral.
+  /// Rebuilds the network without its dead (departed-job) rows once the
+  /// rows masked since the last rebuild reach a quarter of the rows it
+  /// holds. Safe to call any time; bit-for-bit neutral.
   void maybe_compact();
 
   /// Realization contract for allocations produced through this workspace.

@@ -1,12 +1,9 @@
 #include "flow/network.hpp"
 
-#include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "obs/metrics.hpp"
 #include "util/deadline.hpp"
-#include "util/error.hpp"
 
 namespace amf::flow {
 
@@ -39,128 +36,127 @@ MaxFlowCounters& mf_counters() {
 
 FlowNetwork::FlowNetwork(int node_count) {
   AMF_REQUIRE(node_count >= 0, "node count must be non-negative");
-  adj_.resize(static_cast<std::size_t>(node_count));
+  nodes_ = node_count;
 }
 
 NodeId FlowNetwork::add_node() {
-  adj_.emplace_back();
-  return static_cast<NodeId>(adj_.size()) - 1;
+  cut_valid_ = false;
+  csr_stale_ = true;
+  return nodes_++;
 }
 
 EdgeId FlowNetwork::add_edge(NodeId from, NodeId to, double capacity) {
   AMF_REQUIRE(from >= 0 && from < node_count(), "add_edge: bad source node");
   AMF_REQUIRE(to >= 0 && to < node_count(), "add_edge: bad target node");
   AMF_REQUIRE(capacity >= 0.0, "add_edge: negative capacity");
+  cut_valid_ = false;
+  csr_stale_ = true;
   EdgeId id = static_cast<EdgeId>(to_.size());
   to_.push_back(to);
   residual_.push_back(capacity);
-  adj_[static_cast<std::size_t>(from)].push_back(id);
   to_.push_back(from);
   residual_.push_back(0.0);
-  adj_[static_cast<std::size_t>(to)].push_back(id + 1);
   orig_.push_back(capacity);
   return id;
 }
 
-double FlowNetwork::flow(EdgeId e) const {
-  AMF_REQUIRE(e >= 0 && e < static_cast<EdgeId>(to_.size()) && (e % 2) == 0,
-              "flow: not a forward arc id");
-  return residual_[static_cast<std::size_t>(e) + 1];
-}
-
-double FlowNetwork::capacity(EdgeId e) const {
-  AMF_REQUIRE(e >= 0 && e < static_cast<EdgeId>(to_.size()) && (e % 2) == 0,
-              "capacity: not a forward arc id");
-  return orig_[static_cast<std::size_t>(e) / 2];
-}
-
 void FlowNetwork::set_capacity(EdgeId e, double capacity) {
-  AMF_REQUIRE(e >= 0 && e < static_cast<EdgeId>(to_.size()) && (e % 2) == 0,
-              "set_capacity: not a forward arc id");
+  AMF_REQUIRE(forward_arc(e), "set_capacity: not a forward arc id");
   AMF_REQUIRE(capacity >= 0.0, "set_capacity: negative capacity");
+  cut_valid_ = false;
   orig_[static_cast<std::size_t>(e) / 2] = capacity;
 }
 
 void FlowNetwork::raise_capacity(EdgeId e, double capacity) {
-  AMF_REQUIRE(e >= 0 && e < static_cast<EdgeId>(to_.size()) && (e % 2) == 0,
-              "raise_capacity: not a forward arc id");
+  AMF_REQUIRE(forward_arc(e), "raise_capacity: not a forward arc id");
   double& orig = orig_[static_cast<std::size_t>(e) / 2];
   AMF_REQUIRE(capacity >= orig, "raise_capacity: capacity decrease");
+  cut_valid_ = false;
   residual_[static_cast<std::size_t>(e)] += capacity - orig;
   orig = capacity;
 }
 
-void FlowNetwork::cancel_flow(EdgeId e, double amount) {
-  AMF_REQUIRE(e >= 0 && e < static_cast<EdgeId>(to_.size()) && (e % 2) == 0,
-              "cancel_flow: not a forward arc id");
-  AMF_REQUIRE(amount >= 0.0, "cancel_flow: negative amount");
-  residual_[static_cast<std::size_t>(e)] += amount;
-  residual_[static_cast<std::size_t>(e) + 1] -= amount;
-}
-
-void FlowNetwork::rebase_capacity(EdgeId e, double capacity) {
-  AMF_REQUIRE(e >= 0 && e < static_cast<EdgeId>(to_.size()) && (e % 2) == 0,
-              "rebase_capacity: not a forward arc id");
-  AMF_REQUIRE(capacity >= 0.0, "rebase_capacity: negative capacity");
-  orig_[static_cast<std::size_t>(e) / 2] = capacity;
-  residual_[static_cast<std::size_t>(e)] =
-      std::max(0.0, capacity - residual_[static_cast<std::size_t>(e) + 1]);
-}
-
 void FlowNetwork::set_flow(EdgeId e, double flow) {
-  AMF_REQUIRE(e >= 0 && e < static_cast<EdgeId>(to_.size()) && (e % 2) == 0,
-              "set_flow: not a forward arc id");
+  AMF_REQUIRE(forward_arc(e), "set_flow: not a forward arc id");
   AMF_REQUIRE(flow >= 0.0, "set_flow: negative flow");
+  cut_valid_ = false;
   residual_[static_cast<std::size_t>(e)] =
       std::max(0.0, orig_[static_cast<std::size_t>(e) / 2] - flow);
   residual_[static_cast<std::size_t>(e) + 1] = flow;
 }
 
 void FlowNetwork::reset_flow() {
+  cut_valid_ = false;
   for (std::size_t e = 0; e < to_.size(); e += 2) {
     residual_[e] = orig_[e / 2];
     residual_[e + 1] = 0.0;
   }
 }
 
+void FlowNetwork::ensure_csr() const {
+  if (!csr_stale_) return;
+  // Stable counting sort of arc ids by tail (the head of the paired arc):
+  // each node's slots list its arcs in ascending id, i.e. insertion order.
+  const std::size_t n = static_cast<std::size_t>(nodes_);
+  const std::size_t arcs = to_.size();
+  first_.assign(n + 1, 0);
+  for (std::size_t a = 0; a < arcs; ++a)
+    ++first_[static_cast<std::size_t>(to_[a ^ 1]) + 1];
+  for (std::size_t v = 0; v < n; ++v) first_[v + 1] += first_[v];
+  arc_.resize(arcs);
+  head_.resize(arcs);
+  // Fill through first_[tail] as the cursor, which leaves first_ shifted
+  // one node to the left; shift it back afterwards.
+  for (std::size_t a = 0; a < arcs; ++a) {
+    const auto slot = static_cast<std::size_t>(
+        first_[static_cast<std::size_t>(to_[a ^ 1])]++);
+    arc_[slot] = static_cast<EdgeId>(a);
+    head_[slot] = to_[a];
+  }
+  for (std::size_t v = n; v > 0; --v) first_[v] = first_[v - 1];
+  first_[0] = 0;
+  queue_.resize(n);
+  csr_stale_ = false;
+}
+
 bool FlowNetwork::bfs_levels(NodeId source, NodeId sink, double eps) {
-  level_.assign(adj_.size(), -1);
-  std::queue<NodeId> q;
+  std::fill(level_.begin(), level_.end(), -1);
   level_[static_cast<std::size_t>(source)] = 0;
-  q.push(source);
-  while (!q.empty()) {
-    NodeId v = q.front();
-    q.pop();
-    for (EdgeId e : adj_[static_cast<std::size_t>(v)]) {
-      NodeId u = to_[static_cast<std::size_t>(e)];
-      if (level_[static_cast<std::size_t>(u)] < 0 &&
-          residual_[static_cast<std::size_t>(e)] > eps) {
-        level_[static_cast<std::size_t>(u)] =
-            level_[static_cast<std::size_t>(v)] + 1;
-        q.push(u);
+  queue_[0] = source;
+  std::size_t head = 0, tail = 1;
+  while (head < tail) {
+    const auto v = static_cast<std::size_t>(queue_[head++]);
+    const int next = level_[v] + 1;
+    const auto end = static_cast<std::size_t>(first_[v + 1]);
+    for (auto k = static_cast<std::size_t>(first_[v]); k < end; ++k) {
+      const auto u = static_cast<std::size_t>(head_[k]);
+      if (level_[u] < 0 &&
+          residual_[static_cast<std::size_t>(arc_[k])] > eps) {
+        level_[u] = next;
+        // Blocking flow never uses a node at or beyond the sink's level,
+        // so the rest of the graph need not be labeled.
+        if (head_[k] == sink) return true;
+        queue_[tail++] = head_[k];
       }
     }
   }
-  return level_[static_cast<std::size_t>(sink)] >= 0;
+  return false;
 }
 
 double FlowNetwork::dfs_blocking(NodeId v, NodeId sink, double pushed,
                                  double eps) {
   if (v == sink) return pushed;
-  auto& it = iter_[static_cast<std::size_t>(v)];
-  auto& edges = adj_[static_cast<std::size_t>(v)];
-  for (; it < edges.size(); ++it) {
-    EdgeId e = edges[it];
-    NodeId u = to_[static_cast<std::size_t>(e)];
-    if (residual_[static_cast<std::size_t>(e)] > eps &&
-        level_[static_cast<std::size_t>(u)] ==
-            level_[static_cast<std::size_t>(v)] + 1) {
-      double d = dfs_blocking(
-          u, sink, std::min(pushed, residual_[static_cast<std::size_t>(e)]),
-          eps);
+  const int next = level_[static_cast<std::size_t>(v)] + 1;
+  int& it = iter_[static_cast<std::size_t>(v)];
+  const int end = first_[static_cast<std::size_t>(v) + 1];
+  for (; it < end; ++it) {
+    const auto e = static_cast<std::size_t>(arc_[static_cast<std::size_t>(it)]);
+    const NodeId u = head_[static_cast<std::size_t>(it)];
+    if (residual_[e] > eps && level_[static_cast<std::size_t>(u)] == next) {
+      double d = dfs_blocking(u, sink, std::min(pushed, residual_[e]), eps);
       if (d > eps) {
-        residual_[static_cast<std::size_t>(e)] -= d;
-        residual_[static_cast<std::size_t>(e ^ 1)] += d;
+        residual_[e] -= d;
+        residual_[e ^ 1] += d;
         return d;
       }
     }
@@ -172,6 +168,10 @@ double FlowNetwork::max_flow(NodeId source, NodeId sink, double eps) {
   AMF_REQUIRE(source >= 0 && source < node_count(), "max_flow: bad source");
   AMF_REQUIRE(sink >= 0 && sink < node_count(), "max_flow: bad sink");
   AMF_REQUIRE(source != sink, "max_flow: source == sink");
+  ensure_csr();
+  level_.resize(static_cast<std::size_t>(nodes_));
+  iter_.resize(static_cast<std::size_t>(nodes_));
+  cut_valid_ = false;
   double total = 0.0;
   long long phases = 0;
   long long paths = 0;
@@ -180,10 +180,16 @@ double FlowNetwork::max_flow(NodeId source, NodeId sink, double eps) {
   // interrupted call returns a valid conservative flow that callers
   // observe as unsaturated. No ambient token installed = no clock reads.
   const util::StopToken* stop = util::ambient_stop();
-  while (!(stop != nullptr && stop->stop_requested()) &&
-         bfs_levels(source, sink, eps)) {
+  while (!(stop != nullptr && stop->stop_requested())) {
+    if (!bfs_levels(source, sink, eps)) {
+      // The failed BFS labeled every node residual-reachable from source.
+      cut_valid_ = true;
+      cut_source_ = source;
+      cut_eps_ = eps;
+      break;
+    }
     ++phases;
-    iter_.assign(adj_.size(), 0);
+    std::copy(first_.begin(), first_.end() - 1, iter_.begin());
     for (;;) {
       double pushed = dfs_blocking(
           source, sink, std::numeric_limits<double>::infinity(), eps);
@@ -199,63 +205,56 @@ double FlowNetwork::max_flow(NodeId source, NodeId sink, double eps) {
   return total;
 }
 
-std::vector<char> FlowNetwork::residual_reachable_from(NodeId from,
-                                                       double eps) const {
-  AMF_REQUIRE(from >= 0 && from < node_count(), "bad node");
-  std::vector<char> seen(adj_.size(), 0);
-  std::queue<NodeId> q;
-  seen[static_cast<std::size_t>(from)] = 1;
-  q.push(from);
-  while (!q.empty()) {
-    NodeId v = q.front();
-    q.pop();
-    for (EdgeId e : adj_[static_cast<std::size_t>(v)]) {
-      NodeId u = to_[static_cast<std::size_t>(e)];
+std::vector<char> FlowNetwork::residual_bfs(NodeId start, double eps,
+                                            EdgeId pair_bit) const {
+  ensure_csr();
+  std::vector<char> seen(static_cast<std::size_t>(nodes_), 0);
+  seen[static_cast<std::size_t>(start)] = 1;
+  queue_[0] = start;
+  std::size_t head = 0, tail = 1;
+  while (head < tail) {
+    const auto v = static_cast<std::size_t>(queue_[head++]);
+    const auto end = static_cast<std::size_t>(first_[v + 1]);
+    for (auto k = static_cast<std::size_t>(first_[v]); k < end; ++k) {
+      const NodeId u = head_[k];
       if (!seen[static_cast<std::size_t>(u)] &&
-          residual_[static_cast<std::size_t>(e)] > eps) {
+          residual_[static_cast<std::size_t>(arc_[k] ^ pair_bit)] > eps) {
         seen[static_cast<std::size_t>(u)] = 1;
-        q.push(u);
+        queue_[tail++] = u;
       }
     }
   }
   return seen;
+}
+
+std::vector<char> FlowNetwork::residual_reachable_from(NodeId from,
+                                                       double eps) const {
+  AMF_REQUIRE(from >= 0 && from < node_count(), "bad node");
+  if (cut_valid_ && from == cut_source_ && eps == cut_eps_) {
+    std::vector<char> seen(static_cast<std::size_t>(nodes_), 0);
+    for (std::size_t v = 0; v < seen.size(); ++v) seen[v] = level_[v] >= 0;
+    return seen;
+  }
+  return residual_bfs(from, eps, 0);
 }
 
 std::vector<char> FlowNetwork::residual_can_reach(NodeId to,
                                                   double eps) const {
   AMF_REQUIRE(to >= 0 && to < node_count(), "bad node");
   // Reverse BFS: node v can reach `to` iff some residual arc v->u exists
-  // with u already known to reach `to`. We walk arcs backwards: from node
-  // u, scan its incident arcs; arc e incident to u with to_[e^1] == u means
-  // e starts at u... simpler: for node u, each incident arc id `a` in
-  // adj_[u] points u -> to_[a]; the arc arriving INTO u from v is the pair
-  // of some arc in adj_[u] (its reverse). residual on arc v->u is
-  // residual_[a ^ 1] where a in adj_[u] and to_[a] == v.
-  std::vector<char> seen(adj_.size(), 0);
-  std::queue<NodeId> q;
-  seen[static_cast<std::size_t>(to)] = 1;
-  q.push(to);
-  while (!q.empty()) {
-    NodeId u = q.front();
-    q.pop();
-    for (EdgeId a : adj_[static_cast<std::size_t>(u)]) {
-      NodeId v = to_[static_cast<std::size_t>(a)];
-      // Arc (a ^ 1) runs v -> u; usable if it has residual capacity.
-      if (!seen[static_cast<std::size_t>(v)] &&
-          residual_[static_cast<std::size_t>(a ^ 1)] > eps) {
-        seen[static_cast<std::size_t>(v)] = 1;
-        q.push(v);
-      }
-    }
-  }
-  return seen;
+  // with u already known to reach `to`. Each slot of u holds an arc u->v;
+  // its pair (arc ^ 1) runs v->u, so that pair's residual decides.
+  return residual_bfs(to, eps, 1);
 }
 
 double FlowNetwork::outflow(NodeId node) const {
   AMF_REQUIRE(node >= 0 && node < node_count(), "bad node");
+  ensure_csr();
+  const auto v = static_cast<std::size_t>(node);
   double sum = 0.0;
-  for (EdgeId e : adj_[static_cast<std::size_t>(node)]) {
-    if ((e % 2) == 0) sum += flow(e);
+  for (auto k = static_cast<std::size_t>(first_[v]);
+       k < static_cast<std::size_t>(first_[v + 1]); ++k) {
+    if ((arc_[k] % 2) == 0) sum += flow(arc_[k]);
   }
   return sum;
 }

@@ -9,10 +9,21 @@
 // Capacities are doubles; an epsilon (relative to the largest capacity)
 // decides when residual capacity counts as zero. All algorithms are
 // deterministic: edge insertion order fixes traversal order.
+//
+// Layout: arcs live in flat per-arc arrays (head, residual), and adjacency
+// is a CSR index (per-node offsets into slot arrays of arc ids and heads)
+// rebuilt lazily after the topology grows. Each node's slots list its arc
+// ids in ascending order, so traversal order is insertion order. Solves
+// reuse the level, cursor and queue buffers: after the first solve on a
+// topology, max_flow and the reachability queries allocate nothing beyond
+// their returned vectors.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
+
+#include "util/error.hpp"
 
 namespace amf::flow {
 
@@ -26,6 +37,9 @@ using EdgeId = int;
 /// Edges are created in forward/reverse pairs; `add_edge` returns the id of
 /// the forward arc (its reverse is `id ^ 1`). Capacities can be updated
 /// between solves via `set_capacity` + `reset_flow` for parametric reuse.
+///
+/// Not safe for concurrent use, const queries included: they share the
+/// lazily built adjacency index and the BFS queue.
 class FlowNetwork {
  public:
   explicit FlowNetwork(int node_count = 0);
@@ -33,7 +47,7 @@ class FlowNetwork {
   /// Adds a node; returns its id.
   NodeId add_node();
 
-  int node_count() const { return static_cast<int>(adj_.size()); }
+  int node_count() const { return nodes_; }
   int edge_count() const { return static_cast<int>(to_.size()) / 2; }
 
   /// Adds a directed edge with the given capacity (>= 0); returns the
@@ -41,10 +55,24 @@ class FlowNetwork {
   EdgeId add_edge(NodeId from, NodeId to, double capacity);
 
   /// Current flow on the forward arc `e` (reverse arc's residual).
-  double flow(EdgeId e) const;
+  double flow(EdgeId e) const {
+    AMF_REQUIRE(forward_arc(e), "flow: not a forward arc id");
+    return residual_[static_cast<std::size_t>(e) + 1];
+  }
 
   /// Original capacity of the forward arc `e`.
-  double capacity(EdgeId e) const;
+  double capacity(EdgeId e) const {
+    AMF_REQUIRE(forward_arc(e), "capacity: not a forward arc id");
+    return orig_[static_cast<std::size_t>(e) / 2];
+  }
+
+  /// Residual capacity of arc `a`, forward or reverse (`a ^ 1` is its
+  /// pair): what the traversals compare against eps.
+  double residual(EdgeId a) const {
+    AMF_REQUIRE(a >= 0 && a < static_cast<EdgeId>(to_.size()),
+                "residual: bad arc id");
+    return residual_[static_cast<std::size_t>(a)];
+  }
 
   /// Updates the capacity of forward arc `e`. Takes effect at the next
   /// reset_flow(); flows already pushed are not adjusted.
@@ -60,13 +88,26 @@ class FlowNetwork {
   /// effect: forward residual grows, reverse residual shrinks. The caller
   /// must restore conservation by cancelling the same amount on the other
   /// arcs of the path (warm-restart primitive; see IncrementalTransport).
-  void cancel_flow(EdgeId e, double amount);
+  void cancel_flow(EdgeId e, double amount) {
+    AMF_REQUIRE(forward_arc(e), "cancel_flow: not a forward arc id");
+    AMF_REQUIRE(amount >= 0.0, "cancel_flow: negative amount");
+    cut_valid_ = false;
+    residual_[static_cast<std::size_t>(e)] += amount;
+    residual_[static_cast<std::size_t>(e) + 1] -= amount;
+  }
 
   /// Sets the capacity of forward arc `e` with immediate effect, keeping
   /// the flow already on the arc: the forward residual becomes
   /// capacity - flow (clamped at zero against rounding dust). The caller
   /// must have cancelled any flow above the new capacity first.
-  void rebase_capacity(EdgeId e, double capacity);
+  void rebase_capacity(EdgeId e, double capacity) {
+    AMF_REQUIRE(forward_arc(e), "rebase_capacity: not a forward arc id");
+    AMF_REQUIRE(capacity >= 0.0, "rebase_capacity: negative capacity");
+    cut_valid_ = false;
+    orig_[static_cast<std::size_t>(e) / 2] = capacity;
+    residual_[static_cast<std::size_t>(e)] =
+        std::max(0.0, capacity - residual_[static_cast<std::size_t>(e) + 1]);
+  }
 
   /// Overwrites the flow on forward arc `e` (0 <= flow <= capacity):
   /// reverse residual becomes `flow`, forward residual the remaining
@@ -84,7 +125,10 @@ class FlowNetwork {
 
   /// Nodes reachable from `from` in the residual graph (arcs with residual
   /// > eps). After a max_flow this gives the source side of a min cut when
-  /// called with the source.
+  /// called with the source. Dinic's final, sink-less level graph is that
+  /// set, so right after a completed max_flow, and before any mutator
+  /// runs, a query with the same source and eps reads it back instead of
+  /// traversing again.
   std::vector<char> residual_reachable_from(NodeId from,
                                             double eps = kDefaultEps) const;
 
@@ -102,15 +146,41 @@ class FlowNetwork {
   static constexpr double kDefaultEps = 1e-9;
 
  private:
+  bool forward_arc(EdgeId e) const {
+    return e >= 0 && e < static_cast<EdgeId>(to_.size()) && (e % 2) == 0;
+  }
+  void ensure_csr() const;
+  /// BFS from `start` over slots whose arc (pair_bit 0) or paired arc
+  /// (pair_bit 1) has residual > eps: the nodes `start` reaches, or the
+  /// nodes that reach `start`.
+  std::vector<char> residual_bfs(NodeId start, double eps,
+                                 EdgeId pair_bit) const;
   bool bfs_levels(NodeId source, NodeId sink, double eps);
   double dfs_blocking(NodeId v, NodeId sink, double pushed, double eps);
 
-  std::vector<std::vector<EdgeId>> adj_;
-  std::vector<NodeId> to_;
+  int nodes_ = 0;
+  std::vector<NodeId> to_;        // head node per arc
   std::vector<double> residual_;  // remaining capacity per arc
   std::vector<double> orig_;      // original capacity of forward arcs (by pair)
-  std::vector<int> level_;
-  std::vector<std::size_t> iter_;
+
+  // CSR adjacency: node v's slots are [first_[v], first_[v + 1]); slot k
+  // holds arc id arc_[k] and its head head_[k]. Rebuilt on demand once
+  // add_node/add_edge mark it stale.
+  mutable std::vector<int> first_;
+  mutable std::vector<EdgeId> arc_;
+  mutable std::vector<NodeId> head_;
+  mutable std::vector<NodeId> queue_;  // BFS queue, one entry per node
+  mutable bool csr_stale_ = true;
+
+  std::vector<int> level_;  // Dinic level per node (-1 = unlabeled)
+  std::vector<int> iter_;   // blocking-flow cursor (slot) per node
+
+  // Set when max_flow ended on a level BFS that missed the sink: level_
+  // then marks exactly the nodes residual-reachable from cut_source_ at
+  // cut_eps_. Every mutator clears it.
+  bool cut_valid_ = false;
+  NodeId cut_source_ = -1;
+  double cut_eps_ = 0.0;
 };
 
 }  // namespace amf::flow

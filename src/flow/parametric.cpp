@@ -11,12 +11,11 @@ namespace amf::flow {
 
 namespace {
 
-std::vector<double> caps_at(const std::vector<ParametricSource>& sources,
-                            double t) {
-  std::vector<double> caps(sources.size());
+// Fills `caps` (sized to `sources`) with the source caps at level t.
+void caps_at(const std::vector<ParametricSource>& sources, double t,
+             std::vector<double>& caps) {
   for (std::size_t j = 0; j < sources.size(); ++j)
     caps[j] = std::max(0.0, sources[j].fixed + sources[j].slope * t);
-  return caps;
 }
 
 // Level-solver counters, published once per solve_critical_level call.
@@ -79,11 +78,13 @@ CriticalLevel solve_critical_level(
     fixed_total += src.fixed;
   }
 
+  std::vector<double> caps(sources.size());  // reused by every probe
   auto feasible_at = [&](double t) {
     // A probe only feeds saturated()/min_cut()/jobs_can_increase(), all
     // flow-state invariants, so the network may warm-start it. The
     // allocation itself is materialized by the caller with a full solve().
-    net.probe(caps_at(sources, t), eps);
+    caps_at(sources, t, caps);
+    net.probe(caps, eps);
     if (stats != nullptr) ++stats->flow_solves;
     ++probe_count;
     return net.saturated(eps);

@@ -313,6 +313,7 @@ void IncrementalTransport::remove_job(int row) {
   auto it = std::find(active_.begin(), active_.end(), row);
   if (it != active_.end()) active_.erase(it);
   --live_rows_;
+  ++masked_rows_;
   inc_counters().rows_masked.add(1);
   invalidate_caches();
 }
@@ -469,6 +470,7 @@ void IncrementalTransport::compact() {
   site_arcs_ = std::move(site_arcs);
   site_incoming_ = std::move(site_incoming);
   flow_valid_ = keep_flow;
+  masked_rows_ = 0;
   invalidate_caches();
 }
 

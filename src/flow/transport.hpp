@@ -241,6 +241,9 @@ class IncrementalTransport final : public TransportSystem {
 
   int total_rows() const { return static_cast<int>(rows_.size()); }
   int live_rows() const { return live_rows_; }
+  /// Rows removed since the last compact(): dead rows whose (masked)
+  /// nodes and arcs the flow network still holds.
+  int masked_rows() const { return masked_rows_; }
 
   /// Rebuilds the underlying flow network from the live rows, dropping
   /// dead rows' nodes and arcs. Stable ids and all values are preserved;
@@ -324,6 +327,7 @@ class IncrementalTransport final : public TransportSystem {
   std::vector<Row> rows_;
   std::vector<int> active_;  // live row ids, ascending
   int live_rows_ = 0;
+  int masked_rows_ = 0;
   // True while the residuals hold a conservative flow respecting every
   // arc's current capacity: mutators shed excess flow locally (instead of
   // deferring to the next reset) so probes can warm-start across events.

@@ -15,6 +15,7 @@
 #include "flow/network.hpp"
 #include "flow/parametric.hpp"
 #include "flow/transport.hpp"
+#include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -121,6 +122,150 @@ TEST(FlowNetwork, InputValidation) {
   EXPECT_THROW(net.add_edge(0, 5, 1.0), util::ContractError);
   EXPECT_THROW(net.add_edge(0, 1, -1.0), util::ContractError);
   EXPECT_THROW(net.max_flow(0, 0), util::ContractError);
+}
+
+// ---------------------------------------------------------------------------
+// Min-cut reads served from Dinic's terminal BFS: checked against a BFS
+// written here from the edge list, over the public per-arc residuals.
+
+struct Arc {
+  NodeId from;
+  NodeId to;
+  EdgeId id;  // forward arc; its reverse is id ^ 1
+};
+
+std::vector<char> reference_reachable(const FlowNetwork& net,
+                                      const std::vector<Arc>& arcs,
+                                      NodeId from, double eps) {
+  std::vector<char> seen(static_cast<std::size_t>(net.node_count()), 0);
+  std::vector<NodeId> stack{from};
+  seen[static_cast<std::size_t>(from)] = 1;
+  auto visit = [&](NodeId u, EdgeId a) {
+    if (!seen[static_cast<std::size_t>(u)] && net.residual(a) > eps) {
+      seen[static_cast<std::size_t>(u)] = 1;
+      stack.push_back(u);
+    }
+  };
+  while (!stack.empty()) {
+    const NodeId v = stack.back();
+    stack.pop_back();
+    for (const Arc& arc : arcs) {
+      if (arc.from == v) visit(arc.to, arc.id);
+      if (arc.to == v) visit(arc.from, arc.id ^ 1);
+    }
+  }
+  return seen;
+}
+
+TEST(FlowNetworkCutCache, MatchesReferenceAcrossEveryMutator) {
+  constexpr NodeId kSource = 0, kSink = 1;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    util::Rng rng(500 + seed);
+    FlowNetwork net(8);
+    std::vector<Arc> arcs;
+    auto add_arc = [&](NodeId u, NodeId v) {
+      const double cap = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 10.0);
+      arcs.push_back({u, v, net.add_edge(u, v, cap)});
+    };
+    for (int k = 0; k < 20; ++k) {
+      const auto u = static_cast<NodeId>(rng.uniform_index(8));
+      const auto v = static_cast<NodeId>(rng.uniform_index(8));
+      if (u != v) add_arc(u, v);
+    }
+    add_arc(kSource, 2);
+    add_arc(3, kSink);
+    auto pick = [&] {
+      return arcs[static_cast<std::size_t>(rng.uniform_index(arcs.size()))].id;
+    };
+    // The last solve's eps, plus one it never used: a query at another eps
+    // must traverse, not reuse the solve's level graph.
+    double solve_eps = FlowNetwork::kDefaultEps;
+    const util::StopToken fired{util::Deadline::after_ms(0.0)};
+    for (int step = 0; step < 300; ++step) {
+      const int op = static_cast<int>(rng.uniform_index(11));
+      switch (op) {
+        case 0:
+        case 1:
+          solve_eps = rng.bernoulli(0.5) ? FlowNetwork::kDefaultEps : 0.5;
+          net.max_flow(kSource, kSink, solve_eps);
+          break;
+        case 2: {
+          // A max flow cut short by the ambient stop token leaves no cut
+          // behind; the next query must see the current residuals.
+          util::ScopedStop scope(fired);
+          net.max_flow(kSource, kSink, solve_eps);
+          break;
+        }
+        case 3:
+          net.add_node();
+          break;
+        case 9: {
+          const auto n = static_cast<std::uint64_t>(net.node_count());
+          const auto u = static_cast<NodeId>(rng.uniform_index(n));
+          const auto v = static_cast<NodeId>(rng.uniform_index(n));
+          if (u != v) add_arc(u, v);
+          break;
+        }
+        case 4: {
+          const EdgeId e = pick();
+          net.set_capacity(e, rng.uniform(0.0, 10.0));
+          break;
+        }
+        case 5: {
+          const EdgeId e = pick();
+          net.raise_capacity(e, net.capacity(e) + rng.uniform(0.0, 5.0));
+          break;
+        }
+        case 6: {
+          const EdgeId e = pick();
+          net.cancel_flow(e, std::max(0.0, net.flow(e)) * rng.uniform());
+          break;
+        }
+        case 7: {
+          const EdgeId e = pick();
+          net.rebase_capacity(e, rng.uniform(0.0, 10.0));
+          break;
+        }
+        case 8: {
+          const EdgeId e = pick();
+          net.set_flow(e, net.capacity(e) * rng.uniform());
+          break;
+        }
+        default:
+          net.reset_flow();
+          break;
+      }
+      for (double eps : {solve_eps, 0.25}) {
+        EXPECT_EQ(net.residual_reachable_from(kSource, eps),
+                  reference_reachable(net, arcs, kSource, eps))
+            << "seed " << seed << " step " << step << " op " << op
+            << " eps " << eps;
+      }
+    }
+  }
+}
+
+TEST(FlowNetworkCutCache, StoppedMaxFlowNeverServesStaleCut) {
+  FlowNetwork net(3);
+  std::vector<Arc> arcs;
+  arcs.push_back({0, 1, net.add_edge(0, 1, 2.0)});
+  arcs.push_back({1, 2, net.add_edge(1, 2, 1.0)});
+  net.max_flow(0, 2);
+  EXPECT_EQ(net.residual_reachable_from(0), (std::vector<char>{1, 1, 0}));
+  // Headroom on the bottleneck reconnects the sink, but the stopped
+  // max_flow below never runs a BFS that could observe it.
+  net.raise_capacity(arcs[1].id, 5.0);
+  const util::StopToken fired{util::Deadline::after_ms(0.0)};
+  {
+    util::ScopedStop scope(fired);
+    EXPECT_EQ(net.max_flow(0, 2), 0.0);
+  }
+  EXPECT_EQ(net.residual_reachable_from(0), (std::vector<char>{1, 1, 1}));
+  EXPECT_EQ(net.residual_reachable_from(0),
+            reference_reachable(net, arcs, 0, FlowNetwork::kDefaultEps));
+  // Completing the solve closes the cut again.
+  EXPECT_DOUBLE_EQ(net.max_flow(0, 2), 1.0);
+  EXPECT_EQ(net.residual_reachable_from(0), (std::vector<char>{1, 0, 0}));
 }
 
 // Brute-force min-cut by enumerating all source-side subsets.

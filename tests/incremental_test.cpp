@@ -24,8 +24,10 @@
 #include "core/problem.hpp"
 #include "core/robust.hpp"
 #include "core/workspace.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "workload/faults.hpp"
 #include "workload/scenario.hpp"
 
@@ -354,6 +356,147 @@ TEST(WorkspaceRealization, ExactModeStaysBitIdenticalAfterToggle) {
   for (int j = 0; j < warm.jobs(); ++j)
     for (int s = 0; s < warm.sites(); ++s)
       EXPECT_DOUBLE_EQ(warm.share(j, s), cold.share(j, s));
+}
+
+// ---------------------------------------------------------------------------
+// Flow-layer work pins. Counts are process-wide obs counters, read as
+// deltas around the calls under test. Instances draw from util::Rng (not
+// <random> distributions), so the pinned values do not depend on the
+// standard library.
+
+long long counter(const char* name) {
+  return obs::Registry::global().snapshot().counter(name);
+}
+
+struct DinicWork {
+  long long calls = 0;
+  long long phases = 0;
+  long long paths = 0;
+};
+
+DinicWork dinic_work() {
+  return {counter("amf_flow_maxflow_calls"),
+          counter("amf_flow_maxflow_phases"),
+          counter("amf_flow_augmenting_paths")};
+}
+
+void add_work_since(const DinicWork& before, DinicWork& total) {
+  const DinicWork now = dinic_work();
+  total.calls += now.calls - before.calls;
+  total.phases += now.phases - before.phases;
+  total.paths += now.paths - before.paths;
+}
+
+std::vector<double> sparse_row(util::Rng& rng, int sites) {
+  std::vector<double> row(static_cast<std::size_t>(sites), 0.0);
+  const auto fanout = rng.uniform_int(1, 3);
+  for (std::int64_t i = 0; i < fanout; ++i)
+    row[rng.uniform_index(static_cast<std::uint64_t>(sites))] =
+        rng.uniform(0.5, 8.0);
+  return row;
+}
+
+core::AllocationProblem pinned_problem(util::Rng& rng, int jobs, int sites) {
+  core::Matrix demands;
+  for (int j = 0; j < jobs; ++j) demands.push_back(sparse_row(rng, sites));
+  std::vector<double> caps(static_cast<std::size_t>(sites));
+  for (auto& c : caps) c = rng.uniform(4.0, 24.0);
+  return core::AllocationProblem(std::move(demands), std::move(caps));
+}
+
+/// Churn: ~45% arrivals, ~45% departures, ~10% site capacity changes.
+core::ProblemDelta pinned_delta(util::Rng& rng,
+                                const core::AllocationProblem& problem) {
+  const double u = rng.uniform();
+  if (u < 0.1) {
+    const auto s =
+        static_cast<int>(rng.uniform_index(static_cast<std::uint64_t>(
+            problem.sites())));
+    return core::ProblemDelta::site_capacity(s, rng.uniform(4.0, 16.0));
+  }
+  if (u < 0.55 || problem.jobs() <= 4) {
+    auto row = sparse_row(rng, problem.sites());
+    return core::ProblemDelta::job_arrived(row, {}, 1.0, row);
+  }
+  return core::ProblemDelta::job_departed(static_cast<int>(
+      rng.uniform_index(static_cast<std::uint64_t>(problem.jobs()))));
+}
+
+void expect_bit_identical(const core::Allocation& got,
+                          const core::Allocation& want, int step) {
+  ASSERT_EQ(got.jobs(), want.jobs()) << "step " << step;
+  for (int j = 0; j < got.jobs(); ++j)
+    for (int s = 0; s < got.sites(); ++s)
+      EXPECT_EQ(got.share(j, s), want.share(j, s))
+          << "step " << step << " job " << j << " site " << s;
+}
+
+// The pinned values were measured on the adjacency-list Dinic that the CSR
+// kernel replaced. Phases and augmenting paths depend on the per-node arc
+// order, so a kernel change that reorders traversal moves these counts.
+TEST(DinicWorkPin, StatelessSolve) {
+  util::Rng rng(2019);
+  const auto problem = pinned_problem(rng, 16, 10);
+  core::AmfAllocator amf;
+  const DinicWork before = dinic_work();
+  amf.allocate(problem);
+  DinicWork work;
+  add_work_since(before, work);
+  EXPECT_EQ(work.calls, 44);
+  EXPECT_EQ(work.phases, 77);
+  EXPECT_EQ(work.paths, 1210);
+}
+
+TEST(DinicWorkPin, WarmIncrementalChurn) {
+  util::Rng rng(1905);
+  auto problem = pinned_problem(rng, 20, 8);
+  core::AmfAllocator amf;
+  core::SolverWorkspace ws;
+  DinicWork work;
+  for (int step = 0; step < 40; ++step) {
+    const DinicWork before = dinic_work();
+    const auto warm = amf.allocate(problem, ws);
+    add_work_since(before, work);
+    expect_bit_identical(warm, amf.allocate(problem), step);
+    const auto delta = pinned_delta(rng, problem);
+    problem = std::move(problem).apply(delta);
+    ws.apply(delta);
+  }
+  EXPECT_EQ(work.calls, 1417);
+  EXPECT_EQ(work.phases, 672);
+  EXPECT_EQ(work.paths, 3981);
+}
+
+TEST(WorkspaceCompaction, TriggerCountsOnlyRowsMaskedSinceLastRebuild) {
+  // A long stream at a steady job count: every rebuild drops the masked
+  // rows, so the next one waits for a fresh quarter of departures rather
+  // than firing on every solve once departures outnumber a quarter of all
+  // rows ever added.
+  util::Rng rng(77);
+  auto problem = pinned_problem(rng, 24, 8);
+  core::AmfAllocator amf;
+  core::SolverWorkspace ws;
+  const long long compactions_before = counter("amf_flow_inc_compactions");
+  int departures = 0;
+  for (int step = 0; step < 240; ++step) {
+    expect_bit_identical(amf.allocate(problem, ws), amf.allocate(problem),
+                         step);
+    core::ProblemDelta delta;
+    if (step % 2 == 0) {
+      auto row = sparse_row(rng, problem.sites());
+      delta = core::ProblemDelta::job_arrived(row, {}, 1.0, row);
+    } else {
+      delta = core::ProblemDelta::job_departed(static_cast<int>(
+          rng.uniform_index(static_cast<std::uint64_t>(problem.jobs()))));
+      ++departures;
+    }
+    problem = std::move(problem).apply(delta);
+    ws.apply(delta);
+  }
+  const long long compactions =
+      counter("amf_flow_inc_compactions") - compactions_before;
+  EXPECT_GT(compactions, 0);
+  EXPECT_LE(compactions, departures / 4 + 1);
 }
 
 }  // namespace
