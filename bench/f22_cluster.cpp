@@ -6,10 +6,9 @@
 //   A. Session scale-out. One in-process amf_serve (event-driven epoll
 //      connection layer + shared work-stealing executor, the defaults)
 //      hosts TARGET sessions at once — 10 000 in the full sweep — each
-//      created, loaded with a job, and solved. The legacy
-//      thread-per-session model would need TARGET OS threads here; the
-//      executor serves them all on a fixed pool. Gate: every session
-//      created and solved.
+//      created, loaded with a job, and solved. A thread per session
+//      would need TARGET OS threads here; the executor serves them all
+//      on a fixed pool. Gate: every session created and solved.
 //
 //   B. Shard scaling. N backend servers behind one amf_route; loadgen
 //      clients run add_job / solve(latest) / finish_job loops through
@@ -18,11 +17,13 @@
 //      is throughput(N) >= min_scaling * N * throughput(1) in the full
 //      sweep (default min_scaling 0.75 — i.e. >= 0.75x ideal).
 //
-//   C. Bit-identity. The same request byte stream is played against a
-//      legacy server (thread-per-connection + per-session worker) and a
-//      scale-out server (epoll + executor); every response line —
-//      ACKs, strict solves, the final snapshot — must match
-//      byte-for-byte. Gate: any diverging byte fails.
+//   C. Bit-identity. A fixed request byte stream is played against the
+//      server at batch windows 0 and 2 ms; every response line — ACKs,
+//      strict solves, the final snapshot — must match byte-for-byte the
+//      frozen transcript tests/data/f22_identity_<rounds>.txt, recorded
+//      from the retired thread-per-connection + per-session-worker
+//      stack while both stacks were pinned identical. Gate: any
+//      diverging byte (or a missing transcript) fails.
 //
 //   bench_f22_cluster [--smoke] [--json PATH] [--sessions N]
 //                     [--min-scaling X]
@@ -230,6 +231,15 @@ struct IdentityResult {
   bool ok = false;
 };
 
+/// Reads a frozen transcript: one response line per request. Empty when
+/// the file is missing, which the caller counts as a mismatch.
+std::vector<std::string> read_transcript(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
 /// Plays one deterministic request script against a server and returns
 /// the raw response lines, byte-for-byte.
 std::vector<std::string> play_script(int port,
@@ -245,10 +255,10 @@ std::vector<std::string> play_script(int port,
 
 IdentityResult run_bit_identity(double window_ms, int rounds) {
   using namespace amf;
-  // The request SCRIPT is fixed bytes; both servers see the exact same
-  // stream on one connection, so ordering is fixed and every response
-  // (ACK seqs, strict solve allocations, the final snapshot) must be
-  // byte-identical whatever the connection layer or scheduler.
+  // The request SCRIPT is fixed bytes on one connection, so ordering is
+  // fixed and every response (ACK seqs, strict solve allocations, the
+  // final snapshot) must be byte-identical whatever the batch window or
+  // scheduler.
   std::vector<std::string> script;
   long long id = 0;
   auto push = [&](const std::string& body) {
@@ -257,6 +267,8 @@ IdentityResult run_bit_identity(double window_ms, int rounds) {
   };
   push("\"op\":\"create_session\",\"session\":\"ident\","
        "\"capacities\":[100,80,60,40]");
+  // uniform_real_distribution is library-specific: the frozen
+  // transcripts were recorded against libstdc++.
   std::mt19937_64 rng(42);
   std::uniform_real_distribution<double> demand(1.0, 30.0);
   for (int r = 0; r < rounds; ++r) {
@@ -277,30 +289,24 @@ IdentityResult run_bit_identity(double window_ms, int rounds) {
   }
   push("\"op\":\"snapshot\",\"session\":\"ident\"");
 
-  auto run_server = [&](svc::IoModel io, bool executor) {
-    svc::ServerConfig config;
-    config.tcp_port = 0;
-    config.io_model = io;
-    config.executor = executor;
-    config.session.batch_window_ms = window_ms;
-    svc::Server server(config);
-    server.start();
-    std::vector<std::string> responses =
-        play_script(server.tcp_port(), script);
-    server.trigger_drain();
-    server.wait_drained();
-    return responses;
-  };
-  const std::vector<std::string> legacy =
-      run_server(svc::IoModel::kThreads, false);
-  const std::vector<std::string> scale_out =
-      run_server(svc::IoModel::kEpoll, true);
+  svc::ServerConfig config;
+  config.tcp_port = 0;
+  config.session.batch_window_ms = window_ms;
+  svc::Server server(config);
+  server.start();
+  const std::vector<std::string> served =
+      play_script(server.tcp_port(), script);
+  server.trigger_drain();
+  server.wait_drained();
+  const std::vector<std::string> golden =
+      read_transcript(std::string(AMF_TEST_DATA_DIR) + "/f22_identity_" +
+                      std::to_string(rounds) + ".txt");
 
   IdentityResult out;
   out.lines = static_cast<long long>(script.size());
-  for (std::size_t i = 0; i < legacy.size() && i < scale_out.size(); ++i)
-    if (legacy[i] != scale_out[i]) ++out.mismatches;
-  if (legacy.size() != scale_out.size()) ++out.mismatches;
+  for (std::size_t i = 0; i < golden.size() && i < served.size(); ++i)
+    if (golden[i] != served[i]) ++out.mismatches;
+  if (golden.size() != served.size()) ++out.mismatches;
   out.ok = out.mismatches == 0;
   return out;
 }

@@ -1,12 +1,11 @@
 // eventloop.hpp — the event-driven connection layer: a small set of
-// epoll reactor threads replacing one blocking-poll thread per
-// connection.
+// epoll reactor threads multiplexing every client connection.
 //
 // Each reactor owns an epoll instance (level-triggered) and a wake pipe.
 // Registered fds are distributed round-robin at add(); every readiness
 // event dispatches to the fd's callback ON THAT REACTOR THREAD, so one
 // fd's callbacks never run concurrently with each other. Cross-thread
-// operations (arming EPOLLOUT from a session worker, deregistering at
+// operations (arming EPOLLOUT from an executor thread, deregistering at
 // drain) go through epoll_ctl, which the kernel serializes — no reactor
 // handshake needed.
 //
@@ -15,7 +14,7 @@
 // The loop holds each callback in a shared_ptr and dispatches from a
 // copy, so remove() never destroys a callback mid-call; but a callback
 // already being dispatched when remove() runs may still fire once. The
-// owner (EventConn in server.cpp) therefore keeps its own state alive
+// owner (Server::Conn in server.cpp) therefore keeps its own state alive
 // via shared_ptr captured in the callback and tolerates one late event
 // after deregistering. Close the fd only after remove() — epoll drops
 // closed fds on its own, but a reused fd number must never alias a

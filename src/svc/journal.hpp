@@ -31,7 +31,7 @@
 //
 //   kAlways  fdatasync after every append, before the ACK is sent. An
 //            ACKed delta survives any crash.
-//   kBatch   appends are plain write()s; the session worker calls sync()
+//   kBatch   appends are plain write()s; the session task calls sync()
 //            once per drained batch (piggybacking on the batch window).
 //            A crash can lose at most the final window of ACKed deltas.
 //   kOff     no explicit syncing; the kernel page cache decides. A crash
@@ -42,7 +42,7 @@
 //
 // The log would otherwise grow without bound. When the session is
 // quiescent (no admitted-but-unapplied deltas, so every journaled record
-// is covered by the current state) the worker rewrites the file as a
+// is covered by the current state) the session task rewrites the file as a
 // single snapshot record via compact(): write a temp file, fdatasync,
 // rename over the log, fdatasync the directory. A crash at any point
 // leaves either the old complete log or the new one, never neither.

@@ -66,13 +66,11 @@ void parse_repl_target(const std::string& spec, std::string* host,
 }  // namespace
 
 Server::Server(ServerConfig config) : config_(std::move(config)) {
-  if (config_.executor) {
-    std::size_t threads = config_.executor_threads;
-    if (threads == 0)
-      threads = std::max<std::size_t>(2, std::thread::hardware_concurrency());
-    executor_ = std::make_unique<SvcExecutor>(threads);
-    config_.session.executor = executor_.get();
-  }
+  std::size_t threads = config_.executor_threads;
+  if (threads == 0)
+    threads = std::max<std::size_t>(2, std::thread::hardware_concurrency());
+  executor_ = std::make_unique<SvcExecutor>(threads);
+  config_.session.executor = executor_.get();
   int fds[2];
   AMF_REQUIRE(::pipe(fds) == 0, "self-pipe creation failed");
   wake_read_ = fds[0];
@@ -102,22 +100,14 @@ Server::~Server() {
   if (promote_write_ >= 0) ::close(promote_write_);
 }
 
-bool Server::ThreadConn::write(const std::string& line) {
-  std::lock_guard<std::mutex> lock(write_mu);
-  return sock.send_all(line);
-}
-
-void Server::ThreadConn::close_now() { sock.shutdown_both(); }
-
-/// Epoll-mode connection: a non-blocking socket owned by one reactor.
+/// A client connection: a non-blocking socket owned by one reactor.
 /// Reads happen only on that reactor thread (inbuf needs no lock);
-/// writes come from any thread (connection handlers, session workers,
-/// executor workers) under write_mu — a write that cannot complete
-/// immediately buffers the remainder and arms EPOLLOUT, which the
-/// reactor drains. Protocol framing (kMaxLineBytes bound, '\r' strip,
-/// empty-line skip) matches LineReader byte for byte.
-struct Server::EventConn : Conn,
-                           std::enable_shared_from_this<Server::EventConn> {
+/// writes come from any thread (reactors, executor threads) under
+/// write_mu — a write that cannot complete immediately buffers the
+/// remainder and arms EPOLLOUT, which the reactor drains. Protocol
+/// framing (kMaxLineBytes bound, '\r' strip, empty-line skip) matches
+/// LineReader byte for byte.
+struct Server::Conn : std::enable_shared_from_this<Server::Conn> {
   /// Cap on buffered unsent response bytes: a reader slower than its own
   /// solve stream eventually loses the connection instead of growing the
   /// server's memory without bound.
@@ -135,7 +125,8 @@ struct Server::EventConn : Conn,
 
   std::string inbuf;  ///< reactor thread only
 
-  bool write(const std::string& line) override {
+  /// Serialized full-line write; false once the connection is dead.
+  bool write(const std::string& line) {
     std::lock_guard<std::mutex> lock(write_mu);
     if (dead) return false;
     if (outbuf.empty()) {
@@ -170,7 +161,8 @@ struct Server::EventConn : Conn,
     return true;
   }
 
-  void close_now() override {
+  /// Drain-time force-close: surfaces EOF to the reactor. Idempotent.
+  void close_now() {
     {
       std::lock_guard<std::mutex> lock(write_mu);
       dead = true;
@@ -494,18 +486,12 @@ void Server::start() {
   } else {
     listener_ = listen_tcp(config_.tcp_port, &bound_port_, listen_options);
   }
-  if (config_.io_model == IoModel::kEpoll) {
-    std::size_t threads = config_.io_threads;
-    if (threads == 0)
-      threads = std::min<std::size_t>(
-          4, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
-    eventloop_ = std::make_unique<EventLoop>(threads);
-  }
+  std::size_t threads = config_.io_threads;
+  if (threads == 0)
+    threads = std::min<std::size_t>(
+        4, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+  eventloop_ = std::make_unique<EventLoop>(threads);
   started_ = true;
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  promote_thread_ = std::thread([this] { promote_watcher_loop(); });
-  if (config_.standby_port >= 0)
-    repl_thread_ = std::thread([this] { repl_accept_loop(); });
 
   if (!config_.replicate_to.empty()) {
     AMF_REQUIRE(!config_.journal_dir.empty(),
@@ -519,7 +505,7 @@ void Server::start() {
     // Seed the stream: sessions that predate the sender (restored or
     // recovered before start()) reach the standby as snapshot births,
     // offered before any live delta can be admitted. They are quiescent
-    // here — no worker has touched solver state yet.
+    // here — no session task has touched solver state yet.
     {
       std::lock_guard<std::mutex> lock(sessions_mu_);
       for (auto& [name, session] : sessions_) {
@@ -538,6 +524,12 @@ void Server::start() {
     SvcMetrics::get().role.set(is_standby() ? 0.0 : 1.0);
     SvcMetrics::get().epoch.set(static_cast<double>(epoch_));
   }
+  // Serve only now: request handlers read repl_sender_, and the seeding
+  // above must precede any live delta.
+  accept_thread_ = std::thread([this] { accept_loop(); });
+  promote_thread_ = std::thread([this] { promote_watcher_loop(); });
+  if (config_.standby_port >= 0)
+    repl_thread_ = std::thread([this] { repl_accept_loop(); });
 
   // Telemetry sidecar: the HTTP listener and the SLO ticker come up
   // together (the ticker exists to feed /metrics and /slo), and the span
@@ -659,22 +651,25 @@ void Server::accept_loop() {
   while (wait_readable(listener_.fd(), wake_read_)) {
     Socket conn_sock = accept_connection(listener_);
     if (!conn_sock.valid()) break;
-    if (config_.io_model == IoModel::kEpoll) {
-      adopt_connection_epoll(std::move(conn_sock));
-    } else {
-      reap_finished_connections();
-      adopt_connection_thread(std::move(conn_sock));
-    }
+    adopt_connection(std::move(conn_sock));
   }
 }
 
-void Server::adopt_connection_epoll(Socket sock) {
-  auto conn = std::make_shared<EventConn>();
+void Server::adopt_connection(Socket sock) {
+  auto conn = std::make_shared<Conn>();
   conn->server = this;
   conn->sock = std::move(sock);
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     if (draining_.load(std::memory_order_acquire)) return;
+    // Prune dead registrations before the vector grows, so a long-lived
+    // server does not keep one entry per historical connection.
+    if (conns_.size() == conns_.capacity())
+      conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
+                                  [](const std::weak_ptr<Conn>& weak) {
+                                    return weak.expired();
+                                  }),
+                   conns_.end());
     conns_.push_back(conn);
   }
   const long long open =
@@ -684,66 +679,6 @@ void Server::adopt_connection_epoll(Socket sock) {
   conn->reactor = eventloop_->pick();
   eventloop_->add(conn->reactor, conn->sock.fd(),
                   [conn](std::uint32_t events) { conn->on_events(events); });
-}
-
-void Server::adopt_connection_thread(Socket sock) {
-  auto conn = std::make_shared<ThreadConn>();
-  conn->sock = std::move(sock);
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  if (draining_.load(std::memory_order_acquire)) return;
-  conns_.push_back(conn);
-  std::thread t([this, conn] { connection_loop(std::move(conn)); });
-  const std::thread::id id = t.get_id();
-  conn_threads_.emplace(id, std::move(t));
-}
-
-void Server::reap_finished_connections() {
-  std::vector<std::thread> done;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const std::thread::id id : finished_conn_threads_) {
-      const auto it = conn_threads_.find(id);
-      if (it == conn_threads_.end()) continue;
-      done.push_back(std::move(it->second));
-      conn_threads_.erase(it);
-    }
-    finished_conn_threads_.clear();
-    conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
-                                [](const std::weak_ptr<Conn>& weak) {
-                                  return weak.expired();
-                                }),
-                 conns_.end());
-  }
-  for (std::thread& t : done)
-    if (t.joinable()) t.join();
-}
-
-void Server::connection_loop(std::shared_ptr<ThreadConn> conn) {
-  const long long open =
-      open_conns_.fetch_add(1, std::memory_order_relaxed) + 1;
-  SvcMetrics::get().open_connections.set(static_cast<double>(open));
-  LineReader reader(conn->sock.fd());
-  std::string line;
-  while (true) {
-    const LineReader::Status status = reader.read_line(&line);
-    if (status == LineReader::Status::kLine) {
-      if (line.empty()) continue;
-      handle_line(conn, line);
-      continue;
-    }
-    if (status == LineReader::Status::kOversized)
-      conn->write(error_line(0.0, ErrorCode::kBadRequest,
-                             "request line exceeds the protocol limit"));
-    break;  // kEof / kError / kOversized all end the connection
-  }
-  conn->sock.shutdown_both();
-  const long long left =
-      open_conns_.fetch_sub(1, std::memory_order_relaxed) - 1;
-  SvcMetrics::get().open_connections.set(static_cast<double>(left));
-  // Announce exit for the accept loop's reaper (a thread cannot join
-  // itself); the drain joins whatever is still announced or live.
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  finished_conn_threads_.push_back(std::this_thread::get_id());
 }
 
 void Server::handle_line(const std::shared_ptr<Conn>& conn,
@@ -816,20 +751,21 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
       throw SvcError(ErrorCode::kBadRequest,
                      std::string("op ") + to_string(req.op) +
                          " needs a \"session\"");
-    Session* session = nullptr;
+    std::shared_ptr<Session> session;
     {
       std::lock_guard<std::mutex> lock(sessions_mu_);
       auto it = sessions_.find(req.session);
       if (it == sessions_.end())
         throw SvcError(ErrorCode::kNoSession,
                        "no session \"" + req.session + "\"");
-      session = it->second.get();
+      session = it->second;
     }
-    // Sessions outlive connections: they are destroyed only by the
-    // drain, which first joins every connection thread. The responder
-    // closes the request's flow: the reply span runs on whichever
-    // thread answers (connection thread for ACKs/sheds, session worker
-    // for solves) and carries the wire trace id either way.
+    // The copy keeps the session alive through submit() even if a
+    // concurrent evict_session unpublishes and drains it (submit then
+    // answers `draining`). The responder closes the request's flow: the
+    // reply span runs on whichever thread answers (the reactor for
+    // ACKs/sheds, an executor thread for solves) and carries the wire
+    // trace id either way.
     session->submit(req, [conn, trace](std::string response) {
       const auto reply_start = Clock::now();
       {
@@ -1007,7 +943,7 @@ void Server::handle_evict_session(const Request& req,
   // Unpublish first: requests arriving after this point get no_session
   // (the router retries them on the target shard), while everything
   // already admitted is served by the drain below.
-  std::unique_ptr<Session> session;
+  std::shared_ptr<Session> session;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     const auto it = sessions_.find(req.session);
@@ -1359,31 +1295,22 @@ void Server::perform_drain() {
     obs::write_text_file(config_.snapshot_path, root.dump() + "\n");
   }
 
-  // 4. Close connections: stop the reactors (epoll mode) and join the
-  // reader threads (thread mode).
+  // 4. Close connections and stop the reactors.
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (auto& weak : conns_)
       if (auto conn = weak.lock()) conn->close_now();
   }
   if (eventloop_ != nullptr) eventloop_->stop();
-  std::map<std::thread::id, std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    readers.swap(conn_threads_);
-    finished_conn_threads_.clear();
-  }
-  for (auto& [id, t] : readers)
-    if (t.joinable()) t.join();
 
-  // 5. Tear down sessions (queues are empty; workers already joined and
-  // executor tasks waited out), then the executor they ran on, then the
-  // replication sender they pointed at.
+  // 5. Tear down sessions (queues are empty; executor tasks waited out),
+  // then the executor they ran on, then the replication sender they
+  // pointed at.
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     sessions_.clear();
   }
-  if (executor_ != nullptr) executor_->stop();
+  executor_->stop();
   if (repl_sender_ != nullptr) repl_sender_->stop();
 
   // 6. Stop the telemetry sidecar last, so /healthz kept answering 503

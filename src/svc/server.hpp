@@ -1,12 +1,13 @@
-// server.hpp — the amf_serve daemon core: listener, connection threads,
-// session registry, graceful drain.
+// server.hpp — the amf_serve daemon core: listener, epoll connection
+// reactors, session registry, graceful drain.
 //
-// The server listens on a Unix-domain socket or loopback TCP, accepts
-// connections on a dedicated thread, and runs one reader thread per
-// connection. Request lines are parsed and dispatched: server ops
-// (create_session / stats / drain / ping) are handled inline on the
-// connection thread; session ops are forwarded to the named Session,
-// whose worker replies through a per-connection write lock (responses
+// The server listens on a Unix-domain socket or loopback TCP and accepts
+// connections on a dedicated thread. Each accepted socket is made
+// non-blocking and handed to one of a few epoll reactor threads, which
+// frame request lines and dispatch them. Server ops (create_session /
+// stats / drain / ping) are handled inline on the reactor; session ops
+// are forwarded to the named Session, which runs as a task on the shared
+// SvcExecutor and replies through the connection's write lock (responses
 // from different sessions interleave safely on one connection, matched
 // by request id).
 //
@@ -20,7 +21,8 @@
 //   3. drain every session (queued work is served, never dropped),
 //   4. write the snapshot file (config.snapshot_path) — reloadable via
 //      `amf_serve --restore`,
-//   5. close connections and join all threads.
+//   5. close connections, stop the reactors and the executor, and join
+//      all threads.
 //
 // ## Durability (--journal)
 //
@@ -59,12 +61,6 @@
 
 namespace amf::svc {
 
-/// Connection I/O model (see DESIGN.md §16).
-enum class IoModel {
-  kEpoll,    ///< epoll reactor threads, non-blocking sockets (default)
-  kThreads,  ///< legacy one blocking reader thread per connection
-};
-
 struct ServerConfig {
   /// Unix-domain socket path; non-empty selects AF_UNIX.
   std::string unix_path;
@@ -90,14 +86,9 @@ struct ServerConfig {
   obs::SloConfig slo;
 
   // --- scale-out serving (see DESIGN.md §16) ---
-  /// Connection layer: epoll reactors (default) or thread-per-connection.
-  IoModel io_model = IoModel::kEpoll;
-  /// Reactor threads in epoll mode (0 = auto).
+  /// Epoll reactor threads (0 = auto).
   std::size_t io_threads = 0;
-  /// Shared session executor: sessions run as tasks on a fixed pool
-  /// instead of one worker thread each. Off = legacy per-session worker.
-  bool executor = true;
-  /// Executor pool width (0 = auto: hardware concurrency).
+  /// Shared session executor pool width (0 = auto: hardware concurrency).
   std::size_t executor_threads = 0;
   /// accept() backlog (0 = SOMAXCONN). The old hard-coded 64 caused
   /// spurious connect timeouts under thousands of concurrent connects.
@@ -198,36 +189,14 @@ class Server {
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
  private:
-  /// One client connection, whichever I/O model carries it. Responders
-  /// hold shared_ptrs, so a Conn outlives its socket teardown and a late
-  /// write() is a clean false, never a use-after-free.
-  struct Conn {
-    virtual ~Conn() = default;
-    /// Serialized full-line write; false once the connection is dead.
-    virtual bool write(const std::string& line) = 0;
-    /// Drain-time force-close: unblocks the reader (thread mode) or
-    /// surfaces EOF to the reactor (epoll mode). Idempotent.
-    virtual void close_now() = 0;
-  };
-  /// Thread mode: blocking socket + a dedicated reader thread.
-  struct ThreadConn : Conn {
-    Socket sock;
-    std::mutex write_mu;
-    bool write(const std::string& line) override;
-    void close_now() override;
-  };
-  /// Epoll mode: non-blocking socket on a reactor (see server.cpp).
-  struct EventConn;
+  /// One client connection: a non-blocking socket on a reactor (see
+  /// server.cpp). Responders hold shared_ptrs, so a Conn outlives its
+  /// socket teardown and a late write() is a clean false, never a
+  /// use-after-free.
+  struct Conn;
 
   void accept_loop();
-  void adopt_connection_epoll(Socket sock);
-  void adopt_connection_thread(Socket sock);
-  /// Joins connection threads that have announced exit and prunes dead
-  /// Conn registrations (thread mode; called from the accept loop so a
-  /// long-lived server does not accumulate one joinable thread per
-  /// historical connection).
-  void reap_finished_connections();
-  void connection_loop(std::shared_ptr<ThreadConn> conn);
+  void adopt_connection(Socket sock);
   void handle_line(const std::shared_ptr<Conn>& conn, const std::string& line);
   void handle_create_session(const Request& req,
                              const std::shared_ptr<Conn>& conn);
@@ -268,21 +237,17 @@ class Server {
   int wake_write_ = -1;  ///< trigger_drain writes here (async-signal-safe)
 
   std::mutex sessions_mu_;
-  std::map<std::string, std::unique_ptr<Session>> sessions_;
+  /// Shared so a request handler's copy keeps its session alive through
+  /// submit() while evict_session unpublishes and drains it.
+  std::map<std::string, std::shared_ptr<Session>> sessions_;
 
   std::mutex conns_mu_;
   std::vector<std::weak_ptr<Conn>> conns_;
-  /// Thread mode: live reader threads by id; finished ones move to
-  /// finished_conn_threads_ (a thread cannot join itself) and are
-  /// reaped by the accept loop.
-  std::map<std::thread::id, std::thread> conn_threads_;
-  std::vector<std::thread::id> finished_conn_threads_;
   std::atomic<long long> open_conns_{0};
 
-  /// Scale-out serving: the reactor set (epoll mode) and the shared
-  /// session executor (executor mode). The executor is built in the
-  /// constructor — restore/recovery create sessions before start() and
-  /// those sessions already need config_.session.executor.
+  /// The reactor set and the shared session executor. The executor is
+  /// built in the constructor — restore/recovery create sessions before
+  /// start() and those sessions already need config_.session.executor.
   std::unique_ptr<EventLoop> eventloop_;
   std::unique_ptr<SvcExecutor> executor_;
 

@@ -201,6 +201,7 @@ Session::Session(std::string name, std::vector<double> capacities,
                  SessionConfig config)
     : name_(std::move(name)), config_(std::move(config)) {
   AMF_REQUIRE(config_.max_queue_depth >= 1, "max_queue_depth must be >= 1");
+  AMF_REQUIRE(config_.executor != nullptr, "a session needs an executor");
   for (double c : capacities)
     if (!std::isfinite(c) || c < 0.0)
       throw SvcError(ErrorCode::kBadRequest,
@@ -210,6 +211,7 @@ Session::Session(std::string name, std::vector<double> capacities,
   nominal_capacities_ = capacities;
   site_factors_.assign(capacities.size(), 1.0);
   problem_ = core::AllocationProblem({}, std::move(capacities));
+  resources_ = problem_.resources();
   base_policy_ = make_policy(config_.policy);
   robust_ = std::make_unique<core::RobustAllocator>(*base_policy_);
   util::Logger::global()
@@ -217,14 +219,13 @@ Session::Session(std::string name, std::vector<double> capacities,
       .str("session", name_)
       .str("policy", config_.policy)
       .num("sites", nominal_capacities_.size());
-  if (config_.executor == nullptr)
-    worker_ = std::thread([this] { worker_loop(); });
 }
 
 Session::Session(std::string name, core::Matrix capacity_matrix,
                  SessionConfig config)
     : name_(std::move(name)), config_(std::move(config)) {
   AMF_REQUIRE(config_.max_queue_depth >= 1, "max_queue_depth must be >= 1");
+  AMF_REQUIRE(config_.executor != nullptr, "a session needs an executor");
   if (capacity_matrix.empty())
     throw SvcError(ErrorCode::kBadRequest, "session needs at least one site");
   const std::size_t r = capacity_matrix.front().size();
@@ -251,6 +252,7 @@ Session::Session(std::string name, core::Matrix capacity_matrix,
   } catch (const util::ContractError& e) {
     throw SvcError(ErrorCode::kBadRequest, e.what());
   }
+  resources_ = problem_.resources();
   base_policy_ = make_policy(config_.policy);
   robust_ = std::make_unique<core::RobustAllocator>(*base_policy_);
   util::Logger::global()
@@ -259,14 +261,13 @@ Session::Session(std::string name, core::Matrix capacity_matrix,
       .str("policy", config_.policy)
       .num("sites", nominal_capacities_.size())
       .num("resources", problem_.resources());
-  if (config_.executor == nullptr)
-    worker_ = std::thread([this] { worker_loop(); });
 }
 
 Session::Session(std::string name, ProblemSnapshot snapshot,
                  SessionConfig config, long long initial_seq)
     : name_(std::move(name)), config_(std::move(config)) {
   AMF_REQUIRE(config_.max_queue_depth >= 1, "max_queue_depth must be >= 1");
+  AMF_REQUIRE(config_.executor != nullptr, "a session needs an executor");
   AMF_REQUIRE(initial_seq >= 0, "initial_seq must be >= 0");
   enqueued_seq_ = processed_seq_ = seq_ = initial_seq;
   problem_ = std::move(snapshot.problem);
@@ -304,6 +305,7 @@ Session::Session(std::string name, ProblemSnapshot snapshot,
   }
   if (problem_.jobs() > 0)
     workloads_mode_ = problem_.has_workloads() ? 1 : 0;
+  resources_ = problem_.resources();
   base_policy_ = make_policy(config_.policy);
   robust_ = std::make_unique<core::RobustAllocator>(*base_policy_);
   util::Logger::global()
@@ -313,8 +315,6 @@ Session::Session(std::string name, ProblemSnapshot snapshot,
       .num("sites", nominal_capacities_.size())
       .num("jobs", job_ids_.size())
       .num("seq", initial_seq);
-  if (config_.executor == nullptr)
-    worker_ = std::thread([this] { worker_loop(); });
 }
 
 Session::~Session() {
@@ -322,15 +322,10 @@ Session::~Session() {
   {
     std::unique_lock<std::mutex> lock(mu_);
     stopped_ = true;
-    cv_.notify_all();
-    // Executor mode: wait for the in-flight task (including one parked
-    // on a batch-window timer — it fires, sees stopped_, and clears
+    // Wait for the in-flight task (including one parked on a
+    // batch-window timer — it fires, sees stopped_, and clears
     // scheduled_ as its last touch of the session).
     idle_cv_.wait(lock, [this] { return !scheduled_; });
-  }
-  if (worker_.joinable()) worker_.join();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
     leftovers.swap(queue_);
   }
   for (const Item& item : leftovers)
@@ -454,12 +449,11 @@ void Session::submit(const Request& req, Responder respond) {
     }
     if (!item.rid.empty()) remember_ack_locked(item.rid, ack, repl_index);
     // ACK at admission: the delta is now owed to every later solve. The
-    // queued copy carries no responder — the worker never replies to
-    // deltas, and teardown must not reply twice.
+    // queued copy carries no responder — the session task never replies
+    // to deltas, and teardown must not reply twice.
     Responder respond_ack = std::move(item.respond);
     item.respond = nullptr;
     queue_.push_back(std::move(item));
-    cv_.notify_all();
     schedule_locked();
     lock.unlock();
     // repl-ack mode: the ACK is withheld until the standby confirms the
@@ -496,7 +490,6 @@ void Session::submit(const Request& req, Responder respond) {
     return;
   }
   queue_.push_back(std::move(item));
-  cv_.notify_all();
   schedule_locked();
 }
 
@@ -537,7 +530,7 @@ void Session::validate_delta_locked(const Request& req, Item* item) {
         if (!multi_session())
           throw SvcError(ErrorCode::kBadRequest,
                          "job profiles need a multi-resource session");
-        auto p = number_array(*profile, problem_.resources(), "profile");
+        auto p = number_array(*profile, resources_, "profile");
         bool any = false;
         for (double x : p) {
           if (x < 0.0)
@@ -576,8 +569,7 @@ void Session::validate_delta_locked(const Request& req, Item* item) {
         if (!multi_session())
           throw SvcError(ErrorCode::kBadRequest,
                          "capacity_factors needs a multi-resource session");
-        auto f = number_array(*factors, problem_.resources(),
-                              "capacity_factors");
+        auto f = number_array(*factors, resources_, "capacity_factors");
         for (double x : f)
           if (x < 0.0)
             throw SvcError(ErrorCode::kBadRequest,
@@ -601,7 +593,7 @@ void Session::validate_delta_locked(const Request& req, Item* item) {
           throw SvcError(ErrorCode::kBadRequest,
                          "set_capacity on a multi-resource session needs a "
                          "capacity vector value");
-        auto row = number_array(*value, problem_.resources(), "value");
+        auto row = number_array(*value, resources_, "value");
         for (double c : row)
           if (c < 0.0)
             throw SvcError(ErrorCode::kBadRequest,
@@ -808,8 +800,8 @@ void Session::compact_journal_replicated(const std::string& payload) {
 
 bool Session::replay_journal_record(const Json& record, std::string* error) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Recovery runs before the server accepts traffic, so the worker is
-  // parked on an empty queue and the solver state is safe to touch here.
+  // Recovery runs before the server accepts traffic, so no task is in
+  // flight on the empty queue and the solver state is safe to touch here.
   AMF_ASSERT(queue_.empty(), "journal replay raced live traffic");
   Request req;
   req.op = Op::kPing;
@@ -1011,39 +1003,7 @@ void Session::serve_run(std::vector<Item>* run) {
   }
 }
 
-void Session::worker_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto& metrics = SvcMetrics::get();
-  while (true) {
-    cv_.wait(lock, [this] {
-      return stopped_ || draining_ || !queue_.empty();
-    });
-    if (stopped_) return;
-    if (queue_.empty()) {
-      if (draining_) return;
-      continue;
-    }
-    // Accumulation window: let the batch fill before serving. Skipped
-    // when draining (flush as fast as possible).
-    if (config_.batch_window_ms > 0.0 && !draining_) {
-      const auto until =
-          queue_.front().enqueued +
-          std::chrono::duration_cast<Clock::duration>(
-              std::chrono::duration<double, std::milli>(
-                  config_.batch_window_ms));
-      const auto wait_start = Clock::now();
-      cv_.wait_until(lock, until,
-                     [this] { return stopped_ || draining_; });
-      metrics.stage_batch_wait_ms.observe(
-          ms_since(wait_start, Clock::now()));
-      if (stopped_) return;
-    }
-    process_batch(lock);
-  }
-}
-
 void Session::schedule_locked() {
-  if (config_.executor == nullptr) return;  // thread mode: cv_ wakes worker
   if (scheduled_ || stopped_) return;
   scheduled_ = true;
   config_.executor->submit([this] { executor_run(); });
@@ -1054,7 +1014,7 @@ void Session::executor_run() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stopped_ && !queue_.empty()) {
     // Accumulation window: instead of a timed cv wait, park the slice on
-    // the executor timer and give the worker back. scheduled_ stays true
+    // the executor timer and give the pool thread back. scheduled_ stays true
     // across the deferral — the timer continuation owns the session's
     // liveness until it clears the flag.
     if (config_.batch_window_ms > 0.0 && !draining_) {
@@ -1178,16 +1138,12 @@ void Session::drain() {
     if (!draining_)
       pending = queue_.size();
     draining_ = true;
-    cv_.notify_all();
-    if (config_.executor != nullptr) {
-      // Wait out the in-flight slice (it flushes every queued batch once
-      // draining_ is set; a window-parked slice fires within one batch
-      // window), then serve anything admitted after it went idle.
-      idle_cv_.wait(lock, [this] { return !scheduled_; });
-      while (!stopped_ && !queue_.empty()) process_batch(lock);
-    }
+    // Wait out the in-flight slice (it flushes every queued batch once
+    // draining_ is set; a window-parked slice fires within one batch
+    // window), then serve anything admitted after it went idle.
+    idle_cv_.wait(lock, [this] { return !scheduled_; });
+    while (!stopped_ && !queue_.empty()) process_batch(lock);
   }
-  if (worker_.joinable()) worker_.join();
   util::Logger::global()
       .info("svc.session_drain")
       .str("session", name_)

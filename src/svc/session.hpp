@@ -3,10 +3,13 @@
 //
 // A session is the unit of state the service multiplexes: it owns an
 // AllocationProblem, the SolverWorkspace primed for it, the last served
-// allocation, and a bounded request queue drained by a dedicated worker
-// thread. Connections submit requests; the worker batches and serves
-// them. All solver state is touched by the worker only, so the solver
-// substrate needs no locking.
+// allocation, and a bounded request queue. The session runs as a task on
+// the shared SvcExecutor (config.executor): delta arrival and batch-window
+// expiry schedule it, and at most one of its tasks is in flight, so its
+// requests are served in order as if by one dedicated worker.
+// Connections submit requests; the session task batches and serves them.
+// All solver state is touched by that task only, so the solver substrate
+// needs no locking.
 //
 // ## Delta admission (ACK-at-enqueue)
 //
@@ -20,21 +23,21 @@
 //
 // ## Batching and coalescing
 //
-// The worker accumulates requests for `batch_window_ms` after the first
-// pending one, then drains a batch: the longest prefix of deltas, applied
-// one by one to problem and workspace (the incremental pipeline), then a
-// run of consecutive solve/snapshot requests. All solves in the run are
-// served by ONE allocator call — the amortization under load — and a
-// solve whose state is unchanged since the previous solve is served from
-// the cached result without touching the solver at all. Because the
+// The session task accumulates requests for `batch_window_ms` after the
+// first pending one, then drains a batch: the longest prefix of deltas,
+// applied one by one to problem and workspace (the incremental pipeline),
+// then a run of consecutive solve/snapshot requests. All solves in the
+// run are served by ONE allocator call — the amortization under load —
+// and a solve whose state is unchanged since the previous solve is served
+// from the cached result without touching the solver at all. Because the
 // workspace's exact-realization contract makes every solve bit-identical
 // to the stateless path, coalescing is bit-identical to processing the
 // queue one request at a time:
 //   * a strict solve (the default) closes the batch at the next delta, so
 //     it observes exactly the deltas submitted before it;
-//   * a solve with "latest": true lets the worker keep draining deltas
-//     past it and serve it at a newer state (its response reports the
-//     `seq` actually served, which clients verify or ignore).
+//   * a solve with "latest": true lets the session task keep draining
+//     deltas past it and serve it at a newer state (its response reports
+//     the `seq` actually served, which clients verify or ignore).
 //
 // ## Admission control
 //
@@ -60,8 +63,8 @@
 // as live traffic (replay_journal_record), so a restarted session is
 // bit-identical to the uncrashed one at the same delta prefix. When the
 // session is quiescent and the log has grown past
-// `journal_compact_every` records, the worker compacts it to a single
-// snapshot record.
+// `journal_compact_every` records, the session task compacts it to a
+// single snapshot record.
 #pragma once
 
 #include <chrono>
@@ -72,7 +75,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -94,7 +96,7 @@ class SvcExecutor;
 /// may override batch_window_ms and policy).
 struct SessionConfig {
   /// Accumulation window: after the first request of a batch arrives, the
-  /// worker waits this long for more before serving. 0 = serve
+  /// session task waits this long for more before serving. 0 = serve
   /// immediately (the unbatched reference behaviour).
   double batch_window_ms = 0.0;
   /// Bounded queue depth; submissions beyond it are shed with
@@ -114,11 +116,9 @@ struct SessionConfig {
   /// Allocator calls slower than this log a `svc.slow_solve` warning
   /// (0 = disabled).
   double slow_solve_ms = 0.0;
-  /// Shared session executor (server-owned, outlives every session it
-  /// runs). Non-null switches the session from a dedicated worker thread
-  /// to executor scheduling: the session becomes a runnable task,
-  /// scheduled on delta arrival and batch-window expiry, with at most
-  /// one task in flight (per-session ordering = single-worker ordering).
+  /// Shared session executor the session runs on. Required (every
+  /// constructor rejects null); it must outlive the session. Servers
+  /// pass their own pool; standalone sessions pass any long-lived one.
   SvcExecutor* executor = nullptr;
 };
 
@@ -185,8 +185,9 @@ struct SvcMetrics {
 class Session {
  public:
   /// Delivers one complete response line (with trailing '\n') to the
-  /// client. Must be thread-safe; called from connection threads (delta
-  /// ACKs, sheds) and from the session worker (solve results).
+  /// client. Must be thread-safe; called from the submitting thread
+  /// (delta ACKs, sheds) and from the session's executor task (solve
+  /// results).
   using Responder = std::function<void(std::string line)>;
 
   /// Fresh session over `capacities` (the nominal site capacities).
@@ -206,8 +207,9 @@ class Session {
   Session(std::string name, ProblemSnapshot snapshot, SessionConfig config,
           long long initial_seq = 0);
 
-  /// Stops the worker without serving the remaining queue (fast
-  /// teardown); drain() first for the graceful path.
+  /// Waits out the in-flight executor task without serving the
+  /// remaining queue (fast teardown); drain() first for the graceful
+  /// path.
   ~Session();
 
   Session(const Session&) = delete;
@@ -216,7 +218,7 @@ class Session {
   const std::string& name() const { return name_; }
 
   /// Admission + dispatch. Always responds exactly once per request
-  /// (immediately for ACKs and sheds, from the worker otherwise).
+  /// (immediately for ACKs and sheds, from the executor task otherwise).
   void submit(const Request& req, Responder respond);
 
   /// Attaches the write-ahead journal. Must run before the session sees
@@ -247,21 +249,22 @@ class Session {
   bool replay_journal_record(const Json& record, std::string* error);
 
   /// Compacts the journal to a single snapshot record. Only safe after
-  /// drain() (no worker); the live path compacts from the worker.
+  /// drain() (no task in flight); the live path compacts from the task.
   void compact_journal_after_drain();
 
   /// Snapshot-record payload for compaction ({"t":"snapshot",...} with
   /// the session config embedded so recovery can rebuild the session).
   std::string snapshot_record_payload_locked_state() const;
 
-  /// Serves everything already admitted, then stops the worker. New
+  /// Serves everything already admitted, then leaves the session idle. New
   /// submissions during and after the drain are shed with `draining`.
   /// Idempotent.
   void drain();
 
   /// Session state as a restorable snapshot (problem + nominal
   /// capacities + job ids + last allocation). Only safe after drain()
-  /// (no worker) — the in-band `snapshot` op is the live-session path.
+  /// (no task in flight) — the in-band `snapshot` op is the live-session
+  /// path.
   Json snapshot_json_after_drain();
 
   /// The rid dedup window as a restorable array (admission order), for
@@ -298,10 +301,8 @@ class Session {
                                           long long seq) const;
   void remember_ack_locked(const std::string& rid, const Json& ack,
                            std::uint64_t repl_index);
-  void worker_loop();
-  /// Executor mode: queues the session as a runnable task unless one is
-  /// already queued or running (`scheduled_`). Thread mode: no-op (the
-  /// cv_ notify in submit() wakes the dedicated worker).
+  /// Queues the session as a runnable task unless one is already queued
+  /// or running (`scheduled_`).
   void schedule_locked();
   /// One executor slice: waits out the batch window by rescheduling via
   /// submit_after, drains ONE batch (all batches when draining), then
@@ -309,9 +310,9 @@ class Session {
   void executor_run();
   /// Drains one batch (deltas + solve/snapshot run + fsync + compaction)
   /// from the front of the queue. Entered and left with `lock` held;
-  /// unlocked across the allocator work. Shared verbatim by the worker
-  /// thread, the executor slices, and the drain flush, so batching is
-  /// bit-identical across serving modes.
+  /// unlocked across the allocator work. Shared verbatim by the executor
+  /// slices and the drain flush, so a drain batches exactly like live
+  /// serving.
   void process_batch(std::unique_lock<std::mutex>& lock);
   /// Applies one admitted delta to problem + workspace + id map.
   void apply_delta(const Item& item);
@@ -327,26 +328,29 @@ class Session {
 
   // --- queue + projected state (guarded by mu_) ---
   std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<Item> queue_;
   bool draining_ = false;
   bool stopped_ = false;
-  /// Executor mode: a task for this session is queued or running
+  /// A task for this session is queued or running
   /// (including parked on a batch-window timer). While true, `this` must
   /// stay alive; drain() and the destructor wait on idle_cv_ for it to
   /// clear. Clearing it is the task's final touch of the session.
   bool scheduled_ = false;
   std::condition_variable idle_cv_;
-  /// Executor mode: when the current batch first deferred for its
-  /// accumulation window (epoch = no deferral pending); feeds the
-  /// stage_batch_wait_ms histogram like the worker's timed cv wait.
+  /// When the current batch first deferred for its accumulation window
+  /// (epoch = no deferral pending); feeds the stage_batch_wait_ms
+  /// histogram.
   std::chrono::steady_clock::time_point window_wait_start_{};
+  /// Resource count R, fixed at construction. Admission validates
+  /// against it while the session task rewrites problem_, so it must not
+  /// be read off problem_.
+  int resources_ = 1;
   long long next_job_id_ = 0;
   std::unordered_set<long long> projected_alive_;
   /// -1 unknown (no job seen yet), else 0/1: whether jobs carry workloads.
   int workloads_mode_ = -1;
   long long enqueued_seq_ = 0;   ///< deltas admitted
-  long long processed_seq_ = 0;  ///< deltas applied (worker)
+  long long processed_seq_ = 0;  ///< deltas applied (session task)
   /// rid -> original delta ACK plus the replication index its record was
   /// offered under (0 = none pending: no replication, or a replayed
   /// record), bounded FIFO (config_.dedup_window). In repl-ack mode a
@@ -366,7 +370,7 @@ class Session {
   /// stream carries records in seq order; ack waiting happens off mu_.
   ReplSender* repl_ = nullptr;
 
-  // --- solver state (worker thread only; after drain: owner thread) ---
+  // --- solver state (session task only; after drain: owner thread) ---
   core::AllocationProblem problem_;
   core::SolverWorkspace workspace_;
   std::vector<double> nominal_capacities_;
@@ -379,15 +383,13 @@ class Session {
   core::Allocation last_allocation_;
   bool has_allocation_ = false;
   bool cacheable_ = false;      ///< last_allocation_ was an unbudgeted solve
-  long long seq_ = 0;           ///< deltas applied (worker-local mirror)
+  long long seq_ = 0;           ///< deltas applied (task-local mirror)
   long long last_solve_seq_ = -1;
   std::string last_tier_;
   std::string broken_;  ///< non-empty: solver state is wedged (internal bug)
 
   std::unique_ptr<core::Allocator> base_policy_;
   std::unique_ptr<core::RobustAllocator> robust_;
-
-  std::thread worker_;
 };
 
 }  // namespace amf::svc

@@ -31,6 +31,7 @@
 #include "svc/journal.hpp"
 #include "svc/server.hpp"
 #include "svc/session.hpp"
+#include "svc_test_executor.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "workload/faults.hpp"
@@ -189,7 +190,7 @@ svc::Json add_job_body(const std::vector<double>& demands,
 }
 
 TEST(R1Equiv, SvcResponsesBitIdenticalToScalarSession) {
-  svc::SessionConfig cfg;
+  svc::SessionConfig cfg = svc::test_session_config();
   svc::Session scalar("s", std::vector<double>{5.0, 4.0}, cfg);
   svc::Session lifted("s", core::Matrix{{5.0}, {4.0}}, cfg);
 
@@ -493,7 +494,7 @@ TEST(MultiResSim, IncrementalMatchesColdAtR2) {
 TEST(MultiResSvc, JournalReplayMatchesUncrashedSession) {
   const std::string wal = ::testing::TempDir() + "multires_replay.wal";
   std::remove(wal.c_str());
-  svc::SessionConfig cfg;
+  svc::SessionConfig cfg = svc::test_session_config();
   const core::Matrix nominal = {{10.0, 6.0}, {8.0, 8.0}};
 
   svc::Session live("m", nominal, cfg);

@@ -1,8 +1,10 @@
 // svc_executor_test.cpp — the scale-out serving layers on one node:
 // the work-stealing SvcExecutor, the epoll EventLoop, and the pinned
-// contract that the scale-out server (epoll + shared executor) is
-// BYTE-IDENTICAL to the legacy server (thread-per-connection +
-// worker-per-session) for the same request stream.
+// contract that the server (epoll reactors + shared executor) answers a
+// fixed request stream BYTE-IDENTICALLY to the frozen transcript
+// tests/data/svc_scaleout_transcript.txt. That file was recorded from
+// the retired thread-per-connection + worker-per-session stack while
+// both stacks were pinned identical.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +18,7 @@
 
 #include <unistd.h>
 
+#include "golden.hpp"
 #include "svc/client.hpp"
 #include "svc/eventloop.hpp"
 #include "svc/executor.hpp"
@@ -154,7 +157,7 @@ TEST(SvcEventLoop, PickRoundRobins) {
 }
 
 // ---------------------------------------------------------------------
-// Scale-out server vs legacy server: bit-identity pins
+// Bit-identity pins against the frozen reference transcript
 
 std::vector<std::string> fixed_script() {
   std::vector<std::string> script;
@@ -185,63 +188,44 @@ std::vector<std::string> fixed_script() {
   return script;
 }
 
-std::vector<std::string> play(const ServerConfig& base,
-                              const std::vector<std::string>& script) {
-  ServerConfig config = base;
+/// Plays the script on one connection; returns the response lines, one
+/// per request, each terminated by '\n'.
+std::string play(ServerConfig config,
+                 const std::vector<std::string>& script) {
   config.tcp_port = 0;
   Server server(config);
   server.start();
   Client client = Client::connect_tcp("127.0.0.1", server.tcp_port());
-  std::vector<std::string> responses;
+  std::string transcript;
   for (const std::string& line : script)
-    responses.push_back(client.call_line(line));
+    transcript += client.call_line(line) + "\n";
   server.trigger_drain();
   server.wait_drained();
-  return responses;
+  return transcript;
 }
 
 TEST(SvcScaleOut, ExecutorPathIsByteIdenticalToLegacy) {
-  const std::vector<std::string> script = fixed_script();
-  ServerConfig legacy;
-  legacy.io_model = IoModel::kThreads;
-  legacy.executor = false;
-  ServerConfig scale_out;
-  scale_out.io_model = IoModel::kEpoll;
-  scale_out.executor = true;
-  const std::vector<std::string> a = play(legacy, script);
-  const std::vector<std::string> b = play(scale_out, script);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_EQ(a[i], b[i]) << "response " << i << " diverges";
+  ServerConfig config;
+  golden::check_or_regen("svc_scaleout_transcript.txt",
+                         play(config, fixed_script()));
 }
 
 TEST(SvcScaleOut, ByteIdenticalUnderBatchWindow) {
   // Coalescing windows change WHEN batches run, never what they
   // produce: with a fixed single-connection request order the responses
-  // must not depend on the scheduler either.
-  const std::vector<std::string> script = fixed_script();
-  ServerConfig legacy;
-  legacy.io_model = IoModel::kThreads;
-  legacy.executor = false;
-  legacy.session.batch_window_ms = 3.0;
-  ServerConfig scale_out;
-  scale_out.io_model = IoModel::kEpoll;
-  scale_out.executor = true;
-  scale_out.session.batch_window_ms = 3.0;
-  const std::vector<std::string> a = play(legacy, script);
-  const std::vector<std::string> b = play(scale_out, script);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_EQ(a[i], b[i]) << "response " << i << " diverges";
+  // must not depend on the window either.
+  ServerConfig config;
+  config.session.batch_window_ms = 3.0;
+  golden::check_or_regen("svc_scaleout_transcript.txt",
+                         play(config, fixed_script()));
 }
 
 TEST(SvcScaleOut, ManySessionsOnSmallPool) {
-  // 64 sessions on a 2-thread executor: the legacy model would need 64
-  // worker threads; the pool serves them all, preserving per-session
+  // 64 sessions on a 2-thread executor: a thread per session would need
+  // 64 threads; the pool serves them all, preserving per-session
   // ordering (seq gaps would surface as wrong ACKs).
   ServerConfig config;
   config.tcp_port = 0;
-  config.executor = true;
   config.executor_threads = 2;
   Server server(config);
   server.start();
@@ -349,31 +333,6 @@ TEST(SvcScaleOut, EvictSessionReturnsStateAndForgets) {
     client.call(Op::kCreateSession, "mover", std::move(body));
     Json solved = client.solve("mover");
     EXPECT_TRUE(solved.bool_or("ok", false));
-  }
-  server.trigger_drain();
-  server.wait_drained();
-}
-
-TEST(SvcScaleOut, LegacyThreadModeStillServes) {
-  // The legacy path stays selectable (--io-model threads --executor 0)
-  // and functional — it is the bit-identity reference.
-  ServerConfig config;
-  config.tcp_port = 0;
-  config.io_model = IoModel::kThreads;
-  config.executor = false;
-  Server server(config);
-  server.start();
-  {
-    Client client = Client::connect_tcp("127.0.0.1", server.tcp_port());
-    client.create_session("legacy", {10.0});
-    client.add_job("legacy", {1.0});
-    EXPECT_TRUE(client.solve("legacy").bool_or("ok", false));
-    // Serial reconnects exercise the conn_threads_ reap path: the map
-    // must not accumulate one entry per dead connection.
-    for (int i = 0; i < 20; ++i) {
-      Client burst = Client::connect_tcp("127.0.0.1", server.tcp_port());
-      ASSERT_TRUE(burst.ping());
-    }
   }
   server.trigger_drain();
   server.wait_drained();

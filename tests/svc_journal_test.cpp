@@ -15,6 +15,7 @@
 #include "svc/journal.hpp"
 #include "svc/server.hpp"
 #include "svc/session.hpp"
+#include "svc_test_executor.hpp"
 #include "util/error.hpp"
 
 namespace amf::svc {
@@ -215,7 +216,7 @@ Json add_job_body(const std::vector<double>& demands,
 
 TEST(SvcJournalSession, JournalsEveryAckedDeltaBeforeServing) {
   const std::string path = tmp_path("journal_session.wal");
-  Session session("j", {100.0, 50.0}, SessionConfig{});
+  Session session("j", {100.0, 50.0}, test_session_config());
   session.attach_journal(
       std::make_unique<Journal>(path, FsyncPolicy::kAlways));
   EXPECT_TRUE(session.has_journal());
@@ -241,7 +242,7 @@ TEST(SvcJournalSession, JournalsEveryAckedDeltaBeforeServing) {
 }
 
 TEST(SvcJournalSession, RetriedRidIsReAckedOnceNotReapplied) {
-  Session session("dedup", std::vector<double>{100.0}, SessionConfig{});
+  Session session("dedup", std::vector<double>{100.0}, test_session_config());
   Json first = submit_and_wait(&session, 1, Op::kAddJob,
                                add_job_body({10}, "rid-x"));
   Json retry = submit_and_wait(&session, 2, Op::kAddJob,
@@ -257,7 +258,7 @@ TEST(SvcJournalSession, RetriedRidIsReAckedOnceNotReapplied) {
 }
 
 TEST(SvcJournalSession, DedupWindowEvictsOldestRidFifo) {
-  SessionConfig cfg;
+  SessionConfig cfg = test_session_config();
   cfg.dedup_window = 2;
   Session session("evict", std::vector<double>{100.0}, cfg);
   submit_and_wait(&session, 1, Op::kAddJob, add_job_body({1}, "rid-1"));

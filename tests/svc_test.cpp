@@ -19,6 +19,7 @@
 #include "svc/proto.hpp"
 #include "svc/server.hpp"
 #include "svc/session.hpp"
+#include "svc_test_executor.hpp"
 
 namespace amf::svc {
 namespace {
@@ -186,7 +187,7 @@ Json add_job_body(const std::vector<double>& demands, double weight = 1.0) {
 
 TEST(SvcSession, CoalescedSolvesAreBitIdenticalToStatelessReference) {
   const std::vector<double> capacities{100, 80, 60};
-  SessionConfig cfg;
+  SessionConfig cfg = test_session_config();
   cfg.batch_window_ms = 40;  // force heavy coalescing
   Session session("s", capacities, cfg);
   Collector collector;
@@ -273,7 +274,7 @@ TEST(SvcSession, CoalescedSolvesAreBitIdenticalToStatelessReference) {
 // only trades latency for amortization, never results.
 TEST(SvcSession, UnbatchedSolveMatchesReference) {
   const std::vector<double> capacities{50, 50};
-  Session session("s", capacities, SessionConfig{});
+  Session session("s", capacities, test_session_config());
   Collector collector;
   session.submit(make_request(1, Op::kAddJob, add_job_body({30, 10})),
                  collector.responder());
@@ -295,7 +296,7 @@ TEST(SvcSession, UnbatchedSolveMatchesReference) {
 // Admission control
 
 TEST(SvcSession, ShedsBeyondQueueDepthWithTypedOverloaded) {
-  SessionConfig cfg;
+  SessionConfig cfg = test_session_config();
   cfg.batch_window_ms = 500;  // hold the queue closed while we flood it
   cfg.max_queue_depth = 4;
   Session session("s", {10, 10}, cfg);
@@ -324,7 +325,7 @@ TEST(SvcSession, ShedsBeyondQueueDepthWithTypedOverloaded) {
 }
 
 TEST(SvcSession, RejectsInvalidDeltasAgainstProjectedState) {
-  Session session("s", {10, 10}, SessionConfig{});
+  Session session("s", {10, 10}, test_session_config());
   Collector collector;
   // Wrong demand arity.
   session.submit(make_request(1, Op::kAddJob, add_job_body({1, 2, 3})),
@@ -360,7 +361,7 @@ TEST(SvcSession, RejectsInvalidDeltasAgainstProjectedState) {
 // Deadline propagation
 
 TEST(SvcSession, SolveExpiredInQueueIsShedOverloaded) {
-  SessionConfig cfg;
+  SessionConfig cfg = test_session_config();
   cfg.batch_window_ms = 120;  // worker holds the batch longer than...
   Session session("s", {10, 10}, cfg);
   Collector collector;
@@ -377,7 +378,7 @@ TEST(SvcSession, SolveExpiredInQueueIsShedOverloaded) {
 }
 
 TEST(SvcSession, BudgetedSolveStillServesUnderTightDeadline) {
-  Session session("s", std::vector<double>(8, 100.0), SessionConfig{});
+  Session session("s", std::vector<double>(8, 100.0), test_session_config());
   Collector collector;
   std::mt19937_64 rng(3);
   std::uniform_real_distribution<double> demand(0.0, 40.0);
@@ -405,7 +406,7 @@ TEST(SvcSession, BudgetedSolveStillServesUnderTightDeadline) {
 // Snapshot round-trip through a restored session
 
 TEST(SvcSession, SnapshotRestoreServesIdenticalAllocation) {
-  Session session("orig", {60, 40}, SessionConfig{});
+  Session session("orig", {60, 40}, test_session_config());
   Collector collector;
   session.submit(make_request(1, Op::kAddJob, add_job_body({50, 0}, 2.0)),
                  collector.responder());
@@ -421,7 +422,7 @@ TEST(SvcSession, SnapshotRestoreServesIdenticalAllocation) {
 
   // Rehydrate from the wire-format snapshot and solve again.
   ProblemSnapshot snap = problem_from_json(*snapped.find("snapshot"));
-  Session restored("copy", std::move(snap), SessionConfig{});
+  Session restored("copy", std::move(snap), test_session_config());
   Collector collector2;
   restored.submit(make_request(1, Op::kSolve), collector2.responder());
   Json resolved = collector2.wait(1);

@@ -14,6 +14,7 @@
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/flags.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -294,6 +295,28 @@ TEST(Stats, HistogramClampsOutliers) {
   ASSERT_EQ(h.size(), 2u);
   EXPECT_EQ(h[0], 2u);  // -5 clamped into first bucket, 0.5 in range
   EXPECT_EQ(h[1], 2u);  // 1.5 in range, 99 clamped into last
+}
+
+TEST(Flags, ParseNumberTakesWholeOperandInRange) {
+  int port = -1;
+  EXPECT_TRUE(parse_number("8080", &port, 0, 65535));
+  EXPECT_EQ(port, 8080);
+  for (const char* bad : {"", "foo", "80x", " 80", "+80", "70000", "-1"})
+    EXPECT_FALSE(parse_number(bad, &port, 0, 65535)) << '"' << bad << '"';
+  EXPECT_EQ(port, 8080);  // rejected operands leave the target untouched
+
+  std::size_t count = 7;
+  EXPECT_FALSE(parse_number("-1", &count));  // never wraps to SIZE_MAX
+  EXPECT_FALSE(parse_number("99999999999999999999999", &count));
+  EXPECT_TRUE(parse_number("0", &count));
+  EXPECT_EQ(count, 0u);
+
+  double ms = 1.0;
+  EXPECT_TRUE(parse_number("2.5", &ms, 0.0));
+  EXPECT_EQ(ms, 2.5);
+  for (const char* bad : {"nan", "inf", "-0.5", "1e400", "2.5ms"})
+    EXPECT_FALSE(parse_number(bad, &ms, 0.0)) << '"' << bad << '"';
+  EXPECT_EQ(ms, 2.5);
 }
 
 TEST(Csv, EscapesSpecials) {

@@ -10,12 +10,12 @@
 // (the backend shards keep running; a `drain` op through the router
 // drains them too).
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 
 #include "router/router.hpp"
+#include "util/flags.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -60,6 +60,12 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Strict numeric operand: a missing, malformed or out-of-range value
+    // is a usage error (exit 2), never a silent 0.
+    auto number = [&](auto* out, auto... range) {
+      const char* v = next();
+      return v != nullptr && util::parse_number(v, out, range...);
+    };
     if (std::strcmp(argv[i], "--help") == 0 ||
         std::strcmp(argv[i], "-h") == 0) {
       return usage(true);
@@ -68,9 +74,7 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage();
       config.unix_path = v;
     } else if (std::strcmp(argv[i], "--tcp") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.tcp_port = std::atoi(v);
+      if (!number(&config.tcp_port, 0, 65535)) return usage();
     } else if (std::strcmp(argv[i], "--shard") == 0) {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -81,18 +85,11 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--backlog") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.backlog = std::atoi(v);
-      if (config.backlog < 0) return usage();
+      if (!number(&config.backlog, 0)) return usage();
     } else if (std::strcmp(argv[i], "--connect-timeout-ms") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.connect_timeout_ms = std::atof(v);
+      if (!number(&config.connect_timeout_ms, 0.0)) return usage();
     } else if (std::strcmp(argv[i], "--read-timeout-ms") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.read_timeout_ms = std::atof(v);
+      if (!number(&config.read_timeout_ms, 0.0)) return usage();
     } else if (std::strcmp(argv[i], "--log-level") == 0) {
       const char* v = next();
       if (v == nullptr) return usage();

@@ -21,13 +21,13 @@
 
 #include <cerrno>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 
 #include "svc/http.hpp"
 #include "svc/server.hpp"
+#include "util/flags.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -46,9 +46,8 @@ int usage(bool help = false) {
          "[--slo-p99-ms T] [--slo-budget B]\n"
          "                 [--replicate-to ADDR] [--repl-ack] "
          "[--repl-ack-timeout-ms T] [--standby PORT]\n"
-         "                 [--io-model epoll|threads] [--io-threads N] "
-         "[--executor 0|1]\n"
-         "                 [--executor-threads N] [--backlog N]\n"
+         "                 [--io-threads N] [--executor-threads N] "
+         "[--backlog N]\n"
          "  --unix PATH          listen on a Unix-domain socket at PATH\n"
          "  --tcp PORT           listen on loopback TCP (0 = ephemeral; "
          "the bound port is printed)\n"
@@ -113,17 +112,10 @@ int usage(bool help = false) {
          "`not_primary` until\n"
          "                       SIGUSR1 or the `promote` op promotes "
          "this server\n"
-         "  --io-model M         connection layer: epoll (event-driven "
-         "reactors, the\n"
-         "                       default) or threads (legacy "
-         "thread-per-connection)\n"
          "  --io-threads N       epoll reactor threads (0 = auto, "
          "min(4, cores))\n"
-         "  --executor 0|1       shared work-stealing session executor "
-         "(default 1;\n"
-         "                       0 = legacy worker thread per session)\n"
-         "  --executor-threads N executor pool size (0 = auto, "
-         "max(2, cores))\n"
+         "  --executor-threads N shared session executor pool size "
+         "(0 = auto, max(2, cores))\n"
          "  --backlog N          listen(2) backlog (0 = SOMAXCONN, the "
          "default)\n";
   return help ? 0 : 2;
@@ -150,6 +142,12 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Strict numeric operand: a missing, malformed or out-of-range value
+    // is a usage error (exit 2), never a silent 0 or SIZE_MAX.
+    auto number = [&](auto* out, auto... range) {
+      const char* v = next();
+      return v != nullptr && util::parse_number(v, out, range...);
+    };
     if (std::strcmp(argv[i], "--help") == 0 ||
         std::strcmp(argv[i], "-h") == 0) {
       return usage(true);
@@ -158,26 +156,15 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage();
       config.unix_path = v;
     } else if (std::strcmp(argv[i], "--tcp") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.tcp_port = std::atoi(v);
+      if (!number(&config.tcp_port, 0, 65535)) return usage();
     } else if (std::strcmp(argv[i], "--batch-window-ms") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.session.batch_window_ms = std::atof(v);
+      if (!number(&config.session.batch_window_ms, 0.0)) return usage();
     } else if (std::strcmp(argv[i], "--max-queue-depth") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.session.max_queue_depth =
-          static_cast<std::size_t>(std::atoll(v));
+      if (!number(&config.session.max_queue_depth, 1)) return usage();
     } else if (std::strcmp(argv[i], "--max-queue-age-ms") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.session.max_queue_age_ms = std::atof(v);
+      if (!number(&config.session.max_queue_age_ms, 0.0)) return usage();
     } else if (std::strcmp(argv[i], "--default-budget-ms") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.session.default_budget_ms = std::atof(v);
+      if (!number(&config.session.default_budget_ms, 0.0)) return usage();
     } else if (std::strcmp(argv[i], "--policy") == 0) {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -203,13 +190,9 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (std::strcmp(argv[i], "--dedup-window") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.session.dedup_window = static_cast<std::size_t>(std::atoll(v));
+      if (!number(&config.session.dedup_window)) return usage();
     } else if (std::strcmp(argv[i], "--journal-compact-every") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.session.journal_compact_every = std::atoll(v);
+      if (!number(&config.session.journal_compact_every, 0)) return usage();
     } else if (std::strcmp(argv[i], "--http") == 0) {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -228,21 +211,13 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (std::strcmp(argv[i], "--slow-solve-ms") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.session.slow_solve_ms = std::atof(v);
+      if (!number(&config.session.slow_solve_ms, 0.0)) return usage();
     } else if (std::strcmp(argv[i], "--slo-window-s") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.slo.window_s = std::atof(v);
+      if (!number(&config.slo.window_s)) return usage();
     } else if (std::strcmp(argv[i], "--slo-p99-ms") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.slo.p99_target_ms = std::atof(v);
+      if (!number(&config.slo.p99_target_ms)) return usage();
     } else if (std::strcmp(argv[i], "--slo-budget") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.slo.error_budget = std::atof(v);
+      if (!number(&config.slo.error_budget)) return usage();
     } else if (std::strcmp(argv[i], "--replicate-to") == 0) {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -250,50 +225,20 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--repl-ack") == 0) {
       config.repl_ack = true;
     } else if (std::strcmp(argv[i], "--repl-ack-timeout-ms") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.repl_ack_timeout_ms = std::atof(v);
-    } else if (std::strcmp(argv[i], "--io-model") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      if (std::strcmp(v, "epoll") == 0)
-        config.io_model = svc::IoModel::kEpoll;
-      else if (std::strcmp(v, "threads") == 0)
-        config.io_model = svc::IoModel::kThreads;
-      else
-        return usage();
+      if (!number(&config.repl_ack_timeout_ms, 0.0)) return usage();
     } else if (std::strcmp(argv[i], "--io-threads") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.io_threads = static_cast<std::size_t>(std::atoll(v));
-    } else if (std::strcmp(argv[i], "--executor") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.executor = std::atoi(v) != 0;
+      if (!number(&config.io_threads)) return usage();
     } else if (std::strcmp(argv[i], "--executor-threads") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.executor_threads = static_cast<std::size_t>(std::atoll(v));
+      if (!number(&config.executor_threads)) return usage();
     } else if (std::strcmp(argv[i], "--backlog") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.backlog = std::atoi(v);
-      if (config.backlog < 0) return usage();
+      if (!number(&config.backlog, 0)) return usage();
     } else if (std::strcmp(argv[i], "--standby") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      config.standby_port = std::atoi(v);
-      if (config.standby_port < 0) return usage();
+      if (!number(&config.standby_port, 0, 65535)) return usage();
     } else {
       return usage();
     }
   }
   if (config.unix_path.empty() && config.tcp_port < 0) return usage();
-  if (config.session.batch_window_ms < 0.0 ||
-      config.session.max_queue_age_ms < 0.0 ||
-      config.session.default_budget_ms < 0.0 ||
-      config.session.max_queue_depth < 1)
-    return usage();
 
   try {
     const std::string journal_dir = config.journal_dir;
