@@ -60,6 +60,14 @@ EdgeId FlowNetwork::add_edge(NodeId from, NodeId to, double capacity) {
   return id;
 }
 
+void FlowNetwork::reserve_edges(int edges) {
+  AMF_REQUIRE(edges >= 0, "reserve_edges: negative count");
+  const std::size_t arcs = to_.size() + 2 * static_cast<std::size_t>(edges);
+  to_.reserve(arcs);
+  residual_.reserve(arcs);
+  orig_.reserve(arcs / 2);
+}
+
 void FlowNetwork::set_capacity(EdgeId e, double capacity) {
   AMF_REQUIRE(forward_arc(e), "set_capacity: not a forward arc id");
   AMF_REQUIRE(capacity >= 0.0, "set_capacity: negative capacity");

@@ -54,6 +54,10 @@ class FlowNetwork {
   /// forward arc id.
   EdgeId add_edge(NodeId from, NodeId to, double capacity);
 
+  /// Reserves room for `edges` more edges, so a build that knows its size
+  /// grows the arc arrays once.
+  void reserve_edges(int edges);
+
   /// Current flow on the forward arc `e` (reverse arc's residual).
   double flow(EdgeId e) const {
     AMF_REQUIRE(forward_arc(e), "flow: not a forward arc id");
@@ -122,6 +126,11 @@ class FlowNetwork {
   /// returns the *additional* flow pushed. Residual capacities below `eps`
   /// are treated as zero.
   double max_flow(NodeId source, NodeId sink, double eps = kDefaultEps);
+
+  /// True when the flow on the network is the result of a max_flow that
+  /// ran to completion (it was not cut short by a stop token) and no
+  /// mutator has run since. Memos of a solve's result key on this.
+  bool holds_max_flow() const { return cut_valid_; }
 
   /// Nodes reachable from `from` in the residual graph (arcs with residual
   /// > eps). After a max_flow this gives the source side of a min cut when

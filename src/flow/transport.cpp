@@ -11,10 +11,10 @@ namespace amf::flow {
 
 namespace {
 
-// IncrementalTransport mutation/solve-path counters.  Value updates only
+// Transport-layer counters. The IncrementalTransport value updates only
 // count when they actually change an arc (a no-op set is free and should
-// read as such in the metrics).
-struct IncCounters {
+// read as such in the metrics). Memo hits count both networks' solves.
+struct TransportCounters {
   obs::Counter rows_added;
   obs::Counter rows_masked;
   obs::Counter compactions;
@@ -23,8 +23,7 @@ struct IncCounters {
   obs::Counter memo_hits;
   obs::Counter probe_warm;
   obs::Counter probe_cold;
-  obs::Counter warm_solves;
-  IncCounters() {
+  TransportCounters() {
     auto& reg = obs::Registry::global();
     rows_added = reg.counter("amf_flow_inc_rows_added",
                              "job rows appended to IncrementalTransport");
@@ -42,116 +41,68 @@ struct IncCounters {
                              "probes warm-started from the held flow");
     probe_cold = reg.counter("amf_flow_probe_cold",
                              "probes that fell back to a cold solve");
-    warm_solves = reg.counter("amf_flow_warm_solves",
-                              "monotone warm solves (raised caps in place)");
   }
 };
 
-IncCounters& inc_counters() {
-  static IncCounters counters;
+TransportCounters& transport_counters() {
+  static TransportCounters counters;
   return counters;
 }
 
 }  // namespace
 
-
-SparseDemands SparseDemands::from_dense(const Matrix& demands, int sites) {
-  AMF_REQUIRE(sites > 0, "at least one site required");
-  SparseDemands out;
-  out.site_count = sites;
-  out.row_ptr.reserve(demands.size() + 1);
-  out.row_ptr.push_back(0);
-  for (const auto& row : demands) {
-    AMF_REQUIRE(static_cast<int>(row.size()) == sites,
-                "demand row width != number of sites");
-    for (int s = 0; s < sites; ++s) {
-      double d = row[static_cast<std::size_t>(s)];
-      AMF_REQUIRE(d >= 0.0, "negative demand");
-      if (d > 0.0) {
-        out.col.push_back(s);
-        out.val.push_back(d);
-      }
-    }
-    out.row_ptr.push_back(static_cast<int>(out.col.size()));
-  }
-  return out;
-}
-
-Matrix SparseDemands::to_dense() const {
-  Matrix out(static_cast<std::size_t>(jobs()),
-             std::vector<double>(static_cast<std::size_t>(site_count), 0.0));
-  for (int j = 0; j < jobs(); ++j)
-    for (int k = row_ptr[static_cast<std::size_t>(j)];
-         k < row_ptr[static_cast<std::size_t>(j) + 1]; ++k)
-      out[static_cast<std::size_t>(j)][static_cast<std::size_t>(
-          col[static_cast<std::size_t>(k)])] = val[static_cast<std::size_t>(k)];
-  return out;
-}
-
 TransportNetwork::TransportNetwork(const Matrix& demands,
                                    const std::vector<double>& capacities)
     : jobs_(static_cast<int>(demands.size())),
       sites_(static_cast<int>(capacities.size())),
-      scale_(1.0),
-      net_(2 + static_cast<int>(demands.size()) +
-           static_cast<int>(capacities.size())) {
+      net_(2 + jobs_ + sites_) {
   AMF_REQUIRE(sites_ > 0, "at least one site required");
-  build(SparseDemands::from_dense(demands, sites_), capacities);
-}
-
-TransportNetwork::TransportNetwork(const SparseDemands& demands,
-                                   const std::vector<double>& capacities)
-    : jobs_(demands.jobs()),
-      sites_(static_cast<int>(capacities.size())),
-      scale_(1.0),
-      net_(2 + demands.jobs() + static_cast<int>(capacities.size())) {
-  AMF_REQUIRE(sites_ > 0, "at least one site required");
-  AMF_REQUIRE(demands.sites() == sites_,
-              "sparse demand width != number of sites");
-  build(demands, capacities);
-}
-
-void TransportNetwork::build(const SparseDemands& demands,
-                             const std::vector<double>& capacities) {
   for (double c : capacities) {
     AMF_REQUIRE(c >= 0.0, "negative site capacity");
     scale_ = std::max(scale_, c);
   }
-  for (double d : demands.val) {
-    AMF_REQUIRE(d >= 0.0, "negative demand");
-    scale_ = std::max(scale_, d);
-  }
 
   // Node layout: 0 = source, 1..jobs = job nodes, jobs+1..jobs+sites =
-  // site nodes, last = sink.
+  // site nodes, last = sink. Arc order (site→sink arcs, then per job its
+  // source arc followed by its demand arcs in ascending site order) fixes
+  // Dinic's traversal, so it must not change.
   source_ = 0;
   sink_ = 1 + jobs_ + sites_;
-  auto job_node = [this](int j) { return 1 + j; };
-  auto site_node = [this](int s) { return 1 + jobs_ + s; };
-
+  const NodeId first_site = 1 + jobs_;
+  // The site and source arcs are known up front. The demand arcs are not:
+  // counting them first costs a second scan of the dense rows, which
+  // measured slower than letting their arrays grow geometrically.
+  net_.reserve_edges(sites_ + jobs_);
   site_arcs_.resize(static_cast<std::size_t>(sites_));
   for (int s = 0; s < sites_; ++s)
     site_arcs_[static_cast<std::size_t>(s)] = net_.add_edge(
-        site_node(s), sink_, capacities[static_cast<std::size_t>(s)]);
+        first_site + s, sink_, capacities[static_cast<std::size_t>(s)]);
 
+  // One scan of the dense rows validates them and builds the demand arcs
+  // with their flat CSR row index.
   source_arcs_.resize(static_cast<std::size_t>(jobs_));
-  job_site_arcs_.resize(static_cast<std::size_t>(jobs_));
   solo_ceiling_.resize(static_cast<std::size_t>(jobs_), 0.0);
+  row_first_.resize(static_cast<std::size_t>(jobs_) + 1, 0);
   for (int j = 0; j < jobs_; ++j) {
+    const auto& row = demands[static_cast<std::size_t>(j)];
+    AMF_REQUIRE(static_cast<int>(row.size()) == sites_,
+                "demand row width != number of sites");
+    const NodeId node = 1 + j;
     source_arcs_[static_cast<std::size_t>(j)] =
-        net_.add_edge(source_, job_node(j), 0.0);
-    for (int k = demands.row_ptr[static_cast<std::size_t>(j)];
-         k < demands.row_ptr[static_cast<std::size_t>(j) + 1]; ++k) {
-      int s = demands.col[static_cast<std::size_t>(k)];
-      double d = demands.val[static_cast<std::size_t>(k)];
-      AMF_REQUIRE(s >= 0 && s < sites_, "sparse demand site out of range");
+        net_.add_edge(source_, node, 0.0);
+    double solo = 0.0;
+    for (int s = 0; s < sites_; ++s) {
+      const double d = row[static_cast<std::size_t>(s)];
+      AMF_REQUIRE(d >= 0.0, "negative demand");
       if (d > 0.0) {
-        EdgeId e = net_.add_edge(job_node(j), site_node(s), d);
-        job_site_arcs_[static_cast<std::size_t>(j)].emplace_back(s, e);
-        solo_ceiling_[static_cast<std::size_t>(j)] +=
-            std::min(d, capacities[static_cast<std::size_t>(s)]);
+        row_arcs_.emplace_back(s, net_.add_edge(node, first_site + s, d));
+        solo += std::min(d, capacities[static_cast<std::size_t>(s)]);
+        scale_ = std::max(scale_, d);
       }
     }
+    solo_ceiling_[static_cast<std::size_t>(j)] = solo;
+    row_first_[static_cast<std::size_t>(j) + 1] =
+        static_cast<int>(row_arcs_.size());
   }
 }
 
@@ -159,6 +110,10 @@ double TransportNetwork::solve(const std::vector<double>& source_caps,
                                double eps) {
   AMF_REQUIRE(static_cast<int>(source_caps.size()) == jobs_,
               "source cap vector length != number of jobs");
+  if (memo_valid_ && eps == last_eps_ && source_caps == last_caps_) {
+    transport_counters().memo_hits.add(1);
+    return last_flow_;  // the network holds this very max flow
+  }
   last_total_ = 0.0;
   for (int j = 0; j < jobs_; ++j) {
     double cap = source_caps[static_cast<std::size_t>(j)];
@@ -168,6 +123,11 @@ double TransportNetwork::solve(const std::vector<double>& source_caps,
   }
   net_.reset_flow();
   last_flow_ = net_.max_flow(source_, sink_, eps * scale_);
+  memo_valid_ = net_.holds_max_flow();
+  if (memo_valid_) {
+    last_caps_ = source_caps;
+    last_eps_ = eps;
+  }
   return last_flow_;
 }
 
@@ -178,10 +138,14 @@ bool TransportNetwork::saturated(double eps) const {
 Matrix TransportNetwork::allocation() const {
   Matrix a(static_cast<std::size_t>(jobs_),
            std::vector<double>(static_cast<std::size_t>(sites_), 0.0));
-  for (int j = 0; j < jobs_; ++j)
-    for (const auto& [s, e] : job_site_arcs_[static_cast<std::size_t>(j)])
-      a[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)] =
-          std::max(0.0, net_.flow(e));
+  for (int j = 0; j < jobs_; ++j) {
+    auto& row = a[static_cast<std::size_t>(j)];
+    for (int k = row_first_[static_cast<std::size_t>(j)];
+         k < row_first_[static_cast<std::size_t>(j) + 1]; ++k) {
+      const auto& [s, e] = row_arcs_[static_cast<std::size_t>(k)];
+      row[static_cast<std::size_t>(s)] = std::max(0.0, net_.flow(e));
+    }
+  }
   return a;
 }
 
@@ -193,7 +157,7 @@ std::vector<char> TransportNetwork::jobs_can_increase(double eps) const {
   return can;
 }
 
-flow::MinCut TransportNetwork::min_cut(double eps) const {
+MinCut TransportNetwork::min_cut(double eps) const {
   auto reach = net_.residual_reachable_from(source_, eps * scale_);
   MinCut cut;
   cut.job_in_source_side.resize(static_cast<std::size_t>(jobs_));
@@ -225,9 +189,12 @@ void TransportNetwork::add_row_demand_across(
               "cut width != number of sites");
   // Bit-compatible with a dense row scan: a skipped zero demand would have
   // added exactly 0.0 to the accumulator.
-  for (const auto& [s, e] : job_site_arcs_[static_cast<std::size_t>(job)])
+  for (int k = row_first_[static_cast<std::size_t>(job)];
+       k < row_first_[static_cast<std::size_t>(job) + 1]; ++k) {
+    const auto& [s, e] = row_arcs_[static_cast<std::size_t>(k)];
     if (!site_in_source_side[static_cast<std::size_t>(s)])
       accumulator += net_.capacity(e);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -283,7 +250,7 @@ int IncrementalTransport::add_job(const std::vector<int>& sites,
   }
   rows_.push_back(std::move(row));
   ++live_rows_;
-  inc_counters().rows_added.add(1);
+  transport_counters().rows_added.add(1);
   invalidate_caches();
   // New arcs carry no flow, so an existing conservative flow stays valid.
   return static_cast<int>(rows_.size()) - 1;
@@ -314,7 +281,7 @@ void IncrementalTransport::remove_job(int row) {
   if (it != active_.end()) active_.erase(it);
   --live_rows_;
   ++masked_rows_;
-  inc_counters().rows_masked.add(1);
+  transport_counters().rows_masked.add(1);
   invalidate_caches();
 }
 
@@ -338,7 +305,7 @@ bool IncrementalTransport::set_demand(int row, int site, double value) {
           }
         }
         net_.rebase_capacity(e, value);
-        inc_counters().demand_updates.add(1);
+        transport_counters().demand_updates.add(1);
         invalidate_caches();
       }
       return true;
@@ -388,7 +355,7 @@ void IncrementalTransport::set_site_capacity(int site, double value) {
       }
     }
     net_.rebase_capacity(e, value);
-    inc_counters().capacity_updates.add(1);
+    transport_counters().capacity_updates.add(1);
     invalidate_caches();
   }
 }
@@ -419,7 +386,7 @@ void IncrementalTransport::set_active(const std::vector<int>& rows) {
 
 void IncrementalTransport::compact() {
   AMF_SPAN_ARG("flow/compact", "live_rows", live_rows_);
-  inc_counters().compactions.add(1);
+  transport_counters().compactions.add(1);
   // Dead rows were drained when removed, so a held conservative flow lives
   // entirely on surviving arcs and can be transplanted onto the rebuilt
   // network arc by arc, keeping warm probes possible across compactions.
@@ -497,7 +464,7 @@ double IncrementalTransport::solve(const std::vector<double>& source_caps,
               "source cap vector length != number of active jobs");
   if (memo_valid_ && (canonical_ || !exact_) && eps == last_eps_ &&
       source_caps == last_caps_) {
-    inc_counters().memo_hits.add(1);
+    transport_counters().memo_hits.add(1);
     return last_flow_;  // network already holds a max flow for these caps
   }
   last_total_ = 0.0;
@@ -512,7 +479,7 @@ double IncrementalTransport::solve(const std::vector<double>& source_caps,
   last_flow_ = net_.max_flow(source_, sink_, eps * scale());
   last_caps_ = source_caps;
   last_eps_ = eps;
-  memo_valid_ = true;
+  memo_valid_ = net_.holds_max_flow();
   canonical_ = true;
   flow_valid_ = true;
   return last_flow_;
@@ -523,17 +490,17 @@ double IncrementalTransport::probe(const std::vector<double>& source_caps,
   AMF_REQUIRE(static_cast<int>(source_caps.size()) == jobs(),
               "source cap vector length != number of active jobs");
   if (memo_valid_ && eps == last_eps_ && source_caps == last_caps_) {
-    inc_counters().memo_hits.add(1);
+    transport_counters().memo_hits.add(1);
     return last_flow_;
   }
   // Mutators keep the held flow conservative and capacity-respecting
   // (flow_valid_), so even across topology and value changes only the
   // source caps need retargeting before augmenting on top.
   if (!flow_valid_ || eps != last_eps_) {
-    inc_counters().probe_cold.add(1);
+    transport_counters().probe_cold.add(1);
     return solve(source_caps, eps);
   }
-  inc_counters().probe_warm.add(1);
+  transport_counters().probe_warm.add(1);
   const double flow_eps = eps * scale();
   for (std::size_t j = 0; j < active_.size(); ++j) {
     const Row& r = rows_[static_cast<std::size_t>(active_[j])];
@@ -566,34 +533,7 @@ double IncrementalTransport::probe(const std::vector<double>& source_caps,
   }
   last_caps_ = source_caps;
   last_eps_ = eps;
-  memo_valid_ = true;
-  canonical_ = false;
-  return last_flow_;
-}
-
-double IncrementalTransport::solve_warm(const std::vector<double>& source_caps,
-                                        double eps) {
-  AMF_REQUIRE(static_cast<int>(source_caps.size()) == jobs(),
-              "source cap vector length != number of active jobs");
-  bool monotone = memo_valid_ && eps == last_eps_ &&
-                  last_caps_.size() == source_caps.size();
-  if (monotone) {
-    for (std::size_t j = 0; j < source_caps.size(); ++j)
-      if (source_caps[j] < last_caps_[j]) {
-        monotone = false;
-        break;
-      }
-  }
-  if (!monotone) return solve(source_caps, eps);
-  inc_counters().warm_solves.add(1);
-  for (std::size_t j = 0; j < active_.size(); ++j)
-    net_.raise_capacity(rows_[static_cast<std::size_t>(active_[j])].source_arc,
-                        source_caps[j]);
-  last_flow_ += net_.max_flow(source_, sink_, eps * scale());
-  last_total_ = 0.0;
-  for (double cap : source_caps) last_total_ += cap;
-  last_caps_ = source_caps;
-  memo_valid_ = true;
+  memo_valid_ = net_.holds_max_flow();
   canonical_ = false;
   return last_flow_;
 }

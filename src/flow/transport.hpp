@@ -10,13 +10,21 @@
 // across repeated solves with different source caps (parametric reuse).
 //
 // Two concrete networks implement the common TransportSystem interface:
-//   * TransportNetwork — built once from a (dense or sparse) instance,
-//     solved many times; the classic one-shot solver substrate.
+//   * TransportNetwork — the one-shot substrate of stateless solves. It is
+//     built in one pass over the dense demand rows (arcs only for positive
+//     demands, indexed by a flat per-job CSR of (site, arc)) and solved
+//     many times, always cold. A last-caps memo serves a repeated solve
+//     from the max flow already on the network, so progressive filling's
+//     final materialization at the last probe's caps runs no max flow.
 //   * IncrementalTransport — persistent topology for online reallocation:
 //     jobs are appended as they arrive, masked out when they depart, and
 //     demand/capacity values are updated in place between solves, so the
 //     network scales with the nonzero structure instead of being rebuilt
 //     from nothing at every event.
+//
+// Both memos are recorded only after a max flow that ran to completion: a
+// max flow cut short by a stop token leaves a partial flow that a later
+// solve must not return.
 #pragma once
 
 #include <optional>
@@ -42,28 +50,6 @@ inline double binding_min(const std::vector<double>& row) {
   for (double v : row) c = v < c ? v : c;
   return c;
 }
-
-/// CSR view of the nonzero entries of a job×site demand matrix. Network
-/// construction from this form is O(nnz + sites), so sparse
-/// locality-constrained instances (each job touching a handful of sites)
-/// never pay for the dense n×m rectangle.
-struct SparseDemands {
-  int site_count = 0;
-  std::vector<int> row_ptr;  ///< size jobs+1; row j spans [row_ptr[j], row_ptr[j+1])
-  std::vector<int> col;      ///< site index per entry, ascending within a row
-  std::vector<double> val;   ///< demand per entry, strictly positive
-
-  int jobs() const {
-    return row_ptr.empty() ? 0 : static_cast<int>(row_ptr.size()) - 1;
-  }
-  int sites() const { return site_count; }
-  int nnz() const { return static_cast<int>(col.size()); }
-
-  /// Compresses a dense matrix, dropping zero entries. `sites` disambiguates
-  /// the width of an empty matrix.
-  static SparseDemands from_dense(const Matrix& demands, int sites);
-  Matrix to_dense() const;
-};
 
 /// Source side of a min cut after a solve, reported separately for jobs
 /// and sites.
@@ -143,32 +129,28 @@ class TransportNetwork final : public TransportSystem {
  public:
   /// `demands[j][s]` is the per-site demand cap (arc capacity job→site;
   /// arcs are only materialized for strictly positive demand);
-  /// `capacities[s]` the site capacity.
+  /// `capacities[s]` the site capacity. Every row must have one entry per
+  /// site, and every demand and capacity must be >= 0 (NaN is rejected).
   TransportNetwork(const Matrix& demands,
-                   const std::vector<double>& capacities);
-
-  /// Sparse construction: O(nnz + sites) instead of a dense scan.
-  TransportNetwork(const SparseDemands& demands,
                    const std::vector<double>& capacities);
 
   int jobs() const override { return jobs_; }
   int sites() const override { return sites_; }
   double scale() const override { return scale_; }
 
+  /// Cold solve: resets the flow and runs Dinic from zero. A call with the
+  /// caps and eps of the last completed max flow returns its value without
+  /// touching the network: every solve here is cold, so the flow it holds
+  /// is exactly the one the repeated solve would recompute.
   double solve(const std::vector<double>& source_caps,
                double eps = FlowNetwork::kDefaultEps) override;
-
-  /// Total of the last source caps passed to solve().
-  double last_demand_total() const { return last_total_; }
 
   bool saturated(double eps = FlowNetwork::kDefaultEps) const override;
   Matrix allocation() const override;
   std::vector<char> jobs_can_increase(
       double eps = FlowNetwork::kDefaultEps) const override;
 
-  /// Back-compat alias: the cut type predates the TransportSystem split.
-  using MinCut = flow::MinCut;
-  flow::MinCut min_cut(double eps = FlowNetwork::kDefaultEps) const override;
+  MinCut min_cut(double eps = FlowNetwork::kDefaultEps) const override;
 
   double solo_ceiling(int job) const override;
   double site_capacity(int site) const override;
@@ -177,21 +159,26 @@ class TransportNetwork final : public TransportSystem {
                              double& accumulator) const override;
 
  private:
-  void build(const SparseDemands& demands,
-             const std::vector<double>& capacities);
-
   int jobs_;
   int sites_;
-  double scale_;
+  double scale_ = 1.0;
   FlowNetwork net_;
   NodeId source_;
   NodeId sink_;
-  std::vector<EdgeId> source_arcs_;               // per job
-  std::vector<EdgeId> site_arcs_;                 // per site
-  std::vector<std::vector<std::pair<int, EdgeId>>> job_site_arcs_;  // (site, arc)
+  std::vector<EdgeId> source_arcs_;  // per job
+  std::vector<EdgeId> site_arcs_;    // per site
+  // Demand arcs as a flat CSR: job j's (site, arc) pairs, ascending site,
+  // span [row_first_[j], row_first_[j + 1]) of row_arcs_.
+  std::vector<int> row_first_;
+  std::vector<std::pair<int, EdgeId>> row_arcs_;
   std::vector<double> solo_ceiling_;
   double last_total_ = 0.0;
   double last_flow_ = 0.0;
+  // Last-caps memo: the caps and eps of the max flow the network holds,
+  // valid only when that max flow ran to completion.
+  std::vector<double> last_caps_;
+  double last_eps_ = -1.0;
+  bool memo_valid_ = false;
 };
 
 /// Persistent-topology transportation network for online reallocation.
@@ -280,16 +267,6 @@ class IncrementalTransport final : public TransportSystem {
                              const std::vector<char>& site_in_source_side,
                              double& accumulator) const override;
 
-  /// Warm-started solve: when every cap is >= its value in the previous
-  /// solve, raises the source arcs in place and augments the existing
-  /// flow instead of recomputing from scratch. Falls back to solve()
-  /// otherwise. The attained flow value equals solve()'s up to flow
-  /// tolerance, but the realized split may be a different vertex of the
-  /// transportation polytope — callers needing replay-exact splits must
-  /// use solve().
-  double solve_warm(const std::vector<double>& source_caps,
-                    double eps = FlowNetwork::kDefaultEps);
-
   /// Realization contract of solve(). Exact (the default) guarantees
   /// allocation() after solve() is bit-identical to a freshly built
   /// network's cold solve, so solve() only serves its memo when the held
@@ -337,7 +314,8 @@ class IncrementalTransport final : public TransportSystem {
   mutable bool scale_dirty_ = true;
   // Redundant-solve memo: progressive filling's final materialization
   // frequently re-solves the caps of the last in-loop solve; an exact
-  // match lets us keep the flow already in the network. `canonical_`
+  // match lets us keep the flow already in the network. `memo_valid_` is
+  // set only after a max flow that ran to completion. `canonical_`
   // records whether the held flow came from a cold solve (reset + Dinic
   // from zero): only then may solve() serve a memo hit, since a
   // warm-probed flow can be a different vertex of the optimum face.

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <cmath>
 #include <numeric>
@@ -15,6 +17,7 @@
 #include "flow/network.hpp"
 #include "flow/parametric.hpp"
 #include "flow/transport.hpp"
+#include "obs/metrics.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -404,6 +407,172 @@ TEST(Transport, AggregatesFeasibleHelpers) {
 TEST(Transport, ScaleTracksLargestValue) {
   TransportNetwork net(Matrix{{500.0}}, {200.0});
   EXPECT_DOUBLE_EQ(net.scale(), 500.0);
+}
+
+TEST(Transport, InputValidation) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(TransportNetwork(Matrix{{1, 2}, {1}}, kCaps2),
+               util::ContractError);  // ragged row
+  EXPECT_THROW(TransportNetwork(Matrix{{1, -1}}, kCaps2), util::ContractError);
+  EXPECT_THROW(TransportNetwork(Matrix{{1, nan}}, kCaps2), util::ContractError);
+  EXPECT_THROW(TransportNetwork(Matrix{{1, 1}}, {10, -1}),
+               util::ContractError);  // negative site capacity
+  EXPECT_THROW(TransportNetwork(Matrix{{}}, {}), util::ContractError);
+  EXPECT_THROW(TransportNetwork(Matrix{}, {}), util::ContractError);
+
+  TransportNetwork net(kDemands3x2, kCaps2);
+  EXPECT_THROW(net.solve({1, 1}), util::ContractError);  // 2 caps, 3 jobs
+  EXPECT_THROW(net.solve({1, -1, 1}), util::ContractError);
+}
+
+long long counter(const char* name) {
+  return obs::Registry::global().snapshot().counter(name);
+}
+
+void expect_same_bits(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    ASSERT_EQ(got[j].size(), want[j].size());
+    for (std::size_t s = 0; s < got[j].size(); ++s)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j][s]),
+                std::bit_cast<std::uint64_t>(want[j][s]))
+          << "job " << j << " site " << s;
+  }
+}
+
+TEST(Transport, RepeatedSolveIsServedFromTheHeldFlow) {
+  const std::vector<double> a{10, 0, 0}, b{4, 7, 6};
+  TransportNetwork net(kDemands3x2, kCaps2);
+  net.solve(a);
+  const double flow_b = net.solve(b);
+  const long long calls = counter("amf_flow_maxflow_calls");
+  const long long hits = counter("amf_flow_memo_hits");
+  EXPECT_EQ(net.solve(b), flow_b);
+  EXPECT_EQ(counter("amf_flow_maxflow_calls"), calls);
+  EXPECT_EQ(counter("amf_flow_memo_hits"), hits + 1);
+
+  TransportNetwork fresh(kDemands3x2, kCaps2);
+  EXPECT_EQ(fresh.solve(b), flow_b);
+  expect_same_bits(net.allocation(), fresh.allocation());
+  EXPECT_EQ(net.saturated(), fresh.saturated());
+  EXPECT_EQ(net.jobs_can_increase(), fresh.jobs_can_increase());
+
+  // The memo holds only the last caps and eps: anything else solves.
+  const long long calls_before_miss = counter("amf_flow_maxflow_calls");
+  net.solve(b, 1e-6);
+  net.solve(a);
+  EXPECT_EQ(counter("amf_flow_maxflow_calls"), calls_before_miss + 2);
+  EXPECT_EQ(counter("amf_flow_memo_hits"), hits + 1);
+}
+
+TEST(Transport, MaxFlowCutShortByStopIsNotMemoized) {
+  // Two jobs with caps (5, 5) on two sites of capacity 10: a completed
+  // solve attains 10. A solve stopped before its first phase pushes
+  // nothing, and the same caps solved afterwards must not return that.
+  const Matrix demands{{10, 10}, {10, 10}};
+  const std::vector<double> caps{5, 5};
+  const util::StopToken fired{util::Deadline::after_ms(0.0)};
+
+  TransportNetwork one_shot(demands, kCaps2);
+  {
+    util::ScopedStop scope(fired);
+    EXPECT_EQ(one_shot.solve(caps), 0.0);
+  }
+  EXPECT_EQ(one_shot.solve(caps), 10.0);
+  EXPECT_TRUE(one_shot.saturated());
+
+  IncrementalTransport inc(kCaps2);
+  inc.add_job({0, 1}, {10, 10});
+  inc.add_job({0, 1}, {10, 10});
+  inc.set_active({0, 1});
+  {
+    util::ScopedStop scope(fired);
+    EXPECT_EQ(inc.solve(caps), 0.0);
+  }
+  EXPECT_EQ(inc.solve(caps), 10.0);
+  EXPECT_TRUE(inc.saturated());
+
+  // The warm probe path: a probe stopped on top of a held flow keeps that
+  // flow, and the next probe at the same caps must augment it.
+  EXPECT_EQ(inc.solve({1, 1}), 2.0);
+  {
+    util::ScopedStop scope(fired);
+    EXPECT_EQ(inc.probe(caps), 2.0);
+  }
+  EXPECT_EQ(inc.probe(caps), 10.0);
+  EXPECT_TRUE(inc.saturated());
+}
+
+/// Every TransportSystem read of `got` and `want` agrees bit for bit at
+/// the given caps.
+void expect_same_system(TransportSystem& got, TransportSystem& want,
+                        const std::vector<double>& caps) {
+  ASSERT_EQ(got.jobs(), want.jobs());
+  ASSERT_EQ(got.sites(), want.sites());
+  EXPECT_EQ(got.scale(), want.scale());
+  EXPECT_EQ(got.solve(caps), want.solve(caps));
+  EXPECT_EQ(got.saturated(), want.saturated());
+  expect_same_bits(got.allocation(), want.allocation());
+  EXPECT_EQ(got.jobs_can_increase(), want.jobs_can_increase());
+  const MinCut cut_got = got.min_cut(), cut_want = want.min_cut();
+  EXPECT_EQ(cut_got.job_in_source_side, cut_want.job_in_source_side);
+  EXPECT_EQ(cut_got.site_in_source_side, cut_want.site_in_source_side);
+  for (int s = 0; s < got.sites(); ++s)
+    EXPECT_EQ(got.site_capacity(s), want.site_capacity(s)) << "site " << s;
+  for (int j = 0; j < got.jobs(); ++j) {
+    EXPECT_EQ(got.solo_ceiling(j), want.solo_ceiling(j)) << "job " << j;
+    double across_got = 0.5, across_want = 0.5;
+    got.add_row_demand_across(j, cut_got.site_in_source_side, across_got);
+    want.add_row_demand_across(j, cut_want.site_in_source_side, across_want);
+    EXPECT_EQ(across_got, across_want) << "job " << j;
+  }
+}
+
+TEST(Transport, OnePassBuildMatchesTheIncrementalBuild) {
+  // The one-shot network built from dense rows and a persistent network
+  // fed the same rows job by job must do identical floating-point work.
+  std::vector<std::pair<Matrix, std::vector<double>>> inputs{
+      {kDemands3x2, kCaps2},
+      {Matrix{{0, 0}, {10, 10}, {0, 0}}, kCaps2},         // all-zero rows
+      {Matrix{{0, 4, 0}, {0, 7, 3}}, {5, 6, 7}},          // all-zero column
+      {Matrix{{0, 0, 0}, {0, 0, 0}}, {5, 6, 7}},          // all-zero matrix
+      {Matrix{}, kCaps2},                                 // no jobs
+  };
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    util::Rng rng(300 + seed);
+    const int n = 6, m = 4;
+    Matrix demands(n, std::vector<double>(m, 0.0));
+    for (auto& row : demands)
+      for (auto& d : row)
+        if (rng.bernoulli(0.5)) d = rng.uniform(0.0, 12.0);
+    std::vector<double> caps(m);
+    for (auto& c : caps) c = rng.bernoulli(0.1) ? 0.0 : rng.uniform(2.0, 20.0);
+    inputs.emplace_back(std::move(demands), std::move(caps));
+  }
+  util::Rng rng(7);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE("input " + std::to_string(i));
+    const auto& [demands, caps] = inputs[i];
+    TransportNetwork one_shot(demands, caps);
+    IncrementalTransport inc(caps);
+    std::vector<int> active;
+    for (const auto& row : demands) {
+      std::vector<int> sites;
+      std::vector<double> values;
+      for (std::size_t s = 0; s < row.size(); ++s)
+        if (row[s] > 0.0) {
+          sites.push_back(static_cast<int>(s));
+          values.push_back(row[s]);
+        }
+      active.push_back(inc.add_job(sites, values));
+    }
+    inc.set_active(active);
+    for (int round = 0; round < 3; ++round) {
+      std::vector<double> source_caps(demands.size());
+      for (auto& c : source_caps) c = rng.uniform(0.0, 15.0);
+      expect_same_system(one_shot, inc, source_caps);
+    }
+  }
 }
 
 TEST(Parametric, SymmetricThreeJobs) {

@@ -404,6 +404,24 @@ core::AllocationProblem pinned_problem(util::Rng& rng, int jobs, int sites) {
   return core::AllocationProblem(std::move(demands), std::move(caps));
 }
 
+/// The paper's headline setting: every job may use each of its 1-3 sites
+/// up to the site's whole capacity.
+core::AllocationProblem uncapped_problem(util::Rng& rng, int jobs, int sites) {
+  std::vector<double> caps(static_cast<std::size_t>(sites));
+  for (auto& c : caps) c = rng.uniform(4.0, 24.0);
+  core::Matrix demands;
+  for (int j = 0; j < jobs; ++j) {
+    std::vector<double> row(static_cast<std::size_t>(sites), 0.0);
+    const auto fanout = rng.uniform_int(1, 3);
+    for (std::int64_t i = 0; i < fanout; ++i) {
+      const auto s = rng.uniform_index(static_cast<std::uint64_t>(sites));
+      row[s] = caps[s];
+    }
+    demands.push_back(std::move(row));
+  }
+  return core::AllocationProblem(std::move(demands), std::move(caps));
+}
+
 /// Churn: ~45% arrivals, ~45% departures, ~10% site capacity changes.
 core::ProblemDelta pinned_delta(util::Rng& rng,
                                 const core::AllocationProblem& problem) {
@@ -442,9 +460,27 @@ TEST(DinicWorkPin, StatelessSolve) {
   amf.allocate(problem);
   DinicWork work;
   add_work_since(before, work);
-  EXPECT_EQ(work.calls, 44);
-  EXPECT_EQ(work.phases, 77);
-  EXPECT_EQ(work.paths, 1210);
+  EXPECT_EQ(work.calls, 43);
+  EXPECT_EQ(work.phases, 75);
+  EXPECT_EQ(work.paths, 1181);
+}
+
+// One freeze round, uncapped demands: cut-Newton runs two cold probes and
+// the last one is feasible at exactly the frozen aggregates, so the final
+// materialization is served from the flow that probe left on the network.
+TEST(DinicWorkPin, OneRoundStatelessSolveMaterializesFromLastProbe) {
+  util::Rng rng(2);
+  const auto problem = uncapped_problem(rng, 16, 4);
+  core::AmfAllocator amf;
+  core::SolveReport report;
+  const DinicWork before = dinic_work();
+  const long long hits_before = counter("amf_flow_memo_hits");
+  amf.allocate_with_report(problem, report);
+  DinicWork work;
+  add_work_since(before, work);
+  EXPECT_EQ(report.trace.rounds, 1);
+  EXPECT_EQ(work.calls, 2);
+  EXPECT_EQ(counter("amf_flow_memo_hits") - hits_before, 1);
 }
 
 TEST(DinicWorkPin, WarmIncrementalChurn) {
