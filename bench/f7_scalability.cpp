@@ -1,33 +1,62 @@
-// F7 — Allocation algorithm scalability.
+// F7 / T2 — Allocation algorithm scalability and per-call runtimes.
 //
-// Wall-clock time of one allocation as the instance grows: jobs swept at
-// 10 sites, then sites swept at 200 jobs. AMF/E-AMF run progressive
-// filling with max-flow solves (polynomial, flow-dominated); PSMF is the
-// O(n·m·log n) water-filling floor. Expected shape: AMF within a small
-// constant of interactive use even at thousands of jobs.
+// Wall-clock time of one call as the instance grows: AMF/E-AMF/PSMF with
+// jobs swept at 10 sites, then sites swept at 200 jobs. AMF/E-AMF run
+// progressive filling with max-flow solves (polynomial, flow-dominated);
+// PSMF is the O(n·m·log n) water-filling floor. Then the pieces
+// underneath and around an allocation: one max flow, the JCT add-on,
+// water-filling, and a batch through the simulator. Expected shape: AMF
+// within a small constant of interactive use even at thousands of jobs.
+//
+// Every point is the minimum over kReps timed calls after one untimed
+// warm-up call, so it reads as the cost of the call on a quiet core, not
+// as one sample of a noisy one.
+#include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "common.hpp"
 
 namespace {
 
-double time_allocation_ms(const amf::core::Allocator& policy,
-                          const amf::core::AllocationProblem& problem) {
-  auto start = std::chrono::steady_clock::now();
-  auto allocation = policy.allocate(problem);
-  auto stop = std::chrono::steady_clock::now();
-  // Keep the result alive so the work is not elided.
-  volatile double sink = allocation.aggregate(0);
+using namespace amf;
+
+constexpr int kReps = 7;
+
+/// Minimum wall time of `call` over kReps calls, after one warm-up call.
+/// `call` returns a value derived from its result, so the work cannot be
+/// elided.
+template <typename Call>
+double min_ms(Call&& call) {
+  volatile double sink = call();
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    sink = call();
+    const auto stop = std::chrono::steady_clock::now();
+    best = std::min(
+        best, std::chrono::duration<double, std::milli>(stop - start).count());
+  }
   (void)sink;
-  return std::chrono::duration<double, std::milli>(stop - start).count();
+  return best;
+}
+
+core::AllocationProblem component_problem(int jobs) {
+  auto cfg = workload::paper_default(1.0, 424242);
+  cfg.jobs = jobs;
+  cfg.sites = 10;
+  cfg.sites_per_job_max = 4;
+  workload::Generator gen(cfg);
+  return gen.generate();
 }
 
 }  // namespace
 
 int main() {
-  using namespace amf;
   bench::preamble("F7", "allocator wall time vs instance size",
-                  {"dimension: jobs (m=10) or sites (n=200)",
+                  {"dimension: jobs (m=10) or sites (n=200); components "
+                   "at m=10 (water_fill: n entries)",
+                   "ms: min over 7 calls after one warm-up call",
                    "expected: AMF polynomial, comfortably interactive"});
 
   core::AmfAllocator amf;
@@ -37,14 +66,24 @@ int main() {
       {"AMF", &amf}, {"E-AMF", &eamf}, {"PSMF", &psmf}};
 
   util::CsvWriter csv(std::cout, {"dimension", "value", "policy", "ms"});
+  auto row = [&csv](const std::string& dimension, int value,
+                    const std::string& what, double ms) {
+    csv.row({dimension, util::CsvWriter::format(value), what,
+             util::CsvWriter::format(ms)});
+  };
+  auto time_policies = [&](const std::string& dimension, int value,
+                           const core::AllocationProblem& problem) {
+    for (const auto& [name, policy] : policies)
+      row(dimension, value, name, min_ms([&, p = policy] {
+            return p->allocate(problem).aggregate(0);
+          }));
+  };
+
   for (int jobs : {10, 50, 100, 250, 500, 1000, 2000}) {
     auto cfg = workload::paper_default(1.0, 90);
     cfg.jobs = jobs;
     workload::Generator gen(cfg);
-    auto problem = gen.generate();
-    for (const auto& [name, policy] : policies)
-      csv.row({"jobs", util::CsvWriter::format(jobs), name,
-               util::CsvWriter::format(time_allocation_ms(*policy, problem))});
+    time_policies("jobs", jobs, gen.generate());
   }
   for (int sites : {2, 5, 10, 25, 50, 100}) {
     auto cfg = workload::paper_default(1.0, 91);
@@ -52,10 +91,48 @@ int main() {
     cfg.sites = sites;
     cfg.sites_per_job_max = std::min(4, sites);
     workload::Generator gen(cfg);
-    auto problem = gen.generate();
-    for (const auto& [name, policy] : policies)
-      csv.row({"sites", util::CsvWriter::format(sites), name,
-               util::CsvWriter::format(time_allocation_ms(*policy, problem))});
+    time_policies("sites", sites, gen.generate());
+  }
+
+  // One max flow. Consecutive calls alternate between two cap vectors, so
+  // each one runs Dinic instead of returning the last-caps memo.
+  for (int jobs : {100, 400, 1000}) {
+    const auto problem = component_problem(jobs);
+    flow::TransportNetwork net(problem.demands(), problem.capacities());
+    const std::vector<double> caps_a(static_cast<std::size_t>(jobs), 5.0);
+    const std::vector<double> caps_b(static_cast<std::size_t>(jobs), 4.0);
+    bool flip = false;
+    row("maxflow", jobs, "TransportNetwork::solve", min_ms([&] {
+          flip = !flip;
+          return net.solve(flip ? caps_a : caps_b);
+        }));
+  }
+  for (int jobs : {10, 50, 100}) {
+    const auto problem = component_problem(jobs);
+    const auto base = amf.allocate(problem);
+    core::JctAddon addon;
+    row("jct_addon", jobs, "JctAddon::optimize", min_ms([&] {
+          return addon.optimize(problem, base).aggregate(0);
+        }));
+  }
+  for (int n : {100, 1000, 10000}) {
+    util::Rng rng(7);
+    std::vector<double> caps(static_cast<std::size_t>(n));
+    const std::vector<double> weights(static_cast<std::size_t>(n), 1.0);
+    for (auto& c : caps) c = rng.uniform(0.0, 10.0);
+    row("water_fill", n, "water_fill", min_ms([&] {
+          return core::water_fill(caps, weights, static_cast<double>(n))
+              .front();
+        }));
+  }
+  for (int jobs : {25, 50, 100}) {
+    workload::Generator gen(workload::paper_default(1.2, 515151));
+    auto trace = workload::generate_trace(gen, 0.8, jobs);
+    for (auto& j : trace.jobs) j.arrival = 0.0;
+    row("sim_batch", jobs, "AMF", min_ms([&] {
+          sim::Simulator simulator(amf);
+          return static_cast<double>(simulator.run(trace).size());
+        }));
   }
   return 0;
 }

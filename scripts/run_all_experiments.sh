@@ -20,11 +20,7 @@ for bench in "$BUILD_DIR"/bench/bench_*; do
   [ -f "$bench" ] && [ -x "$bench" ] || continue
   name=$(basename "$bench")
   echo "running $name ..."
-  if [ "$name" = "bench_runtime" ]; then
-    # google-benchmark prints its human table to stderr in csv mode;
-    # keep it visible so failures aren't swallowed.
-    set -- --benchmark_format=csv
-  elif [ "$name" = "bench_f14_incremental" ]; then
+  if [ "$name" = "bench_f14_incremental" ]; then
     # F14 also emits a machine-readable summary next to its CSV.
     set -- --json "$OUT_DIR/BENCH_incremental.json"
   elif [ "$name" = "bench_f15_obs_overhead" ]; then

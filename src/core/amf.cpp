@@ -52,7 +52,7 @@ Allocation progressive_fill(const AllocationProblem& problem,
                             const std::string& policy_name, double eps,
                             flow::LevelMethod method,
                             flow::LevelSolveStats* stats, FillTrace* trace,
-                            flow::TransportSystem* external_net,
+                            flow::TransportNetwork* external_net,
                             std::vector<flow::LevelHint>* hints,
                             const util::StopToken* stop) {
   stop = util::effective_stop(stop);
@@ -73,10 +73,10 @@ Allocation progressive_fill(const AllocationProblem& problem,
   std::optional<flow::TransportNetwork> local_net;
   if (external_net == nullptr)
     local_net.emplace(problem.demands(), problem.capacities());
-  flow::TransportSystem& net =
+  flow::TransportNetwork& net =
       external_net != nullptr ? *external_net : *local_net;
   AMF_REQUIRE(net.jobs() == n && net.sites() == problem.sites(),
-              "transport system shape != problem shape");
+              "transport network shape != problem shape");
   const double scale = net.scale();
   const double tol = eps * scale;
 

@@ -63,7 +63,7 @@ class AmfAllocator final : public Allocator {
 /// must be jointly feasible — equal-split floors always are; pass zeros
 /// for plain AMF. Returns the allocation realizing the fair aggregates.
 ///
-/// `net`, when given, is a pre-built transportation system presenting
+/// `net`, when given, is a pre-built transportation network presenting
 /// exactly this problem's demand/capacity values (e.g. a primed
 /// SolverWorkspace's persistent network); filling then skips the network
 /// construction. Null builds a fresh network — same results either way.
@@ -83,7 +83,7 @@ Allocation progressive_fill(
     const std::string& policy_name, double eps,
     flow::LevelMethod method = flow::LevelMethod::kCutNewton,
     flow::LevelSolveStats* stats = nullptr, FillTrace* trace = nullptr,
-    flow::TransportSystem* net = nullptr,
+    flow::TransportNetwork* net = nullptr,
     std::vector<flow::LevelHint>* hints = nullptr,
     const util::StopToken* stop = nullptr);
 

@@ -62,7 +62,7 @@ class SolverWorkspace {
   void invalidate();
 
   /// The persistent network. Only valid when primed().
-  flow::IncrementalTransport& transport() { return *transport_; }
+  flow::TransportNetwork& transport() { return *transport_; }
 
   /// Aggregates of the last recorded solution (empty before the first).
   const std::vector<double>& previous_aggregates() const {
@@ -105,7 +105,7 @@ class SolverWorkspace {
   int serving_tier = -1;
 
  private:
-  std::optional<flow::IncrementalTransport> transport_;
+  std::optional<flow::TransportNetwork> transport_;
   std::vector<int> rows_;  ///< problem row -> persistent network row id
   /// Per-row dominant-share coefficient γ (all 1.0 on scalar problems).
   /// Deltas carry raw task units; the network speaks dominant units, so

@@ -75,15 +75,6 @@ void FlowNetwork::set_capacity(EdgeId e, double capacity) {
   orig_[static_cast<std::size_t>(e) / 2] = capacity;
 }
 
-void FlowNetwork::raise_capacity(EdgeId e, double capacity) {
-  AMF_REQUIRE(forward_arc(e), "raise_capacity: not a forward arc id");
-  double& orig = orig_[static_cast<std::size_t>(e) / 2];
-  AMF_REQUIRE(capacity >= orig, "raise_capacity: capacity decrease");
-  cut_valid_ = false;
-  residual_[static_cast<std::size_t>(e)] += capacity - orig;
-  orig = capacity;
-}
-
 void FlowNetwork::set_flow(EdgeId e, double flow) {
   AMF_REQUIRE(forward_arc(e), "set_flow: not a forward arc id");
   AMF_REQUIRE(flow >= 0.0, "set_flow: negative flow");

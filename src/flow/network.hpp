@@ -82,16 +82,10 @@ class FlowNetwork {
   /// reset_flow(); flows already pushed are not adjusted.
   void set_capacity(EdgeId e, double capacity);
 
-  /// Raises the capacity of forward arc `e` to `capacity` (>= its current
-  /// value) with immediate effect: the extra headroom is added to the arc's
-  /// residual, preserving all flow already pushed. The basis of warm-started
-  /// monotone re-solves — follow with max_flow to augment on top.
-  void raise_capacity(EdgeId e, double capacity);
-
   /// Removes `amount` (>= 0) of flow from forward arc `e` with immediate
   /// effect: forward residual grows, reverse residual shrinks. The caller
   /// must restore conservation by cancelling the same amount on the other
-  /// arcs of the path (warm-restart primitive; see IncrementalTransport).
+  /// arcs of the path (warm-restart primitive; see TransportNetwork).
   void cancel_flow(EdgeId e, double amount) {
     AMF_REQUIRE(forward_arc(e), "cancel_flow: not a forward arc id");
     AMF_REQUIRE(amount >= 0.0, "cancel_flow: negative amount");

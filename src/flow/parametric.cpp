@@ -53,7 +53,7 @@ LevelCounters& level_counters() {
 }  // namespace
 
 CriticalLevel solve_critical_level(
-    TransportSystem& net, const std::vector<ParametricSource>& sources,
+    TransportNetwork& net, const std::vector<ParametricSource>& sources,
     double t_lo, double t_hi, double eps, LevelMethod method,
     LevelSolveStats* stats, LevelHint* hint, const util::StopToken* stop) {
   stop = util::effective_stop(stop);

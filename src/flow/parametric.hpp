@@ -101,7 +101,7 @@ struct CriticalLevel {
 /// realizing matrix.
 ///
 /// Preconditions: the caps at t_lo are feasible; slopes are non-negative.
-/// Demand and site-capacity values are read from `net` itself (the system
+/// Demand and site-capacity values are read from `net` itself (the network
 /// is the single source of truth, enabling persistent-topology reuse).
 ///
 /// `hint`, when non-null, warm-starts the Newton descent from the hinted
@@ -115,7 +115,7 @@ struct CriticalLevel {
 /// already proven feasible (at worst t_lo) — a conservative answer a
 /// caller can still act on.
 CriticalLevel solve_critical_level(
-    TransportSystem& net, const std::vector<ParametricSource>& sources,
+    TransportNetwork& net, const std::vector<ParametricSource>& sources,
     double t_lo, double t_hi, double eps = FlowNetwork::kDefaultEps,
     LevelMethod method = LevelMethod::kCutNewton,
     LevelSolveStats* stats = nullptr, LevelHint* hint = nullptr,

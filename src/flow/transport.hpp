@@ -5,29 +5,36 @@
 //   source --cap f_j--> job_j --cap d[j][s]--> site_s --cap C[s]--> sink
 //
 // A per-job budget vector f is realizable as aggregates iff the max flow
-// saturates every source arc. This header wraps that construction so the
-// core allocators never touch raw node ids, and keeps the network alive
-// across repeated solves with different source caps (parametric reuse).
+// saturates every source arc. TransportNetwork wraps that construction so
+// the core allocators never touch raw node ids, and keeps the network
+// alive across repeated solves with different source caps.
 //
-// Two concrete networks implement the common TransportSystem interface:
-//   * TransportNetwork — the one-shot substrate of stateless solves. It is
-//     built in one pass over the dense demand rows (arcs only for positive
-//     demands, indexed by a flat per-job CSR of (site, arc)) and solved
-//     many times, always cold. A last-caps memo serves a repeated solve
-//     from the max flow already on the network, so progressive filling's
-//     final materialization at the last probe's caps runs no max flow.
-//   * IncrementalTransport — persistent topology for online reallocation:
-//     jobs are appended as they arrive, masked out when they depart, and
-//     demand/capacity values are updated in place between solves, so the
-//     network scales with the nonzero structure instead of being rebuilt
-//     from nothing at every event.
+// One class serves stateless solves and warm workspaces. Its rows (jobs)
+// carry arcs only to their reserved sites, indexed by one flat CSR of
+// (site, arc) per row, and it has two constructors:
+//   * TransportNetwork(demands, capacities) builds every row in one pass
+//     over the dense demand matrix (arcs only for positive demands). Its
+//     probes always run cold, so the flow it holds is always the one a
+//     cold solve computes, and progressive filling's final materialization
+//     at the last probe's caps is served from the last-caps memo with no
+//     max flow.
+//   * TransportNetwork(capacities) starts with sites only; add_job appends
+//     rows as jobs arrive, remove_job masks them on departure, values are
+//     updated in place between solves, and compact() drops dead rows.
+//     Mutators keep a held flow conservative, so probes after the first
+//     warm-start from it across events.
+// The probe policy is fixed by the constructor: cold probes win on fresh
+// one-shot instances (the final solve becomes free), warm probes win on a
+// stream of related instances (each event perturbs little of the flow).
 //
-// Both memos are recorded only after a max flow that ran to completion: a
-// max flow cut short by a stop token leaves a partial flow that a later
-// solve must not return.
+// Memos are recorded only after a max flow that ran to completion: a max
+// flow cut short by a stop token leaves a partial flow that a later solve
+// must not return.
 #pragma once
 
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "flow/network.hpp"
@@ -42,8 +49,7 @@ using Matrix = std::vector<std::vector<double>>;
 /// transportation network itself stays single-commodity — the reduction
 /// happens one layer up (core::AllocationProblem scales each job's rate
 /// by its dominant-share coefficient and feeds this binding min as C[s]),
-/// so every network here, persistent or one-shot, is untouched by the
-/// resource dimension.
+/// so the network is untouched by the resource dimension.
 inline double binding_min(const std::vector<double>& row) {
   if (row.empty()) return 0.0;
   double c = row.front();
@@ -58,75 +64,23 @@ struct MinCut {
   std::vector<char> site_in_source_side;
 };
 
-/// The operations progressive filling and the critical-level solver need
-/// from a transportation network. Implementations must be deterministic:
-/// two systems presenting the same job/site values perform identical
-/// floating-point work on every operation (the bit-for-bit contract the
-/// incremental simulator relies on).
-class TransportSystem {
+/// Job→site transportation network over a set of rows with stable ids.
+///
+/// Solves run over the *active* rows (ascending ids); every solve input and
+/// read is indexed by position in that subset. A dense build activates all
+/// its rows, in matrix order.
+///
+/// Determinism: the arc order (site→sink arcs, then per row its source arc
+/// followed by its demand arcs in ascending site order) fixes Dinic's
+/// traversal. Masked arcs and inactive rows carry zero capacity and are
+/// invisible to the flow algorithms, so a network reached by any sequence
+/// of add_job / remove_job / value updates / compact() performs exactly the
+/// floating-point work of a dense build over the active rows' current
+/// values. The incremental simulator's equivalence with the from-scratch
+/// engine rests on this (tested in flow_test.cpp and incremental_test.cpp).
+class TransportNetwork {
  public:
-  virtual ~TransportSystem() = default;
-
-  virtual int jobs() const = 0;
-  virtual int sites() const = 0;
-
-  /// Characteristic scale of the instance (max capacity/demand, >= 1);
-  /// tolerances in callers should be relative to this.
-  virtual double scale() const = 0;
-
-  /// Solves max flow with the given per-job source caps (resetting any
-  /// previous flow) and returns the attained flow value.
-  virtual double solve(const std::vector<double>& source_caps,
-                       double eps = FlowNetwork::kDefaultEps) = 0;
-
-  /// Feasibility-probe solve: like solve(), but the implementation may
-  /// warm-start from the flow left by the previous solve/probe instead of
-  /// recomputing from zero. The attained flow *value*, the min cut, and
-  /// the residual-reachability queries are flow-state invariants of a max
-  /// flow, so every TransportSystem read except allocation() is unaffected
-  /// by the shortcut; callers that go on to read allocation() must use
-  /// solve(). Default: plain solve().
-  virtual double probe(const std::vector<double>& source_caps,
-                       double eps = FlowNetwork::kDefaultEps) {
-    return solve(source_caps, eps);
-  }
-
-  /// True when the last solve saturated every source arc (the caps are
-  /// feasible as aggregates).
-  virtual bool saturated(double eps = FlowNetwork::kDefaultEps) const = 0;
-
-  /// Allocation matrix realized by the last solve: a[j][s] = flow(job→site).
-  virtual Matrix allocation() const = 0;
-
-  /// After a solve: per-job flag, true when the job still has a residual
-  /// path to the sink (its aggregate could be increased). The freezing
-  /// test of progressive filling.
-  virtual std::vector<char> jobs_can_increase(
-      double eps = FlowNetwork::kDefaultEps) const = 0;
-
-  /// After a solve: source side of a min cut (residual reachability from
-  /// the source).
-  virtual MinCut min_cut(double eps = FlowNetwork::kDefaultEps) const = 0;
-
-  /// Maximum aggregate job j could attain if it were alone (Σ_s min(d, C)).
-  virtual double solo_ceiling(int job) const = 0;
-
-  /// Current capacity of site `s`.
-  virtual double site_capacity(int site) const = 0;
-
-  /// Adds d[job][s] for every site NOT in the cut's source side (the demand
-  /// arcs of `job` crossing the cut) into `accumulator`, one addition per
-  /// nonzero demand in ascending site order. Accumulating in place keeps the
-  /// caller's floating-point summation order identical to a dense row scan
-  /// (skipped zeros would add exactly 0.0).
-  virtual void add_row_demand_across(int job,
-                                     const std::vector<char>& site_in_source_side,
-                                     double& accumulator) const = 0;
-};
-
-/// Reusable job→site transportation network (fixed job set).
-class TransportNetwork final : public TransportSystem {
- public:
+  /// Dense one-pass build with probes that always run cold.
   /// `demands[j][s]` is the per-site demand cap (arc capacity job→site;
   /// arcs are only materialized for strictly positive demand);
   /// `capacities[s]` the site capacity. Every row must have one entry per
@@ -134,71 +88,9 @@ class TransportNetwork final : public TransportSystem {
   TransportNetwork(const Matrix& demands,
                    const std::vector<double>& capacities);
 
-  int jobs() const override { return jobs_; }
-  int sites() const override { return sites_; }
-  double scale() const override { return scale_; }
-
-  /// Cold solve: resets the flow and runs Dinic from zero. A call with the
-  /// caps and eps of the last completed max flow returns its value without
-  /// touching the network: every solve here is cold, so the flow it holds
-  /// is exactly the one the repeated solve would recompute.
-  double solve(const std::vector<double>& source_caps,
-               double eps = FlowNetwork::kDefaultEps) override;
-
-  bool saturated(double eps = FlowNetwork::kDefaultEps) const override;
-  Matrix allocation() const override;
-  std::vector<char> jobs_can_increase(
-      double eps = FlowNetwork::kDefaultEps) const override;
-
-  MinCut min_cut(double eps = FlowNetwork::kDefaultEps) const override;
-
-  double solo_ceiling(int job) const override;
-  double site_capacity(int site) const override;
-  void add_row_demand_across(int job,
-                             const std::vector<char>& site_in_source_side,
-                             double& accumulator) const override;
-
- private:
-  int jobs_;
-  int sites_;
-  double scale_ = 1.0;
-  FlowNetwork net_;
-  NodeId source_;
-  NodeId sink_;
-  std::vector<EdgeId> source_arcs_;  // per job
-  std::vector<EdgeId> site_arcs_;    // per site
-  // Demand arcs as a flat CSR: job j's (site, arc) pairs, ascending site,
-  // span [row_first_[j], row_first_[j + 1]) of row_arcs_.
-  std::vector<int> row_first_;
-  std::vector<std::pair<int, EdgeId>> row_arcs_;
-  std::vector<double> solo_ceiling_;
-  double last_total_ = 0.0;
-  double last_flow_ = 0.0;
-  // Last-caps memo: the caps and eps of the max flow the network holds,
-  // valid only when that max flow ran to completion.
-  std::vector<double> last_caps_;
-  double last_eps_ = -1.0;
-  bool memo_valid_ = false;
-};
-
-/// Persistent-topology transportation network for online reallocation.
-///
-/// Jobs are added once (arcs materialized for their positive-demand
-/// sites), masked to zero on departure, and demand / site-capacity values
-/// are updated in place between solves. Solves run over a declared
-/// *active subset* of rows (ascending ids); everything a solve reads or
-/// returns is indexed by position in that subset.
-///
-/// Bit-for-bit contract: for any active subset, every TransportSystem
-/// operation performs exactly the same floating-point work as a freshly
-/// built TransportNetwork over the subset's current values — masked
-/// (zero-capacity) arcs and inactive rows are invisible to the flow
-/// algorithms, and the recomputed scale() matches the fresh build. The
-/// incremental simulator's equivalence with the from-scratch engine rests
-/// on this property (tested in incremental_test.cpp).
-class IncrementalTransport final : public TransportSystem {
- public:
-  explicit IncrementalTransport(std::vector<double> site_capacities);
+  /// Sites only; rows come from add_job. Probes warm-start from the held
+  /// flow once a solve has put one on the network.
+  explicit TransportNetwork(const std::vector<double>& site_capacities);
 
   // --- topology and values ------------------------------------------------
 
@@ -237,35 +129,65 @@ class IncrementalTransport final : public TransportSystem {
   /// solves before and after are bit-identical.
   void compact();
 
-  // --- TransportSystem over the active subset -----------------------------
+  // --- solves and reads over the active rows ------------------------------
 
-  int jobs() const override { return static_cast<int>(active_.size()); }
-  int sites() const override { return static_cast<int>(site_arcs_.size()); }
-  double scale() const override;
+  int jobs() const { return static_cast<int>(active_.size()); }
+  int sites() const { return static_cast<int>(site_arcs_.size()); }
+
+  /// Characteristic scale of the instance (max capacity/demand, >= 1);
+  /// tolerances in callers should be relative to this.
+  double scale() const;
+
+  /// Cold solve: resets the flow and runs Dinic from zero; returns the
+  /// attained flow value. A call with the caps and eps of the last
+  /// completed max flow returns its value without touching the network
+  /// when the held flow is the one this solve would recompute (it came
+  /// from a cold solve), or under relaxed realization.
   double solve(const std::vector<double>& source_caps,
-               double eps = FlowNetwork::kDefaultEps) override;
+               double eps = FlowNetwork::kDefaultEps);
 
-  /// Warm feasibility probe. When the network holds a max flow for the
-  /// current demand/capacity values (no mutation since the last solve),
-  /// only the source arcs are retargeted — excess flow on shrunk arcs is
-  /// cancelled along the job's own site arcs, raised arcs gain residual in
-  /// place — and Dinic augments from the surviving flow. Falls back to a
-  /// cold solve() after any topology or value mutation. The flow split
-  /// left behind may differ from a cold solve's, so allocation() readers
-  /// must re-solve(); all other reads are flow-state invariant.
+  /// Feasibility probe. On a dense build it is solve(). Otherwise, when
+  /// the network holds a conservative flow, only the source arcs are
+  /// retargeted — excess flow on shrunk arcs is cancelled along the job's
+  /// own site arcs, raised arcs gain residual in place — and Dinic augments
+  /// from the surviving flow. The attained value, the min cut and the
+  /// residual reachability are invariants of a max flow, so every read
+  /// except allocation() agrees with a cold solve; callers that go on to
+  /// read allocation() must use solve().
   double probe(const std::vector<double>& source_caps,
-               double eps = FlowNetwork::kDefaultEps) override;
+               double eps = FlowNetwork::kDefaultEps);
 
-  bool saturated(double eps = FlowNetwork::kDefaultEps) const override;
-  Matrix allocation() const override;
+  /// True when the last solve saturated every source arc (the caps are
+  /// feasible as aggregates).
+  bool saturated(double eps = FlowNetwork::kDefaultEps) const;
+
+  /// Allocation matrix realized by the last solve: a[j][s] = flow(job→site).
+  Matrix allocation() const;
+
+  /// After a solve: per-job flag, true when the job still has a residual
+  /// path to the sink (its aggregate could be increased). The freezing
+  /// test of progressive filling.
   std::vector<char> jobs_can_increase(
-      double eps = FlowNetwork::kDefaultEps) const override;
-  MinCut min_cut(double eps = FlowNetwork::kDefaultEps) const override;
-  double solo_ceiling(int active_job) const override;
-  double site_capacity(int site) const override;
-  void add_row_demand_across(int active_job,
+      double eps = FlowNetwork::kDefaultEps) const;
+
+  /// After a solve: source side of a min cut (residual reachability from
+  /// the source).
+  MinCut min_cut(double eps = FlowNetwork::kDefaultEps) const;
+
+  /// Maximum aggregate job j could attain if it were alone (Σ_s min(d, C)).
+  double solo_ceiling(int job) const;
+
+  /// Current capacity of site `s`.
+  double site_capacity(int site) const;
+
+  /// Adds d[job][s] for every site NOT in the cut's source side (the demand
+  /// arcs of `job` crossing the cut) into `accumulator`, one addition per
+  /// nonzero demand in ascending site order. Accumulating in place keeps the
+  /// caller's floating-point summation order identical to a dense row scan
+  /// (skipped zeros would add exactly 0.0).
+  void add_row_demand_across(int job,
                              const std::vector<char>& site_in_source_side,
-                             double& accumulator) const override;
+                             double& accumulator) const;
 
   /// Realization contract of solve(). Exact (the default) guarantees
   /// allocation() after solve() is bit-identical to a freshly built
@@ -279,46 +201,76 @@ class IncrementalTransport final : public TransportSystem {
   bool exact_realization() const { return exact_; }
 
  private:
+  using RowArc = std::pair<int, EdgeId>;  // (site, arc)
+
   struct Row {
     bool live = false;
     NodeId node = -1;
     EdgeId source_arc = -1;
-    std::vector<std::pair<int, EdgeId>> site_arcs;  // (site, arc), ascending
   };
 
-  void invalidate_caches();
+  // Node layout: source, sink, one node per site, then one per row.
+  static constexpr NodeId kSource = 0;
+  static constexpr NodeId kSink = 1;
+  static NodeId site_node(int site) { return 2 + site; }
 
-  /// Cancels all flow through `row`'s arcs (site arcs, matching sink arcs,
-  /// source arc), restoring a conservative flow without it.
-  void drain_row(const Row& row);
+  /// Row `row`'s demand arcs, ascending site.
+  std::span<const RowArc> arcs_of(int row) const {
+    const auto first = static_cast<std::size_t>(
+        row_first_[static_cast<std::size_t>(row)]);
+    const auto last = static_cast<std::size_t>(
+        row_first_[static_cast<std::size_t>(row) + 1]);
+    return {row_arcs_.data() + first, last - first};
+  }
+  /// Row `row`'s demand arc to `site`, or -1 when none was reserved.
+  EdgeId arc_to(int row, int site) const;
+  const Row& active_row(int job) const {
+    return rows_[static_cast<std::size_t>(
+        active_[static_cast<std::size_t>(job)])];
+  }
+
+  void invalidate_caches();
+  /// Recomputes scale_ and solo_ceiling_ after a mutation.
+  void refresh_derived() const;
+
+  /// Cancels `amount` of flow along source → `row` → `site` → sink, where
+  /// `arc` is the row's demand arc to `site`.
+  void cancel_path(const Row& row, int site, EdgeId arc, double amount);
+  /// Cancels all flow through `row`'s arcs, restoring a conservative flow
+  /// without it.
+  void drain_row(int row);
 
   FlowNetwork net_;
-  NodeId source_ = -1;
-  NodeId sink_ = -1;
-  std::vector<NodeId> site_nodes_;
-  std::vector<EdgeId> site_arcs_;
-  // Incoming demand arcs per site, (row id, arc) in row insertion order:
-  // the deterministic cancellation order when a site capacity shrinks
-  // below its current throughput.
-  std::vector<std::vector<std::pair<int, EdgeId>>> site_incoming_;
-  std::vector<Row> rows_;
+  std::vector<EdgeId> site_arcs_;  // per site
+  std::vector<Row> rows_;          // per stable row id
+  // Demand arcs as a flat CSR: row r's (site, arc) pairs, ascending site,
+  // span [row_first_[r], row_first_[r + 1]) of row_arcs_. Dead rows keep
+  // their span until compact() empties it.
+  std::vector<int> row_first_{0};
+  std::vector<RowArc> row_arcs_;
   std::vector<int> active_;  // live row ids, ascending
   int live_rows_ = 0;
   int masked_rows_ = 0;
+  // Fixed by the constructor: dense builds probe cold, add_job builds warm.
+  bool warm_probes_ = true;
   // True while the residuals hold a conservative flow respecting every
   // arc's current capacity: mutators shed excess flow locally (instead of
   // deferring to the next reset) so probes can warm-start across events.
   bool flow_valid_ = false;
 
+  // Derived from the current values, per active row: recomputed lazily
+  // after any mutation.
   mutable double scale_ = 1.0;
-  mutable bool scale_dirty_ = true;
-  // Redundant-solve memo: progressive filling's final materialization
-  // frequently re-solves the caps of the last in-loop solve; an exact
-  // match lets us keep the flow already in the network. `memo_valid_` is
-  // set only after a max flow that ran to completion. `canonical_`
-  // records whether the held flow came from a cold solve (reset + Dinic
-  // from zero): only then may solve() serve a memo hit, since a
-  // warm-probed flow can be a different vertex of the optimum face.
+  mutable std::vector<double> solo_ceiling_;
+  mutable bool derived_dirty_ = true;
+
+  // Last-caps memo: progressive filling's final materialization frequently
+  // re-solves the caps of the last in-loop probe; an exact match lets us
+  // keep the flow already in the network. `memo_valid_` is set only after
+  // a max flow that ran to completion. `canonical_` records whether the
+  // held flow came from a cold solve (reset + Dinic from zero): only then
+  // may an exact solve() serve a memo hit, since a warm-probed flow can be
+  // a different vertex of the optimum face.
   std::vector<double> last_caps_;
   double last_eps_ = -1.0;
   bool memo_valid_ = false;

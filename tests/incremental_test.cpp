@@ -503,6 +503,41 @@ TEST(DinicWorkPin, WarmIncrementalChurn) {
   EXPECT_EQ(work.paths, 3981);
 }
 
+// The probe policy follows the network's constructor. A stateless fill
+// builds the dense network, whose probes are all cold solves; a
+// workspace's first fill starts cold on its add_job network and
+// warm-starts every later probe from the flow the first one left.
+TEST(TransportProbePolicy, StatelessFillNeverWarmStarts) {
+  util::Rng rng(2019);
+  const auto problem = pinned_problem(rng, 16, 10);
+  core::AmfAllocator amf;
+  core::SolveReport report;
+  const long long warm = counter("amf_flow_probe_warm");
+  const long long cold = counter("amf_flow_probe_cold");
+  amf.allocate_with_report(problem, report);
+  EXPECT_GT(report.trace.rounds, 1);
+  EXPECT_EQ(counter("amf_flow_probe_warm"), warm);
+  EXPECT_EQ(counter("amf_flow_probe_cold"), cold);
+}
+
+TEST(TransportProbePolicy, WorkspaceFirstFillWarmStartsFromItsSecondProbe) {
+  util::Rng rng(2019);
+  const auto problem = pinned_problem(rng, 16, 10);
+  core::AmfAllocator amf;
+  core::SolverWorkspace ws;
+  const long long warm = counter("amf_flow_probe_warm");
+  const long long cold = counter("amf_flow_probe_cold");
+  const long long probes = counter("amf_flow_probes");
+  const long long hits = counter("amf_flow_memo_hits");
+  const auto warm_alloc = amf.allocate(problem, ws);
+  const long long fill_probes = counter("amf_flow_probes") - probes;
+  EXPECT_GT(fill_probes, 1);
+  EXPECT_EQ(counter("amf_flow_probe_cold") - cold, 1);
+  EXPECT_EQ(counter("amf_flow_probe_warm") - warm,
+            fill_probes - 1 - (counter("amf_flow_memo_hits") - hits));
+  expect_bit_identical(warm_alloc, amf.allocate(problem), 0);
+}
+
 TEST(WorkspaceCompaction, TriggerCountsOnlyRowsMaskedSinceLastRebuild) {
   // A long stream at a steady job count: every rebuild drops the masked
   // rows, so the next one waits for a fresh quarter of departures rather
