@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "svc/session.hpp"
+#include "util/deadline.hpp"
 #include "util/error.hpp"
 
 namespace amf::svc {
@@ -79,9 +80,8 @@ void SvcExecutor::submit_after(double delay_ms, Task task) {
   }
   TimerEntry entry;
   entry.task = std::move(task);
-  entry.due = std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double, std::milli>(delay_ms));
+  entry.due =
+      util::saturating_after_ms(std::chrono::steady_clock::now(), delay_ms);
   {
     std::lock_guard<std::mutex> lock(timer_mu_);
     entry.seq = ++timer_seq_;

@@ -1,5 +1,6 @@
 #include "svc/proto.hpp"
 
+#include <climits>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -139,6 +140,12 @@ std::string error_line(double id, ErrorCode code,
   return line;
 }
 
+std::uint64_t trace_of(const Request& req) {
+  const double t = req.body.number_or("trace", 0.0);
+  if (!(t > 0.0 && t < 18446744073709551616.0)) return 0;  // (0, 2^64)
+  return static_cast<std::uint64_t>(t);
+}
+
 std::vector<double> number_array(const Json& v, int expect,
                                  std::string_view what) {
   if (!v.is_array())
@@ -274,10 +281,12 @@ ProblemSnapshot problem_from_json(const Json& v) {
   int r = -1;
   core::Matrix capacity_matrix;
   if (multi) {
-    r = static_cast<int>(v.number_or("resources", -1.0));
-    if (r < 1)
+    const double resources = v.number_or("resources", -1.0);
+    if (!is_integer_in(resources, 1, INT_MAX))
       throw SvcError(ErrorCode::kBadRequest,
-                     "snapshot needs resources >= 1 with a capacity matrix");
+                     "snapshot needs an integer resources >= 1 with a "
+                     "capacity matrix");
+    r = static_cast<int>(resources);
     capacity_matrix = matrix_from_json(*cap_matrix, m, r, "capacity_matrix");
     if (nom_matrix == nullptr)
       throw SvcError(ErrorCode::kBadRequest,
@@ -298,7 +307,11 @@ ProblemSnapshot problem_from_json(const Json& v) {
     if (id == nullptr || !id->is_number() || d == nullptr)
       throw SvcError(ErrorCode::kBadRequest,
                      "snapshot job needs id and demands");
-    snap.job_ids.push_back(static_cast<long long>(id->as_number()));
+    const double job_id = id->as_number();
+    if (!is_integer_in(job_id, 0, kMaxExactInteger))
+      throw SvcError(ErrorCode::kBadRequest,
+                     "snapshot job ids must be integers in [0, 2^53]");
+    snap.job_ids.push_back(static_cast<long long>(job_id));
     demands.push_back(number_array(*d, m, "demands"));
     const Json* w = row.find("workloads");
     if (w != nullptr) {

@@ -36,6 +36,8 @@
 // every op still in the journal suffix.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -125,12 +127,26 @@ struct Request {
 /// violation (bad JSON, wrong version, missing op, oversized line).
 Request parse_request(std::string_view line);
 
+/// Wire trace id of a request; clients stamp it as an optional numeric
+/// "trace" field (protocol v:1 addition). Absent, 0, or not a number in
+/// (0, 2^64) = untraced (0).
+std::uint64_t trace_of(const Request& req);
+
 /// Response builders. Both return a complete line including the trailing
 /// '\n'. `result` must be an object (or null for empty results).
 std::string ok_line(double id, const Json& result);
 std::string error_line(double id, ErrorCode code, const std::string& message);
 
 /// Payload helpers shared by session, snapshot, client, and tests.
+
+/// Largest integer a JSON number (a double) holds exactly: 2^53.
+inline constexpr double kMaxExactInteger = 9007199254740992.0;
+
+/// Whether `x` is an integer in [lo, hi]: the check a JSON number must
+/// pass before any cast to an integer type (NaN fails it).
+inline bool is_integer_in(double x, double lo, double hi) {
+  return x >= lo && x <= hi && x == std::floor(x);
+}
 
 /// Reads a JSON array of finite numbers of length `expect` (-1 = any).
 std::vector<double> number_array(const Json& v, int expect,

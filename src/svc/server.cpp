@@ -1,15 +1,11 @@
 #include "svc/server.hpp"
 
-#include <dirent.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "obs/export.hpp"
@@ -263,212 +259,9 @@ struct Server::Conn : std::enable_shared_from_this<Server::Conn> {
   }
 };
 
-void Server::add_session(std::unique_ptr<Session> session) {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  const std::string& name = session->name();
-  if (!sessions_.emplace(name, std::move(session)).second)
-    throw SvcError(ErrorCode::kSessionExists,
-                   "session \"" + name + "\" already exists");
-}
-
 std::string Server::journal_path(const std::string& session_name) const {
   return config_.journal_dir + "/" + escape_session_file(session_name) +
          ".wal";
-}
-
-void Server::attach_fresh_journal(Session* session,
-                                  const std::string& birth_payload) {
-  auto journal = std::make_unique<Journal>(journal_path(session->name()),
-                                           config_.fsync, /*truncate=*/true);
-  journal->append(birth_payload);
-  journal->sync();
-  SvcMetrics::get().journal_records.add();
-  session->attach_journal(std::move(journal));
-}
-
-void Server::restore_from_file(const std::string& path) {
-  AMF_REQUIRE(!started_, "restore_from_file must run before start()");
-  std::ifstream in(path);
-  AMF_REQUIRE(in.good(), "cannot open restore file " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  Json root;
-  try {
-    root = Json::parse(text.str());
-  } catch (const std::exception& e) {
-    throw util::ContractError("restore file " + path +
-                              " is not valid JSON: " + e.what());
-  }
-  AMF_REQUIRE(root.is_object() &&
-                  root.number_or("v", 0.0) ==
-                      static_cast<double>(kProtocolVersion),
-              "restore file " + path + " is not a v" +
-                  std::to_string(kProtocolVersion) + " snapshot");
-  const Json* sessions = root.find("sessions");
-  AMF_REQUIRE(sessions != nullptr && sessions->is_array(),
-              "restore file " + path + " has no sessions array");
-  std::size_t index = 0;
-  for (const Json& entry : sessions->as_array()) {
-    const std::string name = entry.string_or("session", "");
-    AMF_REQUIRE(!name.empty(), "restore file " + path + ": sessions[" +
-                                   std::to_string(index) +
-                                   "] lacks a session name");
-    try {
-      auto session = std::make_unique<Session>(name, problem_from_json(entry),
-                                               config_.session);
-      if (!config_.journal_dir.empty())
-        attach_fresh_journal(session.get(),
-                             session->snapshot_record_payload_locked_state());
-      add_session(std::move(session));
-    } catch (const SvcError& e) {
-      // Re-throw with the file and entry named: a corrupt snapshot must
-      // fail the whole restore loudly, not serve a partial session set.
-      throw util::ContractError("restore file " + path + ": session \"" +
-                                name + "\": " + e.what());
-    }
-    ++index;
-  }
-}
-
-std::unique_ptr<Session> Server::session_from_birth(const Json& birth,
-                                                    std::string* name_out) {
-  const std::string kind = birth.string_or("t", "");
-  SessionConfig cfg = config_.session;
-  cfg.policy = birth.string_or("policy", cfg.policy);
-  cfg.batch_window_ms =
-      birth.number_or("batch_window_ms", cfg.batch_window_ms);
-  cfg.default_budget_ms =
-      birth.number_or("default_budget_ms", cfg.default_budget_ms);
-
-  if (kind == "create") {
-    const std::string name = birth.string_or("session", "");
-    AMF_REQUIRE(!name.empty(), "create record lacks a session name");
-    const Json* capacities = birth.find("capacities");
-    AMF_REQUIRE(capacities != nullptr, "create record lacks capacities");
-    const long long r =
-        static_cast<long long>(birth.number_or("resources", 1.0));
-    *name_out = name;
-    if (r > 1)
-      return std::make_unique<Session>(
-          name,
-          matrix_from_json(*capacities, -1, static_cast<int>(r),
-                           "capacities"),
-          cfg);
-    return std::make_unique<Session>(
-        name, number_array(*capacities, -1, "capacities"), cfg);
-  }
-  if (kind == "snapshot") {
-    const Json* snap = birth.find("snapshot");
-    AMF_REQUIRE(snap != nullptr, "snapshot record lacks a snapshot");
-    const std::string name = snap->string_or("session", "");
-    AMF_REQUIRE(!name.empty(), "snapshot record lacks a session name");
-    *name_out = name;
-    return std::make_unique<Session>(
-        name, problem_from_json(*snap), cfg,
-        static_cast<long long>(birth.number_or("seq", 0.0)));
-  }
-  throw util::ContractError("birth record has type \"" + kind +
-                            "\" (want create or snapshot)");
-}
-
-RecoveryReport Server::recover_from_journal() {
-  AMF_REQUIRE(!started_, "recover_from_journal must run before start()");
-  AMF_REQUIRE(!config_.journal_dir.empty(),
-              "recover_from_journal needs journal_dir");
-  RecoveryReport report;
-
-  std::vector<std::string> files;
-  DIR* dir = ::opendir(config_.journal_dir.c_str());
-  AMF_REQUIRE(dir != nullptr,
-              "cannot open journal dir " + config_.journal_dir);
-  while (dirent* ent = ::readdir(dir)) {
-    const std::string file = ent->d_name;
-    if (file.size() > 4 && file.compare(file.size() - 4, 4, ".wal") == 0)
-      files.push_back(file);
-  }
-  ::closedir(dir);
-  std::sort(files.begin(), files.end());
-
-  for (const std::string& file : files) {
-    const std::string path = config_.journal_dir + "/" + file;
-    JournalReplay replay = Journal::read_all(path);
-    if (replay.truncated) {
-      report.warnings.push_back(replay.warning);
-      Journal::truncate_to(path, replay.valid_bytes);
-    }
-    if (replay.records.empty()) continue;  // fresh or fully-torn log
-
-    // The leading record is the session's birth: either the create
-    // record or a compaction/restore snapshot.
-    Json birth;
-    try {
-      birth = Json::parse(replay.records.front().payload);
-    } catch (const std::exception& e) {
-      report.warnings.push_back(path + ": unreadable birth record (" +
-                                e.what() + "); skipping this journal");
-      continue;
-    }
-    std::unique_ptr<Session> session;
-    std::string name;
-    try {
-      session = session_from_birth(birth, &name);
-    } catch (const std::exception& e) {
-      report.warnings.push_back(path + ": " + e.what() +
-                                "; skipping this journal");
-      continue;
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      if (sessions_.count(name) != 0) {
-        report.warnings.push_back(
-            path + ": session \"" + name +
-            "\" already restored from the snapshot file; skipping its "
-            "journal");
-        continue;
-      }
-    }
-
-    // Replay the delta suffix through the live validate/apply path. A
-    // record the state rejects ends the replay there — everything after
-    // it depended on state that was never reached — and the log is
-    // truncated to the applied prefix.
-    for (std::size_t i = 1; i < replay.records.size(); ++i) {
-      std::string error;
-      Json record;
-      try {
-        record = Json::parse(replay.records[i].payload);
-      } catch (const std::exception& e) {
-        error = std::string("unreadable record (") + e.what() + ")";
-      }
-      if (error.empty()) session->replay_journal_record(record, &error);
-      if (!error.empty()) {
-        report.warnings.push_back(path + ": record " + std::to_string(i) +
-                                  ": " + error +
-                                  "; truncating the journal there");
-        Journal::truncate_to(path, replay.offsets[i]);
-        break;
-      }
-      ++report.deltas;
-    }
-
-    session->attach_journal(
-        std::make_unique<Journal>(path, config_.fsync));
-    add_session(std::move(session));
-    ++report.sessions;
-  }
-  // Surface silent tail loss on /metrics, not only in the report.
-  SvcMetrics::get().journal_replay_warnings.add(
-      static_cast<long long>(report.warnings.size()));
-  for (const std::string& warning : report.warnings)
-    util::Logger::global().warn("svc.journal_recovery").str("warning",
-                                                            warning);
-  util::Logger::global()
-      .info("svc.journal_recovered")
-      .num("sessions", report.sessions)
-      .num("deltas", report.deltas)
-      .num("warnings", report.warnings.size());
-  return report;
 }
 
 void Server::start() {
@@ -701,11 +494,7 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
   // Wire-propagated trace id (optional "trace" field, protocol v:1
   // addition): this span opens the request's flow; the enqueue, batch,
   // allocator, journal, and reply spans link to it by the same id.
-  const double trace_field = req.body.number_or("trace", 0.0);
-  const std::uint64_t trace =
-      trace_field > 0.0 && std::isfinite(trace_field)
-          ? static_cast<std::uint64_t>(trace_field)
-          : 0;
+  const std::uint64_t trace = trace_of(req);
   AMF_SPAN_FLOW_START("svc/request", trace);
 
   try {
@@ -717,7 +506,7 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
         return;
       }
       case Op::kCreateSession:
-        handle_create_session(req, conn);
+        conn->write(ok_line(req.id, handle_create_session(req)));
         return;
       case Op::kStats:
         handle_stats(req, conn);
@@ -740,17 +529,7 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
         break;  // session ops
     }
 
-    if (draining_.load(std::memory_order_acquire))
-      throw SvcError(ErrorCode::kDraining, "server is draining");
-    if (is_standby())
-      throw SvcError(ErrorCode::kNotPrimary,
-                     "standby (epoch " + std::to_string(epoch()) +
-                         ") is not serving session work; promote it or "
-                         "address the primary");
-    if (req.session.empty())
-      throw SvcError(ErrorCode::kBadRequest,
-                     std::string("op ") + to_string(req.op) +
-                         " needs a \"session\"");
+    require_session_work(req);
     std::shared_ptr<Session> session;
     {
       std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -784,8 +563,7 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
   }
 }
 
-void Server::handle_create_session(const Request& req,
-                                   const std::shared_ptr<Conn>& conn) {
+void Server::require_session_work(const Request& req) const {
   if (draining_.load(std::memory_order_acquire))
     throw SvcError(ErrorCode::kDraining, "server is draining");
   if (is_standby())
@@ -795,151 +573,13 @@ void Server::handle_create_session(const Request& req,
                        "address the primary");
   if (req.session.empty())
     throw SvcError(ErrorCode::kBadRequest,
-                   "create_session needs a \"session\" name");
-  SessionConfig cfg = config_.session;
-  cfg.batch_window_ms =
-      req.body.number_or("batch_window_ms", cfg.batch_window_ms);
-  cfg.default_budget_ms =
-      req.body.number_or("default_budget_ms", cfg.default_budget_ms);
-  cfg.policy = req.body.string_or("policy", cfg.policy);
-  if (!(cfg.batch_window_ms >= 0.0) || !(cfg.default_budget_ms >= 0.0))
-    throw SvcError(ErrorCode::kBadRequest,
-                   "window/budget overrides must be >= 0");
-
-  std::unique_ptr<Session> session;
-  long long sites = 0;
-  long long jobs = 0;
-  std::string birth;  // journal birth-record payload ("" = not journaling)
-  const Json* snapshot = req.body.find("snapshot");
-  if (snapshot != nullptr) {
-    ProblemSnapshot snap = problem_from_json(*snapshot);
-    sites = snap.problem.sites();
-    jobs = snap.problem.jobs();
-    session = std::make_unique<Session>(req.session, std::move(snap), cfg);
-    // Shard handoff: a restore may carry the source's rid dedup window
-    // so in-flight client retries stay exactly-once across the move.
-    const Json* dedup = req.body.find("dedup");
-    if (dedup != nullptr) session->seed_dedup(*dedup);
-    if (!config_.journal_dir.empty())
-      birth = session->snapshot_record_payload_locked_state();
-  } else {
-    const Json* capacities = req.body.find("capacities");
-    if (capacities == nullptr)
-      throw SvcError(ErrorCode::kBadRequest,
-                     "create_session needs capacities (or a snapshot)");
-    // Optional resource dimension: a count, or an array of resource names
-    // whose length is the count. R > 1 switches the session to vector
-    // capacities — `capacities` is then an m×R matrix.
-    const Json* resources = req.body.find("resources");
-    long long r = 1;
-    if (resources != nullptr) {
-      if (resources->is_number()) {
-        const double value = resources->as_number();
-        if (!(value >= 1.0) || value != std::floor(value))
-          throw SvcError(ErrorCode::kBadRequest,
-                         "resources must be a positive integer count or an "
-                         "array of names");
-        r = static_cast<long long>(value);
-      } else if (resources->is_array()) {
-        for (const Json& name : resources->as_array())
-          if (!name.is_string())
-            throw SvcError(ErrorCode::kBadRequest,
-                           "resource names must be strings");
-        r = static_cast<long long>(resources->as_array().size());
-        if (r < 1)
-          throw SvcError(ErrorCode::kBadRequest,
-                         "resources needs at least one entry");
-      } else {
-        throw SvcError(ErrorCode::kBadRequest,
-                       "resources must be a count or an array of names");
-      }
-    }
-    if (r > 1) {
-      auto matrix = matrix_from_json(*capacities, -1, static_cast<int>(r),
-                                     "capacities");
-      sites = static_cast<long long>(matrix.size());
-      if (!config_.journal_dir.empty()) {
-        Json rec = Json::object();
-        rec.set("t", Json(std::string("create")));
-        rec.set("session", Json(req.session));
-        rec.set("policy", Json(cfg.policy));
-        rec.set("batch_window_ms", Json(cfg.batch_window_ms));
-        rec.set("default_budget_ms", Json(cfg.default_budget_ms));
-        rec.set("resources", Json(r));
-        rec.set("capacities", matrix_to_json(matrix));
-        birth = rec.dump();
-      }
-      session = std::make_unique<Session>(req.session, std::move(matrix),
-                                          cfg);
-    } else {
-      auto caps = number_array(*capacities, -1, "capacities");
-      sites = static_cast<long long>(caps.size());
-      if (!config_.journal_dir.empty()) {
-        Json rec = Json::object();
-        rec.set("t", Json(std::string("create")));
-        rec.set("session", Json(req.session));
-        rec.set("policy", Json(cfg.policy));
-        rec.set("batch_window_ms", Json(cfg.batch_window_ms));
-        rec.set("default_budget_ms", Json(cfg.default_budget_ms));
-        rec.set("capacities", to_json(caps));
-        birth = rec.dump();
-      }
-      session = std::make_unique<Session>(req.session, std::move(caps), cfg);
-    }
-  }
-  // Publish atomically: the name check, journal creation, and map insert
-  // must not interleave with a racing create of the same name — the
-  // journal open truncates, so a loser must never touch a live log.
-  std::uint64_t birth_index = 0;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    if (sessions_.count(req.session) != 0)
-      throw SvcError(ErrorCode::kSessionExists,
-                     "session \"" + req.session + "\" already exists");
-    if (!config_.journal_dir.empty())
-      attach_fresh_journal(session.get(), birth);
-    Session* raw = session.get();
-    sessions_.emplace(req.session, std::move(session));
-    // Replicate the birth before releasing the lock: deltas for this
-    // session can only follow its create ACK, so offering here keeps
-    // the stream ordered birth-before-deltas.
-    if (repl_sender_ != nullptr) {
-      raw->attach_replication(repl_sender_.get());
-      (void)repl_sender_->offer(req.session, birth, &birth_index);
-    }
-  }
-  // repl-ack mode: the create ACK owes the same guarantee a delta ACK
-  // does — the standby has the session.
-  if (repl_sender_ != nullptr && repl_sender_->ack_mode() &&
-      birth_index != 0) {
-    const auto wait =
-        repl_sender_->wait_acked(birth_index, config_.repl_ack_timeout_ms);
-    if (wait != ReplSender::WaitResult::kAcked)
-      throw SvcError(wait == ReplSender::WaitResult::kFenced
-                         ? ErrorCode::kNotPrimary
-                         : ErrorCode::kInternal,
-                     "standby did not confirm the session birth (the "
-                     "session exists locally; retry is a session_exists)");
-  }
-  Json out = Json::object();
-  out.set("session", Json(req.session));
-  out.set("sites", Json(sites));
-  out.set("jobs", Json(jobs));
-  conn->write(ok_line(req.id, out));
+                   std::string("op ") + to_string(req.op) +
+                       " needs a \"session\"");
 }
 
 void Server::handle_evict_session(const Request& req,
                                   const std::shared_ptr<Conn>& conn) {
-  if (draining_.load(std::memory_order_acquire))
-    throw SvcError(ErrorCode::kDraining, "server is draining");
-  if (is_standby())
-    throw SvcError(ErrorCode::kNotPrimary,
-                   "standby (epoch " + std::to_string(epoch()) +
-                       ") is not serving session work; promote it or "
-                       "address the primary");
-  if (req.session.empty())
-    throw SvcError(ErrorCode::kBadRequest,
-                   "evict_session needs a \"session\" name");
+  require_session_work(req);
   // Unpublish first: requests arriving after this point get no_session
   // (the router retries them on the target shard), while everything
   // already admitted is served by the drain below.
@@ -957,7 +597,7 @@ void Server::handle_evict_session(const Request& req,
   Json out = Json::object();
   out.set("session", Json(req.session));
   out.set("seq", Json(session->enqueued_seq()));
-  out.set("snapshot", session->snapshot_json_after_drain());
+  out.set("snapshot", session->carried_json_after_drain());
   out.set("dedup", session->dedup_json_after_drain());
   session.reset();
   // The journal must go with the session: a leftover .wal would resurrect
@@ -1154,66 +794,6 @@ void Server::repl_serve_connection(Socket& sock) {
   sock.shutdown_both();
 }
 
-bool Server::repl_apply_record(const std::string& session_name,
-                               const Json& record, std::string* error) {
-  const std::string kind = record.string_or("t", "");
-  try {
-    if (kind == "create" || kind == "snapshot") {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      auto it = sessions_.find(session_name);
-      if (kind == "create" && it != sessions_.end())
-        return true;  // duplicate resend of a birth we already applied
-      if (kind == "snapshot" && it != sessions_.end()) {
-        const auto snap_seq =
-            static_cast<long long>(record.number_or("seq", -1.0));
-        if (it->second->enqueued_seq() == snap_seq) {
-          // Pure compaction: our state already IS this snapshot (stream
-          // order guarantees the prefix matched); just shrink the log.
-          it->second->compact_journal_replicated(record.dump());
-          return true;
-        }
-        // Re-seed (e.g. the primary restarted and streams a fresh
-        // snapshot): replace our copy wholesale.
-        sessions_.erase(it);
-      }
-      std::string name;
-      auto session = session_from_birth(record, &name);
-      if (name != session_name) {
-        *error = "birth names session \"" + name + "\", stream says \"" +
-                 session_name + "\"";
-        return false;
-      }
-      if (!config_.journal_dir.empty())
-        attach_fresh_journal(session.get(), record.dump());
-      sessions_.emplace(name, std::move(session));
-      return true;
-    }
-    if (kind == "delta") {
-      Session* session = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(sessions_mu_);
-        auto it = sessions_.find(session_name);
-        if (it == sessions_.end()) {
-          *error = "delta for unknown session \"" + session_name + "\"";
-          return false;
-        }
-        session = it->second.get();
-      }
-      const auto seq = static_cast<long long>(record.number_or("seq", -1.0));
-      if (seq <= session->enqueued_seq())
-        return true;  // duplicate resend after a reconnect
-      if (!session->replay_journal_record(record, error)) return false;
-      session->journal_append_replicated(record.dump());
-      return true;
-    }
-    *error = "unknown record type \"" + kind + "\"";
-    return false;
-  } catch (const std::exception& e) {
-    *error = e.what();
-    return false;
-  }
-}
-
 void Server::wait_drained() {
   {
     std::unique_lock<std::mutex> lock(drain_mu_);
@@ -1289,7 +869,7 @@ void Server::perform_drain() {
     {
       std::lock_guard<std::mutex> lock(sessions_mu_);
       for (auto& [name, session] : sessions_)
-        sessions.push_back(session->snapshot_json_after_drain());
+        sessions.push_back(session->carried_json_after_drain());
     }
     root.set("sessions", std::move(sessions));
     obs::write_text_file(config_.snapshot_path, root.dump() + "\n");

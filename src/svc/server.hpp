@@ -33,7 +33,8 @@
 // the session before their ACKs (see session.hpp). After a crash,
 // recover_from_journal() — called before start() — rebuilds every
 // session from its log: the leading create/snapshot record seeds the
-// state, delta records replay through the live validate/apply path, and
+// state through session_from_birth() (every birth path is in
+// birth.cpp), delta records replay through the live validate/apply path, and
 // a torn tail or a rejected record truncates the log with a warning
 // instead of refusing to start. A graceful drain compacts each log to a
 // single snapshot record. When both --restore and --journal are given,
@@ -66,8 +67,8 @@ struct ServerConfig {
   std::string unix_path;
   /// Loopback TCP port (0 = ephemeral); used when unix_path is empty.
   int tcp_port = 0;
-  /// Defaults for new sessions (create_session may override
-  /// batch_window_ms and policy).
+  /// Defaults for new sessions (a birth record may override policy,
+  /// batch_window_ms and default_budget_ms; see SessionConfig).
   SessionConfig session;
   /// Where the graceful drain writes the sessions snapshot ("" = skip).
   std::string snapshot_path;
@@ -126,8 +127,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Loads a drain-snapshot file (sessions are recreated with the
-  /// server's default SessionConfig). Call before start(). Throws
+  /// Loads a drain-snapshot file; each session keeps the policy, batch
+  /// window, default budget and seq its entry carries (server defaults
+  /// fill in what an older file lacks). Call before start(). Throws
   /// util::ContractError naming the file (and the offending session
   /// entry) on a missing, malformed, or truncated snapshot — the daemon
   /// exits nonzero instead of serving a silently partial restore. When
@@ -198,8 +200,12 @@ class Server {
   void accept_loop();
   void adopt_connection(Socket sock);
   void handle_line(const std::shared_ptr<Conn>& conn, const std::string& line);
-  void handle_create_session(const Request& req,
-                             const std::shared_ptr<Conn>& conn);
+  /// Throws the typed error for session work this server cannot take:
+  /// draining, standby, or no "session" name in the request.
+  void require_session_work(const Request& req) const;
+  /// Births and publishes the session (from a create record, or a
+  /// snapshot record when the request carries one); returns the reply.
+  Json handle_create_session(const Request& req);
   void handle_evict_session(const Request& req,
                             const std::shared_ptr<Conn>& conn);
   void handle_stats(const Request& req, const std::shared_ptr<Conn>& conn);
@@ -214,11 +220,6 @@ class Server {
   /// Creates the session's journal (truncating any stale file), writes
   /// `birth_payload` as the leading record, and attaches it.
   void attach_fresh_journal(Session* session, const std::string& birth_payload);
-  /// Builds a session from a birth record (create or snapshot kind) with
-  /// per-session config overrides applied. Shared by journal recovery
-  /// and the standby receiver. Throws on a malformed record.
-  std::unique_ptr<Session> session_from_birth(const Json& birth,
-                                              std::string* name_out);
   /// Standby receiver: one accepted replication connection at a time.
   void repl_accept_loop();
   void repl_serve_connection(Socket& sock);

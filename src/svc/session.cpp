@@ -30,22 +30,6 @@ bool is_delta_op(Op op) {
          op == Op::kSetCapacity;
 }
 
-std::unique_ptr<core::Allocator> make_policy(const std::string& name) {
-  if (name == "amf") return std::make_unique<core::AmfAllocator>();
-  if (name == "eamf") return std::make_unique<core::EnhancedAmfAllocator>();
-  if (name == "psmf") return std::make_unique<core::PerSiteMaxMin>();
-  throw SvcError(ErrorCode::kBadRequest,
-                 "unknown policy \"" + name + "\" (amf|eamf|psmf)");
-}
-
-/// Wire trace id of a request; clients stamp it as an optional numeric
-/// "trace" field (protocol v:1 addition; absent or 0 = untraced).
-std::uint64_t trace_of(const Request& req) {
-  const double t = req.body.number_or("trace", 0.0);
-  if (!(t > 0.0) || !std::isfinite(t)) return 0;
-  return static_cast<std::uint64_t>(t);
-}
-
 /// Typed error for a delta whose standby confirmation did not arrive
 /// (repl-ack mode). The delta IS applied locally — the message says so,
 /// and a retried rid re-checks the confirmation instead of re-applying.
@@ -67,6 +51,13 @@ std::string repl_wait_error(double id, ReplSender::WaitResult wait) {
 }
 
 }  // namespace
+
+std::unique_ptr<core::Allocator> make_policy(const std::string& name) {
+  if (name == "amf") return std::make_unique<core::AmfAllocator>();
+  if (name == "eamf") return std::make_unique<core::EnhancedAmfAllocator>();
+  if (name == "psmf") return std::make_unique<core::PerSiteMaxMin>();
+  return nullptr;
+}
 
 SvcMetrics& SvcMetrics::get() {
   static SvcMetrics m = [] {
@@ -197,124 +188,39 @@ obs::Counter& SvcMetrics::request_counter(Op op) {
   return requests_ping;
 }
 
-Session::Session(std::string name, std::vector<double> capacities,
-                 SessionConfig config)
-    : name_(std::move(name)), config_(std::move(config)) {
-  AMF_REQUIRE(config_.max_queue_depth >= 1, "max_queue_depth must be >= 1");
-  AMF_REQUIRE(config_.executor != nullptr, "a session needs an executor");
-  for (double c : capacities)
-    if (!std::isfinite(c) || c < 0.0)
-      throw SvcError(ErrorCode::kBadRequest,
-                     "capacities must be finite and >= 0");
-  if (capacities.empty())
-    throw SvcError(ErrorCode::kBadRequest, "session needs at least one site");
-  nominal_capacities_ = capacities;
-  site_factors_.assign(capacities.size(), 1.0);
-  problem_ = core::AllocationProblem({}, std::move(capacities));
-  resources_ = problem_.resources();
-  base_policy_ = make_policy(config_.policy);
-  robust_ = std::make_unique<core::RobustAllocator>(*base_policy_);
-  util::Logger::global()
-      .info("svc.session_start")
-      .str("session", name_)
-      .str("policy", config_.policy)
-      .num("sites", nominal_capacities_.size());
-}
-
-Session::Session(std::string name, core::Matrix capacity_matrix,
-                 SessionConfig config)
-    : name_(std::move(name)), config_(std::move(config)) {
-  AMF_REQUIRE(config_.max_queue_depth >= 1, "max_queue_depth must be >= 1");
-  AMF_REQUIRE(config_.executor != nullptr, "a session needs an executor");
-  if (capacity_matrix.empty())
-    throw SvcError(ErrorCode::kBadRequest, "session needs at least one site");
-  const std::size_t r = capacity_matrix.front().size();
-  if (r == 0)
-    throw SvcError(ErrorCode::kBadRequest,
-                   "session needs at least one resource");
-  for (const auto& row : capacity_matrix) {
-    if (row.size() != r)
-      throw SvcError(ErrorCode::kBadRequest,
-                     "capacity rows must share one resource count");
-    for (double c : row)
-      if (!std::isfinite(c) || c < 0.0)
-        throw SvcError(ErrorCode::kBadRequest,
-                       "capacities must be finite and >= 0");
-  }
-  nominal_matrix_ = capacity_matrix;
-  nominal_capacities_.resize(capacity_matrix.size());
-  for (std::size_t s = 0; s < capacity_matrix.size(); ++s)
-    nominal_capacities_[s] = flow::binding_min(capacity_matrix[s]);
-  site_factors_.assign(capacity_matrix.size(), 1.0);
-  try {
-    problem_ = core::AllocationProblem::multi({}, std::move(capacity_matrix),
-                                              {});
-  } catch (const util::ContractError& e) {
-    throw SvcError(ErrorCode::kBadRequest, e.what());
-  }
-  resources_ = problem_.resources();
-  base_policy_ = make_policy(config_.policy);
-  robust_ = std::make_unique<core::RobustAllocator>(*base_policy_);
-  util::Logger::global()
-      .info("svc.session_start")
-      .str("session", name_)
-      .str("policy", config_.policy)
-      .num("sites", nominal_capacities_.size())
-      .num("resources", problem_.resources());
-}
-
 Session::Session(std::string name, ProblemSnapshot snapshot,
-                 SessionConfig config, long long initial_seq)
+                 SessionConfig config, long long seq)
     : name_(std::move(name)), config_(std::move(config)) {
   AMF_REQUIRE(config_.max_queue_depth >= 1, "max_queue_depth must be >= 1");
   AMF_REQUIRE(config_.executor != nullptr, "a session needs an executor");
-  AMF_REQUIRE(initial_seq >= 0, "initial_seq must be >= 0");
-  enqueued_seq_ = processed_seq_ = seq_ = initial_seq;
+  AMF_REQUIRE(seq >= 0, "seq must be >= 0");
+  base_policy_ = make_policy(config_.policy);
+  AMF_REQUIRE(base_policy_ != nullptr, "unknown policy " + config_.policy);
+  robust_ = std::make_unique<core::RobustAllocator>(*base_policy_);
+  enqueued_seq_ = processed_seq_ = seq_ = seq;
   problem_ = std::move(snapshot.problem);
-  nominal_capacities_ = std::move(snapshot.nominal_capacities);
-  nominal_matrix_ = std::move(snapshot.nominal_matrix);
-  if (nominal_capacities_.size() !=
-      static_cast<std::size_t>(problem_.sites()))
-    throw SvcError(ErrorCode::kBadRequest,
-                   "snapshot nominal capacity width mismatch");
-  if (multi_session() != problem_.multi_resource())
-    throw SvcError(ErrorCode::kBadRequest,
-                   "snapshot nominal matrix must accompany exactly the "
-                   "multi-resource problems");
-  if (multi_session()) {
-    if (nominal_matrix_.size() != static_cast<std::size_t>(problem_.sites()))
-      throw SvcError(ErrorCode::kBadRequest,
-                     "snapshot nominal matrix height mismatch");
-    for (const auto& row : nominal_matrix_)
-      if (row.size() != static_cast<std::size_t>(problem_.resources()))
-        throw SvcError(ErrorCode::kBadRequest,
-                       "snapshot nominal matrix width mismatch");
+  resources_ = problem_.resources();
+  multi_ = problem_.multi_resource();
+  if (multi_) {
+    nominal_matrix_ = std::move(snapshot.nominal_matrix);
+  } else {
+    for (double c : snapshot.nominal_capacities) nominal_matrix_.push_back({c});
   }
-  if (snapshot.job_ids.size() != static_cast<std::size_t>(problem_.jobs()))
-    throw SvcError(ErrorCode::kBadRequest, "snapshot job id count mismatch");
   job_ids_ = std::move(snapshot.job_ids);
-  site_factors_.assign(nominal_capacities_.size(), 1.0);
-  for (std::size_t s = 0; s < nominal_capacities_.size(); ++s)
-    if (nominal_capacities_[s] > 0.0)
-      site_factors_[s] =
-          problem_.capacity(static_cast<int>(s)) / nominal_capacities_[s];
   for (long long id : job_ids_) {
-    if (!projected_alive_.insert(id).second)
-      throw SvcError(ErrorCode::kBadRequest, "snapshot has duplicate job ids");
+    projected_alive_.insert(id);
     next_job_id_ = std::max(next_job_id_, id + 1);
   }
   if (problem_.jobs() > 0)
     workloads_mode_ = problem_.has_workloads() ? 1 : 0;
-  resources_ = problem_.resources();
-  base_policy_ = make_policy(config_.policy);
-  robust_ = std::make_unique<core::RobustAllocator>(*base_policy_);
   util::Logger::global()
-      .info("svc.session_restore")
+      .info("svc.session_start")
       .str("session", name_)
       .str("policy", config_.policy)
-      .num("sites", nominal_capacities_.size())
+      .num("sites", nominal_matrix_.size())
+      .num("resources", resources_)
       .num("jobs", job_ids_.size())
-      .num("seq", initial_seq);
+      .num("seq", seq);
 }
 
 Session::~Session() {
@@ -494,7 +400,7 @@ void Session::submit(const Request& req, Responder respond) {
 }
 
 void Session::validate_delta_locked(const Request& req, Item* item) {
-  const int m = static_cast<int>(nominal_capacities_.size());
+  const int m = static_cast<int>(nominal_matrix_.size());
   const Json& body = req.body;
   switch (req.op) {
     case Op::kAddJob: {
@@ -527,7 +433,7 @@ void Session::validate_delta_locked(const Request& req, Item* item) {
         throw SvcError(ErrorCode::kBadRequest, "weight must be finite, > 0");
       const Json* profile = body.find("profile");
       if (profile != nullptr) {
-        if (!multi_session())
+        if (!multi_)
           throw SvcError(ErrorCode::kBadRequest,
                          "job profiles need a multi-resource session");
         auto p = number_array(*profile, resources_, "profile");
@@ -552,21 +458,21 @@ void Session::validate_delta_locked(const Request& req, Item* item) {
       const Json* job = body.find("job");
       if (job == nullptr || !job->is_number())
         throw SvcError(ErrorCode::kBadRequest, "finish_job needs a job id");
-      const long long id = static_cast<long long>(job->as_number());
-      if (projected_alive_.erase(id) == 0)
+      const double id = job->as_number();
+      if (!is_integer_in(id, 0, kMaxExactInteger) ||
+          projected_alive_.erase(static_cast<long long>(id)) == 0)
         throw SvcError(ErrorCode::kBadRequest,
-                       "unknown job id " + std::to_string(id));
-      item->job_id = id;
+                       "unknown job id " + job->dump());
+      item->job_id = static_cast<long long>(id);
       return;
     }
     case Op::kSiteEvent: {
       const double site = body.number_or("site", -1.0);
-      if (site < 0.0 || site >= static_cast<double>(m) ||
-          site != std::floor(site))
+      if (!is_integer_in(site, 0, m - 1))
         throw SvcError(ErrorCode::kBadRequest, "site index out of range");
       const Json* factors = body.find("capacity_factors");
       if (factors != nullptr) {
-        if (!multi_session())
+        if (!multi_)
           throw SvcError(ErrorCode::kBadRequest,
                          "capacity_factors needs a multi-resource session");
         auto f = number_array(*factors, resources_, "capacity_factors");
@@ -585,10 +491,9 @@ void Session::validate_delta_locked(const Request& req, Item* item) {
     case Op::kSetCapacity: {
       const double site = body.number_or("site", -1.0);
       const Json* value = body.find("value");
-      if (site < 0.0 || site >= static_cast<double>(m) ||
-          site != std::floor(site))
+      if (!is_integer_in(site, 0, m - 1))
         throw SvcError(ErrorCode::kBadRequest, "site index out of range");
-      if (multi_session()) {
+      if (multi_) {
         if (value == nullptr || !value->is_array())
           throw SvcError(ErrorCode::kBadRequest,
                          "set_capacity on a multi-resource session needs a "
@@ -616,7 +521,7 @@ void Session::apply_delta(const Item& item) {
   core::ProblemDelta delta;
   switch (item.req.op) {
     case Op::kAddJob: {
-      const int m = static_cast<int>(nominal_capacities_.size());
+      const int m = static_cast<int>(nominal_matrix_.size());
       auto demands = number_array(*body.find("demands"), m, "demands");
       std::vector<double> workloads;
       const Json* w = body.find("workloads");
@@ -645,44 +550,31 @@ void Session::apply_delta(const Item& item) {
       const int site = static_cast<int>(body.number_or("site", 0.0));
       const auto su = static_cast<std::size_t>(site);
       const Json* factors = body.find("capacity_factors");
-      if (multi_session()) {
-        const auto& nominal = nominal_matrix_[su];
+      const auto& nominal = nominal_matrix_[su];
+      if (multi_) {
         std::vector<double> row(nominal.size());
-        double minf = 1.0;
-        bool first = true;
-        for (std::size_t r = 0; r < nominal.size(); ++r) {
-          const double f = factors != nullptr
-                               ? factors->as_array()[r].as_number()
-                               : body.number_or("capacity_factor", 1.0);
-          row[r] = nominal[r] * f;
-          minf = first ? f : std::min(minf, f);
-          first = false;
-        }
-        site_factors_[su] = minf;
+        for (std::size_t r = 0; r < nominal.size(); ++r)
+          row[r] = nominal[r] * (factors != nullptr
+                                     ? factors->as_array()[r].as_number()
+                                     : body.number_or("capacity_factor", 1.0));
         delta = core::ProblemDelta::set_capacity_vec(site, std::move(row));
         break;
       }
-      const double factor = body.number_or("capacity_factor", 1.0);
-      site_factors_[su] = factor;
       delta = core::ProblemDelta::site_capacity(
-          site, nominal_capacities_[su] * factor);
+          site, nominal[0] * body.number_or("capacity_factor", 1.0));
       break;
     }
     case Op::kSetCapacity: {
       const int site = static_cast<int>(body.number_or("site", 0.0));
       const auto su = static_cast<std::size_t>(site);
-      if (multi_session()) {
-        auto row = number_array(*body.find("value"), problem_.resources(),
-                                "value");
+      if (multi_) {
+        auto row = number_array(*body.find("value"), resources_, "value");
         nominal_matrix_[su] = row;
-        nominal_capacities_[su] = flow::binding_min(row);
-        site_factors_[su] = 1.0;
         delta = core::ProblemDelta::set_capacity_vec(site, std::move(row));
         break;
       }
       const double value = body.find("value")->as_number();
-      nominal_capacities_[su] = value;
-      site_factors_[su] = 1.0;
+      nominal_matrix_[su] = {value};
       delta = core::ProblemDelta::site_capacity(site, value);
       break;
     }
@@ -815,11 +707,11 @@ bool Session::replay_journal_record(const Json& record, std::string* error) {
     *error = "journal delta record carries non-delta op";
     return false;
   }
-  const long long recorded_seq =
-      static_cast<long long>(record.number_or("seq", -1.0));
-  if (recorded_seq != enqueued_seq_ + 1) {
+  // Compared as doubles: a hostile number must not reach an integer cast.
+  const double recorded_seq = record.number_or("seq", -1.0);
+  if (recorded_seq != static_cast<double>(enqueued_seq_ + 1)) {
     *error = "journal seq gap: expected " + std::to_string(enqueued_seq_ + 1) +
-             ", record carries " + std::to_string(recorded_seq);
+             ", record carries " + Json(recorded_seq).dump();
     return false;
   }
   req.body = record;
@@ -832,11 +724,10 @@ bool Session::replay_journal_record(const Json& record, std::string* error) {
     return false;
   }
   if (item.req.op == Op::kAddJob) {
-    const long long recorded =
-        static_cast<long long>(record.number_or("job", -1.0));
-    if (recorded != item.job_id) {
+    const double recorded = record.number_or("job", -1.0);
+    if (recorded != static_cast<double>(item.job_id)) {
       rollback_delta_locked(item);
-      *error = "journal job id " + std::to_string(recorded) +
+      *error = "journal job id " + Json(recorded).dump() +
                " does not match replayed handle " +
                std::to_string(item.job_id);
       return false;
@@ -1018,11 +909,8 @@ void Session::executor_run() {
     // across the deferral — the timer continuation owns the session's
     // liveness until it clears the flag.
     if (config_.batch_window_ms > 0.0 && !draining_) {
-      const auto until =
-          queue_.front().enqueued +
-          std::chrono::duration_cast<Clock::duration>(
-              std::chrono::duration<double, std::milli>(
-                  config_.batch_window_ms));
+      const auto until = util::saturating_after_ms(queue_.front().enqueued,
+                                                   config_.batch_window_ms);
       const auto now = Clock::now();
       if (now < until) {
         if (window_wait_start_ == Clock::time_point{})
@@ -1151,8 +1039,12 @@ void Session::drain() {
 }
 
 Json Session::snapshot_json_locked_state() const {
-  Json out = problem_to_json(problem_, nominal_capacities_, job_ids_,
-                             multi_session() ? &nominal_matrix_ : nullptr);
+  // The scalar nominal view: each nominal row's binding minimum.
+  std::vector<double> nominal;
+  for (const auto& row : nominal_matrix_)
+    nominal.push_back(flow::binding_min(row));
+  Json out = problem_to_json(problem_, nominal, job_ids_,
+                             multi_ ? &nominal_matrix_ : nullptr);
   out.set("session", Json(name_));
   out.set("seq", Json(seq_));
   if (has_allocation_)
@@ -1167,6 +1059,14 @@ Json Session::snapshot_json_after_drain() {
                 "snapshot_json_after_drain needs a drained session");
   }
   return snapshot_json_locked_state();
+}
+
+Json Session::carried_json_after_drain() {
+  Json out = snapshot_json_after_drain();
+  out.set("policy", Json(config_.policy));
+  out.set("batch_window_ms", Json(config_.batch_window_ms));
+  out.set("default_budget_ms", Json(config_.default_budget_ms));
+  return out;
 }
 
 Json Session::dedup_json_after_drain() {

@@ -8,6 +8,9 @@
 // expiry schedule it, and at most one of its tasks is in flight, so its
 // requests are served in order as if by one dedicated worker.
 // Connections submit requests; the session task batches and serves them.
+// Every session — created, restored, moved, recovered or streamed to a
+// standby — is built by session_from_birth() (below) from a journal
+// birth record carrying its policy, batch window, default budget and seq.
 // All solver state is touched by that task only, so the solver substrate
 // needs no locking.
 //
@@ -92,8 +95,8 @@ namespace amf::svc {
 class ReplSender;
 class SvcExecutor;
 
-/// Per-session serving parameters (server-wide defaults; create_session
-/// may override batch_window_ms and policy).
+/// Per-session serving parameters (server-wide defaults; a birth record
+/// may override policy, batch_window_ms and default_budget_ms).
 struct SessionConfig {
   /// Accumulation window: after the first request of a batch arrives, the
   /// session task waits this long for more before serving. 0 = serve
@@ -116,7 +119,7 @@ struct SessionConfig {
   /// Allocator calls slower than this log a `svc.slow_solve` warning
   /// (0 = disabled).
   double slow_solve_ms = 0.0;
-  /// Shared session executor the session runs on. Required (every
+  /// Shared session executor the session runs on. Required (the
   /// constructor rejects null); it must outlive the session. Servers
   /// pass their own pool; standalone sessions pass any long-lived one.
   SvcExecutor* executor = nullptr;
@@ -190,22 +193,13 @@ class Session {
   /// results).
   using Responder = std::function<void(std::string line)>;
 
-  /// Fresh session over `capacities` (the nominal site capacities).
-  Session(std::string name, std::vector<double> capacities,
-          SessionConfig config);
-
-  /// Fresh multi-resource session over an m×R nominal capacity matrix.
-  /// add_job then accepts a "profile" row, site_event a per-resource
-  /// "capacity_factors" row, and set_capacity takes a capacity vector.
-  Session(std::string name, core::Matrix capacity_matrix,
-          SessionConfig config);
-
-  /// Restored session (drain-snapshot or `snapshot` op output).
-  /// `initial_seq` seeds the delta sequence counter — journal recovery
-  /// passes the compaction snapshot's seq so replayed delta records
-  /// (and client-visible seqs) line up with the pre-crash numbering.
+  /// A session over `snapshot` (a fresh one has no jobs) whose delta
+  /// sequence counter starts at `seq`. A multi-resource problem makes
+  /// add_job accept a "profile" row, site_event a "capacity_factors" row
+  /// and set_capacity a capacity vector. Only session_from_birth() calls
+  /// this; it validates what the constructor trusts.
   Session(std::string name, ProblemSnapshot snapshot, SessionConfig config,
-          long long initial_seq = 0);
+          long long seq);
 
   /// Waits out the in-flight executor task without serving the
   /// remaining queue (fast teardown); drain() first for the graceful
@@ -267,6 +261,11 @@ class Session {
   /// path.
   Json snapshot_json_after_drain();
 
+  /// snapshot_json_after_drain() plus policy, batch_window_ms and
+  /// default_budget_ms: a drain-file entry, and the snapshot
+  /// evict_session hands over. Only safe after drain().
+  Json carried_json_after_drain();
+
   /// The rid dedup window as a restorable array (admission order), for
   /// shard handoff: a moved session must keep re-ACKing retried rids
   /// exactly once. Only safe after drain().
@@ -321,7 +320,6 @@ class Session {
   void serve_run(std::vector<Item>* run);
   Json snapshot_json_locked_state() const;
   Json solve_result_json(const Item& item) const;
-  bool multi_session() const { return !nominal_matrix_.empty(); }
 
   const std::string name_;
   const SessionConfig config_;
@@ -341,10 +339,11 @@ class Session {
   /// (epoch = no deferral pending); feeds the stage_batch_wait_ms
   /// histogram.
   std::chrono::steady_clock::time_point window_wait_start_{};
-  /// Resource count R, fixed at construction. Admission validates
-  /// against it while the session task rewrites problem_, so it must not
-  /// be read off problem_.
+  /// Resource count R and problem_.multi_resource(), fixed at
+  /// construction. Admission validates against them while the session
+  /// task rewrites problem_, so they must not be read off problem_.
   int resources_ = 1;
+  bool multi_ = false;
   long long next_job_id_ = 0;
   std::unordered_set<long long> projected_alive_;
   /// -1 unknown (no job seen yet), else 0/1: whether jobs carry workloads.
@@ -373,12 +372,9 @@ class Session {
   // --- solver state (session task only; after drain: owner thread) ---
   core::AllocationProblem problem_;
   core::SolverWorkspace workspace_;
-  std::vector<double> nominal_capacities_;
-  /// Nominal m×R capacity matrix; non-empty ⟺ multi-resource session
-  /// (nominal_capacities_ then mirrors its binding minima).
+  /// Nominal m×R capacity matrix (R = 1 on a scalar session): what
+  /// set_capacity sets and site_event factors scale.
   core::Matrix nominal_matrix_;
-  std::vector<double> site_factors_;      ///< last site_event factor per site
-                                          ///< (binding minimum when multi)
   std::vector<long long> job_ids_;        ///< row -> stable handle
   core::Allocation last_allocation_;
   bool has_allocation_ = false;
@@ -391,5 +387,20 @@ class Session {
   std::unique_ptr<core::Allocator> base_policy_;
   std::unique_ptr<core::RobustAllocator> robust_;
 };
+
+/// The allocator a policy name selects ("amf", "eamf" or "psmf"), or
+/// nullptr for any other name.
+std::unique_ptr<core::Allocator> make_policy(const std::string& name);
+
+/// The one way a session comes into being, from a journal birth record:
+/// {"t":"create","session","capacities"[,"resources"]} (seq 0) or
+/// {"t":"snapshot","seq","snapshot"} (named by the snapshot's "session"),
+/// either with optional "policy", "batch_window_ms" and
+/// "default_budget_ms" overriding `defaults`. The one validator: the
+/// policy must be known, window and budget finite and >= 0, "resources"
+/// an integer in [1, INT_MAX], "seq" an integer >= 0, capacities
+/// non-empty and >= 0, job ids distinct; else SvcError(kBadRequest).
+std::unique_ptr<Session> session_from_birth(const Json& birth,
+                                            const SessionConfig& defaults);
 
 }  // namespace amf::svc

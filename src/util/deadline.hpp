@@ -45,6 +45,15 @@ class DeadlineExceeded : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// `from` plus `ms` milliseconds, saturated at the clock's last
+/// representable point. A finite offset past that point (about 9.2e12 ms
+/// ahead on a nanosecond clock) would overflow the clock's integer count
+/// and land in the past; saturating keeps it in the far future, so a
+/// huge budget behaves like no budget. Requires ms >= 0 (NaN and +inf
+/// saturate).
+std::chrono::steady_clock::time_point saturating_after_ms(
+    std::chrono::steady_clock::time_point from, double ms);
+
 /// A point on the monotonic clock. Default-constructed = never expires.
 class Deadline {
  public:
@@ -55,7 +64,8 @@ class Deadline {
   /// A deadline that never expires (same as default construction).
   static Deadline never() { return Deadline(); }
 
-  /// Expires `ms` milliseconds from now. Requires ms finite and >= 0.
+  /// Expires `ms` milliseconds from now (saturating_after_ms). Requires
+  /// ms finite and >= 0.
   static Deadline after_ms(double ms);
 
   /// Expires at the given monotonic time point.

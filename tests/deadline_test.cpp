@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -70,6 +71,24 @@ TEST(Deadline, EarlierPicksTheTighterOne) {
   EXPECT_TRUE(util::Deadline::earlier(soon, never).expired());
   EXPECT_TRUE(util::Deadline::earlier(soon, late).expired());
   EXPECT_FALSE(util::Deadline::earlier(late, late).expired());
+}
+
+TEST(Deadline, HugeOffsetsSaturateInsteadOfOverflowing) {
+  using Clock = std::chrono::steady_clock;
+  const auto now = Clock::now();
+  // Past ~9.2e12 ms a nanosecond clock's count overflows; saturation
+  // keeps the point in the far future instead of wrapping into the past.
+  for (double ms : {1e13, 1e300, std::numeric_limits<double>::infinity()})
+    EXPECT_EQ(util::saturating_after_ms(now, ms), Clock::time_point::max())
+        << ms;
+  EXPECT_GT(util::saturating_after_ms(now, 9e12), now);
+  EXPECT_LT(util::saturating_after_ms(now, 9e12), Clock::time_point::max());
+  // Ordinary offsets convert exactly as duration_cast does.
+  EXPECT_EQ(util::saturating_after_ms(now, 2.5),
+            now + std::chrono::duration_cast<Clock::duration>(
+                      std::chrono::duration<double, std::milli>(2.5)));
+  EXPECT_FALSE(util::Deadline::after_ms(1e13).expired());
+  EXPECT_FALSE(util::Deadline::after_ms(1e300).expired());
 }
 
 TEST(CancelToken, DefaultIsInertCopiesShareTheFlag) {

@@ -191,8 +191,21 @@ svc::Json add_job_body(const std::vector<double>& demands,
 
 TEST(R1Equiv, SvcResponsesBitIdenticalToScalarSession) {
   svc::SessionConfig cfg = svc::test_session_config();
-  svc::Session scalar("s", std::vector<double>{5.0, 4.0}, cfg);
-  svc::Session lifted("s", core::Matrix{{5.0}, {4.0}}, cfg);
+  auto owned_scalar =
+      svc::fresh_session("s", std::vector<double>{5.0, 4.0}, cfg);
+  svc::Session& scalar = *owned_scalar;
+  // Its R = 1 lift: a snapshot birth of the empty multi-resource problem
+  // (a create record with resources 1 makes a scalar session).
+  const core::Matrix nominal = {{5.0}, {4.0}};
+  svc::Json empty = svc::problem_to_json(
+      core::AllocationProblem::multi({}, nominal, {}), {5.0, 4.0}, {},
+      &nominal);
+  empty.set("session", svc::Json("s"));
+  svc::Json birth = svc::Json::object();
+  birth.set("t", svc::Json("snapshot"));
+  birth.set("snapshot", std::move(empty));
+  auto owned_lifted = svc::session_from_birth(birth, cfg);
+  svc::Session& lifted = *owned_lifted;
 
   const auto both = [&](double id, svc::Op op, const svc::Json& body) {
     svc::Json a = submit_and_wait(&scalar, id, op, body);
@@ -497,7 +510,8 @@ TEST(MultiResSvc, JournalReplayMatchesUncrashedSession) {
   svc::SessionConfig cfg = svc::test_session_config();
   const core::Matrix nominal = {{10.0, 6.0}, {8.0, 8.0}};
 
-  svc::Session live("m", nominal, cfg);
+  auto owned_live = svc::fresh_session("m", nominal, cfg);
+  svc::Session& live = *owned_live;
   live.attach_journal(
       std::make_unique<svc::Journal>(wal, svc::FsyncPolicy::kAlways));
   submit_and_wait(&live, 1, svc::Op::kAddJob,
@@ -524,7 +538,8 @@ TEST(MultiResSvc, JournalReplayMatchesUncrashedSession) {
 
   // A recovered session replays the journal through the live path, then
   // serves the same solve: state and snapshot must match exactly.
-  svc::Session recovered("m", nominal, cfg);
+  auto owned_recovered = svc::fresh_session("m", nominal, cfg);
+  svc::Session& recovered = *owned_recovered;
   const svc::JournalReplay replay = svc::Journal::read_all(wal);
   ASSERT_FALSE(replay.truncated);
   ASSERT_EQ(replay.records.size(), 4u);

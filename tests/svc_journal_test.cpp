@@ -216,7 +216,8 @@ Json add_job_body(const std::vector<double>& demands,
 
 TEST(SvcJournalSession, JournalsEveryAckedDeltaBeforeServing) {
   const std::string path = tmp_path("journal_session.wal");
-  Session session("j", {100.0, 50.0}, test_session_config());
+  auto owned = fresh_session("j", std::vector<double>{100.0, 50.0});
+  Session& session = *owned;
   session.attach_journal(
       std::make_unique<Journal>(path, FsyncPolicy::kAlways));
   EXPECT_TRUE(session.has_journal());
@@ -242,7 +243,8 @@ TEST(SvcJournalSession, JournalsEveryAckedDeltaBeforeServing) {
 }
 
 TEST(SvcJournalSession, RetriedRidIsReAckedOnceNotReapplied) {
-  Session session("dedup", std::vector<double>{100.0}, test_session_config());
+  auto owned = fresh_session("dedup", std::vector<double>{100.0});
+  Session& session = *owned;
   Json first = submit_and_wait(&session, 1, Op::kAddJob,
                                add_job_body({10}, "rid-x"));
   Json retry = submit_and_wait(&session, 2, Op::kAddJob,
@@ -260,7 +262,8 @@ TEST(SvcJournalSession, RetriedRidIsReAckedOnceNotReapplied) {
 TEST(SvcJournalSession, DedupWindowEvictsOldestRidFifo) {
   SessionConfig cfg = test_session_config();
   cfg.dedup_window = 2;
-  Session session("evict", std::vector<double>{100.0}, cfg);
+  auto owned = fresh_session("evict", std::vector<double>{100.0}, cfg);
+  Session& session = *owned;
   submit_and_wait(&session, 1, Op::kAddJob, add_job_body({1}, "rid-1"));
   submit_and_wait(&session, 2, Op::kAddJob, add_job_body({1}, "rid-2"));
   submit_and_wait(&session, 3, Op::kAddJob, add_job_body({1}, "rid-3"));

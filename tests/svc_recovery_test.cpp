@@ -358,5 +358,87 @@ TEST(SvcRecovery, ClientReconnectsAndRetriesAcrossServerRestart) {
   }
 }
 
+// ---------------------------------------------------------------------
+// Birth records: what a restored or recovered session carries
+
+/// Session "p": PSMF with a 50 ms default budget and two jobs whose PSMF
+/// allocation differs from the AMF one, so a lost policy shows.
+void feed_psmf_session(Client* client) {
+  Json overrides = Json::object();
+  overrides.set("policy", Json("psmf"));
+  overrides.set("default_budget_ms", Json(50.0));
+  client->create_session("p", {3, 3}, std::move(overrides));
+  client->add_job("p", {3, 3});
+  client->add_job("p", {0, 3});
+}
+
+TEST(SvcRestore, DrainThenRestoreKeepsPolicyBudgetSeqAndAllocation) {
+  const std::string dir = fresh_dir("svc_restore_carries_config");
+  const std::string snapshot_path = dir + "/snap.json";
+  std::string before;
+  {
+    ServerConfig config;
+    config.tcp_port = 0;
+    config.snapshot_path = snapshot_path;
+    Server server(config);
+    server.start();
+    Client client = Client::connect_tcp("127.0.0.1", server.tcp_port());
+    feed_psmf_session(&client);
+    Json solved = client.solve("p");
+    EXPECT_EQ(solved.number_or("budget_ms", 0.0), 50.0);
+    before = solved.find("allocation")->dump();
+    server.trigger_drain();
+    server.wait_drained();
+  }
+  ServerConfig config;
+  config.tcp_port = 0;
+  Server server(config);
+  server.restore_from_file(snapshot_path);
+  server.start();
+  Client client = Client::connect_tcp("127.0.0.1", server.tcp_port());
+  Json solved = client.solve("p");
+  EXPECT_EQ(solved.find("allocation")->string_or("policy", ""), "PSMF");
+  EXPECT_EQ(solved.find("allocation")->dump(), before);
+  EXPECT_EQ(solved.number_or("budget_ms", 0.0), 50.0);
+  EXPECT_EQ(solved.number_or("seq", -1.0), 2.0);
+  // The next delta continues the pre-drain numbering.
+  Json job = Json::object();
+  job.set("demands", to_json({1, 1}));
+  EXPECT_EQ(
+      client.call(Op::kAddJob, "p", std::move(job)).number_or("seq", -1.0),
+      3.0);
+  server.trigger_drain();
+  server.wait_drained();
+}
+
+TEST(SvcRecovery, InvalidBirthRecordsAreSkippedWithAWarning) {
+  const std::string dir = fresh_dir("svc_recovery_bad_birth");
+  {
+    Journal budget(dir + "/s.wal", FsyncPolicy::kOff, /*truncate=*/true);
+    budget.append(
+        R"({"t":"create","session":"s","policy":"amf","batch_window_ms":0,)"
+        R"("default_budget_ms":-5,"capacities":[10,10]})");
+    Journal resources(dir + "/t.wal", FsyncPolicy::kOff, /*truncate=*/true);
+    resources.append(
+        R"({"t":"create","session":"t","policy":"amf","batch_window_ms":0,)"
+        R"("default_budget_ms":0,"resources":1e300,"capacities":[10,10]})");
+  }
+  ServerConfig config;
+  config.tcp_port = 0;
+  config.journal_dir = dir;
+  Server server(config);
+  const RecoveryReport report = server.recover_from_journal();
+  EXPECT_EQ(report.sessions, 0);
+  ASSERT_EQ(report.warnings.size(), 2u);
+  EXPECT_NE(report.warnings[0].find("default_budget_ms"), std::string::npos)
+      << report.warnings[0];
+  EXPECT_NE(report.warnings[1].find("resources"), std::string::npos)
+      << report.warnings[1];
+  for (const std::string& warning : report.warnings)
+    EXPECT_NE(warning.find("skipping this journal"), std::string::npos)
+        << warning;
+  server.trigger_drain();
+}
+
 }  // namespace
 }  // namespace amf::svc

@@ -334,5 +334,34 @@ TEST(SvcRepl, KeepaliveIsEnabledOnBothEndsOfATcpConnection) {
   }
 }
 
+TEST(SvcRepl, StandbyRejectsAnInvalidBirthRecord) {
+  ServerConfig config;
+  config.tcp_port = 0;
+  config.standby_port = 0;
+  config.journal_dir = fresh_dir("svc_repl_bad_birth");
+  Server standby(config);
+  standby.start();
+  for (const char* birth :
+       {R"({"t":"create","session":"b","default_budget_ms":-5,)"
+        R"("capacities":[10,10]})",
+        R"({"t":"create","session":"b","resources":1e300,)"
+        R"("capacities":[10,10]})"}) {
+    ReplSenderConfig sender_config;
+    sender_config.port = standby.repl_port();
+    ReplSender sender(sender_config, /*epoch=*/1);
+    sender.start();
+    std::uint64_t index = 0;
+    ASSERT_TRUE(sender.offer("b", birth, &index));
+    EXPECT_EQ(sender.wait_acked(index, 5000.0),
+              ReplSender::WaitResult::kBroken)
+        << birth;
+    sender.stop();
+  }
+  Client client = Client::connect_tcp("127.0.0.1", standby.tcp_port());
+  EXPECT_TRUE(client.stats().find("sessions")->as_array().empty());
+  standby.trigger_drain();
+  standby.wait_drained();
+}
+
 }  // namespace
 }  // namespace amf::svc

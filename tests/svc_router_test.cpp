@@ -287,7 +287,7 @@ TEST(SvcRouter, MoveSessionRelocatesStateAndRemaps) {
 
   // The session now lives on shard 1 (direct check), is gone from
   // shard 0, and keeps serving through the router with identical
-  // allocations (seq restarts: restore semantics).
+  // allocations.
   Client direct1 =
       Client::connect_tcp("127.0.0.1", cluster.backends[1]->tcp_port());
   EXPECT_TRUE(direct1.snapshot(name).bool_or("ok", false));
@@ -370,6 +370,43 @@ TEST(SvcRouter, MoveSessionMidTrafficIsExactlyOnce) {
   const Json* jobs = snapshot->find("jobs");
   ASSERT_NE(jobs, nullptr);
   EXPECT_EQ(static_cast<long long>(jobs->as_array().size()), acked.load());
+}
+
+TEST(SvcRouter, MoveSessionKeepsPolicyAndContinuesSeq) {
+  Cluster cluster(2);
+  Client client = cluster.connect();
+  const std::string name = name_on_shard(0, 2);
+  Json overrides = Json::object();
+  overrides.set("policy", Json("psmf"));
+  overrides.set("default_budget_ms", Json(50.0));
+  client.create_session(name, {3.0, 3.0}, std::move(overrides));
+  client.add_job(name, {3.0, 3.0});
+  client.add_job(name, {0.0, 3.0});
+  const Json before = client.solve(name);
+
+  const auto move = [&](int to, const std::string& extra) {
+    Json response = Json::parse(client.call_line(
+        "{\"v\":1,\"id\":9,\"op\":\"move_session\",\"session\":\"" +
+        name + "\",\"to\":" + std::to_string(to) + extra + "}"));
+    EXPECT_TRUE(response.bool_or("moved", false)) << response.dump();
+  };
+  move(1, "");
+  Json after = client.solve(name);
+  EXPECT_EQ(after.find("allocation")->string_or("policy", ""), "PSMF");
+  EXPECT_EQ(after.find("allocation")->dump(),
+            before.find("allocation")->dump());
+  EXPECT_EQ(after.number_or("budget_ms", 0.0), 50.0);
+  EXPECT_EQ(after.number_or("seq", -1.0), 2.0);
+  Json job = Json::object();
+  job.set("demands", svc::to_json({1.0, 1.0}));
+  EXPECT_EQ(client.call(svc::Op::kAddJob, name, std::move(job))
+                .number_or("seq", -1.0),
+            3.0);
+
+  // A policy given in the move request overrides the carried one.
+  move(0, ",\"policy\":\"amf\"");
+  EXPECT_EQ(client.solve(name).find("allocation")->string_or("policy", ""),
+            "AMF");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/amf.hpp"
@@ -189,7 +190,8 @@ TEST(SvcSession, CoalescedSolvesAreBitIdenticalToStatelessReference) {
   const std::vector<double> capacities{100, 80, 60};
   SessionConfig cfg = test_session_config();
   cfg.batch_window_ms = 40;  // force heavy coalescing
-  Session session("s", capacities, cfg);
+  auto owned = fresh_session("s", capacities, cfg);
+  Session& session = *owned;
   Collector collector;
 
   std::mt19937_64 rng(17);
@@ -274,7 +276,8 @@ TEST(SvcSession, CoalescedSolvesAreBitIdenticalToStatelessReference) {
 // only trades latency for amortization, never results.
 TEST(SvcSession, UnbatchedSolveMatchesReference) {
   const std::vector<double> capacities{50, 50};
-  Session session("s", capacities, test_session_config());
+  auto owned = fresh_session("s", capacities);
+  Session& session = *owned;
   Collector collector;
   session.submit(make_request(1, Op::kAddJob, add_job_body({30, 10})),
                  collector.responder());
@@ -299,7 +302,8 @@ TEST(SvcSession, ShedsBeyondQueueDepthWithTypedOverloaded) {
   SessionConfig cfg = test_session_config();
   cfg.batch_window_ms = 500;  // hold the queue closed while we flood it
   cfg.max_queue_depth = 4;
-  Session session("s", {10, 10}, cfg);
+  auto owned = fresh_session("s", std::vector<double>{10, 10}, cfg);
+  Session& session = *owned;
   Collector collector;
 
   session.submit(make_request(1, Op::kAddJob, add_job_body({5, 5})),
@@ -325,7 +329,8 @@ TEST(SvcSession, ShedsBeyondQueueDepthWithTypedOverloaded) {
 }
 
 TEST(SvcSession, RejectsInvalidDeltasAgainstProjectedState) {
-  Session session("s", {10, 10}, test_session_config());
+  auto owned = fresh_session("s", std::vector<double>{10, 10});
+  Session& session = *owned;
   Collector collector;
   // Wrong demand arity.
   session.submit(make_request(1, Op::kAddJob, add_job_body({1, 2, 3})),
@@ -363,7 +368,8 @@ TEST(SvcSession, RejectsInvalidDeltasAgainstProjectedState) {
 TEST(SvcSession, SolveExpiredInQueueIsShedOverloaded) {
   SessionConfig cfg = test_session_config();
   cfg.batch_window_ms = 120;  // worker holds the batch longer than...
-  Session session("s", {10, 10}, cfg);
+  auto owned = fresh_session("s", std::vector<double>{10, 10}, cfg);
+  Session& session = *owned;
   Collector collector;
   session.submit(make_request(1, Op::kAddJob, add_job_body({5, 5})),
                  collector.responder());
@@ -378,7 +384,8 @@ TEST(SvcSession, SolveExpiredInQueueIsShedOverloaded) {
 }
 
 TEST(SvcSession, BudgetedSolveStillServesUnderTightDeadline) {
-  Session session("s", std::vector<double>(8, 100.0), test_session_config());
+  auto owned = fresh_session("s", std::vector<double>(8, 100.0));
+  Session& session = *owned;
   Collector collector;
   std::mt19937_64 rng(3);
   std::uniform_real_distribution<double> demand(0.0, 40.0);
@@ -402,11 +409,76 @@ TEST(SvcSession, BudgetedSolveStillServesUnderTightDeadline) {
   session.drain();
 }
 
+TEST(SvcSession, HugeBudgetIsServedByPrimaryUnbudgeted) {
+  // A finite budget past the clock's range (~9.2e12 ms) must act as no
+  // budget, not overflow into an already-expired deadline.
+  auto owned = fresh_session("s", std::vector<double>{10, 10});
+  Session& session = *owned;
+  Collector collector;
+  session.submit(make_request(1, Op::kAddJob, add_job_body({8, 2})),
+                 collector.responder());
+  session.submit(make_request(2, Op::kAddJob, add_job_body({2, 8})),
+                 collector.responder());
+  std::vector<std::string> allocations;
+  double id = 2;
+  for (double budget : {1e13, 1e300, 0.0}) {
+    Json body = Json::object();
+    if (budget > 0.0) body.set("budget_ms", Json(budget));
+    session.submit(make_request(++id, Op::kSolve, std::move(body)),
+                   collector.responder());
+    Json response = collector.wait(id);
+    ASSERT_TRUE(response.bool_or("ok", false)) << response.dump();
+    EXPECT_EQ(response.string_or("tier", ""), "primary") << budget;
+    allocations.push_back(response.find("allocation")->dump());
+  }
+  EXPECT_EQ(allocations[0], allocations[2]);
+  EXPECT_EQ(allocations[1], allocations[2]);
+  session.drain();
+}
+
+TEST(SvcSession, OutOfRangeNumbersNeverReachAnIntegerCast) {
+  auto owned = fresh_session("s", std::vector<double>{10, 10});
+  Session& session = *owned;
+  Collector collector;
+  session.submit(make_request(1, Op::kAddJob, add_job_body({5, 5})),
+                 collector.responder());
+  ASSERT_EQ(collector.wait(1).number_or("job", -1.0), 0.0);
+  // Job handles are integers in [0, 2^53]: 0.5 once truncated to job 0.
+  double id = 1;
+  for (double job : {0.5, -1.0, 1e300}) {
+    Json body = Json::object();
+    body.set("job", Json(job));
+    session.submit(make_request(++id, Op::kFinishJob, std::move(body)),
+                   collector.responder());
+    Json response = collector.wait(id);
+    EXPECT_FALSE(response.bool_or("ok", true)) << job;
+    EXPECT_EQ(response.find("error")->string_or("code", ""), "bad_request");
+  }
+  // A trace id past 2^64 is no trace; the solve is still served.
+  Json traced = Json::object();
+  traced.set("trace", Json(1e300));
+  session.submit(make_request(++id, Op::kSolve, std::move(traced)),
+                 collector.responder());
+  Json solved = collector.wait(id);
+  ASSERT_TRUE(solved.bool_or("ok", false)) << solved.dump();
+  EXPECT_EQ(solved.find("allocation")->find("jobs")->as_array().size(), 1u);
+  session.drain();
+  // Snapshot job ids obey the same range.
+  EXPECT_THROW(
+      session_from_birth(
+          Json::parse(R"({"t":"snapshot","snapshot":{"v":1,"session":"x",)"
+                      R"("capacities":[1],"nominal":[1],)"
+                      R"("jobs":[{"id":1e300,"demands":[1]}]}})"),
+          test_session_config()),
+      SvcError);
+}
+
 // ---------------------------------------------------------------------
 // Snapshot round-trip through a restored session
 
 TEST(SvcSession, SnapshotRestoreServesIdenticalAllocation) {
-  Session session("orig", {60, 40}, test_session_config());
+  auto owned = fresh_session("orig", std::vector<double>{60, 40});
+  Session& session = *owned;
   Collector collector;
   session.submit(make_request(1, Op::kAddJob, add_job_body({50, 0}, 2.0)),
                  collector.responder());
@@ -420,9 +492,15 @@ TEST(SvcSession, SnapshotRestoreServesIdenticalAllocation) {
   ASSERT_TRUE(snapped.bool_or("ok", false));
   session.drain();
 
-  // Rehydrate from the wire-format snapshot and solve again.
-  ProblemSnapshot snap = problem_from_json(*snapped.find("snapshot"));
-  Session restored("copy", std::move(snap), test_session_config());
+  // Rehydrate from the wire-format snapshot, born under a new name from
+  // a snapshot birth record, and solve again.
+  Json copy = *snapped.find("snapshot");
+  copy.set("session", Json("copy"));
+  Json birth = Json::object();
+  birth.set("t", Json("snapshot"));
+  birth.set("snapshot", std::move(copy));
+  auto owned_restored = session_from_birth(birth, test_session_config());
+  Session& restored = *owned_restored;
   Collector collector2;
   restored.submit(make_request(1, Op::kSolve), collector2.responder());
   Json resolved = collector2.wait(1);
@@ -481,6 +559,35 @@ TEST(SvcServer, EndToEndSessionLifecycle) {
             std::string::npos);
   EXPECT_EQ(stats.find("sessions")->as_array().size(), 1u);
 
+  server.trigger_drain();
+  server.wait_drained();
+}
+
+TEST(SvcServer, CreateSessionRejectsOutOfRangeResourceCounts) {
+  ServerConfig config;
+  config.tcp_port = 0;
+  Server server(config);
+  server.start();
+  Client client = Client::connect_tcp("127.0.0.1", server.tcp_port());
+  // 1e300 once fell through an overflowing cast to a scalar session, and
+  // 4294967298 wrapped to R = 2 while the journal kept the raw count.
+  const std::vector<std::pair<double, Json>> cases = {
+      {1e300, to_json({10, 10})},
+      {4294967298.0, matrix_to_json({{10, 10}, {10, 10}})},
+      {0.0, to_json({10, 10})},
+      {2.5, matrix_to_json({{10, 10}, {10, 10}})}};
+  for (const auto& [resources, capacities] : cases) {
+    Json body = Json::object();
+    body.set("resources", Json(resources));
+    body.set("capacities", capacities);
+    try {
+      client.call(Op::kCreateSession, "r", std::move(body));
+      ADD_FAILURE() << "resources " << resources << " was accepted";
+    } catch (const SvcError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadRequest) << resources;
+    }
+  }
+  EXPECT_TRUE(client.stats().find("sessions")->as_array().empty());
   server.trigger_drain();
   server.wait_drained();
 }

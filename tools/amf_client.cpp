@@ -30,6 +30,7 @@
 #include "svc/client.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -123,12 +124,17 @@ int main(int argc, char** argv) {
   std::vector<svc::Endpoint> endpoints;
   svc::RetryPolicy retry;
   bool trace = false, verbose = false;
+  // Strict numeric operand (see util/flags.hpp): a malformed or
+  // out-of-range value is a usage error (exit 2), never a silent 0.
+  auto number = [&](const char* text, auto* out, auto... range) {
+    if (!util::parse_number(text, out, range...)) std::exit(usage());
+  };
   // Connection options are accepted on either side of the mode word, so
   // this matcher runs in both argument loops.
   auto connection_flag = [&](int* idx) {
     int k = *idx;
     if (std::strcmp(argv[k], "--retries") == 0 && k + 1 < argc) {
-      retry.max_attempts = std::atoi(argv[++k]);
+      number(argv[++k], &retry.max_attempts, 1);
     } else if (std::strcmp(argv[k], "--endpoints") == 0 && k + 1 < argc) {
       std::string list = argv[++k];
       std::size_t start = 0;
@@ -150,7 +156,7 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[k], "--read-timeout-ms") == 0 &&
                k + 1 < argc) {
-      retry.read_timeout_ms = std::atof(argv[++k]);
+      number(argv[++k], &retry.read_timeout_ms, 0.0);
       if (retry.connect_timeout_ms <= 0.0)
         retry.connect_timeout_ms = retry.read_timeout_ms;
     } else if (std::strcmp(argv[k], "--trace") == 0) {
@@ -172,7 +178,7 @@ int main(int argc, char** argv) {
       unix_path = argv[++i];
     } else if (std::strcmp(argv[i], "--tcp") == 0 && i + 2 < argc) {
       host = argv[++i];
-      port = std::atoi(argv[++i]);
+      number(argv[++i], &port, 1, 65535);
     } else if (connection_flag(&i)) {
       continue;
     } else {
@@ -194,10 +200,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--policy") == 0 && i + 1 < argc) {
       policy = argv[++i];
     } else if (std::strcmp(argv[i], "--budget-ms") == 0 && i + 1 < argc) {
-      budget_ms = std::atof(argv[++i]);
+      number(argv[++i], &budget_ms, 0.0);
     } else if (std::strcmp(argv[i], "--batch-window-ms") == 0 &&
                i + 1 < argc) {
-      batch_window_ms = std::atof(argv[++i]);
+      number(argv[++i], &batch_window_ms, 0.0);
     } else if (std::strcmp(argv[i], "--prometheus") == 0) {
       stats_format = "prometheus";
     } else if (connection_flag(&i)) {
@@ -206,7 +212,6 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (retry.max_attempts < 1) return usage();
 
   try {
     if (!unix_path.empty()) {

@@ -9,12 +9,13 @@
 // stdout, in the formats read by amf_solve and accepted by
 // workload::load_trace — completing the generate → solve → simulate
 // pipeline from the shell.
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "amf.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -42,26 +43,25 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   auto demand_model = workload::DemandModel::kUncapped;
   for (int i = 2; i < argc; ++i) {
-    auto next = [&](double* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::atof(argv[++i]);
-      return true;
+    // Strict numeric operand: a missing, malformed or out-of-range value
+    // is a usage error (exit 2), never a silent 0.
+    auto number = [&](auto* out, auto... range) {
+      return i + 1 < argc && util::parse_number(argv[++i], out, range...);
     };
-    double v = 0.0;
     if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       return usage(true);
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && next(&v)) {
-      jobs = static_cast<int>(v);
-    } else if (std::strcmp(argv[i], "--sites") == 0 && next(&v)) {
-      sites = static_cast<int>(v);
-    } else if (std::strcmp(argv[i], "--resources") == 0 && next(&v)) {
-      resources = static_cast<int>(v);
-    } else if (std::strcmp(argv[i], "--skew") == 0 && next(&v)) {
-      skew = v;
-    } else if (std::strcmp(argv[i], "--load") == 0 && next(&v)) {
-      load = v;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && next(&v)) {
-      seed = static_cast<std::uint64_t>(v);
+    } else if (std::strcmp(argv[i], "--jobs") == 0) {
+      if (!number(&jobs, 0)) return usage();
+    } else if (std::strcmp(argv[i], "--sites") == 0) {
+      if (!number(&sites, 1)) return usage();
+    } else if (std::strcmp(argv[i], "--resources") == 0) {
+      if (!number(&resources, 1)) return usage();
+    } else if (std::strcmp(argv[i], "--skew") == 0) {
+      if (!number(&skew, 0.0)) return usage();
+    } else if (std::strcmp(argv[i], "--load") == 0) {
+      if (!number(&load, std::numeric_limits<double>::min())) return usage();
+    } else if (std::strcmp(argv[i], "--seed") == 0) {
+      if (!number(&seed)) return usage();
     } else if (std::strcmp(argv[i], "--demand-model") == 0 && i + 1 < argc) {
       std::string model = argv[++i];
       if (model == "uncapped")

@@ -31,9 +31,9 @@
 // per-event series (time, solver latency, warm flag, serving tier);
 // --prom-out writes the same snapshot in Prometheus text format.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,6 +44,7 @@
 
 #include "amf.hpp"
 #include "util/csv.hpp"
+#include "util/flags.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
 
@@ -110,11 +111,12 @@ int main(int argc, char** argv) {
   double mtbf = 200.0, mttr = 20.0, loss = 1.0, budget_ms = 0.0;
   std::uint64_t seed = 42;
   std::string trace_out, metrics_out, prom_out;
+  constexpr double kPositive = std::numeric_limits<double>::min();
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](double* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::atof(argv[++i]);
-      return true;
+    // Strict numeric operand: a missing, malformed or out-of-range value
+    // is a usage error (exit 2), never a silent 0 or a truncated prefix.
+    auto number = [&](auto* out, auto... range) {
+      return i + 1 < argc && util::parse_number(argv[++i], out, range...);
     };
     if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       return usage(true);
@@ -125,39 +127,29 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--batch") == 0) {
       batch = true;
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      double v;
-      if (!next(&v)) return usage();
-      jobs = static_cast<int>(v);
+      if (!number(&jobs, 0)) return usage();
     } else if (std::strcmp(argv[i], "--sites") == 0) {
-      double v;
-      if (!next(&v)) return usage();
-      sites = static_cast<int>(v);
+      if (!number(&sites, 1)) return usage();
     } else if (std::strcmp(argv[i], "--resources") == 0) {
-      double v;
-      if (!next(&v)) return usage();
-      resources = static_cast<int>(v);
+      if (!number(&resources, 1)) return usage();
     } else if (std::strcmp(argv[i], "--skew") == 0) {
-      if (!next(&skew)) return usage();
+      if (!number(&skew, 0.0)) return usage();
     } else if (std::strcmp(argv[i], "--load") == 0) {
-      if (!next(&load)) return usage();
+      if (!number(&load, kPositive)) return usage();
     } else if (std::strcmp(argv[i], "--faults") == 0) {
       faults = true;
     } else if (std::strcmp(argv[i], "--mtbf") == 0) {
-      if (!next(&mtbf)) return usage();
+      if (!number(&mtbf, kPositive)) return usage();
     } else if (std::strcmp(argv[i], "--mttr") == 0) {
-      if (!next(&mttr)) return usage();
+      if (!number(&mttr, kPositive)) return usage();
     } else if (std::strcmp(argv[i], "--loss") == 0) {
-      if (!next(&loss)) return usage();
+      if (!number(&loss, 0.0, 1.0)) return usage();
     } else if (std::strcmp(argv[i], "--budget-ms") == 0) {
-      if (!next(&budget_ms) || !(budget_ms >= 0.0)) return usage();
+      if (!number(&budget_ms, 0.0)) return usage();
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      double v;
-      if (!next(&v)) return usage();
-      seed = static_cast<std::uint64_t>(v);
+      if (!number(&seed)) return usage();
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      double v;
-      if (!next(&v) || v < 0) return usage();
-      threads = static_cast<int>(v);
+      if (!number(&threads, 0)) return usage();
     } else if (std::strcmp(argv[i], "--cold") == 0) {
       cold = true;
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
