@@ -26,6 +26,7 @@ struct LevelCounters {
   obs::Counter probes;
   obs::Counter hint_hits;
   obs::Counter hint_misses;
+  obs::Counter job_cut_hits;
   LevelCounters() {
     auto& reg = obs::Registry::global();
     level_solves = reg.counter("amf_flow_level_solves",
@@ -42,6 +43,9 @@ struct LevelCounters {
     hint_misses = reg.counter(
         "amf_flow_hint_misses",
         "cut-hint warm starts that still needed Newton descent");
+    job_cut_hits = reg.counter(
+        "amf_flow_job_cut_hits",
+        "rounds closed by the first probe at the tightest job cut");
   }
 };
 
@@ -96,19 +100,37 @@ CriticalLevel solve_critical_level(
   // already amortized; no stride poller needed at this granularity.
   auto stop_now = [&] { return stop != nullptr && stop->stop_requested(); };
   bool found = false;
+  bool job_cut_start = false;
+  bool job_cut_first_feasible = false;
   bool hint_applied = false;
   bool hint_first_feasible = false;
   LevelStatus status = LevelStatus::kConverged;
   constexpr int kMaxNewton = 64;
 
+  if (method == LevelMethod::kCutNewton) {
+    // Start the descent at the tightest job cut: no flow routes more than
+    // solo_ceiling(j) into job j, so the cut around j alone bounds the
+    // critical level by where cap_j(t) reaches that ceiling.
+    for (int j = 0; j < n; ++j) {
+      const auto& src = sources[static_cast<std::size_t>(j)];
+      if (src.slope <= 0.0) continue;
+      const double t_j = (net.solo_ceiling(j) - src.fixed) / src.slope;
+      if (t_j < t) {
+        t = std::max(t_j, t_lo);
+        job_cut_start = true;
+      }
+    }
+  }
+
   if (hint != nullptr && hint->valid && method == LevelMethod::kCutNewton &&
       static_cast<int>(hint->site_in_source_side.size()) == m) {
-    // Start the descent at the hinted cut's bound instead of t_hi. Each
-    // job joins the side that makes the cut tighter, judged at the hint's
-    // reference level: source side (contributing its crossing demand arcs)
-    // when those are cheaper than its cap, sink side (contributing cap(t))
-    // otherwise. Either way the cut's capacity bounds total demand, so the
-    // computed level is >= the critical one regardless of hint staleness.
+    // A hinted cut's bound replaces the job-cut start when it is tighter.
+    // Each job joins the side that makes the cut tighter, judged at the
+    // hint's reference level: source side (contributing its crossing
+    // demand arcs) when those are cheaper than its cap, sink side
+    // (contributing cap(t)) otherwise. Either way the cut's capacity bounds
+    // total demand, so the computed level is >= the critical one
+    // regardless of hint staleness.
     double cut_slope = 0.0, cut_fixed = 0.0;
     for (int s = 0; s < m; ++s)
       if (hint->site_in_source_side[static_cast<std::size_t>(s)])
@@ -127,9 +149,10 @@ CriticalLevel solve_critical_level(
     const double dslope = slope_total - cut_slope;
     if (dslope > eps * std::max(1.0, slope_total)) {
       const double t_h = (cut_fixed - fixed_total) / dslope;
-      if (t_h > t_lo + t_tol && t_h < t_hi - t_tol) {
+      if (t_h > t_lo + t_tol && t_h < t - t_tol) {
         t = t_h;
         hint_applied = true;
+        job_cut_start = false;
       }
     }
   }
@@ -176,7 +199,10 @@ CriticalLevel solve_critical_level(
     }
     ++newton_iters;
     const bool feasible = feasible_at(t);
-    if (iter == 0 && hint_applied) hint_first_feasible = feasible;
+    if (iter == 0) {
+      hint_first_feasible = hint_applied && feasible;
+      job_cut_first_feasible = job_cut_start && feasible;
+    }
     if (feasible) {
       found = true;
       break;
@@ -255,14 +281,16 @@ CriticalLevel solve_critical_level(
   if (probe_count > 0) counters.probes.add(probe_count);
   if (hint_applied)
     (hint_first_feasible ? counters.hint_hits : counters.hint_misses).add(1);
+  if (job_cut_first_feasible) counters.job_cut_hits.add(1);
 
   if (hint != nullptr) {
     if (cut_read) {
       hint->site_in_source_side = std::move(last_cut.site_in_source_side);
       hint->valid = true;
     }
-    // No cut read means the first probe already succeeded — the stored
-    // cut (if any) is still the binding one; only the level moved.
+    // No cut read means the first probe already succeeded — at the hinted
+    // cut or at a job cut. The stored cut (if any) is still a true cut,
+    // so it stays a sound bound; only the level moved.
     if (hint->valid) hint->t_ref = t;
   }
 

@@ -7,11 +7,22 @@
 // so the largest feasible level solves maxflow(t) = Σ_j cap_j(t).
 //
 // We find it by Newton iteration on min-cuts (a Dinkelbach-style scheme):
-// starting from an infeasible upper bound, each round solves one max flow,
-// reads off the binding cut, and jumps to the level where that cut's
-// (linear) value meets the (linear) total demand. The iterates decrease
-// monotonically and land exactly on the critical level after finitely many
-// distinct cuts; a bisection fallback guards against floating-point stalls.
+// starting from an upper bound, each round solves one max flow, reads off
+// the binding cut, and jumps to the level where that cut's (linear) value
+// meets the (linear) total demand. The iterates decrease monotonically and
+// land exactly on the critical level after finitely many distinct cuts; a
+// bisection fallback guards against floating-point stalls.
+//
+// The descent starts at the tightest job cut, not at the segment end:
+// t_jobs = min over sources with slope > 0 of (solo_ceiling(j) − fixed_j)
+// / slope_j, clamped to [t_lo, t_hi]. No flow routes more than
+// solo_ceiling(j) into job j, so the cut around j alone is a true cut and
+// t_jobs bounds the critical level from above. Newton iterates from any
+// upper bound fall monotonically to it, and a lower start never needs more
+// distinct cuts. When the probe at t_jobs is feasible the round ends after
+// that one max flow: the binding job has no residual path to the sink, so
+// it freezes. A round bound by a job's own demand therefore costs one max
+// flow (counted in amf_flow_job_cut_hits).
 #pragma once
 
 #include <vector>
@@ -50,8 +61,8 @@ enum class LevelStatus {
 /// Optional instrumentation collected by solve_critical_level. This is the
 /// per-invocation view a caller threads through one solve; cumulative
 /// process-wide counts (solves, Newton iterations, bisection steps, probe
-/// flows, cut-hint hits/misses) live in the obs metric registry under
-/// amf_flow_* and need no stats object to be collected.
+/// flows, cut-hint hits/misses, job-cut hits) live in the obs metric
+/// registry under amf_flow_* and need no stats object to be collected.
 struct LevelSolveStats {
   int flow_solves = 0;  ///< max-flow computations performed
   /// Worst status observed across all solves feeding this stats object.
@@ -104,10 +115,12 @@ struct CriticalLevel {
 /// Demand and site-capacity values are read from `net` itself (the network
 /// is the single source of truth, enabling persistent-topology reuse).
 ///
-/// `hint`, when non-null, warm-starts the Newton descent from the hinted
-/// cut's bound (kCutNewton only) and is updated on return with the cut
-/// this solve ended on. See LevelHint for the soundness argument and the
-/// replay-exactness caveat.
+/// kCutNewton starts its descent at the tightest job cut (see the header
+/// comment); kBisection brackets the whole segment. `hint`, when non-null,
+/// starts the Newton descent at the hinted cut's bound instead when that
+/// is tighter, and is updated on return with the cut this solve ended on.
+/// See LevelHint for the soundness argument and the replay-exactness
+/// caveat.
 ///
 /// `stop` (explicit, else the ambient token) is polled before every
 /// feasibility probe; when it fires the solve returns immediately with

@@ -240,7 +240,7 @@ std::vector<JobRecord> Simulator::run(const workload::Trace& trace) {
   std::size_t next_arrival = 0;
   double clock = 0.0;
   double busy_area = 0.0;  // ∫ used-capacity dt
-  double cap_area = 0.0;   // ∫ surviving-capacity dt
+  double dark_area = 0.0;  // ∫ capacity lost to faults dt
 
   // Fault state: per-site capacity factor and surviving capacity. On a
   // fault-free trace none of this is ever touched, so the engine's
@@ -437,11 +437,12 @@ std::vector<JobRecord> Simulator::run(const workload::Trace& trace) {
       while (next_event < trace.events.size() &&
              trace.events[next_event].time <= t_next + 1e-12) {
         const double t_ev = std::max(clock, trace.events[next_event].time);
-        cap_area += eff_total * (t_ev - clock);
+        dark_area += (total_capacity - eff_total) * (t_ev - clock);
         clock = t_ev;
         apply_due_events();
       }
-      cap_area += eff_total * std::max(0.0, t_next - clock);
+      dark_area +=
+          (total_capacity - eff_total) * std::max(0.0, t_next - clock);
       clock = std::max(clock, t_next);
       admit_due();
       continue;
@@ -688,7 +689,7 @@ std::vector<JobRecord> Simulator::run(const workload::Trace& trace) {
       }
     }
     busy_area += used * dt;
-    cap_area += eff_total * dt;
+    dark_area += (total_capacity - eff_total) * dt;
     if (n >= 2) {
       jain_area += util::jain_index(alloc.aggregates()) * dt;
       jain_time += dt;
@@ -719,7 +720,11 @@ std::vector<JobRecord> Simulator::run(const workload::Trace& trace) {
   stats_.avg_utilization =
       (clock > 0.0 && total_capacity > 0.0) ? busy_area / (clock * total_capacity)
                                             : 0.0;
-  stats_.avail_utilization = cap_area > 0.0 ? busy_area / cap_area : 0.0;
+  // Surviving capacity is the nominal area minus what faults took, so a
+  // fault-free run (dark_area == 0) gives avg_utilization bit for bit.
+  const double surviving_area = clock * total_capacity - dark_area;
+  stats_.avail_utilization =
+      surviving_area > 0.0 ? busy_area / surviving_area : 0.0;
   stats_.mean_recovery_latency =
       stats_.recoveries > 0 ? latency_sum / stats_.recoveries : 0.0;
   stats_.spans_recorded = tracer.recorded() - spans_base;

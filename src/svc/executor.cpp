@@ -71,23 +71,28 @@ void SvcExecutor::inject(Task task) {
   note_submitted();
 }
 
-void SvcExecutor::submit_after(double delay_ms, Task task) {
+SvcExecutor::TimerId SvcExecutor::submit_after(double delay_ms, Task task) {
   AMF_REQUIRE(task != nullptr, "executor task must be callable");
-  if (stop_.load(std::memory_order_acquire)) return;
+  if (stop_.load(std::memory_order_acquire)) return {};
   if (delay_ms <= 0.0) {
     submit(std::move(task));
-    return;
+    return {};
   }
-  TimerEntry entry;
-  entry.task = std::move(task);
-  entry.due =
-      util::saturating_after_ms(std::chrono::steady_clock::now(), delay_ms);
+  TimerId id{
+      util::saturating_after_ms(std::chrono::steady_clock::now(), delay_ms),
+      0};
   {
     std::lock_guard<std::mutex> lock(timer_mu_);
-    entry.seq = ++timer_seq_;
-    timers_.push(std::move(entry));
+    id.second = ++timer_seq_;
+    timers_.emplace(id, std::move(task));
   }
   timer_cv_.notify_one();
+  return id;
+}
+
+bool SvcExecutor::cancel(const TimerId& id) {
+  std::lock_guard<std::mutex> lock(timer_mu_);
+  return timers_.erase(id) == 1;
 }
 
 bool SvcExecutor::take_task(std::size_t index, Task* out) {
@@ -153,16 +158,14 @@ void SvcExecutor::timer_loop() {
       timer_cv_.wait(lock);
       continue;
     }
-    const auto due = timers_.top().due;
+    const auto due = timers_.begin()->first.first;
     const auto now = std::chrono::steady_clock::now();
     if (now < due) {
       timer_cv_.wait_until(lock, due);
       continue;
     }
-    // const_cast: priority_queue::top() is const, but the entry is about
-    // to be popped — moving its task out first avoids a deep copy.
-    Task task = std::move(const_cast<TimerEntry&>(timers_.top()).task);
-    timers_.pop();
+    Task task = std::move(timers_.begin()->second);
+    timers_.erase(timers_.begin());
     lock.unlock();
     inject(std::move(task));
     lock.lock();

@@ -22,10 +22,12 @@
 //
 // ## Timers
 //
-// submit_after() parks a task on a dedicated timer thread (a min-heap of
-// deadlines) and injects it when due — the batch-window expiry mechanism
-// for executor-driven sessions. Timer resolution is the scheduler's; the
-// batch window is a lower bound exactly as it is in thread mode.
+// submit_after() parks a task on a dedicated timer thread (an ordered map
+// of deadlines) and injects it when due — the batch-window expiry
+// mechanism for executor-driven sessions. Timer resolution is the
+// scheduler's; the batch window is a lower bound. cancel() takes a parked
+// task back before it fires, which is how a drain serves a window-parked
+// batch at once.
 //
 // ## Shutdown
 //
@@ -42,10 +44,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace amf::svc {
@@ -53,6 +56,9 @@ namespace amf::svc {
 class SvcExecutor {
  public:
   using Task = std::function<void()>;
+  /// Names one submit_after() task: its deadline and a FIFO tie-break.
+  using TimerId = std::pair<std::chrono::steady_clock::time_point,
+                            std::uint64_t>;
 
   /// Spawns `threads` workers (minimum 1) plus the timer thread.
   explicit SvcExecutor(std::size_t threads);
@@ -65,8 +71,14 @@ class SvcExecutor {
   /// a pool thread, on the injection queue otherwise. No-op after stop().
   void submit(Task task);
 
-  /// Runs `task` no earlier than `delay_ms` from now (>= 0).
-  void submit_after(double delay_ms, Task task);
+  /// Runs `task` no earlier than `delay_ms` from now (>= 0). The id
+  /// names the parked task for cancel().
+  TimerId submit_after(double delay_ms, Task task);
+
+  /// Drops a task parked by submit_after() if it has not fired yet. True
+  /// when it was dropped: it will never run. False when it already went
+  /// to the run queues (or was never parked): it runs as submitted.
+  bool cancel(const TimerId& id);
 
   /// Wakes and joins every thread; queued tasks are dropped. Idempotent.
   void stop();
@@ -82,15 +94,6 @@ class SvcExecutor {
     std::mutex mu;
     std::deque<Task> deque;
   };
-  struct TimerEntry {
-    std::chrono::steady_clock::time_point due;
-    std::uint64_t seq = 0;  ///< FIFO tie-break for equal deadlines
-    Task task;
-    bool operator>(const TimerEntry& other) const {
-      return due != other.due ? due > other.due : seq > other.seq;
-    }
-  };
-
   void worker_loop(std::size_t index);
   void timer_loop();
   /// One scheduling round: local pop, injection pop, then steal sweep.
@@ -114,9 +117,7 @@ class SvcExecutor {
 
   std::mutex timer_mu_;
   std::condition_variable timer_cv_;
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>,
-                      std::greater<TimerEntry>>
-      timers_;
+  std::map<TimerId, Task> timers_;  ///< earliest deadline first
   std::uint64_t timer_seq_ = 0;
   std::thread timer_thread_;
 };

@@ -146,6 +146,13 @@ std::uint64_t trace_of(const Request& req) {
   return static_cast<std::uint64_t>(t);
 }
 
+bool stream_counter(const Json& msg, std::string_view key, long long* out) {
+  const double x = msg.number_or(key, 0.0);
+  if (!is_integer_in(x, 0, kMaxExactInteger)) return false;
+  *out = static_cast<long long>(x);
+  return true;
+}
+
 std::vector<double> number_array(const Json& v, int expect,
                                  std::string_view what) {
   if (!v.is_array())

@@ -148,6 +148,12 @@ inline bool is_integer_in(double x, double lo, double hi) {
   return x >= lo && x <= hi && x == std::floor(x);
 }
 
+/// Reads a replication-stream counter (an epoch or a record index) into
+/// `*out`: an integer in [0, 2^53], 0 when the field is absent or not a
+/// number. Returns false, leaving `*out` alone, when the number is
+/// fractional or out of range.
+bool stream_counter(const Json& msg, std::string_view key, long long* out);
+
 /// Reads a JSON array of finite numbers of length `expect` (-1 = any).
 std::vector<double> number_array(const Json& v, int expect,
                                  std::string_view what);

@@ -14,6 +14,7 @@
 
 #include "svc/json.hpp"
 #include "svc/net.hpp"
+#include "svc/proto.hpp"
 #include "svc/session.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -249,7 +250,8 @@ bool ReplSender::handshake(Socket& sock) {
     return false;
   }
   const std::string t = reply.string_or("t", "");
-  const long long peer = static_cast<long long>(reply.number_or("epoch", 0));
+  long long peer = 0;
+  if (!stream_counter(reply, "epoch", &peer)) return false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     peer_epoch_ = std::max(peer_epoch_, peer);
@@ -342,8 +344,15 @@ void ReplSender::handle_reply_locked(const std::string& line, bool* fatal) {
     return;
   }
   const std::string t = reply.string_or("t", "");
+  long long peer = 0;
+  long long reply_index = 0;
+  if (!stream_counter(reply, "epoch", &peer) ||
+      !stream_counter(reply, "i", &reply_index)) {
+    *fatal = true;  // no standby writes such a number; reconnect
+    return;
+  }
   if (t == "ack") {
-    const auto index = static_cast<std::uint64_t>(reply.number_or("i", 0));
+    const auto index = static_cast<std::uint64_t>(reply_index);
     if (index > acked_index_) {
       acked_index_ = index;
       while (!queue_.empty() && queue_.front().index <= acked_index_) {
@@ -357,7 +366,6 @@ void ReplSender::handle_reply_locked(const std::string& line, bool* fatal) {
     return;
   }
   if (t == "fenced") {
-    const long long peer = static_cast<long long>(reply.number_or("epoch", 0));
     peer_epoch_ = std::max(peer_epoch_, peer);
     fenced_.store(true, std::memory_order_release);
     SvcMetrics::get().repl_fenced.add();
@@ -374,7 +382,7 @@ void ReplSender::handle_reply_locked(const std::string& line, bool* fatal) {
     util::Logger::global()
         .error("svc.repl_rejected")
         .str("message", reply.string_or("message", ""))
-        .num("i", reply.number_or("i", 0));
+        .num("i", reply_index);
     cv_.notify_all();
     *fatal = true;
     return;

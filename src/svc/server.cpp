@@ -722,8 +722,11 @@ void Server::repl_serve_connection(Socket& sock) {
       break;  // framing lost; the sender reconnects and resends unacked
     }
     const std::string type = msg.string_or("t", "");
-    const long long msg_epoch =
-        static_cast<long long>(msg.number_or("epoch", 0.0));
+    long long msg_epoch = 0;
+    long long msg_index = 0;
+    if (!stream_counter(msg, "epoch", &msg_epoch) ||
+        !stream_counter(msg, "i", &msg_index))
+      break;  // no sender writes such a number: drop the connection
     if (type == "hello") {
       Json out = Json::object();
       std::lock_guard<std::mutex> lock(repl_mu_);
@@ -751,7 +754,7 @@ void Server::repl_serve_connection(Socket& sock) {
       continue;
     }
     if (type == "rec") {
-      const auto index = static_cast<std::uint64_t>(msg.number_or("i", 0.0));
+      const auto index = static_cast<std::uint64_t>(msg_index);
       const std::string session = msg.string_or("session", "");
       const Json* record = msg.find("record");
       Json out = Json::object();

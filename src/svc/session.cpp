@@ -228,9 +228,9 @@ Session::~Session() {
   {
     std::unique_lock<std::mutex> lock(mu_);
     stopped_ = true;
-    // Wait for the in-flight task (including one parked on a
-    // batch-window timer — it fires, sees stopped_, and clears
-    // scheduled_ as its last touch of the session).
+    // Wait for the in-flight task; a slice parked on its batch-window
+    // timer is cancelled instead of waited out.
+    if (take_parked_slice_locked()) scheduled_ = false;
     idle_cv_.wait(lock, [this] { return !scheduled_; });
     leftovers.swap(queue_);
   }
@@ -900,9 +900,17 @@ void Session::schedule_locked() {
   config_.executor->submit([this] { executor_run(); });
 }
 
+bool Session::take_parked_slice_locked() {
+  if (!parked_) return false;
+  const bool cancelled = config_.executor->cancel(*parked_);
+  parked_.reset();
+  return cancelled;
+}
+
 void Session::executor_run() {
   auto& metrics = SvcMetrics::get();
   std::unique_lock<std::mutex> lock(mu_);
+  parked_.reset();
   while (!stopped_ && !queue_.empty()) {
     // Accumulation window: instead of a timed cv wait, park the slice on
     // the executor timer and give the pool thread back. scheduled_ stays true
@@ -917,8 +925,8 @@ void Session::executor_run() {
           window_wait_start_ = now;
         const double delay_ms =
             std::chrono::duration<double, std::milli>(until - now).count();
-        lock.unlock();
-        config_.executor->submit_after(delay_ms, [this] { executor_run(); });
+        parked_ = config_.executor->submit_after(
+            delay_ms, [this] { executor_run(); });
         return;
       }
     }
@@ -1026,11 +1034,18 @@ void Session::drain() {
     if (!draining_)
       pending = queue_.size();
     draining_ = true;
-    // Wait out the in-flight slice (it flushes every queued batch once
-    // draining_ is set; a window-parked slice fires within one batch
-    // window), then serve anything admitted after it went idle.
-    idle_cv_.wait(lock, [this] { return !scheduled_; });
+    // A slice parked on its batch window is taken over and its batch
+    // served here at once. A running slice flushes every queued batch
+    // once draining_ is set; wait for it, then serve anything admitted
+    // after it went idle.
+    const bool took_slice = take_parked_slice_locked();
+    if (!took_slice) idle_cv_.wait(lock, [this] { return !scheduled_; });
     while (!stopped_ && !queue_.empty()) process_batch(lock);
+    if (took_slice) {
+      window_wait_start_ = {};
+      scheduled_ = false;
+      idle_cv_.notify_all();
+    }
   }
   util::Logger::global()
       .info("svc.session_drain")

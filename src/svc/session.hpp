@@ -77,6 +77,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -87,13 +88,13 @@
 #include "core/robust.hpp"
 #include "core/workspace.hpp"
 #include "obs/metrics.hpp"
+#include "svc/executor.hpp"
 #include "svc/journal.hpp"
 #include "svc/proto.hpp"
 
 namespace amf::svc {
 
 class ReplSender;
-class SvcExecutor;
 
 /// Per-session serving parameters (server-wide defaults; a birth record
 /// may override policy, batch_window_ms and default_budget_ms).
@@ -307,6 +308,10 @@ class Session {
   /// submit_after, drains ONE batch (all batches when draining), then
   /// reschedules itself while work remains.
   void executor_run();
+  /// Cancels the slice parked on its batch-window timer, if any. True
+  /// when the timer had not fired: the caller then owns the slice and
+  /// must clear scheduled_ when done with it.
+  bool take_parked_slice_locked();
   /// Drains one batch (deltas + solve/snapshot run + fsync + compaction)
   /// from the front of the queue. Entered and left with `lock` held;
   /// unlocked across the allocator work. Shared verbatim by the executor
@@ -332,9 +337,12 @@ class Session {
   /// A task for this session is queued or running
   /// (including parked on a batch-window timer). While true, `this` must
   /// stay alive; drain() and the destructor wait on idle_cv_ for it to
-  /// clear. Clearing it is the task's final touch of the session.
+  /// clear, or cancel a parked slice's timer and clear it themselves.
+  /// Clearing it is the task's final touch of the session.
   bool scheduled_ = false;
   std::condition_variable idle_cv_;
+  /// The batch-window timer the slice is parked on, while it is parked.
+  std::optional<SvcExecutor::TimerId> parked_;
   /// When the current batch first deferred for its accumulation window
   /// (epoch = no deferral pending); feeds the stage_batch_wait_ms
   /// histogram.

@@ -16,14 +16,19 @@
 // results, and returning to the primary tier must restore exactness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <vector>
 
 #include "core/amf.hpp"
+#include "core/eamf.hpp"
 #include "core/problem.hpp"
+#include "core/reference.hpp"
 #include "core/robust.hpp"
 #include "core/workspace.hpp"
+#include "flow/parametric.hpp"
+#include "flow/transport.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
@@ -449,9 +454,10 @@ void expect_bit_identical(const core::Allocation& got,
           << "step " << step << " job " << j << " site " << s;
 }
 
-// The pinned values were measured on the adjacency-list Dinic that the CSR
-// kernel replaced. Phases and augmenting paths depend on the per-node arc
-// order, so a kernel change that reorders traversal moves these counts.
+// Phases and augmenting paths depend on the per-node arc order, so a
+// kernel change that reorders traversal moves these counts. The number of
+// max flows follows the cut-Newton descent, which starts every round at
+// the tightest job cut.
 TEST(DinicWorkPin, StatelessSolve) {
   util::Rng rng(2019);
   const auto problem = pinned_problem(rng, 16, 10);
@@ -460,9 +466,9 @@ TEST(DinicWorkPin, StatelessSolve) {
   amf.allocate(problem);
   DinicWork work;
   add_work_since(before, work);
-  EXPECT_EQ(work.calls, 43);
-  EXPECT_EQ(work.phases, 75);
-  EXPECT_EQ(work.paths, 1181);
+  EXPECT_EQ(work.calls, 19);
+  EXPECT_EQ(work.phases, 35);
+  EXPECT_EQ(work.paths, 521);
 }
 
 // One freeze round, uncapped demands: cut-Newton runs two cold probes and
@@ -498,9 +504,215 @@ TEST(DinicWorkPin, WarmIncrementalChurn) {
     problem = std::move(problem).apply(delta);
     ws.apply(delta);
   }
-  EXPECT_EQ(work.calls, 1417);
-  EXPECT_EQ(work.phases, 672);
-  EXPECT_EQ(work.paths, 3981);
+  EXPECT_EQ(work.calls, 448);
+  EXPECT_EQ(work.phases, 492);
+  EXPECT_EQ(work.paths, 3052);
+}
+
+// Every job is limited by its own demand, at a distinct level. Each round's
+// first probe, at the tightest job cut, is feasible, so the fill takes one
+// max flow per round and freezes each job exactly at its solo ceiling.
+TEST(DinicWorkPin, DemandBoundRoundsTakeOneProbeEach) {
+  constexpr int kJobs = 6;
+  core::Matrix demands;
+  std::vector<double> weights;
+  for (int j = 0; j < kJobs; ++j) {
+    demands.push_back({1.0 + j, 0.5 * (1.0 + j)});
+    weights.push_back(1.0 + 0.25 * j);  // ceiling/weight rises with j
+  }
+  const core::AllocationProblem problem(demands, {100.0, 100.0}, {}, weights);
+
+  flow::TransportNetwork net(problem.demands(), problem.capacities());
+  std::vector<flow::ParametricSource> sources;
+  for (double w : weights) sources.push_back({0.0, w});
+  flow::LevelSolveStats level_stats;
+  const auto first = flow::solve_critical_level(
+      net, sources, 0.0, 100.0, 1e-9, flow::LevelMethod::kCutNewton,
+      &level_stats);
+  EXPECT_EQ(level_stats.flow_solves, 1);
+  EXPECT_EQ(first.level, net.solo_ceiling(0) / weights[0]);
+  EXPECT_FALSE(first.segment_exhausted);
+  EXPECT_FALSE(first.can_increase[0]);
+  for (int j = 1; j < kJobs; ++j) EXPECT_TRUE(first.can_increase[j]);
+
+  core::AmfAllocator amf;
+  core::SolveReport report;
+  const long long probes = counter("amf_flow_probes");
+  const long long hits = counter("amf_flow_job_cut_hits");
+  const auto alloc = amf.allocate_with_report(problem, report);
+  EXPECT_EQ(report.trace.rounds, kJobs);
+  EXPECT_EQ(counter("amf_flow_probes") - probes, kJobs);
+  EXPECT_EQ(counter("amf_flow_job_cut_hits") - hits, kJobs);
+  for (int j = 0; j < kJobs; ++j) {
+    const double ceiling = 1.5 * (1.0 + j);
+    EXPECT_EQ(report.trace.freeze_round[static_cast<std::size_t>(j)], j + 1);
+    EXPECT_DOUBLE_EQ(report.trace.freeze_level[static_cast<std::size_t>(j)],
+                     ceiling / weights[static_cast<std::size_t>(j)]);
+    EXPECT_DOUBLE_EQ(alloc.aggregate(j), ceiling);
+  }
+}
+
+// The cut-Newton descent as it ran when every round started at the
+// segment end t_hi. Returns the number of max flows it takes to reach the
+// critical level; the level solver, which starts at the tightest job cut,
+// must never need more.
+int probes_from_segment_end(flow::TransportNetwork& net,
+                            const std::vector<flow::ParametricSource>& sources,
+                            double t_lo, double t_hi, double eps) {
+  const double t_tol = eps * std::max({1.0, std::abs(t_hi), std::abs(t_lo)});
+  double slope_total = 0.0, fixed_total = 0.0;
+  for (const auto& src : sources) {
+    slope_total += src.slope;
+    fixed_total += src.fixed;
+  }
+  std::vector<double> caps(sources.size());
+  int probes = 0;
+  auto feasible_at = [&](double t) {
+    for (std::size_t j = 0; j < sources.size(); ++j)
+      caps[j] = std::max(0.0, sources[j].fixed + sources[j].slope * t);
+    net.probe(caps, eps);
+    ++probes;
+    return net.saturated(eps);
+  };
+  double t = t_hi;
+  for (int iter = 0; iter < 64; ++iter) {
+    if (feasible_at(t)) return probes;
+    const auto cut = net.min_cut(eps);
+    double cut_slope = 0.0, cut_fixed = 0.0;
+    for (int j = 0; j < net.jobs(); ++j) {
+      if (!cut.job_in_source_side[static_cast<std::size_t>(j)]) {
+        cut_slope += sources[static_cast<std::size_t>(j)].slope;
+        cut_fixed += sources[static_cast<std::size_t>(j)].fixed;
+      } else {
+        net.add_row_demand_across(j, cut.site_in_source_side, cut_fixed);
+      }
+    }
+    for (int s = 0; s < net.sites(); ++s)
+      if (cut.site_in_source_side[static_cast<std::size_t>(s)])
+        cut_fixed += net.site_capacity(s);
+    const double dslope = slope_total - cut_slope;
+    double t_new = 0.5 * (t_lo + t);
+    if (dslope > eps * std::max(1.0, slope_total)) {
+      const double newton = (cut_fixed - fixed_total) / dslope;
+      if (newton < t - t_tol) t_new = newton;
+    }
+    t = std::clamp(t_new, t_lo, t);
+    if (t - t_lo <= t_tol) return probes + 1;
+  }
+  return 1000;  // Newton budget exhausted: bisection would follow
+}
+
+core::AllocationProblem weighted_problem(util::Rng& rng, int jobs,
+                                         int sites) {
+  const auto base = pinned_problem(rng, jobs, sites);
+  std::vector<double> weights(static_cast<std::size_t>(jobs));
+  for (auto& w : weights) w = rng.uniform(0.5, 3.0);
+  return core::AllocationProblem(base.demands(), base.capacities(), {},
+                                 weights);
+}
+
+// Fill rounds driven by hand on random instances, with affine sources that
+// carry positive fixed parts (half of each job's equal-split floor, so the
+// segment start is feasible). Every round's level matches the descent
+// from the segment end, in at most as many max flows.
+TEST(JobCutStart, NeverProbesMoreThanTheSegmentEndStart) {
+  util::Rng rng(4242);
+  long long job_cut = 0, segment_end = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto problem = weighted_problem(rng, 10, 5);
+    const bool fixed_parts = trial % 2 == 1;
+    const auto floors = core::EnhancedAmfAllocator::sharing_floors(problem);
+    const int n = problem.jobs();
+    flow::TransportNetwork net(problem.demands(), problem.capacities());
+    flow::TransportNetwork ref(problem.demands(), problem.capacities());
+    double t_hi = 1.0 + net.scale();
+    for (int j = 0; j < n; ++j)
+      t_hi = std::max(t_hi, net.solo_ceiling(j) / problem.weight(j) + 1.0);
+    std::vector<flow::ParametricSource> sources(static_cast<std::size_t>(n));
+    for (int j = 0; j < n; ++j)
+      sources[static_cast<std::size_t>(j)] = {
+          fixed_parts ? 0.5 * floors[static_cast<std::size_t>(j)] : 0.0,
+          problem.weight(j)};
+    double level = 0.0;
+    for (int round = 1; round <= n; ++round) {
+      flow::LevelSolveStats stats;
+      const auto res = flow::solve_critical_level(
+          net, sources, level, t_hi, 1e-9, flow::LevelMethod::kCutNewton,
+          &stats);
+      ASSERT_EQ(res.status, flow::LevelStatus::kConverged);
+      const int parent = probes_from_segment_end(ref, sources, level, t_hi,
+                                                 1e-9);
+      EXPECT_LE(stats.flow_solves, parent)
+          << "trial " << trial << " round " << round;
+      job_cut += stats.flow_solves;
+      segment_end += parent;
+      level = res.level;
+      int unfrozen = 0;
+      for (int j = 0; j < n; ++j) {
+        auto& src = sources[static_cast<std::size_t>(j)];
+        if (src.slope > 0.0 && !res.can_increase[static_cast<std::size_t>(j)])
+          src = {src.fixed + src.slope * level, 0.0};
+        unfrozen += src.slope > 0.0 ? 1 : 0;
+      }
+      if (unfrozen == 0 || res.segment_exhausted) break;
+    }
+  }
+  EXPECT_LT(job_cut, segment_end);
+}
+
+// The job-cut start leaves every result where it was: AMF, E-AMF's floored
+// fill and the relaxed, cut-hinted workspace all agree with a bisection
+// solve, and AMF with the LP leximin oracle.
+TEST(JobCutStart, AggregatesMatchBisectionAndLp) {
+  util::Rng rng(777);
+  const core::AmfAllocator amf;
+  const core::AmfAllocator bisection(1e-9, flow::LevelMethod::kBisection);
+  for (int trial = 0; trial < 12; ++trial) {
+    auto problem = weighted_problem(rng, 8, 4);
+    const double tol = 1e-6 * problem.scale();
+
+    const auto newton = amf.allocate(problem);
+    const auto bisect = bisection.allocate(problem);
+    const auto lp = core::lp_max_min_aggregates(problem);
+    for (int j = 0; j < problem.jobs(); ++j) {
+      EXPECT_NEAR(newton.aggregate(j), bisect.aggregate(j), tol)
+          << "trial " << trial << " job " << j;
+      EXPECT_NEAR(newton.aggregate(j), lp[static_cast<std::size_t>(j)],
+                  1e-4 * problem.scale())
+          << "trial " << trial << " job " << j;
+    }
+
+    const auto floors = core::EnhancedAmfAllocator::sharing_floors(problem);
+    const auto e_newton = core::progressive_fill(problem, floors, "E-AMF",
+                                                 1e-9);
+    const auto e_bisect = core::progressive_fill(
+        problem, floors, "E-AMF", 1e-9, flow::LevelMethod::kBisection);
+    for (int j = 0; j < problem.jobs(); ++j) {
+      EXPECT_NEAR(e_newton.aggregate(j), e_bisect.aggregate(j), tol)
+          << "trial " << trial << " job " << j;
+      EXPECT_GE(e_newton.aggregate(j),
+                floors[static_cast<std::size_t>(j)] - tol);
+    }
+
+    core::SolverWorkspace ws;
+    ws.set_exact_realization(false);
+    for (int step = 0; step < 6; ++step) {
+      const auto hinted = amf.allocate(problem, ws);
+      const auto want = bisection.allocate(problem);
+      const auto want_lp = core::lp_max_min_aggregates(problem);
+      for (int j = 0; j < problem.jobs(); ++j) {
+        EXPECT_NEAR(hinted.aggregate(j), want.aggregate(j),
+                    1e-6 * problem.scale())
+            << "trial " << trial << " step " << step << " job " << j;
+        EXPECT_NEAR(hinted.aggregate(j), want_lp[static_cast<std::size_t>(j)],
+                    1e-4 * problem.scale())
+            << "trial " << trial << " step " << step << " job " << j;
+      }
+      const auto delta = pinned_delta(rng, problem);
+      problem = std::move(problem).apply(delta);
+      ws.apply(delta);
+    }
+  }
 }
 
 // The probe policy follows the network's constructor. A stateless fill

@@ -76,6 +76,20 @@ TEST(SvcExecutor, SubmitAfterZeroDelayRunsImmediately) {
   pool.stop();
 }
 
+TEST(SvcExecutor, CancelDropsAParkedTaskOnlyBeforeItFires) {
+  SvcExecutor pool(1);
+  std::atomic<int> fired{0};
+  const auto parked = pool.submit_after(60000.0, [&fired] { ++fired; });
+  EXPECT_TRUE(pool.cancel(parked));
+  EXPECT_FALSE(pool.cancel(parked));  // already gone
+  const auto soon = pool.submit_after(1.0, [&fired] { ++fired; });
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (fired.load() == 0 && Clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(fired.load(), 1);
+  EXPECT_FALSE(pool.cancel(soon));  // fired: it ran as submitted
+}
+
 TEST(SvcExecutor, StealsWhenOneWorkerIsSwamped) {
   // Tasks submitted from OFF-pool land in the shared injection queue;
   // tasks submitted from ON-pool land in the submitter's own deque. A
@@ -333,6 +347,47 @@ TEST(SvcScaleOut, EvictSessionReturnsStateAndForgets) {
     client.call(Op::kCreateSession, "mover", std::move(body));
     Json solved = client.solve("mover");
     EXPECT_TRUE(solved.bool_or("ok", false));
+  }
+  server.trigger_drain();
+  server.wait_drained();
+}
+
+TEST(SvcScaleOut, EvictServesAWindowParkedBatchAtOnce) {
+  // A 4 s batch window parks the session's slice on the executor timer
+  // with one delta queued. Evicting the session serves that delta at once
+  // instead of waiting out the window, so the one reactor keeps serving
+  // its other connection.
+  ServerConfig config;
+  config.tcp_port = 0;
+  config.io_threads = 1;
+  Server server(config);
+  server.start();
+  {
+    Client owner = Client::connect_tcp("127.0.0.1", server.tcp_port());
+    Client other = Client::connect_tcp("127.0.0.1", server.tcp_port());
+    Json overrides = Json::object();
+    overrides.set("batch_window_ms", Json(4000.0));
+    owner.create_session("slow", {40.0, 40.0}, std::move(overrides));
+    owner.add_job("slow", {4.0, 2.0});
+    const auto start = Clock::now();
+    Json out;
+    Clock::time_point evict_done;
+    std::thread evictor([&] {
+      out = owner.evict_session("slow");
+      evict_done = Clock::now();
+    });
+    // Give the eviction time to reach the reactor before pinging on it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto ping_start = Clock::now();
+    EXPECT_TRUE(other.ping());
+    EXPECT_LT(Clock::now() - ping_start, std::chrono::milliseconds(1000));
+    evictor.join();
+    EXPECT_LT(evict_done - start, std::chrono::milliseconds(1000));
+    EXPECT_EQ(out.number_or("seq", -1.0), 1.0);
+    const Json* snapshot = out.find("snapshot");
+    ASSERT_NE(snapshot, nullptr);
+    ASSERT_NE(snapshot->find("jobs"), nullptr);
+    EXPECT_EQ(snapshot->find("jobs")->as_array().size(), 1u);
   }
   server.trigger_drain();
   server.wait_drained();

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "svc/client.hpp"
+#include "svc/net.hpp"
 #include "svc/repl.hpp"
 #include "svc/server.hpp"
 #include "util/error.hpp"
@@ -361,6 +362,85 @@ TEST(SvcRepl, StandbyRejectsAnInvalidBirthRecord) {
   EXPECT_TRUE(client.stats().find("sessions")->as_array().empty());
   standby.trigger_drain();
   standby.wait_drained();
+}
+
+TEST(SvcRepl, StandbyDropsStreamNumbersOutOfRange) {
+  // Epochs and record indices are integers in [0, 2^53]. Anything else
+  // (here 1e300, -1, a fraction, and a NaN no JSON parser accepts) drops
+  // the stream connection before any integer cast, and the standby keeps
+  // serving.
+  ServerConfig config;
+  config.tcp_port = 0;
+  config.standby_port = 0;
+  config.journal_dir = fresh_dir("svc_repl_bad_numbers");
+  Server standby(config);
+  standby.start();
+  for (const char* line :
+       {R"({"t":"hello","v":1,"epoch":1e300})",
+        R"({"t":"hello","v":1,"epoch":-1})",
+        R"({"t":"hello","v":1,"epoch":2.5})",
+        R"({"t":"rec","i":-1,"epoch":1,"session":"x","record":{}})",
+        R"({"t":"rec","i":1e300,"epoch":1,"session":"x","record":{}})",
+        R"({"t":"rec","i":NaN,"epoch":1,"session":"x","record":{}})"}) {
+    Socket sock = connect_tcp("127.0.0.1", standby.repl_port(), 2000.0);
+    ASSERT_TRUE(sock.send_all(std::string(line) + "\n")) << line;
+    set_recv_timeout_ms(sock.fd(), 5000.0);
+    LineReader reader(sock.fd());
+    std::string reply;
+    EXPECT_EQ(reader.read_line(&reply), LineReader::Status::kEof)
+        << line << " got " << reply;
+  }
+  // A well-formed stream still attaches and is applied.
+  ReplSenderConfig sender_config;
+  sender_config.port = standby.repl_port();
+  ReplSender sender(sender_config, /*epoch=*/1);
+  sender.start();
+  std::uint64_t index = 0;
+  ASSERT_TRUE(sender.offer(
+      "ok", R"({"t":"create","session":"ok","capacities":[10,10]})", &index));
+  EXPECT_EQ(sender.wait_acked(index, 5000.0), ReplSender::WaitResult::kAcked);
+  sender.stop();
+  Client client = Client::connect_tcp("127.0.0.1", standby.tcp_port());
+  EXPECT_TRUE(client.ping());
+  EXPECT_EQ(client.stats().find("sessions")->as_array().size(), 1u);
+  standby.trigger_drain();
+  standby.wait_drained();
+}
+
+TEST(SvcRepl, SenderReconnectsOnAStandbyReplyOutOfRange) {
+  // A fake standby answers the hello with an epoch no integer holds, then
+  // acks with a negative index. The sender casts neither: it drops each
+  // connection, reconnects, and is neither fenced nor acked.
+  int port = 0;
+  Socket listener = listen_tcp(0, &port);
+  ReplSenderConfig sender_config;
+  sender_config.port = port;
+  sender_config.reconnect_initial_ms = 1.0;
+  ReplSender sender(sender_config, /*epoch=*/1);
+  sender.start();
+  std::uint64_t index = 0;
+  ASSERT_TRUE(sender.offer(
+      "s", R"({"t":"create","session":"s","capacities":[10]})", &index));
+  for (const char* reply :
+       {R"({"t":"ok","epoch":1e300})", R"({"t":"ok","epoch":1})"}) {
+    Socket conn = accept_connection(listener);
+    set_recv_timeout_ms(conn.fd(), 5000.0);
+    LineReader reader(conn.fd());
+    std::string hello;
+    ASSERT_EQ(reader.read_line(&hello), LineReader::Status::kLine);
+    ASSERT_TRUE(conn.send_all(std::string(reply) + "\n"));
+    if (std::string(reply).find("1e300") != std::string::npos) continue;
+    std::string rec;
+    ASSERT_EQ(reader.read_line(&rec), LineReader::Status::kLine);
+    ASSERT_TRUE(conn.send_all(R"({"t":"ack","i":-1})" "\n"));
+    std::string rest;
+    EXPECT_EQ(reader.read_line(&rest), LineReader::Status::kEof);
+  }
+  EXPECT_FALSE(sender.fenced());
+  EXPECT_FALSE(sender.broken());
+  EXPECT_EQ(sender.acked_index(), 0u);
+  listener.close();  // resets the sender's next attempt at once
+  sender.stop();
 }
 
 }  // namespace
