@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "core/workspace.hpp"
 #include "flow/parametric.hpp"
@@ -136,6 +137,9 @@ Allocation progressive_fill(const AllocationProblem& problem,
     trace->rounds = round_counter;
   };
   std::vector<flow::ParametricSource> sources(static_cast<std::size_t>(n));
+  flow::GallopState gallop;
+  // (level it stopped rising at, job) for the jobs one level solve freezes.
+  std::vector<std::pair<double, int>> stopped;
   // Anytime exit: the flow currently on the network respects every demand
   // cap and site capacity (max-flow invariants), so it is a feasible
   // allocation, and every level frozen in a completed round is already
@@ -159,7 +163,7 @@ Allocation progressive_fill(const AllocationProblem& problem,
     for (int j = 0; j < n; ++j) {
       auto& src = sources[static_cast<std::size_t>(j)];
       if (frozen[static_cast<std::size_t>(j)]) {
-        src = {value[static_cast<std::size_t>(j)], 0.0};
+        src = {value[static_cast<std::size_t>(j)], 0.0, 0.0, true};
       } else {
         const double w = problem.weight(j);
         const double f = floors[static_cast<std::size_t>(j)];
@@ -167,7 +171,7 @@ Allocation progressive_fill(const AllocationProblem& problem,
           // Floor-clamped throughout this segment.
           src = {f, 0.0};
         } else {
-          src = {0.0, w};
+          src = {0.0, w, f};
         }
       }
     }
@@ -179,7 +183,7 @@ Allocation progressive_fill(const AllocationProblem& problem,
       hint = &(*hints)[static_cast<std::size_t>(round_counter)];
     }
     auto res = flow::solve_critical_level(net, sources, t_lo, seg_end, eps,
-                                          method, stats, hint, stop);
+                                          method, stats, hint, stop, &gallop);
     if (res.status == flow::LevelStatus::kDeadlineExceeded)
       return interrupted();
     // Iteration-capped solves are usable (bisection closed the bracket and
@@ -189,10 +193,10 @@ Allocation progressive_fill(const AllocationProblem& problem,
     AMF_ASSERT(res.status != flow::LevelStatus::kDegenerate,
                "critical-level solve degenerate: progressive filling "
                "cannot converge at this tolerance");
-    ++round_counter;
     level = res.level;
 
     if (res.segment_exhausted) {
+      ++round_counter;
       ++seg;
       if (seg + 1 >= bounds.size()) {
         // The last segment's upper bound exceeds every attainable level, so
@@ -210,31 +214,37 @@ Allocation progressive_fill(const AllocationProblem& problem,
       continue;
     }
 
-    int newly = 0;
+    // Freeze the jobs that cannot increase, and those a gallop carried to
+    // their ceilings, each at the level it stopped rising at.
+    stopped.clear();
     for (int j = 0; j < n; ++j) {
       if (frozen[static_cast<std::size_t>(j)]) continue;
-      if (!res.can_increase[static_cast<std::size_t>(j)]) {
-        frozen[static_cast<std::size_t>(j)] = 1;
-        value[static_cast<std::size_t>(j)] =
-            cap_at(floors[static_cast<std::size_t>(j)], problem.weight(j),
-                   level);
-        --unfrozen_count;
-        ++newly;
-        mark_frozen(j);
-      }
+      const double cut = std::max(
+          flow::job_cut_level(net, sources[static_cast<std::size_t>(j)], j),
+          t_lo);
+      if (!res.can_increase[static_cast<std::size_t>(j)] || cut <= level)
+        stopped.emplace_back(std::min(level, cut), j);
     }
-    if (newly == 0) {
+    if (stopped.empty()) {
       // Numerically every job still had a hair of residual path at the
       // critical level. The level cannot rise further, so freeze all.
-      for (int j = 0; j < n; ++j) {
-        if (frozen[static_cast<std::size_t>(j)]) continue;
-        frozen[static_cast<std::size_t>(j)] = 1;
-        value[static_cast<std::size_t>(j)] =
-            cap_at(floors[static_cast<std::size_t>(j)], problem.weight(j),
-                   level);
-        --unfrozen_count;
-        mark_frozen(j);
-      }
+      for (int j = 0; j < n; ++j)
+        if (!frozen[static_cast<std::size_t>(j)])
+          stopped.emplace_back(level, j);
+    }
+    // One round per distinct freeze level, as if every job cut a gallop
+    // passed had been its own level solve. Without a gallop every job
+    // stops at `level` and `stopped` is already in order.
+    if (!std::is_sorted(stopped.begin(), stopped.end()))
+      std::sort(stopped.begin(), stopped.end());
+    for (std::size_t i = 0; i < stopped.size(); ++i) {
+      const auto [at, j] = stopped[i];
+      if (i == 0 || at != stopped[i - 1].first) ++round_counter;
+      frozen[static_cast<std::size_t>(j)] = 1;
+      value[static_cast<std::size_t>(j)] =
+          cap_at(floors[static_cast<std::size_t>(j)], problem.weight(j), at);
+      --unfrozen_count;
+      mark_frozen(j);
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -10,6 +11,11 @@
 namespace amf::flow {
 
 namespace {
+
+// The freezing decision reads residual paths with eps scaled by this: a
+// slightly looser threshold keeps jobs with a numerically negligible
+// residual path from staying unfrozen forever.
+constexpr double kFreezeEps = 16.0;
 
 // Fills `caps` (sized to `sources`) with the source caps at level t.
 void caps_at(const std::vector<ParametricSource>& sources, double t,
@@ -45,7 +51,7 @@ struct LevelCounters {
         "cut-hint warm starts that still needed Newton descent");
     job_cut_hits = reg.counter(
         "amf_flow_job_cut_hits",
-        "rounds closed by the first probe at the tightest job cut");
+        "rounds closed at a job cut proven feasible (demand-bound rounds)");
   }
 };
 
@@ -56,10 +62,17 @@ LevelCounters& level_counters() {
 
 }  // namespace
 
+double job_cut_level(const TransportNetwork& net, const ParametricSource& src,
+                     int job) {
+  if (src.slope <= 0.0) return std::numeric_limits<double>::infinity();
+  return (net.solo_ceiling(job) - src.fixed) / src.slope;
+}
+
 CriticalLevel solve_critical_level(
     TransportNetwork& net, const std::vector<ParametricSource>& sources,
     double t_lo, double t_hi, double eps, LevelMethod method,
-    LevelSolveStats* stats, LevelHint* hint, const util::StopToken* stop) {
+    LevelSolveStats* stats, LevelHint* hint, const util::StopToken* stop,
+    GallopState* gallop) {
   stop = util::effective_stop(stop);
   const int n = net.jobs();
   const int m = net.sites();
@@ -83,15 +96,18 @@ CriticalLevel solve_critical_level(
   }
 
   std::vector<double> caps(sources.size());  // reused by every probe
-  auto feasible_at = [&](double t) {
+  auto probe_caps = [&] {
     // A probe only feeds saturated()/min_cut()/jobs_can_increase(), all
     // flow-state invariants, so the network may warm-start it. The
     // allocation itself is materialized by the caller with a full solve().
-    caps_at(sources, t, caps);
     net.probe(caps, eps);
     if (stats != nullptr) ++stats->flow_solves;
     ++probe_count;
     return net.saturated(eps);
+  };
+  auto feasible_at = [&](double t) {
+    caps_at(sources, t, caps);
+    return probe_caps();
   };
 
   double t = t_hi;
@@ -112,9 +128,8 @@ CriticalLevel solve_critical_level(
     // solo_ceiling(j) into job j, so the cut around j alone bounds the
     // critical level by where cap_j(t) reaches that ceiling.
     for (int j = 0; j < n; ++j) {
-      const auto& src = sources[static_cast<std::size_t>(j)];
-      if (src.slope <= 0.0) continue;
-      const double t_j = (net.solo_ceiling(j) - src.fixed) / src.slope;
+      const double t_j =
+          job_cut_level(net, sources[static_cast<std::size_t>(j)], j);
       if (t_j < t) {
         t = std::max(t_j, t_lo);
         job_cut_start = true;
@@ -158,6 +173,12 @@ CriticalLevel solve_critical_level(
   }
   MinCut last_cut;
   bool cut_read = false;
+  // A gallop's last infeasible probe stands in for this solve's first one
+  // when it was made at the same level (see GallopState).
+  const bool carried_first = gallop != nullptr && gallop->cut_valid &&
+                             method == LevelMethod::kCutNewton &&
+                             !hint_applied && gallop->cut_level == t;
+  if (gallop != nullptr) gallop->cut_valid = false;
 
   if (method == LevelMethod::kBisection) {
     // Ablation baseline: plain bisection, no cut analysis. It must close
@@ -198,7 +219,8 @@ CriticalLevel solve_critical_level(
       break;
     }
     ++newton_iters;
-    const bool feasible = feasible_at(t);
+    const bool carried = iter == 0 && carried_first;
+    const bool feasible = !carried && feasible_at(t);
     if (iter == 0) {
       hint_first_feasible = hint_applied && feasible;
       job_cut_first_feasible = job_cut_start && feasible;
@@ -208,7 +230,7 @@ CriticalLevel solve_critical_level(
       break;
     }
     // Read the binding min cut and jump to where its value meets demand.
-    auto cut = net.min_cut(eps);
+    auto cut = carried ? std::move(gallop->cut) : net.min_cut(eps);
     double cut_slope = 0.0, cut_fixed = 0.0;
     if (hint != nullptr) {
       last_cut.site_in_source_side = cut.site_in_source_side;
@@ -249,6 +271,81 @@ CriticalLevel solve_critical_level(
     }
   }
 
+  // A feasible first probe at the tightest job cut opens a run of
+  // demand-bound rounds: gallop to the run's last level (header comment).
+  long long rounds_at_job_cuts = job_cut_first_feasible ? 1 : 0;
+  std::vector<char> can_increase;  // read at the returned level
+  if (gallop != nullptr && job_cut_first_feasible && t < t_hi - t_tol) {
+    can_increase = net.jobs_can_increase(kFreezeEps * eps);
+    std::vector<double> cut(sources.size());
+    for (int j = 0; j < n; ++j)
+      cut[static_cast<std::size_t>(j)] = std::max(
+          job_cut_level(net, sources[static_cast<std::size_t>(j)], j), t_lo);
+    // A job that is neither frozen nor at its ceiling yet but cannot rise
+    // closes the run at this level.
+    auto run_continues = [&](double level, const std::vector<char>& can) {
+      for (std::size_t j = 0; j < sources.size(); ++j)
+        if (!sources[j].frozen && cut[j] > level && !can[j]) return false;
+      return true;
+    };
+    if (run_continues(t, can_increase)) {
+      std::vector<double> levels{t};
+      for (double c : cut)
+        if (c > t && c < t_hi - t_tol) levels.push_back(c);
+      std::sort(levels.begin() + 1, levels.end());
+      levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
+      // levels[lo] continues the run; levels[hi] (when hi < size) does
+      // not: infeasible, or feasible with a stuck job (`hi_blocked`).
+      std::size_t lo = 0, hi = levels.size(), step = 1;
+      bool galloping = true, hi_blocked = false;
+      std::vector<char> hi_can;
+      MinCut hi_cut;
+      while (lo + 1 < hi) {
+        if (stop_now()) {
+          status = LevelStatus::kDeadlineExceeded;
+          hi = levels.size();
+          break;
+        }
+        const std::size_t p =
+            galloping ? std::min(lo + step, hi - 1) : lo + (hi - lo) / 2;
+        const double level = levels[p];
+        for (std::size_t j = 0; j < sources.size(); ++j) {
+          const auto& src = sources[j];
+          caps[j] = cut[j] < level
+                        ? std::max(src.floor, src.fixed + src.slope * cut[j])
+                        : std::max(0.0, src.fixed + src.slope * level);
+        }
+        if (probe_caps()) {
+          auto can = net.jobs_can_increase(kFreezeEps * eps);
+          if (run_continues(level, can)) {
+            lo = p;
+            can_increase = std::move(can);
+            step *= 2;
+            continue;
+          }
+          hi_blocked = true;
+          hi_can = std::move(can);
+        } else {
+          hi_blocked = false;
+          hi_cut = net.min_cut(eps);
+        }
+        hi = p;
+        galloping = false;
+      }
+      std::size_t last = lo;
+      if (hi < levels.size() && hi_blocked) {
+        last = hi;
+        can_increase = std::move(hi_can);
+      } else if (hi < levels.size()) {
+        gallop->cut_valid = true;
+        gallop->cut_level = levels[hi];
+        gallop->cut = std::move(hi_cut);
+      }
+      t = levels[last];
+      rounds_at_job_cuts = static_cast<long long>(last) + 1;
+    }
+  }
+
   if (!found) {
     // Newton exhausted its budget (possible only under severe floating-
     // point degeneracy): finish with plain bisection. The result is still
@@ -281,7 +378,7 @@ CriticalLevel solve_critical_level(
   if (probe_count > 0) counters.probes.add(probe_count);
   if (hint_applied)
     (hint_first_feasible ? counters.hint_hits : counters.hint_misses).add(1);
-  if (job_cut_first_feasible) counters.job_cut_hits.add(1);
+  if (rounds_at_job_cuts > 0) counters.job_cut_hits.add(rounds_at_job_cuts);
 
   if (hint != nullptr) {
     if (cut_read) {
@@ -298,9 +395,9 @@ CriticalLevel solve_critical_level(
   result.status = status;
   result.level = t;
   result.segment_exhausted = (t >= t_hi - t_tol);
-  // A slightly looser threshold for the freezing decision keeps jobs with a
-  // numerically negligible residual path from staying unfrozen forever.
-  result.can_increase = net.jobs_can_increase(eps * 16.0);
+  result.can_increase = can_increase.empty()
+                            ? net.jobs_can_increase(kFreezeEps * eps)
+                            : std::move(can_increase);
   return result;
 }
 

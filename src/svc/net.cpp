@@ -27,7 +27,8 @@ namespace {
 /// connect() with an optional deadline: non-blocking connect, poll for
 /// writability, then check SO_ERROR. Restores blocking mode on success.
 void connect_checked(int fd, const sockaddr* addr, socklen_t len,
-                     double timeout_ms, const std::string& what) {
+                     double timeout_ms, const std::string& what,
+                     const WaitInterrupt* interrupt = nullptr) {
   if (timeout_ms <= 0.0) {
     if (::connect(fd, addr, len) != 0) fail_errno(what);
     return;
@@ -55,15 +56,11 @@ void connect_checked(int fd, const sockaddr* addr, socklen_t len,
   }
   if (rc != 0) {
     if (errno != EINPROGRESS) fail_errno(what);
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLOUT;
-    int n;
-    do {
-      n = ::poll(&pfd, 1, static_cast<int>(timeout_ms));
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) fail_errno(what + " poll");
-    if (n == 0)
+    const WaitStatus waited = wait_fd(fd, POLLOUT, timeout_ms, interrupt);
+    if (waited == WaitStatus::kError) fail_errno(what + " poll");
+    if (waited == WaitStatus::kStopped)
+      throw util::ContractError(what + ": connect interrupted");
+    if (waited == WaitStatus::kTimeout)
       throw util::ContractError(what + ": connect timed out after " +
                                 std::to_string(timeout_ms) + " ms");
     int err = 0;
@@ -80,6 +77,36 @@ void connect_checked(int fd, const sockaddr* addr, socklen_t len,
 }
 
 }  // namespace
+
+WaitStatus wait_fd(int fd, short events, double timeout_ms,
+                   const WaitInterrupt* interrupt) {
+  const int wake_fd = interrupt != nullptr ? interrupt->wake_fd : -1;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double, std::milli>(timeout_ms);
+  while (true) {
+    const double left = std::chrono::duration<double, std::milli>(
+                            deadline - std::chrono::steady_clock::now())
+                            .count();
+    if (left <= 0.0) return WaitStatus::kTimeout;
+    pollfd fds[2];
+    fds[0] = {fd, events, 0};
+    fds[1] = {wake_fd, POLLIN, 0};
+    // Round up so a sub-millisecond remainder still sleeps.
+    const int n =
+        ::poll(fds, wake_fd >= 0 ? 2 : 1, static_cast<int>(left) + 1);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return WaitStatus::kError;
+    }
+    if (wake_fd >= 0 && fds[1].revents != 0) {
+      char buf[256];
+      while (::read(wake_fd, buf, sizeof buf) == sizeof buf) {
+      }
+      if (interrupt->stop()) return WaitStatus::kStopped;
+    }
+    if (fds[0].revents != 0) return WaitStatus::kReady;
+  }
+}
 
 Socket::~Socket() { close(); }
 
@@ -251,7 +278,8 @@ Socket connect_unix(const std::string& path, double timeout_ms) {
   return sock;
 }
 
-Socket connect_tcp(const std::string& host, int port, double timeout_ms) {
+Socket connect_tcp(const std::string& host, int port, double timeout_ms,
+                   const WaitInterrupt* interrupt) {
   AMF_REQUIRE(port > 0 && port <= 65535, "tcp port out of range");
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -265,7 +293,8 @@ Socket connect_tcp(const std::string& host, int port, double timeout_ms) {
   enable_keepalive(sock.fd());
   connect_checked(sock.fd(), reinterpret_cast<sockaddr*>(&addr), sizeof addr,
                   timeout_ms,
-                  "connect(" + host + ":" + std::to_string(port) + ")");
+                  "connect(" + host + ":" + std::to_string(port) + ")",
+                  interrupt);
   return sock;
 }
 

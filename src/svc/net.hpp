@@ -14,6 +14,7 @@
 // a disconnecting client is normal operation for a server.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -100,13 +101,29 @@ Socket accept_connection(const Socket& listener);
 /// Applied to accepted and client TCP sockets; no-op on AF_UNIX fds.
 void enable_keepalive(int fd);
 
+/// Cuts a bounded client wait short: `wake_fd` is polled next to the
+/// socket, and each time it turns readable it is drained and `stop` is
+/// asked; the wait ends as soon as `stop` returns true.
+struct WaitInterrupt {
+  int wake_fd = -1;
+  std::function<bool()> stop;
+};
+
+enum class WaitStatus { kReady, kTimeout, kStopped, kError };
+
+/// Waits up to `timeout_ms` for `events` (POLLIN, POLLOUT) on `fd`, or
+/// until `interrupt` (when non-null) says stop.
+WaitStatus wait_fd(int fd, short events, double timeout_ms,
+                   const WaitInterrupt* interrupt = nullptr);
+
 /// Client-side connects. `timeout_ms` > 0 bounds the connect itself
-/// (non-blocking connect + poll); 0 keeps the OS default blocking
-/// behaviour. Throws util::ContractError on failure or timeout (the
-/// message names which).
+/// (non-blocking connect + poll, cut short by `interrupt`); 0 keeps the
+/// OS default blocking behaviour. Throws util::ContractError on failure,
+/// timeout or interruption (the message names which).
 Socket connect_unix(const std::string& path, double timeout_ms = 0.0);
 Socket connect_tcp(const std::string& host, int port,
-                   double timeout_ms = 0.0);
+                   double timeout_ms = 0.0,
+                   const WaitInterrupt* interrupt = nullptr);
 
 /// Applies SO_RCVTIMEO so blocked reads fail with kTimeout after `ms`
 /// (0 restores indefinite blocking).

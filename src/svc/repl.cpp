@@ -182,6 +182,11 @@ void ReplSender::update_lag_gauges_locked() {
       queue_.empty() ? 0.0 : steady_ms() - queue_.front().enqueued_ms);
 }
 
+bool ReplSender::stopping() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stop_;
+}
+
 bool ReplSender::sleep_backoff(double* backoff_ms) {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait_for(lock, std::chrono::duration<double, std::milli>(*backoff_ms),
@@ -192,6 +197,9 @@ bool ReplSender::sleep_backoff(double* backoff_ms) {
 
 void ReplSender::run() {
   double backoff = config_.reconnect_initial_ms;
+  // The connect and the handshake also watch the wake pipe, so stop()
+  // never waits out a standby that accepts but does not answer.
+  const WaitInterrupt interrupt{wake_read_, [this] { return stopping(); }};
   while (true) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -199,12 +207,12 @@ void ReplSender::run() {
     }
     Socket sock;
     try {
-      sock = connect_tcp(config_.host, config_.port, 1000.0);
+      sock = connect_tcp(config_.host, config_.port, 1000.0, &interrupt);
     } catch (const std::exception&) {
       if (!sleep_backoff(&backoff)) return;
       continue;
     }
-    if (!handshake(sock)) {
+    if (!handshake(sock, interrupt)) {
       if (fenced()) return;
       if (!sleep_backoff(&backoff)) return;
       continue;
@@ -233,16 +241,25 @@ void ReplSender::run() {
   }
 }
 
-bool ReplSender::handshake(Socket& sock) {
+bool ReplSender::handshake(Socket& sock, const WaitInterrupt& interrupt) {
   Json hello = Json::object();
   hello.set("t", Json(std::string("hello")));
   hello.set("v", Json(1));
   hello.set("epoch", Json(epoch_));
   if (!sock.send_all(hello.dump() + "\n")) return false;
-  set_recv_timeout_ms(sock.fd(), 2000.0);
+  // Non-blocking reads between waits: EAGAIN surfaces as kTimeout, and a
+  // partial line stays buffered in the reader.
+  const double deadline = steady_ms() + 2000.0;
+  set_nonblocking(sock.fd(), true);
   LineReader reader(sock.fd());
   std::string line;
-  if (reader.read_line(&line) != LineReader::Status::kLine) return false;
+  LineReader::Status status = reader.read_line(&line);
+  while (status == LineReader::Status::kTimeout &&
+         wait_fd(sock.fd(), POLLIN, deadline - steady_ms(), &interrupt) ==
+             WaitStatus::kReady)
+    status = reader.read_line(&line);
+  set_nonblocking(sock.fd(), false);
+  if (status != LineReader::Status::kLine) return false;
   Json reply;
   try {
     reply = Json::parse(line);

@@ -125,7 +125,10 @@ class ReplSender {
   void run();
   /// Streams over one live connection; returns to reconnect or exit.
   void serve_connection(class Socket& sock);
-  bool handshake(class Socket& sock);
+  /// Sends the hello and reads the reply, giving up after 2 s or when
+  /// `interrupt` says stop.
+  bool handshake(class Socket& sock, const struct WaitInterrupt& interrupt);
+  bool stopping() const;
   void handle_reply_locked(const std::string& line, bool* fatal);
   void update_lag_gauges_locked();
   bool sleep_backoff(double* backoff_ms);

@@ -457,7 +457,10 @@ void expect_bit_identical(const core::Allocation& got,
 // Phases and augmenting paths depend on the per-node arc order, so a
 // kernel change that reorders traversal moves these counts. The number of
 // max flows follows the cut-Newton descent, which starts every round at
-// the tightest job cut.
+// the tightest job cut and gallops over runs of demand-bound rounds. This
+// instance has two runs of two such rounds; a gallop spends one probe more
+// on each than two one-round solves would (b_1, b_2, b_4, b_3 instead of
+// b_1, b_2, b_3).
 TEST(DinicWorkPin, StatelessSolve) {
   util::Rng rng(2019);
   const auto problem = pinned_problem(rng, 16, 10);
@@ -466,9 +469,9 @@ TEST(DinicWorkPin, StatelessSolve) {
   amf.allocate(problem);
   DinicWork work;
   add_work_since(before, work);
-  EXPECT_EQ(work.calls, 19);
-  EXPECT_EQ(work.phases, 35);
-  EXPECT_EQ(work.paths, 521);
+  EXPECT_EQ(work.calls, 21);
+  EXPECT_EQ(work.phases, 38);
+  EXPECT_EQ(work.paths, 576);
 }
 
 // One freeze round, uncapped demands: cut-Newton runs two cold probes and
@@ -504,44 +507,60 @@ TEST(DinicWorkPin, WarmIncrementalChurn) {
     problem = std::move(problem).apply(delta);
     ws.apply(delta);
   }
-  EXPECT_EQ(work.calls, 448);
-  EXPECT_EQ(work.phases, 492);
-  EXPECT_EQ(work.paths, 3052);
+  EXPECT_EQ(work.calls, 393);
+  EXPECT_EQ(work.phases, 397);
+  EXPECT_EQ(work.paths, 2555);
 }
 
-// Every job is limited by its own demand, at a distinct level. Each round's
-// first probe, at the tightest job cut, is feasible, so the fill takes one
-// max flow per round and freezes each job exactly at its solo ceiling.
-TEST(DinicWorkPin, DemandBoundRoundsTakeOneProbeEach) {
-  constexpr int kJobs = 6;
+// Every job is limited by its own demand, at a distinct level: one run of
+// n demand-bound rounds. A level solve without a gallop state stops at the
+// first job cut after one max flow; with one it gallops to the last job
+// cut, and the fill freezes every job exactly at its solo ceiling in its
+// own round, in at most 2⌈log₂ n⌉ + 2 probes instead of n.
+TEST(DinicWorkPin, DemandBoundRunTakesLogarithmicProbes) {
+  constexpr int kJobs = 24;
+  constexpr int kMaxProbes = 2 * 5 + 2;  // 2⌈log₂ 24⌉ + 2
   core::Matrix demands;
   std::vector<double> weights;
   for (int j = 0; j < kJobs; ++j) {
     demands.push_back({1.0 + j, 0.5 * (1.0 + j)});
     weights.push_back(1.0 + 0.25 * j);  // ceiling/weight rises with j
   }
-  const core::AllocationProblem problem(demands, {100.0, 100.0}, {}, weights);
+  const core::AllocationProblem problem(demands, {1000.0, 1000.0}, {},
+                                        weights);
 
   flow::TransportNetwork net(problem.demands(), problem.capacities());
   std::vector<flow::ParametricSource> sources;
   for (double w : weights) sources.push_back({0.0, w});
-  flow::LevelSolveStats level_stats;
+  flow::LevelSolveStats one_round;
   const auto first = flow::solve_critical_level(
       net, sources, 0.0, 100.0, 1e-9, flow::LevelMethod::kCutNewton,
-      &level_stats);
-  EXPECT_EQ(level_stats.flow_solves, 1);
+      &one_round);
+  EXPECT_EQ(one_round.flow_solves, 1);
   EXPECT_EQ(first.level, net.solo_ceiling(0) / weights[0]);
-  EXPECT_FALSE(first.segment_exhausted);
   EXPECT_FALSE(first.can_increase[0]);
   for (int j = 1; j < kJobs; ++j) EXPECT_TRUE(first.can_increase[j]);
+
+  flow::LevelSolveStats galloped;
+  flow::GallopState gallop;
+  const auto run = flow::solve_critical_level(
+      net, sources, 0.0, 100.0, 1e-9, flow::LevelMethod::kCutNewton,
+      &galloped, nullptr, nullptr, &gallop);
+  EXPECT_LE(galloped.flow_solves, kMaxProbes);
+  EXPECT_EQ(run.level, net.solo_ceiling(kJobs - 1) / weights[kJobs - 1]);
+  EXPECT_FALSE(run.segment_exhausted);
+  EXPECT_FALSE(gallop.cut_valid);  // the run ended at the last job cut
+  for (int j = 0; j < kJobs; ++j) EXPECT_FALSE(run.can_increase[j]);
 
   core::AmfAllocator amf;
   core::SolveReport report;
   const long long probes = counter("amf_flow_probes");
   const long long hits = counter("amf_flow_job_cut_hits");
+  const long long solves = counter("amf_flow_level_solves");
   const auto alloc = amf.allocate_with_report(problem, report);
   EXPECT_EQ(report.trace.rounds, kJobs);
-  EXPECT_EQ(counter("amf_flow_probes") - probes, kJobs);
+  EXPECT_LE(counter("amf_flow_probes") - probes, kMaxProbes);
+  EXPECT_EQ(counter("amf_flow_level_solves") - solves, 1);
   EXPECT_EQ(counter("amf_flow_job_cut_hits") - hits, kJobs);
   for (int j = 0; j < kJobs; ++j) {
     const double ceiling = 1.5 * (1.0 + j);

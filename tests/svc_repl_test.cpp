@@ -443,5 +443,28 @@ TEST(SvcRepl, SenderReconnectsOnAStandbyReplyOutOfRange) {
   sender.stop();
 }
 
+TEST(SvcRepl, StopInterruptsAStalledHandshake) {
+  // The standby's port accepts the connection and reads the hello but
+  // never answers it. stop() must not wait out the 2 s reply timeout.
+  int port = 0;
+  Socket listener = listen_tcp(0, &port);
+  ReplSenderConfig sender_config;
+  sender_config.port = port;
+  ReplSender sender(sender_config, /*epoch=*/1);
+  sender.start();
+  Socket conn = accept_connection(listener);
+  set_recv_timeout_ms(conn.fd(), 5000.0);
+  LineReader reader(conn.fd());
+  std::string hello;
+  ASSERT_EQ(reader.read_line(&hello), LineReader::Status::kLine);
+  const auto start = std::chrono::steady_clock::now();
+  sender.stop();
+  const double stop_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(stop_ms, 500.0);
+  EXPECT_FALSE(sender.connected());
+}
+
 }  // namespace
 }  // namespace amf::svc

@@ -336,33 +336,51 @@ TEST(SvcRouter, MoveSessionMidTrafficIsExactlyOnce) {
     Client setup = cluster.connect();
     setup.create_session(name, {1000.0, 1000.0});
   }
+  Client admin = cluster.connect();
   std::atomic<bool> stop{false};
   std::atomic<long long> acked{0};
+  // An exception escaping the traffic thread would terminate the whole
+  // test binary; keep its message and fail the test with it instead.
+  std::string traffic_error;
   std::thread traffic([&] {
-    svc::RetryPolicy retry;
-    retry.max_attempts = 4;
-    retry.read_timeout_ms = 2000.0;
-    retry.backoff_initial_ms = 1.0;
-    retry.jitter_seed = 11;
-    Client client = Client::connect_tcp("127.0.0.1",
-                                        cluster.router->tcp_port(), retry);
-    while (!stop.load()) {
-      client.add_job(name, {1.0, 1.0});
-      acked.fetch_add(1);
+    try {
+      svc::RetryPolicy retry;
+      retry.max_attempts = 4;
+      retry.read_timeout_ms = 2000.0;
+      retry.backoff_initial_ms = 1.0;
+      retry.jitter_seed = 11;
+      Client client = Client::connect_tcp("127.0.0.1",
+                                          cluster.router->tcp_port(), retry);
+      while (!stop.load()) {
+        client.add_job(name, {1.0, 1.0});
+        acked.fetch_add(1);
+      }
+    } catch (const std::exception& e) {
+      traffic_error = e.what();
     }
   });
-  // Bounce the session between the shards a few times under load.
-  Client admin = cluster.connect();
-  for (int to : {1, 0, 1}) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    const std::string line =
-        "{\"v\":1,\"id\":50,\"op\":\"move_session\",\"session\":\"" + name +
-        "\",\"to\":" + std::to_string(to) + "}";
-    Json response = Json::parse(admin.call_line(line));
-    ASSERT_TRUE(response.bool_or("ok", false)) << response.dump();
+  {
+    // Stop and join the traffic on every way out of this block, so a
+    // failed assertion or a throw here never destroys a joinable thread.
+    struct JoinTraffic {
+      std::atomic<bool>& stop;
+      std::thread& thread;
+      ~JoinTraffic() {
+        stop.store(true);
+        thread.join();
+      }
+    } join_traffic{stop, traffic};
+    // Bounce the session between the shards a few times under load.
+    for (int to : {1, 0, 1}) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      const std::string line =
+          "{\"v\":1,\"id\":50,\"op\":\"move_session\",\"session\":\"" +
+          name + "\",\"to\":" + std::to_string(to) + "}";
+      Json response = Json::parse(admin.call_line(line));
+      ASSERT_TRUE(response.bool_or("ok", false)) << response.dump();
+    }
   }
-  stop.store(true);
-  traffic.join();
+  if (!traffic_error.empty()) FAIL() << "traffic thread: " << traffic_error;
 
   Json snap = admin.snapshot(name);
   const Json* snapshot = snap.find("snapshot");
