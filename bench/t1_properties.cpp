@@ -5,6 +5,7 @@
 // validates every cell empirically on 1000 random capped-demand
 // instances (plus misreport probes for the strategy column on a subset).
 #include "common.hpp"
+#include "oracle/oracle.hpp"
 
 #include "util/table.hpp"
 
@@ -51,9 +52,8 @@ int main() {
     workload::Generator gen(cfg);
     auto problem = gen.generate();
     for (std::size_t r = 0; r < rows.size(); ++r) {
-      auto result = core::probe_strategy_proofness(problem, *rows[r].policy,
-                                                   i % problem.jobs(), 10,
-                                                   rng, 1e-5);
+      auto result = oracle::probe_strategy_proofness(
+          problem, *rows[r].policy, i % problem.jobs(), 10, rng, 1e-5);
       profitable[r] += result.profitable;
       probes[r] += result.trials;
     }

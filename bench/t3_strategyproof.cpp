@@ -6,6 +6,7 @@
 // demand — is included as a positive control: the probe harness must
 // find large gains there, or the zero rows would be meaningless.
 #include "common.hpp"
+#include "oracle/oracle.hpp"
 
 #include "util/table.hpp"
 
@@ -66,8 +67,8 @@ int main() {
       auto problem = gen.generate();
       for (int j = 0; j < problem.jobs(); j += 2) {
         auto result =
-            core::probe_strategy_proofness(problem, *policy, j, 50, rng,
-                                           1e-5);
+            oracle::probe_strategy_proofness(problem, *policy, j, 50, rng,
+                                             1e-5);
         probes += result.trials;
         profitable += result.profitable;
         max_gain = std::max(max_gain, result.max_gain / problem.scale());

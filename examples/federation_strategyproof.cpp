@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "amf.hpp"
+#include "oracle/oracle.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -80,8 +81,8 @@ int main() {
       {"AMF", &amf}, {"E-AMF", &eamf}, {"claim-proportional", &naive}};
   for (const auto& [name, policy] : policies) {
     for (int tenant = 0; tenant < problem.jobs(); tenant += 2) {
-      auto result = core::probe_strategy_proofness(problem, *policy, tenant,
-                                                   300, rng, 1e-5);
+      auto result = oracle::probe_strategy_proofness(problem, *policy,
+                                                     tenant, 300, rng, 1e-5);
       probes.row({name, std::to_string(tenant),
                   util::CsvWriter::format(result.profitable),
                   util::CsvWriter::format(result.max_gain)});

@@ -15,7 +15,6 @@
 #include "core/allocation.hpp"
 #include "core/amf.hpp"
 #include "core/eamf.hpp"
-#include "core/hierarchy.hpp"
 #include "core/jct.hpp"
 #include "core/metrics.hpp"
 #include "core/persite.hpp"
@@ -23,7 +22,6 @@
 #include "core/properties.hpp"
 #include "core/reference.hpp"
 #include "core/robust.hpp"
-#include "core/rounding.hpp"
 #include "core/single_site.hpp"
 #include "core/stability.hpp"
 #include "lp/simplex.hpp"

@@ -63,53 +63,4 @@ bool satisfies_sharing_incentive(const AllocationProblem& problem,
          tol * problem.scale();
 }
 
-StrategyProbeResult probe_strategy_proofness(const AllocationProblem& problem,
-                                             const Allocator& allocator,
-                                             int job, int trials,
-                                             util::Rng& rng, double tol) {
-  AMF_REQUIRE(job >= 0 && job < problem.jobs(), "job index out of range");
-  AMF_REQUIRE(trials >= 0, "trials must be >= 0");
-
-  const Allocation truthful = allocator.allocate(problem);
-  const double baseline = truthful.aggregate(job);
-  const int m = problem.sites();
-
-  StrategyProbeResult result;
-  result.trials = trials;
-  for (int t = 0; t < trials; ++t) {
-    std::vector<double> report(static_cast<std::size_t>(m));
-    // Three misreport families, mixed at random: global scaling,
-    // per-site jitter with hiding, and inflation toward site capacity.
-    int family = static_cast<int>(rng.uniform_index(3));
-    for (int s = 0; s < m; ++s) {
-      double d = problem.demand(job, s);
-      double r = d;
-      switch (family) {
-        case 0:  // scale everything by a common factor in [0, 3]
-          r = d * rng.uniform(0.0, 3.0);
-          break;
-        case 1:  // per-site jitter; hide a site with probability 0.3
-          r = rng.bernoulli(0.3) ? 0.0 : d * rng.uniform(0.2, 2.0);
-          break;
-        default:  // claim demand wherever capacity exists
-          r = rng.bernoulli(0.5) ? problem.capacity(s)
-                                 : d * rng.uniform(0.5, 1.5);
-          break;
-      }
-      report[static_cast<std::size_t>(s)] = r;
-    }
-
-    auto lied = problem.with_reported_demands(job, report);
-    Allocation manipulated = allocator.allocate(lied);
-    double usable = 0.0;
-    for (int s = 0; s < m; ++s)
-      usable += std::min(manipulated.share(job, s), problem.demand(job, s));
-
-    double gain = usable - baseline;
-    result.max_gain = std::max(result.max_gain, gain);
-    if (gain > tol * problem.scale()) ++result.profitable;
-  }
-  return result;
-}
-
 }  // namespace amf::core

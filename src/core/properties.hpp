@@ -1,12 +1,12 @@
-// properties.hpp — empirical checkers for the fairness properties the
-// paper proves about AMF: Pareto efficiency, envy-freeness,
-// strategy-proofness, and the sharing-incentive property (which AMF lacks
-// and E-AMF restores). The test suite and bench T1 exercise these across
-// thousands of random instances.
+// properties.hpp — checkers for the fairness properties the paper proves
+// about AMF: Pareto efficiency, envy-freeness, and the sharing-incentive
+// property (which AMF lacks and E-AMF restores). `amf_solve --report`
+// prints them; the test suite and bench T1 exercise them across
+// thousands of random instances. The strategy-proofness probe is
+// test-only and lives in oracle/oracle.hpp.
 #pragma once
 
 #include "core/allocation.hpp"
-#include "util/rng.hpp"
 
 namespace amf::core {
 
@@ -35,23 +35,5 @@ double max_sharing_incentive_violation(const AllocationProblem& problem,
 bool satisfies_sharing_incentive(const AllocationProblem& problem,
                                  const Allocation& allocation,
                                  double tol = 1e-7);
-
-/// Result of a randomized strategy-proofness probe.
-struct StrategyProbeResult {
-  double max_gain = 0.0;   ///< best true-utility gain any misreport found
-  int trials = 0;          ///< number of misreports attempted
-  int profitable = 0;      ///< misreports with gain above tolerance
-};
-
-/// Attacks the allocator on behalf of `job`: draws `trials` random
-/// misreported demand vectors (scalings, site hiding, inflation), re-runs
-/// the allocator, and measures the job's *true* usable allocation
-/// Σ_s min(a'[job][s], d_true[job][s]) against its truthful aggregate.
-/// A strategy-proof policy admits no gain beyond tolerance.
-StrategyProbeResult probe_strategy_proofness(const AllocationProblem& problem,
-                                             const Allocator& allocator,
-                                             int job, int trials,
-                                             util::Rng& rng,
-                                             double tol = 1e-6);
 
 }  // namespace amf::core

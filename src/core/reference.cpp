@@ -60,87 +60,6 @@ bool is_max_min_fair(const AllocationProblem& problem,
   return true;
 }
 
-namespace {
-
-/// Sorted-ascending lexicographic "greater" for normalized vectors.
-bool lex_greater(const std::vector<double>& a, const std::vector<double>& b) {
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] > b[i] + 1e-12) return true;
-    if (a[i] < b[i] - 1e-12) return false;
-  }
-  return false;
-}
-
-}  // namespace
-
-std::vector<double> brute_force_max_min_aggregates(
-    const AllocationProblem& problem, long long max_points) {
-  const int n = problem.jobs();
-  const int m = problem.sites();
-  AMF_REQUIRE(n > 0, "brute force needs at least one job");
-
-  struct Cell {
-    int job;
-    int site;
-    int cap;  // integer upper bound for this cell
-  };
-  std::vector<Cell> cells;
-  long long points = 1;
-  for (int j = 0; j < n; ++j)
-    for (int s = 0; s < m; ++s) {
-      int cap = static_cast<int>(
-          std::floor(std::min(problem.demand(j, s), problem.capacity(s)) +
-                     1e-9));
-      if (cap > 0) {
-        cells.push_back({j, s, cap});
-        points *= (cap + 1);
-        AMF_REQUIRE(points <= max_points,
-                    "brute-force grid too large for this instance");
-      }
-    }
-
-  std::vector<int> site_left(static_cast<std::size_t>(m));
-  for (int s = 0; s < m; ++s)
-    site_left[static_cast<std::size_t>(s)] =
-        static_cast<int>(std::floor(problem.capacity(s) + 1e-9));
-
-  std::vector<double> agg(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> best_sorted;
-  std::vector<double> best_agg(static_cast<std::size_t>(n), 0.0);
-
-  auto consider = [&] {
-    std::vector<double> sorted(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j)
-      sorted[static_cast<std::size_t>(j)] =
-          agg[static_cast<std::size_t>(j)] / problem.weight(j);
-    std::sort(sorted.begin(), sorted.end());
-    if (best_sorted.empty() || lex_greater(sorted, best_sorted)) {
-      best_sorted = std::move(sorted);
-      best_agg = agg;
-    }
-  };
-
-  // Depth-first enumeration over all integer values of every cell.
-  auto recurse = [&](auto&& self, std::size_t idx) -> void {
-    if (idx == cells.size()) {
-      consider();
-      return;
-    }
-    const Cell& c = cells[idx];
-    int limit = std::min(c.cap, site_left[static_cast<std::size_t>(c.site)]);
-    for (int v = 0; v <= limit; ++v) {
-      agg[static_cast<std::size_t>(c.job)] += v;
-      site_left[static_cast<std::size_t>(c.site)] -= v;
-      self(self, idx + 1);
-      agg[static_cast<std::size_t>(c.job)] -= v;
-      site_left[static_cast<std::size_t>(c.site)] += v;
-    }
-  };
-  recurse(recurse, 0);
-  return best_agg;
-}
-
-
 std::vector<double> lp_max_min_aggregates(const AllocationProblem& problem) {
   const int n = problem.jobs();
   const int m = problem.sites();

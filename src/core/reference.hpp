@@ -5,9 +5,10 @@
 //      fair iff it is feasible and no job's aggregate can be raised while
 //      every weakly-worse-off job keeps its value (each probe is one flow
 //      feasibility check);
-//   2. exhaustive lexicographic search over an integer allocation grid for
-//      tiny instances — the continuous optimum must weakly dominate every
-//      grid point, and equals the grid optimum when it is integral.
+//   2. sequential leximin on the LP substrate, which the reference-LP
+//      tier of RobustAllocator also serves.
+// The exhaustive integer-grid search for tiny instances is test-only and
+// lives in oracle/oracle.hpp.
 #pragma once
 
 #include <vector>
@@ -23,15 +24,7 @@ bool is_max_min_fair(const AllocationProblem& problem,
                      const std::vector<double>& aggregates,
                      double tol = 1e-6);
 
-/// Exhaustive search over integer allocations a[j][s] ∈ {0, 1, ...,
-/// floor(min(d, C))} (site sums capped by floor(C)); returns the
-/// lexicographically max-min best aggregate vector found. Intended for
-/// instances with at most ~6 demand cells; throws if the grid would
-/// exceed `max_points` (default 10^7) enumeration points.
-std::vector<double> brute_force_max_min_aggregates(
-    const AllocationProblem& problem, long long max_points = 10'000'000);
-
-/// A third, fully independent computation of the AMF aggregate vector:
+/// A fully independent computation of the AMF aggregate vector:
 /// sequential leximin over the transportation polytope with the LP
 /// substrate (Ogryczak procedure — maximize the common minimum with one
 /// level LP, fix the jobs pinned at it via per-job feasibility LPs,

@@ -53,18 +53,20 @@ std::string FallbackStats::summary() const {
 }
 
 void RobustConfig::validate() const {
-  AMF_REQUIRE(std::isfinite(relaxed_eps) && relaxed_eps > 0.0,
-              "relaxed_eps must be finite and positive");
-  AMF_REQUIRE(std::isfinite(feasibility_eps) && feasibility_eps > 0.0,
-              "feasibility_eps must be finite and positive");
   AMF_REQUIRE(std::isfinite(time_budget_ms) && time_budget_ms >= 0.0,
               "time_budget_ms must be finite and >= 0");
-  AMF_REQUIRE(std::isfinite(tier_budget_share) && tier_budget_share > 0.0 &&
-                  tier_budget_share <= 1.0,
-              "tier_budget_share must be in (0, 1]");
 }
 
 namespace {
+
+/// Relative tolerance of the post-hoc feasibility audit applied to every
+/// tier's output before it is accepted.
+constexpr double kFeasibilityEps = 1e-6;
+/// Fraction of the *remaining* budget granted to each budgeted tier: the
+/// primary gets half the budget, the relaxed retry a quarter, and so on —
+/// later tiers are cheaper to interrupt and some budget always survives
+/// for salvage.
+constexpr double kTierBudgetShare = 0.5;
 
 /// Registry metric name for a tier ('-' is not a legal Prometheus
 /// character, tier names use '_' in metrics).
@@ -125,8 +127,8 @@ FallbackCounters& fb_counters() {
 RobustAllocator::RobustAllocator(const Allocator& primary, RobustConfig config)
     : primary_(primary),
       config_(config),
-      relaxed_(config.relaxed_eps, flow::LevelMethod::kCutNewton),
-      bisection_(config.relaxed_eps, flow::LevelMethod::kBisection),
+      relaxed_(kRelaxedTierEps, flow::LevelMethod::kCutNewton),
+      bisection_(kRelaxedTierEps, flow::LevelMethod::kBisection),
       telemetry_(std::make_shared<Telemetry>()) {
   config.validate();
   telemetry_->shard = obs::Registry::global().new_shard();
@@ -321,7 +323,7 @@ Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
       // The budget ran out with a feasible partial fill in hand: complete
       // it closed-form instead of discarding the frozen levels.
       Allocation completed = complete_salvage(problem, salvage.partial);
-      if (completed.feasible_for(problem, config_.feasibility_eps)) {
+      if (completed.feasible_for(problem, kFeasibilityEps)) {
         telemetry.worst_salvage_gap =
             std::max(telemetry.worst_salvage_gap,
                      salvage_gap(problem, completed, salvage.ref_level));
@@ -349,7 +351,7 @@ Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
       if (!overall.unlimited())
         slice = util::Deadline::earlier(
             overall, util::Deadline::after_ms(overall.remaining_ms() *
-                                              config_.tier_budget_share));
+                                              kTierBudgetShare));
       tier_stop = util::StopToken{slice, cancel};
       scoped.emplace(tier_stop);
     }
@@ -384,7 +386,7 @@ Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
         // The network holds a partial fill; never reuse it warm.
         if (workspace != nullptr) workspace->invalidate();
         if (!salvage.has &&
-            result.feasible_for(problem, config_.feasibility_eps)) {
+            result.feasible_for(problem, kFeasibilityEps)) {
           double ref = 0.0;
           if (trace != nullptr)
             for (double level : trace->freeze_level) ref = std::max(ref, level);
@@ -392,16 +394,9 @@ Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
         }
         continue;
       }
-      if (config_.escalate_on_iteration_cap && !is_last &&
-          dynamic_cast<const AmfAllocator*>(tier.policy) != nullptr &&
-          status != flow::LevelStatus::kConverged) {
-        counters.failures[idx].add_to(*telemetry.shard, 1);
-        telemetry.last_error = "iteration-capped level solve";
-        continue;
-      }
       // Audit before accepting: a tier that silently returns an
       // infeasible matrix is as broken as one that throws.
-      if (!result.feasible_for(problem, config_.feasibility_eps)) {
+      if (!result.feasible_for(problem, kFeasibilityEps)) {
         AMF_ASSERT(!is_last, "per-site fallback produced an infeasible "
                              "allocation");
         counters.failures[idx].add_to(*telemetry.shard, 1);

@@ -16,7 +16,7 @@
 //   5. per-site max-min (closed-form water-filling; cannot fail).
 //
 // A tier is rejected when it throws InternalError (solver bug or
-// non-convergence), reports a non-converged status, or returns an
+// non-convergence), is interrupted by its deadline, or returns an
 // infeasible allocation; ContractError (malformed input) propagates —
 // feeding the chain a broken problem is a caller bug, not a solver one.
 // Every decision is counted in the obs metric registry
@@ -28,7 +28,7 @@
 // Deadlines (anytime operation). With `RobustConfig::time_budget_ms` set
 // (or an ambient util::StopToken installed around the call), the chain is
 // additionally *latency-bounded*: each tier runs under a sub-deadline of
-// `tier_budget_share` of the remaining budget — so successive tiers get
+// half of the remaining budget — so successive tiers get
 // geometrically shrinking slices and some budget always remains for the
 // finishing pass — and a tier whose stop token fires is treated like a
 // failed tier (counted in amf_core_deadline_exceeded_<tier>). The
@@ -96,32 +96,20 @@ struct FallbackStats {
   std::string summary() const;
 };
 
+/// Flow tolerance of the relaxed-eps and bisection retry tiers.
+inline constexpr double kRelaxedTierEps = 1e-6;
+
 struct RobustConfig {
-  /// Flow tolerance of the relaxed-eps and bisection retry tiers.
-  double relaxed_eps = 1e-6;
-  /// Treat an iteration-capped (but feasible) primary AMF solve as
-  /// non-convergence and escalate. Off = accept the lower-confidence
-  /// result.
-  bool escalate_on_iteration_cap = false;
-  /// Relative tolerance of the post-hoc feasibility audit applied to
-  /// every tier's output before it is accepted.
-  double feasibility_eps = 1e-6;
   /// Wall-clock budget for one allocate() call, in milliseconds. Zero =
   /// unbudgeted (an ambient util::StopToken, if any, still applies). The
   /// closed-form tiers always complete, so the serve latency can exceed
   /// the budget by their (small, polling-free) cost.
   double time_budget_ms = 0.0;
-  /// Fraction of the *remaining* budget granted to each budgeted tier, in
-  /// (0, 1]. 0.5 gives the primary half the budget, the relaxed retry a
-  /// quarter, and so on — later tiers are cheaper to interrupt and some
-  /// budget always survives for salvage.
-  double tier_budget_share = 0.5;
   /// Optional external cancellation handle; when valid and cancelled, the
   /// chain stops at the next poll exactly like an expired deadline.
   util::CancelToken cancel;
 
-  /// Throws ContractError on non-finite or non-positive eps values, a
-  /// negative or non-finite budget, or a share outside (0, 1].
+  /// Throws ContractError on a negative or non-finite budget.
   void validate() const;
 };
 

@@ -4,13 +4,11 @@
 #include <cmath>
 
 #include "flow/mincost.hpp"
-#include "lp/simplex.hpp"
 #include "util/error.hpp"
 
 namespace amf::core {
 
-StabilityAddon::StabilityAddon(double eps, Backend backend)
-    : eps_(eps), backend_(backend) {
+StabilityAddon::StabilityAddon(double eps) : eps_(eps) {
   AMF_REQUIRE(eps > 0.0, "eps must be positive");
 }
 
@@ -35,136 +33,6 @@ Allocation StabilityAddon::optimize(const AllocationProblem& problem,
                                  ? std::string("stable")
                                  : target.policy() + "+stable";
   if (n == 0) return Allocation(Matrix{}, policy);
-  return backend_ == Backend::kLp
-             ? optimize_lp(problem, target, previous, policy)
-             : optimize_mcmf(problem, target, previous, policy);
-}
-
-Allocation StabilityAddon::optimize_lp(const AllocationProblem& problem,
-                                       const Allocation& target,
-                                       const Allocation& previous,
-                                       const std::string& policy) const {
-  const int n = problem.jobs();
-  const int m = problem.sites();
-
-  // Variables: a[j][s] for cells with positive demand, then one churn
-  // variable c[j][s] per cell with |a - prev| >= c via two inequalities.
-  std::vector<std::vector<int>> var_of(
-      static_cast<std::size_t>(n),
-      std::vector<int>(static_cast<std::size_t>(m), -1));
-  int cells = 0;
-  for (int j = 0; j < n; ++j)
-    for (int s = 0; s < m; ++s)
-      if (problem.demand(j, s) > 0.0) {
-        var_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)] =
-            cells++;
-      }
-  const int vars = 2 * cells;  // [0, cells) shares, [cells, 2*cells) churn
-
-  lp::LinearProgram program;
-  program.variables = vars;
-  program.objective.assign(static_cast<std::size_t>(vars), 0.0);
-  for (int c = cells; c < vars; ++c)
-    program.objective[static_cast<std::size_t>(c)] = -1.0;  // min Σ churn
-
-  auto cell_row = [&](int width) {
-    lp::Row row;
-    row.coeffs.assign(static_cast<std::size_t>(width), 0.0);
-    return row;
-  };
-
-  // Exact per-job aggregates.
-  for (int j = 0; j < n; ++j) {
-    auto row = cell_row(vars);
-    bool any = false;
-    for (int s = 0; s < m; ++s) {
-      int v = var_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-      if (v >= 0) {
-        row.coeffs[static_cast<std::size_t>(v)] = 1.0;
-        any = true;
-      }
-    }
-    double agg = target.aggregate(j);
-    AMF_REQUIRE(any || agg <= eps_ * problem.scale(),
-                "job with positive aggregate but no demand cells");
-    if (!any) continue;
-    row.type = lp::RowType::kEq;
-    row.rhs = agg;
-    program.rows.push_back(std::move(row));
-  }
-  // Site capacities.
-  for (int s = 0; s < m; ++s) {
-    auto row = cell_row(vars);
-    bool any = false;
-    for (int j = 0; j < n; ++j) {
-      int v = var_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-      if (v >= 0) {
-        row.coeffs[static_cast<std::size_t>(v)] = 1.0;
-        any = true;
-      }
-    }
-    if (!any) continue;
-    row.type = lp::RowType::kLe;
-    row.rhs = problem.capacity(s);
-    program.rows.push_back(std::move(row));
-  }
-  // Demand caps and the churn envelope.
-  for (int j = 0; j < n; ++j)
-    for (int s = 0; s < m; ++s) {
-      int v = var_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-      if (v < 0) continue;
-      double prev = previous.share(j, s);
-      {
-        auto row = cell_row(vars);
-        row.coeffs[static_cast<std::size_t>(v)] = 1.0;
-        row.type = lp::RowType::kLe;
-        row.rhs = problem.demand(j, s);
-        program.rows.push_back(std::move(row));
-      }
-      {
-        // a - c <= prev  (covers a above prev)
-        auto row = cell_row(vars);
-        row.coeffs[static_cast<std::size_t>(v)] = 1.0;
-        row.coeffs[static_cast<std::size_t>(cells + v)] = -1.0;
-        row.type = lp::RowType::kLe;
-        row.rhs = prev;
-        program.rows.push_back(std::move(row));
-      }
-      {
-        // a + c >= prev  (covers a below prev)
-        auto row = cell_row(vars);
-        row.coeffs[static_cast<std::size_t>(v)] = 1.0;
-        row.coeffs[static_cast<std::size_t>(cells + v)] = 1.0;
-        row.type = lp::RowType::kGe;
-        row.rhs = prev;
-        program.rows.push_back(std::move(row));
-      }
-    }
-
-  auto result = lp::solve(program, eps_);
-  if (result.status == lp::LpStatus::kDeadlineExceeded)
-    throw util::DeadlineExceeded("stability LP interrupted by its stop token");
-  AMF_REQUIRE(result.status == lp::LpStatus::kOptimal,
-              "target aggregates must be realizable");
-
-  Matrix shares(static_cast<std::size_t>(n),
-                std::vector<double>(static_cast<std::size_t>(m), 0.0));
-  for (int j = 0; j < n; ++j)
-    for (int s = 0; s < m; ++s) {
-      int v = var_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-      if (v >= 0)
-        shares[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)] =
-            std::max(0.0, result.x[static_cast<std::size_t>(v)]);
-    }
-  return Allocation(std::move(shares), policy);
-}
-
-
-Allocation StabilityAddon::optimize_mcmf(const AllocationProblem& problem,
-                                         const Allocation& target,
-                                         const Allocation& previous,
-                                         const std::string& policy) const {
-  const int n = problem.jobs();
   const int m = problem.sites();
 
   // Layout: 0 = source, 1..n jobs, n+1..n+m sites, last = sink.

@@ -8,8 +8,11 @@
 // change, and in a real cluster every reshuffled unit is preemption and
 // data-transfer cost. This add-on picks, among the allocations realizing
 // the target aggregates exactly, one minimizing the total L1 distance to
-// the previous allocation — a small linear program over the placement
-// polytope (solved with the bundled simplex).
+// the previous allocation — one min-cost max-flow: each job→site cell
+// gets a "keep" arc rewarded up to the previous share and a "change" arc
+// charged for the rest of its demand cap. The same optimum as a linear
+// program over the placement polytope is oracle::min_churn_lp, which the
+// tests compare against.
 #pragma once
 
 #include "core/allocation.hpp"
@@ -19,15 +22,7 @@ namespace amf::core {
 /// Churn-minimizing redistribution with aggregates pinned.
 class StabilityAddon {
  public:
-  /// Two interchangeable solvers compute the same optimum:
-  /// kMinCostFlow (default) — "keep" arcs rewarded, "change" arcs
-  /// charged, one min-cost max-flow; scales to simulator use.
-  /// kLp — the direct linear program over the placement polytope;
-  /// retained as an independent cross-check (see stability tests).
-  enum class Backend { kMinCostFlow, kLp };
-
-  explicit StabilityAddon(double eps = 1e-9,
-                          Backend backend = Backend::kMinCostFlow);
+  explicit StabilityAddon(double eps = 1e-9);
 
   /// Returns an allocation with `target`'s aggregates (exactly) whose
   /// per-site shares are as close as possible (total L1) to `previous`.
@@ -41,17 +36,7 @@ class StabilityAddon {
   static double churn(const Allocation& a, const Allocation& b);
 
  private:
-  Allocation optimize_lp(const AllocationProblem& problem,
-                         const Allocation& target,
-                         const Allocation& previous,
-                         const std::string& policy) const;
-  Allocation optimize_mcmf(const AllocationProblem& problem,
-                           const Allocation& target,
-                           const Allocation& previous,
-                           const std::string& policy) const;
-
   double eps_;
-  Backend backend_;
 };
 
 }  // namespace amf::core

@@ -6,7 +6,7 @@
 // allocation-sized networks (thousands of arcs), real-valued capacities
 // and costs.
 //
-// Used by the stability add-on's fast backend: the churn-minimizing
+// Used by the stability add-on (core/stability.hpp): the churn-minimizing
 // realization of a fixed aggregate vector is a min-cost flow where each
 // job→site cell splits into a "keep" arc (up to the previous share,
 // reward -1) and a "change" arc (the rest of the demand cap, cost +1).

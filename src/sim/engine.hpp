@@ -109,9 +109,10 @@ struct EventSample {
 struct SimulatorConfig {
   /// Re-split each allocation with the JCT add-on before applying it.
   bool use_jct_addon = false;
-  /// Re-split toward the previous event's placement (churn-minimizing LP,
-  /// see core/stability.hpp). Applied after the JCT add-on when both are
-  /// set, i.e. stability wins. Noticeably slower (one LP per event).
+  /// Re-split toward the previous event's placement (churn-minimizing
+  /// min-cost flow, see core/stability.hpp). Applied after the JCT add-on
+  /// when both are set, i.e. stability wins. Costs one min-cost max-flow
+  /// per event.
   bool use_stability_addon = false;
   /// Reallocation overhead: for every unit of allocation withdrawn from a
   /// job's *unfinished* site-part, this much work is added back to that

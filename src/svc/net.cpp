@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -183,19 +184,31 @@ int effective_backlog(const ListenOptions& options) {
 }  // namespace
 
 Socket listen_unix(const std::string& path, ListenOptions options) {
+  // Bind and listen under a temporary name in the same directory, then
+  // rename it onto `path`: a client that sees the socket file can connect
+  // at once, and rename replaces a stale socket atomically.
+  const std::string tmp = path + ".tmp" + std::to_string(::getpid());
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  AMF_REQUIRE(path.size() < sizeof addr.sun_path,
+  AMF_REQUIRE(tmp.size() < sizeof addr.sun_path,
               "unix socket path too long: " + path);
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  std::memcpy(addr.sun_path, tmp.c_str(), tmp.size() + 1);
 
   Socket sock(::socket(AF_UNIX, SOCK_STREAM, 0));
   if (!sock.valid()) fail_errno("socket(AF_UNIX)");
-  ::unlink(path.c_str());  // replace a stale socket file
+  ::unlink(tmp.c_str());
   if (::bind(sock.fd(), reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0)
-    fail_errno("bind(" + path + ")");
+    fail_errno("bind(" + tmp + ")");
+  auto fail_unlinking_tmp = [&](const std::string& what) {
+    const int err = errno;
+    ::unlink(tmp.c_str());
+    errno = err;
+    fail_errno(what);
+  };
   if (::listen(sock.fd(), effective_backlog(options)) != 0)
-    fail_errno("listen(" + path + ")");
+    fail_unlinking_tmp("listen(" + tmp + ")");
+  if (::rename(tmp.c_str(), path.c_str()) != 0)
+    fail_unlinking_tmp("rename(" + tmp + ", " + path + ")");
   return sock;
 }
 

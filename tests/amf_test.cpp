@@ -13,6 +13,7 @@
 #include "core/persite.hpp"
 #include "core/properties.hpp"
 #include "core/reference.hpp"
+#include "oracle/oracle.hpp"
 #include "util/error.hpp"
 #include "workload/generator.hpp"
 #include "workload/scenario.hpp"
@@ -155,7 +156,7 @@ TEST(Amf, MatchesBruteForceOnIntegralInstance) {
   // as below give aggregates (2, 3, 1).
   AllocationProblem p({{2, 0}, {4, 1}, {0, 1}}, {4, 2});
   auto a = kAmf.allocate(p);
-  auto bf = brute_force_max_min_aggregates(p);
+  auto bf = oracle::brute_force_max_min_aggregates(p);
   auto sorted_amf = a.aggregates();
   auto sorted_bf = bf;
   std::sort(sorted_amf.begin(), sorted_amf.end());
@@ -243,7 +244,7 @@ TEST_P(AmfBruteForceTest, DominatesIntegerGrid) {
     for (auto& v : row) v = static_cast<double>(rng.uniform_int(0, 4));
   AllocationProblem p(d, caps);
   auto a = kAmf.allocate(p);
-  auto bf = brute_force_max_min_aggregates(p);
+  auto bf = oracle::brute_force_max_min_aggregates(p);
   // Continuous optimum is lexicographically >= any integer point.
   EXPECT_GE(lexicographic_compare(a.aggregates(), bf, 1e-6), 0)
       << "seed " << GetParam();
@@ -291,7 +292,8 @@ TEST(ReferenceChecker, RejectsUnfairVectors) {
 TEST(ReferenceChecker, BruteForceGuardsAgainstBlowup) {
   AllocationProblem p(Matrix(6, std::vector<double>(6, 50.0)),
                       std::vector<double>(6, 50.0));
-  EXPECT_THROW(brute_force_max_min_aggregates(p, 1000), util::ContractError);
+  EXPECT_THROW(oracle::brute_force_max_min_aggregates(p, 1000),
+               util::ContractError);
 }
 
 TEST(Metrics, LexicographicCompare) {

@@ -322,7 +322,7 @@ TEST(RobustWorkspace, TierFallbackInvalidatesAndRecoversWarmState) {
   problem = std::move(problem).apply(delta);
   ws.apply(delta);
   armed = true;
-  core::AmfAllocator relaxed(core::RobustConfig{}.relaxed_eps);
+  core::AmfAllocator relaxed(core::kRelaxedTierEps);
   expect_matches_stateless(robust.allocate(problem, ws), relaxed);
   EXPECT_EQ(robust.fallback_stats().last, core::FallbackTier::kRelaxedEps);
 

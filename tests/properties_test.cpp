@@ -11,6 +11,7 @@
 #include "core/eamf.hpp"
 #include "core/persite.hpp"
 #include "core/properties.hpp"
+#include "oracle/oracle.hpp"
 #include "util/error.hpp"
 #include "workload/generator.hpp"
 #include "workload/scenario.hpp"
@@ -114,7 +115,8 @@ TEST(StrategyProof, AmfResistsRandomMisreports) {
     workload::Generator gen(cfg);
     auto p = gen.generate();
     for (int j = 0; j < p.jobs(); j += 2) {
-      auto result = probe_strategy_proofness(p, kAmf, j, 20, rng, 1e-5);
+      auto result =
+          oracle::probe_strategy_proofness(p, kAmf, j, 20, rng, 1e-5);
       EXPECT_EQ(result.profitable, 0)
           << "seed " << seed << " job " << j << " gain " << result.max_gain;
     }
@@ -147,7 +149,7 @@ TEST(StrategyProof, OverreportingNeverHelpsAmf) {
 TEST(StrategyProof, ProbeReportsTrialCount) {
   util::Rng rng(7);
   AllocationProblem p({{10, 0}, {0, 10}}, {10, 10});
-  auto result = probe_strategy_proofness(p, kAmf, 0, 12, rng);
+  auto result = oracle::probe_strategy_proofness(p, kAmf, 0, 12, rng);
   EXPECT_EQ(result.trials, 12);
   EXPECT_EQ(result.profitable, 0);
 }
@@ -182,7 +184,8 @@ TEST(StrategyProof, DetectsManipulableStrawmanPolicy) {
   // each job 5 per site, below its demand, so inflating the claim pays.
   AllocationProblem p({{8, 8}, {8, 8}}, {10, 10});
   util::Rng rng(11);
-  auto result = probe_strategy_proofness(p, strawman, 0, 200, rng, 1e-5);
+  auto result =
+      oracle::probe_strategy_proofness(p, strawman, 0, 200, rng, 1e-5);
   EXPECT_GT(result.profitable, 0);
   EXPECT_GT(result.max_gain, 0.5);
 }
@@ -195,7 +198,7 @@ TEST(Properties, InputValidation) {
   EXPECT_THROW(max_sharing_incentive_violation(p, wrong),
                util::ContractError);
   util::Rng rng(1);
-  EXPECT_THROW(probe_strategy_proofness(p, kAmf, 5, 1, rng),
+  EXPECT_THROW(oracle::probe_strategy_proofness(p, kAmf, 5, 1, rng),
                util::ContractError);
 }
 

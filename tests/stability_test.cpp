@@ -9,6 +9,7 @@
 #include "core/amf.hpp"
 #include "core/persite.hpp"
 #include "core/stability.hpp"
+#include "oracle/oracle.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
 #include "workload/scenario.hpp"
@@ -139,11 +140,10 @@ TEST(Stability, SimulatorChurnDropsWithAddon) {
 
 
 TEST(Stability, BackendsAgreeOnOptimalChurn) {
-  // The LP and the min-cost-flow backends solve the same optimization;
+  // The min-cost flow and the LP oracle solve the same optimization;
   // their churn values must match (the matrices may differ when the
   // optimum is degenerate).
-  StabilityAddon lp_addon(1e-9, StabilityAddon::Backend::kLp);
-  StabilityAddon mcmf_addon(1e-9, StabilityAddon::Backend::kMinCostFlow);
+  StabilityAddon mcmf_addon(1e-9);
   AmfAllocator amf;
   PerSiteMaxMin psmf;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
@@ -152,7 +152,7 @@ TEST(Stability, BackendsAgreeOnOptimalChurn) {
     auto p = gen.generate();
     auto target = amf.allocate(p);
     auto previous = psmf.allocate(p);
-    auto via_lp = lp_addon.optimize(p, target, previous);
+    auto via_lp = oracle::min_churn_lp(p, target, previous, 1e-9);
     auto via_mcmf = mcmf_addon.optimize(p, target, previous);
     EXPECT_NEAR(StabilityAddon::churn(via_lp, previous),
                 StabilityAddon::churn(via_mcmf, previous),

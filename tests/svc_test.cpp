@@ -3,8 +3,17 @@
 // snapshot round-trips, and the server/client pair end to end.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <random>
 #include <string>
@@ -17,6 +26,7 @@
 #include "util/error.hpp"
 #include "svc/client.hpp"
 #include "svc/json.hpp"
+#include "svc/net.hpp"
 #include "svc/proto.hpp"
 #include "svc/server.hpp"
 #include "svc/session.hpp"
@@ -513,6 +523,60 @@ TEST(SvcSession, SnapshotRestoreServesIdenticalAllocation) {
                   collector2.responder());
   EXPECT_EQ(collector2.wait(2).number_or("job", -1.0), 2.0);
   restored.drain();
+}
+
+// ---------------------------------------------------------------------
+// Unix listener readiness
+
+// A client that sees the socket file must be able to connect at once: the
+// listener is bound and listening before its file appears under `path`.
+// One watcher thread spins on stat() for each round's fresh path and
+// connects the moment the file is a socket. A listener that binds `path`
+// before it listens is refused a few times in 5000 rounds (about 1 s).
+TEST(SvcNet, UnixSocketFileAppearsOnlyOnceListening) {
+  std::string dir = ::testing::TempDir() + "amf_listen_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  constexpr int kRounds = 5000;
+  auto path_of = [&](int i) {
+    return dir + "/l" + std::to_string(i) + ".sock";
+  };
+  std::atomic<int> rounds_done{0};
+  std::atomic<int> refused{0};
+  std::atomic<int> other_failures{0};
+  std::thread watcher([&] {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    for (int i = 0; i < kRounds; ++i) {
+      const std::string path = path_of(i);
+      struct stat st {};
+      while (::stat(path.c_str(), &st) != 0 || !S_ISSOCK(st.st_mode)) {
+        if (std::chrono::steady_clock::now() > give_up) {
+          ++other_failures;
+          rounds_done.store(kRounds);
+          return;
+        }
+      }
+      sockaddr_un addr{};
+      addr.sun_family = AF_UNIX;
+      std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
+          0)
+        ++(errno == ECONNREFUSED ? refused : other_failures);
+      ::close(fd);
+      rounds_done.store(i + 1);
+    }
+  });
+  for (int i = 0; i < kRounds; ++i) {
+    Socket listener = listen_unix(path_of(i));
+    // Hold the listener until the watcher has connected to it.
+    while (rounds_done.load() <= i) std::this_thread::yield();
+    ::unlink(path_of(i).c_str());
+  }
+  watcher.join();
+  ::rmdir(dir.c_str());
+  EXPECT_EQ(refused.load(), 0);
+  EXPECT_EQ(other_failures.load(), 0);
 }
 
 // ---------------------------------------------------------------------
