@@ -23,6 +23,14 @@ Allocation::Allocation(Matrix shares, std::string policy)
   }
 }
 
+Allocation Allocation::from_network(const flow::TransportNetwork& net,
+                                    std::string policy) {
+  Allocation a;
+  a.shares_ = net.allocation(&a.aggregates_);
+  a.policy_ = std::move(policy);
+  return a;
+}
+
 double Allocation::share(int job, int site) const {
   AMF_REQUIRE(job >= 0 && job < jobs(), "job index out of range");
   AMF_REQUIRE(site >= 0 && site < sites(), "site index out of range");
@@ -62,14 +70,27 @@ bool Allocation::feasible_for(const AllocationProblem& p, double eps) const {
   if (p.jobs() != jobs()) return false;
   if (jobs() > 0 && p.sites() != sites()) return false;
   const double tol = eps * p.scale();
-  for (int j = 0; j < jobs(); ++j)
-    for (int s = 0; s < sites(); ++s) {
-      double a = share(j, s);
+  // One row-major pass: each share is checked against its demand (zero
+  // off the job's sparse row) and added to its site's usage, so every
+  // site's sum still runs in ascending job order.
+  std::vector<double> usage(static_cast<std::size_t>(sites()), 0.0);
+  const flow::DemandRows& demands = p.demand_rows();
+  for (int j = 0; j < jobs(); ++j) {
+    const auto& row = shares_[static_cast<std::size_t>(j)];
+    const auto positive = demands.row(j);
+    auto next = positive.begin();
+    for (std::size_t s = 0; s < row.size(); ++s) {
+      double d = 0.0;
+      if (next != positive.end() && next->site == static_cast<int>(s))
+        d = (next++)->value;
+      const double a = row[s];
       if (a < -tol) return false;
-      if (a > p.demand(j, s) + tol) return false;
+      if (a > d + tol) return false;
+      usage[s] += a;
     }
+  }
   for (int s = 0; s < sites(); ++s)
-    if (site_usage(s) > p.capacity(s) + tol) return false;
+    if (usage[static_cast<std::size_t>(s)] > p.capacity(s) + tol) return false;
   return true;
 }
 

@@ -17,6 +17,12 @@ class Allocation {
   /// computed and cached on construction.
   explicit Allocation(Matrix shares, std::string policy = {});
 
+  /// The allocation realized by the flow on `net` (its active rows). The
+  /// aggregates are summed along the arcs while the shares are written, in
+  /// one pass per row, bit-identical to the constructor's dense sums.
+  static Allocation from_network(const flow::TransportNetwork& net,
+                                 std::string policy = {});
+
   int jobs() const { return static_cast<int>(shares_.size()); }
   int sites() const {
     return shares_.empty() ? 0 : static_cast<int>(shares_.front().size());
@@ -39,7 +45,8 @@ class Allocation {
   /// Fraction of total capacity in use.
   double utilization(const AllocationProblem& p) const;
 
-  /// Checks 0 <= a <= d and per-site capacity with relative tolerance eps.
+  /// Checks 0 <= a <= d and per-site capacity with relative tolerance eps,
+  /// in one row-major pass that reads the problem's sparse demand rows.
   bool feasible_for(const AllocationProblem& p, double eps = 1e-7) const;
 
   /// Name of the allocator that produced this allocation (for reports).

@@ -73,7 +73,7 @@ Allocation progressive_fill(const AllocationProblem& problem,
 
   std::optional<flow::TransportNetwork> local_net;
   if (external_net == nullptr)
-    local_net.emplace(problem.demands(), problem.capacities());
+    local_net.emplace(problem.demand_rows(), problem.capacities());
   flow::TransportNetwork& net =
       external_net != nullptr ? *external_net : *local_net;
   AMF_REQUIRE(net.jobs() == n && net.sites() == problem.sites(),
@@ -94,7 +94,7 @@ Allocation progressive_fill(const AllocationProblem& problem,
       // interrupted fill, not a floor-contract violation.
       if (stats != nullptr)
         stats->observe(flow::LevelStatus::kDeadlineExceeded);
-      return Allocation(net.allocation(), policy_name);
+      return Allocation::from_network(net, policy_name);
     }
     AMF_REQUIRE(net.saturated(eps), "floors must be jointly feasible");
   }
@@ -149,7 +149,7 @@ Allocation progressive_fill(const AllocationProblem& problem,
     FillCounters& counters = fill_counters();
     counters.fills.add(1);
     if (round_counter > 0) counters.rounds.add(round_counter);
-    return Allocation(net.allocation(), policy_name);
+    return Allocation::from_network(net, policy_name);
   };
   // Termination: every loop iteration either freezes at least one job or
   // advances to the next segment, so at most n + |bounds| iterations run.
@@ -260,11 +260,11 @@ Allocation progressive_fill(const AllocationProblem& problem,
     // The deadline fired inside the final materialization: the flow is a
     // feasible partial realization of the frozen aggregates.
     if (stats != nullptr) stats->observe(flow::LevelStatus::kDeadlineExceeded);
-    return Allocation(net.allocation(), policy_name);
+    return Allocation::from_network(net, policy_name);
   }
   AMF_ASSERT(net.saturated(eps * 64.0),
              "final frozen aggregates must be feasible");
-  return Allocation(net.allocation(), policy_name);
+  return Allocation::from_network(net, policy_name);
 }
 
 Allocation AmfAllocator::allocate(const AllocationProblem& problem) const {

@@ -6,10 +6,7 @@ namespace amf::core {
 
 std::vector<double> EnhancedAmfAllocator::sharing_floors(
     const AllocationProblem& problem) {
-  std::vector<double> floors(static_cast<std::size_t>(problem.jobs()));
-  for (int j = 0; j < problem.jobs(); ++j)
-    floors[static_cast<std::size_t>(j)] = problem.equal_split_share(j);
-  return floors;
+  return problem.equal_split_shares();
 }
 
 Allocation EnhancedAmfAllocator::allocate(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <numeric>
 #include <ostream>
 #include <sstream>
@@ -57,7 +58,7 @@ AllocationProblem AllocationProblem::multi(Matrix demands,
   return p;
 }
 
-void AllocationProblem::validate() const {
+void AllocationProblem::validate() {
   if (multi_resource()) {
     const auto n = demands_.size();
     const auto m = capacity_matrix_.size();
@@ -113,23 +114,30 @@ void AllocationProblem::validate() const {
   const auto m = capacities_.size();
   for (double c : capacities_)
     AMF_REQUIRE(c >= 0.0 && std::isfinite(c), "capacities must be finite, >= 0");
-  for (const auto& row : demands_) {
-    AMF_REQUIRE(row.size() == m, "demand matrix width != site count");
-    for (double d : row)
-      AMF_REQUIRE(d >= 0.0 && std::isfinite(d), "demands must be finite, >= 0");
-  }
+  // The demand scan also builds the sparse index: no second pass over the
+  // dense matrix.
+  demand_rows_ = flow::DemandRows::from_dense(demands_, static_cast<int>(m));
   if (!workloads_.empty()) {
+    // Each workload row is checked branch-free, and its positive entries
+    // are matched against the row's sparse demands, not the dense ones:
+    // every nonzero workload must sit on an indexed (positive) demand.
+    constexpr double kMax = std::numeric_limits<double>::max();
     AMF_REQUIRE(workloads_.size() == n, "workload matrix height != job count");
     for (std::size_t j = 0; j < n; ++j) {
-      AMF_REQUIRE(workloads_[j].size() == m,
-                  "workload matrix width != site count");
-      for (std::size_t s = 0; s < m; ++s) {
-        double w = workloads_[j][s];
-        AMF_REQUIRE(w >= 0.0 && std::isfinite(w),
-                    "workloads must be finite, >= 0");
-        AMF_REQUIRE(w == 0.0 || demands_[j][s] > 0.0,
-                    "positive workload requires positive demand cap");
+      const auto& row = workloads_[j];
+      AMF_REQUIRE(row.size() == m, "workload matrix width != site count");
+      bool finite = true;
+      std::size_t nonzero = 0;
+      for (double w : row) {
+        finite &= (w >= 0.0) & (w <= kMax);
+        nonzero += w != 0.0 ? 1 : 0;
       }
+      AMF_REQUIRE(finite, "workloads must be finite, >= 0");
+      std::size_t capped = 0;
+      for (const auto& [s, d] : demand_rows_.row(static_cast<int>(j)))
+        capped += row[static_cast<std::size_t>(s)] != 0.0 ? 1 : 0;
+      AMF_REQUIRE(capped == nonzero,
+                  "positive workload requires positive demand cap");
     }
   }
   AMF_REQUIRE(weights_.size() == n, "weight vector length != job count");
@@ -146,7 +154,11 @@ void AllocationProblem::rebuild_effective() {
   gammas_.resize(n);
   eff_demands_.resize(n);
   eff_workloads_.resize(workloads_.size());
-  for (std::size_t j = 0; j < n; ++j) refresh_job_effective(j);
+  demand_rows_.first.reserve(n + 1);
+  for (std::size_t j = 0; j < n; ++j) {
+    refresh_job_effective(j);
+    demand_rows_.append_row(eff_demands_[j]);
+  }
 }
 
 void AllocationProblem::refresh_job_effective(std::size_t job) {
@@ -230,9 +242,11 @@ double AllocationProblem::weight(int job) const {
 
 double AllocationProblem::solo_ceiling(int job) const {
   AMF_REQUIRE(job >= 0 && job < jobs(), "job index out of range");
+  // Zero demands would add exactly 0.0; the positive ones are added in
+  // ascending site order, as a dense row scan would.
   double total = 0.0;
-  for (int s = 0; s < sites(); ++s)
-    total += std::min(demand(job, s), capacity(s));
+  for (const auto& [s, d] : demand_rows_.row(job))
+    total += std::min(d, capacities_[static_cast<std::size_t>(s)]);
   return total;
 }
 
@@ -250,20 +264,34 @@ double AllocationProblem::total_capacity() const {
 double AllocationProblem::scale() const {
   double s = 1.0;
   for (double c : capacities_) s = std::max(s, c);
-  for (const auto& row : demands())
-    for (double d : row) s = std::max(s, d);
+  for (const auto& e : demand_rows_.entries) s = std::max(s, e.value);
   return s;
+}
+
+double AllocationProblem::split_share(std::size_t job,
+                                      double weight_total) const {
+  // As in solo_ceiling(), skipping the zero demands changes no bit.
+  const double w = weights_[job];
+  double share = 0.0;
+  for (const auto& [s, d] : demand_rows_.row(static_cast<int>(job)))
+    share += std::min(d, capacities_[static_cast<std::size_t>(s)] * w /
+                             weight_total);
+  return share;
 }
 
 double AllocationProblem::equal_split_share(int job) const {
   AMF_REQUIRE(job >= 0 && job < jobs(), "job index out of range");
-  double weight_total =
+  return split_share(static_cast<std::size_t>(job),
+                     std::accumulate(weights_.begin(), weights_.end(), 0.0));
+}
+
+std::vector<double> AllocationProblem::equal_split_shares() const {
+  const double weight_total =
       std::accumulate(weights_.begin(), weights_.end(), 0.0);
-  double share = 0.0;
-  for (int s = 0; s < sites(); ++s)
-    share += std::min(demand(job, s),
-                      capacity(s) * weight(job) / weight_total);
-  return share;
+  std::vector<double> shares(weights_.size());
+  for (std::size_t j = 0; j < shares.size(); ++j)
+    shares[j] = split_share(j, weight_total);
+  return shares;
 }
 
 AllocationProblem AllocationProblem::with_reported_demands(
@@ -423,12 +451,14 @@ AllocationProblem AllocationProblem::apply(const ProblemDelta& delta) && {
         eff_demands_.emplace_back();
         if (!workloads_.empty()) eff_workloads_.emplace_back();
         refresh_job_effective(demands_.size() - 1);
+        demand_rows_.append_row(eff_demands_.back());
         break;
       }
       AMF_REQUIRE(delta.profile_row.empty(),
                   "profile row on a single-resource problem");
       demands_.push_back(delta.demand_row);
       weights_.push_back(delta.weight);
+      demand_rows_.append_row(delta.demand_row);
       break;
     }
     case ProblemDelta::Kind::kJobDeparted: {
@@ -439,6 +469,7 @@ AllocationProblem AllocationProblem::apply(const ProblemDelta& delta) && {
       if (!workloads_.empty())
         workloads_.erase(workloads_.begin() + static_cast<std::ptrdiff_t>(j));
       weights_.erase(weights_.begin() + static_cast<std::ptrdiff_t>(j));
+      demand_rows_.erase_row(delta.job);
       if (multi_resource()) {
         profiles_.erase(profiles_.begin() + static_cast<std::ptrdiff_t>(j));
         gammas_.erase(gammas_.begin() + static_cast<std::ptrdiff_t>(j));
@@ -492,10 +523,13 @@ AllocationProblem AllocationProblem::apply(const ProblemDelta& delta) && {
                   "positive workload requires positive demand cap");
       demands_[static_cast<std::size_t>(delta.job)]
               [static_cast<std::size_t>(delta.site)] = delta.value;
-      if (multi_resource())
+      double effective = delta.value;
+      if (multi_resource()) {
+        effective = delta.value * gammas_[static_cast<std::size_t>(delta.job)];
         eff_demands_[static_cast<std::size_t>(delta.job)]
-                    [static_cast<std::size_t>(delta.site)] =
-            delta.value * gammas_[static_cast<std::size_t>(delta.job)];
+                    [static_cast<std::size_t>(delta.site)] = effective;
+      }
+      demand_rows_.set(delta.job, delta.site, effective);
       break;
     }
     case ProblemDelta::Kind::kWorkloadSet: {
@@ -536,6 +570,8 @@ AllocationProblem AllocationProblem::apply(const ProblemDelta& delta) && {
       AMF_REQUIRE(any, "each job profile needs a positive entry");
       profiles_[static_cast<std::size_t>(delta.job)] = delta.profile_row;
       refresh_job_effective(static_cast<std::size_t>(delta.job));
+      demand_rows_.assign_row(
+          delta.job, eff_demands_[static_cast<std::size_t>(delta.job)]);
       break;
     }
   }

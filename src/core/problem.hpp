@@ -20,12 +20,12 @@
 //   effective capacity C̃[s]    = min_r capacity[s][r] (the binding resource)
 //   effective workload w̃[j][s] = w[j][s] · γ_j
 //
-// Every value-returning accessor (demands(), capacities(), demand(),
-// capacity(), workloads(), scale(), solo_ceiling(), equal_split_share())
-// reports the EFFECTIVE view, so AMF/E-AMF/PSMF, the incremental
-// workspace, the robust tiers, and the flow substrate run unchanged and
-// their allocations come back in dominant units (task counts are
-// share/γ). The raw task-unit inputs remain available via
+// Every value-returning accessor (demands(), demand_rows(), capacities(),
+// demand(), capacity(), workloads(), scale(), solo_ceiling(),
+// equal_split_share()) reports the EFFECTIVE view, so AMF/E-AMF/PSMF,
+// the incremental workspace, the robust tiers, and the flow substrate run
+// unchanged and their allocations come back in dominant units (task
+// counts are share/γ). The raw task-unit inputs remain available via
 // task_demands()/task_workloads()/profiles()/capacity_matrix().
 //
 // A problem built through the scalar constructor never materializes the
@@ -131,6 +131,11 @@ class AllocationProblem {
   const Matrix& demands() const {
     return multi_resource() ? eff_demands_ : demands_;
   }
+  /// The positive entries of demands(), row by row in ascending site order
+  /// (flow::DemandRows). Built inside validation and kept in step by
+  /// apply(), so network builds and the per-row sums below read only the
+  /// positive demands, not the dense n×m matrix.
+  const flow::DemandRows& demand_rows() const { return demand_rows_; }
   /// Effective (binding-resource) site capacities.
   const std::vector<double>& capacities() const { return capacities_; }
   /// Effective workloads; empty when the instance carries no workload
@@ -180,6 +185,9 @@ class AllocationProblem {
   /// site were statically partitioned in proportion to the weights,
   /// Σ_s min(d[j][s], C[s]·φ_j/Σφ). This is the floor E-AMF enforces.
   double equal_split_share(int job) const;
+  /// equal_split_share(j) of every job, in O(n + nnz): the weights are
+  /// summed once. Bit-identical to calling equal_split_share per job.
+  std::vector<double> equal_split_shares() const;
 
   /// A copy of this instance where job `job` reports `reported` as its
   /// demand row (used by strategy-proofness probes). Workloads are kept.
@@ -190,8 +198,10 @@ class AllocationProblem {
   /// A copy restricted to the given jobs (order preserved).
   AllocationProblem subset(const std::vector<int>& job_indices) const;
 
-  /// The instance after one delta, validating only what changed (O(1) for
-  /// scalar deltas, O(m) for arrivals — never a full O(n·m) revalidation).
+  /// The instance after one delta, validating only what changed (O(m) for
+  /// arrivals, O(1) for value changes plus an O(nnz) shift of the demand
+  /// index when a demand appears, disappears or its row departs — never a
+  /// full O(n·m) revalidation).
   /// The lvalue overload copies; the rvalue overload reuses this
   /// instance's buffers, so a solve loop that owns its problem pays only
   /// for the changed entries: `p = std::move(p).apply(delta)`.
@@ -207,10 +217,15 @@ class AllocationProblem {
   static AllocationProblem load(std::istream& in);
 
  private:
-  void validate() const;
-  /// Recomputes gammas_/eff_demands_/eff_workloads_/capacities_ from the
-  /// raw state (multi-resource instances only).
+  /// Checks the raw state. On scalar instances the same scan builds
+  /// demand_rows_; multi-resource instances build it in
+  /// rebuild_effective(), from the effective rows.
+  void validate();
+  /// Recomputes gammas_/eff_demands_/eff_workloads_/capacities_ and
+  /// demand_rows_ from the raw state (multi-resource instances only).
   void rebuild_effective();
+  /// equal_split_share of job `job` given Σ_j weight_j.
+  double split_share(std::size_t job, double weight_total) const;
   /// Refreshes the cached effective row of one job after a raw change.
   void refresh_job_effective(std::size_t job);
 
@@ -218,6 +233,7 @@ class AllocationProblem {
   std::vector<double> capacities_;   ///< effective (binding-min) capacities
   Matrix workloads_;                 ///< raw task-unit workloads
   std::vector<double> weights_;
+  flow::DemandRows demand_rows_;     ///< positive effective demands
 
   // --- multi-resource state (all empty on scalar instances) ---
   Matrix capacity_matrix_;  ///< m×R; non-empty ⟺ multi_resource()

@@ -13,7 +13,7 @@ bool is_pareto_efficient(const AllocationProblem& problem,
   AMF_REQUIRE(problem.jobs() == allocation.jobs(),
               "problem/allocation size mismatch");
   if (problem.jobs() == 0) return true;
-  flow::TransportNetwork net(problem.demands(), problem.capacities());
+  flow::TransportNetwork net(problem.demand_rows(), problem.capacities());
   net.solve(allocation.aggregates(), eps);
   AMF_REQUIRE(net.saturated(eps * 64.0),
               "allocation aggregates must be feasible");
@@ -50,9 +50,10 @@ double max_sharing_incentive_violation(const AllocationProblem& problem,
                                        const Allocation& allocation) {
   AMF_REQUIRE(problem.jobs() == allocation.jobs(),
               "problem/allocation size mismatch");
+  const std::vector<double> shares = problem.equal_split_shares();
   double worst = 0.0;
   for (int j = 0; j < problem.jobs(); ++j)
-    worst = std::max(worst, problem.equal_split_share(j) -
+    worst = std::max(worst, shares[static_cast<std::size_t>(j)] -
                                 allocation.aggregate(j));
   return worst;
 }

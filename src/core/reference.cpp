@@ -19,7 +19,7 @@ bool is_max_min_fair(const AllocationProblem& problem,
   const double scale = problem.scale();
   const double tol_abs = tol * scale;
 
-  flow::TransportNetwork net(problem.demands(), problem.capacities());
+  flow::TransportNetwork net(problem.demand_rows(), problem.capacities());
 
   // 1. The vector itself must be feasible.
   net.solve(aggregates);

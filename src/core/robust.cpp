@@ -230,10 +230,7 @@ double salvage_gap(const AllocationProblem& problem, const Allocation& alloc,
   const double tol = 1e-12 * std::max(1.0, problem.scale());
   double min_level = std::numeric_limits<double>::infinity();
   for (int j = 0; j < problem.jobs(); ++j) {
-    double reachable = 0.0;
-    for (int s = 0; s < problem.sites(); ++s)
-      reachable += std::min(problem.demand(j, s), problem.capacity(s));
-    if (reachable <= tol) continue;  // structurally-zero jobs excluded
+    if (problem.solo_ceiling(j) <= tol) continue;  // structurally-zero jobs
     min_level = std::min(min_level, alloc.aggregate(j) / problem.weight(j));
   }
   if (!std::isfinite(min_level)) return 0.0;

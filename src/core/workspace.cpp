@@ -54,22 +54,23 @@ void SolverWorkspace::prime(const AllocationProblem& problem,
   for (int j = 0; j < n; ++j) {
     sites.clear();
     demands.clear();
-    const auto& drow = problem.demands()[static_cast<std::size_t>(j)];
-    const std::vector<double>* ceil =
-        arc_ceilings != nullptr
-            ? &(*arc_ceilings)[static_cast<std::size_t>(j)]
-            : nullptr;
-    if (ceil != nullptr)
-      AMF_REQUIRE(static_cast<int>(ceil->size()) == m,
-                  "arc ceiling width != site count");
-    for (int s = 0; s < m; ++s) {
-      double d = drow[static_cast<std::size_t>(s)];
-      double reserve = ceil != nullptr
-                           ? std::max((*ceil)[static_cast<std::size_t>(s)], d)
-                           : d;
-      if (reserve > 0.0) {
+    if (arc_ceilings == nullptr) {
+      // Arcs exactly where the demand is positive: the sparse index.
+      for (const auto& [s, d] : problem.demand_rows().row(j)) {
         sites.push_back(s);
         demands.push_back(d);
+      }
+    } else {
+      const auto& drow = problem.demands()[static_cast<std::size_t>(j)];
+      const auto& ceil = (*arc_ceilings)[static_cast<std::size_t>(j)];
+      AMF_REQUIRE(static_cast<int>(ceil.size()) == m,
+                  "arc ceiling width != site count");
+      for (int s = 0; s < m; ++s) {
+        const double d = drow[static_cast<std::size_t>(s)];
+        if (std::max(ceil[static_cast<std::size_t>(s)], d) > 0.0) {
+          sites.push_back(s);
+          demands.push_back(d);
+        }
       }
     }
     rows_.push_back(transport_->add_job(sites, demands));

@@ -33,6 +33,8 @@ struct LevelCounters {
   obs::Counter hint_hits;
   obs::Counter hint_misses;
   obs::Counter job_cut_hits;
+  obs::Counter gallop_probes;
+  obs::Counter site_bound_rounds;
   LevelCounters() {
     auto& reg = obs::Registry::global();
     level_solves = reg.counter("amf_flow_level_solves",
@@ -52,6 +54,13 @@ struct LevelCounters {
     job_cut_hits = reg.counter(
         "amf_flow_job_cut_hits",
         "rounds closed at a job cut proven feasible (demand-bound rounds)");
+    gallop_probes = reg.counter(
+        "amf_flow_gallop_probes",
+        "probes a gallop issued past its run's first feasible job cut");
+    site_bound_rounds = reg.counter(
+        "amf_flow_site_bound_rounds",
+        "Newton level solves whose first step was infeasible, so a cut "
+        "through sites binds below the start (site-bound rounds)");
   }
 };
 
@@ -88,6 +97,7 @@ CriticalLevel solve_critical_level(
   long long newton_iters = 0;
   long long bisection_steps = 0;
   long long probe_count = 0;
+  long long gallop_probes = 0;
 
   double slope_total = 0.0, fixed_total = 0.0;
   for (const auto& src : sources) {
@@ -118,6 +128,7 @@ CriticalLevel solve_critical_level(
   bool found = false;
   bool job_cut_start = false;
   bool job_cut_first_feasible = false;
+  bool first_step_infeasible = false;
   bool hint_applied = false;
   bool hint_first_feasible = false;
   LevelStatus status = LevelStatus::kConverged;
@@ -224,6 +235,7 @@ CriticalLevel solve_critical_level(
     if (iter == 0) {
       hint_first_feasible = hint_applied && feasible;
       job_cut_first_feasible = job_cut_start && feasible;
+      first_step_infeasible = !feasible;
     }
     if (feasible) {
       found = true;
@@ -315,6 +327,7 @@ CriticalLevel solve_critical_level(
                         ? std::max(src.floor, src.fixed + src.slope * cut[j])
                         : std::max(0.0, src.fixed + src.slope * level);
         }
+        ++gallop_probes;
         if (probe_caps()) {
           auto can = net.jobs_can_increase(kFreezeEps * eps);
           if (run_continues(level, can)) {
@@ -379,6 +392,8 @@ CriticalLevel solve_critical_level(
   if (hint_applied)
     (hint_first_feasible ? counters.hint_hits : counters.hint_misses).add(1);
   if (rounds_at_job_cuts > 0) counters.job_cut_hits.add(rounds_at_job_cuts);
+  if (gallop_probes > 0) counters.gallop_probes.add(gallop_probes);
+  if (first_step_infeasible) counters.site_bound_rounds.add(1);
 
   if (hint != nullptr) {
     if (cut_read) {

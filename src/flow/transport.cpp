@@ -1,6 +1,9 @@
 #include "flow/transport.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "obs/metrics.hpp"
@@ -13,7 +16,7 @@ namespace {
 
 // Transport-layer counters. The value updates only count when they
 // actually change an arc (a no-op set is free and should read as such in
-// the metrics). Rows built by the dense constructor are not counted as
+// the metrics). Rows built by the one-pass constructor are not counted as
 // added.
 struct TransportCounters {
   obs::Counter rows_added;
@@ -52,6 +55,91 @@ TransportCounters& transport_counters() {
 
 }  // namespace
 
+DemandRows DemandRows::from_dense(const Matrix& demands, int sites) {
+  // One branch-free scan per row reads each demand's IEEE-754 bits once:
+  // d is finite and >= 0 iff its bits lie below those of +inf or d is
+  // -0.0, and finite and > 0 iff they lie strictly between 0 and +inf's.
+  // Every site is written to `positive` and kept only when its demand is
+  // positive; a row is checked whole. The entries then take one exact
+  // allocation.
+  constexpr std::uint64_t kInfBits = 0x7FF0000000000000;
+  constexpr std::uint64_t kNegZeroBits = 0x8000000000000000;
+  AMF_REQUIRE(sites >= 0, "negative site count");
+  const auto m = static_cast<std::size_t>(sites);
+  DemandRows rows;
+  rows.first.reserve(demands.size() + 1);
+  std::vector<int> positive;
+  for (const auto& row : demands) {
+    AMF_REQUIRE(row.size() == m, "demand row width != number of sites");
+    std::size_t k = positive.size();
+    positive.resize(k + m);
+    bool ok = true;
+    for (std::size_t s = 0; s < m; ++s) {
+      const auto bits = std::bit_cast<std::uint64_t>(row[s]);
+      ok &= (bits < kInfBits) | (bits == kNegZeroBits);
+      positive[k] = static_cast<int>(s);
+      k += bits - 1 < kInfBits - 1 ? 1 : 0;
+    }
+    AMF_REQUIRE(ok, "demands must be finite, >= 0");
+    positive.resize(k);
+    rows.first.push_back(static_cast<int>(k));
+  }
+  rows.entries.reserve(positive.size());
+  for (std::size_t j = 0; j < demands.size(); ++j)
+    for (int i = rows.first[j]; i < rows.first[j + 1]; ++i) {
+      const int s = positive[static_cast<std::size_t>(i)];
+      rows.entries.push_back({s, demands[j][static_cast<std::size_t>(s)]});
+    }
+  return rows;
+}
+
+void DemandRows::append_row(const std::vector<double>& dense) {
+  for (std::size_t s = 0; s < dense.size(); ++s)
+    if (dense[s] > 0.0) entries.push_back({static_cast<int>(s), dense[s]});
+  first.push_back(static_cast<int>(entries.size()));
+}
+
+void DemandRows::assign_row(int row, const std::vector<double>& dense) {
+  const auto r = static_cast<std::size_t>(row);
+  std::vector<SiteDemand> fresh;
+  for (std::size_t s = 0; s < dense.size(); ++s)
+    if (dense[s] > 0.0) fresh.push_back({static_cast<int>(s), dense[s]});
+  const int shift = static_cast<int>(fresh.size()) - (first[r + 1] - first[r]);
+  entries.erase(entries.begin() + first[r], entries.begin() + first[r + 1]);
+  entries.insert(entries.begin() + first[r], fresh.begin(), fresh.end());
+  for (std::size_t k = r + 1; k < first.size(); ++k) first[k] += shift;
+}
+
+void DemandRows::erase_row(int row) {
+  const auto r = static_cast<std::size_t>(row);
+  const int count = first[r + 1] - first[r];
+  entries.erase(entries.begin() + first[r], entries.begin() + first[r + 1]);
+  first.erase(first.begin() + static_cast<std::ptrdiff_t>(r) + 1);
+  for (std::size_t k = r + 1; k < first.size(); ++k) first[k] -= count;
+}
+
+void DemandRows::set(int row, int site, double value) {
+  const auto r = static_cast<std::size_t>(row);
+  const auto hi = entries.begin() + first[r + 1];
+  const auto it = std::lower_bound(
+      entries.begin() + first[r], hi, site,
+      [](const SiteDemand& e, int s) { return e.site < s; });
+  int shift = 0;
+  if (it != hi && it->site == site) {
+    if (value > 0.0) {
+      it->value = value;
+      return;
+    }
+    entries.erase(it);
+    shift = -1;
+  } else {
+    if (!(value > 0.0)) return;
+    entries.insert(it, {site, value});
+    shift = 1;
+  }
+  for (std::size_t k = r + 1; k < first.size(); ++k) first[k] += shift;
+}
+
 TransportNetwork::TransportNetwork(const std::vector<double>& site_capacities)
     : net_(2 + static_cast<int>(site_capacities.size())) {
   AMF_REQUIRE(!site_capacities.empty(), "at least one site required");
@@ -64,51 +152,58 @@ TransportNetwork::TransportNetwork(const std::vector<double>& site_capacities)
   }
 }
 
-TransportNetwork::TransportNetwork(const Matrix& demands,
+TransportNetwork::TransportNetwork(const DemandRows& demands,
                                    const std::vector<double>& capacities)
     : TransportNetwork(capacities) {
   warm_probes_ = false;
   const int sites = this->sites();
-  const int jobs = static_cast<int>(demands.size());
+  const int jobs = demands.rows();
+  AMF_REQUIRE(jobs >= 0 && demands.first.front() == 0 &&
+                  std::is_sorted(demands.first.begin(), demands.first.end()) &&
+                  static_cast<std::size_t>(demands.first.back()) ==
+                      demands.entries.size(),
+              "demand row offsets do not index the entries");
   for (double c : capacities) scale_ = std::max(scale_, c);
-  // The source arcs are known up front. The demand arcs are not: counting
-  // them first costs a second scan of the dense rows, which measured
-  // slower than letting their arrays grow geometrically.
-  net_.reserve_edges(jobs);
+  // Every arc is known up front: one source arc per row and one demand arc
+  // per entry, and the rows' arc index has the entries' offsets.
+  net_.reserve_edges(jobs + static_cast<int>(demands.entries.size()));
+  row_first_ = demands.first;
+  row_arcs_.reserve(demands.entries.size());
 
-  // One scan of the dense rows validates them, builds the rows' source
-  // and demand arcs with their CSR index, and derives what
-  // refresh_derived() would: the scale and the solo ceilings.
+  // One pass over the rows builds their source and demand arcs and derives
+  // what refresh_derived() would: the scale and the solo ceilings.
   rows_.resize(static_cast<std::size_t>(jobs));
-  row_first_.resize(static_cast<std::size_t>(jobs) + 1, 0);
   solo_ceiling_.resize(static_cast<std::size_t>(jobs), 0.0);
   for (int j = 0; j < jobs; ++j) {
-    const auto& row = demands[static_cast<std::size_t>(j)];
-    AMF_REQUIRE(static_cast<int>(row.size()) == sites,
-                "demand row width != number of sites");
     Row& r = rows_[static_cast<std::size_t>(j)];
     r.live = true;
     r.node = net_.add_node();
     r.source_arc = net_.add_edge(kSource, r.node, 0.0);
     double solo = 0.0;
-    for (int s = 0; s < sites; ++s) {
-      const double d = row[static_cast<std::size_t>(s)];
-      AMF_REQUIRE(d >= 0.0, "negative demand");
-      if (d > 0.0) {
-        row_arcs_.emplace_back(s, net_.add_edge(r.node, site_node(s), d));
-        scale_ = std::max(scale_, d);
-        solo += std::min(d, capacities[static_cast<std::size_t>(s)]);
-      }
+    int prev = -1;
+    for (const auto& [s, d] : demands.row(j)) {
+      AMF_REQUIRE(s > prev && s < sites,
+                  "demand row sites must be strictly ascending, in range");
+      AMF_REQUIRE(d > 0.0 && std::isfinite(d),
+                  "demand row values must be finite, > 0");
+      prev = s;
+      row_arcs_.emplace_back(s, net_.add_edge(r.node, site_node(s), d));
+      scale_ = std::max(scale_, d);
+      solo += std::min(d, capacities[static_cast<std::size_t>(s)]);
     }
     solo_ceiling_[static_cast<std::size_t>(j)] = solo;
-    row_first_[static_cast<std::size_t>(j) + 1] =
-        static_cast<int>(row_arcs_.size());
   }
   derived_dirty_ = false;
   active_.resize(static_cast<std::size_t>(jobs));
   std::iota(active_.begin(), active_.end(), 0);
   live_rows_ = jobs;
 }
+
+TransportNetwork::TransportNetwork(const Matrix& demands,
+                                   const std::vector<double>& capacities)
+    : TransportNetwork(
+          DemandRows::from_dense(demands, static_cast<int>(capacities.size())),
+          capacities) {}
 
 EdgeId TransportNetwork::arc_to(int row, int site) const {
   const auto arcs = arcs_of(row);
@@ -125,7 +220,7 @@ void TransportNetwork::invalidate_caches() {
 
 void TransportNetwork::refresh_derived() const {
   if (!derived_dirty_) return;
-  // Capacities first, then demands, as the dense build reads them. The
+  // Capacities first, then demands, as the one-pass build reads them. The
   // solo ceilings sum positive demands in ascending site order, exactly
   // as a dense row scan would.
   double scale = 1.0;
@@ -423,12 +518,20 @@ bool TransportNetwork::saturated(double eps) const {
   return last_flow_ >= last_total_ - eps * std::max(scale(), last_total_);
 }
 
-Matrix TransportNetwork::allocation() const {
+Matrix TransportNetwork::allocation(std::vector<double>* row_totals) const {
   Matrix a(active_.size(),
            std::vector<double>(static_cast<std::size_t>(sites()), 0.0));
-  for (std::size_t j = 0; j < active_.size(); ++j)
-    for (const auto& [s, e] : arcs_of(active_[j]))
-      a[j][static_cast<std::size_t>(s)] = std::max(0.0, net_.flow(e));
+  if (row_totals != nullptr) row_totals->resize(active_.size());
+  for (std::size_t j = 0; j < active_.size(); ++j) {
+    auto& row = a[j];
+    double total = 0.0;
+    for (const auto& [s, e] : arcs_of(active_[j])) {
+      const double share = std::max(0.0, net_.flow(e));
+      row[static_cast<std::size_t>(s)] = share;
+      total += share;
+    }
+    if (row_totals != nullptr) (*row_totals)[j] = total;
+  }
   return a;
 }
 

@@ -11,13 +11,17 @@
 //
 // One class serves stateless solves and warm workspaces. Its rows (jobs)
 // carry arcs only to their reserved sites, indexed by one flat CSR of
-// (site, arc) per row, and it has two constructors:
-//   * TransportNetwork(demands, capacities) builds every row in one pass
-//     over the dense demand matrix (arcs only for positive demands). Its
+// (site, arc) per row, and it is built in one of two ways:
+//   * TransportNetwork(DemandRows, capacities) builds every row in one
+//     pass over a sparse index of the positive demands (the CSR an
+//     AllocationProblem keeps), with its arc arrays reserved once. Its
 //     probes always run cold, so the flow it holds is always the one a
 //     cold solve computes, and progressive filling's final materialization
 //     at the last probe's caps is served from the last-caps memo with no
-//     max flow.
+//     max flow. TransportNetwork(Matrix, capacities) is a thin adapter for
+//     callers holding a dense matrix: it validates the matrix, converts it
+//     to rows (DemandRows::from_dense) and delegates, so there is one
+//     build path.
 //   * TransportNetwork(capacities) starts with sites only; add_job appends
 //     rows as jobs arrive, remove_job masks them on departure, values are
 //     updated in place between solves, and compact() drops dead rows.
@@ -57,6 +61,47 @@ inline double binding_min(const std::vector<double>& row) {
   return c;
 }
 
+/// One positive demand of a job row: the site and its demand cap.
+struct SiteDemand {
+  int site = 0;
+  double value = 0.0;
+  bool operator==(const SiteDemand&) const = default;
+};
+
+/// The positive demands of a list of job rows as a CSR: row j's entries,
+/// in strictly ascending site order, are entries[first[j], first[j + 1]).
+/// Zero demands have no entry. On the sparse instances of the paper's
+/// model (a job's data lives on a few sites) this is a small fraction of
+/// the dense n×m matrix, and it is what every network build reads.
+struct DemandRows {
+  std::vector<int> first{0};
+  std::vector<SiteDemand> entries;
+
+  int rows() const { return static_cast<int>(first.size()) - 1; }
+  /// Row `row`'s entries, ascending site.
+  std::span<const SiteDemand> row(int row) const {
+    const auto r = static_cast<std::size_t>(row);
+    const auto lo = static_cast<std::size_t>(first[r]);
+    return {entries.data() + lo, static_cast<std::size_t>(first[r + 1]) - lo};
+  }
+
+  /// The index of a dense matrix, in one branch-free scan that also
+  /// validates it: every row must have `sites` entries, each finite and
+  /// >= 0.
+  static DemandRows from_dense(const Matrix& demands, int sites);
+
+  /// Appends a row holding the positive entries of `dense` (unchecked).
+  void append_row(const std::vector<double>& dense);
+  /// Replaces row `row` with the positive entries of `dense`.
+  void assign_row(int row, const std::vector<double>& dense);
+  void erase_row(int row);
+  /// Sets the demand of (`row`, `site`): updates, inserts or (for a zero
+  /// `value`) erases its entry.
+  void set(int row, int site, double value);
+
+  bool operator==(const DemandRows&) const = default;
+};
+
 /// Source side of a min cut after a solve, reported separately for jobs
 /// and sites.
 struct MinCut {
@@ -67,24 +112,30 @@ struct MinCut {
 /// Job→site transportation network over a set of rows with stable ids.
 ///
 /// Solves run over the *active* rows (ascending ids); every solve input and
-/// read is indexed by position in that subset. A dense build activates all
-/// its rows, in matrix order.
+/// read is indexed by position in that subset. A one-pass build activates
+/// all its rows, in row order.
 ///
 /// Determinism: the arc order (site→sink arcs, then per row its source arc
 /// followed by its demand arcs in ascending site order) fixes Dinic's
 /// traversal. Masked arcs and inactive rows carry zero capacity and are
 /// invisible to the flow algorithms, so a network reached by any sequence
 /// of add_job / remove_job / value updates / compact() performs exactly the
-/// floating-point work of a dense build over the active rows' current
+/// floating-point work of a one-pass build over the active rows' current
 /// values. The incremental simulator's equivalence with the from-scratch
 /// engine rests on this (tested in flow_test.cpp and incremental_test.cpp).
 class TransportNetwork {
  public:
-  /// Dense one-pass build with probes that always run cold.
-  /// `demands[j][s]` is the per-site demand cap (arc capacity job→site;
-  /// arcs are only materialized for strictly positive demand);
-  /// `capacities[s]` the site capacity. Every row must have one entry per
-  /// site, and every demand and capacity must be >= 0 (NaN is rejected).
+  /// One-pass build with probes that always run cold. Row j of `demands`
+  /// lists job j's positive demand caps (arc capacities job→site), sites
+  /// strictly ascending and in range, values finite and > 0;
+  /// `capacities[s]` is the site capacity (>= 0).
+  TransportNetwork(const DemandRows& demands,
+                   const std::vector<double>& capacities);
+
+  /// Dense adapter of the build above: `demands[j][s]` is the per-site
+  /// demand cap (arcs only for strictly positive demand). Every row must
+  /// have one entry per site, every demand must be finite and >= 0, and
+  /// every capacity >= 0 (NaN is rejected).
   TransportNetwork(const Matrix& demands,
                    const std::vector<double>& capacities);
 
@@ -162,7 +213,11 @@ class TransportNetwork {
   bool saturated(double eps = FlowNetwork::kDefaultEps) const;
 
   /// Allocation matrix realized by the last solve: a[j][s] = flow(job→site).
-  Matrix allocation() const;
+  /// With `row_totals`, also writes each active row's aggregate Σ_s a[j][s]
+  /// there in the same pass: the row's arc shares added in ascending site
+  /// order, which is bit-identical to a dense std::accumulate of the row
+  /// (the skipped entries are exact +0.0 and every share is >= +0.0).
+  Matrix allocation(std::vector<double>* row_totals = nullptr) const;
 
   /// After a solve: per-job flag, true when the job still has a residual
   /// path to the sink (its aggregate could be increased). The freezing
@@ -251,7 +306,8 @@ class TransportNetwork {
   std::vector<int> active_;  // live row ids, ascending
   int live_rows_ = 0;
   int masked_rows_ = 0;
-  // Fixed by the constructor: dense builds probe cold, add_job builds warm.
+  // Fixed by the constructor: one-pass builds probe cold, add_job builds
+  // probe warm.
   bool warm_probes_ = true;
   // True while the residuals hold a conservative flow respecting every
   // arc's current capacity: mutators shed excess flow locally (instead of

@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <numeric>
 
 #include "core/amf.hpp"
 #include "core/eamf.hpp"
 #include "core/metrics.hpp"
 #include "core/persite.hpp"
 #include "core/properties.hpp"
+#include "util/rng.hpp"
 #include "workload/generator.hpp"
 #include "workload/scenario.hpp"
 
@@ -148,6 +152,50 @@ TEST(Eamf, SingleJobGetsCeiling) {
   AllocationProblem p({{3, 4}}, {10, 10});
   auto e = kEamf.allocate(p);
   EXPECT_NEAR(e.aggregate(0), 7.0, 1e-6);
+}
+
+TEST(DemandIndexFloors, MatchThePerJobFormulaOn1000Jobs) {
+  // sharing_floors sums the weights once and walks each job's sparse row;
+  // every floor must equal the per-job dense formula bit for bit, and the
+  // sharing-incentive audit must agree with it too.
+  workload::GeneratorConfig config;
+  config.jobs = 1000;
+  config.sites = 100;
+  config.sites_per_job_min = 2;
+  config.sites_per_job_max = 8;
+  config.demand_model = workload::DemandModel::kProportionalToWork;
+  config.seed = 21;
+  const auto generated = workload::Generator(config).generate();
+  util::Rng rng(3);
+  std::vector<double> weights(1000);
+  for (auto& w : weights) w = rng.uniform(0.25, 4.0);
+  const AllocationProblem p(generated.demands(), generated.capacities(), {},
+                            weights);
+
+  const auto floors = EnhancedAmfAllocator::sharing_floors(p);
+  ASSERT_EQ(floors.size(), 1000u);
+  const double weight_total =
+      std::accumulate(weights.begin(), weights.end(), 0.0);
+  // Any allocation serves the audit; this one grants a third of each
+  // demand.
+  Matrix shares = p.demands();
+  for (auto& row : shares)
+    for (auto& a : row) a /= 3.0;
+  const Allocation third(std::move(shares));
+  double worst = 0.0;
+  for (int j = 0; j < p.jobs(); ++j) {
+    double share = 0.0;
+    for (int s = 0; s < p.sites(); ++s)
+      share += std::min(p.demand(j, s),
+                        p.capacity(s) * p.weight(j) / weight_total);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(floors[static_cast<std::size_t>(j)]),
+              std::bit_cast<std::uint64_t>(share))
+        << "job " << j;
+    worst = std::max(worst, share - third.aggregate(j));
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                max_sharing_incentive_violation(p, third)),
+            std::bit_cast<std::uint64_t>(worst));
 }
 
 }  // namespace

@@ -621,6 +621,109 @@ TEST(Transport, OnePassBuildMatchesTheIncrementalBuild) {
   }
 }
 
+TEST(TransportDemandIndex, DenseAdapterMatchesTheSparseBuild) {
+  // The dense constructor converts its matrix to rows and delegates; a
+  // network built straight from rows assembled here must match it in arc
+  // order (the same Dinic work) and in every flow bit.
+  auto dinic_work = [] {
+    return std::pair{counter("amf_flow_augmenting_paths"),
+                     counter("amf_flow_maxflow_phases")};
+  };
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(500 + seed);
+    const int n = 3 + static_cast<int>(seed), m = 5;
+    Matrix demands(static_cast<std::size_t>(n),
+                   std::vector<double>(static_cast<std::size_t>(m), 0.0));
+    DemandRows rows;
+    for (auto& row : demands) {
+      for (int s = 0; s < m; ++s) {
+        const double u = rng.uniform();
+        // Zeros, negative zeros and positives; the last site stays empty.
+        double d = u < 0.4 ? 0.0 : u < 0.5 ? -0.0 : rng.uniform(0.5, 12.0);
+        if (s == m - 1) d = 0.0;
+        row[static_cast<std::size_t>(s)] = d;
+        if (d > 0.0) rows.entries.push_back({s, d});
+      }
+      rows.first.push_back(static_cast<int>(rows.entries.size()));
+    }
+    std::vector<double> caps(static_cast<std::size_t>(m));
+    for (auto& c : caps) c = rng.uniform(2.0, 20.0);
+    EXPECT_EQ(DemandRows::from_dense(demands, m), rows);
+
+    TransportNetwork dense(demands, caps), sparse(rows, caps);
+    for (int round = 0; round < 4; ++round) {
+      std::vector<double> source(static_cast<std::size_t>(n));
+      for (auto& c : source) c = rng.uniform(0.0, 15.0);
+      const auto w0 = dinic_work();
+      dense.solve(source);
+      const auto w1 = dinic_work();
+      sparse.solve(source);
+      const auto w2 = dinic_work();
+      EXPECT_EQ(w1.first - w0.first, w2.first - w1.first);
+      EXPECT_EQ(w1.second - w0.second, w2.second - w1.second);
+      expect_same_network(sparse, dense, source);
+    }
+  }
+}
+
+TEST(TransportDemandIndex, RowTotalsMatchTheDenseSums) {
+  // allocation(&totals) sums each row along its arcs; the totals must be
+  // bit-identical to std::accumulate over the dense rows it returns.
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    util::Rng rng(700 + seed);
+    Matrix demands(9, std::vector<double>(6, 0.0));
+    for (auto& row : demands)
+      for (auto& d : row)
+        if (rng.bernoulli(0.4)) d = rng.uniform(0.0, 1.0) * 1e-3 + 0.1;
+    TransportNetwork net(demands, {0.3, 1.7, 0.0, 2.2, 0.9, 5.0});
+    std::vector<double> source(9);
+    for (auto& c : source) c = rng.uniform(0.0, 1.0);
+    net.solve(source);
+    std::vector<double> totals;
+    const Matrix a = net.allocation(&totals);
+    expect_same_bits(a, net.allocation());
+    ASSERT_EQ(totals.size(), a.size());
+    for (std::size_t j = 0; j < a.size(); ++j)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(totals[j]),
+                std::bit_cast<std::uint64_t>(
+                    std::accumulate(a[j].begin(), a[j].end(), 0.0)))
+          << "job " << j;
+  }
+}
+
+TEST(TransportDemandIndex, SparseBuildValidatesItsRows) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto rows = [](std::vector<int> first, std::vector<SiteDemand> entries) {
+    DemandRows r;
+    r.first = std::move(first);
+    r.entries = std::move(entries);
+    return r;
+  };
+  EXPECT_NO_THROW(TransportNetwork(rows({0, 1, 1}, {{1, 3.0}}), kCaps2));
+  EXPECT_THROW(TransportNetwork(rows({0, 2}, {{1, 3.0}, {0, 3.0}}), kCaps2),
+               util::ContractError);  // sites out of order
+  EXPECT_THROW(TransportNetwork(rows({0, 2}, {{1, 3.0}, {1, 3.0}}), kCaps2),
+               util::ContractError);  // duplicate site
+  EXPECT_THROW(TransportNetwork(rows({0, 1}, {{2, 3.0}}), kCaps2),
+               util::ContractError);  // site out of range
+  EXPECT_THROW(TransportNetwork(rows({0, 1}, {{-1, 3.0}}), kCaps2),
+               util::ContractError);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {0.0, -1.0, nan, inf})
+    EXPECT_THROW(TransportNetwork(rows({0, 1}, {{0, bad}}), kCaps2),
+                 util::ContractError);  // values must be finite, positive
+  EXPECT_THROW(TransportNetwork(rows({0, 2}, {{0, 1.0}}), kCaps2),
+               util::ContractError);  // offsets past the entries
+  EXPECT_THROW(TransportNetwork(rows({0, 1, 0, 1}, {{0, 1.0}}), kCaps2),
+               util::ContractError);  // decreasing offsets
+  EXPECT_THROW(TransportNetwork(rows({1}, {{0, 1.0}}), kCaps2),
+               util::ContractError);  // first offset not zero
+  EXPECT_THROW(DemandRows::from_dense(Matrix{{1, -1}}, 2), util::ContractError);
+  EXPECT_THROW(DemandRows::from_dense(Matrix{{1, inf}}, 2), util::ContractError);
+  EXPECT_THROW(DemandRows::from_dense(Matrix{{1}}, 2), util::ContractError);
+}
+
 TEST(Parametric, SymmetricThreeJobs) {
   // All three jobs rise together and hit the joint capacity at t = 20/3.
   TransportNetwork net(kDemands3x2, kCaps2);

@@ -516,7 +516,9 @@ TEST(DinicWorkPin, WarmIncrementalChurn) {
 // n demand-bound rounds. A level solve without a gallop state stops at the
 // first job cut after one max flow; with one it gallops to the last job
 // cut, and the fill freezes every job exactly at its solo ceiling in its
-// own round, in at most 2⌈log₂ n⌉ + 2 probes instead of n.
+// own round, in at most 2⌈log₂ n⌉ + 2 probes instead of n. The flow-work
+// counters put those probes on the gallop, and a round a site binds on
+// the site-bound count.
 TEST(DinicWorkPin, DemandBoundRunTakesLogarithmicProbes) {
   constexpr int kJobs = 24;
   constexpr int kMaxProbes = 2 * 5 + 2;  // 2⌈log₂ 24⌉ + 2
@@ -557,11 +559,18 @@ TEST(DinicWorkPin, DemandBoundRunTakesLogarithmicProbes) {
   const long long probes = counter("amf_flow_probes");
   const long long hits = counter("amf_flow_job_cut_hits");
   const long long solves = counter("amf_flow_level_solves");
+  const long long gallop_probes = counter("amf_flow_gallop_probes");
+  const long long site_bound = counter("amf_flow_site_bound_rounds");
   const auto alloc = amf.allocate_with_report(problem, report);
   EXPECT_EQ(report.trace.rounds, kJobs);
   EXPECT_LE(counter("amf_flow_probes") - probes, kMaxProbes);
   EXPECT_EQ(counter("amf_flow_level_solves") - solves, 1);
   EXPECT_EQ(counter("amf_flow_job_cut_hits") - hits, kJobs);
+  // One probe opens the run at the first job cut; the gallop makes the
+  // rest, and no round is site-bound.
+  EXPECT_EQ(counter("amf_flow_gallop_probes") - gallop_probes,
+            counter("amf_flow_probes") - probes - 1);
+  EXPECT_EQ(counter("amf_flow_site_bound_rounds"), site_bound);
   for (int j = 0; j < kJobs; ++j) {
     const double ceiling = 1.5 * (1.0 + j);
     EXPECT_EQ(report.trace.freeze_round[static_cast<std::size_t>(j)], j + 1);
@@ -569,6 +578,17 @@ TEST(DinicWorkPin, DemandBoundRunTakesLogarithmicProbes) {
                      ceiling / weights[static_cast<std::size_t>(j)]);
     EXPECT_DOUBLE_EQ(alloc.aggregate(j), ceiling);
   }
+
+  // Three jobs that could each take 3 share one site of 3: the probe at
+  // the job cut is infeasible and the site binds at level 1, in one
+  // site-bound round with no gallop.
+  const core::AllocationProblem shared({{5.0}, {5.0}, {5.0}}, {3.0});
+  const long long shared_gallop = counter("amf_flow_gallop_probes");
+  const long long shared_bound = counter("amf_flow_site_bound_rounds");
+  const auto even = amf.allocate(shared);
+  for (int j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(even.aggregate(j), 1.0);
+  EXPECT_EQ(counter("amf_flow_site_bound_rounds") - shared_bound, 1);
+  EXPECT_EQ(counter("amf_flow_gallop_probes"), shared_gallop);
 }
 
 // The cut-Newton descent as it ran when every round started at the
