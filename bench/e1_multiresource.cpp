@@ -12,7 +12,6 @@
 #include "common.hpp"
 
 #include "multiresource/drf.hpp"
-#include "multiresource/problem.hpp"
 
 int main() {
   using namespace amf;
@@ -37,7 +36,7 @@ int main() {
       util::Rng rng(static_cast<std::uint64_t>(
           60000 + i + static_cast<int>(captivity * 100) * 1000));
       const int n = 12, m = 3, rc = 2;
-      multiresource::TaskMatrix caps(
+      core::Matrix caps(
           n, std::vector<double>(static_cast<std::size_t>(m), 0.0));
       std::vector<std::vector<double>> profiles(
           n, std::vector<double>(static_cast<std::size_t>(rc), 0.0));
@@ -57,9 +56,12 @@ int main() {
                   rng.uniform(10.0, 60.0);
         }
       }
-      multiresource::MultiResourceProblem problem(caps, profiles, capacity);
-      auto shares_a = problem.dominant_shares(adrf.allocate(problem));
-      auto shares_p = problem.dominant_shares(persite.allocate(problem));
+      auto problem =
+          core::AllocationProblem::multi(caps, capacity, profiles);
+      auto shares_a =
+          multiresource::dominant_shares(problem, adrf.allocate(problem));
+      auto shares_p =
+          multiresource::dominant_shares(problem, persite.allocate(problem));
       jain_a.add(util::jain_index(shares_a));
       jain_p.add(util::jain_index(shares_p));
       mm_a.add(util::min_max_ratio(shares_a));

@@ -18,7 +18,6 @@
 
 int main() {
   using namespace amf;
-  using multiresource::MultiResourceProblem;
 
   // Three clusters with different CPU/memory balances.
   std::vector<std::vector<double>> capacities{
@@ -37,7 +36,7 @@ int main() {
   };
   // Task caps encode data locality: tenants 0-2 are captive to the hot
   // cluster; 3-5 can run in two or three places.
-  multiresource::TaskMatrix caps{
+  core::Matrix caps{
       {40, 0, 0},    //
       {40, 0, 0},    //
       {40, 0, 0},    //
@@ -45,7 +44,7 @@ int main() {
       {30, 30, 30},  //
       {20, 0, 30},   //
   };
-  MultiResourceProblem problem(caps, profiles, capacities);
+  auto problem = core::AllocationProblem::multi(caps, capacities, profiles);
 
   std::cout << "federated multi-resource cluster: " << problem.jobs()
             << " tenants, " << problem.sites() << " clusters, "
@@ -55,15 +54,15 @@ int main() {
   multiresource::AggregateDrfAllocator adrf;
   auto x_base = persite.allocate(problem);
   auto x_adrf = adrf.allocate(problem);
-  auto s_base = problem.dominant_shares(x_base);
-  auto s_adrf = problem.dominant_shares(x_adrf);
+  auto s_base = multiresource::dominant_shares(problem, x_base);
+  auto s_adrf = multiresource::dominant_shares(problem, x_adrf);
 
   util::Table table({"tenant", "dominant resource", "per-cluster DRF share",
                      "aggregate DRF share"});
   const char* kResources[] = {"CPU", "memory"};
   for (int j = 0; j < problem.jobs(); ++j)
     table.row({"tenant " + std::to_string(j),
-               kResources[problem.dominant_resource(j)],
+               kResources[multiresource::dominant_resource(problem, j)],
                util::CsvWriter::format(s_base[static_cast<std::size_t>(j)]),
                util::CsvWriter::format(s_adrf[static_cast<std::size_t>(j)])});
   table.print(std::cout);

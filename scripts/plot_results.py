@@ -151,8 +151,8 @@ def plot_metrics(metrics_path, out_dir):
 # Serving-path latency histograms from an amf_serve scrape
 # (`amf_client stats`) or any snapshot that carries amf_svc_* metrics.
 SERVING_HISTOGRAMS = [
-    ("amf_svc_queue_wait_ms", "queue wait (ms)"),
-    ("amf_svc_solve_ms", "allocator wall time (ms)"),
+    ("amf_svc_stage_queue_ms", "queue wait (ms)"),
+    ("amf_svc_stage_solve_ms", "allocator wall time (ms)"),
     ("amf_svc_turnaround_ms", "solve turnaround (ms)"),
     ("amf_svc_batch_size", "requests per batch"),
 ]

@@ -26,7 +26,6 @@
 #include "core/stability.hpp"
 #include "lp/simplex.hpp"
 #include "multiresource/drf.hpp"
-#include "multiresource/problem.hpp"
 #include "sim/engine.hpp"
 #include "workload/faults.hpp"
 #include "workload/generator.hpp"

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -19,6 +20,33 @@ double row_max(const std::vector<double>& row) {
   double g = 0.0;
   for (double v : row) g = v > g ? v : g;
   return g;
+}
+
+/// Is every entry of row · g finite? (The lift's effective row of a job
+/// whose dominant-share coefficient is g.)
+bool finite_scaled(const std::vector<double>& row, double g) {
+  for (double v : row)
+    if (!std::isfinite(v * g)) return false;
+  return true;
+}
+
+std::string effective_message(std::size_t job) {
+  return "effective demands and workloads (raw value x profile max) must "
+         "be finite (row " +
+         std::to_string(job) + ")";
+}
+
+/// A delta's Leontief profile row: width R, finite, >= 0, not all zero.
+void require_profile(const std::vector<double>& profile, std::size_t r) {
+  AMF_REQUIRE(profile.size() == r,
+              "delta profile row width != resource count");
+  bool any = false;
+  for (double p : profile) {
+    AMF_REQUIRE(p >= 0.0 && std::isfinite(p),
+                "profiles must be finite, >= 0");
+    any = any || p > 0.0;
+  }
+  AMF_REQUIRE(any, "each job profile needs a positive entry");
 }
 
 }  // namespace
@@ -60,53 +88,79 @@ AllocationProblem AllocationProblem::multi(Matrix demands,
 
 void AllocationProblem::validate() {
   if (multi_resource()) {
+    // Every violation names its row, so a caller assembling an instance
+    // from external data can point at the offending input line.
+    auto at = [](const std::string& what, std::size_t row) {
+      return what + " (row " + std::to_string(row) + ")";
+    };
     const auto n = demands_.size();
     const auto m = capacity_matrix_.size();
     const auto r = capacity_matrix_.front().size();
     for (std::size_t s = 0; s < m; ++s) {
       AMF_REQUIRE(capacity_matrix_[s].size() == r,
-                  "ragged capacity matrix (row " + std::to_string(s) + ")");
+                  at("ragged capacity matrix: row width " +
+                         std::to_string(capacity_matrix_[s].size()) +
+                         " != resource count " + std::to_string(r),
+                     s));
       for (double c : capacity_matrix_[s])
         AMF_REQUIRE(c >= 0.0 && std::isfinite(c),
-                    "capacities must be finite, >= 0");
+                    at("capacities must be finite, >= 0", s));
     }
-    AMF_REQUIRE(profiles_.size() == n, "profile matrix height != job count");
+    AMF_REQUIRE(profiles_.size() == n,
+                "profile matrix height " + std::to_string(profiles_.size()) +
+                    " != job count " + std::to_string(n));
     for (std::size_t j = 0; j < n; ++j) {
       AMF_REQUIRE(profiles_[j].size() == r,
-                  "profile row width != resource count (job " +
-                      std::to_string(j) + ")");
+                  at("ragged profile matrix: row width " +
+                         std::to_string(profiles_[j].size()) +
+                         " != resource count " + std::to_string(r),
+                     j));
       bool any = false;
       for (double p : profiles_[j]) {
         AMF_REQUIRE(p >= 0.0 && std::isfinite(p),
-                    "profiles must be finite, >= 0");
+                    at("profiles must be finite, >= 0", j));
         any = any || p > 0.0;
       }
-      AMF_REQUIRE(any, "each job profile needs a positive entry (job " +
-                           std::to_string(j) + ")");
+      AMF_REQUIRE(any, at("each job profile needs a positive entry "
+                          "(all-zero profile)",
+                          j));
     }
-    for (const auto& row : demands_) {
-      AMF_REQUIRE(row.size() == m, "demand matrix width != site count");
-      for (double d : row)
+    for (std::size_t j = 0; j < n; ++j) {
+      AMF_REQUIRE(demands_[j].size() == m,
+                  at("ragged demand matrix: row width " +
+                         std::to_string(demands_[j].size()) +
+                         " != site count " + std::to_string(m),
+                     j));
+      for (double d : demands_[j])
         AMF_REQUIRE(d >= 0.0 && std::isfinite(d),
-                    "demands must be finite, >= 0");
+                    at("demands must be finite, >= 0", j));
+      AMF_REQUIRE(finite_scaled(demands_[j], row_max(profiles_[j])),
+                  effective_message(j));
     }
     if (!workloads_.empty()) {
       AMF_REQUIRE(workloads_.size() == n, "workload matrix height != job count");
       for (std::size_t j = 0; j < n; ++j) {
         AMF_REQUIRE(workloads_[j].size() == m,
-                    "workload matrix width != site count");
+                    at("ragged workload matrix: row width " +
+                           std::to_string(workloads_[j].size()) +
+                           " != site count " + std::to_string(m),
+                       j));
         for (std::size_t s = 0; s < m; ++s) {
           double w = workloads_[j][s];
           AMF_REQUIRE(w >= 0.0 && std::isfinite(w),
-                      "workloads must be finite, >= 0");
+                      at("workloads must be finite, >= 0", j));
           AMF_REQUIRE(w == 0.0 || demands_[j][s] > 0.0,
-                      "positive workload requires positive demand cap");
+                      at("positive workload requires positive demand cap",
+                         j));
         }
+        AMF_REQUIRE(finite_scaled(workloads_[j], row_max(profiles_[j])),
+                    effective_message(j));
       }
     }
     AMF_REQUIRE(weights_.size() == n, "weight vector length != job count");
-    for (double w : weights_)
-      AMF_REQUIRE(w > 0.0 && std::isfinite(w), "weights must be finite, > 0");
+    for (std::size_t j = 0; j < n; ++j)
+      AMF_REQUIRE(weights_[j] > 0.0 && std::isfinite(weights_[j]),
+                  at("weights must be finite, > 0", j));
     return;
   }
   AMF_REQUIRE(!capacities_.empty(), "problem needs at least one site");
@@ -414,6 +468,22 @@ AllocationProblem AllocationProblem::apply(const ProblemDelta& delta) && {
                     "demands must be finite, >= 0");
       AMF_REQUIRE(delta.weight > 0.0 && std::isfinite(delta.weight),
                   "weights must be finite, > 0");
+      // Everything is checked before the first mutation, so a rejected
+      // delta leaves this instance as it was.
+      std::vector<double> profile;
+      if (multi_resource()) {
+        profile = delta.profile_row;
+        if (profile.empty())
+          profile.assign(static_cast<std::size_t>(resources()), 1.0);
+        require_profile(profile, static_cast<std::size_t>(resources()));
+        const double g = row_max(profile);
+        AMF_REQUIRE(finite_scaled(delta.demand_row, g) &&
+                        finite_scaled(delta.workload_row, g),
+                    effective_message(demands_.size()));
+      } else {
+        AMF_REQUIRE(delta.profile_row.empty(),
+                    "profile row on a single-resource problem");
+      }
       const bool track_work = !workloads_.empty() || demands_.empty();
       if (!delta.workload_row.empty()) {
         AMF_REQUIRE(delta.workload_row.size() == m,
@@ -432,18 +502,6 @@ AllocationProblem AllocationProblem::apply(const ProblemDelta& delta) && {
         workloads_.emplace_back(m, 0.0);
       }
       if (multi_resource()) {
-        const auto r = static_cast<std::size_t>(resources());
-        std::vector<double> profile = delta.profile_row;
-        if (profile.empty()) profile.assign(r, 1.0);
-        AMF_REQUIRE(profile.size() == r,
-                    "delta profile row width != resource count");
-        bool any = false;
-        for (double p : profile) {
-          AMF_REQUIRE(p >= 0.0 && std::isfinite(p),
-                      "profiles must be finite, >= 0");
-          any = any || p > 0.0;
-        }
-        AMF_REQUIRE(any, "each job profile needs a positive entry");
         profiles_.push_back(std::move(profile));
         demands_.push_back(delta.demand_row);
         weights_.push_back(delta.weight);
@@ -454,8 +512,6 @@ AllocationProblem AllocationProblem::apply(const ProblemDelta& delta) && {
         demand_rows_.append_row(eff_demands_.back());
         break;
       }
-      AMF_REQUIRE(delta.profile_row.empty(),
-                  "profile row on a single-resource problem");
       demands_.push_back(delta.demand_row);
       weights_.push_back(delta.weight);
       demand_rows_.append_row(delta.demand_row);
@@ -521,6 +577,11 @@ AllocationProblem AllocationProblem::apply(const ProblemDelta& delta) && {
                       workloads_[static_cast<std::size_t>(delta.job)]
                                 [static_cast<std::size_t>(delta.site)] == 0.0,
                   "positive workload requires positive demand cap");
+      AMF_REQUIRE(!multi_resource() ||
+                      std::isfinite(
+                          delta.value *
+                          gammas_[static_cast<std::size_t>(delta.job)]),
+                  effective_message(static_cast<std::size_t>(delta.job)));
       demands_[static_cast<std::size_t>(delta.job)]
               [static_cast<std::size_t>(delta.site)] = delta.value;
       double effective = delta.value;
@@ -545,6 +606,11 @@ AllocationProblem AllocationProblem::apply(const ProblemDelta& delta) && {
                       demands_[static_cast<std::size_t>(delta.job)]
                               [static_cast<std::size_t>(delta.site)] > 0.0,
                   "positive workload requires positive demand cap");
+      AMF_REQUIRE(!multi_resource() ||
+                      std::isfinite(
+                          delta.value *
+                          gammas_[static_cast<std::size_t>(delta.job)]),
+                  effective_message(static_cast<std::size_t>(delta.job)));
       workloads_[static_cast<std::size_t>(delta.job)]
                 [static_cast<std::size_t>(delta.site)] = delta.value;
       if (multi_resource())
@@ -558,16 +624,13 @@ AllocationProblem AllocationProblem::apply(const ProblemDelta& delta) && {
                   "profile delta on a single-resource problem");
       AMF_REQUIRE(delta.job >= 0 && delta.job < jobs(),
                   "delta job index out of range");
-      AMF_REQUIRE(delta.profile_row.size() ==
-                      static_cast<std::size_t>(resources()),
-                  "delta profile row width != resource count");
-      bool any = false;
-      for (double p : delta.profile_row) {
-        AMF_REQUIRE(p >= 0.0 && std::isfinite(p),
-                    "profiles must be finite, >= 0");
-        any = any || p > 0.0;
-      }
-      AMF_REQUIRE(any, "each job profile needs a positive entry");
+      require_profile(delta.profile_row,
+                      static_cast<std::size_t>(resources()));
+      const auto j = static_cast<std::size_t>(delta.job);
+      const double g = row_max(delta.profile_row);
+      AMF_REQUIRE(finite_scaled(demands_[j], g) &&
+                      (workloads_.empty() || finite_scaled(workloads_[j], g)),
+                  effective_message(j));
       profiles_[static_cast<std::size_t>(delta.job)] = delta.profile_row;
       refresh_job_effective(static_cast<std::size_t>(delta.job));
       demand_rows_.assign_row(

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "flow/transport.hpp"
-#include "lp/simplex.hpp"
+#include "lp/leximin.hpp"
 #include "util/error.hpp"
 
 namespace amf::core {
@@ -65,149 +65,59 @@ std::vector<double> lp_max_min_aggregates(const AllocationProblem& problem) {
   const int m = problem.sites();
   if (n == 0) return {};
 
-  // LP variables: one per (job, site) cell with positive demand, plus the
-  // level t appended when maximizing the common minimum.
-  std::vector<std::vector<int>> var_of(
-      static_cast<std::size_t>(n),
-      std::vector<int>(static_cast<std::size_t>(m), -1));
-  int cells = 0;
+  // LP variables: one per (job, site) cell that can carry flow (positive
+  // demand at a site with positive capacity), so a job whose solo ceiling
+  // is 0 has an empty group and stays at 0.
+  lp::GroupedPolytope poly;
+  poly.groups.resize(static_cast<std::size_t>(n));
+  std::vector<std::vector<int>> at_site(static_cast<std::size_t>(m));
+  std::vector<double> cell_demand;
   for (int j = 0; j < n; ++j)
-    for (int s = 0; s < m; ++s)
-      if (problem.demand(j, s) > 0.0)
-        var_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)] =
-            cells++;
-
-  // Base rows shared by every solve: site capacities and demand caps.
-  auto base_rows = [&](int width) {
-    std::vector<lp::Row> rows;
-    for (int s = 0; s < m; ++s) {
-      lp::Row row;
-      row.coeffs.assign(static_cast<std::size_t>(width), 0.0);
-      bool any = false;
-      for (int j = 0; j < n; ++j) {
-        int v = var_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-        if (v >= 0) {
-          row.coeffs[static_cast<std::size_t>(v)] = 1.0;
-          any = true;
-        }
-      }
-      if (!any) continue;
-      row.type = lp::RowType::kLe;
-      row.rhs = problem.capacity(s);
-      rows.push_back(std::move(row));
+    for (const auto& [s, d] : problem.demand_rows().row(j)) {
+      if (problem.capacity(s) <= 0.0) continue;
+      poly.groups[static_cast<std::size_t>(j)].push_back(poly.variables);
+      at_site[static_cast<std::size_t>(s)].push_back(poly.variables);
+      cell_demand.push_back(d);
+      ++poly.variables;
     }
-    for (int j = 0; j < n; ++j)
-      for (int s = 0; s < m; ++s) {
-        int v = var_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-        if (v < 0) continue;
-        lp::Row row;
-        row.coeffs.assign(static_cast<std::size_t>(width), 0.0);
-        row.coeffs[static_cast<std::size_t>(v)] = 1.0;
-        row.type = lp::RowType::kLe;
-        row.rhs = problem.demand(j, s);
-        rows.push_back(std::move(row));
-      }
-    return rows;
-  };
-  auto job_row = [&](int j, int width) {
+  // Rows: site capacities, then demand caps.
+  const auto width = static_cast<std::size_t>(poly.variables);
+  for (int s = 0; s < m; ++s) {
+    const auto& cells = at_site[static_cast<std::size_t>(s)];
+    if (cells.empty()) continue;
     lp::Row row;
-    row.coeffs.assign(static_cast<std::size_t>(width), 0.0);
-    for (int s = 0; s < m; ++s) {
-      int v = var_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-      if (v >= 0) row.coeffs[static_cast<std::size_t>(v)] = 1.0;
-    }
-    return row;
-  };
-
-  std::vector<char> fixed(static_cast<std::size_t>(n), 0);
-  std::vector<double> value(static_cast<std::size_t>(n), 0.0);
-  int unfixed = 0;
-  for (int j = 0; j < n; ++j) {
-    if (problem.solo_ceiling(j) <= 0.0)
-      fixed[static_cast<std::size_t>(j)] = 1;
-    else
-      ++unfixed;
+    row.coeffs.assign(width, 0.0);
+    for (int v : cells) row.coeffs[static_cast<std::size_t>(v)] = 1.0;
+    row.type = lp::RowType::kLe;
+    row.rhs = problem.capacity(s);
+    poly.rows.push_back(std::move(row));
+  }
+  for (std::size_t v = 0; v < width; ++v) {
+    lp::Row row;
+    row.coeffs.assign(width, 0.0);
+    row.coeffs[v] = 1.0;
+    row.type = lp::RowType::kLe;
+    row.rhs = cell_demand[v];
+    poly.rows.push_back(std::move(row));
   }
 
-  // Feasibility of per-job aggregate floors (floors relaxed a hair so LP
-  // noise never rejects a level the level-LP itself certified).
-  auto floors_feasible = [&](const std::vector<double>& floors) {
-    auto rows = base_rows(cells);
-    for (int j = 0; j < n; ++j) {
-      if (floors[static_cast<std::size_t>(j)] <= 0.0) continue;
-      auto row = job_row(j, cells);
-      row.type = lp::RowType::kGe;
-      row.rhs = floors[static_cast<std::size_t>(j)];
-      rows.push_back(std::move(row));
-    }
-    return lp::feasible(cells, rows);
-  };
-
-  for (int round = 0; round < n + 1 && unfixed > 0; ++round) {
-    // Level LP: maximize t with every unfixed job's normalized aggregate
-    // at least t and fixed jobs at their values.
-    lp::LinearProgram program;
-    program.variables = cells + 1;
-    const int t_var = cells;
-    program.objective.assign(static_cast<std::size_t>(program.variables),
-                             0.0);
-    program.objective[static_cast<std::size_t>(t_var)] = 1.0;
-    for (auto& row : base_rows(cells)) {
-      row.coeffs.push_back(0.0);
-      program.rows.push_back(std::move(row));
-    }
-    for (int j = 0; j < n; ++j) {
-      auto row = job_row(j, program.variables);
-      if (fixed[static_cast<std::size_t>(j)]) {
-        if (value[static_cast<std::size_t>(j)] <= 0.0) continue;
-        row.type = lp::RowType::kGe;
-        row.rhs = value[static_cast<std::size_t>(j)] * (1.0 - 1e-9);
-      } else {
-        row.coeffs[static_cast<std::size_t>(t_var)] = -problem.weight(j);
-        row.type = lp::RowType::kGe;
-        row.rhs = 0.0;
-      }
-      program.rows.push_back(std::move(row));
-    }
-    auto level_result = lp::solve(program);
-    if (level_result.status == lp::LpStatus::kDeadlineExceeded)
-      throw util::DeadlineExceeded(
-          "leximin level LP interrupted by its stop token");
-    AMF_ASSERT(level_result.status == lp::LpStatus::kOptimal,
-               "leximin level LP must stay feasible");
-    const double level = level_result.objective;
-
-    // Fix exactly the jobs that cannot exceed the level while everyone
-    // else holds it.
-    const double step = std::max(1e-6 * problem.scale(), 1e-9);
-    std::vector<double> floors(value);
-    for (int j = 0; j < n; ++j)
-      if (!fixed[static_cast<std::size_t>(j)])
-        floors[static_cast<std::size_t>(j)] =
-            level * problem.weight(j) * (1.0 - 1e-9);
-    int newly = 0;
-    for (int j = 0; j < n; ++j) {
-      if (fixed[static_cast<std::size_t>(j)]) continue;
-      auto probe = floors;
-      probe[static_cast<std::size_t>(j)] =
-          level * problem.weight(j) + step;
-      if (!floors_feasible(probe)) {
-        fixed[static_cast<std::size_t>(j)] = 1;
-        value[static_cast<std::size_t>(j)] = level * problem.weight(j);
-        --unfixed;
-        ++newly;
-      }
-    }
-    if (newly == 0) {
-      for (int j = 0; j < n; ++j) {
-        if (fixed[static_cast<std::size_t>(j)]) continue;
-        fixed[static_cast<std::size_t>(j)] = 1;
-        value[static_cast<std::size_t>(j)] = level * problem.weight(j);
-        --unfixed;
-      }
-    }
-  }
-  return value;
+  // A job's level is its normalized aggregate a_j / w_j, measured in units
+  // of the largest weight: with rates w_j / max w the level column stays as
+  // well scaled as the aggregates, whatever the weights' magnitude (rates
+  // near 1e6 put the level at 1e-7 scale, where the simplex's tolerances
+  // let it overshoot a cap by 1e-4). Unit weights keep rates of exactly 1.
+  // The freeze probe asks every job for the same extra aggregate.
+  const auto& weights = problem.weights();
+  const double top = *std::max_element(weights.begin(), weights.end());
+  std::vector<double> rates(weights.size());
+  for (std::size_t j = 0; j < rates.size(); ++j) rates[j] = weights[j] / top;
+  const std::vector<double> rise(static_cast<std::size_t>(n),
+                                 std::max(1e-6 * problem.scale(), 1e-9));
+  const auto levels = lp::sequential_leximin(poly, rates, rise);
+  std::vector<double> aggregates(static_cast<std::size_t>(n));
+  for (std::size_t j = 0; j < aggregates.size(); ++j)
+    aggregates[j] = rates[j] * levels[j];
+  return aggregates;
 }
 
 }  // namespace amf::core

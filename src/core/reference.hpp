@@ -26,9 +26,9 @@ bool is_max_min_fair(const AllocationProblem& problem,
 
 /// A fully independent computation of the AMF aggregate vector:
 /// sequential leximin over the transportation polytope with the LP
-/// substrate (Ogryczak procedure — maximize the common minimum with one
-/// level LP, fix the jobs pinned at it via per-job feasibility LPs,
-/// recurse). Exact up to LP tolerance; O(n) LPs of size n·m. Slower than
+/// substrate (lp::sequential_leximin, the Ogryczak procedure — maximize
+/// the common normalized aggregate with one level LP, fix the jobs pinned
+/// at it via per-job feasibility LPs, recurse). Exact up to LP tolerance; O(n) LPs of size n·m. Slower than
 /// the flow-based allocator but shares none of its code paths — the
 /// strongest differential oracle in the test suite.
 std::vector<double> lp_max_min_aggregates(const AllocationProblem& problem);

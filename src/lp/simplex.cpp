@@ -134,7 +134,7 @@ class Tableau {
 
  private:
   double rhs(std::size_t i) const { return tab_[i].back(); }
-  double feas_tol() const { return eps_ * 1024.0; }
+  double feas_tol() const { return eps_ * kFeasibilitySlack; }
 
   /// Primal simplex: Dantzig pricing with a permanent switch to Bland's
   /// rule (guaranteed termination) after a burn-in. The pivot budget is

@@ -53,6 +53,10 @@ struct LpResult {
   std::vector<double> x;  // primal solution (valid when kOptimal)
 };
 
+/// Phase 1 declares a program feasible when its total artificial
+/// infeasibility is at most this multiple of `eps` (an absolute amount).
+inline constexpr double kFeasibilitySlack = 1024.0;
+
 /// Default pivot budget: far above anything the allocators' LPs need
 /// (Bland's rule guarantees termination; the cap guards degenerate
 /// cycling caused by floating-point noise).

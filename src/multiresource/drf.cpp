@@ -3,43 +3,205 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <utility>
 
 #include "core/single_site.hpp"
-#include "lp/simplex.hpp"
+#include "lp/leximin.hpp"
 #include "util/error.hpp"
 
 namespace amf::multiresource {
 
+namespace {
+
+/// The preconditions every DRF entry point states in drf.hpp.
+void require_drf_instance(const core::AllocationProblem& p) {
+  AMF_REQUIRE(p.multi_resource(),
+              "DRF needs a multi-resource instance (AllocationProblem::multi)");
+  for (int j = 0; j < p.jobs(); ++j)
+    AMF_REQUIRE(p.weight(j) == 1.0,
+                "DRF allocates unweighted jobs (weight of job " +
+                    std::to_string(j) + " != 1)");
+  for (int r = 0; r < p.resources(); ++r) {
+    if (total_capacity(p, r) > 0.0) continue;
+    for (int j = 0; j < p.jobs(); ++j)
+      AMF_REQUIRE(p.profile(j, r) == 0.0,
+                  "a demanded resource must have positive total capacity");
+  }
+}
+
+/// Largest capacity, task cap or profile entry (>= 1): the scale of the
+/// DRF tolerances.
+double task_scale(const core::AllocationProblem& p) {
+  double scale = 1.0;
+  for (int s = 0; s < p.sites(); ++s)
+    for (int r = 0; r < p.resources(); ++r)
+      scale = std::max(scale, p.capacity(s, r));
+  for (int j = 0; j < p.jobs(); ++j) {
+    for (int s = 0; s < p.sites(); ++s)
+      scale = std::max(scale, p.task_demand(j, s));
+    for (int r = 0; r < p.resources(); ++r)
+      scale = std::max(scale, p.profile(j, r));
+  }
+  return scale;
+}
+
+/// The Leontief polytope: one variable per (job, site) pair with a
+/// positive task cap, grouped per job; rows are per-site per-resource
+/// capacities, then per-variable task caps.
+struct LeontiefLp {
+  explicit LeontiefLp(const core::AllocationProblem& p) {
+    poly.groups.resize(static_cast<std::size_t>(p.jobs()));
+    for (int j = 0; j < p.jobs(); ++j)
+      for (int s = 0; s < p.sites(); ++s)
+        if (p.task_demand(j, s) > 0.0) {
+          poly.groups[static_cast<std::size_t>(j)].push_back(poly.variables++);
+          cells.emplace_back(j, s);
+        }
+    const auto width = static_cast<std::size_t>(poly.variables);
+    for (int s = 0; s < p.sites(); ++s)
+      for (int r = 0; r < p.resources(); ++r) {
+        lp::Row row;
+        row.coeffs.assign(width, 0.0);
+        bool any = false;
+        for (std::size_t v = 0; v < width; ++v)
+          if (cells[v].second == s && p.profile(cells[v].first, r) > 0.0) {
+            row.coeffs[v] = p.profile(cells[v].first, r);
+            any = true;
+          }
+        if (!any) continue;
+        row.type = lp::RowType::kLe;
+        row.rhs = p.capacity(s, r);
+        poly.rows.push_back(std::move(row));
+      }
+    for (std::size_t v = 0; v < width; ++v) {
+      lp::Row row;
+      row.coeffs.assign(width, 0.0);
+      row.coeffs[v] = 1.0;
+      row.type = lp::RowType::kLe;
+      row.rhs = p.task_demand(cells[v].first, cells[v].second);
+      poly.rows.push_back(std::move(row));
+    }
+  }
+
+  core::Matrix extract(const core::AllocationProblem& p,
+                       const std::vector<double>& solution) const {
+    core::Matrix x(static_cast<std::size_t>(p.jobs()),
+                   std::vector<double>(static_cast<std::size_t>(p.sites()),
+                                       0.0));
+    for (std::size_t v = 0; v < cells.size(); ++v)
+      x[static_cast<std::size_t>(cells[v].first)]
+       [static_cast<std::size_t>(cells[v].second)] =
+           std::max(0.0, solution[v]);
+    return x;
+  }
+
+  lp::GroupedPolytope poly;
+  std::vector<std::pair<int, int>> cells;  ///< (job, site) of each variable
+};
+
+/// Task totals per unit of dominant share: job j's level in the leximin
+/// is its aggregate dominant share.
+std::vector<double> share_rates(const core::AllocationProblem& p) {
+  std::vector<double> rates(static_cast<std::size_t>(p.jobs()));
+  for (int j = 0; j < p.jobs(); ++j)
+    rates[static_cast<std::size_t>(j)] = 1.0 / dominant_share_per_task(p, j);
+  return rates;
+}
+
+}  // namespace
+
+double total_capacity(const core::AllocationProblem& problem, int resource) {
+  double total = 0.0;
+  for (int s = 0; s < problem.sites(); ++s)
+    total += problem.capacity(s, resource);
+  return total;
+}
+
+int dominant_resource(const core::AllocationProblem& problem, int job) {
+  int best_r = 0;
+  double best = -1.0;
+  for (int r = 0; r < problem.resources(); ++r) {
+    double pool = total_capacity(problem, r);
+    if (pool <= 0.0) continue;
+    double share = problem.profile(job, r) / pool;
+    if (share > best) {
+      best = share;
+      best_r = r;
+    }
+  }
+  return best_r;
+}
+
+double dominant_share_per_task(const core::AllocationProblem& problem,
+                               int job) {
+  const int r = dominant_resource(problem, job);
+  const double pool = total_capacity(problem, r);
+  return pool > 0.0 ? problem.profile(job, r) / pool : 0.0;
+}
+
+std::vector<double> dominant_shares(const core::AllocationProblem& problem,
+                                    const core::Matrix& x) {
+  AMF_REQUIRE(static_cast<int>(x.size()) == problem.jobs(),
+              "allocation height != job count");
+  std::vector<double> shares(x.size(), 0.0);
+  for (int j = 0; j < problem.jobs(); ++j) {
+    const auto& row = x[static_cast<std::size_t>(j)];
+    AMF_REQUIRE(static_cast<int>(row.size()) == problem.sites(),
+                "allocation width != site count");
+    double tasks = 0.0;
+    for (double v : row) tasks += v;
+    shares[static_cast<std::size_t>(j)] =
+        tasks * dominant_share_per_task(problem, j);
+  }
+  return shares;
+}
+
+bool feasible(const core::AllocationProblem& problem, const core::Matrix& x,
+              double eps) {
+  const int n = problem.jobs();
+  const int m = problem.sites();
+  if (static_cast<int>(x.size()) != n) return false;
+  const double tol = eps * task_scale(problem);
+  for (int j = 0; j < n; ++j) {
+    if (static_cast<int>(x[static_cast<std::size_t>(j)].size()) != m)
+      return false;
+    for (int s = 0; s < m; ++s) {
+      double v = x[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
+      if (v < -tol || v > problem.task_demand(j, s) + tol) return false;
+    }
+  }
+  for (int s = 0; s < m; ++s)
+    for (int r = 0; r < problem.resources(); ++r) {
+      double used = 0.0;
+      for (int j = 0; j < n; ++j)
+        used += x[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)] *
+                problem.profile(j, r);
+      if (used > problem.capacity(s, r) + tol) return false;
+    }
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // Per-site DRF
 
-TaskMatrix PerSiteDrfAllocator::allocate(
-    const MultiResourceProblem& problem) const {
+core::Matrix PerSiteDrfAllocator::allocate(
+    const core::AllocationProblem& problem) const {
+  require_drf_instance(problem);
   const int n = problem.jobs();
   const int m = problem.sites();
-  const int rc = problem.resources();
-  TaskMatrix x(static_cast<std::size_t>(n),
-               std::vector<double>(static_cast<std::size_t>(m), 0.0));
+  core::Matrix x(static_cast<std::size_t>(n),
+                 std::vector<double>(static_cast<std::size_t>(m), 0.0));
 
   // Per-site DRF is the core one-site Leontief water-fill applied
   // independently at every site.
-  std::vector<std::vector<double>> profiles(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    auto& row = profiles[static_cast<std::size_t>(j)];
-    row.resize(static_cast<std::size_t>(rc));
-    for (int r = 0; r < rc; ++r)
-      row[static_cast<std::size_t>(r)] = problem.profile(j, r);
-  }
+  const double scale = task_scale(problem);
   std::vector<double> task_caps(static_cast<std::size_t>(n));
-  std::vector<double> capacities(static_cast<std::size_t>(rc));
   for (int s = 0; s < m; ++s) {
     for (int j = 0; j < n; ++j)
-      task_caps[static_cast<std::size_t>(j)] = problem.task_cap(j, s);
-    for (int r = 0; r < rc; ++r)
-      capacities[static_cast<std::size_t>(r)] = problem.capacity(s, r);
-    auto tasks = core::leontief_water_fill(task_caps, profiles, capacities,
-                                           problem.scale(), eps_);
+      task_caps[static_cast<std::size_t>(j)] = problem.task_demand(j, s);
+    auto tasks = core::leontief_water_fill(
+        task_caps, problem.profiles(),
+        problem.capacity_matrix()[static_cast<std::size_t>(s)], scale, 1e-10);
     for (int j = 0; j < n; ++j)
       x[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)] =
           tasks[static_cast<std::size_t>(j)];
@@ -50,360 +212,113 @@ TaskMatrix PerSiteDrfAllocator::allocate(
 // ---------------------------------------------------------------------------
 // Aggregate DRF
 
-namespace {
-
-/// Shared LP construction: variables are the (job, site) pairs with a
-/// positive task cap; rows are per-job total-task floors, per-site
-/// per-resource capacities, and per-variable caps.
-struct AdrfLp {
-  explicit AdrfLp(const MultiResourceProblem& problem) : p(problem) {
-    var_of.assign(static_cast<std::size_t>(p.jobs()),
-                  std::vector<int>(static_cast<std::size_t>(p.sites()), -1));
-    for (int j = 0; j < p.jobs(); ++j)
-      for (int s = 0; s < p.sites(); ++s)
-        if (p.task_cap(j, s) > 0.0) {
-          var_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)] =
-              vars;
-          ++vars;
-        }
-  }
-
-  /// Rows for the given per-job total-task floors.
-  std::vector<lp::Row> rows(const std::vector<double>& floors) const {
-    std::vector<lp::Row> out;
-    for (int j = 0; j < p.jobs(); ++j) {
-      if (floors[static_cast<std::size_t>(j)] <= 0.0) continue;
-      lp::Row row;
-      row.coeffs.assign(static_cast<std::size_t>(vars), 0.0);
-      for (int s = 0; s < p.sites(); ++s) {
-        int v = var_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-        if (v >= 0) row.coeffs[static_cast<std::size_t>(v)] = 1.0;
-      }
-      row.type = lp::RowType::kGe;
-      row.rhs = floors[static_cast<std::size_t>(j)];
-      out.push_back(std::move(row));
-    }
-    for (int s = 0; s < p.sites(); ++s)
-      for (int r = 0; r < p.resources(); ++r) {
-        lp::Row row;
-        row.coeffs.assign(static_cast<std::size_t>(vars), 0.0);
-        bool any = false;
-        for (int j = 0; j < p.jobs(); ++j) {
-          int v = var_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-          if (v >= 0 && p.profile(j, r) > 0.0) {
-            row.coeffs[static_cast<std::size_t>(v)] = p.profile(j, r);
-            any = true;
-          }
-        }
-        if (!any) continue;
-        row.type = lp::RowType::kLe;
-        row.rhs = p.capacity(s, r);
-        out.push_back(std::move(row));
-      }
-    for (int j = 0; j < p.jobs(); ++j)
-      for (int s = 0; s < p.sites(); ++s) {
-        int v = var_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-        if (v < 0) continue;
-        lp::Row row;
-        row.coeffs.assign(static_cast<std::size_t>(vars), 0.0);
-        row.coeffs[static_cast<std::size_t>(v)] = 1.0;
-        row.type = lp::RowType::kLe;
-        row.rhs = p.task_cap(j, s);
-        out.push_back(std::move(row));
-      }
-    return out;
-  }
-
-  bool feasible(const std::vector<double>& floors,
-                std::vector<double>* witness = nullptr) const {
-    return lp::feasible(vars, rows(floors), witness);
-  }
-
-  TaskMatrix extract(const std::vector<double>& solution) const {
-    TaskMatrix x(static_cast<std::size_t>(p.jobs()),
-                 std::vector<double>(static_cast<std::size_t>(p.sites()), 0.0));
-    for (int j = 0; j < p.jobs(); ++j)
-      for (int s = 0; s < p.sites(); ++s) {
-        int v = var_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-        if (v >= 0)
-          x[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)] =
-              std::max(0.0, solution[static_cast<std::size_t>(v)]);
-      }
-    return x;
-  }
-
-  const MultiResourceProblem& p;
-  std::vector<std::vector<int>> var_of;
-  int vars = 0;
-};
-
-}  // namespace
-
-TaskMatrix AggregateDrfAllocator::allocate(
-    const MultiResourceProblem& problem) const {
+core::Matrix AggregateDrfAllocator::allocate(
+    const core::AllocationProblem& problem) const {
+  require_drf_instance(problem);
   const int n = problem.jobs();
-  if (n == 0) return TaskMatrix{};
-  AdrfLp builder(problem);
-
-  std::vector<double> delta(static_cast<std::size_t>(n));
-  std::vector<double> cap_total(static_cast<std::size_t>(n), 0.0);
-  for (int j = 0; j < n; ++j) {
-    delta[static_cast<std::size_t>(j)] = problem.dominant_share_per_task(j);
-    for (int s = 0; s < problem.sites(); ++s)
-      cap_total[static_cast<std::size_t>(j)] += problem.task_cap(j, s);
-  }
-
-  std::vector<char> fixed(static_cast<std::size_t>(n), 0);
-  std::vector<double> floor_tasks(static_cast<std::size_t>(n), 0.0);
-  int unfixed = 0;
-  for (int j = 0; j < n; ++j) {
-    if (cap_total[static_cast<std::size_t>(j)] <= 0.0 ||
-        delta[static_cast<std::size_t>(j)] <= 0.0)
-      fixed[static_cast<std::size_t>(j)] = 1;
-    else
-      ++unfixed;
-  }
+  if (n == 0) return core::Matrix{};
+  const LeontiefLp leontief(problem);
+  const auto rates = share_rates(problem);
 
   // Exact lexicographic max-min over the (general, non-polymatroid) LP
-  // polytope, Ogryczak-style: each round solves one LP that maximizes the
-  // common minimum share t of the unfixed jobs (t is an LP variable, the
-  // per-job rows read Σ_s x[j][s] − t/δ_j >= 0), then fixes exactly the
-  // jobs that cannot exceed t* while everyone else keeps their floor
-  // (tested by one feasibility LP per job).
-  auto solve_level = [&]() -> double {
-    lp::LinearProgram program;
-    program.variables = builder.vars + 1;  // t is the last variable
-    const int t_var = builder.vars;
-    program.objective.assign(static_cast<std::size_t>(program.variables),
-                             0.0);
-    program.objective[static_cast<std::size_t>(t_var)] = 1.0;
-    // Base rows (floors for fixed jobs, capacities, caps), widened by the
-    // t column.
-    std::vector<double> base_floors(floor_tasks);
-    for (int j = 0; j < n; ++j)
-      if (!fixed[static_cast<std::size_t>(j)])
-        base_floors[static_cast<std::size_t>(j)] = 0.0;
-    for (auto& row : builder.rows(base_floors)) {
-      row.coeffs.push_back(0.0);
-      program.rows.push_back(std::move(row));
-    }
-    for (int j = 0; j < n; ++j) {
-      if (fixed[static_cast<std::size_t>(j)]) continue;
-      lp::Row row;
-      row.coeffs.assign(static_cast<std::size_t>(program.variables), 0.0);
-      for (int s = 0; s < problem.sites(); ++s) {
-        int v = builder.var_of[static_cast<std::size_t>(j)]
-                              [static_cast<std::size_t>(s)];
-        if (v >= 0) row.coeffs[static_cast<std::size_t>(v)] = 1.0;
-      }
-      row.coeffs[static_cast<std::size_t>(t_var)] =
-          -1.0 / delta[static_cast<std::size_t>(j)];
-      row.type = lp::RowType::kGe;
-      row.rhs = 0.0;
-      program.rows.push_back(std::move(row));
-    }
-    {
-      // A dominant share cannot exceed 1; bounding t keeps the LP bounded
-      // even in degenerate corner cases.
-      lp::Row bound;
-      bound.coeffs.assign(static_cast<std::size_t>(program.variables), 0.0);
-      bound.coeffs[static_cast<std::size_t>(t_var)] = 1.0;
-      bound.type = lp::RowType::kLe;
-      bound.rhs = 1.0;
-      program.rows.push_back(std::move(bound));
-    }
-    auto result = lp::solve(program, eps_);
-    AMF_ASSERT(result.status == lp::LpStatus::kOptimal,
-               "level LP must be feasible (floors were attained before)");
-    return result.objective;
-  };
-
-  for (int round = 0; round < std::max(max_rounds_, n + 1) && unfixed > 0;
-       ++round) {
-    const double level = solve_level();
-
-    // Floors everyone holds while one job probes upward; kept floors are
-    // microscopically relaxed so LP noise cannot pin a job spuriously.
-    std::vector<double> at_level(floor_tasks);
-    for (int j = 0; j < n; ++j)
-      if (!fixed[static_cast<std::size_t>(j)])
-        at_level[static_cast<std::size_t>(j)] =
-            level * (1.0 - 1e-9) / delta[static_cast<std::size_t>(j)];
-
-    // The probe step must be small: a job that can still rise by any
-    // meaningful amount belongs to the next leximin level, not this one.
-    const double step = 1e-5;
-    int newly = 0;
-    for (int j = 0; j < n; ++j) {
-      if (fixed[static_cast<std::size_t>(j)]) continue;
-      auto probe = at_level;
-      probe[static_cast<std::size_t>(j)] =
-          (level + step) / delta[static_cast<std::size_t>(j)];
-      if (!builder.feasible(probe)) {
-        fixed[static_cast<std::size_t>(j)] = 1;
-        // Fix a hair below the LP optimum so later LPs that re-impose
-        // this floor never trip on solver noise.
-        floor_tasks[static_cast<std::size_t>(j)] =
-            level * (1.0 - 1e-9) / delta[static_cast<std::size_t>(j)];
-        --unfixed;
-        ++newly;
-      }
-    }
-    if (newly == 0) {
-      // Numerically fuzzy critical set: settle everyone at the level.
-      for (int j = 0; j < n; ++j) {
-        if (fixed[static_cast<std::size_t>(j)]) continue;
-        fixed[static_cast<std::size_t>(j)] = 1;
-        floor_tasks[static_cast<std::size_t>(j)] =
-            level * (1.0 - 1e-9) / delta[static_cast<std::size_t>(j)];
-        --unfixed;
-      }
-    }
-  }
+  // polytope. The probe step must be small: a job that can still rise by
+  // any meaningful share belongs to the next leximin level, not this one.
+  std::vector<double> rise(rates.size());
+  for (std::size_t j = 0; j < rise.size(); ++j) rise[j] = 1e-5 * rates[j];
+  const auto levels = lp::sequential_leximin(leontief.poly, rates, rise);
 
   // Pareto top-up: among allocations honoring every fair floor, maximize
   // total tasks (efficiency without disturbing fairness floors).
+  std::vector<double> floors(static_cast<std::size_t>(n));
+  for (std::size_t j = 0; j < floors.size(); ++j)
+    floors[j] = rates[j] * levels[j] * lp::kFloorSlack;
   lp::LinearProgram program;
-  program.variables = builder.vars;
-  program.rows = builder.rows(floor_tasks);
-  program.objective.assign(static_cast<std::size_t>(builder.vars), 1.0);
-  auto result = lp::solve(program, eps_);
+  program.variables = leontief.poly.variables;
+  program.rows = lp::rows_with_floors(leontief.poly, floors);
+  program.objective.assign(static_cast<std::size_t>(program.variables), 1.0);
+  auto result = lp::solve(program);
   AMF_ASSERT(result.status == lp::LpStatus::kOptimal,
              "fair floors must remain feasible for the top-up LP");
-  return builder.extract(result.x);
+  return leontief.extract(problem, result.x);
 }
 
-bool is_aggregate_drf_fair(const MultiResourceProblem& problem,
+bool is_aggregate_drf_fair(const core::AllocationProblem& problem,
                            const std::vector<double>& shares, double tol) {
   // On the Leontief polytope (not a polymatroid) the classical
   // "max-min fair" vector need not exist; the right target is the
   // *leximin* optimum. We verify the Ogryczak sequential
-  // characterization: peeling levels from below, (a) the claimed minimum
-  // of the remaining jobs must equal the LP-maximal common minimum, and
-  // (b) exactly the jobs that cannot exceed that level (with everyone
-  // else held at or above it) may sit on it.
+  // characterization with the leximin's own level LP and freeze probe:
+  // peeling levels from below, (a) the claimed minimum of the remaining
+  // jobs must equal the LP-maximal common minimum, and (b) exactly the
+  // jobs that cannot exceed that level (with everyone else held at or
+  // above it) may sit on it.
+  require_drf_instance(problem);
   const int n = problem.jobs();
   AMF_REQUIRE(static_cast<int>(shares.size()) == n,
               "share vector length != job count");
   if (n == 0) return true;
-  AdrfLp builder(problem);
-
-  std::vector<double> delta(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j)
-    delta[static_cast<std::size_t>(j)] = problem.dominant_share_per_task(j);
-  auto tasks_for = [&](int j, double share) {
-    return delta[static_cast<std::size_t>(j)] <= 0.0
-               ? 0.0
-               : share / delta[static_cast<std::size_t>(j)];
+  const LeontiefLp leontief(problem);
+  const auto& poly = leontief.poly;
+  const auto rates = share_rates(problem);
+  auto tasks_for = [&](std::size_t j, double share) {
+    return rates[j] * std::max(0.0, share);
   };
 
   // 1. The vector itself must be feasible (floors relaxed by tol).
   {
     std::vector<double> floors(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j)
-      floors[static_cast<std::size_t>(j)] = tasks_for(
-          j, std::max(0.0, shares[static_cast<std::size_t>(j)] - tol));
-    if (!builder.feasible(floors)) return false;
+    for (std::size_t j = 0; j < floors.size(); ++j)
+      floors[j] = tasks_for(j, shares[j] - tol);
+    if (!lp::floors_feasible(poly, floors)) return false;
   }
 
-  std::vector<char> fixed(static_cast<std::size_t>(n), 0);
-  std::vector<double> fixed_floor(static_cast<std::size_t>(n), 0.0);
-  int unfixed = 0;
-  for (int j = 0; j < n; ++j) {
-    double cap_total = 0.0;
-    for (int s = 0; s < problem.sites(); ++s)
-      cap_total += problem.task_cap(j, s);
-    if (cap_total <= 0.0 || delta[static_cast<std::size_t>(j)] <= 0.0) {
+  std::vector<char> frozen(static_cast<std::size_t>(n), 0);
+  std::vector<double> frozen_floor(static_cast<std::size_t>(n), 0.0);
+  int unfrozen = 0;
+  for (std::size_t j = 0; j < frozen.size(); ++j) {
+    if (poly.groups[j].empty()) {
       // Structurally zero: its claimed share must be (near) zero.
-      if (shares[static_cast<std::size_t>(j)] > tol) return false;
-      fixed[static_cast<std::size_t>(j)] = 1;
+      if (shares[j] > tol) return false;
+      frozen[j] = 1;
     } else {
-      ++unfixed;
+      ++unfrozen;
     }
   }
-
-  // max common minimum of the unfixed jobs via the level LP.
-  auto max_common_min = [&]() {
-    lp::LinearProgram program;
-    program.variables = builder.vars + 1;
-    const int t_var = builder.vars;
-    program.objective.assign(static_cast<std::size_t>(program.variables),
-                             0.0);
-    program.objective[static_cast<std::size_t>(t_var)] = 1.0;
-    std::vector<double> base(fixed_floor);
-    for (int j = 0; j < n; ++j)
-      if (!fixed[static_cast<std::size_t>(j)])
-        base[static_cast<std::size_t>(j)] = 0.0;
-    for (auto& row : builder.rows(base)) {
-      row.coeffs.push_back(0.0);
-      program.rows.push_back(std::move(row));
-    }
-    for (int j = 0; j < n; ++j) {
-      if (fixed[static_cast<std::size_t>(j)]) continue;
-      lp::Row row;
-      row.coeffs.assign(static_cast<std::size_t>(program.variables), 0.0);
-      for (int s = 0; s < problem.sites(); ++s) {
-        int v = builder.var_of[static_cast<std::size_t>(j)]
-                              [static_cast<std::size_t>(s)];
-        if (v >= 0) row.coeffs[static_cast<std::size_t>(v)] = 1.0;
-      }
-      row.coeffs[static_cast<std::size_t>(t_var)] =
-          -1.0 / delta[static_cast<std::size_t>(j)];
-      row.type = lp::RowType::kGe;
-      row.rhs = 0.0;
-      program.rows.push_back(std::move(row));
-    }
-    lp::Row bound;
-    bound.coeffs.assign(static_cast<std::size_t>(program.variables), 0.0);
-    bound.coeffs[static_cast<std::size_t>(builder.vars)] = 1.0;
-    bound.type = lp::RowType::kLe;
-    bound.rhs = 1.0;
-    program.rows.push_back(std::move(bound));
-    auto result = lp::solve(program);
-    if (result.status != lp::LpStatus::kOptimal) return -1.0;
-    return result.objective;
-  };
 
   const double probe_step = std::max(tol * 16.0, 1e-4);
-  for (int round = 0; round < n + 1 && unfixed > 0; ++round) {
+  while (unfrozen > 0) {
     double claimed_min = std::numeric_limits<double>::infinity();
-    for (int j = 0; j < n; ++j)
-      if (!fixed[static_cast<std::size_t>(j)])
-        claimed_min =
-            std::min(claimed_min, shares[static_cast<std::size_t>(j)]);
+    for (std::size_t j = 0; j < frozen.size(); ++j)
+      if (!frozen[j]) claimed_min = std::min(claimed_min, shares[j]);
 
-    double level = max_common_min();
-    if (level < 0.0) return false;  // fixed floors became infeasible
-    if (std::abs(level - claimed_min) > tol * std::max(1.0, claimed_min) +
-                                            probe_step)
+    const auto level = lp::max_common_level(poly, rates, frozen, frozen_floor);
+    if (!level) return false;  // frozen floors became infeasible
+    if (std::abs(*level - claimed_min) >
+        tol * std::max(1.0, claimed_min) + probe_step)
       return false;  // the claimed minimum is not LP-optimal
 
     // Probe every job sitting on the level; the un-improvable ones are
     // correctly placed, an improvable one means the vector under-serves
-    // it. Jobs above the level stay unfixed for the next peel.
+    // it. Jobs above the level stay unfrozen for the next peel.
+    std::vector<double> held(frozen_floor);
+    for (std::size_t j = 0; j < frozen.size(); ++j)
+      if (!frozen[j]) held[j] = tasks_for(j, *level - tol);
     int newly = 0;
-    std::vector<double> floors(fixed_floor);
-    for (int j = 0; j < n; ++j)
-      if (!fixed[static_cast<std::size_t>(j)])
-        floors[static_cast<std::size_t>(j)] =
-            tasks_for(j, std::max(0.0, level - tol));
-    for (int j = 0; j < n; ++j) {
-      if (fixed[static_cast<std::size_t>(j)]) continue;
-      if (shares[static_cast<std::size_t>(j)] >
-          level + tol * std::max(1.0, level) + probe_step)
+    for (std::size_t j = 0; j < frozen.size(); ++j) {
+      if (frozen[j]) continue;
+      if (shares[j] > *level + tol * std::max(1.0, *level) + probe_step)
         continue;  // above this level; peeled later
-      auto probe = floors;
-      probe[static_cast<std::size_t>(j)] = tasks_for(j, level + probe_step);
-      if (builder.feasible(probe)) return false;  // j should exceed level
-      fixed[static_cast<std::size_t>(j)] = 1;
-      fixed_floor[static_cast<std::size_t>(j)] =
-          tasks_for(j, std::max(0.0, level - tol));
-      --unfixed;
+      if (lp::can_rise(poly, held, static_cast<int>(j),
+                       tasks_for(j, *level + probe_step)))
+        return false;  // j should exceed the level
+      frozen[j] = 1;
+      frozen_floor[j] = held[j];
+      --unfrozen;
       ++newly;
     }
     if (newly == 0) return false;  // no job on its claimed level
   }
-  return unfixed == 0;
+  return true;
 }
 
 }  // namespace amf::multiresource

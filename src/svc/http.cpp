@@ -12,6 +12,9 @@ namespace amf::svc {
 
 namespace {
 
+/// Receive timeout per header read; a stalling peer is dropped.
+constexpr double kHeaderReadTimeoutMs = 2000.0;
+
 double steady_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -100,7 +103,7 @@ bool HttpListener::admit_locked_thread() {
 }
 
 void HttpListener::handle_connection(Socket sock) {
-  set_recv_timeout_ms(sock.fd(), options_.recv_timeout_ms);
+  set_recv_timeout_ms(sock.fd(), kHeaderReadTimeoutMs);
   LineReader reader(sock.fd());
   std::string line;
   if (reader.read_line(&line) != LineReader::Status::kLine) return;

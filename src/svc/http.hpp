@@ -39,8 +39,6 @@ struct HttpOptions {
   /// Token-bucket request rate limit across all endpoints (0 = off).
   double rate_per_s = 50.0;
   double burst = 20.0;
-  /// Receive timeout per header read; a stalling peer is dropped.
-  double recv_timeout_ms = 2000.0;
 };
 
 class HttpListener {

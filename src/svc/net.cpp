@@ -219,10 +219,6 @@ Socket listen_tcp(int port, int* bound_port, ListenOptions options) {
   if (!sock.valid()) fail_errno("socket(AF_INET)");
   const int one = 1;
   ::setsockopt(sock.fd(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-#ifdef SO_REUSEPORT
-  if (options.reuseport)
-    ::setsockopt(sock.fd(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof one);
-#endif
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;

@@ -74,10 +74,6 @@ struct ListenOptions {
   /// accept() backlog; 0 picks SOMAXCONN. At thousands of concurrent
   /// connects the old hard-coded 64 caused spurious connect timeouts.
   int backlog = 0;
-  /// SO_REUSEPORT (TCP only): lets several listener sockets share one
-  /// port so multiple acceptors (or shard processes) can split the
-  /// accept load kernel-side.
-  bool reuseport = false;
 };
 
 /// Binds + listens on a Unix-domain socket, replacing a stale file at

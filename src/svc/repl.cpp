@@ -23,6 +23,11 @@ namespace amf::svc {
 
 namespace {
 
+/// Unacked records spooled in memory before the sender goes broken.
+constexpr std::size_t kSpoolCap = 65536;
+/// Ceiling of the doubling reconnect backoff.
+constexpr double kReconnectMaxMs = 1000.0;
+
 double steady_ms() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -112,14 +117,14 @@ bool ReplSender::offer(const std::string& session, std::string payload,
   *index = kFailedIndex;
   std::lock_guard<std::mutex> lock(mu_);
   if (stop_ || fenced() || broken()) return false;
-  if (queue_.size() >= config_.queue_cap) {
+  if (queue_.size() >= kSpoolCap) {
     // The unacked-spool invariant (the queue holds every record the
     // standby might be missing) would break on drop, so overflow is
     // terminal: replication needs an operator re-seed.
     broken_.store(true, std::memory_order_release);
     util::Logger::global()
         .error("svc.repl_overflow")
-        .num("queue_cap", static_cast<long long>(config_.queue_cap));
+        .num("queue_cap", static_cast<long long>(kSpoolCap));
     cv_.notify_all();
     return false;
   }
@@ -191,7 +196,7 @@ bool ReplSender::sleep_backoff(double* backoff_ms) {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait_for(lock, std::chrono::duration<double, std::milli>(*backoff_ms),
                [&] { return stop_; });
-  *backoff_ms = std::min(*backoff_ms * 2.0, config_.reconnect_max_ms);
+  *backoff_ms = std::min(*backoff_ms * 2.0, kReconnectMaxMs);
   return !stop_;
 }
 

@@ -34,8 +34,9 @@
 //
 //   connected  streaming; lag gauges near zero
 //   (lagging)  standby down or slow: unacked records spool in memory,
-//              bounded by queue_cap — async mode keeps ACKing clients
-//              (the spool is the loss window), ack mode times out
+//              bounded by a fixed spool cap — async mode keeps ACKing
+//              clients (the spool is the loss window), ack mode times
+//              out
 //   fenced     a higher epoch exists: terminal, offers are refused
 //   broken     spool overflowed or the standby rejected a record
 //              (divergence): terminal, replication needs a re-seed
@@ -65,10 +66,7 @@ struct ReplSenderConfig {
   bool ack = false;
   /// Bound on each standby-confirmation wait in ack mode.
   double ack_timeout_ms = 5000.0;
-  /// Unacked records spooled in memory before the sender goes broken.
-  std::size_t queue_cap = 65536;
   double reconnect_initial_ms = 50.0;
-  double reconnect_max_ms = 1000.0;
 };
 
 /// Streams journal records to one standby from a dedicated thread.

@@ -25,6 +25,19 @@ double ms_since(Clock::time_point start, Clock::time_point now) {
   return std::chrono::duration<double, std::milli>(now - start).count();
 }
 
+/// The capacity row a site_event sets: the site's nominal capacities
+/// scaled by `capacity_factors` (one per resource) or `capacity_factor`.
+std::vector<double> site_event_capacities(const std::vector<double>& nominal,
+                                          const Json& body) {
+  const Json* factors = body.find("capacity_factors");
+  std::vector<double> row(nominal.size());
+  for (std::size_t r = 0; r < nominal.size(); ++r)
+    row[r] = nominal[r] * (factors != nullptr
+                               ? factors->as_array()[r].as_number()
+                               : body.number_or("capacity_factor", 1.0));
+  return row;
+}
+
 bool is_delta_op(Op op) {
   return op == Op::kAddJob || op == Op::kFinishJob || op == Op::kSiteEvent ||
          op == Op::kSetCapacity;
@@ -146,10 +159,6 @@ SvcMetrics& SvcMetrics::get() {
                   "session executor work-steals since process start");
     out.batch_size =
         reg.histogram("amf_svc_batch_size", "requests per drained batch");
-    out.queue_wait_ms = reg.histogram(
-        "amf_svc_queue_wait_ms", "request queue wait before processing (ms)");
-    out.solve_ms =
-        reg.histogram("amf_svc_solve_ms", "allocator wall time per call (ms)");
     out.turnaround_ms = reg.histogram(
         "amf_svc_turnaround_ms", "solve enqueue-to-response latency (ms)");
     out.stage_parse_ms = reg.histogram(
@@ -206,6 +215,7 @@ Session::Session(std::string name, ProblemSnapshot snapshot,
   } else {
     for (double c : snapshot.nominal_capacities) nominal_matrix_.push_back({c});
   }
+  projected_nominal_ = nominal_matrix_;
   job_ids_ = std::move(snapshot.job_ids);
   for (long long id : job_ids_) {
     projected_alive_.insert(id);
@@ -417,8 +427,9 @@ void Session::validate_delta_locked(const Request& req, Item* item) {
         throw SvcError(ErrorCode::kBadRequest,
                        "all jobs of a session must agree on carrying "
                        "workloads");
+      std::vector<double> w;
       if (with_workloads) {
-        auto w = number_array(*workloads, m, "workloads");
+        w = number_array(*workloads, m, "workloads");
         for (int s = 0; s < m; ++s) {
           if (w[static_cast<std::size_t>(s)] < 0.0)
             throw SvcError(ErrorCode::kBadRequest, "workloads must be >= 0");
@@ -432,6 +443,7 @@ void Session::validate_delta_locked(const Request& req, Item* item) {
       if (!std::isfinite(weight) || weight <= 0.0)
         throw SvcError(ErrorCode::kBadRequest, "weight must be finite, > 0");
       const Json* profile = body.find("profile");
+      double gamma = 1.0;
       if (profile != nullptr) {
         if (!multi_)
           throw SvcError(ErrorCode::kBadRequest,
@@ -447,7 +459,17 @@ void Session::validate_delta_locked(const Request& req, Item* item) {
         if (!any)
           throw SvcError(ErrorCode::kBadRequest,
                          "a job profile needs a positive entry");
+        gamma = *std::max_element(p.begin(), p.end());
       }
+      // The multi-resource lift scales the row by the profile's largest
+      // entry; an overflow there would throw inside apply_delta, after the
+      // ACK.
+      for (const auto* row : {&d, &w})
+        for (double x : *row)
+          if (!std::isfinite(x * gamma))
+            throw SvcError(ErrorCode::kBadRequest,
+                           "demands and workloads times the profile's "
+                           "largest entry must be finite");
       item->prev_workloads_mode = workloads_mode_;
       item->job_id = next_job_id_++;
       projected_alive_.insert(item->job_id);
@@ -480,12 +502,20 @@ void Session::validate_delta_locked(const Request& req, Item* item) {
           if (x < 0.0)
             throw SvcError(ErrorCode::kBadRequest,
                            "capacity_factors entries must be >= 0");
-        return;
+      } else {
+        const double factor = body.number_or("capacity_factor", -1.0);
+        if (!std::isfinite(factor) || factor < 0.0)
+          throw SvcError(ErrorCode::kBadRequest,
+                         "capacity_factor must be finite and >= 0");
       }
-      const double factor = body.number_or("capacity_factor", -1.0);
-      if (!std::isfinite(factor) || factor < 0.0)
-        throw SvcError(ErrorCode::kBadRequest,
-                       "capacity_factor must be finite and >= 0");
+      // A product that overflows would throw inside apply_delta, after
+      // the ACK.
+      for (double c : site_event_capacities(
+               projected_nominal_[static_cast<std::size_t>(site)], body))
+        if (!std::isfinite(c))
+          throw SvcError(ErrorCode::kBadRequest,
+                         "site_event capacity (nominal x factor) must be "
+                         "finite");
       return;
     }
     case Op::kSetCapacity: {
@@ -503,12 +533,18 @@ void Session::validate_delta_locked(const Request& req, Item* item) {
           if (c < 0.0)
             throw SvcError(ErrorCode::kBadRequest,
                            "capacity entries must be >= 0");
+        item->prev_nominal = std::exchange(
+            projected_nominal_[static_cast<std::size_t>(site)],
+            std::move(row));
         return;
       }
       if (value == nullptr || !value->is_number() ||
           !std::isfinite(value->as_number()) || value->as_number() < 0.0)
         throw SvcError(ErrorCode::kBadRequest,
                        "set_capacity needs a finite value >= 0");
+      item->prev_nominal =
+          std::exchange(projected_nominal_[static_cast<std::size_t>(site)],
+                        {value->as_number()});
       return;
     }
     default:
@@ -548,20 +584,11 @@ void Session::apply_delta(const Item& item) {
     }
     case Op::kSiteEvent: {
       const int site = static_cast<int>(body.number_or("site", 0.0));
-      const auto su = static_cast<std::size_t>(site);
-      const Json* factors = body.find("capacity_factors");
-      const auto& nominal = nominal_matrix_[su];
-      if (multi_) {
-        std::vector<double> row(nominal.size());
-        for (std::size_t r = 0; r < nominal.size(); ++r)
-          row[r] = nominal[r] * (factors != nullptr
-                                     ? factors->as_array()[r].as_number()
-                                     : body.number_or("capacity_factor", 1.0));
-        delta = core::ProblemDelta::set_capacity_vec(site, std::move(row));
-        break;
-      }
-      delta = core::ProblemDelta::site_capacity(
-          site, nominal[0] * body.number_or("capacity_factor", 1.0));
+      auto row = site_event_capacities(
+          nominal_matrix_[static_cast<std::size_t>(site)], body);
+      delta = multi_ ? core::ProblemDelta::set_capacity_vec(site,
+                                                            std::move(row))
+                     : core::ProblemDelta::site_capacity(site, row[0]);
       break;
     }
     case Op::kSetCapacity: {
@@ -596,8 +623,12 @@ void Session::rollback_delta_locked(const Item& item) {
     case Op::kFinishJob:
       projected_alive_.insert(item.job_id);
       return;
+    case Op::kSetCapacity:
+      projected_nominal_[static_cast<std::size_t>(
+          item.req.body.number_or("site", 0.0))] = item.prev_nominal;
+      return;
     default:
-      return;  // site_event / set_capacity: validation mutates nothing
+      return;  // site_event: validation mutates nothing
   }
 }
 
@@ -860,7 +891,6 @@ void Session::serve_run(std::vector<Item>* run) {
             }
           }
           const double solve_wall = ms_since(solve_start, Clock::now());
-          metrics.solve_ms.observe(solve_wall);
           metrics.stage_solve_ms.observe(solve_wall);
           if (config_.slow_solve_ms > 0.0 &&
               solve_wall > config_.slow_solve_ms) {
@@ -975,14 +1005,10 @@ void Session::process_batch(std::unique_lock<std::mutex>& lock) {
   lock.unlock();
 
   const auto now = Clock::now();
-  for (const Item& item : deltas) {
-    metrics.queue_wait_ms.observe(ms_since(item.enqueued, now));
+  for (const Item& item : deltas)
     metrics.stage_queue_ms.observe(ms_since(item.enqueued, now));
-  }
-  for (const Item& item : run) {
-    metrics.queue_wait_ms.observe(ms_since(item.enqueued, now));
+  for (const Item& item : run)
     metrics.stage_queue_ms.observe(ms_since(item.enqueued, now));
-  }
   {
     AMF_SPAN_ARG("svc/batch_drain", "items",
                  deltas.size() + run.size());

@@ -169,15 +169,13 @@ struct SvcMetrics {
   obs::Gauge executor_queue_depth;    ///< tasks queued in the executor
   obs::Gauge executor_steal_count;    ///< work-steals since start
   obs::Histogram batch_size;     ///< requests per drained batch
-  obs::Histogram queue_wait_ms;  ///< enqueue -> start of processing
-  obs::Histogram solve_ms;       ///< allocator wall time per solve call
   obs::Histogram turnaround_ms;  ///< enqueue -> response, solve requests
   // Per-stage request latency breakdown (one histogram per pipeline
   // stage a traced request passes through; see DESIGN.md §14).
   obs::Histogram stage_parse_ms;       ///< wire line -> parsed Request
   obs::Histogram stage_queue_ms;       ///< enqueue -> batch drain start
   obs::Histogram stage_batch_wait_ms;  ///< accumulation-window wait
-  obs::Histogram stage_solve_ms;       ///< allocator call (= solve_ms view)
+  obs::Histogram stage_solve_ms;       ///< allocator wall time per solve
   obs::Histogram stage_journal_ms;     ///< write-ahead append (+fsync)
   obs::Histogram stage_reply_ms;       ///< response serialization + write
 
@@ -290,6 +288,8 @@ class Session {
     std::uint64_t trace = 0;  ///< wire trace id (0 = untraced request)
     std::string rid;         ///< delta: client retry id ("" = none)
     int prev_workloads_mode = -2;  ///< add_job: mode before admission
+    /// set_capacity: the site's projected nominal row before admission.
+    std::vector<double> prev_nominal;
   };
 
   void validate_delta_locked(const Request& req, Item* item);
@@ -354,6 +354,9 @@ class Session {
   bool multi_ = false;
   long long next_job_id_ = 0;
   std::unordered_set<long long> projected_alive_;
+  /// nominal_matrix_ after every admitted delta: what site_event admission
+  /// scales (nominal_matrix_ itself is the session task's).
+  core::Matrix projected_nominal_;
   /// -1 unknown (no job seen yet), else 0/1: whether jobs carry workloads.
   int workloads_mode_ = -1;
   long long enqueued_seq_ = 0;   ///< deltas admitted

@@ -355,6 +355,59 @@ TEST(AmfLpDifferential, WeightedInstancesAgreeToo) {
 }
 
 
+// Scaling every weight by one factor leaves the AMF allocation unchanged;
+// the reference's freeze probe asks for extra aggregate in quantity units,
+// so large weights must not freeze a job short of what it can still get.
+TEST(AmfLpDifferential, ScalingEveryWeightLeavesTheReferenceUnchanged) {
+  for (double w : {1.0, 1000.0, 1e6}) {
+    AllocationProblem p({{0.4999}, {1.0}}, {1.0}, {}, {w, w});
+    auto via_lp = lp_max_min_aggregates(p);
+    EXPECT_NEAR(via_lp[0], 0.4999, 1e-6) << "weight " << w;
+    EXPECT_NEAR(via_lp[1], 0.5001, 1e-6) << "weight " << w;
+  }
+  util::Rng rng(606);
+  for (int trial = 0; trial < 8; ++trial) {
+    auto cfg = workload::property_sweep(8700 + trial);
+    cfg.jobs = 6;
+    workload::Generator gen(cfg);
+    auto base = gen.generate();
+    std::vector<double> weights(static_cast<std::size_t>(base.jobs()));
+    for (auto& w : weights) w = 1000.0 * rng.uniform(0.5, 3.0);
+    AllocationProblem p(base.demands(), base.capacities(), {}, weights);
+    auto a = kAmf.allocate(p);
+    auto via_lp = lp_max_min_aggregates(p);
+    for (int j = 0; j < p.jobs(); ++j)
+      EXPECT_NEAR(a.aggregate(j), via_lp[static_cast<std::size_t>(j)],
+                  1e-4 * p.scale())
+          << "trial " << trial << " job " << j;
+  }
+}
+
+// At unit scale the reference's probe step (1e-6·scale) sits below the
+// simplex's absolute feasibility slack; the leximin must still tell a
+// capped job from one that can rise, not settle both at the first level.
+TEST(AmfLpDifferential, UnitScaleInstancesAgreeToo) {
+  AllocationProblem capped({{0.25}, {1.0}}, {1.0});
+  auto via_lp = lp_max_min_aggregates(capped);
+  EXPECT_NEAR(via_lp[0], 0.25, 1e-6);
+  EXPECT_NEAR(via_lp[1], 0.75, 1e-6);
+  util::Rng rng(4242);
+  for (int trial = 0; trial < 8; ++trial) {
+    Matrix d(5, std::vector<double>(3, 0.0));
+    for (auto& row : d)
+      for (auto& x : row) x = rng.bernoulli(0.6) ? rng.uniform(0.05, 1.0) : 0.0;
+    std::vector<double> caps{rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0),
+                             rng.uniform(0.2, 1.0)};
+    AllocationProblem p(d, caps);
+    auto a = kAmf.allocate(p);
+    via_lp = lp_max_min_aggregates(p);
+    for (int j = 0; j < p.jobs(); ++j)
+      EXPECT_NEAR(a.aggregate(j), via_lp[static_cast<std::size_t>(j)],
+                  1e-4 * p.scale())
+          << "trial " << trial << " job " << j;
+  }
+}
+
 TEST(FillTrace, SymmetricJobsFreezeTogether) {
   AllocationProblem p({{10, 0}, {10, 10}, {0, 10}}, {10, 10});
   AmfAllocator amf;

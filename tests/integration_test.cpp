@@ -164,8 +164,8 @@ TEST(Integration, MultiResourceSingleResourceConsistency) {
   core::AmfAllocator amf;
   auto a = amf.allocate(p);
 
-  multiresource::MultiResourceProblem mp(
-      {{10, 0}, {10, 10}, {0, 10}}, {{1}, {1}, {1}}, {{10}, {10}});
+  const auto mp = core::AllocationProblem::multi(
+      {{10, 0}, {10, 10}, {0, 10}}, {{10}, {10}}, {{1}, {1}, {1}});
   multiresource::AggregateDrfAllocator adrf;
   auto x = adrf.allocate(mp);
   for (int j = 0; j < 3; ++j) {

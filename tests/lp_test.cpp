@@ -1,6 +1,7 @@
 // Tests for the simplex substrate: textbook LPs with known optima,
 // infeasible/unbounded detection, equality handling, degenerate cases,
-// and randomized cross-checks against brute-force vertex enumeration.
+// and randomized cross-checks against brute-force vertex enumeration;
+// and for the sequential leximin built on it.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -8,6 +9,7 @@
 #include <limits>
 #include <vector>
 
+#include "lp/leximin.hpp"
 #include "lp/simplex.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -273,6 +275,72 @@ TEST(Simplex, RejectsNonPositiveIterationBudget) {
   p.rows = {row({1}, RowType::kLe, 1)};
   EXPECT_THROW(solve(p, 1e-9, 0), util::ContractError);
   EXPECT_THROW(solve(p, 1e-9, -5), util::ContractError);
+}
+
+// Two jobs on one unit pool; job 0 may take at most 0.25 and job 2 has
+// no variables: x0 <= 0.25, x0 + x1 <= 1.
+GroupedPolytope shared_pool() {
+  GroupedPolytope poly;
+  poly.variables = 2;
+  poly.rows = {row({1, 0}, RowType::kLe, 0.25), row({1, 1}, RowType::kLe, 1)};
+  poly.groups = {{0}, {1}, {}};
+  return poly;
+}
+
+TEST(Leximin, CappedJobFreezesFirstAndTheRestRises) {
+  const auto levels = sequential_leximin(shared_pool(), {1, 1, 1}, {1e-6, 1e-6, 1e-6});
+  ASSERT_EQ(levels.size(), 3u);
+  // The rise is below the simplex's feasibility slack: the probe still
+  // asks for enough to tell the capped job from the free one.
+  EXPECT_NEAR(levels[0], 0.25, 1e-6);
+  EXPECT_NEAR(levels[1], 0.75, 1e-6);
+  EXPECT_EQ(levels[2], 0.0);  // structurally zero
+}
+
+TEST(Leximin, RatesScaleQuantitiesAtACommonLevel) {
+  // x0 + x1 <= 3 with rates (1, 2): both reach level 1 (quantities 1, 2).
+  GroupedPolytope poly;
+  poly.variables = 2;
+  poly.rows = {row({1, 1}, RowType::kLe, 3)};
+  poly.groups = {{0}, {1}};
+  const auto levels = sequential_leximin(poly, {1, 2}, {1e-6, 1e-6});
+  EXPECT_NEAR(levels[0], 1.0, 1e-6);
+  EXPECT_NEAR(levels[1], 1.0, 1e-6);
+}
+
+TEST(Leximin, ScalingEveryRateLeavesQuantitiesUnchanged) {
+  // x0 <= 0.4999, x0 + x1 <= 1. The rise is in quantity units, so rates of
+  // 1000 must not freeze job 1 short of the 0.5001 left to it.
+  GroupedPolytope poly;
+  poly.variables = 2;
+  poly.rows = {row({1, 0}, RowType::kLe, 0.4999),
+               row({1, 1}, RowType::kLe, 1)};
+  poly.groups = {{0}, {1}};
+  for (double rate : {1.0, 1000.0, 1e6}) {
+    const auto levels = sequential_leximin(poly, {rate, rate}, {1e-6, 1e-6});
+    EXPECT_NEAR(rate * levels[0], 0.4999, 1e-6) << "rate " << rate;
+    EXPECT_NEAR(rate * levels[1], 0.5001, 1e-6) << "rate " << rate;
+  }
+}
+
+TEST(Leximin, LevelLpAndFreezeProbe) {
+  const auto poly = shared_pool();
+  const std::vector<double> rates{1, 1, 1};
+  // Nothing frozen: the common level is job 0's cap.
+  auto level = max_common_level(poly, rates, {0, 0, 1}, {0, 0, 0});
+  ASSERT_TRUE(level.has_value());
+  EXPECT_NEAR(*level, 0.25, 1e-6);
+  // With job 0 frozen at its cap, job 1 rises to the rest of the pool.
+  level = max_common_level(poly, rates, {1, 0, 1}, {0.25, 0, 0});
+  ASSERT_TRUE(level.has_value());
+  EXPECT_NEAR(*level, 0.75, 1e-6);
+  // A frozen floor above the cap leaves no level at all.
+  EXPECT_FALSE(max_common_level(poly, rates, {1, 0, 1}, {0.5, 0, 0}));
+  // Holding job 1 at 0.25, job 0 cannot pass its cap but job 1 can rise.
+  EXPECT_FALSE(can_rise(poly, {0.25, 0.25, 0}, 0, 0.26));
+  EXPECT_TRUE(can_rise(poly, {0.25, 0.25, 0}, 1, 0.5));
+  EXPECT_TRUE(floors_feasible(poly, {0.25, 0.75, 0}));
+  EXPECT_FALSE(floors_feasible(poly, {0.25, 0.8, 0}));
 }
 
 }  // namespace

@@ -281,6 +281,60 @@ TEST(R1Equiv, SvcResponsesBitIdenticalToScalarSession) {
 // ---------------------------------------------------------------------
 // MultiRes: R>1 behaviour.
 
+// The lift multiplies raw rows by the profile's largest entry; finite
+// inputs whose product overflows are rejected where they enter, naming
+// the job row, before anything is mutated.
+TEST(MultiResProblem, RejectsNonFiniteEffectiveRows) {
+  const core::Matrix caps = {{10.0, 10.0}, {10.0, 10.0}};
+  const core::AllocationProblem p =
+      core::AllocationProblem::multi({{10.0, 0.0}, {0.0, 10.0}}, caps, {});
+  core::SolverWorkspace ws;
+  const core::AmfAllocator amf;
+  const auto before = amf.allocate(p, ws);
+  ASSERT_EQ(before.aggregate(0), 10.0);
+  ASSERT_EQ(before.aggregate(1), 10.0);
+
+  try {
+    (void)core::AllocationProblem::multi({{1.0, 1.0}, {1e300, 1.0}}, caps,
+                                         {{1.0, 1.0}, {1e10, 1.0}});
+    ADD_FAILURE() << "overflowing effective demand accepted";
+  } catch (const util::ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("(row 1)"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)core::AllocationProblem::multi(
+                   {{1.0, 1.0}}, caps, {{1e10, 1.0}}, {{1e300, 0.0}}),
+               util::ContractError);
+
+  // apply(): an arrival with its profile, a demand set, a profile set and
+  // a workload set.
+  const auto arrival = core::ProblemDelta::job_arrived({1e300, 1.0}, {}, 1.0,
+                                                       {}, {1e10, 1.0});
+  EXPECT_THROW((void)p.apply(arrival), util::ContractError);
+  const auto big = p.apply(core::ProblemDelta::job_arrived({1e300, 1.0}));
+  EXPECT_THROW((void)big.apply(core::ProblemDelta::set_profile(2, {1e10, 1.0})),
+               util::ContractError);
+  const auto heavy = p.apply(core::ProblemDelta::set_profile(0, {1e10, 1.0}));
+  EXPECT_THROW((void)heavy.apply(core::ProblemDelta::demand_set(0, 1, 1e300)),
+               util::ContractError);
+  const auto worked = core::AllocationProblem::multi(
+      {{1.0, 1.0}}, caps, {{1e10, 1.0}}, {{1.0, 1.0}});
+  EXPECT_THROW(
+      (void)worked.apply(core::ProblemDelta::workload_set(0, 0, 1e300)),
+      util::ContractError);
+
+  // A rejected rvalue apply leaves its instance whole, and the warm
+  // workspace keeps serving the same answer.
+  core::AllocationProblem moved = p;
+  EXPECT_THROW((void)std::move(moved).apply(arrival), util::ContractError);
+  EXPECT_EQ(moved.jobs(), 2);
+  EXPECT_EQ(moved.profiles().size(), 2u);
+  EXPECT_EQ(moved.demand_rows().entries.size(), 2u);
+  const auto after = amf.allocate(moved, ws);
+  EXPECT_EQ(after.aggregate(0), 10.0);
+  EXPECT_EQ(after.aggregate(1), 10.0);
+}
+
 TEST(MultiResProblem, DeltasRecomputeBindingMinAndGamma) {
   core::AllocationProblem p = core::AllocationProblem::multi(
       {{2.0, 1.0}}, {{4.0, 8.0}, {6.0, 3.0}}, {{1.0, 0.5}});
@@ -556,6 +610,48 @@ TEST(MultiResSvc, JournalReplayMatchesUncrashedSession) {
   recovered.drain();
   EXPECT_EQ(recovered.snapshot_json_after_drain().dump(), live_snapshot);
   std::remove(wal.c_str());
+}
+
+// Finite request numbers whose product overflows — a capacity factor
+// times the nominal capacity, a demand times the profile's largest entry
+// — get a typed bad_request at admission, and the session keeps serving.
+TEST(MultiResSvc, RejectsOverflowingProductsAtAdmission) {
+  const core::Matrix nominal = {{1e10, 1e10}, {5.0, 5.0}};
+  auto owned = svc::fresh_session("m", nominal, svc::test_session_config());
+  svc::Session& session = *owned;
+  ASSERT_TRUE(submit_and_wait(&session, 1, svc::Op::kAddJob,
+                              add_job_body({10.0, 0.0}))
+                  .bool_or("ok", false));
+  ASSERT_TRUE(submit_and_wait(&session, 2, svc::Op::kAddJob,
+                              add_job_body({0.0, 5.0}))
+                  .bool_or("ok", false));
+  const std::string before =
+      submit_and_wait(&session, 3, svc::Op::kSolve, svc::Json::object())
+          .find("allocation")
+          ->dump();
+
+  auto expect_bad_request = [&](double id, svc::Op op, svc::Json body) {
+    svc::Json response = submit_and_wait(&session, id, op, std::move(body));
+    EXPECT_FALSE(response.bool_or("ok", true)) << response.dump();
+    ASSERT_NE(response.find("error"), nullptr) << response.dump();
+    EXPECT_EQ(response.find("error")->string_or("code", ""), "bad_request");
+  };
+  expect_bad_request(4, svc::Op::kAddJob,
+                     add_job_body({1e300, 1.0}, {1e10, 1.0}));
+  svc::Json factors = svc::Json::object();
+  factors.set("site", svc::Json(0.0));
+  factors.set("capacity_factors", svc::to_json({1e300, 1.0}));
+  expect_bad_request(5, svc::Op::kSiteEvent, std::move(factors));
+  svc::Json factor = svc::Json::object();
+  factor.set("site", svc::Json(0.0));
+  factor.set("capacity_factor", svc::Json(1e300));
+  expect_bad_request(6, svc::Op::kSiteEvent, std::move(factor));
+
+  svc::Json solved =
+      submit_and_wait(&session, 7, svc::Op::kSolve, svc::Json::object());
+  ASSERT_TRUE(solved.bool_or("ok", false)) << solved.dump();
+  EXPECT_EQ(solved.find("allocation")->dump(), before);
+  session.drain();
 }
 
 TEST(MultiResSvc, ServerRecoversMultiSessionFromJournalDir) {

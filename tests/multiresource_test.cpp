@@ -1,8 +1,9 @@
-// Tests for the multi-resource extension: the classic single-site DRF
-// example (exact values), per-site DRF structure, Aggregate DRF
-// correctness against the LP-based definitional oracle, and the
-// multi-site balance advantage of ADRF over per-site DRF — the
-// multi-resource analogue of AMF vs PSMF.
+// Tests for the multi-resource extension: multi() instance validation,
+// the classic single-site DRF example (exact values), per-site DRF
+// structure, Aggregate DRF correctness against the LP-based definitional
+// oracle, the multi-site balance advantage of ADRF over per-site DRF —
+// the multi-resource analogue of AMF vs PSMF — and, at R = 1, agreement
+// between ADRF, the flow allocator and the LP reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +11,9 @@
 #include <numeric>
 #include <string>
 
+#include "core/amf.hpp"
+#include "core/reference.hpp"
 #include "multiresource/drf.hpp"
-#include "multiresource/problem.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -19,33 +21,63 @@
 namespace amf::multiresource {
 namespace {
 
+using core::AllocationProblem;
+using core::Matrix;
+
+/// The bounded-tasks Leontief instance in DRF terms: per-site task caps,
+/// per-task profiles, per-site capacity rows.
+AllocationProblem instance(Matrix task_caps, Matrix profiles,
+                           Matrix capacities) {
+  return AllocationProblem::multi(std::move(task_caps), std::move(capacities),
+                                  std::move(profiles));
+}
+
 TEST(MultiResourceProblem, Validation) {
   // Ragged capacities.
-  EXPECT_THROW(MultiResourceProblem({{1}}, {{1, 1}}, {{9, 18}, {9}}),
+  EXPECT_THROW(instance({{1}}, {{1, 1}}, {{9, 18}, {9}}),
                util::ContractError);
   // Job consuming nothing.
-  EXPECT_THROW(MultiResourceProblem({{1}}, {{0, 0}}, {{9, 18}}),
+  EXPECT_THROW(instance({{1}}, {{0, 0}}, {{9, 18}}),
                util::ContractError);
   // Negative cap.
-  EXPECT_THROW(MultiResourceProblem({{-1}}, {{1, 0}}, {{9, 18}}),
-               util::ContractError);
-  // Demanded resource with zero pool.
-  EXPECT_THROW(MultiResourceProblem({{1}}, {{1, 1}}, {{9, 0}}),
+  EXPECT_THROW(instance({{-1}}, {{1, 0}}, {{9, 18}}),
                util::ContractError);
   // Ragged task caps and profiles are rejected too, not silently
   // truncated to row 0's width.
-  EXPECT_THROW(
-      MultiResourceProblem({{1, 1}, {1}}, {{1, 1}, {1, 1}},
-                           {{9, 18}, {9, 18}}),
-      util::ContractError);
-  EXPECT_THROW(MultiResourceProblem({{1}, {1}}, {{1, 1}, {1}}, {{9, 18}}),
+  EXPECT_THROW(instance({{1, 1}, {1}}, {{1, 1}, {1, 1}}, {{9, 18}, {9, 18}}),
+               util::ContractError);
+  EXPECT_THROW(instance({{1}, {1}}, {{1, 1}, {1}}, {{9, 18}}),
                util::ContractError);
   // Non-finite entries.
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(MultiResourceProblem({{1}}, {{1, inf}}, {{9, 18}}),
+  EXPECT_THROW(instance({{1}}, {{1, inf}}, {{9, 18}}),
                util::ContractError);
-  EXPECT_THROW(MultiResourceProblem({{1}}, {{1, 1}}, {{9, inf}}),
+  EXPECT_THROW(instance({{1}}, {{1, 1}}, {{9, inf}}),
                util::ContractError);
+  // Finite inputs whose lifted (effective) demand overflows.
+  EXPECT_THROW(instance({{1e300}}, {{1e10, 1}}, {{9, 18}}),
+               util::ContractError);
+
+  // Preconditions of the DRF entry points rather than of the instance:
+  // a demanded resource with a zero pool (the flow lift serves it, all
+  // zeros) ...
+  const auto zero_pool = instance({{1}}, {{1, 1}}, {{9, 0}});
+  EXPECT_THROW(PerSiteDrfAllocator().allocate(zero_pool), util::ContractError);
+  EXPECT_THROW(AggregateDrfAllocator().allocate(zero_pool),
+               util::ContractError);
+  EXPECT_THROW(is_aggregate_drf_fair(zero_pool, {0.0}), util::ContractError);
+  // ... weights: DRF is unweighted ...
+  const auto weighted =
+      AllocationProblem::multi({{1}}, {{9, 18}}, {{1, 1}}, {}, {2.0});
+  EXPECT_THROW(PerSiteDrfAllocator().allocate(weighted), util::ContractError);
+  EXPECT_THROW(AggregateDrfAllocator().allocate(weighted),
+               util::ContractError);
+  EXPECT_THROW(is_aggregate_drf_fair(weighted, {0.0}), util::ContractError);
+  // ... and a vector instance: a scalar one has no resource rows.
+  const AllocationProblem scalar({{1}}, {9});
+  EXPECT_THROW(PerSiteDrfAllocator().allocate(scalar), util::ContractError);
+  EXPECT_THROW(AggregateDrfAllocator().allocate(scalar), util::ContractError);
+  EXPECT_THROW(is_aggregate_drf_fair(scalar, {0.0}), util::ContractError);
 }
 
 // The rejection message names the offending row, so callers assembling
@@ -60,55 +92,61 @@ TEST(MultiResourceProblem, ValidationMessagesAreRowIndexed) {
     return "";
   };
   EXPECT_NE(message_of([] {
-              MultiResourceProblem({{1}}, {{1, 1}}, {{9, 18}, {9}});
+              instance({{1}}, {{1, 1}}, {{9, 18}, {9}});
             }).find("ragged capacity matrix"),
             std::string::npos);
   EXPECT_NE(message_of([] {
-              MultiResourceProblem({{1}}, {{1, 1}}, {{9, 18}, {9}});
+              instance({{1}}, {{1, 1}}, {{9, 18}, {9}});
             }).find("(row 1)"),
             std::string::npos);
   EXPECT_NE(message_of([] {
-              MultiResourceProblem({{1, 1}, {1}}, {{1, 1}, {1, 1}},
-                                   {{9, 18}, {9, 18}});
-            }).find("ragged task cap matrix"),
+              instance({{1, 1}, {1}}, {{1, 1}, {1, 1}}, {{9, 18}, {9, 18}});
+            }).find("ragged demand matrix"),
             std::string::npos);
   EXPECT_NE(message_of([] {
-              MultiResourceProblem({{1}, {1}}, {{1, 1}, {1}}, {{9, 18}});
+              instance({{1}, {1}}, {{1, 1}, {1}}, {{9, 18}});
             }).find("ragged profile matrix"),
             std::string::npos);
   const std::string all_zero = message_of([] {
-    MultiResourceProblem({{1}, {1}}, {{1, 1}, {0, 0}}, {{9, 18}});
+    instance({{1}, {1}}, {{1, 1}, {0, 0}}, {{9, 18}});
   });
   EXPECT_NE(all_zero.find("all-zero profile"), std::string::npos);
   EXPECT_NE(all_zero.find("(row 1)"), std::string::npos);
+  const std::string overflow = message_of([] {
+    instance({{1}, {1e300}}, {{1, 1}, {1e10, 1}}, {{9, 18}});
+  });
+  EXPECT_NE(overflow.find("must be finite"), std::string::npos);
+  EXPECT_NE(overflow.find("(row 1)"), std::string::npos);
 }
 
 TEST(MultiResourceProblem, DominantShares) {
   // 9 CPU + 18 GB; job 0 <1 CPU, 4 GB>, job 1 <3 CPU, 1 GB>.
-  MultiResourceProblem p({{100}, {100}}, {{1, 4}, {3, 1}}, {{9, 18}});
-  EXPECT_EQ(p.dominant_resource(0), 1);  // memory: 4/18 > 1/9
-  EXPECT_EQ(p.dominant_resource(1), 0);  // CPU: 3/9 > 1/18
-  EXPECT_NEAR(p.dominant_share_per_task(0), 4.0 / 18.0, 1e-12);
-  EXPECT_NEAR(p.dominant_share_per_task(1), 3.0 / 9.0, 1e-12);
+  auto p = instance({{100}, {100}}, {{1, 4}, {3, 1}}, {{9, 18}});
+  EXPECT_EQ(dominant_resource(p, 0), 1);  // memory: 4/18 > 1/9
+  EXPECT_EQ(dominant_resource(p, 1), 0);  // CPU: 3/9 > 1/18
+  EXPECT_NEAR(dominant_share_per_task(p, 0), 4.0 / 18.0, 1e-12);
+  EXPECT_NEAR(dominant_share_per_task(p, 1), 3.0 / 9.0, 1e-12);
+  EXPECT_DOUBLE_EQ(total_capacity(p, 0), 9.0);
+  EXPECT_DOUBLE_EQ(total_capacity(p, 1), 18.0);
 }
 
 TEST(PerSiteDrf, ClassicDrfPaperExample) {
   // The canonical DRF example (Ghodsi et al.): 9 CPU, 18 GB; user A runs
   // <1 CPU, 4 GB> tasks, user B <3 CPU, 1 GB>. DRF gives A three tasks
   // and B two: dominant shares 12/18 = 6/9 = 2/3 each.
-  MultiResourceProblem p({{100}, {100}}, {{1, 4}, {3, 1}}, {{9, 18}});
+  auto p = instance({{100}, {100}}, {{1, 4}, {3, 1}}, {{9, 18}});
   PerSiteDrfAllocator drf;
   auto x = drf.allocate(p);
   EXPECT_NEAR(x[0][0], 3.0, 1e-6);
   EXPECT_NEAR(x[1][0], 2.0, 1e-6);
-  auto shares = p.dominant_shares(x);
+  auto shares = dominant_shares(p, x);
   EXPECT_NEAR(shares[0], 2.0 / 3.0, 1e-6);
   EXPECT_NEAR(shares[1], 2.0 / 3.0, 1e-6);
 }
 
 TEST(PerSiteDrf, TaskCapFreezesEarly) {
   // Job 0 capped at 1 task; job 1 absorbs the leftover.
-  MultiResourceProblem p({{1}, {100}}, {{1, 1}, {1, 1}}, {{10, 10}});
+  auto p = instance({{1}, {100}}, {{1, 1}, {1, 1}}, {{10, 10}});
   PerSiteDrfAllocator drf;
   auto x = drf.allocate(p);
   EXPECT_NEAR(x[0][0], 1.0, 1e-6);
@@ -118,7 +156,7 @@ TEST(PerSiteDrf, TaskCapFreezesEarly) {
 TEST(PerSiteDrf, ContinuesAfterOneResourceSaturates) {
   // Job 0 uses only CPU, job 1 only memory: both should saturate their
   // own resource regardless of the other (lex max-min, not single-level).
-  MultiResourceProblem p({{100}, {100}}, {{1, 0}, {0, 1}}, {{10, 20}});
+  auto p = instance({{100}, {100}}, {{1, 0}, {0, 1}}, {{10, 20}});
   PerSiteDrfAllocator drf;
   auto x = drf.allocate(p);
   EXPECT_NEAR(x[0][0], 10.0, 1e-5);
@@ -132,7 +170,7 @@ TEST(PerSiteDrf, FeasibleOnRandomInstances) {
     const int n = 2 + static_cast<int>(rng.uniform_index(5));
     const int m = 1 + static_cast<int>(rng.uniform_index(3));
     const int rc = 2 + static_cast<int>(rng.uniform_index(2));
-    TaskMatrix caps(static_cast<std::size_t>(n),
+    Matrix caps(static_cast<std::size_t>(n),
                     std::vector<double>(static_cast<std::size_t>(m), 0.0));
     std::vector<std::vector<double>> profiles(
         static_cast<std::size_t>(n),
@@ -150,17 +188,17 @@ TEST(PerSiteDrf, FeasibleOnRandomInstances) {
                        [](double v) { return v > 0.0; }))
         prof[0] = 1.0;
     }
-    MultiResourceProblem p(caps, profiles, capacity);
+    auto p = instance(caps, profiles, capacity);
     auto x = drf.allocate(p);
-    EXPECT_TRUE(p.feasible(x)) << "trial " << trial;
+    EXPECT_TRUE(feasible(p, x)) << "trial " << trial;
   }
 }
 
 TEST(AggregateDrf, SingleSiteMatchesClassicDrf) {
-  MultiResourceProblem p({{100}, {100}}, {{1, 4}, {3, 1}}, {{9, 18}});
+  auto p = instance({{100}, {100}}, {{1, 4}, {3, 1}}, {{9, 18}});
   AggregateDrfAllocator adrf;
   auto x = adrf.allocate(p);
-  auto shares = p.dominant_shares(x);
+  auto shares = dominant_shares(p, x);
   EXPECT_NEAR(shares[0], 2.0 / 3.0, 1e-4);
   EXPECT_NEAR(shares[1], 2.0 / 3.0, 1e-4);
   EXPECT_TRUE(is_aggregate_drf_fair(p, shares));
@@ -170,13 +208,13 @@ TEST(AggregateDrf, BalancesAcrossSitesWhatPerSiteCannot) {
   // Two sites; jobs 0 and 1 captive on the hot site 0, job 2 can run on
   // either. Per-site DRF lets job 2 double-dip; ADRF routes job 2 to
   // site 1 so the captive jobs split site 0 evenly.
-  MultiResourceProblem p(
+  auto p = instance(
       {{10, 0}, {10, 0}, {10, 10}},
       {{1, 1}, {1, 1}, {1, 1}},
       {{10, 10}, {10, 10}});
   AggregateDrfAllocator adrf;
   auto x = adrf.allocate(p);
-  auto shares = p.dominant_shares(x);
+  auto shares = dominant_shares(p, x);
   // Total pool per resource = 20 per-task dominant share = 1/20. Captives
   // reach 5 tasks = 0.25; job 2 gets site 1 (10 tasks = 0.5).
   EXPECT_NEAR(shares[0], 0.25, 1e-3);
@@ -185,7 +223,7 @@ TEST(AggregateDrf, BalancesAcrossSitesWhatPerSiteCannot) {
   EXPECT_TRUE(is_aggregate_drf_fair(p, shares));
 
   PerSiteDrfAllocator persite;
-  auto base_shares = p.dominant_shares(persite.allocate(p));
+  auto base_shares = dominant_shares(p, persite.allocate(p));
   // Per-site DRF splits site 0 three ways: captives stuck at ~1/6 of the
   // global pool while job 2 collects from both sites.
   EXPECT_LT(base_shares[0], 0.20);
@@ -196,19 +234,19 @@ TEST(AggregateDrf, BalancesAcrossSitesWhatPerSiteCannot) {
 TEST(AggregateDrf, HeterogeneousProfilesAcrossSites) {
   // CPU-heavy and memory-heavy jobs sharing two sites: ADRF must remain
   // feasible and pass the definitional oracle.
-  MultiResourceProblem p(
+  auto p = instance(
       {{20, 20}, {20, 20}, {0, 20}},
       {{2, 1}, {1, 3}, {1, 1}},
       {{12, 15}, {18, 24}});
   AggregateDrfAllocator adrf;
   auto x = adrf.allocate(p);
-  EXPECT_TRUE(p.feasible(x));
-  auto shares = p.dominant_shares(x);
+  EXPECT_TRUE(feasible(p, x));
+  auto shares = dominant_shares(p, x);
   EXPECT_TRUE(is_aggregate_drf_fair(p, shares));
 }
 
 TEST(AggregateDrf, OracleRejectsUnfairVectors) {
-  MultiResourceProblem p(
+  auto p = instance(
       {{10, 0}, {10, 0}, {10, 10}},
       {{1, 1}, {1, 1}, {1, 1}},
       {{10, 10}, {10, 10}});
@@ -227,7 +265,7 @@ TEST_P(AdrfRandomTest, FairFeasibleAndDominatesPerSite) {
   const int n = 3 + static_cast<int>(rng.uniform_index(3));
   const int m = 2 + static_cast<int>(rng.uniform_index(2));
   const int rc = 2;
-  TaskMatrix caps(static_cast<std::size_t>(n),
+  Matrix caps(static_cast<std::size_t>(n),
                   std::vector<double>(static_cast<std::size_t>(m), 0.0));
   std::vector<std::vector<double>> profiles(
       static_cast<std::size_t>(n),
@@ -247,17 +285,17 @@ TEST_P(AdrfRandomTest, FairFeasibleAndDominatesPerSite) {
     profiles[static_cast<std::size_t>(j)] = {rng.uniform(0.2, 2.0),
                                              rng.uniform(0.2, 2.0)};
   }
-  MultiResourceProblem p(caps, profiles, capacity);
+  auto p = instance(caps, profiles, capacity);
 
   AggregateDrfAllocator adrf;
   auto x = adrf.allocate(p);
-  EXPECT_TRUE(p.feasible(x)) << "seed " << GetParam();
-  auto shares = p.dominant_shares(x);
+  EXPECT_TRUE(feasible(p, x)) << "seed " << GetParam();
+  auto shares = dominant_shares(p, x);
   EXPECT_TRUE(is_aggregate_drf_fair(p, shares)) << "seed " << GetParam();
 
   // Lexicographic dominance over the per-site baseline's share vector.
   PerSiteDrfAllocator persite;
-  auto base = p.dominant_shares(persite.allocate(p));
+  auto base = dominant_shares(p, persite.allocate(p));
   auto sorted_adrf = shares, sorted_base = base;
   std::sort(sorted_adrf.begin(), sorted_adrf.end());
   std::sort(sorted_base.begin(), sorted_base.end());
@@ -276,18 +314,54 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AdrfRandomTest, ::testing::Range(0, 20));
 
 TEST(AggregateDrf, EmptyProblem) {
   AggregateDrfAllocator adrf;
-  MultiResourceProblem p(TaskMatrix{}, {}, {{10.0}});
+  auto p = instance(Matrix{}, {}, {{10.0}});
   auto x = adrf.allocate(p);
   EXPECT_TRUE(x.empty());
 }
 
 TEST(AggregateDrf, JobWithNoSitesGetsNothing) {
-  MultiResourceProblem p({{0}, {5}}, {{1}, {1}}, {{10}});
+  auto p = instance({{0}, {5}}, {{1}, {1}}, {{10}});
   AggregateDrfAllocator adrf;
   auto x = adrf.allocate(p);
   EXPECT_DOUBLE_EQ(x[0][0], 0.0);
   EXPECT_NEAR(x[1][0], 5.0, 1e-5);
 }
+
+// At R = 1 with unit profiles and unit weights the flow lift is exact: a
+// job's task total is its aggregate, and its dominant share is that
+// total over the pool. The flow allocator on the lift, the LP reference
+// and ADRF run on one instance object and must agree.
+class MultiResAgreementTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MultiResAgreementTest, AmfLpAndAdrfAgreeAtR1) {
+  util::Rng rng(static_cast<std::uint64_t>(5200 + GetParam()));
+  const int n = 3 + static_cast<int>(rng.uniform_index(5));
+  const int m = 2 + static_cast<int>(rng.uniform_index(3));
+  Matrix demands(static_cast<std::size_t>(n),
+                 std::vector<double>(static_cast<std::size_t>(m), 0.0));
+  Matrix capacities(static_cast<std::size_t>(m));
+  for (auto& site : capacities) site = {rng.uniform(5.0, 20.0)};
+  for (auto& row : demands) {
+    const auto home = rng.uniform_index(static_cast<std::size_t>(m));
+    for (std::size_t s = 0; s < row.size(); ++s)
+      if (s == home || rng.bernoulli(0.5)) row[s] = rng.uniform(1.0, 15.0);
+  }
+  const auto p = AllocationProblem::multi(demands, capacities, {});
+  const double tol = 1e-4 * p.scale();
+
+  const auto amf = core::AmfAllocator().allocate(p);
+  const auto lp = core::lp_max_min_aggregates(p);
+  const auto shares = dominant_shares(p, AggregateDrfAllocator().allocate(p));
+  for (int j = 0; j < n; ++j) {
+    const auto ju = static_cast<std::size_t>(j);
+    EXPECT_NEAR(amf.aggregate(j), lp[ju], tol)
+        << "seed " << GetParam() << " job " << j;
+    EXPECT_NEAR(amf.aggregate(j), shares[ju] * total_capacity(p, 0), tol)
+        << "seed " << GetParam() << " job " << j;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MultiResAgreementTest, ::testing::Range(0, 20));
 
 }  // namespace
 }  // namespace amf::multiresource

@@ -446,6 +446,49 @@ TEST(SvcSession, HugeBudgetIsServedByPrimaryUnbudgeted) {
   session.drain();
 }
 
+// A capacity factor whose product with the site's nominal capacity
+// overflows is refused at admission with a typed bad_request: ACKed, it
+// would throw inside apply_delta on an executor thread.
+TEST(SvcSession, RejectsSiteEventWhoseCapacityOverflows) {
+  auto owned = fresh_session("s", std::vector<double>{1e10, 5});
+  Session& session = *owned;
+  Collector collector;
+  session.submit(make_request(1, Op::kAddJob, add_job_body({5, 5})),
+                 collector.responder());
+  ASSERT_TRUE(collector.wait(1).bool_or("ok", false));
+  Json event = Json::object();
+  event.set("site", Json(0.0));
+  event.set("capacity_factor", Json(1e300));
+  session.submit(make_request(2, Op::kSiteEvent, std::move(event)),
+                 collector.responder());
+  Json response = collector.wait(2);
+  EXPECT_FALSE(response.bool_or("ok", true)) << response.dump();
+  ASSERT_NE(response.find("error"), nullptr) << response.dump();
+  EXPECT_EQ(response.find("error")->string_or("code", ""), "bad_request");
+  // Admission scales the nominal capacity every admitted set_capacity
+  // leaves, applied or still queued.
+  Json set = Json::object();
+  set.set("site", Json(1.0));
+  set.set("value", Json(1e308));
+  session.submit(make_request(3, Op::kSetCapacity, std::move(set)),
+                 collector.responder());
+  Json doubled = Json::object();
+  doubled.set("site", Json(1.0));
+  doubled.set("capacity_factor", Json(2.0));
+  session.submit(make_request(4, Op::kSiteEvent, std::move(doubled)),
+                 collector.responder());
+  EXPECT_TRUE(collector.wait(3).bool_or("ok", false));
+  response = collector.wait(4);
+  EXPECT_FALSE(response.bool_or("ok", true)) << response.dump();
+  ASSERT_NE(response.find("error"), nullptr) << response.dump();
+  EXPECT_EQ(response.find("error")->string_or("code", ""), "bad_request");
+  session.submit(make_request(5, Op::kSolve), collector.responder());
+  Json solved = collector.wait(5);
+  ASSERT_TRUE(solved.bool_or("ok", false)) << solved.dump();
+  EXPECT_NE(solved.find("allocation"), nullptr);
+  session.drain();
+}
+
 TEST(SvcSession, OutOfRangeNumbersNeverReachAnIntegerCast) {
   auto owned = fresh_session("s", std::vector<double>{10, 10});
   Session& session = *owned;
