@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
   core::PerSiteMaxMin psmf;
   core::AmfAllocator amf;
   core::EnhancedAmfAllocator eamf;
-  core::JctAddon addon;
 
   util::Table table({"policy", "jain", "min/max", "gini", "mean W/A",
                      "p95 W/A", "SI violation"});

@@ -54,7 +54,6 @@ Allocation progressive_fill(const AllocationProblem& problem,
                             flow::LevelMethod method,
                             flow::LevelSolveStats* stats, FillTrace* trace,
                             flow::TransportNetwork* external_net,
-                            std::vector<flow::LevelHint>* hints,
                             const util::StopToken* stop) {
   stop = util::effective_stop(stop);
   const int n = problem.jobs();
@@ -176,14 +175,8 @@ Allocation progressive_fill(const AllocationProblem& problem,
       }
     }
 
-    flow::LevelHint* hint = nullptr;
-    if (hints != nullptr) {
-      if (hints->size() <= static_cast<std::size_t>(round_counter))
-        hints->resize(static_cast<std::size_t>(round_counter) + 1);
-      hint = &(*hints)[static_cast<std::size_t>(round_counter)];
-    }
     auto res = flow::solve_critical_level(net, sources, t_lo, seg_end, eps,
-                                          method, stats, hint, stop, &gallop);
+                                          method, stats, stop, &gallop);
     if (res.status == flow::LevelStatus::kDeadlineExceeded)
       return interrupted();
     // Iteration-capped solves are usable (bisection closed the bracket and
@@ -296,14 +289,12 @@ Allocation AmfAllocator::allocate(const AllocationProblem& problem,
   flow::LevelSolveStats stats;
   std::vector<double> zero_floors(static_cast<std::size_t>(problem.jobs()),
                                   0.0);
-  auto allocation = progressive_fill(
-      problem, zero_floors, name(), eps_, method_, &stats, &report.trace,
-      &workspace.transport(),
-      workspace.exact_realization() ? nullptr : &workspace.level_hints());
+  auto allocation =
+      progressive_fill(problem, zero_floors, name(), eps_, method_, &stats,
+                       &report.trace, &workspace.transport());
   report.flow_solves = stats.flow_solves;
   report.status = stats.worst;
   report.warm = true;
-  workspace.record_solution(allocation);
   workspace.maybe_compact();
   return allocation;
 }

@@ -68,11 +68,6 @@ class AmfAllocator final : public Allocator {
 /// SolverWorkspace's persistent network); filling then skips the network
 /// construction. Null builds a fresh network — same results either way.
 ///
-/// `hints`, when given, carries one LevelHint per filling round across
-/// calls: each round's Newton descent starts from the cut the same round
-/// ended on last time. Only pass this for relaxed-realization solves —
-/// hinted levels can differ from the cold descent's in the last ulps.
-///
 /// `stop` (explicit, else the ambient token) makes the fill *anytime*:
 /// when it fires, filling halts and the allocation currently realized by
 /// the network is returned — a feasible matrix in which every level
@@ -84,7 +79,6 @@ Allocation progressive_fill(
     flow::LevelMethod method = flow::LevelMethod::kCutNewton,
     flow::LevelSolveStats* stats = nullptr, FillTrace* trace = nullptr,
     flow::TransportNetwork* net = nullptr,
-    std::vector<flow::LevelHint>* hints = nullptr,
     const util::StopToken* stop = nullptr);
 
 }  // namespace amf::core

@@ -4,6 +4,11 @@
 
 namespace amf::core {
 
+namespace {
+// Flow tolerance of the filling, AmfAllocator's default.
+constexpr double kEps = 1e-9;
+}  // namespace
+
 std::vector<double> EnhancedAmfAllocator::sharing_floors(
     const AllocationProblem& problem) {
   return problem.equal_split_shares();
@@ -11,7 +16,7 @@ std::vector<double> EnhancedAmfAllocator::sharing_floors(
 
 Allocation EnhancedAmfAllocator::allocate(
     const AllocationProblem& problem) const {
-  return progressive_fill(problem, sharing_floors(problem), name(), eps_);
+  return progressive_fill(problem, sharing_floors(problem), name(), kEps);
 }
 
 }  // namespace amf::core

@@ -23,17 +23,12 @@ namespace amf::core {
 /// The Enhanced AMF allocator (sharing incentive guaranteed).
 class EnhancedAmfAllocator final : public Allocator {
  public:
-  explicit EnhancedAmfAllocator(double eps = 1e-9) : eps_(eps) {}
-
   using Allocator::allocate;
   Allocation allocate(const AllocationProblem& problem) const override;
   std::string name() const override { return "E-AMF"; }
 
   /// The floors enforced for this instance (equal-split shares).
   static std::vector<double> sharing_floors(const AllocationProblem& problem);
-
- private:
-  double eps_;
 };
 
 }  // namespace amf::core

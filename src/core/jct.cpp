@@ -13,7 +13,17 @@ namespace amf::core {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-}
+// Flow tolerance of the add-on's feasibility checks.
+constexpr double kEps = 1e-9;
+// Binary-search resolution per filling round.
+constexpr int kSearchIters = 30;
+// Per-job closed-form refinement rounds after filling.
+constexpr int kRefinePasses = 2;
+// Progressive-filling rounds: each freezes at least one blocked job; more
+// rounds come closer to the lexicographic optimum, fewer run faster (the
+// simulator calls the add-on at every event).
+constexpr int kMaxFreezeRounds = 8;
+}  // namespace
 
 std::vector<double> completion_times(const AllocationProblem& problem,
                                      const Allocation& allocation) {
@@ -63,18 +73,6 @@ std::vector<double> aggregate_rate_completion_times(
     t[static_cast<std::size_t>(j)] = agg <= 0.0 ? kInf : work / agg;
   }
   return t;
-}
-
-JctAddon::JctAddon(double eps, int search_iters, int refine_passes,
-                   int max_freeze_rounds)
-    : eps_(eps),
-      search_iters_(search_iters),
-      refine_passes_(refine_passes),
-      max_freeze_rounds_(max_freeze_rounds) {
-  AMF_REQUIRE(eps > 0.0, "eps must be positive");
-  AMF_REQUIRE(search_iters >= 1, "at least one search iteration");
-  AMF_REQUIRE(refine_passes >= 0, "refine passes must be >= 0");
-  AMF_REQUIRE(max_freeze_rounds >= 1, "at least one freeze round");
 }
 
 Allocation JctAddon::optimize(const AllocationProblem& problem,
@@ -143,7 +141,7 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
     for (int s = 0; s < m; ++s)
       edges.push_back({site_node(s), sink, 0.0, problem.capacity(s)});
     return flow::feasible_flow_with_lower_bounds(node_count, edges, source,
-                                                 sink, eps_);
+                                                 sink, kEps);
   };
 
   auto extract = [&](const std::vector<double>& flows) {
@@ -190,7 +188,7 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
              "aggregates must be realizable with zero lower bounds");
   double f_lo = 0.0;
 
-  for (int round = 0; round < max_freeze_rounds_ && unfrozen > 0; ++round) {
+  for (int round = 0; round < kMaxFreezeRounds && unfrozen > 0; ++round) {
     // Fast path: everyone can reach their demand-cap ceiling.
     if (auto full = solve_at(u_at(1.0))) {
       best = std::move(full);
@@ -203,7 +201,7 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
 
     // Binary search the critical common fraction (monotone in f).
     double lo = f_lo, hi = 1.0;
-    for (int it = 0; it < search_iters_; ++it) {
+    for (int it = 0; it < kSearchIters; ++it) {
       double mid = 0.5 * (lo + hi);
       if (auto flows = solve_at(u_at(mid))) {
         lo = mid;
@@ -218,7 +216,7 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
         u_now[static_cast<std::size_t>(j)] =
             lo * u_cap[static_cast<std::size_t>(j)];
 
-    const bool last_round = (round + 1 == max_freeze_rounds_);
+    const bool last_round = (round + 1 == kMaxFreezeRounds);
     int newly = 0;
     if (!last_round) {
       // Identify the jobs pinned by the tight cut via residual analysis
@@ -367,7 +365,7 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
     }
   };
 
-  for (int pass = 0; pass < refine_passes_; ++pass) {
+  for (int pass = 0; pass < kRefinePasses; ++pass) {
     recompute_residual();
     Allocation current(shares, policy);
     auto sd = slowdowns(problem, current);
@@ -428,7 +426,7 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
         next[static_cast<std::size_t>(s)] += take;
         leftover -= take;
       }
-      if (leftover > eps_ * problem.scale()) continue;  // could not place all
+      if (leftover > kEps * problem.scale()) continue;  // could not place all
 
       // Commit and update residuals.
       for (int s = 0; s < m; ++s) {

@@ -48,28 +48,15 @@ std::vector<double> slowdowns(const AllocationProblem& problem,
 std::vector<double> aggregate_rate_completion_times(
     const AllocationProblem& problem, const Allocation& allocation);
 
-/// The completion-time add-on. Stateless apart from tuning parameters.
+/// The completion-time add-on. Stateless; its tuning constants live in
+/// jct.cpp.
 class JctAddon {
  public:
-  /// `eps`: flow tolerance; `search_iters`: binary-search resolution per
-  /// filling round; `refine_passes`: per-job refinement rounds;
-  /// `max_freeze_rounds`: progressive-filling rounds (each freezes at
-  /// least one blocked job; more rounds = closer to the lexicographic
-  /// optimum, fewer = faster, e.g. inside the simulator loop).
-  explicit JctAddon(double eps = 1e-9, int search_iters = 30,
-                    int refine_passes = 2, int max_freeze_rounds = 8);
-
   /// Returns an allocation with identical aggregates to `base` whose
   /// completion times are no worse (and usually far better) than base's.
   /// The result's policy name is base.policy() + "+JCT".
   Allocation optimize(const AllocationProblem& problem,
                       const Allocation& base) const;
-
- private:
-  double eps_;
-  int search_iters_;
-  int refine_passes_;
-  int max_freeze_rounds_;
 };
 
 }  // namespace amf::core

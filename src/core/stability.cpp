@@ -8,9 +8,10 @@
 
 namespace amf::core {
 
-StabilityAddon::StabilityAddon(double eps) : eps_(eps) {
-  AMF_REQUIRE(eps > 0.0, "eps must be positive");
-}
+namespace {
+// Flow tolerance of the min-cost flow and of the aggregate checks.
+constexpr double kEps = 1e-9;
+}  // namespace
 
 double StabilityAddon::churn(const Allocation& a, const Allocation& b) {
   AMF_REQUIRE(a.jobs() == b.jobs() && a.sites() == b.sites(),
@@ -44,7 +45,7 @@ Allocation StabilityAddon::optimize(const AllocationProblem& problem,
   double total = 0.0;
   for (int j = 0; j < n; ++j) {
     double agg = target.aggregate(j);
-    AMF_REQUIRE(agg >= -eps_ * problem.scale(), "negative target aggregate");
+    AMF_REQUIRE(agg >= -kEps * problem.scale(), "negative target aggregate");
     net.add_edge(source, job_node(j), std::max(0.0, agg), 0.0);
     total += std::max(0.0, agg);
   }
@@ -73,11 +74,11 @@ Allocation StabilityAddon::optimize(const AllocationProblem& problem,
     net.add_edge(site_node(s), sink, problem.capacity(s), 0.0);
 
   auto result = net.solve(source, sink,
-                          std::numeric_limits<double>::infinity(), eps_);
+                          std::numeric_limits<double>::infinity(), kEps);
   if (!result.complete)
     throw util::DeadlineExceeded(
         "stability min-cost realization interrupted by its stop token");
-  AMF_REQUIRE(result.flow >= total - eps_ * std::max(problem.scale(), total),
+  AMF_REQUIRE(result.flow >= total - kEps * std::max(problem.scale(), total),
               "target aggregates must be realizable");
 
   Matrix shares(static_cast<std::size_t>(n),

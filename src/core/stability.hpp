@@ -22,8 +22,6 @@ namespace amf::core {
 /// Churn-minimizing redistribution with aggregates pinned.
 class StabilityAddon {
  public:
-  explicit StabilityAddon(double eps = 1e-9);
-
   /// Returns an allocation with `target`'s aggregates (exactly) whose
   /// per-site shares are as close as possible (total L1) to `previous`.
   /// `previous` must have the same shape; pass a zero allocation for the
@@ -34,9 +32,6 @@ class StabilityAddon {
 
   /// Total L1 distance between two allocations of the same shape.
   static double churn(const Allocation& a, const Allocation& b);
-
- private:
-  double eps_;
 };
 
 }  // namespace amf::core

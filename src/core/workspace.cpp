@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/allocation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/error.hpp"
@@ -76,8 +75,6 @@ void SolverWorkspace::prime(const AllocationProblem& problem,
     rows_.push_back(transport_->add_job(sites, demands));
   }
   transport_->set_active(rows_);
-  transport_->set_exact_realization(exact_realization_);
-  previous_aggregates_.clear();
 }
 
 void SolverWorkspace::apply(const ProblemDelta& delta) {
@@ -162,12 +159,6 @@ void SolverWorkspace::invalidate() {
   transport_.reset();
   rows_.clear();
   gammas_.clear();
-  previous_aggregates_.clear();
-  level_hints_.clear();
-}
-
-void SolverWorkspace::record_solution(const Allocation& allocation) {
-  previous_aggregates_ = allocation.aggregates();
 }
 
 void SolverWorkspace::maybe_compact() {

@@ -2,7 +2,7 @@
 //
 // A SolverWorkspace owns everything an allocator can profitably keep
 // between related solves: the persistent-topology transportation network,
-// the previous solution, scratch buffers, and the per-call SolveReport.
+// scratch buffers, and the per-call SolveReport.
 // Allocators stay const and stateless — all warm-start state lives here,
 // one workspace per solve stream (one simulator, one thread).
 //
@@ -25,12 +25,9 @@
 
 #include "core/problem.hpp"
 #include "core/report.hpp"
-#include "flow/parametric.hpp"
 #include "flow/transport.hpp"
 
 namespace amf::core {
-
-class Allocation;
 
 /// Mutable cross-call solver state. Not thread-safe: use one workspace
 /// per concurrent solve stream.
@@ -58,39 +55,16 @@ class SolverWorkspace {
   /// persistent topology cannot represent.
   void apply(const ProblemDelta& delta);
 
-  /// Drops all warm state (network, row map, previous solution).
+  /// Drops all warm state (network and row map).
   void invalidate();
 
   /// The persistent network. Only valid when primed().
   flow::TransportNetwork& transport() { return *transport_; }
 
-  /// Aggregates of the last recorded solution (empty before the first).
-  const std::vector<double>& previous_aggregates() const {
-    return previous_aggregates_;
-  }
-  void record_solution(const Allocation& allocation);
-
   /// Rebuilds the network without its dead (departed-job) rows once the
   /// rows masked since the last rebuild reach a quarter of the rows it
   /// holds. Safe to call any time; bit-for-bit neutral.
   void maybe_compact();
-
-  /// Realization contract for allocations produced through this workspace.
-  /// Exact (the default): every result is bit-identical to the stateless
-  /// path — warm starts are restricted to reads that are max-flow
-  /// invariants. Relaxed: results are max-min optimal with identical job
-  /// aggregates (within flow tolerance), but the per-site split may be any
-  /// vertex of the optimum face, and cross-solve level hints accelerate
-  /// the Newton descent. Substantially faster; not replay-exact.
-  void set_exact_realization(bool exact) {
-    exact_realization_ = exact;
-    if (primed()) transport_->set_exact_realization(exact);
-  }
-  bool exact_realization() const { return exact_realization_; }
-
-  /// Per-round critical-level hints carried across solves (relaxed
-  /// realization only; see flow::LevelHint).
-  std::vector<flow::LevelHint>& level_hints() { return level_hints_; }
 
   /// Scratch vector of length n, reused across calls (contents undefined).
   std::vector<double>& scratch(std::size_t n) {
@@ -111,11 +85,8 @@ class SolverWorkspace {
   /// Deltas carry raw task units; the network speaks dominant units, so
   /// kDemandSet values are scaled by this mirror on the way in.
   std::vector<double> gammas_;
-  std::vector<double> previous_aggregates_;
   std::vector<double> scratch_;
-  std::vector<flow::LevelHint> level_hints_;
   SolveReport report_;
-  bool exact_realization_ = true;
 };
 
 }  // namespace amf::core

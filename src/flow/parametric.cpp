@@ -30,8 +30,6 @@ struct LevelCounters {
   obs::Counter newton_iters;
   obs::Counter bisection_steps;
   obs::Counter probes;
-  obs::Counter hint_hits;
-  obs::Counter hint_misses;
   obs::Counter job_cut_hits;
   obs::Counter gallop_probes;
   obs::Counter site_bound_rounds;
@@ -45,12 +43,6 @@ struct LevelCounters {
                                   "bisection refinement steps");
     probes = reg.counter("amf_flow_probes",
                          "feasibility probes issued by the level solver");
-    hint_hits = reg.counter(
-        "amf_flow_hint_hits",
-        "cut-hint warm starts whose first probe was already feasible");
-    hint_misses = reg.counter(
-        "amf_flow_hint_misses",
-        "cut-hint warm starts that still needed Newton descent");
     job_cut_hits = reg.counter(
         "amf_flow_job_cut_hits",
         "rounds closed at a job cut proven feasible (demand-bound rounds)");
@@ -80,7 +72,7 @@ double job_cut_level(const TransportNetwork& net, const ParametricSource& src,
 CriticalLevel solve_critical_level(
     TransportNetwork& net, const std::vector<ParametricSource>& sources,
     double t_lo, double t_hi, double eps, LevelMethod method,
-    LevelSolveStats* stats, LevelHint* hint, const util::StopToken* stop,
+    LevelSolveStats* stats, const util::StopToken* stop,
     GallopState* gallop) {
   stop = util::effective_stop(stop);
   const int n = net.jobs();
@@ -129,8 +121,6 @@ CriticalLevel solve_critical_level(
   bool job_cut_start = false;
   bool job_cut_first_feasible = false;
   bool first_step_infeasible = false;
-  bool hint_applied = false;
-  bool hint_first_feasible = false;
   LevelStatus status = LevelStatus::kConverged;
   constexpr int kMaxNewton = 64;
 
@@ -148,47 +138,11 @@ CriticalLevel solve_critical_level(
     }
   }
 
-  if (hint != nullptr && hint->valid && method == LevelMethod::kCutNewton &&
-      static_cast<int>(hint->site_in_source_side.size()) == m) {
-    // A hinted cut's bound replaces the job-cut start when it is tighter.
-    // Each job joins the side that makes the cut tighter, judged at the
-    // hint's reference level: source side (contributing its crossing
-    // demand arcs) when those are cheaper than its cap, sink side
-    // (contributing cap(t)) otherwise. Either way the cut's capacity bounds
-    // total demand, so the computed level is >= the critical one
-    // regardless of hint staleness.
-    double cut_slope = 0.0, cut_fixed = 0.0;
-    for (int s = 0; s < m; ++s)
-      if (hint->site_in_source_side[static_cast<std::size_t>(s)])
-        cut_fixed += net.site_capacity(s);
-    for (int j = 0; j < n; ++j) {
-      double cross = 0.0;
-      net.add_row_demand_across(j, hint->site_in_source_side, cross);
-      const auto& src = sources[static_cast<std::size_t>(j)];
-      if (src.fixed + src.slope * hint->t_ref <= cross) {
-        cut_slope += src.slope;
-        cut_fixed += src.fixed;
-      } else {
-        cut_fixed += cross;
-      }
-    }
-    const double dslope = slope_total - cut_slope;
-    if (dslope > eps * std::max(1.0, slope_total)) {
-      const double t_h = (cut_fixed - fixed_total) / dslope;
-      if (t_h > t_lo + t_tol && t_h < t - t_tol) {
-        t = t_h;
-        hint_applied = true;
-        job_cut_start = false;
-      }
-    }
-  }
-  MinCut last_cut;
-  bool cut_read = false;
   // A gallop's last infeasible probe stands in for this solve's first one
   // when it was made at the same level (see GallopState).
   const bool carried_first = gallop != nullptr && gallop->cut_valid &&
                              method == LevelMethod::kCutNewton &&
-                             !hint_applied && gallop->cut_level == t;
+                             gallop->cut_level == t;
   if (gallop != nullptr) gallop->cut_valid = false;
 
   if (method == LevelMethod::kBisection) {
@@ -233,7 +187,6 @@ CriticalLevel solve_critical_level(
     const bool carried = iter == 0 && carried_first;
     const bool feasible = !carried && feasible_at(t);
     if (iter == 0) {
-      hint_first_feasible = hint_applied && feasible;
       job_cut_first_feasible = job_cut_start && feasible;
       first_step_infeasible = !feasible;
     }
@@ -244,10 +197,6 @@ CriticalLevel solve_critical_level(
     // Read the binding min cut and jump to where its value meets demand.
     auto cut = carried ? std::move(gallop->cut) : net.min_cut(eps);
     double cut_slope = 0.0, cut_fixed = 0.0;
-    if (hint != nullptr) {
-      last_cut.site_in_source_side = cut.site_in_source_side;
-      cut_read = true;
-    }
     for (int j = 0; j < n; ++j) {
       if (!cut.job_in_source_side[static_cast<std::size_t>(j)]) {
         // Source arc of j is cut: contributes cap_j(t).
@@ -389,22 +338,9 @@ CriticalLevel solve_critical_level(
   if (newton_iters > 0) counters.newton_iters.add(newton_iters);
   if (bisection_steps > 0) counters.bisection_steps.add(bisection_steps);
   if (probe_count > 0) counters.probes.add(probe_count);
-  if (hint_applied)
-    (hint_first_feasible ? counters.hint_hits : counters.hint_misses).add(1);
   if (rounds_at_job_cuts > 0) counters.job_cut_hits.add(rounds_at_job_cuts);
   if (gallop_probes > 0) counters.gallop_probes.add(gallop_probes);
   if (first_step_infeasible) counters.site_bound_rounds.add(1);
-
-  if (hint != nullptr) {
-    if (cut_read) {
-      hint->site_in_source_side = std::move(last_cut.site_in_source_side);
-      hint->valid = true;
-    }
-    // No cut read means the first probe already succeeded — at the hinted
-    // cut or at a job cut. The stored cut (if any) is still a true cut,
-    // so it stays a sound bound; only the level moved.
-    if (hint->valid) hint->t_ref = t;
-  }
 
   CriticalLevel result;
   result.status = status;

@@ -94,8 +94,8 @@ enum class LevelStatus {
 /// Optional instrumentation collected by solve_critical_level. This is the
 /// per-invocation view a caller threads through one solve; cumulative
 /// process-wide counts (solves, Newton iterations, bisection steps, probe
-/// flows, cut-hint hits/misses, job-cut hits) live in the obs metric
-/// registry under amf_flow_* and need no stats object to be collected.
+/// flows, job-cut hits) live in the obs metric registry under amf_flow_*
+/// and need no stats object to be collected.
 struct LevelSolveStats {
   int flow_solves = 0;  ///< max-flow computations performed
   /// Worst status observed across all solves feeding this stats object.
@@ -104,24 +104,6 @@ struct LevelSolveStats {
   void observe(LevelStatus s) {
     if (static_cast<int>(s) > static_cast<int>(worst)) worst = s;
   }
-};
-
-/// Cross-solve warm-start hint for solve_critical_level: the site set of
-/// the binding min cut a previous, related solve ended on, plus the level
-/// it bound (`t_ref`, used to pick each job's side of the cut when
-/// re-evaluating it under new sources). The capacity of *any* cut upper-
-/// bounds total demand, so a stale hint is still a sound starting level —
-/// at worst the descent takes its normal course; when the cut still binds
-/// (the common case in an online event stream) the first probe lands on
-/// the critical level and the solve finishes with a single max flow and no
-/// cut extraction. The landed-on level can differ from the cold descent's
-/// in the last ulps (ties between binding cuts break differently), so
-/// hints are reserved for relaxed-realization solves, never replay-exact
-/// ones.
-struct LevelHint {
-  bool valid = false;
-  std::vector<char> site_in_source_side;
-  double t_ref = 0.0;
 };
 
 /// What a progressive fill threads through its level solves to let them
@@ -171,11 +153,6 @@ struct CriticalLevel {
 /// kCutNewton starts its descent at the tightest job cut and, when that
 /// level is feasible and `gallop` is given, gallops over the following job
 /// cuts (see the header comment); kBisection brackets the whole segment.
-/// `hint`, when non-null, starts the Newton descent at the hinted cut's
-/// bound instead when that is tighter, and is updated on return with the
-/// cut this solve ended on. See LevelHint for the soundness argument and
-/// the replay-exactness caveat.
-///
 /// `stop` (explicit, else the ambient token) is polled before every
 /// feasibility probe; when it fires the solve returns immediately with
 /// status kDeadlineExceeded and `level` set to the best level it had
@@ -189,7 +166,7 @@ CriticalLevel solve_critical_level(
     TransportNetwork& net, const std::vector<ParametricSource>& sources,
     double t_lo, double t_hi, double eps = FlowNetwork::kDefaultEps,
     LevelMethod method = LevelMethod::kCutNewton,
-    LevelSolveStats* stats = nullptr, LevelHint* hint = nullptr,
-    const util::StopToken* stop = nullptr, GallopState* gallop = nullptr);
+    LevelSolveStats* stats = nullptr, const util::StopToken* stop = nullptr,
+    GallopState* gallop = nullptr);
 
 }  // namespace amf::flow

@@ -440,7 +440,7 @@ double TransportNetwork::solve(const std::vector<double>& source_caps,
                                double eps) {
   AMF_REQUIRE(static_cast<int>(source_caps.size()) == jobs(),
               "source cap vector length != number of active jobs");
-  if (memo_valid_ && (canonical_ || !exact_) && eps == last_eps_ &&
+  if (memo_valid_ && canonical_ && eps == last_eps_ &&
       source_caps == last_caps_) {
     transport_counters().memo_hits.add(1);
     return last_flow_;  // the network holds this very max flow

@@ -193,7 +193,8 @@ class TransportNetwork {
   /// attained flow value. A call with the caps and eps of the last
   /// completed max flow returns its value without touching the network
   /// when the held flow is the one this solve would recompute (it came
-  /// from a cold solve), or under relaxed realization.
+  /// from a cold solve). allocation() after solve() is therefore always
+  /// bit-identical to a freshly built network's cold solve.
   double solve(const std::vector<double>& source_caps,
                double eps = FlowNetwork::kDefaultEps);
 
@@ -243,17 +244,6 @@ class TransportNetwork {
   void add_row_demand_across(int job,
                              const std::vector<char>& site_in_source_side,
                              double& accumulator) const;
-
-  /// Realization contract of solve(). Exact (the default) guarantees
-  /// allocation() after solve() is bit-identical to a freshly built
-  /// network's cold solve, so solve() only serves its memo when the held
-  /// flow came from a cold solve. Relaxed accepts *any* max flow attaining
-  /// the caps — the memo may then keep a warm-probed flow, which turns the
-  /// materializing solve after a probe at the same caps into a no-op. Job
-  /// aggregates are unaffected (the flow value and every cut are max-flow
-  /// invariants); only the per-site split may differ.
-  void set_exact_realization(bool exact) { exact_ = exact; }
-  bool exact_realization() const { return exact_; }
 
  private:
   using RowArc = std::pair<int, EdgeId>;  // (site, arc)
@@ -325,13 +315,12 @@ class TransportNetwork {
   // keep the flow already in the network. `memo_valid_` is set only after
   // a max flow that ran to completion. `canonical_` records whether the
   // held flow came from a cold solve (reset + Dinic from zero): only then
-  // may an exact solve() serve a memo hit, since a warm-probed flow can be
+  // may solve() serve a memo hit, since a warm-probed flow can be
   // a different vertex of the optimum face.
   std::vector<double> last_caps_;
   double last_eps_ = -1.0;
   bool memo_valid_ = false;
   bool canonical_ = false;
-  bool exact_ = true;
   double last_total_ = 0.0;
   double last_flow_ = 0.0;
 };

@@ -207,7 +207,6 @@ void validate_trace(const workload::Trace& trace) {
 
 Simulator::Simulator(const core::Allocator& policy, SimulatorConfig config)
     : policy_(policy), config_(config) {
-  AMF_REQUIRE(config.eps > 0.0, "eps must be positive");
   AMF_REQUIRE(config.migration_penalty >= 0.0,
               "migration penalty must be >= 0");
   AMF_REQUIRE(config.loss_factor >= 0.0 && config.loss_factor <= 1.0,
@@ -269,7 +268,6 @@ std::vector<JobRecord> Simulator::run(const workload::Trace& trace) {
       live = core::AllocationProblem::multi(core::Matrix{}, eff_mat, {});
     else
       live.emplace(core::Matrix{}, eff_cap);
-    ws.set_exact_realization(config_.exact_replay);
   }
   long long pending_deltas = 0;  // deltas since the last allocate call
   auto apply_delta = [&](core::ProblemDelta delta) {
@@ -372,8 +370,8 @@ std::vector<JobRecord> Simulator::run(const workload::Trace& trace) {
     }
   };
 
-  core::JctAddon addon(config_.eps);
-  core::StabilityAddon stability(config_.eps);
+  core::JctAddon addon;
+  core::StabilityAddon stability;
   // Previous event's per-site shares, keyed by job id (for churn
   // accounting and the stability add-on).
   std::unordered_map<int, PrevPlacement> prev_shares;

@@ -126,8 +126,6 @@ struct SimulatorConfig {
   /// work resumes elsewhere unharmed), 1 models losing everything since
   /// the part started (or since its last outage).
   double loss_factor = 1.0;
-  /// Flow tolerance handed to allocators that accept one.
-  double eps = 1e-9;
   /// Maintain one AllocationProblem + SolverWorkspace across events and
   /// feed both the per-event deltas (arrivals, departures, drained or
   /// fault-masked demands), instead of rebuilding the problem and the
@@ -135,16 +133,6 @@ struct SimulatorConfig {
   /// bit-for-bit identical to the from-scratch path; per-event cost drops
   /// from O(n·m) rebuild work to O(changes + active nonzeros).
   bool incremental = true;
-  /// Replay contract of the incremental engine. true (the default): every
-  /// event's allocation is bit-for-bit the one the from-scratch engine
-  /// would compute — warm starts are limited to max-flow invariants.
-  /// false: each allocation is still max-min optimal with identical job
-  /// aggregates (within flow tolerance), but the engine may keep any
-  /// per-site realization of them (a different vertex of the optimum
-  /// face) and reuses critical-level cut hints across events, trading
-  /// replay-exactness for substantially higher event throughput. Ignored
-  /// by the from-scratch engine.
-  bool exact_replay = true;
   /// Replay budget: stop after this many reallocation events (0 = run the
   /// trace to completion). A truncated run leaves the remaining jobs'
   /// completion records at zero; stats cover the processed prefix. Lets

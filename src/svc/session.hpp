@@ -32,10 +32,10 @@
 // then a run of consecutive solve/snapshot requests. All solves in the
 // run are served by ONE allocator call — the amortization under load —
 // and a solve whose state is unchanged since the previous solve is served
-// from the cached result without touching the solver at all. Because the
-// workspace's exact-realization contract makes every solve bit-identical
-// to the stateless path, coalescing is bit-identical to processing the
-// queue one request at a time:
+// from the cached result without touching the solver at all. Because
+// every warm workspace solve is bit-identical to the stateless path,
+// coalescing is bit-identical to processing the queue one request at a
+// time:
 //   * a strict solve (the default) closes the batch at the next delta, so
 //     it observes exactly the deltas submitted before it;
 //   * a solve with "latest": true lets the session task keep draining

@@ -198,7 +198,7 @@ TEST(AnytimeSolvers, ExpiredTokenYieldsFeasiblePartialFill) {
   std::vector<double> zeros(static_cast<std::size_t>(problem.jobs()), 0.0);
   auto alloc = core::progressive_fill(problem, zeros, "AMF", 1e-9,
                                       flow::LevelMethod::kCutNewton, &stats,
-                                      nullptr, nullptr, nullptr, &expired);
+                                      nullptr, nullptr, &expired);
   EXPECT_EQ(stats.worst, flow::LevelStatus::kDeadlineExceeded);
   EXPECT_TRUE(alloc.feasible_for(problem));
 }
@@ -232,7 +232,7 @@ TEST(AnytimeSolvers, CriticalLevelReturnsBestProvenFeasibleLevel) {
   const util::StopToken expired{util::Deadline::after_ms(0.0)};
   auto res = flow::solve_critical_level(net, sources, 0.0, 100.0, 1e-9,
                                         flow::LevelMethod::kCutNewton,
-                                        nullptr, nullptr, &expired);
+                                        nullptr, &expired);
   EXPECT_EQ(res.status, flow::LevelStatus::kDeadlineExceeded);
   EXPECT_GE(res.level, 0.0);  // at worst the known-feasible lower bound
 }

@@ -1,15 +1,10 @@
 // Randomized equivalence suite for the incremental solve pipeline.
 //
-// The incremental engine's contract has two strengths, and both are
-// exercised here against the from-scratch path on randomized inputs:
-//
-//   * exact replay (the default): allocations, simulation records and run
-//     statistics are bit-for-bit identical to rebuilding the problem and
-//     the flow network at every event — across arrival/completion delta
-//     sequences, fault schedules, and replay budgets;
-//   * relaxed realization: per-job aggregates agree within flow tolerance
-//     and the progressive-filling structure (freeze rounds) is identical,
-//     while the per-site split may be any vertex of the optimum face.
+// The incremental engine's contract is exact replay, exercised here
+// against the from-scratch path on randomized inputs: allocations,
+// simulation records and run statistics are bit-for-bit identical to
+// rebuilding the problem and the flow network at every event — across
+// arrival/completion delta sequences, fault schedules, and replay budgets.
 //
 // Also covered: workspace reuse across RobustAllocator tier fallbacks —
 // a network warmed under one tier must never leak into another tier's
@@ -125,28 +120,6 @@ TEST(IncrementalEngine, BitwiseEqualOnEventCappedPrefix) {
   expect_bitwise(cold, inc);
 }
 
-TEST(IncrementalEngine, RelaxedRealizationPreservesRunAggregates) {
-  // Relaxed replay may realize different per-site splits, but the event
-  // count is an aggregate invariant and makespan/utilization must agree
-  // to a tight tolerance on a full replay.
-  core::AmfAllocator amf;
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    auto cfg = workload::paper_default(1.0, 980 + seed);
-    workload::Generator gen(cfg);
-    auto trace = workload::generate_trace(gen, 0.85, 40);
-    sim::SimulatorConfig cold_cfg, fast_cfg;
-    cold_cfg.incremental = false;
-    fast_cfg.incremental = true;
-    fast_cfg.exact_replay = false;
-    auto cold = run_sim(amf, trace, cold_cfg);
-    auto fast = run_sim(amf, trace, fast_cfg);
-    EXPECT_EQ(cold.stats.events, fast.stats.events);
-    EXPECT_NEAR(cold.stats.makespan, fast.stats.makespan,
-                1e-6 * cold.stats.makespan);
-    EXPECT_NEAR(cold.stats.avg_utilization, fast.stats.avg_utilization, 1e-6);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Allocator-level delta sequences: one problem + one workspace mutated by
 // random arrival / departure / drain / capacity deltas, checked against a
@@ -238,34 +211,6 @@ TEST(WorkspaceDeltas, ExactRealizationMatchesStatelessBitwise) {
   }
 }
 
-TEST(WorkspaceDeltas, RelaxedRealizationKeepsAggregatesAndFreezeRounds) {
-  core::AmfAllocator amf;
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    std::mt19937_64 rng(4321 + seed);
-    auto problem = random_problem(rng, 14, 6);
-    core::SolverWorkspace ws;
-    ws.set_exact_realization(false);
-    for (int step = 0; step < 25; ++step) {
-      auto warm = amf.allocate(problem, ws);
-      core::SolveReport cold_report;
-      auto cold = amf.allocate_with_report(problem, cold_report);
-      ASSERT_EQ(warm.jobs(), cold.jobs());
-      double scale = 1.0;
-      for (double c : problem.capacities()) scale = std::max(scale, c);
-      for (int j = 0; j < warm.jobs(); ++j)
-        EXPECT_NEAR(warm.aggregate(j), cold.aggregate(j), 1e-6 * scale)
-            << "seed " << seed << " step " << step << " job " << j;
-      // The filling structure — which jobs freeze in which round — is an
-      // aggregate property and must survive the relaxed realization.
-      EXPECT_EQ(ws.report().trace.freeze_round, cold_report.trace.freeze_round)
-          << "seed " << seed << " step " << step;
-      auto delta = random_delta(rng, problem);
-      problem = std::move(problem).apply(delta);
-      ws.apply(delta);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // RobustAllocator tier fallback: the workspace must not leak warm state
 // across tiers, and must warm-start correctly again once a tier settles.
@@ -340,27 +285,6 @@ TEST(RobustWorkspace, TierFallbackInvalidatesAndRecoversWarmState) {
     ws.apply(d);
     expect_matches_stateless(robust.allocate(problem, ws), amf);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Workspace realization contract at the transport level.
-
-TEST(WorkspaceRealization, ExactModeStaysBitIdenticalAfterToggle) {
-  // Toggling relaxed mode on and back off must restore the exact
-  // contract for subsequent solves (hints are advisory, never required).
-  std::mt19937_64 rng(31);
-  auto problem = random_problem(rng, 10, 5);
-  core::AmfAllocator amf;
-  core::SolverWorkspace ws;
-  amf.allocate(problem, ws);
-  ws.set_exact_realization(false);
-  amf.allocate(problem, ws);
-  ws.set_exact_realization(true);
-  auto warm = amf.allocate(problem, ws);
-  auto cold = amf.allocate(problem);
-  for (int j = 0; j < warm.jobs(); ++j)
-    for (int s = 0; s < warm.sites(); ++s)
-      EXPECT_DOUBLE_EQ(warm.share(j, s), cold.share(j, s));
 }
 
 // ---------------------------------------------------------------------------
@@ -547,7 +471,7 @@ TEST(DinicWorkPin, DemandBoundRunTakesLogarithmicProbes) {
   flow::GallopState gallop;
   const auto run = flow::solve_critical_level(
       net, sources, 0.0, 100.0, 1e-9, flow::LevelMethod::kCutNewton,
-      &galloped, nullptr, nullptr, &gallop);
+      &galloped, nullptr, &gallop);
   EXPECT_LE(galloped.flow_solves, kMaxProbes);
   EXPECT_EQ(run.level, net.solo_ceiling(kJobs - 1) / weights[kJobs - 1]);
   EXPECT_FALSE(run.segment_exhausted);
@@ -700,7 +624,7 @@ TEST(JobCutStart, NeverProbesMoreThanTheSegmentEndStart) {
 }
 
 // The job-cut start leaves every result where it was: AMF, E-AMF's floored
-// fill and the relaxed, cut-hinted workspace all agree with a bisection
+// fill and the warm workspace under deltas all agree with a bisection
 // solve, and AMF with the LP leximin oracle.
 TEST(JobCutStart, AggregatesMatchBisectionAndLp) {
   util::Rng rng(777);
@@ -734,16 +658,15 @@ TEST(JobCutStart, AggregatesMatchBisectionAndLp) {
     }
 
     core::SolverWorkspace ws;
-    ws.set_exact_realization(false);
     for (int step = 0; step < 6; ++step) {
-      const auto hinted = amf.allocate(problem, ws);
+      const auto warm = amf.allocate(problem, ws);
       const auto want = bisection.allocate(problem);
       const auto want_lp = core::lp_max_min_aggregates(problem);
       for (int j = 0; j < problem.jobs(); ++j) {
-        EXPECT_NEAR(hinted.aggregate(j), want.aggregate(j),
+        EXPECT_NEAR(warm.aggregate(j), want.aggregate(j),
                     1e-6 * problem.scale())
             << "trial " << trial << " step " << step << " job " << j;
-        EXPECT_NEAR(hinted.aggregate(j), want_lp[static_cast<std::size_t>(j)],
+        EXPECT_NEAR(warm.aggregate(j), want_lp[static_cast<std::size_t>(j)],
                     1e-4 * problem.scale())
             << "trial " << trial << " step " << step << " job " << j;
       }

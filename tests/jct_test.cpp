@@ -186,13 +186,6 @@ TEST(JctAddon, ImprovesMeanSlowdownOverRawFlowSplit) {
   EXPECT_LE(after.unbounded, before.unbounded);
 }
 
-TEST(JctAddon, ValidatesConfiguration) {
-  EXPECT_THROW(JctAddon(0.0), util::ContractError);
-  EXPECT_THROW(JctAddon(1e-9, 0), util::ContractError);
-  EXPECT_THROW(JctAddon(1e-9, 10, -1), util::ContractError);
-  EXPECT_THROW(JctAddon(1e-9, 10, 1, 0), util::ContractError);
-}
-
 TEST(JctReport, CountsUnboundedSeparately) {
   AllocationProblem p({{10, 10}, {10, 10}}, {10, 10}, {{5, 5}, {5, 5}});
   Allocation a(Matrix{{5, 5}, {5, 0}});  // job 1 starved at site 1

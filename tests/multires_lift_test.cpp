@@ -141,8 +141,6 @@ TEST(R1Equiv, WorkspaceReplayBitIdenticalToScalarPath) {
     const core::Allocation a = amf.allocate(scalar, ws_scalar);
     const core::Allocation b = amf.allocate(lifted, ws_lifted);
     ASSERT_EQ(a.shares(), b.shares()) << "lifted R=1 replay diverged";
-    ws_scalar.record_solution(a);
-    ws_lifted.record_solution(b);
   };
 
   // The same edit expressed scalar-style and vector-style.
@@ -379,7 +377,6 @@ TEST_P(MultiResWorkspaceTest, IncrementalMatchesFromScratch) {
     const core::Allocation cold = amf.allocate(p);
     ASSERT_EQ(warm.shares(), cold.shares())
         << "incremental diverged from scratch at R=" << r;
-    ws.record_solution(warm);
   };
   check();
   for (int step = 0; step < 10; ++step) {

@@ -143,7 +143,7 @@ TEST(Stability, BackendsAgreeOnOptimalChurn) {
   // The min-cost flow and the LP oracle solve the same optimization;
   // their churn values must match (the matrices may differ when the
   // optimum is degenerate).
-  StabilityAddon mcmf_addon(1e-9);
+  StabilityAddon mcmf_addon;
   AmfAllocator amf;
   PerSiteMaxMin psmf;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
