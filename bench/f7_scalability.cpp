@@ -11,8 +11,17 @@
 // Every point is the minimum over kReps timed calls after one untimed
 // warm-up call, so it reads as the cost of the call on a quiet core, not
 // as one sample of a noisy one.
+//
+// A second table measures memory on large sparse instances (a job's data
+// on 4 of up to 1000 sites): the peak resident set after generating the
+// instance and after solving it with AMF, one child process per point so
+// that each peak (VmHWM only rises) covers that point alone.
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <limits>
 
 #include "common.hpp"
@@ -23,14 +32,14 @@ using namespace amf;
 
 constexpr int kReps = 7;
 
-/// Minimum wall time of `call` over kReps calls, after one warm-up call.
+/// Minimum wall time of `call` over `reps` calls, after one warm-up call.
 /// `call` returns a value derived from its result, so the work cannot be
 /// elided.
 template <typename Call>
-double min_ms(Call&& call) {
+double min_ms(Call&& call, int reps = kReps) {
   volatile double sink = call();
   double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
+  for (int rep = 0; rep < reps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
     sink = call();
     const auto stop = std::chrono::steady_clock::now();
@@ -50,9 +59,68 @@ core::AllocationProblem component_problem(int jobs) {
   return gen.generate();
 }
 
+/// Peak resident set of this process so far (VmHWM), in MB.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
+  return 0.0;
+}
+
+/// One memory point, measured in a forked child and returned as a CSV row:
+/// jobs, sites, nonzeros, peak RSS after generating the instance and after
+/// solving it, and the AMF call's time.
+std::string memory_point(int jobs, int sites) {
+  int fds[2];
+  if (pipe(fds) != 0) return "pipe failed";
+  const pid_t pid = fork();
+  if (pid == 0) {
+    close(fds[0]);
+    auto cfg = workload::paper_default(1.0, 7);
+    cfg.jobs = jobs;
+    cfg.sites = sites;
+    cfg.sites_per_job_min = cfg.sites_per_job_max = 4;
+    cfg.demand_model = workload::DemandModel::kProportionalToWork;
+    workload::Generator gen(cfg);
+    const core::AllocationProblem problem = gen.generate();
+    const double built = peak_rss_mb();
+    const core::AmfAllocator amf;
+    const double ms =
+        min_ms([&] { return amf.allocate(problem).aggregate(0); }, 1);
+    const std::string row =
+        std::to_string(jobs) + "," + std::to_string(sites) + "," +
+        std::to_string(problem.demands().entries.size()) + "," +
+        util::CsvWriter::format(built) + "," +
+        util::CsvWriter::format(peak_rss_mb()) + "," +
+        util::CsvWriter::format(ms) + "\n";
+    const bool sent =
+        write(fds[1], row.data(), row.size()) ==
+        static_cast<ssize_t>(row.size());
+    _exit(sent ? 0 : 1);
+  }
+  close(fds[1]);
+  std::string row;
+  char buf[256];
+  for (ssize_t got; (got = read(fds[0], buf, sizeof buf)) > 0;)
+    row.append(buf, static_cast<std::size_t>(got));
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0 ? row
+                                                       : "child failed\n";
+}
+
 }  // namespace
 
 int main() {
+  // Memory points first, while this process is still small: a forked
+  // child's peak starts from its parent's resident set.
+  std::vector<std::string> memory;
+  for (const auto& [jobs, sites] :
+       std::vector<std::pair<int, int>>{{5000, 100}, {20000, 500},
+                                        {50000, 1000}})
+    memory.push_back(memory_point(jobs, sites));
+
   bench::preamble("F7", "allocator wall time vs instance size",
                   {"dimension: jobs (m=10) or sites (n=200); components "
                    "at m=10 (water_fill: n entries)",
@@ -134,5 +202,14 @@ int main() {
           return static_cast<double>(simulator.run(trace).size());
         }));
   }
+
+  std::cout << "# F7 memory: peak RSS (VmHWM, MB) of one child process per "
+               "point, after generating the instance and after solving it "
+               "with AMF\n"
+               "# paper_default seed 7, 4 demanded sites per job, demand "
+               "proportional to work; amf_ms: one call after a warm-up call\n"
+               "jobs,sites,nonzeros,rss_after_build_mb,rss_after_solve_mb,"
+               "amf_ms\n";
+  for (const std::string& line : memory) std::cout << line;
   return 0;
 }

@@ -13,15 +13,35 @@ Allocation Allocator::allocate(const AllocationProblem& problem,
   return allocate(problem);
 }
 
-Allocation::Allocation(Matrix shares, std::string policy)
+Allocation::Allocation(flow::ShareRows shares, std::string policy)
     : shares_(std::move(shares)), policy_(std::move(policy)) {
-  aggregates_.reserve(shares_.size());
-  std::size_t width = shares_.empty() ? 0 : shares_.front().size();
-  for (const auto& row : shares_) {
-    AMF_REQUIRE(row.size() == width, "ragged allocation matrix");
+  // Skipped zeros would add exactly 0.0 to a sum that starts at +0.0, so
+  // these sums equal dense row sums bit for bit.
+  aggregates_.reserve(static_cast<std::size_t>(jobs()));
+  for (int j = 0; j < jobs(); ++j) {
+    const auto row = shares_[static_cast<std::size_t>(j)];
     aggregates_.push_back(std::accumulate(row.begin(), row.end(), 0.0));
   }
 }
+
+static flow::ShareRows nonzero_rows(const Matrix& shares) {
+  flow::ShareRows rows;
+  rows.width = shares.empty() ? 0 : static_cast<int>(shares.front().size());
+  for (const auto& row : shares) {
+    AMF_REQUIRE(static_cast<int>(row.size()) == rows.width,
+                "ragged allocation matrix");
+    for (std::size_t s = 0; s < row.size(); ++s)
+      if (row[s] != 0.0) {
+        rows.sites.push_back(static_cast<int>(s));
+        rows.values.push_back(row[s]);
+      }
+    rows.first.push_back(static_cast<int>(rows.values.size()));
+  }
+  return rows;
+}
+
+Allocation::Allocation(const Matrix& shares, std::string policy)
+    : Allocation(nonzero_rows(shares), std::move(policy)) {}
 
 Allocation Allocation::from_network(const flow::TransportNetwork& net,
                                     std::string policy) {
@@ -34,7 +54,7 @@ Allocation Allocation::from_network(const flow::TransportNetwork& net,
 double Allocation::share(int job, int site) const {
   AMF_REQUIRE(job >= 0 && job < jobs(), "job index out of range");
   AMF_REQUIRE(site >= 0 && site < sites(), "site index out of range");
-  return shares_[static_cast<std::size_t>(job)][static_cast<std::size_t>(site)];
+  return shares_.at(job, site);
 }
 
 double Allocation::aggregate(int job) const {
@@ -54,7 +74,7 @@ std::vector<double> Allocation::normalized_aggregates(
 double Allocation::site_usage(int site) const {
   AMF_REQUIRE(site >= 0 && site < sites(), "site index out of range");
   double sum = 0.0;
-  for (const auto& row : shares_) sum += row[static_cast<std::size_t>(site)];
+  for (int j = 0; j < jobs(); ++j) sum += shares_.at(j, site);
   return sum;
 }
 
@@ -71,22 +91,16 @@ bool Allocation::feasible_for(const AllocationProblem& p, double eps) const {
   if (jobs() > 0 && p.sites() != sites()) return false;
   const double tol = eps * p.scale();
   // One row-major pass: each share is checked against its demand (zero
-  // off the job's sparse row) and added to its site's usage, so every
+  // off the job's demand row) and added to its site's usage, so every
   // site's sum still runs in ascending job order.
   std::vector<double> usage(static_cast<std::size_t>(sites()), 0.0);
-  const flow::DemandRows& demands = p.demand_rows();
   for (int j = 0; j < jobs(); ++j) {
-    const auto& row = shares_[static_cast<std::size_t>(j)];
-    const auto positive = demands.row(j);
-    auto next = positive.begin();
-    for (std::size_t s = 0; s < row.size(); ++s) {
-      double d = 0.0;
-      if (next != positive.end() && next->site == static_cast<int>(s))
-        d = (next++)->value;
-      const double a = row[s];
-      if (a < -tol) return false;
-      if (a > d + tol) return false;
-      usage[s] += a;
+    const auto values = shares_[static_cast<std::size_t>(j)];
+    const auto sites_of = shares_.sites_of(static_cast<std::size_t>(j));
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      const double a = values[k];
+      if (a < -tol || a > p.demands().at(j, sites_of[k]) + tol) return false;
+      usage[static_cast<std::size_t>(sites_of[k])] += a;
     }
   }
   for (int s = 0; s < sites(); ++s)

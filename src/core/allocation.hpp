@@ -8,27 +8,36 @@
 
 namespace amf::core {
 
-/// A concrete per-site allocation plus cached aggregates.
+/// A concrete per-site allocation plus cached aggregates. Shares are kept
+/// as CSR rows (flow::ShareRows): an allocator's result holds exactly its
+/// problem's demand support, in ascending site order with zeros kept, so
+/// a share off the support is +0.0 by construction.
 class Allocation {
  public:
   Allocation() = default;
 
-  /// `shares[j][s]` is job j's allocation at site s. Aggregates are
-  /// computed and cached on construction.
-  explicit Allocation(Matrix shares, std::string policy = {});
+  /// Shares as rows; aggregates are each row's values added in ascending
+  /// site order.
+  Allocation(flow::ShareRows shares, std::string policy);
 
-  /// The allocation realized by the flow on `net` (its active rows). The
-  /// aggregates are summed along the arcs while the shares are written, in
-  /// one pass per row, bit-identical to the constructor's dense sums.
+  /// The dense edge (tests, hand-built allocations): `shares[j][s]` is job
+  /// j's allocation at site s. Keeps every nonzero entry, so feasible_for
+  /// still sees (and rejects) a share off the demand support; the
+  /// aggregates equal a dense row sum bit for bit.
+  explicit Allocation(const Matrix& shares, std::string policy = {});
+
+  /// The allocation realized by the flow on `net` (its active rows, on
+  /// their positive-demand arcs). The aggregates are summed along the arcs
+  /// while the shares are written, in one pass per row.
   static Allocation from_network(const flow::TransportNetwork& net,
                                  std::string policy = {});
 
-  int jobs() const { return static_cast<int>(shares_.size()); }
-  int sites() const {
-    return shares_.empty() ? 0 : static_cast<int>(shares_.front().size());
-  }
+  int jobs() const { return shares_.rows(); }
+  int sites() const { return shares_.width; }
 
-  const Matrix& shares() const { return shares_; }
+  /// `shares()[j]` spans row j's values, `shares().sites_of(j)` their sites.
+  const flow::ShareRows& shares() const { return shares_; }
+  /// Job j's share at site s (+0.0 off its row's entries).
   double share(int job, int site) const;
 
   /// Per-job aggregate allocations A[j] = Σ_s a[j][s].
@@ -46,14 +55,14 @@ class Allocation {
   double utilization(const AllocationProblem& p) const;
 
   /// Checks 0 <= a <= d and per-site capacity with relative tolerance eps,
-  /// in one row-major pass that reads the problem's sparse demand rows.
+  /// in one row-major pass over the shares.
   bool feasible_for(const AllocationProblem& p, double eps = 1e-7) const;
 
   /// Name of the allocator that produced this allocation (for reports).
   const std::string& policy() const { return policy_; }
 
  private:
-  Matrix shares_;
+  flow::ShareRows shares_;
   std::vector<double> aggregates_;
   std::string policy_;
 };

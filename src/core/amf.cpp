@@ -68,11 +68,11 @@ Allocation progressive_fill(const AllocationProblem& problem,
   for (double f : floors) AMF_REQUIRE(f >= 0.0, "floors must be >= 0");
 
   if (n == 0)
-    return Allocation(Matrix{}, policy_name);
+    return Allocation(flow::ShareRows{}, policy_name);
 
   std::optional<flow::TransportNetwork> local_net;
   if (external_net == nullptr)
-    local_net.emplace(problem.demand_rows(), problem.capacities());
+    local_net.emplace(problem.demands(), problem.capacities());
   flow::TransportNetwork& net =
       external_net != nullptr ? *external_net : *local_net;
   AMF_REQUIRE(net.jobs() == n && net.sites() == problem.sites(),
@@ -95,7 +95,11 @@ Allocation progressive_fill(const AllocationProblem& problem,
         stats->observe(flow::LevelStatus::kDeadlineExceeded);
       return Allocation::from_network(net, policy_name);
     }
-    AMF_REQUIRE(net.saturated(eps), "floors must be jointly feasible");
+    // Equal-split floors are feasible by construction, so a probe that
+    // leaves them unsaturated is the flow's tolerance failing, not the
+    // caller's input: an InternalError, which the fallback chain catches.
+    AMF_ASSERT(net.saturated(eps),
+               "floor probe did not saturate jointly feasible floors");
   }
 
   std::vector<char> frozen(static_cast<std::size_t>(n), 0);

@@ -61,7 +61,9 @@ class AmfAllocator final : public Allocator {
 /// Computes the weighted lex max-min fair aggregates subject to per-job
 /// lower floors (each job's aggregate is at least its floor). `floors`
 /// must be jointly feasible — equal-split floors always are; pass zeros
-/// for plain AMF. Returns the allocation realizing the fair aggregates.
+/// for plain AMF. A floor probe that does not saturate them raises
+/// InternalError (a solver failure the robust chain falls back from).
+/// Returns the allocation realizing the fair aggregates.
 ///
 /// `net`, when given, is a pre-built transportation network presenting
 /// exactly this problem's demand/capacity values (e.g. a primed

@@ -31,13 +31,16 @@ std::vector<double> completion_times(const AllocationProblem& problem,
               "completion times need workload information");
   AMF_REQUIRE(problem.jobs() == allocation.jobs(),
               "problem/allocation size mismatch");
+  // Workloads are positive only on demand entries, so the max runs over
+  // each row's entries in ascending site order.
   std::vector<double> jct(static_cast<std::size_t>(problem.jobs()), 0.0);
+  const flow::DemandRows& rows = problem.demands();
   for (int j = 0; j < problem.jobs(); ++j) {
     double t = 0.0;
-    for (int s = 0; s < problem.sites(); ++s) {
-      double w = problem.workload(j, s);
+    for (std::size_t k : rows.indices(j)) {
+      double w = problem.entry_workload(j, k);
       if (w <= 0.0) continue;
-      double a = allocation.share(j, s);
+      double a = allocation.share(j, rows.entries[k].site);
       t = (a <= 0.0) ? kInf : std::max(t, w / a);
     }
     jct[static_cast<std::size_t>(j)] = t;
@@ -84,10 +87,27 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
   const std::string policy = base.policy().empty()
                                  ? std::string("JCT")
                                  : base.policy() + "+JCT";
-  if (n == 0) return Allocation(Matrix{}, policy);
+  if (n == 0) return Allocation(flow::ShareRows{}, policy);
   AMF_REQUIRE(problem.has_workloads(), "JCT add-on needs workloads");
 
   const auto& aggregates = base.aggregates();
+  // Every quantity below lives on the demand entries: entry k of row j is
+  // job j's positive demand at site entries[k].site, and shares,
+  // workloads and bounds are arrays aligned with the entries. Shares and
+  // workloads off the entries are zero, so no loop visits them.
+  const flow::DemandRows& rows = problem.demands();
+  const auto& entries = rows.entries;
+  const std::size_t nnz = entries.size();
+  auto site_of = [&entries](std::size_t k) {
+    return static_cast<std::size_t>(entries[k].site);
+  };
+  std::vector<double> work(nnz);
+  std::vector<int> job_of(nnz);
+  for (int j = 0; j < n; ++j)
+    for (std::size_t k : rows.indices(j)) {
+      work[k] = problem.entry_workload(j, k);
+      job_of[k] = j;
+    }
 
   // Per-job proportional ideal completion time and the ceiling on the
   // speed fraction u the demand caps alone allow (u = 1 means the job
@@ -95,16 +115,15 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
   std::vector<double> ideal(static_cast<std::size_t>(n), 0.0);
   std::vector<double> u_cap(static_cast<std::size_t>(n), 0.0);
   for (int j = 0; j < n; ++j) {
-    double work = problem.total_work(j);
+    double total = problem.total_work(j);
     double agg = aggregates[static_cast<std::size_t>(j)];
-    if (work <= 0.0 || agg <= 0.0) continue;
-    double t_ideal = work / agg;
+    if (total <= 0.0 || agg <= 0.0) continue;
+    double t_ideal = total / agg;
     ideal[static_cast<std::size_t>(j)] = t_ideal;
     double cap = 1.0;
-    for (int s = 0; s < m; ++s) {
-      double w = problem.workload(j, s);
-      if (w <= 0.0) continue;
-      cap = std::min(cap, problem.demand(j, s) * t_ideal / w);
+    for (std::size_t k : rows.indices(j)) {
+      if (work[k] <= 0.0) continue;
+      cap = std::min(cap, entries[k].value * t_ideal / work[k]);
     }
     u_cap[static_cast<std::size_t>(j)] = cap;
   }
@@ -115,28 +134,28 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
   auto job_node = [](int j) { return 1 + j; };
   auto site_node = [n](int s) { return 1 + n + s; };
 
+  // Lower bound of entry k (job j) at speed fraction u: the rate that
+  // finishes its work at this site by u · ideal.
+  auto lower_of = [&](int j, std::size_t k, double u) {
+    const double t = ideal[static_cast<std::size_t>(j)];
+    if (work[k] <= 0.0 || t <= 0.0 || u <= 0.0) return 0.0;
+    return std::min(entries[k].value, work[k] * u / t);
+  };
+
   // Feasible realization of the aggregates with per-job guaranteed speed
   // fractions u[j] (rate at every worked site >= u[j] · ideal rate).
   auto solve_at = [&](const std::vector<double>& u)
       -> std::optional<std::vector<double>> {
     std::vector<flow::BoundedEdge> edges;
-    edges.reserve(static_cast<std::size_t>(n) * (m + 1) + m);
+    edges.reserve(static_cast<std::size_t>(n) + nnz +
+                  static_cast<std::size_t>(m));
     for (int j = 0; j < n; ++j) {
       double agg = aggregates[static_cast<std::size_t>(j)];
       edges.push_back({source, job_node(j), agg, agg});
-      for (int s = 0; s < m; ++s) {
-        double d = problem.demand(j, s);
-        if (d <= 0.0) continue;
-        double lower = 0.0;
-        double w = problem.workload(j, s);
-        if (w > 0.0 && ideal[static_cast<std::size_t>(j)] > 0.0 &&
-            u[static_cast<std::size_t>(j)] > 0.0) {
-          lower = std::min(
-              d, w * u[static_cast<std::size_t>(j)] /
-                     ideal[static_cast<std::size_t>(j)]);
-        }
-        edges.push_back({job_node(j), site_node(s), lower, d});
-      }
+      for (std::size_t k : rows.indices(j))
+        edges.push_back({job_node(j), site_node(entries[k].site),
+                         lower_of(j, k, u[static_cast<std::size_t>(j)]),
+                         entries[k].value});
     }
     for (int s = 0; s < m; ++s)
       edges.push_back({site_node(s), sink, 0.0, problem.capacity(s)});
@@ -144,22 +163,22 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
                                                  sink, kEps);
   };
 
+  // Shares per entry from a solve_at flow vector: per job, the source arc
+  // then one arc per entry.
   auto extract = [&](const std::vector<double>& flows) {
-    Matrix a(static_cast<std::size_t>(n),
-             std::vector<double>(static_cast<std::size_t>(m), 0.0));
-    // Edge order mirrors solve_at: per job, the source arc then its
-    // positive-demand site arcs.
+    std::vector<double> x(nnz, 0.0);
     std::size_t idx = 0;
     for (int j = 0; j < n; ++j) {
       ++idx;  // source→job arc
-      for (int s = 0; s < m; ++s) {
-        if (problem.demand(j, s) <= 0.0) continue;
-        a[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)] =
-            std::max(0.0, flows[idx]);
-        ++idx;
-      }
+      for (std::size_t k : rows.indices(j)) x[k] = std::max(0.0, flows[idx++]);
     }
-    return a;
+    return x;
+  };
+  // Σ_j x over each site's entries, in ascending job order.
+  auto site_sums = [&](const std::vector<double>& x) {
+    std::vector<double> used(static_cast<std::size_t>(m), 0.0);
+    for (std::size_t k = 0; k < nnz; ++k) used[site_of(k)] += x[k];
+    return used;
   };
 
   // Progressive filling on speed fractions: unfrozen jobs rise together as
@@ -226,42 +245,39 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
       // digraph (site→job arcs where a job can shed, job→site arcs where
       // it can absorb, site→T where capacity is slack) carries a path
       // from that site to T or back to j. Conservative (freezing early
-      // costs a little optimality, never correctness).
-      const Matrix x = extract(*best);
+      // costs a little optimality, never correctness). Off the entries a
+      // share and its bounds are zero, so only entries carry arcs.
+      const std::vector<double> x = extract(*best);
       const double tol = 1e-9 * problem.scale();
-
-      auto lower_at = [&](int j, int s) {
-        double w = problem.workload(j, s);
-        if (w <= 0.0 || ideal[static_cast<std::size_t>(j)] <= 0.0) return 0.0;
-        return std::min(problem.demand(j, s),
-                        w * u_now[static_cast<std::size_t>(j)] /
-                            ideal[static_cast<std::size_t>(j)]);
+      auto lower_now = [&](int j, std::size_t k) {
+        return lower_of(j, k, u_now[static_cast<std::size_t>(j)]);
       };
 
       // Reverse reachability to T (any site with slack) through the
       // residual digraph; nodes are jobs [0,n) and sites [n, n+m).
       auto node_of_site = [n](int s) { return n + s; };
       std::vector<std::vector<int>> radj(static_cast<std::size_t>(n + m));
+      std::vector<std::vector<std::size_t>> site_entries(
+          static_cast<std::size_t>(m));
       std::vector<char> reaches_T(static_cast<std::size_t>(n + m), 0);
       std::vector<int> stack;
+      const std::vector<double> used = site_sums(x);
       for (int s = 0; s < m; ++s) {
-        double used = 0.0;
-        for (int j = 0; j < n; ++j)
-          used += x[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-        if (used < problem.capacity(s) - tol) {
+        if (used[static_cast<std::size_t>(s)] < problem.capacity(s) - tol) {
           reaches_T[static_cast<std::size_t>(node_of_site(s))] = 1;
           stack.push_back(node_of_site(s));
         }
       }
       // radj holds reverse arcs: radj[v] = predecessors of v.
-      for (int j = 0; j < n; ++j)
-        for (int s = 0; s < m; ++s) {
-          double xv = x[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-          if (xv < problem.demand(j, s) - tol)  // arc job→site
-            radj[static_cast<std::size_t>(node_of_site(s))].push_back(j);
-          if (xv > lower_at(j, s) + tol)  // arc site→job
-            radj[static_cast<std::size_t>(j)].push_back(node_of_site(s));
-        }
+      for (std::size_t k = 0; k < nnz; ++k) {
+        const int j = job_of[k];
+        const int s = entries[k].site;
+        site_entries[static_cast<std::size_t>(s)].push_back(k);
+        if (x[k] < entries[k].value - tol)  // arc job→site
+          radj[static_cast<std::size_t>(node_of_site(s))].push_back(j);
+        if (x[k] > lower_now(j, k) + tol)  // arc site→job
+          radj[static_cast<std::size_t>(j)].push_back(node_of_site(s));
+      }
       while (!stack.empty()) {
         int v = stack.back();
         stack.pop_back();
@@ -277,27 +293,22 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
         std::vector<char> seen(static_cast<std::size_t>(n + m), 0);
         std::vector<int> bfs{node_of_site(s0)};
         seen[static_cast<std::size_t>(node_of_site(s0))] = 1;
+        auto visit = [&](int v) {
+          if (seen[static_cast<std::size_t>(v)]) return;
+          seen[static_cast<std::size_t>(v)] = 1;
+          bfs.push_back(v);
+        };
         while (!bfs.empty()) {
           int v = bfs.back();
           bfs.pop_back();
           if (v == target) return true;
           if (v < n) {  // job node: arcs to sites it can absorb at
-            for (int s = 0; s < m; ++s)
-              if (x[static_cast<std::size_t>(v)][static_cast<std::size_t>(s)] <
-                      problem.demand(v, s) - tol &&
-                  !seen[static_cast<std::size_t>(node_of_site(s))]) {
-                seen[static_cast<std::size_t>(node_of_site(s))] = 1;
-                bfs.push_back(node_of_site(s));
-              }
+            for (std::size_t k : rows.indices(v))
+              if (x[k] < entries[k].value - tol)
+                visit(node_of_site(entries[k].site));
           } else {  // site node: arcs to jobs that can shed here
-            int s = v - n;
-            for (int j = 0; j < n; ++j)
-              if (x[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)] >
-                      lower_at(j, s) + tol &&
-                  !seen[static_cast<std::size_t>(j)]) {
-                seen[static_cast<std::size_t>(j)] = 1;
-                bfs.push_back(j);
-              }
+            for (std::size_t k : site_entries[static_cast<std::size_t>(v - n)])
+              if (x[k] > lower_now(job_of[k], k) + tol) visit(job_of[k]);
           }
         }
         return false;
@@ -313,13 +324,13 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
           continue;
         }
         bool can_rise = true;
-        for (int s = 0; s < m && can_rise; ++s) {
-          double w = problem.workload(j, s);
-          if (w <= 0.0) continue;
-          double xv = x[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-          if (xv > lower_at(j, s) + tol) continue;  // headroom at this site
+        for (std::size_t k : rows.indices(j)) {
+          if (!can_rise) break;
+          if (work[k] <= 0.0) continue;
+          if (x[k] > lower_now(j, k) + tol) continue;  // headroom here
           // Tight: x[j][s] must grow with the lower bound.
-          if (xv >= problem.demand(j, s) - tol) {
+          const int s = entries[k].site;
+          if (x[k] >= entries[k].value - tol) {
             can_rise = false;  // demand cap (numerically) pins it
           } else if (!reaches_T[static_cast<std::size_t>(node_of_site(s))] &&
                      !site_reaches_job(s, j)) {
@@ -348,27 +359,23 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
   // every job's guaranteed rate simultaneously.
   if (auto final_flows = solve_at(u_now)) best = std::move(final_flows);
 
-  Matrix shares = extract(*best);
+  flow::ShareRows shares = flow::ShareRows::zeros_on(rows);
+  shares.values = extract(*best);
+  std::vector<double>& x = shares.values;
 
   // Per-job refinement: each pass re-splits one job's aggregate optimally
   // against the current residual site capacities (closed form), walking
   // jobs from worst slowdown to best. Only helps where headroom exists,
   // but costs little and composes with the filling above.
   std::vector<double> residual(static_cast<std::size_t>(m));
-  auto recompute_residual = [&] {
-    for (int s = 0; s < m; ++s) {
-      double used = 0.0;
-      for (int j = 0; j < n; ++j)
-        used += shares[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-      residual[static_cast<std::size_t>(s)] =
-          std::max(0.0, problem.capacity(s) - used);
-    }
-  };
-
+  // Per-entry bounds and targets of the job being re-split.
+  std::vector<double> upper(nnz), next(nnz);
   for (int pass = 0; pass < kRefinePasses; ++pass) {
-    recompute_residual();
-    Allocation current(shares, policy);
-    auto sd = slowdowns(problem, current);
+    const std::vector<double> used = site_sums(x);
+    for (int s = 0; s < m; ++s)
+      residual[static_cast<std::size_t>(s)] = std::max(
+          0.0, problem.capacity(s) - used[static_cast<std::size_t>(s)]);
+    auto sd = slowdowns(problem, Allocation(shares, policy));
     std::vector<int> order(static_cast<std::size_t>(n));
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](int a, int b) {
@@ -378,63 +385,54 @@ Allocation JctAddon::optimize(const AllocationProblem& problem,
     for (int j : order) {
       double agg = aggregates[static_cast<std::size_t>(j)];
       if (agg <= 0.0 || problem.total_work(j) <= 0.0) continue;
-      auto& row = shares[static_cast<std::size_t>(j)];
+      const auto entries_of_j = rows.indices(j);
 
-      // Upper bound per site: demand cap, and current share plus whatever
-      // the site has left over.
-      std::vector<double> upper(static_cast<std::size_t>(m));
+      // Upper bound per entry: demand cap, and current share plus
+      // whatever the site has left over.
       double upper_total = 0.0;
-      for (int s = 0; s < m; ++s) {
-        upper[static_cast<std::size_t>(s)] =
-            std::min(problem.demand(j, s),
-                     row[static_cast<std::size_t>(s)] +
-                         residual[static_cast<std::size_t>(s)]);
-        upper_total += upper[static_cast<std::size_t>(s)];
+      for (std::size_t k : entries_of_j) {
+        upper[k] =
+            std::min(entries[k].value, x[k] + residual[site_of(k)]);
+        upper_total += upper[k];
       }
       if (upper_total < agg) continue;  // numeric slack; leave as is
 
       // Best completion time attainable within the bounds.
       double t_best = problem.total_work(j) / agg;
-      for (int s = 0; s < m; ++s) {
-        double w = problem.workload(j, s);
-        if (w <= 0.0) continue;
-        double u = upper[static_cast<std::size_t>(s)];
+      for (std::size_t k : entries_of_j) {
+        if (work[k] <= 0.0) continue;
+        double u = upper[k];
         if (u <= 0.0) {
           t_best = kInf;
           break;
         }
-        t_best = std::max(t_best, w / u);
+        t_best = std::max(t_best, work[k] / u);
       }
       if (!std::isfinite(t_best)) continue;
 
-      // Required rate per site, then spread the leftover over headroom.
-      std::vector<double> next(static_cast<std::size_t>(m), 0.0);
+      // Required rate per entry, then spread the leftover over headroom.
       double needed_total = 0.0;
-      for (int s = 0; s < m; ++s) {
-        double w = problem.workload(j, s);
-        double need = w > 0.0 ? w / t_best : 0.0;
-        need = std::min(need, upper[static_cast<std::size_t>(s)]);
-        next[static_cast<std::size_t>(s)] = need;
+      for (std::size_t k : entries_of_j) {
+        double need = work[k] > 0.0 ? work[k] / t_best : 0.0;
+        need = std::min(need, upper[k]);
+        next[k] = need;
         needed_total += need;
       }
       double leftover = agg - needed_total;
       if (leftover < 0.0) continue;  // rounding; keep previous split
-      for (int s = 0; s < m && leftover > 0.0; ++s) {
-        double headroom =
-            upper[static_cast<std::size_t>(s)] - next[static_cast<std::size_t>(s)];
-        double take = std::min(headroom, leftover);
-        next[static_cast<std::size_t>(s)] += take;
+      for (std::size_t k : entries_of_j) {
+        if (leftover <= 0.0) break;
+        double take = std::min(upper[k] - next[k], leftover);
+        next[k] += take;
         leftover -= take;
       }
       if (leftover > kEps * problem.scale()) continue;  // could not place all
 
       // Commit and update residuals.
-      for (int s = 0; s < m; ++s) {
-        residual[static_cast<std::size_t>(s)] +=
-            row[static_cast<std::size_t>(s)] - next[static_cast<std::size_t>(s)];
-        residual[static_cast<std::size_t>(s)] =
-            std::max(0.0, residual[static_cast<std::size_t>(s)]);
-        row[static_cast<std::size_t>(s)] = next[static_cast<std::size_t>(s)];
+      for (std::size_t k : entries_of_j) {
+        double& r = residual[site_of(k)];
+        r = std::max(0.0, r + (x[k] - next[k]));
+        x[k] = next[k];
       }
     }
   }

@@ -11,13 +11,21 @@
 
 namespace amf::core {
 
+/// water_fill at every site s over every row: caps `caps[k]` on the rows'
+/// entries at s (aligned with `rows.entries`, as is the result), 0 off
+/// them. Bit-identical to a dense per-site water_fill.
+std::vector<double> water_fill_sites(const flow::DemandRows& rows,
+                                     const std::vector<double>& caps,
+                                     const std::vector<double>& weights,
+                                     const std::vector<double>& capacity);
+
 /// Per-site (weighted) max-min fair allocator.
 class PerSiteMaxMin final : public Allocator {
  public:
   Allocation allocate(const AllocationProblem& problem) const override;
 
   /// Workspace overload: reuses the workspace's scratch buffer for the
-  /// per-site cap column (identical results, fewer allocations).
+  /// per-entry caps (identical results, fewer allocations).
   Allocation allocate(const AllocationProblem& problem,
                       SolverWorkspace& workspace) const override;
 

@@ -1,12 +1,13 @@
 #include "core/problem.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <istream>
 #include <limits>
 #include <numeric>
 #include <ostream>
-#include <sstream>
 #include <string>
 
 #include "util/csv.hpp"
@@ -22,242 +23,237 @@ double row_max(const std::vector<double>& row) {
   return g;
 }
 
-/// Is every entry of row · g finite? (The lift's effective row of a job
-/// whose dominant-share coefficient is g.)
-bool finite_scaled(const std::vector<double>& row, double g) {
-  for (double v : row)
-    if (!std::isfinite(v * g)) return false;
-  return true;
+std::string at_row(const std::string& what, std::size_t row) {
+  return what + " (row " + std::to_string(row) + ")";
+}
+
+/// Checks a row's width; the message names the matrix and the row.
+void require_width(const std::vector<double>& row, std::size_t width,
+                   const char* matrix, const char* unit, std::size_t index) {
+  AMF_REQUIRE(row.size() == width,
+              at_row(std::string("ragged ") + matrix +
+                         " matrix: row width " + std::to_string(row.size()) +
+                         " != " + unit + " count " + std::to_string(width),
+                     index));
 }
 
 std::string effective_message(std::size_t job) {
-  return "effective demands and workloads (raw value x profile max) must "
-         "be finite (row " +
-         std::to_string(job) + ")";
+  return at_row("effective demands and workloads (raw value x profile max) "
+                "must be finite",
+                job);
 }
 
-/// A delta's Leontief profile row: width R, finite, >= 0, not all zero.
-void require_profile(const std::vector<double>& profile, std::size_t r) {
-  AMF_REQUIRE(profile.size() == r,
-              "delta profile row width != resource count");
-  bool any = false;
-  for (double p : profile) {
+/// A Leontief profile row: width R, finite, >= 0, not all zero.
+void require_profile(const std::vector<double>& profile, std::size_t r,
+                     std::size_t job) {
+  require_width(profile, r, "profile", "resource", job);
+  for (double p : profile)
     AMF_REQUIRE(p >= 0.0 && std::isfinite(p),
-                "profiles must be finite, >= 0");
-    any = any || p > 0.0;
-  }
-  AMF_REQUIRE(any, "each job profile needs a positive entry");
+                at_row("profiles must be finite, >= 0", job));
+  AMF_REQUIRE(row_max(profile) > 0.0,
+              at_row("each job profile needs a positive entry (all-zero "
+                     "profile)",
+                     job));
 }
 
 }  // namespace
 
-AllocationProblem::AllocationProblem(Matrix demands,
-                                     std::vector<double> capacities,
-                                     Matrix workloads,
-                                     std::vector<double> weights)
-    : demands_(std::move(demands)),
-      capacities_(std::move(capacities)),
-      workloads_(std::move(workloads)),
-      weights_(std::move(weights)) {
-  if (weights_.empty()) weights_.assign(demands_.size(), 1.0);
-  validate();
-}
-
-AllocationProblem AllocationProblem::multi(Matrix demands,
-                                           Matrix capacity_matrix,
-                                           Matrix profiles, Matrix workloads,
-                                           std::vector<double> weights) {
+AllocationProblem AllocationProblem::with_sites(
+    std::vector<double> capacities) {
+  AMF_REQUIRE(!capacities.empty(), "problem needs at least one site");
+  for (double c : capacities)
+    AMF_REQUIRE(c >= 0.0 && std::isfinite(c),
+                "capacities must be finite, >= 0");
   AllocationProblem p;
-  p.demands_ = std::move(demands);
-  p.workloads_ = std::move(workloads);
-  p.weights_ = std::move(weights);
-  p.capacity_matrix_ = std::move(capacity_matrix);
-  p.profiles_ = std::move(profiles);
-  AMF_REQUIRE(!p.capacity_matrix_.empty(), "problem needs at least one site");
-  AMF_REQUIRE(!p.capacity_matrix_.front().empty(),
-              "capacity rows need at least one resource");
-  if (p.profiles_.empty())
-    p.profiles_.assign(
-        p.demands_.size(),
-        std::vector<double>(p.capacity_matrix_.front().size(), 1.0));
-  if (p.weights_.empty()) p.weights_.assign(p.demands_.size(), 1.0);
-  p.validate();
-  p.rebuild_effective();
+  p.demands_.width = static_cast<int>(capacities.size());
+  p.capacities_ = std::move(capacities);
   return p;
 }
 
-void AllocationProblem::validate() {
-  if (multi_resource()) {
-    // Every violation names its row, so a caller assembling an instance
-    // from external data can point at the offending input line.
-    auto at = [](const std::string& what, std::size_t row) {
-      return what + " (row " + std::to_string(row) + ")";
-    };
-    const auto n = demands_.size();
-    const auto m = capacity_matrix_.size();
-    const auto r = capacity_matrix_.front().size();
-    for (std::size_t s = 0; s < m; ++s) {
-      AMF_REQUIRE(capacity_matrix_[s].size() == r,
-                  at("ragged capacity matrix: row width " +
-                         std::to_string(capacity_matrix_[s].size()) +
-                         " != resource count " + std::to_string(r),
-                     s));
-      for (double c : capacity_matrix_[s])
-        AMF_REQUIRE(c >= 0.0 && std::isfinite(c),
-                    at("capacities must be finite, >= 0", s));
-    }
-    AMF_REQUIRE(profiles_.size() == n,
-                "profile matrix height " + std::to_string(profiles_.size()) +
-                    " != job count " + std::to_string(n));
-    for (std::size_t j = 0; j < n; ++j) {
-      AMF_REQUIRE(profiles_[j].size() == r,
-                  at("ragged profile matrix: row width " +
-                         std::to_string(profiles_[j].size()) +
-                         " != resource count " + std::to_string(r),
-                     j));
-      bool any = false;
-      for (double p : profiles_[j]) {
-        AMF_REQUIRE(p >= 0.0 && std::isfinite(p),
-                    at("profiles must be finite, >= 0", j));
-        any = any || p > 0.0;
-      }
-      AMF_REQUIRE(any, at("each job profile needs a positive entry "
-                          "(all-zero profile)",
-                          j));
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      AMF_REQUIRE(demands_[j].size() == m,
-                  at("ragged demand matrix: row width " +
-                         std::to_string(demands_[j].size()) +
-                         " != site count " + std::to_string(m),
-                     j));
-      for (double d : demands_[j])
-        AMF_REQUIRE(d >= 0.0 && std::isfinite(d),
-                    at("demands must be finite, >= 0", j));
-      AMF_REQUIRE(finite_scaled(demands_[j], row_max(profiles_[j])),
-                  effective_message(j));
-    }
-    if (!workloads_.empty()) {
-      AMF_REQUIRE(workloads_.size() == n, "workload matrix height != job count");
-      for (std::size_t j = 0; j < n; ++j) {
-        AMF_REQUIRE(workloads_[j].size() == m,
-                    at("ragged workload matrix: row width " +
-                           std::to_string(workloads_[j].size()) +
-                           " != site count " + std::to_string(m),
-                       j));
-        for (std::size_t s = 0; s < m; ++s) {
-          double w = workloads_[j][s];
-          AMF_REQUIRE(w >= 0.0 && std::isfinite(w),
-                      at("workloads must be finite, >= 0", j));
-          AMF_REQUIRE(w == 0.0 || demands_[j][s] > 0.0,
-                      at("positive workload requires positive demand cap",
-                         j));
-        }
-        AMF_REQUIRE(finite_scaled(workloads_[j], row_max(profiles_[j])),
-                    effective_message(j));
-      }
-    }
-    AMF_REQUIRE(weights_.size() == n, "weight vector length != job count");
-    for (std::size_t j = 0; j < n; ++j)
-      AMF_REQUIRE(weights_[j] > 0.0 && std::isfinite(weights_[j]),
-                  at("weights must be finite, > 0", j));
-    return;
+AllocationProblem AllocationProblem::with_site_matrix(Matrix capacity_matrix) {
+  AMF_REQUIRE(!capacity_matrix.empty(), "problem needs at least one site");
+  AMF_REQUIRE(!capacity_matrix.front().empty(),
+              "capacity rows need at least one resource");
+  AllocationProblem p;
+  for (std::size_t s = 0; s < capacity_matrix.size(); ++s) {
+    require_width(capacity_matrix[s], capacity_matrix.front().size(),
+                  "capacity", "resource", s);
+    for (double c : capacity_matrix[s])
+      AMF_REQUIRE(c >= 0.0 && std::isfinite(c),
+                  at_row("capacities must be finite, >= 0", s));
+    p.capacities_.push_back(flow::binding_min(capacity_matrix[s]));
   }
-  AMF_REQUIRE(!capacities_.empty(), "problem needs at least one site");
-  const auto n = demands_.size();
-  const auto m = capacities_.size();
-  for (double c : capacities_)
-    AMF_REQUIRE(c >= 0.0 && std::isfinite(c), "capacities must be finite, >= 0");
-  // The demand scan also builds the sparse index: no second pass over the
-  // dense matrix.
-  demand_rows_ = flow::DemandRows::from_dense(demands_, static_cast<int>(m));
-  if (!workloads_.empty()) {
-    // Each workload row is checked branch-free, and its positive entries
-    // are matched against the row's sparse demands, not the dense ones:
-    // every nonzero workload must sit on an indexed (positive) demand.
-    constexpr double kMax = std::numeric_limits<double>::max();
-    AMF_REQUIRE(workloads_.size() == n, "workload matrix height != job count");
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto& row = workloads_[j];
-      AMF_REQUIRE(row.size() == m, "workload matrix width != site count");
-      bool finite = true;
-      std::size_t nonzero = 0;
-      for (double w : row) {
-        finite &= (w >= 0.0) & (w <= kMax);
-        nonzero += w != 0.0 ? 1 : 0;
-      }
-      AMF_REQUIRE(finite, "workloads must be finite, >= 0");
-      std::size_t capped = 0;
-      for (const auto& [s, d] : demand_rows_.row(static_cast<int>(j)))
-        capped += row[static_cast<std::size_t>(s)] != 0.0 ? 1 : 0;
-      AMF_REQUIRE(capped == nonzero,
-                  "positive workload requires positive demand cap");
-    }
-  }
-  AMF_REQUIRE(weights_.size() == n, "weight vector length != job count");
-  for (double w : weights_)
-    AMF_REQUIRE(w > 0.0 && std::isfinite(w), "weights must be finite, > 0");
+  p.demands_.width = static_cast<int>(capacity_matrix.size());
+  p.capacity_matrix_ = std::move(capacity_matrix);
+  return p;
 }
 
-void AllocationProblem::rebuild_effective() {
-  const auto n = demands_.size();
-  const auto m = capacity_matrix_.size();
-  capacities_.resize(m);
-  for (std::size_t s = 0; s < m; ++s)
-    capacities_[s] = flow::binding_min(capacity_matrix_[s]);
-  gammas_.resize(n);
-  eff_demands_.resize(n);
-  eff_workloads_.resize(workloads_.size());
-  demand_rows_.first.reserve(n + 1);
+AllocationProblem AllocationProblem::without_jobs() const {
+  return multi_resource() ? with_site_matrix(capacity_matrix_)
+                          : with_sites(capacities_);
+}
+
+void AllocationProblem::feed_rows(const Matrix& demands,
+                                  const Matrix& workloads,
+                                  const std::vector<double>& weights,
+                                  const Matrix& profiles) {
+  const auto n = demands.size();
+  AMF_REQUIRE(workloads.empty() || workloads.size() == n,
+              "workload matrix height != job count");
+  AMF_REQUIRE(weights.empty() || weights.size() == n,
+              "weight vector length != job count");
+  AMF_REQUIRE(profiles.empty() || profiles.size() == n,
+              "profile matrix height " + std::to_string(profiles.size()) +
+                  " != job count " + std::to_string(n));
   for (std::size_t j = 0; j < n; ++j) {
-    refresh_job_effective(j);
-    demand_rows_.append_row(eff_demands_[j]);
+    // A present workload matrix has a row per job; an empty row is none.
+    if (!workloads.empty())
+      require_width(workloads[j], capacities_.size(), "workload", "site", j);
+    append_job(demands[j], workloads.empty() ? Row{} : workloads[j],
+               weights.empty() ? 1.0 : weights[j],
+               profiles.empty() ? Row{} : profiles[j]);
   }
 }
 
-void AllocationProblem::refresh_job_effective(std::size_t job) {
-  const double g = row_max(profiles_[job]);
-  gammas_[job] = g;
-  const auto& d = demands_[job];
-  auto& ed = eff_demands_[job];
-  ed.resize(d.size());
-  for (std::size_t s = 0; s < d.size(); ++s) ed[s] = d[s] * g;
-  if (!workloads_.empty()) {
-    const auto& w = workloads_[job];
-    auto& ew = eff_workloads_[job];
-    ew.resize(w.size());
-    for (std::size_t s = 0; s < w.size(); ++s) ew[s] = w[s] * g;
+AllocationProblem::AllocationProblem(const Matrix& demands,
+                                     std::vector<double> capacities,
+                                     const Matrix& workloads,
+                                     std::vector<double> weights)
+    : AllocationProblem(with_sites(std::move(capacities))) {
+  feed_rows(demands, workloads, weights, {});
+}
+
+AllocationProblem AllocationProblem::multi(const Matrix& demands,
+                                           Matrix capacity_matrix,
+                                           const Matrix& profiles,
+                                           const Matrix& workloads,
+                                           std::vector<double> weights) {
+  AllocationProblem p = with_site_matrix(std::move(capacity_matrix));
+  p.feed_rows(demands, workloads, weights, profiles);
+  return p;
+}
+
+void AllocationProblem::append_job(const Row& demands, const Row& workloads,
+                                   double weight, Row profile) {
+  // A raw demand d enters the index as d · γ, where that is positive: a d
+  // so tiny that d · γ underflows to zero is zero, as the flow sees it.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr std::uint64_t kInfBits = 0x7FF0000000000000;
+  constexpr std::uint64_t kNegZeroBits = 0x8000000000000000;
+  const auto j = static_cast<std::size_t>(jobs());
+  const auto m = capacities_.size();
+  require_width(demands, m, "demand", "site", j);
+  AMF_REQUIRE(weight > 0.0 && std::isfinite(weight),
+              at_row("weights must be finite, > 0", j));
+  double g = 1.0;
+  if (multi_resource()) {
+    if (profile.empty()) profile.assign(capacity_matrix_.front().size(), 1.0);
+    require_profile(profile, capacity_matrix_.front().size(), j);
+    g = row_max(profile);
+  } else {
+    AMF_REQUIRE(profile.empty(), "profile row on a single-resource problem");
+  }
+  // Branch-free scans validate the row before the first mutation, so a
+  // rejected row leaves the instance as it was. A value is finite and
+  // >= 0 iff its bits lie below those of +inf or it is -0.0; an effective
+  // value (times γ) can only overflow when γ != 1.
+  auto valid = [](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    return static_cast<unsigned>((bits < kInfBits) | (bits == kNegZeroBits));
+  };
+  auto effective = [g](const Row& row) {
+    unsigned ok = 1;
+    if (g != 1.0)
+      for (double v : row) ok &= static_cast<unsigned>(v * g <= kMax);
+    return ok != 0;
+  };
+  unsigned finite = 1;
+  for (double d : demands) finite &= valid(d);
+  AMF_REQUIRE(finite, at_row("demands must be finite, >= 0", j));
+  AMF_REQUIRE(effective(demands), effective_message(j));
+  const bool work = j == 0 ? !workloads.empty() : has_work_;
+  if (!workloads.empty()) {
+    require_width(workloads, m, "workload", "site", j);
+    AMF_REQUIRE(work, "workload row for a problem without workloads");
+    unsigned capped = 1;
+    for (std::size_t s = 0; s < m; ++s) {
+      finite &= valid(workloads[s]);
+      capped &= static_cast<unsigned>((workloads[s] == 0.0) |
+                                      (demands[s] * g > 0.0));
+    }
+    AMF_REQUIRE(finite, at_row("workloads must be finite, >= 0", j));
+    AMF_REQUIRE(effective(workloads), effective_message(j));
+    AMF_REQUIRE(capped,
+                at_row("positive workload requires positive demand cap", j));
+  }
+  // Entries where d · γ > 0: each block of sites is gathered branch-free,
+  // then only its entries are copied.
+  constexpr std::size_t kBlock = 64;
+  int block[kBlock];
+  for (std::size_t lo = 0; lo < m; lo += kBlock) {
+    std::size_t count = 0;
+    for (std::size_t s = lo; s < std::min(m, lo + kBlock); ++s) {
+      block[count] = static_cast<int>(s);
+      count += demands[s] * g > 0.0 ? 1 : 0;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto s = static_cast<std::size_t>(block[i]);
+      demands_.entries.push_back({block[i], demands[s] * g});
+      if (multi_resource()) task_.push_back(demands[s]);
+      if (work) work_.push_back(workloads.empty() ? 0.0 : workloads[s]);
+    }
+  }
+  has_work_ = work;
+  demands_.first.push_back(static_cast<int>(demands_.entries.size()));
+  weights_.push_back(weight);
+  if (multi_resource()) {
+    profiles_.push_back(std::move(profile));
+    gammas_.push_back(g);
   }
 }
 
 double AllocationProblem::demand(int job, int site) const {
   AMF_REQUIRE(job >= 0 && job < jobs(), "job index out of range");
   AMF_REQUIRE(site >= 0 && site < sites(), "site index out of range");
-  return demands()[static_cast<std::size_t>(job)]
-                  [static_cast<std::size_t>(site)];
+  return demands_.at(job, site);
 }
 
 double AllocationProblem::workload(int job, int site) const {
   AMF_REQUIRE(job >= 0 && job < jobs(), "job index out of range");
   AMF_REQUIRE(site >= 0 && site < sites(), "site index out of range");
-  if (workloads_.empty()) return 0.0;
-  return workloads()[static_cast<std::size_t>(job)]
-                    [static_cast<std::size_t>(site)];
+  const auto k = demands_.index_of(job, site);
+  return k < 0 ? 0.0 : entry_workload(job, static_cast<std::size_t>(k));
 }
 
 double AllocationProblem::task_demand(int job, int site) const {
   AMF_REQUIRE(job >= 0 && job < jobs(), "job index out of range");
   AMF_REQUIRE(site >= 0 && site < sites(), "site index out of range");
-  return demands_[static_cast<std::size_t>(job)]
-                 [static_cast<std::size_t>(site)];
+  const auto k = demands_.index_of(job, site);
+  return k < 0 ? 0.0 : task_at(static_cast<std::size_t>(k));
 }
 
 double AllocationProblem::task_workload(int job, int site) const {
   AMF_REQUIRE(job >= 0 && job < jobs(), "job index out of range");
   AMF_REQUIRE(site >= 0 && site < sites(), "site index out of range");
-  if (workloads_.empty()) return 0.0;
-  return workloads_[static_cast<std::size_t>(job)]
-                   [static_cast<std::size_t>(site)];
+  const auto k = demands_.index_of(job, site);
+  return k < 0 || !has_work_ ? 0.0 : work_[static_cast<std::size_t>(k)];
+}
+
+AllocationProblem::Row AllocationProblem::task_demand_row(int job) const {
+  AMF_REQUIRE(job >= 0 && job < jobs(), "job index out of range");
+  Row row(capacities_.size(), 0.0);
+  for (std::size_t k : demands_.indices(job))
+    row[static_cast<std::size_t>(demands_.entries[k].site)] = task_at(k);
+  return row;
+}
+
+AllocationProblem::Row AllocationProblem::task_workload_row(int job) const {
+  AMF_REQUIRE(job >= 0 && job < jobs(), "job index out of range");
+  Row row(capacities_.size(), 0.0);
+  if (has_work_)
+    for (std::size_t k : demands_.indices(job))
+      row[static_cast<std::size_t>(demands_.entries[k].site)] = work_[k];
+  return row;
 }
 
 double AllocationProblem::capacity(int site) const {
@@ -299,16 +295,17 @@ double AllocationProblem::solo_ceiling(int job) const {
   // Zero demands would add exactly 0.0; the positive ones are added in
   // ascending site order, as a dense row scan would.
   double total = 0.0;
-  for (const auto& [s, d] : demand_rows_.row(job))
+  for (const auto& [s, d] : demands_.row(job))
     total += std::min(d, capacities_[static_cast<std::size_t>(s)]);
   return total;
 }
 
 double AllocationProblem::total_work(int job) const {
   AMF_REQUIRE(job >= 0 && job < jobs(), "job index out of range");
-  if (workloads_.empty()) return 0.0;
-  const auto& row = workloads()[static_cast<std::size_t>(job)];
-  return std::accumulate(row.begin(), row.end(), 0.0);
+  // As in solo_ceiling(), the zeros off the entries would add nothing.
+  double total = 0.0;
+  for (std::size_t k : demands_.indices(job)) total += entry_workload(job, k);
+  return total;
 }
 
 double AllocationProblem::total_capacity() const {
@@ -318,7 +315,7 @@ double AllocationProblem::total_capacity() const {
 double AllocationProblem::scale() const {
   double s = 1.0;
   for (double c : capacities_) s = std::max(s, c);
-  for (const auto& e : demand_rows_.entries) s = std::max(s, e.value);
+  for (const auto& e : demands_.entries) s = std::max(s, e.value);
   return s;
 }
 
@@ -327,7 +324,7 @@ double AllocationProblem::split_share(std::size_t job,
   // As in solo_ceiling(), skipping the zero demands changes no bit.
   const double w = weights_[job];
   double share = 0.0;
-  for (const auto& [s, d] : demand_rows_.row(static_cast<int>(job)))
+  for (const auto& [s, d] : demands_.row(static_cast<int>(job)))
     share += std::min(d, capacities_[static_cast<std::size_t>(s)] * w /
                              weight_total);
   return share;
@@ -349,40 +346,26 @@ std::vector<double> AllocationProblem::equal_split_shares() const {
 }
 
 AllocationProblem AllocationProblem::with_reported_demands(
-    int job, const std::vector<double>& reported) const {
+    int job, const Row& reported) const {
   AMF_REQUIRE(job >= 0 && job < jobs(), "job index out of range");
   AMF_REQUIRE(static_cast<int>(reported.size()) == sites(),
               "reported demand vector length != site count");
-  Matrix d = demands_;
-  d[static_cast<std::size_t>(job)] = reported;
-  // Workloads describe true work; a misreport does not change them, but a
-  // reported zero demand where true work exists would fail validation, so
-  // the probe copy drops workload information.
-  if (multi_resource())
-    return AllocationProblem::multi(std::move(d), capacity_matrix_, profiles_,
-                                    {}, weights_);
-  return AllocationProblem(std::move(d), capacities_, {}, weights_);
+  AllocationProblem p = without_jobs();
+  for (int i = 0; i < jobs(); ++i)
+    p.append_job(i == job ? reported : task_demand_row(i), {},
+                 weights_[static_cast<std::size_t>(i)], profile_row(i));
+  return p;
 }
 
 AllocationProblem AllocationProblem::subset(
     const std::vector<int>& job_indices) const {
-  Matrix d, w, p;
-  std::vector<double> wt;
-  d.reserve(job_indices.size());
-  wt.reserve(job_indices.size());
+  AllocationProblem p = without_jobs();
   for (int j : job_indices) {
     AMF_REQUIRE(j >= 0 && j < jobs(), "job index out of range");
-    d.push_back(demands_[static_cast<std::size_t>(j)]);
-    if (!workloads_.empty())
-      w.push_back(workloads_[static_cast<std::size_t>(j)]);
-    if (multi_resource()) p.push_back(profiles_[static_cast<std::size_t>(j)]);
-    wt.push_back(weights_[static_cast<std::size_t>(j)]);
+    p.append_job(task_demand_row(j), has_work_ ? task_workload_row(j) : Row{},
+                 weights_[static_cast<std::size_t>(j)], profile_row(j));
   }
-  if (multi_resource())
-    return AllocationProblem::multi(std::move(d), capacity_matrix_,
-                                    std::move(p), std::move(w), std::move(wt));
-  return AllocationProblem(std::move(d), capacities_, std::move(w),
-                           std::move(wt));
+  return p;
 }
 
 ProblemDelta ProblemDelta::job_arrived(std::vector<double> demands,
@@ -458,83 +441,27 @@ AllocationProblem AllocationProblem::apply(const ProblemDelta& delta) const& {
 AllocationProblem AllocationProblem::apply(const ProblemDelta& delta) && {
   // The instance was valid on entry; each branch re-validates exactly the
   // entries it touches, so the result is valid without an O(n·m) pass.
-  const auto m = capacities_.size();
+  // Workloads and raw demands stay aligned with the demand entries: a
+  // demand that appears or disappears inserts or erases its entry in all.
   switch (delta.kind) {
-    case ProblemDelta::Kind::kJobArrived: {
-      AMF_REQUIRE(delta.demand_row.size() == m,
-                  "delta demand row width != site count");
-      for (double d : delta.demand_row)
-        AMF_REQUIRE(d >= 0.0 && std::isfinite(d),
-                    "demands must be finite, >= 0");
-      AMF_REQUIRE(delta.weight > 0.0 && std::isfinite(delta.weight),
-                  "weights must be finite, > 0");
-      // Everything is checked before the first mutation, so a rejected
-      // delta leaves this instance as it was.
-      std::vector<double> profile;
-      if (multi_resource()) {
-        profile = delta.profile_row;
-        if (profile.empty())
-          profile.assign(static_cast<std::size_t>(resources()), 1.0);
-        require_profile(profile, static_cast<std::size_t>(resources()));
-        const double g = row_max(profile);
-        AMF_REQUIRE(finite_scaled(delta.demand_row, g) &&
-                        finite_scaled(delta.workload_row, g),
-                    effective_message(demands_.size()));
-      } else {
-        AMF_REQUIRE(delta.profile_row.empty(),
-                    "profile row on a single-resource problem");
-      }
-      const bool track_work = !workloads_.empty() || demands_.empty();
-      if (!delta.workload_row.empty()) {
-        AMF_REQUIRE(delta.workload_row.size() == m,
-                    "delta workload row width != site count");
-        AMF_REQUIRE(track_work,
-                    "workload row for a problem without workloads");
-        for (std::size_t s = 0; s < m; ++s) {
-          double w = delta.workload_row[s];
-          AMF_REQUIRE(w >= 0.0 && std::isfinite(w),
-                      "workloads must be finite, >= 0");
-          AMF_REQUIRE(w == 0.0 || delta.demand_row[s] > 0.0,
-                      "positive workload requires positive demand cap");
-        }
-        workloads_.push_back(delta.workload_row);
-      } else if (!workloads_.empty()) {
-        workloads_.emplace_back(m, 0.0);
-      }
-      if (multi_resource()) {
-        profiles_.push_back(std::move(profile));
-        demands_.push_back(delta.demand_row);
-        weights_.push_back(delta.weight);
-        gammas_.push_back(0.0);
-        eff_demands_.emplace_back();
-        if (!workloads_.empty()) eff_workloads_.emplace_back();
-        refresh_job_effective(demands_.size() - 1);
-        demand_rows_.append_row(eff_demands_.back());
-        break;
-      }
-      demands_.push_back(delta.demand_row);
-      weights_.push_back(delta.weight);
-      demand_rows_.append_row(delta.demand_row);
+    case ProblemDelta::Kind::kJobArrived:
+      append_job(delta.demand_row, delta.workload_row, delta.weight,
+                 delta.profile_row);
       break;
-    }
     case ProblemDelta::Kind::kJobDeparted: {
       AMF_REQUIRE(delta.job >= 0 && delta.job < jobs(),
                   "delta job index out of range");
       const auto j = static_cast<std::size_t>(delta.job);
-      demands_.erase(demands_.begin() + static_cast<std::ptrdiff_t>(j));
-      if (!workloads_.empty())
-        workloads_.erase(workloads_.begin() + static_cast<std::ptrdiff_t>(j));
-      weights_.erase(weights_.begin() + static_cast<std::ptrdiff_t>(j));
-      demand_rows_.erase_row(delta.job);
+      const auto lo = demands_.first[j];
+      const auto hi = demands_.first[j + 1];
+      if (has_work_) work_.erase(work_.begin() + lo, work_.begin() + hi);
       if (multi_resource()) {
+        task_.erase(task_.begin() + lo, task_.begin() + hi);
         profiles_.erase(profiles_.begin() + static_cast<std::ptrdiff_t>(j));
         gammas_.erase(gammas_.begin() + static_cast<std::ptrdiff_t>(j));
-        eff_demands_.erase(eff_demands_.begin() +
-                           static_cast<std::ptrdiff_t>(j));
-        if (!eff_workloads_.empty())
-          eff_workloads_.erase(eff_workloads_.begin() +
-                               static_cast<std::ptrdiff_t>(j));
       }
+      weights_.erase(weights_.begin() + static_cast<std::ptrdiff_t>(j));
+      demands_.erase_row(delta.job);
       break;
     }
     case ProblemDelta::Kind::kSiteCapacity: {
@@ -573,50 +500,47 @@ AllocationProblem AllocationProblem::apply(const ProblemDelta& delta) && {
                   "delta site index out of range");
       AMF_REQUIRE(delta.value >= 0.0 && std::isfinite(delta.value),
                   "demands must be finite, >= 0");
-      AMF_REQUIRE(delta.value > 0.0 || workloads_.empty() ||
-                      workloads_[static_cast<std::size_t>(delta.job)]
-                                [static_cast<std::size_t>(delta.site)] == 0.0,
+      const auto j = static_cast<std::size_t>(delta.job);
+      const double effective =
+          delta.value * (multi_resource() ? gammas_[j] : 1.0);
+      AMF_REQUIRE(std::isfinite(effective), effective_message(j));
+      const auto k = demands_.index_of(delta.job, delta.site);
+      AMF_REQUIRE(effective > 0.0 || k < 0 || !has_work_ ||
+                      work_[static_cast<std::size_t>(k)] == 0.0,
                   "positive workload requires positive demand cap");
-      AMF_REQUIRE(!multi_resource() ||
-                      std::isfinite(
-                          delta.value *
-                          gammas_[static_cast<std::size_t>(delta.job)]),
-                  effective_message(static_cast<std::size_t>(delta.job)));
-      demands_[static_cast<std::size_t>(delta.job)]
-              [static_cast<std::size_t>(delta.site)] = delta.value;
-      double effective = delta.value;
-      if (multi_resource()) {
-        effective = delta.value * gammas_[static_cast<std::size_t>(delta.job)];
-        eff_demands_[static_cast<std::size_t>(delta.job)]
-                    [static_cast<std::size_t>(delta.site)] = effective;
+      // An entry that appears or disappears does so in the aligned arrays
+      // too, at the position the index gives it.
+      const auto at = static_cast<std::ptrdiff_t>(
+          k >= 0 ? static_cast<std::size_t>(k)
+                 : demands_.find(delta.job, delta.site));
+      if (k >= 0 && !(effective > 0.0)) {
+        if (has_work_) work_.erase(work_.begin() + at);
+        if (multi_resource()) task_.erase(task_.begin() + at);
+      } else if (k < 0 && effective > 0.0) {
+        if (has_work_) work_.insert(work_.begin() + at, 0.0);
+        if (multi_resource()) task_.insert(task_.begin() + at, delta.value);
+      } else if (k >= 0 && multi_resource()) {
+        task_[static_cast<std::size_t>(k)] = delta.value;
       }
-      demand_rows_.set(delta.job, delta.site, effective);
+      demands_.set(delta.job, delta.site, effective);
       break;
     }
     case ProblemDelta::Kind::kWorkloadSet: {
-      AMF_REQUIRE(!workloads_.empty(),
+      AMF_REQUIRE(has_workloads(),
                   "workload delta on a problem without workloads");
       AMF_REQUIRE(delta.job >= 0 && delta.job < jobs(),
                   "delta job index out of range");
       AMF_REQUIRE(delta.site >= 0 && delta.site < sites(),
                   "delta site index out of range");
-      AMF_REQUIRE(delta.value >= 0.0 && std::isfinite(delta.value),
+      const auto j = static_cast<std::size_t>(delta.job);
+      AMF_REQUIRE(delta.value >= 0.0 &&
+                      std::isfinite(delta.value *
+                                    (multi_resource() ? gammas_[j] : 1.0)),
                   "workloads must be finite, >= 0");
-      AMF_REQUIRE(delta.value == 0.0 ||
-                      demands_[static_cast<std::size_t>(delta.job)]
-                              [static_cast<std::size_t>(delta.site)] > 0.0,
+      const auto k = demands_.index_of(delta.job, delta.site);
+      AMF_REQUIRE(delta.value == 0.0 || k >= 0,
                   "positive workload requires positive demand cap");
-      AMF_REQUIRE(!multi_resource() ||
-                      std::isfinite(
-                          delta.value *
-                          gammas_[static_cast<std::size_t>(delta.job)]),
-                  effective_message(static_cast<std::size_t>(delta.job)));
-      workloads_[static_cast<std::size_t>(delta.job)]
-                [static_cast<std::size_t>(delta.site)] = delta.value;
-      if (multi_resource())
-        eff_workloads_[static_cast<std::size_t>(delta.job)]
-                      [static_cast<std::size_t>(delta.site)] =
-            delta.value * gammas_[static_cast<std::size_t>(delta.job)];
+      if (k >= 0) work_[static_cast<std::size_t>(k)] = delta.value;
       break;
     }
     case ProblemDelta::Kind::kProfileSet: {
@@ -624,17 +548,19 @@ AllocationProblem AllocationProblem::apply(const ProblemDelta& delta) && {
                   "profile delta on a single-resource problem");
       AMF_REQUIRE(delta.job >= 0 && delta.job < jobs(),
                   "delta job index out of range");
-      require_profile(delta.profile_row,
-                      static_cast<std::size_t>(resources()));
       const auto j = static_cast<std::size_t>(delta.job);
+      require_profile(delta.profile_row, capacity_matrix_.front().size(), j);
+      // A new γ rescales the row's entries in place; one that would
+      // overflow, or underflow an entry to zero, is rejected.
       const double g = row_max(delta.profile_row);
-      AMF_REQUIRE(finite_scaled(demands_[j], g) &&
-                      (workloads_.empty() || finite_scaled(workloads_[j], g)),
-                  effective_message(j));
-      profiles_[static_cast<std::size_t>(delta.job)] = delta.profile_row;
-      refresh_job_effective(static_cast<std::size_t>(delta.job));
-      demand_rows_.assign_row(
-          delta.job, eff_demands_[static_cast<std::size_t>(delta.job)]);
+      for (std::size_t k : demands_.indices(delta.job))
+        AMF_REQUIRE(std::isfinite(task_[k] * g) && task_[k] * g > 0.0 &&
+                        (!has_work_ || std::isfinite(work_[k] * g)),
+                    effective_message(j));
+      profiles_[j] = delta.profile_row;
+      gammas_[j] = g;
+      for (std::size_t k : demands_.indices(delta.job))
+        demands_.entries[k].value = task_[k] * g;
       break;
     }
   }
@@ -650,72 +576,83 @@ void AllocationProblem::save(std::ostream& out) const {
     }
     out << '\n';
   };
+  out << jobs() << ',' << sites() << ',' << (has_workloads() ? 1 : 0);
+  if (multi_resource()) out << ',' << resources();
+  out << '\n';
+  for (int j = 0; j < jobs(); ++j) emit_row(task_demand_row(j));
   if (multi_resource()) {
-    out << jobs() << ',' << sites() << ',' << (has_workloads() ? 1 : 0) << ','
-        << resources() << '\n';
-    for (const auto& row : demands_) emit_row(row);
     for (const auto& row : capacity_matrix_) emit_row(row);
     for (const auto& row : profiles_) emit_row(row);
-    if (has_workloads())
-      for (const auto& row : workloads_) emit_row(row);
-    emit_row(weights_);
-    return;
+  } else {
+    emit_row(capacities_);
   }
-  out << jobs() << ',' << sites() << ',' << (has_workloads() ? 1 : 0) << '\n';
-  for (const auto& row : demands_) emit_row(row);
-  emit_row(capacities_);
   if (has_workloads())
-    for (const auto& row : workloads_) emit_row(row);
+    for (int j = 0; j < jobs(); ++j) emit_row(task_workload_row(j));
   emit_row(weights_);
 }
 
 AllocationProblem AllocationProblem::load(std::istream& in) {
-  auto read_line = [&in] {
-    std::string line;
-    AMF_REQUIRE(static_cast<bool>(std::getline(in, line)),
-                "truncated problem file");
+  // Every row is read through the hardened CSV readers (length-capped
+  // lines, finite cells, line-numbered errors), and nothing is sized from
+  // the header: a header promising more rows than the file holds fails as
+  // truncated once the rows run out.
+  long line_no = 0;
+  std::string line;
+  auto next_line = [&] {
+    ++line_no;
+    AMF_REQUIRE(util::read_csv_line(in, line, line_no),
+                "truncated problem file (line " + std::to_string(line_no) +
+                    ")");
+  };
+  auto read_row = [&](std::size_t width) {
+    next_line();
     std::vector<double> row;
-    std::stringstream ss(line);
-    std::string cell;
-    while (std::getline(ss, cell, ',')) row.push_back(std::stod(cell));
+    if (!line.empty()) row = util::parse_csv_doubles(line, line_no);
+    AMF_REQUIRE(row.size() == width, "problem file row width mismatch (line " +
+                                         std::to_string(line_no) + ")");
     return row;
   };
-  auto read_row = [&read_line](std::size_t expected) {
-    std::vector<double> row = read_line();
-    AMF_REQUIRE(row.size() == expected, "problem file row width mismatch");
-    return row;
-  };
-  auto header = read_line();
+  next_line();
+  const std::vector<double> header = util::parse_csv_doubles(line, line_no);
   AMF_REQUIRE(header.size() == 3 || header.size() == 4,
-              "problem file row width mismatch");
-  auto n = static_cast<std::size_t>(header[0]);
-  auto m = static_cast<std::size_t>(header[1]);
-  bool has_work = header[2] != 0.0;
-  Matrix d(n), w;
-  for (auto& row : d) row = read_row(m);
-  if (header.size() == 4) {
-    auto r = static_cast<std::size_t>(header[3]);
-    AMF_REQUIRE(r >= 1, "problem file needs at least one resource");
-    Matrix caps(m), profiles(n);
-    for (auto& row : caps) row = read_row(r);
-    for (auto& row : profiles) row = read_row(r);
-    if (has_work) {
-      w.resize(n);
-      for (auto& row : w) row = read_row(m);
-    }
-    std::vector<double> weights = read_row(n);
-    return AllocationProblem::multi(std::move(d), std::move(caps),
-                                    std::move(profiles), std::move(w),
-                                    std::move(weights));
+              "problem file header needs 3 or 4 cells (line 1)");
+  const std::size_t n = util::header_count(header[0], "job", 1);
+  const std::size_t m = util::header_count(header[1], "site", 1);
+  const bool has_work = header[2] != 0.0;
+  const bool multi = header.size() == 4;
+  const std::size_t r =
+      multi ? util::header_count(header[3], "resource", 1) : 1;
+
+  // The demand rows precede the capacities (and, multi-resource, the
+  // profiles): index them as they arrive, then feed each job with its
+  // workload row as that is read.
+  flow::DemandRows raw;
+  raw.width = static_cast<int>(m);
+  for (std::size_t j = 0; j < n; ++j) {
+    const Row row = read_row(m);
+    for (double d : row)
+      AMF_REQUIRE(d >= 0.0, "demands must be finite, >= 0 (line " +
+                                std::to_string(line_no) + ")");
+    raw.append_row(row);
   }
-  std::vector<double> caps = read_row(m);
-  if (has_work) {
-    w.resize(n);
-    for (auto& row : w) row = read_row(m);
+  AllocationProblem p;
+  Matrix profiles;
+  if (multi) {
+    Matrix caps;
+    for (std::size_t s = 0; s < m; ++s) caps.push_back(read_row(r));
+    p = with_site_matrix(std::move(caps));
+    for (std::size_t j = 0; j < n; ++j) profiles.push_back(read_row(r));
+  } else {
+    p = with_sites(read_row(m));
   }
-  std::vector<double> weights = read_row(n);
-  return AllocationProblem(std::move(d), std::move(caps), std::move(w),
-                           std::move(weights));
+  for (std::size_t j = 0; j < n; ++j)
+    p.append_job(raw[j], has_work ? read_row(m) : Row{}, 1.0,
+                 multi ? std::move(profiles[j]) : Row{});
+  Row weights = read_row(n);
+  for (std::size_t j = 0; j < n; ++j)
+    AMF_REQUIRE(weights[j] > 0.0, at_row("weights must be finite, > 0", j));
+  p.weights_ = std::move(weights);
+  return p;
 }
 
 }  // namespace amf::core

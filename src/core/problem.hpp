@@ -20,13 +20,18 @@
 //   effective capacity C̃[s]    = min_r capacity[s][r] (the binding resource)
 //   effective workload w̃[j][s] = w[j][s] · γ_j
 //
-// Every value-returning accessor (demands(), demand_rows(), capacities(),
-// demand(), capacity(), workloads(), scale(), solo_ceiling(),
-// equal_split_share()) reports the EFFECTIVE view, so AMF/E-AMF/PSMF,
-// the incremental workspace, the robust tiers, and the flow substrate run
-// unchanged and their allocations come back in dominant units (task
-// counts are share/γ). The raw task-unit inputs remain available via
-// task_demands()/task_workloads()/profiles()/capacity_matrix().
+// Every value-returning accessor (demands(), capacities(), demand(),
+// capacity(), workload(), scale(), solo_ceiling(), equal_split_share())
+// reports the EFFECTIVE view, so AMF/E-AMF/PSMF, the incremental
+// workspace, the robust tiers, and the flow substrate run unchanged and
+// their allocations come back in dominant units (task counts are
+// share/γ). The raw task-unit inputs remain available via task_demand()/
+// task_workload()/profiles()/capacity_matrix().
+//
+// Storage is CSR rows only: the positive effective demands (demands()),
+// with workloads and (multi-resource) raw demands as arrays aligned with
+// its entries; effective workloads are computed on read as raw · γ. The
+// dense constructors, load() and apply() feed one row at a time.
 //
 // A problem built through the scalar constructor never materializes the
 // vector state: capacity_matrix() is empty, multi_resource() is false,
@@ -100,22 +105,24 @@ class AllocationProblem {
  public:
   AllocationProblem() = default;
 
-  /// Builds and validates a single-resource instance. `workloads` may be
-  /// empty (no completion-time information) or n×m; `weights` may be
-  /// empty (all 1).
-  AllocationProblem(Matrix demands, std::vector<double> capacities,
-                    Matrix workloads = {}, std::vector<double> weights = {});
+  /// Builds and validates a single-resource instance from dense rows (the
+  /// test and JSON edge). `workloads` may be empty (no completion-time
+  /// information) or n×m; `weights` may be empty (all 1).
+  AllocationProblem(const Matrix& demands, std::vector<double> capacities,
+                    const Matrix& workloads = {},
+                    std::vector<double> weights = {});
 
   /// Builds and validates a multi-resource instance. `capacity_matrix` is
   /// m×R (R >= 1 taken from its rows); `profiles` is n×R Leontief rows
   /// (each with at least one positive entry) or empty for unit profiles.
   /// `demands`/`workloads` are raw task units. A factory rather than a
   /// constructor so brace-initialized scalar call sites stay unambiguous.
-  static AllocationProblem multi(Matrix demands, Matrix capacity_matrix,
-                                 Matrix profiles, Matrix workloads = {},
+  static AllocationProblem multi(const Matrix& demands, Matrix capacity_matrix,
+                                 const Matrix& profiles,
+                                 const Matrix& workloads = {},
                                  std::vector<double> weights = {});
 
-  int jobs() const { return static_cast<int>(demands_.size()); }
+  int jobs() const { return demands_.rows(); }
   int sites() const { return static_cast<int>(capacities_.size()); }
 
   /// True when this instance carries vector capacities; the effective
@@ -127,29 +134,15 @@ class AllocationProblem {
                             : 1;
   }
 
-  /// Effective demand matrix (== the raw one on scalar instances).
-  const Matrix& demands() const {
-    return multi_resource() ? eff_demands_ : demands_;
-  }
-  /// The positive entries of demands(), row by row in ascending site order
-  /// (flow::DemandRows). Built inside validation and kept in step by
-  /// apply(), so network builds and the per-row sums below read only the
-  /// positive demands, not the dense n×m matrix.
-  const flow::DemandRows& demand_rows() const { return demand_rows_; }
+  /// The positive effective demands, row by row in ascending site order
+  /// (flow::DemandRows, width sites()). Network builds and per-row sums
+  /// read these entries; `demands()[j]` densifies row j.
+  const flow::DemandRows& demands() const { return demands_; }
   /// Effective (binding-resource) site capacities.
   const std::vector<double>& capacities() const { return capacities_; }
-  /// Effective workloads; empty when the instance carries no workload
-  /// information.
-  const Matrix& workloads() const {
-    return multi_resource() ? eff_workloads_ : workloads_;
-  }
   const std::vector<double>& weights() const { return weights_; }
-  bool has_workloads() const { return !workloads_.empty(); }
+  bool has_workloads() const { return has_work_ && jobs() > 0; }
 
-  /// Raw task-unit demand/workload matrices (== the effective ones on
-  /// scalar instances).
-  const Matrix& task_demands() const { return demands_; }
-  const Matrix& task_workloads() const { return workloads_; }
   /// Per-site per-resource capacities; empty on scalar instances.
   const Matrix& capacity_matrix() const { return capacity_matrix_; }
   /// Per-job Leontief profiles (n×R); empty on scalar instances.
@@ -157,9 +150,21 @@ class AllocationProblem {
 
   double demand(int job, int site) const;
   double workload(int job, int site) const;
+  /// Effective workload of demands().entries[entry], in row `job`.
+  double entry_workload(int job, std::size_t entry) const {
+    if (!has_work_) return 0.0;
+    return multi_resource()
+               ? work_[entry] * gammas_[static_cast<std::size_t>(job)]
+               : work_[entry];
+  }
   /// Raw task-unit entries (== demand()/workload() on scalar instances).
   double task_demand(int job, int site) const;
   double task_workload(int job, int site) const;
+  /// Row `job`'s raw task-unit demands/workloads as dense rows of width
+  /// sites() (the CSV and JSON edge); the workload row is all zeros
+  /// without workloads.
+  std::vector<double> task_demand_row(int job) const;
+  std::vector<double> task_workload_row(int job) const;
   double capacity(int site) const;
   double weight(int job) const;
   /// capacity[site][resource]; scalar instances accept resource == 0.
@@ -190,7 +195,8 @@ class AllocationProblem {
   std::vector<double> equal_split_shares() const;
 
   /// A copy of this instance where job `job` reports `reported` as its
-  /// demand row (used by strategy-proofness probes). Workloads are kept.
+  /// demand row (used by strategy-proofness probes). Workloads are
+  /// dropped: a misreported zero where true work exists would not validate.
   AllocationProblem with_reported_demands(int job,
                                           const std::vector<double>& reported)
       const;
@@ -212,35 +218,53 @@ class AllocationProblem {
   /// one row per job of demands, then capacities (m rows of R when
   /// multi-resource), then profile rows (multi-resource only), then
   /// optional workloads and weights. Scalar instances save exactly the
-  /// pre-lift format.
+  /// pre-lift format. load() reads through the hardened CSV readers and
+  /// indexes each row as it is read.
   void save(std::ostream& out) const;
   static AllocationProblem load(std::istream& in);
 
  private:
-  /// Checks the raw state. On scalar instances the same scan builds
-  /// demand_rows_; multi-resource instances build it in
-  /// rebuild_effective(), from the effective rows.
-  void validate();
-  /// Recomputes gammas_/eff_demands_/eff_workloads_/capacities_ and
-  /// demand_rows_ from the raw state (multi-resource instances only).
-  void rebuild_effective();
+  using Row = std::vector<double>;
+
+  /// An instance with these capacities (scalar) or capacity matrix
+  /// (multi-resource) and no jobs, validated; without_jobs() is this
+  /// instance's own.
+  static AllocationProblem with_sites(Row capacities);
+  static AllocationProblem with_site_matrix(Matrix capacity_matrix);
+  AllocationProblem without_jobs() const;
+  /// Appends the rows of dense input matrices through append_job, after
+  /// checking the matrices' heights.
+  void feed_rows(const Matrix& demands, const Matrix& workloads,
+                 const Row& weights, const Matrix& profiles);
+  /// Validates one job row against this instance and appends it;
+  /// messages name the row it would become. An empty `workloads` row
+  /// means none (the first job decides whether the instance tracks
+  /// workloads); an empty `profile` is the unit profile.
+  void append_job(const Row& demands, const Row& workloads, double weight,
+                  Row profile);
+  /// Raw task-unit demand of entry `entry`.
+  double task_at(std::size_t entry) const {
+    return multi_resource() ? task_[entry] : demands_.entries[entry].value;
+  }
+  Row profile_row(int job) const {
+    return multi_resource() ? profiles_[static_cast<std::size_t>(job)] : Row{};
+  }
   /// equal_split_share of job `job` given Σ_j weight_j.
   double split_share(std::size_t job, double weight_total) const;
-  /// Refreshes the cached effective row of one job after a raw change.
-  void refresh_job_effective(std::size_t job);
 
-  Matrix demands_;                   ///< raw task-unit demands
   std::vector<double> capacities_;   ///< effective (binding-min) capacities
-  Matrix workloads_;                 ///< raw task-unit workloads
   std::vector<double> weights_;
-  flow::DemandRows demand_rows_;     ///< positive effective demands
+  flow::DemandRows demands_;         ///< positive effective demands
+  /// Raw workloads aligned with demands_.entries (empty without them).
+  std::vector<double> work_;
+  bool has_work_ = false;
 
   // --- multi-resource state (all empty on scalar instances) ---
   Matrix capacity_matrix_;  ///< m×R; non-empty ⟺ multi_resource()
   Matrix profiles_;         ///< n×R Leontief rows
   std::vector<double> gammas_;  ///< cached max_r profiles_[j][r]
-  Matrix eff_demands_;          ///< demands_ · γ (dominant units)
-  Matrix eff_workloads_;        ///< workloads_ · γ (empty when no workloads)
+  /// Raw task-unit demands aligned with demands_.entries.
+  std::vector<double> task_;
 };
 
 }  // namespace amf::core

@@ -13,7 +13,7 @@ bool is_pareto_efficient(const AllocationProblem& problem,
   AMF_REQUIRE(problem.jobs() == allocation.jobs(),
               "problem/allocation size mismatch");
   if (problem.jobs() == 0) return true;
-  flow::TransportNetwork net(problem.demand_rows(), problem.capacities());
+  flow::TransportNetwork net(problem.demands(), problem.capacities());
   net.solve(allocation.aggregates(), eps);
   AMF_REQUIRE(net.saturated(eps * 64.0),
               "allocation aggregates must be feasible");
@@ -31,10 +31,13 @@ double max_envy(const AllocationProblem& problem,
     for (int k = 0; k < problem.jobs(); ++k) {
       if (k == i) continue;
       const double ratio = problem.weight(i) / problem.weight(k);
+      // Sites without a share of k would add min(0, d) = +0.0.
       double value = 0.0;
-      for (int s = 0; s < problem.sites(); ++s)
-        value += std::min(allocation.share(k, s) * ratio,
-                          problem.demand(i, s));
+      const auto row = static_cast<std::size_t>(k);
+      const auto shares = allocation.shares()[row];
+      const auto sites = allocation.shares().sites_of(row);
+      for (std::size_t e = 0; e < shares.size(); ++e)
+        value += std::min(shares[e] * ratio, problem.demands().at(i, sites[e]));
       worst = std::max(worst, value - own);
     }
   }

@@ -19,7 +19,7 @@ bool is_max_min_fair(const AllocationProblem& problem,
   const double scale = problem.scale();
   const double tol_abs = tol * scale;
 
-  flow::TransportNetwork net(problem.demand_rows(), problem.capacities());
+  flow::TransportNetwork net(problem.demands(), problem.capacities());
 
   // 1. The vector itself must be feasible.
   net.solve(aggregates);
@@ -73,7 +73,7 @@ std::vector<double> lp_max_min_aggregates(const AllocationProblem& problem) {
   std::vector<std::vector<int>> at_site(static_cast<std::size_t>(m));
   std::vector<double> cell_demand;
   for (int j = 0; j < n; ++j)
-    for (const auto& [s, d] : problem.demand_rows().row(j)) {
+    for (const auto& [s, d] : problem.demands().row(j)) {
       if (problem.capacity(s) <= 0.0) continue;
       poly.groups[static_cast<std::size_t>(j)].push_back(poly.variables);
       at_site[static_cast<std::size_t>(s)].push_back(poly.variables);

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/reference.hpp"
-#include "core/single_site.hpp"
 #include "core/workspace.hpp"
 #include "flow/transport.hpp"
 #include "util/error.hpp"
@@ -199,25 +198,21 @@ Allocation lp_tier(const AllocationProblem& problem) {
 /// else gets a closed-form fair top-up.
 Allocation complete_salvage(const AllocationProblem& problem,
                             const Allocation& partial) {
-  const int n = problem.jobs();
-  const int m = problem.sites();
-  Matrix shares = partial.shares();
-  std::vector<double> residual(static_cast<std::size_t>(n));
-  for (int s = 0; s < m; ++s) {
-    double used = 0.0;
-    for (int j = 0; j < n; ++j)
-      used += shares[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-    const double cap_left = std::max(0.0, problem.capacity(s) - used);
-    for (int j = 0; j < n; ++j)
-      residual[static_cast<std::size_t>(j)] = std::max(
-          0.0, problem.demand(j, s) -
-                   shares[static_cast<std::size_t>(j)]
-                         [static_cast<std::size_t>(s)]);
-    auto extra = water_fill(residual, problem.weights(), cap_left);
-    for (int j = 0; j < n; ++j)
-      shares[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)] +=
-          extra[static_cast<std::size_t>(j)];
-  }
+  const flow::DemandRows& rows = problem.demands();
+  flow::ShareRows shares = flow::ShareRows::zeros_on(rows);
+  std::vector<double> used(static_cast<std::size_t>(problem.sites()), 0.0);
+  std::vector<double> residual(rows.entries.size());
+  for (int j = 0; j < problem.jobs(); ++j)
+    for (std::size_t k : rows.indices(j)) {
+      const int s = rows.entries[k].site;
+      shares.values[k] = partial.share(j, s);
+      used[static_cast<std::size_t>(s)] += shares.values[k];
+      residual[k] = std::max(0.0, rows.entries[k].value - shares.values[k]);
+    }
+  for (std::size_t s = 0; s < used.size(); ++s)  // now the capacity left
+    used[s] = std::max(0.0, problem.capacities()[s] - used[s]);
+  const auto extra = water_fill_sites(rows, residual, problem.weights(), used);
+  for (std::size_t k = 0; k < extra.size(); ++k) shares.values[k] += extra[k];
   return Allocation(std::move(shares), "Robust/salvage");
 }
 

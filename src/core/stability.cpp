@@ -16,10 +16,24 @@ constexpr double kEps = 1e-9;
 double StabilityAddon::churn(const Allocation& a, const Allocation& b) {
   AMF_REQUIRE(a.jobs() == b.jobs() && a.sites() == b.sites(),
               "churn needs equally shaped allocations");
+  // Each row pair is merged over the union of its sites, ascending: a site
+  // on neither row would add |0 - 0| = +0.0, which changes no bit.
   double total = 0.0;
-  for (int j = 0; j < a.jobs(); ++j)
-    for (int s = 0; s < a.sites(); ++s)
-      total += std::abs(a.share(j, s) - b.share(j, s));
+  for (int j = 0; j < a.jobs(); ++j) {
+    const auto j_row = static_cast<std::size_t>(j);
+    const auto av = a.shares()[j_row], bv = b.shares()[j_row];
+    const auto as = a.shares().sites_of(j_row), bs = b.shares().sites_of(j_row);
+    std::size_t p = 0, q = 0;
+    while (p < av.size() || q < bv.size()) {
+      if (q == bv.size() || (p < av.size() && as[p] < bs[q])) {
+        total += std::abs(av[p++]);
+      } else if (p == av.size() || bs[q] < as[p]) {
+        total += std::abs(bv[q++]);
+      } else {
+        total += std::abs(av[p++] - bv[q++]);
+      }
+    }
+  }
   return total;
 }
 
@@ -33,7 +47,7 @@ Allocation StabilityAddon::optimize(const AllocationProblem& problem,
   const std::string policy = target.policy().empty()
                                  ? std::string("stable")
                                  : target.policy() + "+stable";
-  if (n == 0) return Allocation(Matrix{}, policy);
+  if (n == 0) return Allocation(flow::ShareRows{}, policy);
   const int m = problem.sites();
 
   // Layout: 0 = source, 1..n jobs, n+1..n+m sites, last = sink.
@@ -49,25 +63,21 @@ Allocation StabilityAddon::optimize(const AllocationProblem& problem,
     net.add_edge(source, job_node(j), std::max(0.0, agg), 0.0);
     total += std::max(0.0, agg);
   }
-  // Per cell: a "keep" arc rewarded for staying at the previous share and
-  // a "change" arc charged for growth beyond it. Shrinkage churn is
-  // (prev - kept), i.e. Σprev - Σkept: the constant drops out and the
+  // Per demand entry: a "keep" arc rewarded for staying at the previous
+  // share and a "change" arc charged for growth beyond it. Shrinkage churn
+  // is (prev - kept), i.e. Σprev - Σkept: the constant drops out and the
   // -1/+1 costs minimize exactly the total L1 distance.
-  std::vector<std::vector<std::pair<flow::EdgeId, flow::EdgeId>>> arcs(
-      static_cast<std::size_t>(n));
+  const flow::DemandRows& rows = problem.demands();
+  std::vector<std::pair<flow::EdgeId, flow::EdgeId>> arcs;
+  arcs.reserve(rows.entries.size());
   for (int j = 0; j < n; ++j) {
-    arcs[static_cast<std::size_t>(j)].assign(static_cast<std::size_t>(m),
-                                             {-1, -1});
-    for (int s = 0; s < m; ++s) {
-      double d = problem.demand(j, s);
-      if (d <= 0.0) continue;
+    for (const auto& [s, d] : rows.row(j)) {
       double keep = std::min(previous.share(j, s), d);
       flow::EdgeId keep_arc = net.add_edge(job_node(j), site_node(s),
                                            std::max(0.0, keep), -1.0);
       flow::EdgeId change_arc = net.add_edge(job_node(j), site_node(s),
                                              std::max(0.0, d - keep), 1.0);
-      arcs[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)] = {
-          keep_arc, change_arc};
+      arcs.emplace_back(keep_arc, change_arc);
     }
   }
   for (int s = 0; s < m; ++s)
@@ -81,17 +91,10 @@ Allocation StabilityAddon::optimize(const AllocationProblem& problem,
   AMF_REQUIRE(result.flow >= total - kEps * std::max(problem.scale(), total),
               "target aggregates must be realizable");
 
-  Matrix shares(static_cast<std::size_t>(n),
-                std::vector<double>(static_cast<std::size_t>(m), 0.0));
-  for (int j = 0; j < n; ++j)
-    for (int s = 0; s < m; ++s) {
-      auto [keep_arc, change_arc] =
-          arcs[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)];
-      if (keep_arc < 0) continue;
-      shares[static_cast<std::size_t>(j)][static_cast<std::size_t>(s)] =
-          std::max(0.0, net.flow(keep_arc)) +
-          std::max(0.0, net.flow(change_arc));
-    }
+  flow::ShareRows shares = flow::ShareRows::zeros_on(rows);
+  for (std::size_t k = 0; k < arcs.size(); ++k)
+    shares.values[k] = std::max(0.0, net.flow(arcs[k].first)) +
+                       std::max(0.0, net.flow(arcs[k].second));
   return Allocation(std::move(shares), policy);
 }
 

@@ -34,44 +34,35 @@ WorkspaceCounters& ws_counters() {
 }  // namespace
 
 void SolverWorkspace::prime(const AllocationProblem& problem,
-                            const Matrix* arc_ceilings) {
+                            const flow::DemandRows* arc_ceilings) {
   AMF_SPAN_ARG("core/ws_prime", "jobs", problem.jobs());
   ws_counters().primes.add(1);
   const int n = problem.jobs();
-  const int m = problem.sites();
   if (arc_ceilings != nullptr)
-    AMF_REQUIRE(static_cast<int>(arc_ceilings->size()) == n,
-                "arc ceiling height != job count");
+    AMF_REQUIRE(arc_ceilings->rows() == n, "arc ceiling height != job count");
   transport_.emplace(problem.capacities());
   rows_.clear();
   rows_.reserve(static_cast<std::size_t>(n));
   gammas_.clear();
   gammas_.reserve(static_cast<std::size_t>(n));
   for (int j = 0; j < n; ++j) gammas_.push_back(problem.gamma(j));
+  const flow::DemandRows& arcs =
+      arc_ceilings != nullptr ? *arc_ceilings : problem.demands();
   std::vector<int> sites;
   std::vector<double> demands;
   for (int j = 0; j < n; ++j) {
+    // Arcs on the reserving row's entries, carrying today's demand there.
     sites.clear();
     demands.clear();
-    if (arc_ceilings == nullptr) {
-      // Arcs exactly where the demand is positive: the sparse index.
-      for (const auto& [s, d] : problem.demand_rows().row(j)) {
-        sites.push_back(s);
-        demands.push_back(d);
-      }
-    } else {
-      const auto& drow = problem.demands()[static_cast<std::size_t>(j)];
-      const auto& ceil = (*arc_ceilings)[static_cast<std::size_t>(j)];
-      AMF_REQUIRE(static_cast<int>(ceil.size()) == m,
-                  "arc ceiling width != site count");
-      for (int s = 0; s < m; ++s) {
-        const double d = drow[static_cast<std::size_t>(s)];
-        if (std::max(ceil[static_cast<std::size_t>(s)], d) > 0.0) {
-          sites.push_back(s);
-          demands.push_back(d);
-        }
-      }
+    for (const auto& [s, c] : arcs.row(j)) {
+      sites.push_back(s);
+      demands.push_back(problem.demands().at(j, s));
     }
+    const auto positive = std::count_if(demands.begin(), demands.end(),
+                                        [](double d) { return d > 0.0; });
+    AMF_REQUIRE(static_cast<std::size_t>(positive) ==
+                    problem.demands().row(j).size(),
+                "arc ceilings must cover every positive demand");
     rows_.push_back(transport_->add_job(sites, demands));
   }
   transport_->set_active(rows_);

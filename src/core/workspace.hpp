@@ -44,11 +44,11 @@ class SolverWorkspace {
   bool primed() const { return transport_.has_value(); }
 
   /// Builds the persistent network from `problem`. When `arc_ceilings`
-  /// (n×m, entrywise >= the problem's demands) is given, arcs are
-  /// reserved wherever the ceiling is positive, so demands masked to zero
-  /// today can be raised later without a rebuild.
+  /// (one row per job, covering every positive demand) is given, arcs are
+  /// reserved on all its entries, so demands masked to zero today can be
+  /// raised later without a rebuild.
   void prime(const AllocationProblem& problem,
-             const Matrix* arc_ceilings = nullptr);
+             const flow::DemandRows* arc_ceilings = nullptr);
 
   /// Mirrors a delta already applied (or about to be applied) to the
   /// problem. No-op when unprimed; auto-invalidates on a delta the

@@ -1,9 +1,7 @@
 #include "flow/transport.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <numeric>
 
 #include "obs/metrics.hpp"
@@ -56,58 +54,52 @@ TransportCounters& transport_counters() {
 }  // namespace
 
 DemandRows DemandRows::from_dense(const Matrix& demands, int sites) {
-  // One branch-free scan per row reads each demand's IEEE-754 bits once:
-  // d is finite and >= 0 iff its bits lie below those of +inf or d is
-  // -0.0, and finite and > 0 iff they lie strictly between 0 and +inf's.
-  // Every site is written to `positive` and kept only when its demand is
-  // positive; a row is checked whole. The entries then take one exact
-  // allocation.
-  constexpr std::uint64_t kInfBits = 0x7FF0000000000000;
-  constexpr std::uint64_t kNegZeroBits = 0x8000000000000000;
   AMF_REQUIRE(sites >= 0, "negative site count");
-  const auto m = static_cast<std::size_t>(sites);
   DemandRows rows;
-  rows.first.reserve(demands.size() + 1);
-  std::vector<int> positive;
+  rows.width = sites;
   for (const auto& row : demands) {
-    AMF_REQUIRE(row.size() == m, "demand row width != number of sites");
-    std::size_t k = positive.size();
-    positive.resize(k + m);
-    bool ok = true;
-    for (std::size_t s = 0; s < m; ++s) {
-      const auto bits = std::bit_cast<std::uint64_t>(row[s]);
-      ok &= (bits < kInfBits) | (bits == kNegZeroBits);
-      positive[k] = static_cast<int>(s);
-      k += bits - 1 < kInfBits - 1 ? 1 : 0;
-    }
-    AMF_REQUIRE(ok, "demands must be finite, >= 0");
-    positive.resize(k);
-    rows.first.push_back(static_cast<int>(k));
+    AMF_REQUIRE(row.size() == static_cast<std::size_t>(sites),
+                "demand row width != number of sites");
+    for (double d : row)
+      AMF_REQUIRE(d >= 0.0 && std::isfinite(d),
+                  "demands must be finite, >= 0");
+    rows.append_row(row);
   }
-  rows.entries.reserve(positive.size());
-  for (std::size_t j = 0; j < demands.size(); ++j)
-    for (int i = rows.first[j]; i < rows.first[j + 1]; ++i) {
-      const int s = positive[static_cast<std::size_t>(i)];
-      rows.entries.push_back({s, demands[j][static_cast<std::size_t>(s)]});
-    }
   return rows;
+}
+
+std::size_t DemandRows::find(int row, int site) const {
+  const auto r = static_cast<std::size_t>(row);
+  const auto it = std::lower_bound(
+      entries.begin() + first[r], entries.begin() + first[r + 1], site,
+      [](const SiteDemand& e, int s) { return e.site < s; });
+  return static_cast<std::size_t>(it - entries.begin());
+}
+
+std::ptrdiff_t DemandRows::index_of(int row, int site) const {
+  const std::size_t k = find(row, site);
+  const auto end =
+      static_cast<std::size_t>(first[static_cast<std::size_t>(row) + 1]);
+  return k < end && entries[k].site == site ? static_cast<std::ptrdiff_t>(k)
+                                            : -1;
+}
+
+double DemandRows::at(int row, int site) const {
+  const std::ptrdiff_t k = index_of(row, site);
+  return k < 0 ? 0.0 : entries[static_cast<std::size_t>(k)].value;
+}
+
+std::vector<double> DemandRows::operator[](std::size_t row) const {
+  std::vector<double> dense(static_cast<std::size_t>(width), 0.0);
+  for (const auto& [s, d] : this->row(static_cast<int>(row)))
+    dense[static_cast<std::size_t>(s)] = d;
+  return dense;
 }
 
 void DemandRows::append_row(const std::vector<double>& dense) {
   for (std::size_t s = 0; s < dense.size(); ++s)
     if (dense[s] > 0.0) entries.push_back({static_cast<int>(s), dense[s]});
   first.push_back(static_cast<int>(entries.size()));
-}
-
-void DemandRows::assign_row(int row, const std::vector<double>& dense) {
-  const auto r = static_cast<std::size_t>(row);
-  std::vector<SiteDemand> fresh;
-  for (std::size_t s = 0; s < dense.size(); ++s)
-    if (dense[s] > 0.0) fresh.push_back({static_cast<int>(s), dense[s]});
-  const int shift = static_cast<int>(fresh.size()) - (first[r + 1] - first[r]);
-  entries.erase(entries.begin() + first[r], entries.begin() + first[r + 1]);
-  entries.insert(entries.begin() + first[r], fresh.begin(), fresh.end());
-  for (std::size_t k = r + 1; k < first.size(); ++k) first[k] += shift;
 }
 
 void DemandRows::erase_row(int row) {
@@ -120,24 +112,51 @@ void DemandRows::erase_row(int row) {
 
 void DemandRows::set(int row, int site, double value) {
   const auto r = static_cast<std::size_t>(row);
-  const auto hi = entries.begin() + first[r + 1];
-  const auto it = std::lower_bound(
-      entries.begin() + first[r], hi, site,
-      [](const SiteDemand& e, int s) { return e.site < s; });
+  const std::size_t at = find(row, site);
+  const auto k = static_cast<std::ptrdiff_t>(at);
   int shift = 0;
-  if (it != hi && it->site == site) {
+  if (k < first[r + 1] && entries[at].site == site) {
     if (value > 0.0) {
-      it->value = value;
+      entries[at].value = value;
       return;
     }
-    entries.erase(it);
+    entries.erase(entries.begin() + k);
     shift = -1;
   } else {
     if (!(value > 0.0)) return;
-    entries.insert(it, {site, value});
+    entries.insert(entries.begin() + k, {site, value});
     shift = 1;
   }
-  for (std::size_t k = r + 1; k < first.size(); ++k) first[k] += shift;
+  for (std::size_t i = r + 1; i < first.size(); ++i) first[i] += shift;
+}
+
+double ShareRows::at(int row, int site) const {
+  const auto r = static_cast<std::size_t>(row);
+  const auto lo = sites.begin() + first[r];
+  const auto hi = sites.begin() + first[r + 1];
+  const auto it = std::lower_bound(lo, hi, site);
+  return it != hi && *it == site
+             ? values[static_cast<std::size_t>(it - sites.begin())]
+             : 0.0;
+}
+
+std::vector<double> ShareRows::dense_row(int row) const {
+  std::vector<double> dense(static_cast<std::size_t>(width), 0.0);
+  const auto r = static_cast<std::size_t>(row);
+  for (int k = first[r]; k < first[r + 1]; ++k)
+    dense[static_cast<std::size_t>(sites[static_cast<std::size_t>(k)])] =
+        values[static_cast<std::size_t>(k)];
+  return dense;
+}
+
+ShareRows ShareRows::zeros_on(const DemandRows& support) {
+  ShareRows rows;
+  rows.width = support.width;
+  rows.first = support.first;
+  rows.sites.reserve(support.entries.size());
+  for (const SiteDemand& e : support.entries) rows.sites.push_back(e.site);
+  rows.values.assign(support.entries.size(), 0.0);
+  return rows;
 }
 
 TransportNetwork::TransportNetwork(const std::vector<double>& site_capacities)
@@ -198,12 +217,6 @@ TransportNetwork::TransportNetwork(const DemandRows& demands,
   std::iota(active_.begin(), active_.end(), 0);
   live_rows_ = jobs;
 }
-
-TransportNetwork::TransportNetwork(const Matrix& demands,
-                                   const std::vector<double>& capacities)
-    : TransportNetwork(
-          DemandRows::from_dense(demands, static_cast<int>(capacities.size())),
-          capacities) {}
 
 EdgeId TransportNetwork::arc_to(int row, int site) const {
   const auto arcs = arcs_of(row);
@@ -518,18 +531,23 @@ bool TransportNetwork::saturated(double eps) const {
   return last_flow_ >= last_total_ - eps * std::max(scale(), last_total_);
 }
 
-Matrix TransportNetwork::allocation(std::vector<double>* row_totals) const {
-  Matrix a(active_.size(),
-           std::vector<double>(static_cast<std::size_t>(sites()), 0.0));
+ShareRows TransportNetwork::allocation(std::vector<double>* row_totals) const {
+  ShareRows a;
+  a.width = sites();
+  a.first.reserve(active_.size() + 1);
+  a.sites.reserve(row_arcs_.size());
+  a.values.reserve(row_arcs_.size());
   if (row_totals != nullptr) row_totals->resize(active_.size());
   for (std::size_t j = 0; j < active_.size(); ++j) {
-    auto& row = a[j];
     double total = 0.0;
     for (const auto& [s, e] : arcs_of(active_[j])) {
+      if (!(net_.capacity(e) > 0.0)) continue;
       const double share = std::max(0.0, net_.flow(e));
-      row[static_cast<std::size_t>(s)] = share;
+      a.sites.push_back(s);
+      a.values.push_back(share);
       total += share;
     }
+    a.first.push_back(static_cast<int>(a.values.size()));
     if (row_totals != nullptr) (*row_totals)[j] = total;
   }
   return a;
@@ -586,16 +604,8 @@ void TransportNetwork::add_row_demand_across(
 
 // ---------------------------------------------------------------------------
 
-bool aggregates_feasible(const Matrix& demands,
-                         const std::vector<double>& capacities,
-                         const std::vector<double>& aggregates, double eps) {
-  TransportNetwork net(demands, capacities);
-  net.solve(aggregates, eps);
-  return net.saturated(eps);
-}
-
-std::optional<Matrix> allocation_for_aggregates(
-    const Matrix& demands, const std::vector<double>& capacities,
+std::optional<ShareRows> allocation_for_aggregates(
+    const DemandRows& demands, const std::vector<double>& capacities,
     const std::vector<double>& aggregates, double eps) {
   TransportNetwork net(demands, capacities);
   net.solve(aggregates, eps);

@@ -18,10 +18,7 @@
 //     probes always run cold, so the flow it holds is always the one a
 //     cold solve computes, and progressive filling's final materialization
 //     at the last probe's caps is served from the last-caps memo with no
-//     max flow. TransportNetwork(Matrix, capacities) is a thin adapter for
-//     callers holding a dense matrix: it validates the matrix, converts it
-//     to rows (DemandRows::from_dense) and delegates, so there is one
-//     build path.
+//     max flow.
 //   * TransportNetwork(capacities) starts with sites only; add_job appends
 //     rows as jobs arrive, remove_job masks them on departure, values are
 //     updated in place between solves, and compact() drops dead rows.
@@ -37,6 +34,7 @@
 #pragma once
 
 #include <optional>
+#include <ranges>
 #include <span>
 #include <utility>
 #include <vector>
@@ -70,10 +68,12 @@ struct SiteDemand {
 
 /// The positive demands of a list of job rows as a CSR: row j's entries,
 /// in strictly ascending site order, are entries[first[j], first[j + 1]).
-/// Zero demands have no entry. On the sparse instances of the paper's
-/// model (a job's data lives on a few sites) this is a small fraction of
-/// the dense n×m matrix, and it is what every network build reads.
+/// Zero demands have no entry; `width` is the number of sites a row spans.
+/// On the sparse instances of the paper's model (a job's data lives on a
+/// few sites) this is a small fraction of a dense n×m matrix, and it is
+/// the only form in which problems hold their demands.
 struct DemandRows {
+  int width = 0;
   std::vector<int> first{0};
   std::vector<SiteDemand> entries;
 
@@ -84,22 +84,66 @@ struct DemandRows {
     const auto lo = static_cast<std::size_t>(first[r]);
     return {entries.data() + lo, static_cast<std::size_t>(first[r + 1]) - lo};
   }
+  /// Indices into `entries` of row `row`'s entries.
+  auto indices(int row) const {
+    return std::views::iota(
+        static_cast<std::size_t>(first[static_cast<std::size_t>(row)]),
+        static_cast<std::size_t>(first[static_cast<std::size_t>(row) + 1]));
+  }
+  /// Index into `entries` of (`row`, `site`)'s entry, or of the position
+  /// where it would be inserted.
+  std::size_t find(int row, int site) const;
+  /// Index into `entries` of (`row`, `site`)'s entry, or -1 without one.
+  std::ptrdiff_t index_of(int row, int site) const;
+  /// The demand of (`row`, `site`): its entry's value, or 0.0.
+  double at(int row, int site) const;
+  /// Row `row` as a dense vector of `width` values (the row edge for
+  /// callers that speak dense rows, such as wire clients).
+  std::vector<double> operator[](std::size_t row) const;
 
-  /// The index of a dense matrix, in one branch-free scan that also
-  /// validates it: every row must have `sites` entries, each finite and
-  /// >= 0.
+  /// The index of a dense matrix (the test edge), validated: every row
+  /// must have `sites` entries, each finite and >= 0.
   static DemandRows from_dense(const Matrix& demands, int sites);
 
   /// Appends a row holding the positive entries of `dense` (unchecked).
   void append_row(const std::vector<double>& dense);
-  /// Replaces row `row` with the positive entries of `dense`.
-  void assign_row(int row, const std::vector<double>& dense);
   void erase_row(int row);
   /// Sets the demand of (`row`, `site`): updates, inserts or (for a zero
   /// `value`) erases its entry.
   void set(int row, int site, double value);
 
   bool operator==(const DemandRows&) const = default;
+};
+
+/// Per-row (site, share) entries as a CSR whose values are contiguous:
+/// row j's sites and values are sites/values[first[j], first[j + 1]),
+/// sites strictly ascending; `width` is the number of sites. An
+/// allocation's shares take this form, on its problem's demand support.
+struct ShareRows {
+  int width = 0;
+  std::vector<int> first{0};
+  std::vector<int> sites;
+  std::vector<double> values;
+
+  int rows() const { return static_cast<int>(first.size()) - 1; }
+  /// Row `row`'s values, ascending site.
+  std::span<const double> operator[](std::size_t row) const {
+    return {values.data() + first[row],
+            static_cast<std::size_t>(first[row + 1] - first[row])};
+  }
+  /// Row `row`'s sites, aligned with operator[](row).
+  std::span<const int> sites_of(std::size_t row) const {
+    return {sites.data() + first[row],
+            static_cast<std::size_t>(first[row + 1] - first[row])};
+  }
+  /// The share of (`row`, `site`): its entry's value, or +0.0.
+  double at(int row, int site) const;
+  /// Row `row` as a dense vector of `width` values (the JSON/CSV edge).
+  std::vector<double> dense_row(int row) const;
+  /// Zero shares on exactly the entries of `support`.
+  static ShareRows zeros_on(const DemandRows& support);
+
+  bool operator==(const ShareRows&) const = default;
 };
 
 /// Source side of a min cut after a solve, reported separately for jobs
@@ -130,13 +174,6 @@ class TransportNetwork {
   /// strictly ascending and in range, values finite and > 0;
   /// `capacities[s]` is the site capacity (>= 0).
   TransportNetwork(const DemandRows& demands,
-                   const std::vector<double>& capacities);
-
-  /// Dense adapter of the build above: `demands[j][s]` is the per-site
-  /// demand cap (arcs only for strictly positive demand). Every row must
-  /// have one entry per site, every demand must be finite and >= 0, and
-  /// every capacity >= 0 (NaN is rejected).
-  TransportNetwork(const Matrix& demands,
                    const std::vector<double>& capacities);
 
   /// Sites only; rows come from add_job. Probes warm-start from the held
@@ -213,12 +250,12 @@ class TransportNetwork {
   /// feasible as aggregates).
   bool saturated(double eps = FlowNetwork::kDefaultEps) const;
 
-  /// Allocation matrix realized by the last solve: a[j][s] = flow(job→site).
-  /// With `row_totals`, also writes each active row's aggregate Σ_s a[j][s]
-  /// there in the same pass: the row's arc shares added in ascending site
-  /// order, which is bit-identical to a dense std::accumulate of the row
-  /// (the skipped entries are exact +0.0 and every share is >= +0.0).
-  Matrix allocation(std::vector<double>* row_totals = nullptr) const;
+  /// Shares realized by the last solve on every positive-demand arc of the
+  /// active rows (a masked or zero arc carries none): the rows' demand
+  /// support in ascending site order, zeros kept. With `row_totals`, also
+  /// writes each active row's aggregate there in the same pass: the row's
+  /// shares added in ascending site order.
+  ShareRows allocation(std::vector<double>* row_totals = nullptr) const;
 
   /// After a solve: per-job flag, true when the job still has a residual
   /// path to the sink (its aggregate could be increased). The freezing
@@ -325,16 +362,9 @@ class TransportNetwork {
   double last_flow_ = 0.0;
 };
 
-/// True iff the aggregate vector `aggregates` is feasible for the instance
-/// (some allocation matrix attains at least these per-job totals).
-bool aggregates_feasible(const Matrix& demands,
-                         const std::vector<double>& capacities,
-                         const std::vector<double>& aggregates,
-                         double eps = FlowNetwork::kDefaultEps);
-
-/// An allocation matrix realizing exactly the given aggregates, if feasible.
-std::optional<Matrix> allocation_for_aggregates(
-    const Matrix& demands, const std::vector<double>& capacities,
+/// Shares realizing exactly the given aggregates, if they are feasible.
+std::optional<ShareRows> allocation_for_aggregates(
+    const DemandRows& demands, const std::vector<double>& capacities,
     const std::vector<double>& aggregates,
     double eps = FlowNetwork::kDefaultEps);
 

@@ -83,8 +83,16 @@ struct ActiveJob {
 /// plus its aggregate as the Allocation constructor computed it (stored,
 /// not recomputed, so the incremental churn path reuses the exact double).
 struct PrevPlacement {
+  std::vector<int> sites;  ///< the share row's sites, ascending
   std::vector<double> shares;
   double aggregate = 0.0;
+
+  double share(int site) const {
+    const auto it = std::lower_bound(sites.begin(), sites.end(), site);
+    return it != sites.end() && *it == site
+               ? shares[static_cast<std::size_t>(it - sites.begin())]
+               : 0.0;
+  }
 };
 
 /// Trace contract checks at the Simulator::run boundary: a malformed
@@ -309,6 +317,22 @@ std::vector<JobRecord> Simulator::run(const workload::Trace& trace) {
     const double r = job.remaining[static_cast<std::size_t>(s)];
     return (r > work_tol && demand_cap != 0.0) ? r : 0.0;
   };
+  // A job's residual row as an arrival: demand caps and workloads as the
+  // policy sees them now (zero off its site list), with its full caps as
+  // the arcs a workspace reserves for post-fault unmasking.
+  auto arrival = [&](const ActiveJob& job) {
+    std::vector<double> drow(static_cast<std::size_t>(m), 0.0);
+    std::vector<double> wrow(drow), ceiling(drow);
+    for (int s : job.sites) {
+      const auto su = static_cast<std::size_t>(s);
+      ceiling[su] = job.demands[su];
+      drow[su] = desired_demand(job, s);
+      wrow[su] = desired_workload(job, s, drow[su]);
+    }
+    return core::ProblemDelta::job_arrived(std::move(drow), std::move(wrow),
+                                           job.weight, std::move(ceiling),
+                                           job.profile);
+  };
 
   // Applies every fault event due at the current clock: rescale the
   // site's surviving capacity, destroy uncommitted progress on outages,
@@ -405,21 +429,7 @@ std::vector<JobRecord> Simulator::run(const workload::Trace& trace) {
         rec.completion = spec.arrival;  // empty job: completes on arrival
       } else {
         active.push_back(std::move(job));
-        if (inc) {
-          const ActiveJob& jb = active.back();
-          std::vector<double> drow(static_cast<std::size_t>(m), 0.0);
-          std::vector<double> wrow(static_cast<std::size_t>(m), 0.0);
-          std::vector<double> ceiling(static_cast<std::size_t>(m), 0.0);
-          for (int s : jb.sites) {
-            const auto su = static_cast<std::size_t>(s);
-            ceiling[su] = jb.demands[su];  // reserve for post-fault unmasking
-            drow[su] = desired_demand(jb, s);
-            wrow[su] = desired_workload(jb, s, drow[su]);
-          }
-          apply_delta(core::ProblemDelta::job_arrived(
-              std::move(drow), std::move(wrow), jb.weight,
-              std::move(ceiling), jb.profile));
-        }
+        if (inc) apply_delta(arrival(active.back()));
       }
       ++next_arrival;
     }
@@ -471,39 +481,14 @@ std::vector<JobRecord> Simulator::run(const workload::Trace& trace) {
         }
       }
     } else {
-      // From-scratch path: build the residual allocation problem anew.
-      core::Matrix demands(static_cast<std::size_t>(n)),
-          workloads(static_cast<std::size_t>(n));
-      std::vector<double> weights(static_cast<std::size_t>(n));
-      for (int j = 0; j < n; ++j) {
-        const auto& job = active[static_cast<std::size_t>(j)];
-        auto& drow = demands[static_cast<std::size_t>(j)];
-        drow.assign(static_cast<std::size_t>(m), 0.0);
-        for (int s = 0; s < m; ++s)
-          drow[static_cast<std::size_t>(s)] = desired_demand(job, s);
-        auto& wrow = workloads[static_cast<std::size_t>(j)];
-        wrow.assign(static_cast<std::size_t>(m), 0.0);
-        for (int s = 0; s < m; ++s)
-          wrow[static_cast<std::size_t>(s)] = desired_workload(
-              job, s, drow[static_cast<std::size_t>(s)]);
-        weights[static_cast<std::size_t>(j)] = job.weight;
-      }
-      if (multi) {
-        core::Matrix profiles(static_cast<std::size_t>(n));
-        for (int j = 0; j < n; ++j) {
-          const auto& job = active[static_cast<std::size_t>(j)];
-          profiles[static_cast<std::size_t>(j)] =
-              job.profile.empty()
-                  ? std::vector<double>(eff_mat.front().size(), 1.0)
-                  : job.profile;
-        }
-        scratch_problem = core::AllocationProblem::multi(
-            std::move(demands), eff_mat, std::move(profiles),
-            std::move(workloads), std::move(weights));
-      } else {
-        scratch_problem.emplace(std::move(demands), eff_cap,
-                                std::move(workloads), std::move(weights));
-      }
+      // From-scratch path: feed the residual allocation problem anew, one
+      // job row at a time.
+      if (multi)
+        scratch_problem = core::AllocationProblem::multi({}, eff_mat, {});
+      else
+        scratch_problem.emplace(core::Matrix{}, eff_cap);
+      for (const ActiveJob& job : active)
+        *scratch_problem = std::move(*scratch_problem).apply(arrival(job));
     }
     const core::AllocationProblem& problem = inc ? *live : *scratch_problem;
 
@@ -537,15 +522,10 @@ std::vector<JobRecord> Simulator::run(const workload::Trace& trace) {
         // First event, or the workspace dropped its network (fallback
         // tier switch, unrepresentable delta): re-prime with full arc
         // ceilings so future fault unmasking stays incremental.
-        core::Matrix ceilings(static_cast<std::size_t>(n),
-                              std::vector<double>(static_cast<std::size_t>(m),
-                                                  0.0));
-        for (int j = 0; j < n; ++j) {
-          const auto& job = active[static_cast<std::size_t>(j)];
-          for (int s : job.sites)
-            ceilings[static_cast<std::size_t>(j)][static_cast<std::size_t>(
-                s)] = job.demands[static_cast<std::size_t>(s)];
-        }
+        flow::DemandRows ceilings;
+        ceilings.width = m;
+        for (const ActiveJob& job : active)
+          ceilings.append_row(arrival(job).demand_ceiling);
         ws.prime(problem, &ceilings);
       }
       alloc = policy_.allocate(problem, ws);
@@ -566,83 +546,60 @@ std::vector<JobRecord> Simulator::run(const workload::Trace& trace) {
     series_.push_back(sample);
     if (config_.use_jct_addon) alloc = addon.optimize(problem, alloc);
 
-    if (!inc || config_.use_stability_addon) {
-      // Previous placement of the current active set (zeros for
-      // arrivals), materialized densely: the stability add-on needs the
-      // full matrix, and the from-scratch path keeps its original shape.
-      core::Matrix prev_matrix(
-          static_cast<std::size_t>(n),
-          std::vector<double>(static_cast<std::size_t>(m), 0.0));
+    // Previous placement of the current active set: no entries for
+    // arrivals. Shares (current and previous) are zero outside a job's
+    // site list, so churn, migration and drift only need the list
+    // entries, summed in ascending job then site order.
+    auto prev_of = [&](int j) -> const PrevPlacement* {
+      auto it = prev_shares.find(active[static_cast<std::size_t>(j)].id);
+      return it != prev_shares.end() ? &it->second : nullptr;
+    };
+    if (config_.use_stability_addon) {
+      flow::ShareRows prev_rows;
+      prev_rows.width = m;
       for (int j = 0; j < n; ++j) {
-        auto it = prev_shares.find(active[static_cast<std::size_t>(j)].id);
-        if (it != prev_shares.end())
-          prev_matrix[static_cast<std::size_t>(j)] = it->second.shares;
+        if (const PrevPlacement* prev = prev_of(j)) {
+          prev_rows.sites.insert(prev_rows.sites.end(), prev->sites.begin(),
+                                 prev->sites.end());
+          prev_rows.values.insert(prev_rows.values.end(),
+                                  prev->shares.begin(), prev->shares.end());
+        }
+        prev_rows.first.push_back(static_cast<int>(prev_rows.values.size()));
       }
-      core::Allocation prev_alloc(prev_matrix);
-      if (config_.use_stability_addon)
-        alloc = stability.optimize(problem, alloc, prev_alloc);
-      stats_.total_churn += core::StabilityAddon::churn(alloc, prev_alloc);
-      if (config_.migration_penalty > 0.0) {
+      alloc = stability.optimize(problem, alloc,
+                                 core::Allocation(std::move(prev_rows), {}));
+    }
+    double churn = 0.0;
+    for (int j = 0; j < n; ++j) {
+      auto& job = active[static_cast<std::size_t>(j)];
+      const PrevPlacement* prev = prev_of(j);
+      for (int s : job.sites) {
+        const double before = prev != nullptr ? prev->share(s) : 0.0;
+        const double now = alloc.share(j, s);
+        churn += std::abs(now - before);
         // Withdrawing allocation from an unfinished part costs progress.
-        for (int j = 0; j < n; ++j) {
-          auto& job = active[static_cast<std::size_t>(j)];
-          for (int s : job.sites) {
-            double r = job.remaining[static_cast<std::size_t>(s)];
-            if (r <= work_tol) continue;
-            double withdrawn = prev_alloc.share(j, s) - alloc.share(j, s);
-            if (multi) withdrawn /= job.gamma;  // dominant units -> tasks
-            if (withdrawn > 0.0)
-              job.remaining[static_cast<std::size_t>(s)] =
-                  r + config_.migration_penalty * withdrawn;
-          }
+        const double r = job.remaining[static_cast<std::size_t>(s)];
+        if (config_.migration_penalty > 0.0 && prev != nullptr &&
+            r > work_tol) {
+          double withdrawn = before - now;
+          if (multi) withdrawn /= job.gamma;  // dominant units -> tasks
+          if (withdrawn > 0.0)
+            job.remaining[static_cast<std::size_t>(s)] =
+                r + config_.migration_penalty * withdrawn;
         }
       }
-      for (int j = 0; j < n; ++j) {
-        stats_.aggregate_drift +=
-            std::abs(alloc.aggregate(j) - prev_alloc.aggregate(j));
-        prev_shares[active[static_cast<std::size_t>(j)].id] = {
-            alloc.shares()[static_cast<std::size_t>(j)], alloc.aggregate(j)};
-      }
-    } else {
-      // Sparse accounting: shares (current and previous) are zero outside
-      // a job's site list, so churn, migration and drift only need the
-      // list entries. Summation order matches the dense path — same jobs
-      // ascending, same sites ascending, skipped terms exactly zero.
-      double churn = 0.0;
-      for (int j = 0; j < n; ++j) {
-        auto& job = active[static_cast<std::size_t>(j)];
-        auto it = prev_shares.find(job.id);
-        const PrevPlacement* prev =
-            it != prev_shares.end() ? &it->second : nullptr;
-        for (int s : job.sites) {
-          const double before =
-              prev != nullptr ? prev->shares[static_cast<std::size_t>(s)]
-                              : 0.0;
-          churn += std::abs(alloc.share(j, s) - before);
-        }
-        if (config_.migration_penalty > 0.0 && prev != nullptr) {
-          for (int s : job.sites) {
-            double r = job.remaining[static_cast<std::size_t>(s)];
-            if (r <= work_tol) continue;
-            double withdrawn = prev->shares[static_cast<std::size_t>(s)] -
-                               alloc.share(j, s);
-            if (multi) withdrawn /= job.gamma;  // dominant units -> tasks
-            if (withdrawn > 0.0)
-              job.remaining[static_cast<std::size_t>(s)] =
-                  r + config_.migration_penalty * withdrawn;
-          }
-        }
-      }
-      stats_.total_churn += churn;
-      for (int j = 0; j < n; ++j) {
-        auto it = prev_shares.find(active[static_cast<std::size_t>(j)].id);
-        const double prev_aggregate =
-            it != prev_shares.end() ? it->second.aggregate : 0.0;
-        stats_.aggregate_drift +=
-            std::abs(alloc.aggregate(j) - prev_aggregate);
-        prev_shares[active[static_cast<std::size_t>(j)].id] = {
-            alloc.shares()[static_cast<std::size_t>(j)], alloc.aggregate(j)};
-      }
+    }
+    stats_.total_churn += churn;
+    for (int j = 0; j < n; ++j) {
+      const PrevPlacement* prev = prev_of(j);
+      stats_.aggregate_drift += std::abs(
+          alloc.aggregate(j) - (prev != nullptr ? prev->aggregate : 0.0));
+      const auto row = static_cast<std::size_t>(j);
+      const auto sites = alloc.shares().sites_of(row);
+      const auto shares = alloc.shares()[row];
+      prev_shares[active[row].id] = {{sites.begin(), sites.end()},
+                                     {shares.begin(), shares.end()},
+                                     alloc.aggregate(j)};
     }
     ++stats_.events;
 

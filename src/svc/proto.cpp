@@ -213,7 +213,7 @@ Json allocation_to_json(const core::Allocation& allocation,
   for (int j = 0; j < allocation.jobs(); ++j) {
     Json row = Json::object();
     row.set("id", Json(job_ids[static_cast<std::size_t>(j)]));
-    row.set("shares", to_json(allocation.shares()[static_cast<std::size_t>(j)]));
+    row.set("shares", to_json(allocation.shares().dense_row(j)));
     row.set("aggregate", Json(allocation.aggregate(j)));
     jobs.push_back(std::move(row));
   }
@@ -244,11 +244,9 @@ Json problem_to_json(const core::AllocationProblem& problem,
   for (int j = 0; j < problem.jobs(); ++j) {
     Json row = Json::object();
     row.set("id", Json(job_ids[static_cast<std::size_t>(j)]));
-    row.set("demands",
-            to_json(problem.task_demands()[static_cast<std::size_t>(j)]));
+    row.set("demands", to_json(problem.task_demand_row(j)));
     if (problem.has_workloads())
-      row.set("workloads",
-              to_json(problem.task_workloads()[static_cast<std::size_t>(j)]));
+      row.set("workloads", to_json(problem.task_workload_row(j)));
     row.set("weight", Json(problem.weight(j)));
     if (multi)
       row.set("profile",

@@ -879,7 +879,8 @@ void Session::serve_run(std::vector<Item>* run) {
           {
             AMF_SPAN_FLOW_STEP("svc/allocator", item.trace);
             if (problem_.jobs() == 0) {
-              last_allocation_ = core::Allocation({}, base_policy_->name());
+              last_allocation_ =
+                  core::Allocation(flow::ShareRows{}, base_policy_->name());
             } else {
               std::optional<util::StopToken> token;
               std::optional<util::ScopedStop> scoped;

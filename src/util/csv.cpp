@@ -33,6 +33,19 @@ bool read_csv_line(std::istream& in, std::string& line, long line_number) {
   return true;
 }
 
+std::size_t header_count(double value, const char* what, long line_number) {
+  AMF_REQUIRE(value >= 0.0 && value == std::floor(value),
+              std::string(what) + " count must be a non-negative integer" +
+                  at_line(line_number));
+  // Far above any real input, far below allocation-bomb territory for a
+  // caller that reserves from it.
+  constexpr double kMaxCount = 1e9;
+  AMF_REQUIRE(value <= kMaxCount, std::string(what) +
+                                      " count implausibly large" +
+                                      at_line(line_number));
+  return static_cast<std::size_t>(value);
+}
+
 double parse_csv_double(const std::string& cell, long line_number) {
   AMF_REQUIRE(!cell.empty(), "empty CSV cell" + at_line(line_number));
   const char* begin = cell.c_str();

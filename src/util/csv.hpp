@@ -34,6 +34,12 @@ bool read_csv_line(std::istream& in, std::string& line, long line_number);
 /// or is not finite (NaN/Inf are data errors in every consumer here).
 double parse_csv_double(const std::string& cell, long line_number);
 
+/// A count read from a header cell: an exact non-negative integer no
+/// larger than 1e9 (a NaN or negative double cast to size_t is undefined
+/// behavior, and a fractional count is a malformed file, not a rounding
+/// choice). Throws ContractError naming `what` and `line_number`.
+std::size_t header_count(double value, const char* what, long line_number);
+
 /// Splits one CSV line on ',' and parses every cell via parse_csv_double.
 std::vector<double> parse_csv_doubles(const std::string& line,
                                       long line_number);

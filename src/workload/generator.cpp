@@ -149,37 +149,19 @@ Generator::JobRow Generator::draw_job_row(
 core::AllocationProblem Generator::generate() {
   // R > 1 draws a capacity matrix instead of a scalar capacity row and a
   // Leontief profile per job; every extra draw is gated on the config so
-  // R = 1 consumes the exact pre-lift RNG sequence.
-  if (config_.resources > 1) {
-    auto capacity_matrix = draw_capacity_matrix(rng_);
-    std::vector<double> binding(capacity_matrix.size());
-    for (std::size_t s = 0; s < capacity_matrix.size(); ++s)
-      binding[s] = flow::binding_min(capacity_matrix[s]);
-    core::Matrix demands, workloads, profiles;
-    demands.reserve(static_cast<std::size_t>(config_.jobs));
-    workloads.reserve(static_cast<std::size_t>(config_.jobs));
-    profiles.reserve(static_cast<std::size_t>(config_.jobs));
-    for (int j = 0; j < config_.jobs; ++j) {
-      auto row = draw_job_row(binding, rng_);
-      demands.push_back(std::move(row.demands));
-      workloads.push_back(std::move(row.workloads));
-      profiles.push_back(draw_profile(rng_));
-    }
-    return core::AllocationProblem::multi(
-        std::move(demands), std::move(capacity_matrix), std::move(profiles),
-        std::move(workloads));
-  }
-  auto capacities = draw_capacities(rng_);
-  core::Matrix demands, workloads;
-  demands.reserve(static_cast<std::size_t>(config_.jobs));
-  workloads.reserve(static_cast<std::size_t>(config_.jobs));
+  // R = 1 consumes the exact pre-lift RNG sequence. Jobs arrive one row at
+  // a time, so no jobs × sites matrix is ever built.
+  const bool multi = config_.resources > 1;
+  core::AllocationProblem problem =
+      multi ? core::AllocationProblem::multi({}, draw_capacity_matrix(rng_), {})
+            : core::AllocationProblem({}, draw_capacities(rng_));
   for (int j = 0; j < config_.jobs; ++j) {
-    auto row = draw_job_row(capacities, rng_);
-    demands.push_back(std::move(row.demands));
-    workloads.push_back(std::move(row.workloads));
+    auto row = draw_job_row(problem.capacities(), rng_);
+    problem = std::move(problem).apply(core::ProblemDelta::job_arrived(
+        std::move(row.demands), std::move(row.workloads), 1.0, {},
+        multi ? draw_profile(rng_) : std::vector<double>{}));
   }
-  return core::AllocationProblem(std::move(demands), std::move(capacities),
-                                 std::move(workloads));
+  return problem;
 }
 
 }  // namespace amf::workload

@@ -86,23 +86,6 @@ std::vector<double> read_csv_row(std::istream& in, std::size_t expected,
   return row;
 }
 
-/// A header count must be an exact non-negative integer (a NaN or
-/// negative double cast to size_t is undefined behavior, and a fractional
-/// count is a malformed file, not a rounding choice for us to make).
-std::size_t header_count(double value, const char* what, long line_no) {
-  AMF_REQUIRE(value >= 0.0 && value == std::floor(value),
-              std::string(what) + " count must be a non-negative integer "
-                                  "(line " +
-                  std::to_string(line_no) + ")");
-  // Far above any real trace, far below allocation-bomb territory for the
-  // reserve() calls below.
-  constexpr double kMaxCount = 1e9;
-  AMF_REQUIRE(value <= kMaxCount,
-              std::string(what) + " count implausibly large (line " +
-                  std::to_string(line_no) + ")");
-  return static_cast<std::size_t>(value);
-}
-
 }  // namespace
 
 void save_trace(const Trace& trace, std::ostream& out) {
@@ -170,13 +153,14 @@ Trace load_trace(std::istream& in) {
   auto header = read_csv_row(in, 0, line_no);
   AMF_REQUIRE(header.size() >= 2 && header.size() <= 4,
               "trace header must be jobs,sites[,events[,resources]]");
-  const std::size_t count = header_count(header[0], "job", header_line);
-  const std::size_t m = header_count(header[1], "site", header_line);
+  const std::size_t count = util::header_count(header[0], "job", header_line);
+  const std::size_t m = util::header_count(header[1], "site", header_line);
   const std::size_t event_count =
-      header.size() >= 3 ? header_count(header[2], "event", header_line) : 0;
+      header.size() >= 3 ? util::header_count(header[2], "event", header_line)
+                         : 0;
   const bool multi = header.size() == 4;
   const std::size_t r =
-      multi ? header_count(header[3], "resource", header_line) : 1;
+      multi ? util::header_count(header[3], "resource", header_line) : 1;
   AMF_REQUIRE(m > 0, "trace needs at least one site (line 1)");
   AMF_REQUIRE(r > 0, "trace needs at least one resource (line 1)");
 

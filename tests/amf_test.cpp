@@ -6,13 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 
+#include "dense_mirror.hpp"
 #include "core/amf.hpp"
+#include "core/eamf.hpp"
+#include "core/jct.hpp"
 #include "core/metrics.hpp"
 #include "core/persite.hpp"
 #include "core/properties.hpp"
 #include "core/reference.hpp"
+#include "core/stability.hpp"
 #include "oracle/oracle.hpp"
 #include "util/error.hpp"
 #include "workload/generator.hpp"
@@ -344,7 +350,8 @@ TEST(AmfLpDifferential, WeightedInstancesAgreeToo) {
     auto base = gen.generate();
     std::vector<double> weights(static_cast<std::size_t>(base.jobs()));
     for (auto& w : weights) w = rng.uniform(0.5, 3.0);
-    AllocationProblem p(base.demands(), base.capacities(), {}, weights);
+    AllocationProblem p(test::dense_demands(base), base.capacities(), {},
+                        weights);
     auto a = kAmf.allocate(p);
     auto via_lp = lp_max_min_aggregates(p);
     for (int j = 0; j < p.jobs(); ++j)
@@ -373,7 +380,8 @@ TEST(AmfLpDifferential, ScalingEveryWeightLeavesTheReferenceUnchanged) {
     auto base = gen.generate();
     std::vector<double> weights(static_cast<std::size_t>(base.jobs()));
     for (auto& w : weights) w = 1000.0 * rng.uniform(0.5, 3.0);
-    AllocationProblem p(base.demands(), base.capacities(), {}, weights);
+    AllocationProblem p(test::dense_demands(base), base.capacities(), {},
+                        weights);
     auto a = kAmf.allocate(p);
     auto via_lp = lp_max_min_aggregates(p);
     for (int j = 0; j < p.jobs(); ++j)
@@ -405,6 +413,46 @@ TEST(AmfLpDifferential, UnitScaleInstancesAgreeToo) {
       EXPECT_NEAR(a.aggregate(j), via_lp[static_cast<std::size_t>(j)],
                   1e-4 * p.scale())
           << "trial " << trial << " job " << j;
+  }
+}
+
+// Every allocator's result lives on its problem's demand support: its
+// rows hold exactly the demand entries (ascending sites, zeros kept),
+// share() reads +0.0 everywhere else, and each aggregate is its row's
+// shares added in ascending site order.
+TEST(SparseAllocation, SharesLiveOnTheDemandSupport) {
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::uint64_t seed : {17u, 18u, 19u}) {
+    auto cfg = workload::paper_default(1.0, seed);
+    cfg.jobs = 40;
+    cfg.sites = 8;
+    cfg.sites_per_job_max = 3;
+    workload::Generator gen(cfg);
+    const AllocationProblem p = gen.generate();
+    const Allocation amf = AmfAllocator().allocate(p);
+    const Allocation none(flow::ShareRows::zeros_on(p.demands()), {});
+    const std::vector<Allocation> results{
+        amf, EnhancedAmfAllocator().allocate(p), PerSiteMaxMin().allocate(p),
+        JctAddon().optimize(p, amf), StabilityAddon().optimize(p, amf, none)};
+    for (const Allocation& a : results) {
+      SCOPED_TRACE(a.policy() + " seed " + std::to_string(seed));
+      ASSERT_EQ(a.jobs(), p.jobs());
+      ASSERT_EQ(a.sites(), p.sites());
+      ASSERT_EQ(a.shares().first, p.demands().first);
+      for (std::size_t k = 0; k < p.demands().entries.size(); ++k)
+        ASSERT_EQ(a.shares().sites[k], p.demands().entries[k].site);
+      for (int j = 0; j < p.jobs(); ++j) {
+        double sum = 0.0;
+        for (double v : a.shares()[static_cast<std::size_t>(j)]) sum += v;
+        EXPECT_EQ(bits(a.aggregate(j)), bits(sum)) << "job " << j;
+        for (int s = 0; s < p.sites(); ++s) {
+          if (p.demand(j, s) == 0.0) {
+            EXPECT_EQ(bits(a.share(j, s)), bits(0.0))
+                << "job " << j << " site " << s;
+          }
+        }
+      }
+    }
   }
 }
 

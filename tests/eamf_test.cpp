@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <numeric>
 
+#include "dense_mirror.hpp"
 #include "core/amf.hpp"
 #include "core/eamf.hpp"
 #include "core/metrics.hpp"
@@ -156,8 +157,9 @@ TEST(Eamf, SingleJobGetsCeiling) {
 
 TEST(DemandIndexFloors, MatchThePerJobFormulaOn1000Jobs) {
   // sharing_floors sums the weights once and walks each job's sparse row;
-  // every floor must equal the per-job dense formula bit for bit, and the
-  // sharing-incentive audit must agree with it too.
+  // every floor must equal the per-job dense formula over the dense input
+  // matrix bit for bit, and the sharing-incentive audit must agree with
+  // it too.
   workload::GeneratorConfig config;
   config.jobs = 1000;
   config.sites = 100;
@@ -169,8 +171,8 @@ TEST(DemandIndexFloors, MatchThePerJobFormulaOn1000Jobs) {
   util::Rng rng(3);
   std::vector<double> weights(1000);
   for (auto& w : weights) w = rng.uniform(0.25, 4.0);
-  const AllocationProblem p(generated.demands(), generated.capacities(), {},
-                            weights);
+  const Matrix demands = test::dense_demands(generated);
+  const AllocationProblem p(demands, generated.capacities(), {}, weights);
 
   const auto floors = EnhancedAmfAllocator::sharing_floors(p);
   ASSERT_EQ(floors.size(), 1000u);
@@ -178,7 +180,7 @@ TEST(DemandIndexFloors, MatchThePerJobFormulaOn1000Jobs) {
       std::accumulate(weights.begin(), weights.end(), 0.0);
   // Any allocation serves the audit; this one grants a third of each
   // demand.
-  Matrix shares = p.demands();
+  Matrix shares = demands;
   for (auto& row : shares)
     for (auto& a : row) a /= 3.0;
   const Allocation third(std::move(shares));
@@ -186,7 +188,8 @@ TEST(DemandIndexFloors, MatchThePerJobFormulaOn1000Jobs) {
   for (int j = 0; j < p.jobs(); ++j) {
     double share = 0.0;
     for (int s = 0; s < p.sites(); ++s)
-      share += std::min(p.demand(j, s),
+      share += std::min(demands[static_cast<std::size_t>(j)]
+                               [static_cast<std::size_t>(s)],
                         p.capacity(s) * p.weight(j) / weight_total);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(floors[static_cast<std::size_t>(j)]),
               std::bit_cast<std::uint64_t>(share))

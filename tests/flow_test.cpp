@@ -358,11 +358,26 @@ TEST(LowerBounds, ValidatesInput) {
 Matrix kDemands3x2{{10, 0}, {10, 10}, {0, 10}};
 std::vector<double> kCaps2{10, 10};
 
+/// The test edge of the one-pass build: a network over the CSR of a dense
+/// demand matrix (DemandRows::from_dense validates it).
+TransportNetwork dense_network(const Matrix& demands,
+                               const std::vector<double>& caps) {
+  return TransportNetwork(
+      DemandRows::from_dense(demands, static_cast<int>(caps.size())), caps);
+}
+
+/// The shares of `rows` as a dense matrix.
+Matrix dense_shares(const ShareRows& rows) {
+  Matrix out;
+  for (int j = 0; j < rows.rows(); ++j) out.push_back(rows.dense_row(j));
+  return out;
+}
+
 TEST(Transport, SaturatesFeasibleCaps) {
-  TransportNetwork net(kDemands3x2, kCaps2);
+  TransportNetwork net = dense_network(kDemands3x2, kCaps2);
   net.solve({5, 5, 5});
   EXPECT_TRUE(net.saturated());
-  auto a = net.allocation();
+  auto a = dense_shares(net.allocation());
   for (int j = 0; j < 3; ++j) {
     double sum = a[j][0] + a[j][1];
     EXPECT_NEAR(sum, 5.0, 1e-9) << "job " << j;
@@ -370,19 +385,19 @@ TEST(Transport, SaturatesFeasibleCaps) {
 }
 
 TEST(Transport, DetectsInfeasibleCaps) {
-  TransportNetwork net(kDemands3x2, kCaps2);
+  TransportNetwork net = dense_network(kDemands3x2, kCaps2);
   net.solve({10, 10, 10});  // total 30 > capacity 20
   EXPECT_FALSE(net.saturated());
 }
 
 TEST(Transport, SoloCeiling) {
-  TransportNetwork net(kDemands3x2, kCaps2);
+  TransportNetwork net = dense_network(kDemands3x2, kCaps2);
   EXPECT_DOUBLE_EQ(net.solo_ceiling(0), 10.0);
   EXPECT_DOUBLE_EQ(net.solo_ceiling(1), 20.0);
 }
 
 TEST(Transport, JobsCanIncreaseDetection) {
-  TransportNetwork net(kDemands3x2, kCaps2);
+  TransportNetwork net = dense_network(kDemands3x2, kCaps2);
   net.solve({10, 0, 0});
   ASSERT_TRUE(net.saturated());
   auto can = net.jobs_can_increase();
@@ -392,30 +407,35 @@ TEST(Transport, JobsCanIncreaseDetection) {
 }
 
 TEST(Transport, AggregatesFeasibleHelpers) {
-  EXPECT_TRUE(aggregates_feasible(kDemands3x2, kCaps2, {6, 7, 7}));
-  EXPECT_FALSE(aggregates_feasible(kDemands3x2, kCaps2, {11, 0, 0}));
-  auto alloc = allocation_for_aggregates(kDemands3x2, kCaps2, {5, 10, 5});
+  const DemandRows rows = DemandRows::from_dense(kDemands3x2, 2);
+  EXPECT_TRUE(allocation_for_aggregates(rows, kCaps2, {6, 7, 7}).has_value());
+  EXPECT_FALSE(allocation_for_aggregates(rows, kCaps2, {11, 0, 0}));
+  auto alloc = allocation_for_aggregates(rows, kCaps2, {5, 10, 5});
   ASSERT_TRUE(alloc.has_value());
-  EXPECT_NEAR((*alloc)[1][0] + (*alloc)[1][1], 10.0, 1e-9);
+  EXPECT_NEAR(alloc->at(1, 0) + alloc->at(1, 1), 10.0, 1e-9);
 }
 
 TEST(Transport, ScaleTracksLargestValue) {
-  TransportNetwork net(Matrix{{500.0}}, {200.0});
+  TransportNetwork net = dense_network(Matrix{{500.0}}, {200.0});
   EXPECT_DOUBLE_EQ(net.scale(), 500.0);
 }
 
 TEST(Transport, InputValidation) {
+  // Dense rows are validated where they become a CSR; the one-pass build
+  // validates the capacities and the CSR itself (see
+  // TransportDemandIndex.SparseBuildValidatesItsRows).
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(TransportNetwork(Matrix{{1, 2}, {1}}, kCaps2),
+  EXPECT_THROW(DemandRows::from_dense(Matrix{{1, 2}, {1}}, 2),
                util::ContractError);  // ragged row
-  EXPECT_THROW(TransportNetwork(Matrix{{1, -1}}, kCaps2), util::ContractError);
-  EXPECT_THROW(TransportNetwork(Matrix{{1, nan}}, kCaps2), util::ContractError);
-  EXPECT_THROW(TransportNetwork(Matrix{{1, 1}}, {10, -1}),
+  EXPECT_THROW(DemandRows::from_dense(Matrix{{1, -1}}, 2), util::ContractError);
+  EXPECT_THROW(DemandRows::from_dense(Matrix{{1, nan}}, 2),
+               util::ContractError);
+  EXPECT_THROW(dense_network(Matrix{{1, 1}}, {10, -1}),
                util::ContractError);  // negative site capacity
-  EXPECT_THROW(TransportNetwork(Matrix{{}}, {}), util::ContractError);
-  EXPECT_THROW(TransportNetwork(Matrix{}, {}), util::ContractError);
+  EXPECT_THROW(dense_network(Matrix{{}}, {}), util::ContractError);
+  EXPECT_THROW(dense_network(Matrix{}, {}), util::ContractError);
 
-  TransportNetwork net(kDemands3x2, kCaps2);
+  TransportNetwork net = dense_network(kDemands3x2, kCaps2);
   EXPECT_THROW(net.solve({1, 1}), util::ContractError);  // 2 caps, 3 jobs
   EXPECT_THROW(net.solve({1, -1, 1}), util::ContractError);
 }
@@ -424,20 +444,19 @@ long long counter(const char* name) {
   return obs::Registry::global().snapshot().counter(name);
 }
 
-void expect_same_bits(const Matrix& got, const Matrix& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t j = 0; j < got.size(); ++j) {
-    ASSERT_EQ(got[j].size(), want[j].size());
-    for (std::size_t s = 0; s < got[j].size(); ++s)
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j][s]),
-                std::bit_cast<std::uint64_t>(want[j][s]))
-          << "job " << j << " site " << s;
-  }
+void expect_same_bits(const ShareRows& got, const ShareRows& want) {
+  ASSERT_EQ(got.width, want.width);
+  ASSERT_EQ(got.first, want.first);
+  ASSERT_EQ(got.sites, want.sites);
+  for (std::size_t k = 0; k < got.values.size(); ++k)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.values[k]),
+              std::bit_cast<std::uint64_t>(want.values[k]))
+        << "entry " << k << " site " << got.sites[k];
 }
 
 TEST(Transport, RepeatedSolveIsServedFromTheHeldFlow) {
   const std::vector<double> a{10, 0, 0}, b{4, 7, 6};
-  TransportNetwork net(kDemands3x2, kCaps2);
+  TransportNetwork net = dense_network(kDemands3x2, kCaps2);
   net.solve(a);
   const double flow_b = net.solve(b);
   const long long calls = counter("amf_flow_maxflow_calls");
@@ -446,7 +465,7 @@ TEST(Transport, RepeatedSolveIsServedFromTheHeldFlow) {
   EXPECT_EQ(counter("amf_flow_maxflow_calls"), calls);
   EXPECT_EQ(counter("amf_flow_memo_hits"), hits + 1);
 
-  TransportNetwork fresh(kDemands3x2, kCaps2);
+  TransportNetwork fresh = dense_network(kDemands3x2, kCaps2);
   EXPECT_EQ(fresh.solve(b), flow_b);
   expect_same_bits(net.allocation(), fresh.allocation());
   EXPECT_EQ(net.saturated(), fresh.saturated());
@@ -468,7 +487,7 @@ TEST(Transport, MaxFlowCutShortByStopIsNotMemoized) {
   const std::vector<double> caps{5, 5};
   const util::StopToken fired{util::Deadline::after_ms(0.0)};
 
-  TransportNetwork one_shot(demands, kCaps2);
+  TransportNetwork one_shot = dense_network(demands, kCaps2);
   {
     util::ScopedStop scope(fired);
     EXPECT_EQ(one_shot.solve(caps), 0.0);
@@ -574,7 +593,7 @@ TEST(Transport, OnePassBuildMatchesTheIncrementalBuild) {
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     SCOPED_TRACE("input " + std::to_string(i));
     const auto& [demands, caps] = inputs[i];
-    TransportNetwork dense(demands, caps);
+    TransportNetwork dense = dense_network(demands, caps);
 
     TransportNetwork grown(caps);
     std::vector<int> active;
@@ -607,7 +626,7 @@ TEST(Transport, OnePassBuildMatchesTheIncrementalBuild) {
     if (demands.empty()) continue;
     const auto full = random_caps(demands.size());
     grown.solve(full);
-    const Matrix held = grown.allocation();
+    const Matrix held = dense_shares(grown.allocation());
     std::vector<double> shrunk = caps;
     for (std::size_t s = 0; s < caps.size(); ++s) {
       double through = 0.0;
@@ -615,16 +634,17 @@ TEST(Transport, OnePassBuildMatchesTheIncrementalBuild) {
       shrunk[s] = 0.5 * through;
       grown.set_site_capacity(static_cast<int>(s), shrunk[s]);
     }
-    TransportNetwork dense_shrunk(demands, shrunk);
+    TransportNetwork dense_shrunk = dense_network(demands, shrunk);
     for (int round = 0; round < 3; ++round)
       expect_same_network(grown, dense_shrunk, random_caps(demands.size()));
   }
 }
 
 TEST(TransportDemandIndex, DenseAdapterMatchesTheSparseBuild) {
-  // The dense constructor converts its matrix to rows and delegates; a
-  // network built straight from rows assembled here must match it in arc
-  // order (the same Dinic work) and in every flow bit.
+  // A test-local dense mirror — the same dense rows fed one by one through
+  // add_job — and a one-pass network over rows assembled here must agree
+  // in arc order (the same Dinic work) and in every flow bit; the rows
+  // must also be what DemandRows::from_dense makes of the dense matrix.
   auto dinic_work = [] {
     return std::pair{counter("amf_flow_augmenting_paths"),
                      counter("amf_flow_maxflow_phases")};
@@ -636,6 +656,7 @@ TEST(TransportDemandIndex, DenseAdapterMatchesTheSparseBuild) {
     Matrix demands(static_cast<std::size_t>(n),
                    std::vector<double>(static_cast<std::size_t>(m), 0.0));
     DemandRows rows;
+    rows.width = m;
     for (auto& row : demands) {
       for (int s = 0; s < m; ++s) {
         const double u = rng.uniform();
@@ -651,7 +672,10 @@ TEST(TransportDemandIndex, DenseAdapterMatchesTheSparseBuild) {
     for (auto& c : caps) c = rng.uniform(2.0, 20.0);
     EXPECT_EQ(DemandRows::from_dense(demands, m), rows);
 
-    TransportNetwork dense(demands, caps), sparse(rows, caps);
+    TransportNetwork dense(caps), sparse(rows, caps);
+    std::vector<int> ids;
+    for (const auto& row : demands) ids.push_back(add_dense_row(dense, row));
+    dense.set_active(ids);
     for (int round = 0; round < 4; ++round) {
       std::vector<double> source(static_cast<std::size_t>(n));
       for (auto& c : source) c = rng.uniform(0.0, 15.0);
@@ -676,13 +700,15 @@ TEST(TransportDemandIndex, RowTotalsMatchTheDenseSums) {
     for (auto& row : demands)
       for (auto& d : row)
         if (rng.bernoulli(0.4)) d = rng.uniform(0.0, 1.0) * 1e-3 + 0.1;
-    TransportNetwork net(demands, {0.3, 1.7, 0.0, 2.2, 0.9, 5.0});
+    TransportNetwork net =
+        dense_network(demands, {0.3, 1.7, 0.0, 2.2, 0.9, 5.0});
     std::vector<double> source(9);
     for (auto& c : source) c = rng.uniform(0.0, 1.0);
     net.solve(source);
     std::vector<double> totals;
-    const Matrix a = net.allocation(&totals);
-    expect_same_bits(a, net.allocation());
+    const ShareRows shares = net.allocation(&totals);
+    expect_same_bits(shares, net.allocation());
+    const Matrix a = dense_shares(shares);
     ASSERT_EQ(totals.size(), a.size());
     for (std::size_t j = 0; j < a.size(); ++j)
       EXPECT_EQ(std::bit_cast<std::uint64_t>(totals[j]),
@@ -726,7 +752,7 @@ TEST(TransportDemandIndex, SparseBuildValidatesItsRows) {
 
 TEST(Parametric, SymmetricThreeJobs) {
   // All three jobs rise together and hit the joint capacity at t = 20/3.
-  TransportNetwork net(kDemands3x2, kCaps2);
+  TransportNetwork net = dense_network(kDemands3x2, kCaps2);
   std::vector<ParametricSource> sources(3, {0.0, 1.0});
   auto res = solve_critical_level(net, sources, 0.0, 100.0, 1e-9);
   EXPECT_NEAR(res.level, 20.0 / 3.0, 1e-6);
@@ -738,7 +764,7 @@ TEST(Parametric, SymmetricThreeJobs) {
 TEST(Parametric, AsymmetricFreezesOnlyBottleneckJobs) {
   // Jobs 0 and 1 compete for site 0; job 2 owns site 1.
   Matrix demands{{10, 0}, {10, 0}, {0, 10}};
-  TransportNetwork net(demands, kCaps2);
+  TransportNetwork net = dense_network(demands, kCaps2);
   std::vector<ParametricSource> sources(3, {0.0, 1.0});
   auto res = solve_critical_level(net, sources, 0.0, 100.0, 1e-9);
   EXPECT_NEAR(res.level, 5.0, 1e-6);
@@ -749,14 +775,14 @@ TEST(Parametric, AsymmetricFreezesOnlyBottleneckJobs) {
 
 TEST(Parametric, RespectsFrozenSources) {
   Matrix demands{{10, 0}, {10, 0}, {0, 10}};
-  TransportNetwork net(demands, kCaps2);
+  TransportNetwork net = dense_network(demands, kCaps2);
   // Job 0 frozen at 2; jobs 1, 2 rise. Job 1 stops at 8 (site 0 leftover).
   std::vector<ParametricSource> sources{{2.0, 0.0}, {0.0, 1.0}, {0.0, 1.0}};
   auto res = solve_critical_level(net, sources, 0.0, 100.0, 1e-9);
   EXPECT_NEAR(res.level, 8.0, 1e-6);
   EXPECT_FALSE(res.can_increase[1]);
   EXPECT_TRUE(res.can_increase[2]);
-  auto alloc = net.allocation();
+  auto alloc = dense_shares(net.allocation());
   EXPECT_NEAR(alloc[0][0], 2.0, 1e-6);
   EXPECT_NEAR(alloc[1][0], 8.0, 1e-6);
 }
@@ -766,11 +792,11 @@ TEST(Parametric, WeightedSlopes) {
   // level t where 3t + t = 8 -> t = 2.
   Matrix demands{{8}, {8}};
   std::vector<double> caps{8};
-  TransportNetwork net(demands, caps);
+  TransportNetwork net = dense_network(demands, caps);
   std::vector<ParametricSource> sources{{0.0, 3.0}, {0.0, 1.0}};
   auto res = solve_critical_level(net, sources, 0.0, 100.0, 1e-9);
   EXPECT_NEAR(res.level, 2.0, 1e-6);
-  auto alloc = net.allocation();
+  auto alloc = dense_shares(net.allocation());
   EXPECT_NEAR(alloc[0][0], 6.0, 1e-6);
   EXPECT_NEAR(alloc[1][0], 2.0, 1e-6);
 }
@@ -779,7 +805,7 @@ TEST(Parametric, SegmentExhaustedWhenFeasibleThroughout) {
   // Single job with demand 10; the segment [0, 0.5] never binds.
   Matrix demands{{10}};
   std::vector<double> caps{10};
-  TransportNetwork net(demands, caps);
+  TransportNetwork net = dense_network(demands, caps);
   std::vector<ParametricSource> sources{{0.0, 1.0}};
   auto res = solve_critical_level(net, sources, 0.0, 0.5, 1e-9);
   EXPECT_TRUE(res.segment_exhausted);
@@ -790,7 +816,7 @@ TEST(Parametric, DemandCeilingBindsSingleJob) {
   // Job 0 capped by its own demand (3) rather than capacity.
   Matrix demands{{3}, {10}};
   std::vector<double> caps{100};
-  TransportNetwork net(demands, caps);
+  TransportNetwork net = dense_network(demands, caps);
   std::vector<ParametricSource> sources(2, {0.0, 1.0});
   auto res = solve_critical_level(net, sources, 0.0, 200.0, 1e-9);
   EXPECT_NEAR(res.level, 3.0, 1e-6);
@@ -813,7 +839,7 @@ TEST_P(ParametricRandomTest, LevelIsMaximalFeasible) {
   for (int j = 0; j < n; ++j)
     demands[j][static_cast<std::size_t>(rng.uniform_index(m))] += 5.0;
 
-  TransportNetwork net(demands, caps);
+  TransportNetwork net = dense_network(demands, caps);
   std::vector<ParametricSource> sources(n, {0.0, 1.0});
   auto res = solve_critical_level(net, sources, 0.0, 1000.0, 1e-9);
 

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/problem.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "workload/scenario.hpp"
@@ -136,6 +137,52 @@ TEST(TraceHardening, GeneratedTracesStillRoundTrip) {
                 1e-9 * (1.0 + trace.jobs[j].arrival));
     EXPECT_EQ(loaded.jobs[j].demands.size(), trace.jobs[j].demands.size());
   }
+}
+
+// ---------------------------------------------------------------------------
+// problem CSV (AllocationProblem::load, the stdin of amf_solve)
+
+std::string load_message(const std::string& text) {
+  std::istringstream in(text);
+  return contract_message([&] { core::AllocationProblem::load(in); });
+}
+
+TEST(ProblemLoadHardening, RejectsAFractionalJobCount) {
+  // Cast to size_t, 1.5 jobs would load as one job.
+  EXPECT_NE(load_message("1.5,1,0\n2\n3\n1\n").find("line 1"),
+            std::string::npos);
+}
+
+TEST(ProblemLoadHardening, RejectsANegativeJobCount) {
+  // A negative double cast to size_t is undefined behavior.
+  EXPECT_NE(load_message("-3,2,0\n").find("line 1"), std::string::npos);
+}
+
+TEST(ProblemLoadHardening, RejectsANanJobCount) {
+  EXPECT_NE(load_message("nan,2,0\n").find("line 1"), std::string::npos);
+}
+
+TEST(ProblemLoadHardening, RejectsAGarbageCellAsAContractError) {
+  EXPECT_NE(load_message("x,2,0\n").find("line 1"), std::string::npos);
+  EXPECT_NE(load_message("1,2,0\n1,oops\n").find("line 2"),
+            std::string::npos);
+}
+
+TEST(ProblemLoadHardening, NeverSizesStorageFromTheHeader) {
+  // Ten million jobs promised over a three-line file: the rows run out
+  // and the file is reported truncated, with nothing reserved up front.
+  const std::string msg = load_message("10000000,1,0\n1\n2\n");
+  EXPECT_NE(msg.find("truncated"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("line 4"), std::string::npos) << msg;
+}
+
+TEST(ProblemLoadHardening, ValidFilesStillLoad) {
+  std::istringstream in("2,2,1\n1,0\n0,3\n4,5\n2,0\n0,1\n1,2\n");
+  const auto p = core::AllocationProblem::load(in);
+  EXPECT_EQ(p.jobs(), 2);
+  EXPECT_EQ(p.demand(1, 1), 3.0);
+  EXPECT_EQ(p.workload(0, 0), 2.0);
+  EXPECT_EQ(p.weight(1), 2.0);
 }
 
 }  // namespace

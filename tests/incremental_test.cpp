@@ -16,6 +16,7 @@
 #include <random>
 #include <vector>
 
+#include "dense_mirror.hpp"
 #include "core/amf.hpp"
 #include "core/eamf.hpp"
 #include "core/problem.hpp"
@@ -570,8 +571,8 @@ core::AllocationProblem weighted_problem(util::Rng& rng, int jobs,
   const auto base = pinned_problem(rng, jobs, sites);
   std::vector<double> weights(static_cast<std::size_t>(jobs));
   for (auto& w : weights) w = rng.uniform(0.5, 3.0);
-  return core::AllocationProblem(base.demands(), base.capacities(), {},
-                                 weights);
+  return core::AllocationProblem(test::dense_demands(base),
+                                 base.capacities(), {}, weights);
 }
 
 // Fill rounds driven by hand on random instances, with affine sources that

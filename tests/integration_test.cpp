@@ -8,6 +8,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "dense_mirror.hpp"
 #include "amf.hpp"
 
 namespace amf {
@@ -129,8 +130,8 @@ TEST(Integration, WeightedPipelineEndToEnd) {
   std::vector<double> weights(static_cast<std::size_t>(base.jobs()));
   util::Rng rng(5);
   for (auto& w : weights) w = rng.uniform(0.5, 3.0);
-  core::AllocationProblem p(base.demands(), base.capacities(),
-                            base.workloads(), weights);
+  core::AllocationProblem p(test::dense_demands(base), base.capacities(),
+                            test::dense_workloads(base), weights);
   core::AmfAllocator amf;
   auto a = amf.allocate(p);
   EXPECT_TRUE(a.feasible_for(p));

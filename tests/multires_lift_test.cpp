@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "dense_mirror.hpp"
 #include "core/amf.hpp"
 #include "core/eamf.hpp"
 #include "core/persite.hpp"
@@ -327,7 +328,7 @@ TEST(MultiResProblem, RejectsNonFiniteEffectiveRows) {
   EXPECT_THROW((void)std::move(moved).apply(arrival), util::ContractError);
   EXPECT_EQ(moved.jobs(), 2);
   EXPECT_EQ(moved.profiles().size(), 2u);
-  EXPECT_EQ(moved.demand_rows().entries.size(), 2u);
+  EXPECT_EQ(moved.demands().entries.size(), 2u);
   const auto after = amf.allocate(moved, ws);
   EXPECT_EQ(after.aggregate(0), 10.0);
   EXPECT_EQ(after.aggregate(1), 10.0);
@@ -705,8 +706,10 @@ TEST(MultiResSvc, SnapshotCodecRoundTripsAtR2) {
   EXPECT_EQ(decoded.problem.resources(), 2);
   EXPECT_EQ(decoded.problem.capacity_matrix(), p.capacity_matrix());
   EXPECT_EQ(decoded.problem.profiles(), p.profiles());
-  EXPECT_EQ(decoded.problem.task_demands(), p.task_demands());
-  EXPECT_EQ(decoded.problem.task_workloads(), p.task_workloads());
+  EXPECT_EQ(test::dense_task_demands(decoded.problem),
+            test::dense_task_demands(p));
+  EXPECT_EQ(test::dense_task_workloads(decoded.problem),
+            test::dense_task_workloads(p));
   EXPECT_EQ(decoded.nominal_matrix, nominal);
   EXPECT_EQ(decoded.job_ids, ids);
   // Bytes are stable through a second encode.

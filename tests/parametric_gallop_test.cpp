@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "dense_mirror.hpp"
 #include "core/amf.hpp"
 #include "core/eamf.hpp"
 #include "core/problem.hpp"
@@ -81,8 +82,10 @@ core::AllocationProblem make_instance(const Instance& c, std::uint64_t seed) {
   util::Rng rng(seed ^ 0x5eedULL);
   std::vector<double> weights(static_cast<std::size_t>(c.jobs));
   for (auto& w : weights) w = rng.uniform(0.5, 3.0);
-  return core::AllocationProblem(problem.demands(), problem.capacities(),
-                                 problem.workloads(), std::move(weights));
+  return core::AllocationProblem(test::dense_demands(problem),
+                                 problem.capacities(),
+                                 test::dense_workloads(problem),
+                                 std::move(weights));
 }
 
 std::string label_of(const Instance& c, std::uint64_t seed) {

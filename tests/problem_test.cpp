@@ -14,6 +14,7 @@
 
 #include "core/allocation.hpp"
 #include "core/problem.hpp"
+#include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -204,8 +205,9 @@ TEST(Problem, LoadRejectsNegativeValues) {
 
 /// The positive entries of `demands`, built entry by entry here (not by
 /// the library's own helpers) as the reference the index must equal.
-flow::DemandRows positive_entries(const Matrix& demands) {
+flow::DemandRows positive_entries(const Matrix& demands, int sites) {
   flow::DemandRows rows;
+  rows.width = sites;
   for (const auto& row : demands) {
     for (std::size_t s = 0; s < row.size(); ++s)
       if (row[s] > 0.0)
@@ -215,12 +217,211 @@ flow::DemandRows positive_entries(const Matrix& demands) {
   return rows;
 }
 
-void expect_index_in_step(const AllocationProblem& p) {
-  ASSERT_EQ(p.demand_rows().rows(), p.jobs());
-  EXPECT_EQ(p.demand_rows(), positive_entries(p.demands()));
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// A test-local dense mirror of a problem: the raw n×m matrices the dense
+/// model stored, fed the same inputs and deltas as the problem under test
+/// and read through the dense model's formulas (effective value = raw ·
+/// γ, an entry where that is positive).
+struct DenseMirror {
+  bool multi = false;
+  Matrix demands, workloads;  ///< raw; workloads empty without them
+  std::vector<double> caps;   ///< effective
+  Matrix cap_matrix, profiles;
+  std::vector<double> weights;
+
+  std::size_t n() const { return demands.size(); }
+  std::size_t m() const { return caps.size(); }
+  double gamma(std::size_t j) const {
+    double g = multi ? 0.0 : 1.0;
+    if (multi)
+      for (double v : profiles[j]) g = std::max(g, v);
+    return g;
+  }
+  double eff_demand(std::size_t j, std::size_t s) const {
+    return demands[j][s] * gamma(j);
+  }
+  bool on_support(std::size_t j, std::size_t s) const {
+    return eff_demand(j, s) > 0.0;
+  }
+  double eff_workload(std::size_t j, std::size_t s) const {
+    return workloads.empty() ? 0.0 : workloads[j][s] * gamma(j);
+  }
+  Matrix effective() const {
+    Matrix e(n(), std::vector<double>(m(), 0.0));
+    for (std::size_t j = 0; j < n(); ++j)
+      for (std::size_t s = 0; s < m(); ++s) e[j][s] = eff_demand(j, s);
+    return e;
+  }
+
+  void apply(const ProblemDelta& delta) {
+    const auto j = static_cast<std::size_t>(delta.job);
+    const auto s = static_cast<std::size_t>(delta.site);
+    switch (delta.kind) {
+      case ProblemDelta::Kind::kJobArrived: {
+        const bool track_work = !workloads.empty() || demands.empty();
+        demands.push_back(delta.demand_row);
+        if (!delta.workload_row.empty() && track_work)
+          workloads.push_back(delta.workload_row);
+        else if (!workloads.empty())
+          workloads.emplace_back(m(), 0.0);
+        weights.push_back(delta.weight);
+        if (multi)
+          profiles.push_back(delta.profile_row.empty()
+                                 ? std::vector<double>(
+                                       cap_matrix.front().size(), 1.0)
+                                 : delta.profile_row);
+        break;
+      }
+      case ProblemDelta::Kind::kJobDeparted:
+        demands.erase(demands.begin() + delta.job);
+        if (!workloads.empty()) workloads.erase(workloads.begin() + delta.job);
+        weights.erase(weights.begin() + delta.job);
+        if (multi) profiles.erase(profiles.begin() + delta.job);
+        break;
+      case ProblemDelta::Kind::kSiteCapacity:
+        caps[s] = delta.value;
+        break;
+      case ProblemDelta::Kind::kCapacityVec:
+        if (multi) {
+          cap_matrix[s] = delta.capacity_row;
+          caps[s] = *std::min_element(delta.capacity_row.begin(),
+                                      delta.capacity_row.end());
+        } else {
+          caps[s] = delta.capacity_row.front();
+        }
+        break;
+      case ProblemDelta::Kind::kDemandSet:
+        demands[j][s] = delta.value;
+        break;
+      case ProblemDelta::Kind::kWorkloadSet:
+        workloads[j][s] = delta.value;
+        break;
+      case ProblemDelta::Kind::kProfileSet:
+        profiles[j] = delta.profile_row;
+        break;
+    }
+  }
+
+  /// This mirror with every value passed through save()'s decimal form,
+  /// as a save/load round trip leaves it.
+  DenseMirror rounded() const {
+    auto round = [](Matrix& rows) {
+      for (auto& row : rows)
+        for (double& v : row) v = std::stod(util::CsvWriter::format(v));
+    };
+    DenseMirror r = *this;
+    Matrix flat{r.caps, r.weights};
+    round(r.demands);
+    round(r.workloads);
+    round(r.cap_matrix);
+    round(r.profiles);
+    round(flat);
+    r.caps = flat[0];
+    r.weights = flat[1];
+    return r;
+  }
+
+  /// The CSV the dense model saved; a zero of either sign, and a raw
+  /// demand whose effective value is zero, saves as 0.
+  std::string saved() const {
+    std::ostringstream out;
+    auto emit = [&out](const std::vector<double>& row) {
+      for (std::size_t i = 0; i < row.size(); ++i)
+        out << (i ? "," : "") << util::CsvWriter::format(row[i]);
+      out << '\n';
+    };
+    const bool work = !workloads.empty();
+    out << n() << ',' << m() << ',' << (work ? 1 : 0);
+    if (multi) out << ',' << cap_matrix.front().size();
+    out << '\n';
+    for (std::size_t j = 0; j < n(); ++j) {
+      std::vector<double> row(m(), 0.0);
+      for (std::size_t s = 0; s < m(); ++s)
+        if (on_support(j, s)) row[s] = demands[j][s];
+      emit(row);
+    }
+    if (multi) {
+      for (const auto& row : cap_matrix) emit(row);
+      for (const auto& row : profiles) emit(row);
+    } else {
+      emit(caps);
+    }
+    if (work)
+      for (std::size_t j = 0; j < n(); ++j) {
+        std::vector<double> row(m(), 0.0);
+        for (std::size_t s = 0; s < m(); ++s)
+          if (on_support(j, s)) row[s] = workloads[j][s];
+        emit(row);
+      }
+    emit(weights);
+    return out.str();
+  }
+};
+
+/// Every accessor of `p` agrees with the mirror's dense formulas bit for
+/// bit (zeros of either sign read +0.0), and save() writes its bytes.
+void expect_mirrors(const AllocationProblem& p, const DenseMirror& d) {
+  ASSERT_EQ(p.jobs(), static_cast<int>(d.n()));
+  ASSERT_EQ(p.sites(), static_cast<int>(d.m()));
+  EXPECT_EQ(p.multi_resource(), d.multi);
+  EXPECT_EQ(p.has_workloads(), !d.workloads.empty());
+  EXPECT_EQ(p.demands(), positive_entries(d.effective(), p.sites()));
+  double scale = 1.0;
+  for (double c : d.caps) scale = std::max(scale, c);
+  for (const auto& row : d.effective())
+    for (double v : row) scale = std::max(scale, v);
+  EXPECT_EQ(bits(p.scale()), bits(scale));
+  const double weight_total =
+      std::accumulate(d.weights.begin(), d.weights.end(), 0.0);
+  const auto split = p.equal_split_shares();
+  for (std::size_t s = 0; s < d.m(); ++s)
+    EXPECT_EQ(bits(p.capacity(static_cast<int>(s))), bits(d.caps[s]));
+  for (std::size_t j = 0; j < d.n(); ++j) {
+    const int jj = static_cast<int>(j);
+    EXPECT_EQ(bits(p.weight(jj)), bits(d.weights[j]));
+    EXPECT_EQ(bits(p.gamma(jj)), bits(d.gamma(j)));
+    double solo = 0.0, share = 0.0, work = 0.0;
+    for (std::size_t s = 0; s < d.m(); ++s) {
+      const int ss = static_cast<int>(s);
+      const bool on = d.on_support(j, s);
+      EXPECT_EQ(bits(p.demand(jj, ss)), bits(on ? d.eff_demand(j, s) : 0.0))
+          << "job " << j << " site " << s;
+      EXPECT_EQ(bits(p.task_demand(jj, ss)), bits(on ? d.demands[j][s] : 0.0));
+      EXPECT_EQ(bits(p.workload(jj, ss)),
+                bits(on ? d.eff_workload(j, s) : 0.0));
+      EXPECT_EQ(bits(p.task_workload(jj, ss)),
+                bits(on && !d.workloads.empty() ? d.workloads[j][s] : 0.0));
+      solo += std::min(d.eff_demand(j, s), d.caps[s]);
+      share += std::min(d.eff_demand(j, s),
+                        d.caps[s] * d.weights[j] / weight_total);
+      work += d.eff_workload(j, s);
+    }
+    EXPECT_EQ(bits(p.solo_ceiling(jj)), bits(solo)) << "job " << j;
+    EXPECT_EQ(bits(p.equal_split_share(jj)), bits(share)) << "job " << j;
+    EXPECT_EQ(bits(split[j]), bits(share)) << "job " << j;
+    EXPECT_EQ(bits(p.total_work(jj)), bits(work)) << "job " << j;
+  }
+  std::ostringstream saved;
+  p.save(saved);
+  EXPECT_EQ(saved.str(), d.saved());
 }
 
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+/// A problem and its mirror built from the same dense input.
+struct Instance {
+  AllocationProblem problem;
+  DenseMirror mirror;
+};
+
+Instance build(DenseMirror d) {
+  Instance inst{d.multi ? AllocationProblem::multi(d.demands, d.cap_matrix,
+                                                   d.profiles, d.workloads,
+                                                   d.weights)
+                        : AllocationProblem(d.demands, d.caps, d.workloads,
+                                            d.weights),
+                d};
+  return inst;
+}
 
 /// A demand drawn so that zeros, positives and -0.0 all occur.
 double draw_demand(util::Rng& rng) {
@@ -236,6 +437,15 @@ std::vector<double> draw_row(util::Rng& rng, int m) {
   return row;
 }
 
+/// Workloads on the positive demands of `demands` (zero or positive).
+std::vector<double> draw_work(util::Rng& rng,
+                              const std::vector<double>& demands) {
+  std::vector<double> row(demands.size(), 0.0);
+  for (std::size_t s = 0; s < row.size(); ++s)
+    if (demands[s] > 0.0 && rng.bernoulli(0.7)) row[s] = rng.uniform(0.5, 30.0);
+  return row;
+}
+
 std::vector<double> draw_profile(util::Rng& rng, int r) {
   std::vector<double> row(static_cast<std::size_t>(r));
   for (auto& v : row) v = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.1, 3.0);
@@ -243,46 +453,85 @@ std::vector<double> draw_profile(util::Rng& rng, int r) {
   return row;
 }
 
-AllocationProblem random_problem(util::Rng& rng, bool multi, int n, int m) {
-  Matrix d(static_cast<std::size_t>(n));
-  for (auto& row : d) row = draw_row(rng, m);
-  if (!multi) {
-    std::vector<double> caps(static_cast<std::size_t>(m));
-    for (auto& c : caps) c = rng.uniform(1.0, 20.0);
-    return AllocationProblem(std::move(d), std::move(caps));
+/// A random instance with `r` resources (0 = scalar), optionally with
+/// workloads and non-unit weights.
+Instance random_instance(util::Rng& rng, int r, int n, int m,
+                         bool work = false) {
+  DenseMirror d;
+  d.multi = r > 0;
+  d.demands.resize(static_cast<std::size_t>(n));
+  for (auto& row : d.demands) row = draw_row(rng, m);
+  if (work)
+    for (const auto& row : d.demands)
+      d.workloads.push_back(draw_work(rng, row));
+  d.weights.assign(static_cast<std::size_t>(n), 1.0);
+  if (work)
+    for (auto& w : d.weights) w = rng.uniform(0.5, 2.0);
+  d.caps.resize(static_cast<std::size_t>(m));
+  if (!d.multi) {
+    for (auto& c : d.caps) c = rng.uniform(1.0, 20.0);
+    return build(std::move(d));
   }
-  const int r = 3;
-  Matrix caps(static_cast<std::size_t>(m), std::vector<double>(3));
-  for (auto& row : caps)
-    for (auto& c : row) c = rng.uniform(1.0, 20.0);
-  Matrix profiles(static_cast<std::size_t>(n));
-  for (auto& row : profiles) row = draw_profile(rng, r);
-  return AllocationProblem::multi(std::move(d), std::move(caps),
-                                  std::move(profiles));
+  d.cap_matrix.assign(static_cast<std::size_t>(m),
+                      std::vector<double>(static_cast<std::size_t>(r)));
+  for (std::size_t s = 0; s < d.cap_matrix.size(); ++s) {
+    for (auto& c : d.cap_matrix[s]) c = rng.uniform(1.0, 20.0);
+    d.caps[s] = *std::min_element(d.cap_matrix[s].begin(),
+                                  d.cap_matrix[s].end());
+  }
+  for (int j = 0; j < n; ++j) d.profiles.push_back(draw_profile(rng, r));
+  return build(std::move(d));
+}
+
+AllocationProblem random_problem(util::Rng& rng, bool multi, int n, int m) {
+  return random_instance(rng, multi ? 3 : 0, n, m).problem;
 }
 
 TEST(DemandIndex, EveryConstructorBuildsIt) {
   util::Rng rng(11);
-  for (bool multi : {false, true}) {
-    SCOPED_TRACE(multi ? "multi-resource" : "scalar");
-    const auto p = random_problem(rng, multi, 9, 5);
-    expect_index_in_step(p);
-    expect_index_in_step(p.subset({8, 0, 4}));
-    expect_index_in_step(p.subset({}));
-    expect_index_in_step(p.with_reported_demands(3, draw_row(rng, 5)));
+  for (int r : {0, 3}) {
+    SCOPED_TRACE(r > 0 ? "multi-resource" : "scalar");
+    const auto [p, d] = random_instance(rng, r, 9, 5);
+    expect_mirrors(p, d);
+    auto subset = [&d](const std::vector<std::size_t>& rows) {
+      DenseMirror s = d;
+      s.demands.clear();
+      s.weights.clear();
+      s.profiles.clear();
+      for (std::size_t j : rows) {
+        s.demands.push_back(d.demands[j]);
+        s.weights.push_back(d.weights[j]);
+        if (d.multi) s.profiles.push_back(d.profiles[j]);
+      }
+      return s;
+    };
+    expect_mirrors(p.subset({8, 0, 4}), subset({8, 0, 4}));
+    expect_mirrors(p.subset({}), subset({}));
+    const auto lie = draw_row(rng, 5);
+    DenseMirror lied = d;
+    lied.demands[3] = lie;
+    expect_mirrors(p.with_reported_demands(3, lie), lied);
     std::stringstream ss;
     p.save(ss);
-    expect_index_in_step(AllocationProblem::load(ss));
+    expect_mirrors(AllocationProblem::load(ss), d.rounded());
   }
-  expect_index_in_step(AllocationProblem(Matrix{}, {4.0}));
-  expect_index_in_step(make_basic());
+  DenseMirror empty;
+  empty.caps = {4.0};
+  expect_mirrors(AllocationProblem(Matrix{}, {4.0}), empty);
+  DenseMirror basic;
+  basic.demands = {{10, 0}, {10, 10}, {0, 10}};
+  basic.workloads = {{5, 0}, {3, 3}, {0, 8}};
+  basic.caps = {10, 10};
+  basic.weights = {1, 1, 1};
+  expect_mirrors(make_basic(), basic);
   // A tiny raw demand whose effective value underflows to zero has no
   // entry: the index mirrors the effective matrix.
   const auto tiny = AllocationProblem::multi(
       {{1e-300, 2.0}}, {{5.0, 5.0}, {5.0, 5.0}}, {{1e-30, 1e-30}});
   EXPECT_EQ(tiny.demand(0, 0), 0.0);
-  expect_index_in_step(tiny);
-  EXPECT_EQ(tiny.demand_rows().entries.size(), 1u);
+  EXPECT_EQ(tiny.demands(),
+            positive_entries({{1e-300 * 1e-30, 2.0 * 1e-30}}, 2));
+  EXPECT_EQ(tiny.demands().entries.size(), 1u);
 }
 
 TEST(DemandIndex, ValidationScanSortsEveryKindOfDouble) {
@@ -300,8 +549,12 @@ TEST(DemandIndex, ValidationScanSortsEveryKindOfDouble) {
     const Matrix d{{1.0, v, 2.0}, {v, 0.0, v}};
     if (v >= 0.0 && std::isfinite(v)) {
       const AllocationProblem p(d, {1.0, 1.0, 1.0});
-      expect_index_in_step(p);
-      EXPECT_EQ(p.demand_rows().entries.size(), v > 0.0 ? 5u : 2u);
+      DenseMirror mirror;
+      mirror.demands = d;
+      mirror.caps = {1.0, 1.0, 1.0};
+      mirror.weights = {1.0, 1.0};
+      expect_mirrors(p, mirror);
+      EXPECT_EQ(p.demands().entries.size(), v > 0.0 ? 5u : 2u);
     } else {
       EXPECT_THROW(AllocationProblem(d, {1.0, 1.0, 1.0}), util::ContractError);
     }
@@ -323,60 +576,82 @@ TEST(DemandIndex, ValidationScanSortsEveryKindOfDouble) {
 }
 
 TEST(DemandIndex, RandomDeltasKeepItInStep) {
-  for (bool multi : {false, true}) {
+  // Scalar, R = 3 without workloads and R = 2 with workloads and weights:
+  // every delta kind, checked after each step against the dense mirror.
+  struct Shape {
+    int r;
+    bool work;
+  };
+  for (const Shape shape : {Shape{0, false}, Shape{0, true}, Shape{3, false},
+                            Shape{2, true}}) {
     for (std::uint64_t seed = 0; seed < 6; ++seed) {
-      SCOPED_TRACE(std::string(multi ? "multi" : "scalar") + " seed " +
+      SCOPED_TRACE("R " + std::to_string(shape.r) + " work " +
+                   std::to_string(shape.work) + " seed " +
                    std::to_string(seed));
       util::Rng rng(900 + seed);
       const int m = 6;
-      AllocationProblem p = random_problem(rng, multi, 7, m);
-      expect_index_in_step(p);
+      auto [p, mirror] = random_instance(rng, shape.r, 7, m, shape.work);
+      ASSERT_NO_FATAL_FAILURE(expect_mirrors(p, mirror));
       for (int step = 0; step < 120; ++step) {
         const int n = p.jobs();
         const double u = rng.uniform();
         ProblemDelta delta;
         if (n == 0 || u < 0.2) {
+          auto row = draw_row(rng, m);
+          auto work = shape.work ? draw_work(rng, row) : std::vector<double>{};
           delta = ProblemDelta::job_arrived(
-              draw_row(rng, m), {}, rng.uniform(0.5, 2.0), {},
-              multi && rng.bernoulli(0.5) ? draw_profile(rng, 3)
-                                          : std::vector<double>{});
+              std::move(row), std::move(work), rng.uniform(0.5, 2.0), {},
+              shape.r > 0 && rng.bernoulli(0.5) ? draw_profile(rng, shape.r)
+                                                : std::vector<double>{});
         } else if (u < 0.4) {
           // First, middle and last rows in turn, besides random ones.
           const int pick[] = {0, n / 2, n - 1,
                               static_cast<int>(rng.uniform_int(0, n - 1))};
           delta = ProblemDelta::job_departed(pick[step % 4]);
-        } else if (u < 0.75) {
-          // Values move between zero and positive in both directions.
+        } else if (u < 0.65) {
+          // Values move between zero and positive in both directions; a
+          // demand with work on it is not zeroed.
           const int j = static_cast<int>(rng.uniform_int(0, n - 1));
           const int s = static_cast<int>(rng.uniform_int(0, m - 1));
           const double now = p.task_demand(j, s);
-          const double value =
+          double value =
               now > 0.0 ? (rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.5, 9.0))
                         : draw_demand(rng);
+          if (p.task_workload(j, s) > 0.0 && !(value > 0.0)) value = 1.0;
           delta = ProblemDelta::demand_set(j, s, value);
+        } else if (u < 0.75 && p.has_workloads()) {
+          // Workloads change only where the demand is positive.
+          const int j = static_cast<int>(rng.uniform_int(0, n - 1));
+          const int s = static_cast<int>(rng.uniform_int(0, m - 1));
+          const double value = p.demand(j, s) > 0.0 && rng.bernoulli(0.7)
+                                   ? rng.uniform(0.5, 30.0)
+                                   : 0.0;
+          delta = ProblemDelta::workload_set(j, s, value);
         } else if (u < 0.85) {
           const int s = static_cast<int>(rng.uniform_int(0, m - 1));
-          delta = multi ? ProblemDelta::set_capacity_vec(
-                              s, {rng.uniform(0.0, 9.0), rng.uniform(0.0, 9.0),
-                                  rng.uniform(0.0, 9.0)})
-                        : ProblemDelta::site_capacity(s, rng.uniform(0.0, 9.0));
-        } else if (multi) {
+          std::vector<double> row(
+              static_cast<std::size_t>(std::max(shape.r, 1)));
+          for (auto& c : row) c = rng.uniform(0.0, 9.0);
+          delta = shape.r > 0 ? ProblemDelta::set_capacity_vec(s, row)
+                              : ProblemDelta::site_capacity(s, row.front());
+        } else if (shape.r > 0) {
           const int j = static_cast<int>(rng.uniform_int(0, n - 1));
-          delta = ProblemDelta::set_profile(j, draw_profile(rng, 3));
+          delta = ProblemDelta::set_profile(j, draw_profile(rng, shape.r));
         } else {
           const int s = static_cast<int>(rng.uniform_int(0, m - 1));
           delta = ProblemDelta::set_capacity_vec(s, {rng.uniform(0.0, 9.0)});
         }
         if (step % 2 == 0) {
           // The copying overload leaves its source as it was.
-          const flow::DemandRows before = p.demand_rows();
+          const flow::DemandRows before = p.demands();
           AllocationProblem next = p.apply(delta);
-          EXPECT_EQ(p.demand_rows(), before);
+          EXPECT_EQ(p.demands(), before);
           p = std::move(next);
         } else {
           p = std::move(p).apply(delta);
         }
-        ASSERT_NO_FATAL_FAILURE(expect_index_in_step(p)) << "step " << step;
+        mirror.apply(delta);
+        ASSERT_NO_FATAL_FAILURE(expect_mirrors(p, mirror)) << "step " << step;
       }
     }
   }
@@ -384,41 +659,25 @@ TEST(DemandIndex, RandomDeltasKeepItInStep) {
 
 TEST(DemandIndex, WorkloadDeltasLeaveItAlone) {
   AllocationProblem p = make_basic();
-  const flow::DemandRows before = p.demand_rows();
+  const flow::DemandRows before = p.demands();
   p = std::move(p).apply(ProblemDelta::workload_set(1, 0, 7.0));
+  EXPECT_EQ(p.demands(), before);
   p = std::move(p).apply(ProblemDelta::workload_set(0, 0, 0.0));
   // Clearing the workload lets the demand drop to zero: the entry goes.
   p = std::move(p).apply(ProblemDelta::demand_set(0, 0, 0.0));
-  EXPECT_EQ(before.entries.size(), p.demand_rows().entries.size() + 1);
-  expect_index_in_step(p);
+  EXPECT_EQ(before.entries.size(), p.demands().entries.size() + 1);
+  EXPECT_EQ(p.demands(),
+            positive_entries({{0, 0}, {10, 10}, {0, 10}}, p.sites()));
+  EXPECT_EQ(p.workload(1, 0), 7.0);
 }
 
 TEST(DemandIndex, SparseReadsMatchTheDenseFormulas) {
   // scale(), solo_ceiling() and the equal-split shares read the index;
-  // each must equal the dense formula bit for bit.
+  // each must equal the mirror's dense formula bit for bit.
   util::Rng rng(5);
-  for (bool multi : {false, true}) {
-    const auto p = random_problem(rng, multi, 40, 9);
-    double scale = 1.0;
-    for (double c : p.capacities()) scale = std::max(scale, c);
-    for (const auto& row : p.demands())
-      for (double d : row) scale = std::max(scale, d);
-    EXPECT_EQ(bits(p.scale()), bits(scale));
-    const double weight_total =
-        std::accumulate(p.weights().begin(), p.weights().end(), 0.0);
-    const auto shares = p.equal_split_shares();
-    ASSERT_EQ(static_cast<int>(shares.size()), p.jobs());
-    for (int j = 0; j < p.jobs(); ++j) {
-      double solo = 0.0, share = 0.0;
-      for (int s = 0; s < p.sites(); ++s) {
-        solo += std::min(p.demand(j, s), p.capacity(s));
-        share += std::min(p.demand(j, s),
-                          p.capacity(s) * p.weight(j) / weight_total);
-      }
-      EXPECT_EQ(bits(p.solo_ceiling(j)), bits(solo)) << "job " << j;
-      EXPECT_EQ(bits(p.equal_split_share(j)), bits(share)) << "job " << j;
-      EXPECT_EQ(bits(shares[static_cast<std::size_t>(j)]), bits(share));
-    }
+  for (int r : {0, 3}) {
+    const auto [p, mirror] = random_instance(rng, r, 40, 9, true);
+    expect_mirrors(p, mirror);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/amf.hpp"
+#include "core/eamf.hpp"
 #include "core/persite.hpp"
 #include "core/robust.hpp"
 #include "util/error.hpp"
@@ -129,6 +130,28 @@ TEST(RobustAllocator, PerSiteTierIsTheUnconditionalBackstop) {
   auto problem = small_problem();
   auto alloc = persite.allocate(problem);
   EXPECT_TRUE(alloc.feasible_for(problem));
+}
+
+// Sites (1e8, 1): one job demands 1e8 at site 0, ten jobs demand 1 at
+// site 1. The equal-split floors are feasible, but the floor probe's flow
+// tolerance (eps × 1e8) swallows the small jobs' floors of 1/11, so the
+// E-AMF primary cannot saturate them. That is a solver failure on a
+// valid instance: it raises InternalError, and the chain falls back to a
+// feasible allocation instead of rejecting the request.
+TEST(RobustAllocator, EnhancedAmfFloorProbeFailureFallsBack) {
+  Matrix demands(11, std::vector<double>{0.0, 1.0});
+  demands[0] = {1e8, 0.0};
+  const AllocationProblem p(demands, {1e8, 1.0});
+  const EnhancedAmfAllocator eamf;
+  EXPECT_THROW((void)eamf.allocate(p), util::InternalError);
+  RobustAllocator robust(eamf);
+  const Allocation a = robust.allocate(p);
+  EXPECT_TRUE(a.feasible_for(p));
+  const FallbackStats stats = robust.fallback_stats();
+  EXPECT_EQ(stats.calls(), 1);
+  EXPECT_EQ(stats.served[0], 0);
+  EXPECT_EQ(stats.failures[0], 1);
+  EXPECT_NE(stats.last, FallbackTier::kPrimary);
 }
 
 TEST(FallbackTier, NamesAreStable) {

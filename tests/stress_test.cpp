@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dense_mirror.hpp"
 #include "core/amf.hpp"
 #include "core/eamf.hpp"
 #include "core/metrics.hpp"
@@ -124,8 +125,8 @@ TEST(Stress, ClonedJobsGetEqualAggregates) {
   cfg.jobs = 4;
   workload::Generator gen(cfg);
   auto base = gen.generate();
-  Matrix d = base.demands();
-  Matrix w = base.workloads();
+  Matrix d = test::dense_demands(base);
+  Matrix w = test::dense_workloads(base);
   // Clone job 0 three times.
   for (int c = 0; c < 3; ++c) {
     d.push_back(d[0]);
@@ -165,9 +166,10 @@ TEST(Stress, CapacityScalingMonotonicity) {
     auto a = kAmf.allocate(p);
     std::vector<double> caps = p.capacities();
     for (auto& c : caps) c *= 2.0;
-    Matrix d = p.demands();
+    Matrix d = test::dense_demands(p);
     // Demands capped at old capacities stay valid under bigger ones.
-    AllocationProblem bigger(std::move(d), std::move(caps), p.workloads());
+    AllocationProblem bigger(std::move(d), std::move(caps),
+                             test::dense_workloads(p));
     auto b = kAmf.allocate(bigger);
     for (int j = 0; j < p.jobs(); ++j)
       EXPECT_GE(b.aggregate(j), a.aggregate(j) - 1e-5 * p.scale())

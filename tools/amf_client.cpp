@@ -74,10 +74,9 @@ int run_solve(amf::svc::Client& client, const std::string& session,
   client.create_session(session, problem.capacities(), std::move(overrides));
   for (int j = 0; j < problem.jobs(); ++j) {
     std::vector<double> workloads;
-    if (problem.has_workloads())
-      workloads = problem.workloads()[static_cast<std::size_t>(j)];
-    client.add_job(session, problem.demands()[static_cast<std::size_t>(j)],
-                   workloads, problem.weight(j));
+    if (problem.has_workloads()) workloads = problem.task_workload_row(j);
+    client.add_job(session, problem.task_demand_row(j), workloads,
+                   problem.weight(j));
   }
   svc::Json response = client.solve(session, budget_ms);
   const svc::Json* allocation = response.find("allocation");
