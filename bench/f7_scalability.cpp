@@ -69,7 +69,8 @@ double peak_rss_mb() {
 
 /// One memory point, measured in a forked child and returned as a CSV row:
 /// jobs, sites, nonzeros, peak RSS after generating the instance and after
-/// solving it, and the AMF call's time.
+/// solving it, the AMF call's time, and that solve's freeze rounds and max
+/// flows (SolveReport), which explain the time.
 std::string memory_point(int jobs, int sites) {
   int fds[2];
   if (pipe(fds) != 0) return "pipe failed";
@@ -85,14 +86,18 @@ std::string memory_point(int jobs, int sites) {
     const core::AllocationProblem problem = gen.generate();
     const double built = peak_rss_mb();
     const core::AmfAllocator amf;
-    const double ms =
-        min_ms([&] { return amf.allocate(problem).aggregate(0); }, 1);
+    core::SolveReport report;
+    const double ms = min_ms(
+        [&] { return amf.allocate_with_report(problem, report).aggregate(0); },
+        1);
     const std::string row =
         std::to_string(jobs) + "," + std::to_string(sites) + "," +
         std::to_string(problem.demands().entries.size()) + "," +
         util::CsvWriter::format(built) + "," +
         util::CsvWriter::format(peak_rss_mb()) + "," +
-        util::CsvWriter::format(ms) + "\n";
+        util::CsvWriter::format(ms) + "," +
+        std::to_string(report.trace.rounds) + "," +
+        std::to_string(report.flow_solves) + "\n";
     const bool sent =
         write(fds[1], row.data(), row.size()) ==
         static_cast<ssize_t>(row.size());
@@ -207,9 +212,10 @@ int main() {
                "point, after generating the instance and after solving it "
                "with AMF\n"
                "# paper_default seed 7, 4 demanded sites per job, demand "
-               "proportional to work; amf_ms: one call after a warm-up call\n"
+               "proportional to work; amf_ms: one call after a warm-up call; "
+               "fill_rounds and max_flows: that call's SolveReport\n"
                "jobs,sites,nonzeros,rss_after_build_mb,rss_after_solve_mb,"
-               "amf_ms\n";
+               "amf_ms,fill_rounds,max_flows\n";
   for (const std::string& line : memory) std::cout << line;
   return 0;
 }

@@ -86,8 +86,7 @@ FIGURES = [
 
 
 # Tier indices match core::FallbackTier.
-TIER_NAMES = ["primary", "relaxed-eps", "bisection", "reference-lp",
-              "per-site"]
+TIER_NAMES = ["primary", "per-site", "salvage"]
 
 
 def plot_metrics(metrics_path, out_dir):

@@ -185,8 +185,8 @@ Allocation progressive_fill(const AllocationProblem& problem,
       return interrupted();
     // Iteration-capped solves are usable (bisection closed the bracket and
     // re-certified feasibility); a degenerate one returned an allocation
-    // that must not be trusted — surface it as non-convergence so a
-    // resilience wrapper can retry with a looser eps or another solver.
+    // that must not be trusted — surface it as InternalError, on which
+    // RobustAllocator falls back to per-site max-min.
     AMF_ASSERT(res.status != flow::LevelStatus::kDegenerate,
                "critical-level solve degenerate: progressive filling "
                "cannot converge at this tolerance");

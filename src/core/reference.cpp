@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "flow/transport.hpp"
-#include "lp/leximin.hpp"
 #include "util/error.hpp"
 
 namespace amf::core {
@@ -58,66 +57,6 @@ bool is_max_min_fair(const AllocationProblem& problem,
     if (net.saturated(tol / 64.0)) return false;  // j could be improved
   }
   return true;
-}
-
-std::vector<double> lp_max_min_aggregates(const AllocationProblem& problem) {
-  const int n = problem.jobs();
-  const int m = problem.sites();
-  if (n == 0) return {};
-
-  // LP variables: one per (job, site) cell that can carry flow (positive
-  // demand at a site with positive capacity), so a job whose solo ceiling
-  // is 0 has an empty group and stays at 0.
-  lp::GroupedPolytope poly;
-  poly.groups.resize(static_cast<std::size_t>(n));
-  std::vector<std::vector<int>> at_site(static_cast<std::size_t>(m));
-  std::vector<double> cell_demand;
-  for (int j = 0; j < n; ++j)
-    for (const auto& [s, d] : problem.demands().row(j)) {
-      if (problem.capacity(s) <= 0.0) continue;
-      poly.groups[static_cast<std::size_t>(j)].push_back(poly.variables);
-      at_site[static_cast<std::size_t>(s)].push_back(poly.variables);
-      cell_demand.push_back(d);
-      ++poly.variables;
-    }
-  // Rows: site capacities, then demand caps.
-  const auto width = static_cast<std::size_t>(poly.variables);
-  for (int s = 0; s < m; ++s) {
-    const auto& cells = at_site[static_cast<std::size_t>(s)];
-    if (cells.empty()) continue;
-    lp::Row row;
-    row.coeffs.assign(width, 0.0);
-    for (int v : cells) row.coeffs[static_cast<std::size_t>(v)] = 1.0;
-    row.type = lp::RowType::kLe;
-    row.rhs = problem.capacity(s);
-    poly.rows.push_back(std::move(row));
-  }
-  for (std::size_t v = 0; v < width; ++v) {
-    lp::Row row;
-    row.coeffs.assign(width, 0.0);
-    row.coeffs[v] = 1.0;
-    row.type = lp::RowType::kLe;
-    row.rhs = cell_demand[v];
-    poly.rows.push_back(std::move(row));
-  }
-
-  // A job's level is its normalized aggregate a_j / w_j, measured in units
-  // of the largest weight: with rates w_j / max w the level column stays as
-  // well scaled as the aggregates, whatever the weights' magnitude (rates
-  // near 1e6 put the level at 1e-7 scale, where the simplex's tolerances
-  // let it overshoot a cap by 1e-4). Unit weights keep rates of exactly 1.
-  // The freeze probe asks every job for the same extra aggregate.
-  const auto& weights = problem.weights();
-  const double top = *std::max_element(weights.begin(), weights.end());
-  std::vector<double> rates(weights.size());
-  for (std::size_t j = 0; j < rates.size(); ++j) rates[j] = weights[j] / top;
-  const std::vector<double> rise(static_cast<std::size_t>(n),
-                                 std::max(1e-6 * problem.scale(), 1e-9));
-  const auto levels = lp::sequential_leximin(poly, rates, rise);
-  std::vector<double> aggregates(static_cast<std::size_t>(n));
-  for (std::size_t j = 0; j < aggregates.size(); ++j)
-    aggregates[j] = rates[j] * levels[j];
-  return aggregates;
 }
 
 }  // namespace amf::core

@@ -28,7 +28,7 @@ struct FillTrace {
 struct SolveReport {
   int flow_solves = 0;  ///< max-flow computations performed
   /// Worst level-solve status observed. kIterationCapped results are
-  /// feasible but lower-confidence — a resilience wrapper may re-solve.
+  /// feasible but lower-confidence; RobustAllocator serves them.
   flow::LevelStatus status = flow::LevelStatus::kConverged;
   FillTrace trace;   ///< progressive-filling explanation (AMF/E-AMF)
   bool warm = false; ///< served from a primed workspace network

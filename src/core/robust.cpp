@@ -6,7 +6,7 @@
 #include <optional>
 #include <utility>
 
-#include "core/reference.hpp"
+#include "core/amf.hpp"
 #include "core/workspace.hpp"
 #include "flow/transport.hpp"
 #include "util/error.hpp"
@@ -17,12 +17,6 @@ const char* to_string(FallbackTier tier) {
   switch (tier) {
     case FallbackTier::kPrimary:
       return "primary";
-    case FallbackTier::kRelaxedEps:
-      return "relaxed-eps";
-    case FallbackTier::kBisection:
-      return "bisection";
-    case FallbackTier::kReferenceLp:
-      return "reference-lp";
     case FallbackTier::kPerSite:
       return "per-site";
     case FallbackTier::kSalvage:
@@ -61,10 +55,9 @@ namespace {
 /// Relative tolerance of the post-hoc feasibility audit applied to every
 /// tier's output before it is accepted.
 constexpr double kFeasibilityEps = 1e-6;
-/// Fraction of the *remaining* budget granted to each budgeted tier: the
-/// primary gets half the budget, the relaxed retry a quarter, and so on —
-/// later tiers are cheaper to interrupt and some budget always survives
-/// for salvage.
+/// Fraction of the remaining budget granted to the primary: it gets half,
+/// and the other half is left for the closed-form salvage or per-site
+/// finish, so an interrupted event still serves close to its budget.
 constexpr double kTierBudgetShare = 0.5;
 
 /// Registry metric name for a tier ('-' is not a legal Prometheus
@@ -126,8 +119,6 @@ FallbackCounters& fb_counters() {
 RobustAllocator::RobustAllocator(const Allocator& primary, RobustConfig config)
     : primary_(primary),
       config_(config),
-      relaxed_(kRelaxedTierEps, flow::LevelMethod::kCutNewton),
-      bisection_(kRelaxedTierEps, flow::LevelMethod::kBisection),
       telemetry_(std::make_shared<Telemetry>()) {
   config.validate();
   telemetry_->shard = obs::Registry::global().new_shard();
@@ -172,24 +163,6 @@ std::string RobustAllocator::name() const {
 
 namespace {
 
-/// Tier 4: the LP leximin oracle produces aggregates; the transportation
-/// network materializes a per-site split for them. Shares no code with
-/// the parametric flow path that tiers 1-3 rely on.
-Allocation lp_tier(const AllocationProblem& problem) {
-  auto aggregates = lp_max_min_aggregates(problem);
-  // LP-tolerance slack can leave the aggregates a hair outside the
-  // polytope; shave them until the flow realization accepts.
-  for (double shave : {0.0, 1e-9, 1e-7}) {
-    std::vector<double> target(aggregates);
-    for (double& a : target) a *= (1.0 - shave);
-    auto realized = flow::allocation_for_aggregates(
-        problem.demands(), problem.capacities(), target);
-    if (realized.has_value())
-      return Allocation(std::move(*realized), "Robust/reference-lp");
-  }
-  throw util::InternalError("LP aggregates not realizable as an allocation");
-}
-
 /// Completes a deadline-interrupted partial fill into a full allocation:
 /// per-site water-filling distributes each site's residual capacity over
 /// the residual demands on top of the partial shares. The partial matrix
@@ -217,7 +190,7 @@ Allocation complete_salvage(const AllocationProblem& problem,
 }
 
 /// Relative fairness gap of a salvage allocation against the interrupted
-/// tier's last frozen level: how far the worst served job (among jobs
+/// primary's last frozen level: how far the worst served job (among jobs
 /// that can receive anything at all) fell below it, clamped to [0, 1].
 double salvage_gap(const AllocationProblem& problem, const Allocation& alloc,
                    double ref_level) {
@@ -245,18 +218,6 @@ Allocation RobustAllocator::allocate(const AllocationProblem& problem,
 
 Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
                                           SolverWorkspace* workspace) const {
-  struct Tier {
-    FallbackTier id;
-    const Allocator* policy;  // null for the LP tier
-  };
-  const Tier tiers[] = {
-      {FallbackTier::kPrimary, &primary_},
-      {FallbackTier::kRelaxedEps, &relaxed_},
-      {FallbackTier::kBisection, &bisection_},
-      {FallbackTier::kReferenceLp, nullptr},
-      {FallbackTier::kPerSite, &persite_},
-  };
-
   // The overall stop for this event: the config budget merged with any
   // ambient deadline installed by the caller, plus whichever cancel flag
   // exists (the config's wins over the ambient one).
@@ -273,23 +234,26 @@ Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
   const util::StopToken overall_stop{overall, cancel};
   const bool budgeted = overall_stop.enabled();
 
-  // Best salvage candidate: the first feasible partial fill left behind by
-  // a deadline-interrupted AMF tier, with the highest level it froze.
-  struct SalvageCandidate {
-    bool has = false;
-    Allocation partial;
-    double ref_level = 0.0;
-  } salvage;
-  bool any_deadline = false;
-
   FallbackCounters& counters = fb_counters();
   Telemetry& telemetry = *telemetry_;
+  constexpr auto kPrimaryIdx = static_cast<std::size_t>(FallbackTier::kPrimary);
+  bool any_deadline = false;
 
-  auto count_deadline = [&](std::size_t idx, const char* what) {
+  auto fail = [&](std::size_t idx, const char* what) {
     counters.failures[idx].add_to(*telemetry.shard, 1);
-    counters.deadline_exceeded[idx].add_to(*telemetry.shard, 1);
     telemetry.last_error = what;
+  };
+  // An interrupted primary: count it, and drop the network it left
+  // holding a partial fill so it is never reused warm.
+  auto interrupted = [&] {
+    counters.deadline_exceeded[kPrimaryIdx].add_to(*telemetry.shard, 1);
     any_deadline = true;
+    if (workspace != nullptr) workspace->invalidate();
+  };
+  // A network warmed by another tier must not leak into this tier's solve.
+  auto enter = [&](FallbackTier id) {
+    if (workspace != nullptr && workspace->serving_tier != static_cast<int>(id))
+      workspace->invalidate();
   };
   auto serve = [&](FallbackTier id, Allocation result) {
     const auto sidx = static_cast<std::size_t>(id);
@@ -307,117 +271,97 @@ Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
     return result;
   };
 
-  for (const Tier& tier : tiers) {
-    const auto idx = static_cast<std::size_t>(tier.id);
-    const bool is_last = tier.id == FallbackTier::kPerSite;
-
-    if (is_last && salvage.has) {
-      // The budget ran out with a feasible partial fill in hand: complete
-      // it closed-form instead of discarding the frozen levels.
-      Allocation completed = complete_salvage(problem, salvage.partial);
-      if (completed.feasible_for(problem, kFeasibilityEps)) {
-        telemetry.worst_salvage_gap =
-            std::max(telemetry.worst_salvage_gap,
-                     salvage_gap(problem, completed, salvage.ref_level));
-        return serve(FallbackTier::kSalvage, std::move(completed));
-      }
-      counters.failures[static_cast<std::size_t>(FallbackTier::kSalvage)]
-          .add_to(*telemetry.shard, 1);
-      telemetry.last_error = "salvage completion failed the audit";
-    }
-
-    // Budget gate: once the overall budget is gone, budgeted tiers are
-    // skipped outright (the LP tier in particular builds its whole tableau
-    // before it first polls) and the chain falls through to salvage or the
-    // exempt per-site tier. A skipped tier never ran, so it is not counted
-    // as a failure.
-    if (!is_last && budgeted && overall_stop.stop_requested()) continue;
-
-    // Budgeted tiers run under a slice of the remaining budget, installed
-    // ambiently so it reaches the solvers through the virtual Allocator
-    // interface. The per-site tier is exempt: closed-form, never polls.
+  // 1. The primary. Once the overall budget is gone it is skipped outright
+  // (a skipped primary never ran, so it is not counted as a failure).
+  // Budgeted, it runs under a slice of the remaining budget, installed
+  // ambiently so it reaches the solver through the virtual Allocator
+  // interface.
+  std::optional<Allocation> partial;  // the interrupted primary's fill
+  double ref_level = 0.0;             // the highest level it froze
+  if (!budgeted || !overall_stop.stop_requested()) {
     std::optional<util::ScopedStop> scoped;
-    util::StopToken tier_stop;
-    if (!is_last && budgeted) {
+    util::StopToken primary_stop;
+    if (budgeted) {
       util::Deadline slice = overall;
       if (!overall.unlimited())
         slice = util::Deadline::earlier(
             overall, util::Deadline::after_ms(overall.remaining_ms() *
                                               kTierBudgetShare));
-      tier_stop = util::StopToken{slice, cancel};
-      scoped.emplace(tier_stop);
+      primary_stop = util::StopToken{slice, cancel};
+      scoped.emplace(primary_stop);
     }
-
     try {
       flow::LevelStatus status = flow::LevelStatus::kConverged;
       const FillTrace* trace = nullptr;
       SolveReport local_report;
       Allocation result;
-      if (tier.policy == nullptr) {
-        result = lp_tier(problem);
-      } else if (workspace != nullptr) {
-        // A network warmed under another tier's parameters must not leak
-        // into this tier's solve.
-        if (workspace->serving_tier != static_cast<int>(tier.id))
-          workspace->invalidate();
-        result = tier.policy->allocate(problem, *workspace);
+      if (workspace != nullptr) {
+        enter(FallbackTier::kPrimary);
+        result = primary_.allocate(problem, *workspace);
         status = workspace->report().status;
         trace = &workspace->report().trace;
       } else if (const auto* amf =
-                     dynamic_cast<const AmfAllocator*>(tier.policy)) {
+                     dynamic_cast<const AmfAllocator*>(&primary_)) {
         result = amf->allocate_with_report(problem, local_report);
         status = local_report.status;
         trace = &local_report.trace;
       } else {
-        result = tier.policy->allocate(problem);
+        result = primary_.allocate(problem);
       }
-      if (status == flow::LevelStatus::kDeadlineExceeded) {
-        // Interrupted tier = failed tier, but its partial fill may still
-        // be worth finishing if the whole budget runs out.
-        count_deadline(idx, "tier interrupted by the time budget");
-        // The network holds a partial fill; never reuse it warm.
-        if (workspace != nullptr) workspace->invalidate();
-        if (!salvage.has &&
-            result.feasible_for(problem, kFeasibilityEps)) {
-          double ref = 0.0;
-          if (trace != nullptr)
-            for (double level : trace->freeze_level) ref = std::max(ref, level);
-          salvage = {true, std::move(result), ref};
-        }
-        continue;
-      }
-      // Audit before accepting: a tier that silently returns an
+      // Audit before accepting: a primary that silently returns an
       // infeasible matrix is as broken as one that throws.
-      if (!result.feasible_for(problem, kFeasibilityEps)) {
-        AMF_ASSERT(!is_last, "per-site fallback produced an infeasible "
-                             "allocation");
-        counters.failures[idx].add_to(*telemetry.shard, 1);
-        telemetry.last_error = "infeasible allocation from tier";
-        continue;
+      const bool feasible = result.feasible_for(problem, kFeasibilityEps);
+      if (status == flow::LevelStatus::kDeadlineExceeded) {
+        // Interrupted = failed, but the partial fill is worth finishing.
+        fail(kPrimaryIdx, "primary interrupted by the time budget");
+        interrupted();
+        if (feasible) {
+          if (trace != nullptr)
+            for (double level : trace->freeze_level)
+              ref_level = std::max(ref_level, level);
+          partial = std::move(result);
+        }
+      } else if (feasible) {
+        return serve(FallbackTier::kPrimary, std::move(result));
+      } else {
+        fail(kPrimaryIdx, "infeasible allocation from the primary");
       }
-      return serve(tier.id, std::move(result));
     } catch (const util::DeadlineExceeded& e) {
-      if (is_last) throw;  // unreachable: the per-site tier never polls
-      count_deadline(idx, e.what());
-      if (workspace != nullptr) workspace->invalidate();
+      fail(kPrimaryIdx, e.what());
+      interrupted();
     } catch (const util::InternalError& e) {
-      if (is_last) throw;  // nothing below the per-site tier
-      counters.failures[idx].add_to(*telemetry.shard, 1);
-      telemetry.last_error = e.what();
+      fail(kPrimaryIdx, e.what());
       // A solver driven into a corner by its stop token can surface as an
       // internal invariant failure; classify it as a deadline when the
-      // tier's own stop had fired.
-      if (budgeted && tier_stop.stop_requested()) {
-        counters.deadline_exceeded[idx].add_to(*telemetry.shard, 1);
-        any_deadline = true;
-        if (workspace != nullptr) workspace->invalidate();
-      }
+      // primary's own stop had fired.
+      if (budgeted && primary_stop.stop_requested()) interrupted();
     }
   }
-  // Unreachable: the per-site tier either serves or rethrows. A plain
-  // throw (not AMF_ASSERT) so -Wreturn-type sees the function never
-  // falls through even at -O0.
-  throw util::InternalError("fallback chain exhausted");
+
+  // 2. Salvage: the budget interrupted the primary with a feasible partial
+  // fill in hand; complete it closed-form instead of discarding the frozen
+  // levels.
+  if (partial.has_value()) {
+    Allocation completed = complete_salvage(problem, *partial);
+    if (completed.feasible_for(problem, kFeasibilityEps)) {
+      telemetry.worst_salvage_gap =
+          std::max(telemetry.worst_salvage_gap,
+                   salvage_gap(problem, completed, ref_level));
+      return serve(FallbackTier::kSalvage, std::move(completed));
+    }
+    fail(static_cast<std::size_t>(FallbackTier::kSalvage),
+         "salvage completion failed the audit");
+  }
+
+  // 3. Per-site max-min: closed-form, never polls, so it runs unbudgeted
+  // and always serves.
+  enter(FallbackTier::kPerSite);
+  Allocation result = workspace != nullptr
+                          ? persite_.allocate(problem, *workspace)
+                          : persite_.allocate(problem);
+  AMF_ASSERT(result.feasible_for(problem, kFeasibilityEps),
+             "per-site fallback produced an infeasible allocation");
+  return serve(FallbackTier::kPerSite, std::move(result));
 }
 
 }  // namespace amf::core

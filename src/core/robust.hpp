@@ -3,43 +3,39 @@
 // An online scheduler cannot afford an allocator that throws: every
 // reallocation point must produce *some* feasible allocation, even when
 // the primary solver hits a numerical corner. RobustAllocator wraps any
-// policy in a fixed fallback chain, ordered from highest fidelity to
-// unconditional availability:
+// policy in a one-step fallback:
 //
 //   1. the wrapped policy itself;
-//   2. AMF re-solved with a relaxed flow tolerance (most non-convergence
-//      is tolerance-induced degeneracy; loosening eps usually cures it);
-//   3. AMF with the bisection level method (slower, but immune to the
-//      cut-Newton degeneracies);
-//   4. the LP reference solver (sequential leximin on the simplex
-//      substrate — shares no code with the flow path);
-//   5. per-site max-min (closed-form water-filling; cannot fail).
+//   2. salvage: when the time budget interrupted the primary, its
+//      feasible partial fill completed closed-form (below);
+//   3. per-site max-min (closed-form water-filling; cannot fail). It
+//      gives every job at least min(d, C_s/n) at each site, so it keeps
+//      the sharing-incentive guarantee.
 //
-// A tier is rejected when it throws InternalError (solver bug or
-// non-convergence), is interrupted by its deadline, or returns an
-// infeasible allocation; ContractError (malformed input) propagates —
-// feeding the chain a broken problem is a caller bug, not a solver one.
-// Every decision is counted in the obs metric registry
-// (amf_core_fallback_served_<tier> / amf_core_fallback_failures_<tier>) on
-// a per-instance shard, so operators see which tier served each event both
-// globally (Registry::global().snapshot()) and per wrapper
-// (fallback_stats(), an exact per-instance view).
+// The primary is rejected when it throws InternalError (solver bug or
+// numerical failure), is interrupted by its deadline, or returns an
+// infeasible allocation; an iteration-capped but feasible result is
+// served. ContractError (malformed input) propagates — feeding the chain
+// a broken problem is a caller bug, not a solver one. Every decision is
+// counted in the obs metric registry (amf_core_fallback_served_<tier> /
+// amf_core_fallback_failures_<tier>) on a per-instance shard, so
+// operators see which tier served each event both globally
+// (Registry::global().snapshot()) and per wrapper (fallback_stats(), an
+// exact per-instance view).
 //
 // Deadlines (anytime operation). With `RobustConfig::time_budget_ms` set
 // (or an ambient util::StopToken installed around the call), the chain is
-// additionally *latency-bounded*: each tier runs under a sub-deadline of
-// half of the remaining budget — so successive tiers get
-// geometrically shrinking slices and some budget always remains for the
-// finishing pass — and a tier whose stop token fires is treated like a
-// failed tier (counted in amf_core_deadline_exceeded_<tier>). The
-// closed-form per-site tier is exempt: it never polls and always
-// completes. When the whole budget is exhausted mid-chain, the best
-// deadline-interrupted AMF result seen so far (its frozen levels are
-// feasible, only partial) is *salvaged* instead of discarded: per-site
-// water-filling distributes the residual capacity on the residual
-// demands, and the combined allocation is served as the pseudo-tier
-// kSalvage. Budget headroom at serve time is recorded in the
-// amf_core_budget_remaining_ms histogram.
+// additionally *latency-bounded*: the primary runs under a sub-deadline
+// of half the budget, so the other half remains for the closed-form
+// finish, and an interrupted primary is treated like a failed one
+// (counted in amf_core_deadline_exceeded_primary). A budget already
+// stopped on entry skips the primary outright. The per-site tier is
+// exempt: it never polls and always completes. The primary's
+// deadline-interrupted AMF result (its frozen levels are feasible, only
+// partial) is *salvaged* instead of discarded: per-site water-filling
+// distributes the residual capacity on the residual demands, and the
+// combined allocation is served as kSalvage. Budget headroom at serve
+// time is recorded in the amf_core_budget_remaining_ms histogram.
 #pragma once
 
 #include <array>
@@ -47,28 +43,24 @@
 #include <string>
 
 #include "core/allocation.hpp"
-#include "core/amf.hpp"
 #include "core/persite.hpp"
 #include "obs/metrics.hpp"
 #include "util/deadline.hpp"
 
 namespace amf::core {
 
-/// The tiers of the degradation chain, in escalation order. kSalvage is
-/// not a tier the chain *tries* — it is the serve path used when the time
-/// budget runs out and a deadline-interrupted AMF tier left a feasible
-/// partial fill worth completing (see the header comment).
+/// The tiers that can serve an event. kSalvage is not a tier the chain
+/// *tries* — it is the serve path used when the time budget interrupted
+/// the primary and its feasible partial fill is worth completing (see the
+/// header comment).
 enum class FallbackTier {
   kPrimary = 0,
-  kRelaxedEps = 1,
-  kBisection = 2,
-  kReferenceLp = 3,
-  kPerSite = 4,
-  kSalvage = 5,
+  kPerSite = 1,
+  kSalvage = 2,
 };
-inline constexpr int kFallbackTierCount = 6;
+inline constexpr int kFallbackTierCount = 3;
 
-/// Human-readable tier name ("primary", "relaxed-eps", ...).
+/// Human-readable tier name ("primary", "per-site", "salvage").
 const char* to_string(FallbackTier tier);
 
 /// Per-tier service/failure counters since construction (or the last
@@ -96,14 +88,11 @@ struct FallbackStats {
   std::string summary() const;
 };
 
-/// Flow tolerance of the relaxed-eps and bisection retry tiers.
-inline constexpr double kRelaxedTierEps = 1e-6;
-
 struct RobustConfig {
   /// Wall-clock budget for one allocate() call, in milliseconds. Zero =
   /// unbudgeted (an ambient util::StopToken, if any, still applies). The
-  /// closed-form tiers always complete, so the serve latency can exceed
-  /// the budget by their (small, polling-free) cost.
+  /// closed-form salvage and per-site steps always complete, so the serve
+  /// latency can exceed the budget by their (small, polling-free) cost.
   double time_budget_ms = 0.0;
   /// Optional external cancellation handle; when valid and cancelled, the
   /// chain stops at the next poll exactly like an expired deadline.
@@ -115,12 +104,13 @@ struct RobustConfig {
 
 /// Per-instance deadline telemetry (snapshot, like FallbackStats).
 struct DeadlineStats {
-  /// Tier attempts interrupted by the stop token, by tier.
+  /// Tier attempts interrupted by the stop token, by tier (only the
+  /// primary polls, so only its entry can be nonzero).
   std::array<long, kFallbackTierCount> deadline_exceeded{};
-  /// Events in which at least one tier was deadline-interrupted.
+  /// Events in which the primary was deadline-interrupted.
   long deadline_events = 0;
   /// Worst relative fairness gap of a served salvage allocation: how far
-  /// the minimum served level fell below the interrupted tier's last
+  /// the minimum served level fell below the interrupted primary's last
   /// frozen level, in [0, 1]. Zero when no salvage was ever served.
   double worst_salvage_gap = 0.0;
 };
@@ -131,14 +121,15 @@ class RobustAllocator final : public Allocator {
  public:
   explicit RobustAllocator(const Allocator& primary, RobustConfig config = {});
 
-  /// Never throws InternalError: walks the chain until a tier produces a
-  /// feasible allocation (the per-site tier always does).
+  /// Never throws InternalError: serves the primary's allocation when it
+  /// is feasible, else the salvage or per-site one (the per-site tier
+  /// always produces a feasible allocation).
   Allocation allocate(const AllocationProblem& problem) const override;
 
-  /// Workspace-aware chain walk. The workspace is invalidated whenever the
-  /// serving tier differs from the one that served the previous call, so a
-  /// network warmed under one tier's solve parameters is never reused by
-  /// another tier.
+  /// Workspace-aware form. The workspace is invalidated whenever the
+  /// serving tier differs from the one that served the previous call, and
+  /// after an interrupted primary, so a network left by another tier or
+  /// by a partial fill is never warm-reused.
   Allocation allocate(const AllocationProblem& problem,
                       SolverWorkspace& workspace) const override;
 
@@ -174,8 +165,6 @@ class RobustAllocator final : public Allocator {
 
   const Allocator& primary_;
   RobustConfig config_;
-  AmfAllocator relaxed_;
-  AmfAllocator bisection_;
   PerSiteMaxMin persite_;
   std::shared_ptr<Telemetry> telemetry_;
 };

@@ -1,7 +1,7 @@
 // leximin.hpp — sequential leximin (Ogryczak) over a grouped polytope.
 //
 // Every LP leximin of the library runs here: the scalar reference
-// (core::lp_max_min_aggregates, job aggregates over the transportation
+// (oracle::lp_max_min_aggregates, job aggregates over the transportation
 // polytope), aggregate DRF (multiresource::AggregateDrfAllocator, job
 // task totals over the Leontief polytope) and the ADRF definitional
 // oracle. Each caller describes only its polytope: rows over nonnegative

@@ -4,9 +4,10 @@
 // serves, by a slower route that shares none of its code path, or attacks
 // an allocator from outside. None of them is on a served path, so they
 // live in their own library (amf_oracle) that amf_serve and amf_route do
-// not link. The oracles the served system itself needs stay in amf_core:
-// is_max_min_fair and lp_max_min_aggregates (core/reference.hpp), and
-// the property checkers behind `amf_solve --report` (core/properties.hpp).
+// not link, and nothing in amf_core calls the LP substrate. The checks
+// the served system itself needs stay in amf_core: is_max_min_fair
+// (core/reference.hpp) and the property checkers behind
+// `amf_solve --report` (core/properties.hpp).
 #pragma once
 
 #include <vector>
@@ -23,6 +24,17 @@ namespace amf::oracle {
 /// exceed `max_points` (default 10^7) enumeration points.
 std::vector<double> brute_force_max_min_aggregates(
     const core::AllocationProblem& problem, long long max_points = 10'000'000);
+
+/// A fully independent computation of the AMF aggregate vector:
+/// sequential leximin over the transportation polytope with the LP
+/// substrate (lp::sequential_leximin, the Ogryczak procedure — maximize
+/// the common normalized aggregate with one level LP, fix the jobs pinned
+/// at it via per-job feasibility LPs, recurse). Exact up to LP tolerance;
+/// O(n) LPs of size n·m. Slower than the flow-based allocator but shares
+/// none of its code paths — the strongest differential oracle in the test
+/// suite.
+std::vector<double> lp_max_min_aggregates(
+    const core::AllocationProblem& problem);
 
 /// Result of a randomized strategy-proofness probe.
 struct StrategyProbeResult {

@@ -1,5 +1,6 @@
 #include "util/csv.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -20,15 +21,34 @@ std::string at_line(long line_number) {
 
 bool read_csv_line(std::istream& in, std::string& line, long line_number) {
   line.clear();
-  if (!std::getline(in, line)) {
-    // Distinguish clean EOF from a stream that died mid-read.
-    AMF_REQUIRE(in.eof() || !in.bad(),
-                "CSV input stream failed" + at_line(line_number));
-    return false;
+  // Read in bounded chunks, never more than one byte past the cap: an
+  // over-long line is rejected once kMaxCsvLineLength + 1 bytes are held,
+  // however long it really is (std::getline would buffer all of it).
+  constexpr std::size_t kChunk = 4096;
+  char chunk[kChunk];
+  bool extracted = false;
+  for (;;) {
+    const std::size_t room =
+        std::min(kChunk - 1, kMaxCsvLineLength + 1 - line.size());
+    in.getline(chunk, static_cast<std::streamsize>(room + 1));
+    AMF_REQUIRE(!in.bad(), "CSV input stream failed" + at_line(line_number));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    const bool newline = in.good();  // extracted, and counted in gcount
+    const bool full = !newline && !in.eof();
+    if (full && got != room) return false;  // the stream had already failed
+    line.append(chunk, newline ? got - 1 : got);
+    AMF_REQUIRE(line.size() <= kMaxCsvLineLength,
+                "CSV line exceeds " + std::to_string(kMaxCsvLineLength) +
+                    " bytes" + at_line(line_number));
+    extracted = extracted || got > 0;
+    if (full) {  // `room` bytes stored and no newline yet
+      in.clear();
+      continue;
+    }
+    if (!extracted) return false;  // clean EOF
+    if (in.eof()) in.clear(std::ios::eofbit);  // a last line without '\n'
+    break;
   }
-  AMF_REQUIRE(line.size() <= kMaxCsvLineLength,
-              "CSV line exceeds " + std::to_string(kMaxCsvLineLength) +
-                  " bytes" + at_line(line_number));
   if (!line.empty() && line.back() == '\r') line.pop_back();
   return true;
 }

@@ -331,7 +331,7 @@ TEST_P(AmfLpDifferentialTest, FlowAndLpLeximinAgree) {
   workload::Generator gen(cfg);
   auto p = gen.generate();
   auto a = kAmf.allocate(p);
-  auto via_lp = lp_max_min_aggregates(p);
+  auto via_lp = oracle::lp_max_min_aggregates(p);
   for (int j = 0; j < p.jobs(); ++j)
     EXPECT_NEAR(a.aggregate(j), via_lp[static_cast<std::size_t>(j)],
                 1e-4 * p.scale())
@@ -353,7 +353,7 @@ TEST(AmfLpDifferential, WeightedInstancesAgreeToo) {
     AllocationProblem p(test::dense_demands(base), base.capacities(), {},
                         weights);
     auto a = kAmf.allocate(p);
-    auto via_lp = lp_max_min_aggregates(p);
+    auto via_lp = oracle::lp_max_min_aggregates(p);
     for (int j = 0; j < p.jobs(); ++j)
       EXPECT_NEAR(a.aggregate(j), via_lp[static_cast<std::size_t>(j)],
                   1e-4 * p.scale())
@@ -368,7 +368,7 @@ TEST(AmfLpDifferential, WeightedInstancesAgreeToo) {
 TEST(AmfLpDifferential, ScalingEveryWeightLeavesTheReferenceUnchanged) {
   for (double w : {1.0, 1000.0, 1e6}) {
     AllocationProblem p({{0.4999}, {1.0}}, {1.0}, {}, {w, w});
-    auto via_lp = lp_max_min_aggregates(p);
+    auto via_lp = oracle::lp_max_min_aggregates(p);
     EXPECT_NEAR(via_lp[0], 0.4999, 1e-6) << "weight " << w;
     EXPECT_NEAR(via_lp[1], 0.5001, 1e-6) << "weight " << w;
   }
@@ -383,7 +383,7 @@ TEST(AmfLpDifferential, ScalingEveryWeightLeavesTheReferenceUnchanged) {
     AllocationProblem p(test::dense_demands(base), base.capacities(), {},
                         weights);
     auto a = kAmf.allocate(p);
-    auto via_lp = lp_max_min_aggregates(p);
+    auto via_lp = oracle::lp_max_min_aggregates(p);
     for (int j = 0; j < p.jobs(); ++j)
       EXPECT_NEAR(a.aggregate(j), via_lp[static_cast<std::size_t>(j)],
                   1e-4 * p.scale())
@@ -396,7 +396,7 @@ TEST(AmfLpDifferential, ScalingEveryWeightLeavesTheReferenceUnchanged) {
 // capped job from one that can rise, not settle both at the first level.
 TEST(AmfLpDifferential, UnitScaleInstancesAgreeToo) {
   AllocationProblem capped({{0.25}, {1.0}}, {1.0});
-  auto via_lp = lp_max_min_aggregates(capped);
+  auto via_lp = oracle::lp_max_min_aggregates(capped);
   EXPECT_NEAR(via_lp[0], 0.25, 1e-6);
   EXPECT_NEAR(via_lp[1], 0.75, 1e-6);
   util::Rng rng(4242);
@@ -408,7 +408,7 @@ TEST(AmfLpDifferential, UnitScaleInstancesAgreeToo) {
                              rng.uniform(0.2, 1.0)};
     AllocationProblem p(d, caps);
     auto a = kAmf.allocate(p);
-    via_lp = lp_max_min_aggregates(p);
+    via_lp = oracle::lp_max_min_aggregates(p);
     for (int j = 0; j < p.jobs(); ++j)
       EXPECT_NEAR(a.aggregate(j), via_lp[static_cast<std::size_t>(j)],
                   1e-4 * p.scale())

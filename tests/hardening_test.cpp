@@ -4,8 +4,12 @@
 // corpus under tests/data/ while still round-tripping valid traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <fstream>
+#include <istream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 
 #include "core/problem.hpp"
@@ -80,6 +84,63 @@ TEST(CsvReader, RejectsOverlongLines) {
   auto msg =
       contract_message([&] { util::read_csv_line(in, line, 3); });
   EXPECT_NE(msg.find("line 3"), std::string::npos);
+}
+
+/// One line of `length` '1' bytes and a newline, produced on demand in
+/// 4 KiB blocks; consumed() counts the bytes a reader has taken.
+class LongLineBuf final : public std::streambuf {
+ public:
+  explicit LongLineBuf(std::size_t length) : left_(length) {}
+  std::size_t consumed() const {
+    return produced_ - static_cast<std::size_t>(egptr() - gptr());
+  }
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    if (newline_sent_) return traits_type::eof();
+    std::size_t n = std::min(left_, block_.size());
+    if (n == 0) {
+      block_[0] = '\n';
+      n = 1;
+      newline_sent_ = true;
+    } else {
+      std::fill_n(block_.begin(), n, '1');
+      left_ -= n;
+    }
+    produced_ += n;
+    setg(block_.data(), block_.data(), block_.data() + n);
+    return traits_type::to_int_type(block_[0]);
+  }
+
+ private:
+  std::array<char, 4096> block_{};
+  std::size_t left_;
+  std::size_t produced_ = 0;
+  bool newline_sent_ = false;
+};
+
+TEST(CsvReader, RejectsAnOverlongLineAfterBoundedRead) {
+  // A 4 MiB line: the reader must give up once it holds one byte past the
+  // cap, not buffer the whole line first.
+  LongLineBuf buf(std::size_t{4} << 20);
+  std::istream in(&buf);
+  std::string line;
+  auto msg = contract_message([&] { util::read_csv_line(in, line, 2); });
+  EXPECT_NE(msg.find("CSV line exceeds"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+  EXPECT_LE(buf.consumed(), util::kMaxCsvLineLength + 2);
+}
+
+TEST(CsvReader, AcceptsALineOfExactlyTheCap) {
+  const std::string at_cap(util::kMaxCsvLineLength, '7');
+  std::istringstream in(at_cap + "\nx,y");
+  std::string line;
+  EXPECT_TRUE(util::read_csv_line(in, line, 1));
+  EXPECT_EQ(line, at_cap);
+  EXPECT_TRUE(util::read_csv_line(in, line, 2));
+  EXPECT_EQ(line, "x,y");
+  EXPECT_FALSE(util::read_csv_line(in, line, 3));
 }
 
 // ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@
 #include "dense_mirror.hpp"
 #include "core/amf.hpp"
 #include "core/eamf.hpp"
+#include "core/persite.hpp"
 #include "core/problem.hpp"
-#include "core/reference.hpp"
+#include "oracle/oracle.hpp"
 #include "core/robust.hpp"
 #include "core/workspace.hpp"
 #include "flow/parametric.hpp"
@@ -254,23 +255,22 @@ TEST(RobustWorkspace, TierFallbackInvalidatesAndRecoversWarmState) {
     ASSERT_EQ(got.jobs(), want.jobs());
     for (int j = 0; j < got.jobs(); ++j)
       for (int s = 0; s < got.sites(); ++s)
-        EXPECT_DOUBLE_EQ(got.share(j, s), want.share(j, s));
+        EXPECT_EQ(got.share(j, s), want.share(j, s));
   };
 
   // Healthy primary: warm path, bit-identical to stateless AMF.
   expect_matches_stateless(robust.allocate(problem, ws), amf);
   EXPECT_EQ(robust.fallback_stats().last, core::FallbackTier::kPrimary);
 
-  // Mutate, then fail the primary: the relaxed-eps tier serves, and its
-  // result must match a stateless solve at that tier's parameters — any
-  // warm state primed under the primary must not bleed through.
+  // Mutate, then fail the primary: the per-site tier serves, and its
+  // result must match a stateless per-site solve — any warm state primed
+  // under the primary must not bleed through.
   auto delta = random_delta(rng, problem);
   problem = std::move(problem).apply(delta);
   ws.apply(delta);
   armed = true;
-  core::AmfAllocator relaxed(core::kRelaxedTierEps);
-  expect_matches_stateless(robust.allocate(problem, ws), relaxed);
-  EXPECT_EQ(robust.fallback_stats().last, core::FallbackTier::kRelaxedEps);
+  expect_matches_stateless(robust.allocate(problem, ws), core::PerSiteMaxMin());
+  EXPECT_EQ(robust.fallback_stats().last, core::FallbackTier::kPerSite);
 
   // Primary heals: the chain returns to tier 0 and must again be
   // bit-identical to stateless AMF despite the tier bounce in between.
@@ -637,7 +637,7 @@ TEST(JobCutStart, AggregatesMatchBisectionAndLp) {
 
     const auto newton = amf.allocate(problem);
     const auto bisect = bisection.allocate(problem);
-    const auto lp = core::lp_max_min_aggregates(problem);
+    const auto lp = oracle::lp_max_min_aggregates(problem);
     for (int j = 0; j < problem.jobs(); ++j) {
       EXPECT_NEAR(newton.aggregate(j), bisect.aggregate(j), tol)
           << "trial " << trial << " job " << j;
@@ -662,7 +662,7 @@ TEST(JobCutStart, AggregatesMatchBisectionAndLp) {
     for (int step = 0; step < 6; ++step) {
       const auto warm = amf.allocate(problem, ws);
       const auto want = bisection.allocate(problem);
-      const auto want_lp = core::lp_max_min_aggregates(problem);
+      const auto want_lp = oracle::lp_max_min_aggregates(problem);
       for (int j = 0; j < problem.jobs(); ++j) {
         EXPECT_NEAR(warm.aggregate(j), want.aggregate(j),
                     1e-6 * problem.scale())

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "core/amf.hpp"
-#include "core/reference.hpp"
+#include "oracle/oracle.hpp"
 #include "multiresource/drf.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -350,7 +350,7 @@ TEST_P(MultiResAgreementTest, AmfLpAndAdrfAgreeAtR1) {
   const double tol = 1e-4 * p.scale();
 
   const auto amf = core::AmfAllocator().allocate(p);
-  const auto lp = core::lp_max_min_aggregates(p);
+  const auto lp = oracle::lp_max_min_aggregates(p);
   const auto shares = dominant_shares(p, AggregateDrfAllocator().allocate(p));
   for (int j = 0; j < n; ++j) {
     const auto ju = static_cast<std::size_t>(j);

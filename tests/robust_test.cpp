@@ -7,6 +7,7 @@
 #include "core/amf.hpp"
 #include "core/eamf.hpp"
 #include "core/persite.hpp"
+#include "core/properties.hpp"
 #include "core/robust.hpp"
 #include "util/error.hpp"
 
@@ -74,11 +75,16 @@ TEST(RobustAllocator, InternalErrorFallsThroughToNextTier) {
   EXPECT_TRUE(alloc.feasible_for(problem));
   const auto& st = robust.fallback_stats();
   EXPECT_EQ(st.failures[0], 1);
-  EXPECT_EQ(st.served[1], 1);  // relaxed-eps AMF rescues the event
+  // Per-site max-min rescues the event, with exactly its own shares.
+  EXPECT_EQ(st.served[static_cast<std::size_t>(FallbackTier::kPerSite)], 1);
   EXPECT_EQ(st.degraded_calls(), 1);
-  EXPECT_EQ(st.last, FallbackTier::kRelaxedEps);
+  EXPECT_EQ(st.last, FallbackTier::kPerSite);
   EXPECT_NE(st.last_error.find("synthetic solver failure"),
             std::string::npos);
+  const Allocation want = PerSiteMaxMin().allocate(problem);
+  for (int j = 0; j < problem.jobs(); ++j)
+    for (int s = 0; s < problem.sites(); ++s)
+      EXPECT_EQ(alloc.share(j, s), want.share(j, s)) << j << "," << s;
 }
 
 TEST(RobustAllocator, InfeasibleOutputIsRejectedByTheAudit) {
@@ -136,8 +142,10 @@ TEST(RobustAllocator, PerSiteTierIsTheUnconditionalBackstop) {
 // site 1. The equal-split floors are feasible, but the floor probe's flow
 // tolerance (eps × 1e8) swallows the small jobs' floors of 1/11, so the
 // E-AMF primary cannot saturate them. That is a solver failure on a
-// valid instance: it raises InternalError, and the chain falls back to a
-// feasible allocation instead of rejecting the request.
+// valid instance: it raises InternalError, and the chain falls back to
+// per-site max-min instead of rejecting the request. Per-site gives every
+// job at least its equal split at each site, so the small jobs get 0.1
+// each and the fallback keeps the sharing incentive E-AMF exists for.
 TEST(RobustAllocator, EnhancedAmfFloorProbeFailureFallsBack) {
   Matrix demands(11, std::vector<double>{0.0, 1.0});
   demands[0] = {1e8, 0.0};
@@ -151,14 +159,14 @@ TEST(RobustAllocator, EnhancedAmfFloorProbeFailureFallsBack) {
   EXPECT_EQ(stats.calls(), 1);
   EXPECT_EQ(stats.served[0], 0);
   EXPECT_EQ(stats.failures[0], 1);
-  EXPECT_NE(stats.last, FallbackTier::kPrimary);
+  EXPECT_EQ(stats.served[static_cast<std::size_t>(FallbackTier::kPerSite)],
+            1);
+  EXPECT_EQ(stats.last, FallbackTier::kPerSite);
+  EXPECT_LE(max_sharing_incentive_violation(p, a), 1e-12);
 }
 
 TEST(FallbackTier, NamesAreStable) {
   EXPECT_STREQ(to_string(FallbackTier::kPrimary), "primary");
-  EXPECT_STREQ(to_string(FallbackTier::kRelaxedEps), "relaxed-eps");
-  EXPECT_STREQ(to_string(FallbackTier::kBisection), "bisection");
-  EXPECT_STREQ(to_string(FallbackTier::kReferenceLp), "reference-lp");
   EXPECT_STREQ(to_string(FallbackTier::kPerSite), "per-site");
   EXPECT_STREQ(to_string(FallbackTier::kSalvage), "salvage");
 }

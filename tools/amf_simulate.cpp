@@ -13,16 +13,16 @@
 // JCT, work) followed by '#' summary lines.
 //
 // With --faults, a seeded MTBF/MTTR fault schedule is injected into the
-// trace (site outages and recoveries), the policy runs inside the
-// RobustAllocator graceful-degradation chain, and the summary reports
-// work lost, availability-weighted utilization, recovery latency and
-// which fallback tier served the allocation events.
+// trace (site outages and recoveries), the policy runs inside
+// RobustAllocator (primary → salvage → per-site max-min), and the summary
+// reports work lost, availability-weighted utilization, recovery latency
+// and which fallback tier served the allocation events.
 //
 // With --budget-ms B, every reallocation event runs under a B-millisecond
-// wall-clock budget: the policy is wrapped in the RobustAllocator chain
-// (which splits the budget across its tiers and salvages interrupted
-// solves) and the engine installs the same deadline ambiently around each
-// allocate call. A '# deadline' summary line reports how many events
+// wall-clock budget: the policy is wrapped in RobustAllocator (the primary
+// runs under half the budget; an interrupted primary's partial fill is
+// salvaged, else per-site max-min serves) and the engine installs the same
+// deadline ambiently around each allocate call. A '# deadline' summary line reports how many events
 // overran the budget and the worst salvage fairness gap.
 //
 // Observability outputs: --trace-out enables scoped-span tracing and
