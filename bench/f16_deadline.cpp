@@ -16,7 +16,11 @@
 // (default BENCH_deadline.json). With --gate-budget-ms X, additionally
 // replays an event-capped prefix of a 5000-job x 384-site sparse trace
 // under an X-millisecond budget and exits non-zero unless every event
-// produced a feasible allocation (the CI smoke gate).
+// produced a feasible allocation (the CI smoke gate). The gate replays
+// the same prefix once more under a 0.001 ms budget, far below one
+// primary solve on any host, and also exits non-zero unless every event
+// there is feasible and some were served below the primary — so the
+// salvage and per-site paths are exercised however fast the host is.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -29,6 +33,10 @@
 #include "workload/faults.hpp"
 
 namespace {
+
+/// The gate's second budget: well below the cost of one primary solve on
+/// any host, so the chain must serve from salvage or per-site.
+constexpr double kStarvedBudgetMs = 0.001;
 
 /// Audits every served allocation against the problem it was computed
 /// for: feasibility (demand caps, site capacities, aggregate
@@ -104,9 +112,7 @@ struct RunResult {
 RunResult run_once(const amf::workload::Trace& trace, double budget_ms,
                    int max_events) {
   amf::core::AmfAllocator amf_policy;
-  amf::core::RobustConfig robust_cfg;
-  robust_cfg.time_budget_ms = budget_ms;
-  amf::core::RobustAllocator robust(amf_policy, robust_cfg);
+  amf::core::RobustAllocator robust(amf_policy);
   AuditingAllocator audited(robust);
   amf::sim::SimulatorConfig cfg;
   cfg.event_budget_ms = budget_ms;
@@ -241,22 +247,38 @@ int main(int argc, char** argv) {
 
   // CI smoke gate: an event-capped prefix of the F14-sized sparse trace
   // (5000 jobs x 384 sites — a full replay would take hours and prove
-  // nothing extra) must stay feasible at the given budget.
-  bool gate_ok = true;
+  // nothing extra) must stay feasible at the given budget. On a fast host
+  // that budget may never interrupt the primary, so the same prefix is
+  // replayed under kStarvedBudgetMs too, where it must also have served
+  // degraded events (salvage or per-site) and stayed feasible.
+  bool gate_ok = true, starved_ok = true;
   if (gate_budget_ms > 0.0) {
     auto gate_trace = faulty_trace(5000, 384, 16002);
+    auto all_feasible_run = [](const RunResult& run) {
+      return run.audit_failures == 0 && run.audited == run.stats.events &&
+             run.stats.events > 0;
+    };
+    auto report = [&](const char* key, double budget, const RunResult& run,
+                      bool ok) {
+      std::cerr << "# " << key << ": budget_ms " << budget << " events "
+                << run.stats.events << " deadline_events "
+                << run.deadline.deadline_events << " degraded_events "
+                << run.fallback.degraded_calls() << " audit_failures "
+                << run.audit_failures << "\n";
+      json << ",\n  \"" << key << "\": {\"budget_ms\": " << fmt(budget)
+           << ", \"events\": " << run.stats.events
+           << ", \"deadline_events\": " << run.deadline.deadline_events
+           << ", \"degraded_events\": " << run.fallback.degraded_calls()
+           << ", \"audit_failures\": " << run.audit_failures
+           << ", \"ok\": " << (ok ? "true" : "false") << "}";
+    };
     auto gate = run_once(gate_trace, gate_budget_ms, /*max_events=*/200);
-    gate_ok = gate.audit_failures == 0 && gate.audited == gate.stats.events &&
-              gate.stats.events > 0;
-    std::cerr << "# gate: budget_ms " << gate_budget_ms << " events "
-              << gate.stats.events << " deadline_events "
-              << gate.deadline.deadline_events << " audit_failures "
-              << gate.audit_failures << "\n";
-    json << ",\n  \"gate\": {\"budget_ms\": " << fmt(gate_budget_ms)
-         << ", \"events\": " << gate.stats.events
-         << ", \"deadline_events\": " << gate.deadline.deadline_events
-         << ", \"audit_failures\": " << gate.audit_failures
-         << ", \"ok\": " << (gate_ok ? "true" : "false") << "}";
+    gate_ok = all_feasible_run(gate);
+    report("gate", gate_budget_ms, gate, gate_ok);
+    auto starved = run_once(gate_trace, kStarvedBudgetMs, /*max_events=*/200);
+    starved_ok =
+        all_feasible_run(starved) && starved.fallback.degraded_calls() > 0;
+    report("starved_gate", kStarvedBudgetMs, starved, starved_ok);
   }
   json << "\n}\n";
 
@@ -273,6 +295,12 @@ int main(int argc, char** argv) {
   if (!gate_ok) {
     std::cerr << "F16: gate failed at budget " << gate_budget_ms << " ms\n";
     return 4;
+  }
+  if (!starved_ok) {
+    std::cerr << "F16: gate failed at budget " << kStarvedBudgetMs
+              << " ms: an event was infeasible or none was served below "
+                 "the primary\n";
+    return 5;
   }
   return 0;
 }

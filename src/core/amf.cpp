@@ -53,9 +53,8 @@ Allocation progressive_fill(const AllocationProblem& problem,
                             const std::string& policy_name, double eps,
                             flow::LevelMethod method,
                             flow::LevelSolveStats* stats, FillTrace* trace,
-                            flow::TransportNetwork* external_net,
-                            const util::StopToken* stop) {
-  stop = util::effective_stop(stop);
+                            flow::TransportNetwork* external_net) {
+  const util::Deadline deadline = util::ambient_deadline();
   const int n = problem.jobs();
   AMF_SPAN_ARG("core/progressive_fill", "jobs", n);
   if (trace != nullptr) {
@@ -80,6 +79,15 @@ Allocation progressive_fill(const AllocationProblem& problem,
   const double scale = net.scale();
   const double tol = eps * scale;
 
+  // A fill that starts after its deadline does no work, even when no level
+  // would need solving, so its status alone tells a caller whether it was
+  // interrupted. The flow already on the network is conservative, hence a
+  // feasible partial answer.
+  if (deadline.expired()) {
+    if (stats != nullptr) stats->observe(flow::LevelStatus::kDeadlineExceeded);
+    return Allocation::from_network(net, policy_name);
+  }
+
   // All-zero floors are trivially feasible (the zero flow attains them);
   // skipping the probe keeps any flow a persistent network carried over
   // from a previous solve available for warm-started level probes.
@@ -87,7 +95,7 @@ Allocation progressive_fill(const AllocationProblem& problem,
   for (double f : floors) positive_floor = positive_floor || f > 0.0;
   if (positive_floor) {
     net.probe(floors, eps);
-    if (stop != nullptr && stop->stop_requested() && !net.saturated(eps)) {
+    if (deadline.expired() && !net.saturated(eps)) {
       // The deadline fired inside the probe itself (the flow on the
       // network is conservative, so the matrix is feasible): report an
       // interrupted fill, not a floor-contract violation.
@@ -157,7 +165,7 @@ Allocation progressive_fill(const AllocationProblem& problem,
   // Termination: every loop iteration either freezes at least one job or
   // advances to the next segment, so at most n + |bounds| iterations run.
   while (unfrozen_count > 0) {
-    if (stop != nullptr && stop->stop_requested()) return interrupted();
+    if (deadline.expired()) return interrupted();
     AMF_ASSERT(seg + 1 < bounds.size(), "ran out of level segments");
     const double seg_end = bounds[seg + 1];
     const double t_lo = std::max(level, bounds[seg]);
@@ -180,7 +188,7 @@ Allocation progressive_fill(const AllocationProblem& problem,
     }
 
     auto res = flow::solve_critical_level(net, sources, t_lo, seg_end, eps,
-                                          method, stats, stop, &gallop);
+                                          method, stats, &gallop);
     if (res.status == flow::LevelStatus::kDeadlineExceeded)
       return interrupted();
     // Iteration-capped solves are usable (bisection closed the bracket and
@@ -252,8 +260,7 @@ Allocation progressive_fill(const AllocationProblem& problem,
   // Materialize the allocation realizing the frozen aggregates exactly.
   net.solve(value, eps);
   if (stats != nullptr) ++stats->flow_solves;
-  if (stop != nullptr && stop->stop_requested() &&
-      !net.saturated(eps * 64.0)) {
+  if (deadline.expired() && !net.saturated(eps * 64.0)) {
     // The deadline fired inside the final materialization: the flow is a
     // feasible partial realization of the frozen aggregates.
     if (stats != nullptr) stats->observe(flow::LevelStatus::kDeadlineExceeded);

@@ -70,8 +70,8 @@ class AmfAllocator final : public Allocator {
 /// SolverWorkspace's persistent network); filling then skips the network
 /// construction. Null builds a fresh network — same results either way.
 ///
-/// `stop` (explicit, else the ambient token) makes the fill *anytime*:
-/// when it fires, filling halts and the allocation currently realized by
+/// The ambient deadline (util::ambient_deadline) makes the fill *anytime*:
+/// when it expires, filling halts and the allocation currently realized by
 /// the network is returned — a feasible matrix in which every level
 /// frozen before the interrupt is already served — with
 /// `stats->worst == kDeadlineExceeded` marking the result partial.
@@ -80,7 +80,6 @@ Allocation progressive_fill(
     const std::string& policy_name, double eps,
     flow::LevelMethod method = flow::LevelMethod::kCutNewton,
     flow::LevelSolveStats* stats = nullptr, FillTrace* trace = nullptr,
-    flow::TransportNetwork* net = nullptr,
-    const util::StopToken* stop = nullptr);
+    flow::TransportNetwork* net = nullptr);
 
 }  // namespace amf::core

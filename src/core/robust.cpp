@@ -9,6 +9,7 @@
 #include "core/amf.hpp"
 #include "core/workspace.hpp"
 #include "flow/transport.hpp"
+#include "util/deadline.hpp"
 #include "util/error.hpp"
 
 namespace amf::core {
@@ -43,11 +44,6 @@ std::string FallbackStats::summary() const {
   out += " last=";
   out += to_string(last);
   return out;
-}
-
-void RobustConfig::validate() const {
-  AMF_REQUIRE(std::isfinite(time_budget_ms) && time_budget_ms >= 0.0,
-              "time_budget_ms must be finite and >= 0");
 }
 
 namespace {
@@ -116,11 +112,8 @@ FallbackCounters& fb_counters() {
 
 }  // namespace
 
-RobustAllocator::RobustAllocator(const Allocator& primary, RobustConfig config)
-    : primary_(primary),
-      config_(config),
-      telemetry_(std::make_shared<Telemetry>()) {
-  config.validate();
+RobustAllocator::RobustAllocator(const Allocator& primary)
+    : primary_(primary), telemetry_(std::make_shared<Telemetry>()) {
   telemetry_->shard = obs::Registry::global().new_shard();
 }
 
@@ -144,7 +137,8 @@ DeadlineStats RobustAllocator::deadline_stats() const {
   for (std::size_t i = 0; i < kFallbackTierCount; ++i)
     stats.deadline_exceeded[i] = static_cast<long>(
         counters.deadline_exceeded[i].value_in(*telemetry_->shard));
-  stats.deadline_events = telemetry_->deadline_events;
+  stats.deadline_events = static_cast<long>(
+      counters.deadline_events.value_in(*telemetry_->shard));
   stats.worst_salvage_gap = telemetry_->worst_salvage_gap;
   return stats;
 }
@@ -153,7 +147,6 @@ void RobustAllocator::reset_stats() {
   obs::Registry::global().retire(*telemetry_->shard);
   telemetry_->last = FallbackTier::kPrimary;
   telemetry_->last_error.clear();
-  telemetry_->deadline_events = 0;
   telemetry_->worst_salvage_gap = 0.0;
 }
 
@@ -218,21 +211,9 @@ Allocation RobustAllocator::allocate(const AllocationProblem& problem,
 
 Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
                                           SolverWorkspace* workspace) const {
-  // The overall stop for this event: the config budget merged with any
-  // ambient deadline installed by the caller, plus whichever cancel flag
-  // exists (the config's wins over the ambient one).
-  const util::StopToken* ambient = util::ambient_stop();
-  util::Deadline overall = config_.time_budget_ms > 0.0
-                               ? util::Deadline::after_ms(config_.time_budget_ms)
-                               : util::Deadline::never();
-  if (ambient != nullptr)
-    overall = util::Deadline::earlier(overall, ambient->deadline());
-  util::CancelToken cancel = config_.cancel.valid()
-                                 ? config_.cancel
-                                 : (ambient != nullptr ? ambient->cancel()
-                                                       : util::CancelToken{});
-  const util::StopToken overall_stop{overall, cancel};
-  const bool budgeted = overall_stop.enabled();
+  // The budget for this event: the ambient deadline the caller
+  // installed, or none.
+  const util::Deadline overall = util::ambient_deadline();
 
   FallbackCounters& counters = fb_counters();
   Telemetry& telemetry = *telemetry_;
@@ -260,10 +241,7 @@ Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
     counters.served[sidx].add_to(*telemetry.shard, 1);
     if (telemetry.last != id) counters.tier_transitions.add(1);
     telemetry.last = id;
-    if (any_deadline) {
-      counters.deadline_events.add_to(*telemetry.shard, 1);
-      ++telemetry.deadline_events;
-    }
+    if (any_deadline) counters.deadline_events.add_to(*telemetry.shard, 1);
     if (!overall.unlimited())
       counters.budget_remaining.observe_in(*telemetry.shard,
                                            overall.remaining_ms());
@@ -278,18 +256,14 @@ Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
   // interface.
   std::optional<Allocation> partial;  // the interrupted primary's fill
   double ref_level = 0.0;             // the highest level it froze
-  if (!budgeted || !overall_stop.stop_requested()) {
-    std::optional<util::ScopedStop> scoped;
-    util::StopToken primary_stop;
-    if (budgeted) {
-      util::Deadline slice = overall;
-      if (!overall.unlimited())
-        slice = util::Deadline::earlier(
-            overall, util::Deadline::after_ms(overall.remaining_ms() *
-                                              kTierBudgetShare));
-      primary_stop = util::StopToken{slice, cancel};
-      scoped.emplace(primary_stop);
-    }
+  if (!overall.expired()) {
+    const util::Deadline slice =
+        overall.unlimited()
+            ? overall
+            : util::Deadline::earlier(
+                  overall, util::Deadline::after_ms(overall.remaining_ms() *
+                                                    kTierBudgetShare));
+    const util::ScopedDeadline scoped(slice);
     try {
       flow::LevelStatus status = flow::LevelStatus::kConverged;
       const FillTrace* trace = nullptr;
@@ -326,15 +300,12 @@ Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
       } else {
         fail(kPrimaryIdx, "infeasible allocation from the primary");
       }
-    } catch (const util::DeadlineExceeded& e) {
-      fail(kPrimaryIdx, e.what());
-      interrupted();
     } catch (const util::InternalError& e) {
       fail(kPrimaryIdx, e.what());
-      // A solver driven into a corner by its stop token can surface as an
+      // A solver driven into a corner by its deadline can surface as an
       // internal invariant failure; classify it as a deadline when the
-      // primary's own stop had fired.
-      if (budgeted && primary_stop.stop_requested()) interrupted();
+      // primary's own slice had expired.
+      if (slice.expired()) interrupted();
     }
   }
 

@@ -23,14 +23,16 @@
 // (Registry::global().snapshot()) and per wrapper (fallback_stats(), an
 // exact per-instance view).
 //
-// Deadlines (anytime operation). With `RobustConfig::time_budget_ms` set
-// (or an ambient util::StopToken installed around the call), the chain is
-// additionally *latency-bounded*: the primary runs under a sub-deadline
-// of half the budget, so the other half remains for the closed-form
-// finish, and an interrupted primary is treated like a failed one
-// (counted in amf_core_deadline_exceeded_primary). A budget already
-// stopped on entry skips the primary outright. The per-site tier is
-// exempt: it never polls and always completes. The primary's
+// Deadlines (anytime operation). The chain's budget is the ambient
+// deadline (util::ScopedDeadline) installed around the call — the
+// simulator's event_budget_ms and a served solve's budget_ms both arrive
+// this way — and with none installed the call is unbudgeted. Budgeted,
+// the chain is *latency-bounded*: the primary runs under a sub-deadline
+// of half the remaining budget, so the other half remains for the
+// closed-form finish, and an interrupted primary is treated like a
+// failed one (counted in amf_core_deadline_exceeded_primary). A budget
+// already spent on entry skips the primary outright. The per-site tier
+// is exempt: it never polls and always completes. The primary's
 // deadline-interrupted AMF result (its frozen levels are feasible, only
 // partial) is *salvaged* instead of discarded: per-site water-filling
 // distributes the residual capacity on the residual demands, and the
@@ -45,7 +47,6 @@
 #include "core/allocation.hpp"
 #include "core/persite.hpp"
 #include "obs/metrics.hpp"
-#include "util/deadline.hpp"
 
 namespace amf::core {
 
@@ -88,23 +89,9 @@ struct FallbackStats {
   std::string summary() const;
 };
 
-struct RobustConfig {
-  /// Wall-clock budget for one allocate() call, in milliseconds. Zero =
-  /// unbudgeted (an ambient util::StopToken, if any, still applies). The
-  /// closed-form salvage and per-site steps always complete, so the serve
-  /// latency can exceed the budget by their (small, polling-free) cost.
-  double time_budget_ms = 0.0;
-  /// Optional external cancellation handle; when valid and cancelled, the
-  /// chain stops at the next poll exactly like an expired deadline.
-  util::CancelToken cancel;
-
-  /// Throws ContractError on a negative or non-finite budget.
-  void validate() const;
-};
-
 /// Per-instance deadline telemetry (snapshot, like FallbackStats).
 struct DeadlineStats {
-  /// Tier attempts interrupted by the stop token, by tier (only the
+  /// Tier attempts interrupted by the deadline, by tier (only the
   /// primary polls, so only its entry can be nonzero).
   std::array<long, kFallbackTierCount> deadline_exceeded{};
   /// Events in which the primary was deadline-interrupted.
@@ -119,11 +106,13 @@ struct DeadlineStats {
 /// outlive the wrapper.
 class RobustAllocator final : public Allocator {
  public:
-  explicit RobustAllocator(const Allocator& primary, RobustConfig config = {});
+  explicit RobustAllocator(const Allocator& primary);
 
   /// Never throws InternalError: serves the primary's allocation when it
   /// is feasible, else the salvage or per-site one (the per-site tier
-  /// always produces a feasible allocation).
+  /// always produces a feasible allocation). The closed-form salvage and
+  /// per-site steps always complete, so a budgeted call can overrun its
+  /// deadline by their (small, polling-free) cost.
   Allocation allocate(const AllocationProblem& problem) const override;
 
   /// Workspace-aware form. The workspace is invalidated whenever the
@@ -159,12 +148,10 @@ class RobustAllocator final : public Allocator {
     std::shared_ptr<obs::Shard> shard;
     FallbackTier last = FallbackTier::kPrimary;
     std::string last_error;
-    long deadline_events = 0;
     double worst_salvage_gap = 0.0;
   };
 
   const Allocator& primary_;
-  RobustConfig config_;
   PerSiteMaxMin persite_;
   std::shared_ptr<Telemetry> telemetry_;
 };

@@ -85,9 +85,6 @@ Allocation StabilityAddon::optimize(const AllocationProblem& problem,
 
   auto result = net.solve(source, sink,
                           std::numeric_limits<double>::infinity(), kEps);
-  if (!result.complete)
-    throw util::DeadlineExceeded(
-        "stability min-cost realization interrupted by its stop token");
   AMF_REQUIRE(result.flow >= total - kEps * std::max(problem.scale(), total),
               "target aggregates must be realizable");
 

@@ -48,9 +48,7 @@ double MinCostFlow::flow(EdgeId e) const {
 }
 
 MinCostFlow::Result MinCostFlow::solve(NodeId source, NodeId sink,
-                                       double limit, double eps,
-                                       const util::StopToken* stop) {
-  stop = util::effective_stop(stop);
+                                       double limit, double eps) {
   AMF_REQUIRE(source >= 0 && source < node_count(), "bad source");
   AMF_REQUIRE(sink >= 0 && sink < node_count(), "bad sink");
   AMF_REQUIRE(source != sink, "source == sink");
@@ -63,10 +61,6 @@ MinCostFlow::Result MinCostFlow::solve(NodeId source, NodeId sink,
   std::vector<double> potential(nodes, kInf);
   potential[static_cast<std::size_t>(source)] = 0.0;
   for (std::size_t round = 0; round + 1 < nodes; ++round) {
-    if (stop != nullptr && stop->stop_requested()) {
-      result.complete = false;
-      return result;  // nothing pushed yet — the zero flow is valid
-    }
     bool changed = false;
     for (std::size_t v = 0; v < nodes; ++v) {
       if (potential[v] == kInf) continue;
@@ -93,12 +87,6 @@ MinCostFlow::Result MinCostFlow::solve(NodeId source, NodeId sink,
   std::vector<char> done(nodes);
 
   while (result.flow < limit) {
-    // Augmentations are atomic: stopping between them leaves a valid
-    // partial flow on the arcs, flagged incomplete for the caller.
-    if (stop != nullptr && stop->stop_requested()) {
-      result.complete = false;
-      break;
-    }
     // Dijkstra on reduced costs.
     std::fill(dist.begin(), dist.end(), kInf);
     std::fill(done.begin(), done.end(), 0);

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "flow/network.hpp"
-#include "util/deadline.hpp"
 
 namespace amf::flow {
 
@@ -38,22 +37,16 @@ class MinCostFlow {
   struct Result {
     double flow = 0.0;  ///< total flow pushed
     double cost = 0.0;  ///< total cost of the flow
-    /// False when the stop token fired before the limit was reached or
-    /// the paths ran out. The flow pushed so far is still a valid
-    /// (partial) flow — augmentations are atomic — just not a maximal or
-    /// cost-optimal one.
-    bool complete = true;
   };
 
   /// Pushes up to `limit` units from source to sink along cheapest paths
   /// (min-cost max-flow when limit is infinite). Augments only while a
   /// path exists; per-arc residuals below eps count as empty. May be
-  /// called once per instance (no incremental reuse). `stop` (explicit,
-  /// else the ambient token) is polled between augmentations.
+  /// called once per instance (no incremental reuse). Runs to
+  /// completion: it polls no deadline.
   Result solve(NodeId source, NodeId sink,
                double limit = std::numeric_limits<double>::infinity(),
-               double eps = FlowNetwork::kDefaultEps,
-               const util::StopToken* stop = nullptr);
+               double eps = FlowNetwork::kDefaultEps);
 
  private:
   std::vector<std::vector<EdgeId>> adj_;

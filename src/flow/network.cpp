@@ -174,12 +174,12 @@ double FlowNetwork::max_flow(NodeId source, NodeId sink, double eps) {
   double total = 0.0;
   long long phases = 0;
   long long paths = 0;
-  // An ambient stop token bounds even one oversized max flow: polled
+  // The ambient deadline bounds even one oversized max flow: polled
   // between blocking-flow phases (path augmentations are atomic), an
   // interrupted call returns a valid conservative flow that callers
-  // observe as unsaturated. No ambient token installed = no clock reads.
-  const util::StopToken* stop = util::ambient_stop();
-  while (!(stop != nullptr && stop->stop_requested())) {
+  // observe as unsaturated. No deadline installed = no clock reads.
+  const util::Deadline deadline = util::ambient_deadline();
+  while (!deadline.expired()) {
     if (!bfs_levels(source, sink, eps)) {
       // The failed BFS labeled every node residual-reachable from source.
       cut_valid_ = true;

@@ -122,7 +122,7 @@ class FlowNetwork {
   double max_flow(NodeId source, NodeId sink, double eps = kDefaultEps);
 
   /// True when the flow on the network is the result of a max_flow that
-  /// ran to completion (it was not cut short by a stop token) and no
+  /// ran to completion (it was not cut short by the deadline) and no
   /// mutator has run since. Memos of a solve's result key on this.
   bool holds_max_flow() const { return cut_valid_; }
 

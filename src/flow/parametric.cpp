@@ -6,6 +6,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "util/deadline.hpp"
 #include "util/error.hpp"
 
 namespace amf::flow {
@@ -72,9 +73,10 @@ double job_cut_level(const TransportNetwork& net, const ParametricSource& src,
 CriticalLevel solve_critical_level(
     TransportNetwork& net, const std::vector<ParametricSource>& sources,
     double t_lo, double t_hi, double eps, LevelMethod method,
-    LevelSolveStats* stats, const util::StopToken* stop,
-    GallopState* gallop) {
-  stop = util::effective_stop(stop);
+    LevelSolveStats* stats, GallopState* gallop) {
+  // Polled before every probe: each is a full max flow, so one clock read
+  // per probe is already amortized.
+  const util::Deadline deadline = util::ambient_deadline();
   const int n = net.jobs();
   const int m = net.sites();
   AMF_REQUIRE(static_cast<int>(sources.size()) == n,
@@ -114,9 +116,6 @@ CriticalLevel solve_critical_level(
 
   double t = t_hi;
   double known_feasible = t_lo;  // bisection lower bracket
-  // Every probe is a full max flow, so a plain clock read per probe is
-  // already amortized; no stride poller needed at this granularity.
-  auto stop_now = [&] { return stop != nullptr && stop->stop_requested(); };
   bool found = false;
   bool job_cut_start = false;
   bool job_cut_first_feasible = false;
@@ -150,7 +149,7 @@ CriticalLevel solve_critical_level(
     // the bracket well below the residual threshold used by the freezing
     // BFS, otherwise the leftover level gap leaks enough slack into the
     // binding cut that no job appears frozen.
-    if (stop_now()) {
+    if (deadline.expired()) {
       t = known_feasible;
       status = LevelStatus::kDeadlineExceeded;
       found = true;
@@ -160,7 +159,7 @@ CriticalLevel solve_critical_level(
       const double deep_tol = t_tol * 1e-3;
       double lo = t_lo, hi = t_hi;
       for (int it = 0; it < 200 && hi - lo > deep_tol; ++it) {
-        if (stop_now()) {
+        if (deadline.expired()) {
           status = LevelStatus::kDeadlineExceeded;
           break;
         }
@@ -177,7 +176,7 @@ CriticalLevel solve_critical_level(
 
   for (int iter = 0; !found && iter < kMaxNewton; ++iter) {
     AMF_SPAN("flow/newton_iter");
-    if (stop_now()) {
+    if (deadline.expired()) {
       t = known_feasible;
       status = LevelStatus::kDeadlineExceeded;
       found = true;
@@ -262,7 +261,7 @@ CriticalLevel solve_critical_level(
       std::vector<char> hi_can;
       MinCut hi_cut;
       while (lo + 1 < hi) {
-        if (stop_now()) {
+        if (deadline.expired()) {
           status = LevelStatus::kDeadlineExceeded;
           hi = levels.size();
           break;
@@ -315,7 +314,7 @@ CriticalLevel solve_critical_level(
     status = LevelStatus::kIterationCapped;
     double lo = known_feasible, hi = t;
     for (int i = 0; i < 80 && hi - lo > t_tol; ++i) {
-      if (stop_now()) {
+      if (deadline.expired()) {
         status = LevelStatus::kDeadlineExceeded;
         break;
       }

@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "flow/transport.hpp"
-#include "util/deadline.hpp"
 
 namespace amf::flow {
 
@@ -85,7 +84,7 @@ enum class LevelStatus {
                       ///< bracket, result valid but lower-confidence
   kDegenerate,        ///< a bracket/contract invariant failed numerically;
                       ///< the returned allocation must not be trusted
-  kDeadlineExceeded,  ///< the stop token fired mid-solve; the returned
+  kDeadlineExceeded,  ///< the deadline expired mid-solve; the returned
                       ///< level is the best *known-feasible* one (a
                       ///< conservative partial answer, never an
                       ///< overestimate), not the critical level
@@ -153,8 +152,8 @@ struct CriticalLevel {
 /// kCutNewton starts its descent at the tightest job cut and, when that
 /// level is feasible and `gallop` is given, gallops over the following job
 /// cuts (see the header comment); kBisection brackets the whole segment.
-/// `stop` (explicit, else the ambient token) is polled before every
-/// feasibility probe; when it fires the solve returns immediately with
+/// The ambient deadline (util::ambient_deadline) is polled before every
+/// feasibility probe; when it expires the solve returns immediately with
 /// status kDeadlineExceeded and `level` set to the best level it had
 /// already proven feasible (at worst t_lo) — a conservative answer a
 /// caller can still act on.
@@ -166,7 +165,6 @@ CriticalLevel solve_critical_level(
     TransportNetwork& net, const std::vector<ParametricSource>& sources,
     double t_lo, double t_hi, double eps = FlowNetwork::kDefaultEps,
     LevelMethod method = LevelMethod::kCutNewton,
-    LevelSolveStats* stats = nullptr, const util::StopToken* stop = nullptr,
-    GallopState* gallop = nullptr);
+    LevelSolveStats* stats = nullptr, GallopState* gallop = nullptr);
 
 }  // namespace amf::flow

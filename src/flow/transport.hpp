@@ -29,7 +29,7 @@
 // stream of related instances (each event perturbs little of the flow).
 //
 // Memos are recorded only after a max flow that ran to completion: a max
-// flow cut short by a stop token leaves a partial flow that a later solve
+// flow cut short by the deadline leaves a partial flow that a later solve
 // must not return.
 #pragma once
 

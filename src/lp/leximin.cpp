@@ -74,9 +74,6 @@ std::optional<double> max_common_level(const GroupedPolytope& poly,
     program.rows.push_back(std::move(row));
   }
   auto result = solve(program);
-  if (result.status == LpStatus::kDeadlineExceeded)
-    throw util::DeadlineExceeded(
-        "leximin level LP interrupted by its stop token");
   if (result.status != LpStatus::kOptimal) return std::nullopt;
   return result.objective;
 }

@@ -46,8 +46,7 @@ bool floors_feasible(const GroupedPolytope& poly,
 
 /// The level LP: the largest t at which every job with frozen[j] == 0
 /// reaches quantity rates[j]·t while every frozen job keeps quantity >=
-/// floors[j]. nullopt when no such t exists. Throws util::DeadlineExceeded
-/// when the stop token fires.
+/// floors[j]. nullopt when no such t exists.
 std::optional<double> max_common_level(const GroupedPolytope& poly,
                                        const std::vector<double>& rates,
                                        const std::vector<char>& frozen,

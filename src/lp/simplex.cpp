@@ -13,13 +13,12 @@ namespace {
 /// Dense two-phase tableau. Columns: [structural | slack/surplus |
 /// artificial | rhs]. basis_[i] is the column basic in row i.
 /// Outcome of one optimize() run on the tableau.
-enum class PivotOutcome { kOptimal, kUnbounded, kIterationLimit, kDeadline };
+enum class PivotOutcome { kOptimal, kUnbounded, kIterationLimit };
 
 class Tableau {
  public:
-  Tableau(const LinearProgram& program, double eps, long max_iterations,
-          const util::StopToken* stop)
-      : eps_(eps), budget_(max_iterations), poller_(stop) {
+  Tableau(const LinearProgram& program, double eps, long max_iterations)
+      : eps_(eps), budget_(max_iterations) {
     const int n = program.variables;
     AMF_REQUIRE(n >= 0, "negative variable count");
     AMF_REQUIRE(program.objective.empty() ||
@@ -90,15 +89,10 @@ class Tableau {
     for (int j = art_begin_; j < cols_; ++j)
       cost[static_cast<std::size_t>(j)] = -1.0;  // maximize -(sum of artificials)
     // The phase-1 objective is bounded by construction, so the only
-    // non-optimal outcomes here are running out of pivots or of time.
-    switch (optimize(cost, /*allow_artificial_entering=*/false)) {
-      case PivotOutcome::kIterationLimit:
-        return LpStatus::kIterationLimit;
-      case PivotOutcome::kDeadline:
-        return LpStatus::kDeadlineExceeded;
-      default:
-        break;
-    }
+    // non-optimal outcome here is running out of pivots.
+    if (optimize(cost, /*allow_artificial_entering=*/false) ==
+        PivotOutcome::kIterationLimit)
+      return LpStatus::kIterationLimit;
     double infeasibility = 0.0;
     for (std::size_t i = 0; i < tab_.size(); ++i)
       if (basis_[i] >= art_begin_) infeasibility += rhs(i);
@@ -116,8 +110,6 @@ class Tableau {
         return LpStatus::kOptimal;
       case PivotOutcome::kUnbounded:
         return LpStatus::kUnbounded;
-      case PivotOutcome::kDeadline:
-        return LpStatus::kDeadlineExceeded;
       case PivotOutcome::kIterationLimit:
         break;
     }
@@ -149,7 +141,6 @@ class Tableau {
     std::vector<double> reduced(static_cast<std::size_t>(cols_), 0.0);
     for (;;) {
       if (--budget_ < 0) return PivotOutcome::kIterationLimit;
-      if (poller_.should_stop()) return PivotOutcome::kDeadline;
       const bool bland = ++iterations > bland_after;
 
       // Reduced costs: rc_j = c_j - c_B · column_j.
@@ -239,7 +230,6 @@ class Tableau {
 
   double eps_;
   long budget_ = kDefaultMaxIterations;
-  util::StopPoller poller_;
   std::vector<Row> rows_;
   std::vector<std::vector<double>> tab_;
   std::vector<int> basis_;
@@ -251,10 +241,10 @@ class Tableau {
 }  // namespace
 
 LpResult solve(const LinearProgram& program, double eps,
-               long max_iterations, const util::StopToken* stop) {
+               long max_iterations) {
   AMF_REQUIRE(eps > 0.0, "eps must be positive");
   AMF_REQUIRE(max_iterations > 0, "iteration budget must be positive");
-  Tableau tableau(program, eps, max_iterations, util::effective_stop(stop));
+  Tableau tableau(program, eps, max_iterations);
   LpResult result;
   result.status = tableau.phase1();
   if (result.status != LpStatus::kOptimal) return result;

@@ -11,8 +11,6 @@
 
 #include <vector>
 
-#include "util/deadline.hpp"
-
 namespace amf::lp {
 
 /// Row sense of one linear constraint.
@@ -37,14 +35,11 @@ struct LinearProgram {
 /// optimality was proven — the result carries no usable solution, but the
 /// condition is surfaced as a status (not a throw) so callers can react:
 /// retry with a looser tolerance, or fall back to another solver.
-/// kDeadlineExceeded likewise carries no solution: the stop token fired
-/// mid-pivot (a half-optimized tableau has no salvageable answer).
 enum class LpStatus {
   kOptimal,
   kInfeasible,
   kUnbounded,
   kIterationLimit,
-  kDeadlineExceeded,
 };
 
 struct LpResult {
@@ -64,11 +59,9 @@ inline constexpr long kDefaultMaxIterations = 1'000'000;
 
 /// Solves the LP. `eps` is the pivot/feasibility tolerance;
 /// `max_iterations` bounds the total pivot count across both phases.
-/// `stop` (explicit, else the ambient token) is polled every few dozen
-/// pivots; when it fires the solve returns kDeadlineExceeded.
+/// Runs to completion: it polls no deadline and reads no clock.
 LpResult solve(const LinearProgram& program, double eps = 1e-9,
-               long max_iterations = kDefaultMaxIterations,
-               const util::StopToken* stop = nullptr);
+               long max_iterations = kDefaultMaxIterations);
 
 /// Convenience: is {rows, x >= 0} feasible? Returns a witness if so.
 bool feasible(int variables, const std::vector<Row>& rows,

@@ -243,8 +243,6 @@ core::Allocation min_churn_lp(const core::AllocationProblem& problem,
     }
 
   auto result = lp::solve(program, eps);
-  if (result.status == lp::LpStatus::kDeadlineExceeded)
-    throw util::DeadlineExceeded("stability LP interrupted by its stop token");
   AMF_REQUIRE(result.status == lp::LpStatus::kOptimal,
               "target aggregates must be realizable");
 

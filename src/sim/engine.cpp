@@ -504,17 +504,14 @@ std::vector<JobRecord> Simulator::run(const workload::Trace& trace) {
     if (sample.warm) sim_counters().warm_events.add(1);
     const auto alloc_begin = std::chrono::steady_clock::now();
 
-    // Optional per-event time budget, installed ambiently so it reaches
-    // the policy's solvers through the virtual Allocator interface. Scoped
-    // to the allocate call only: the JCT/stability add-ons below run
-    // unbudgeted by design (their LP/flow substrate would otherwise throw
-    // DeadlineExceeded with no salvage path to catch it).
-    std::optional<util::StopToken> event_stop;
-    std::optional<util::ScopedStop> event_scope;
-    if (config_.event_budget_ms > 0.0) {
-      event_stop.emplace(util::Deadline::after_ms(config_.event_budget_ms));
-      event_scope.emplace(*event_stop);
-    }
+    // Optional per-event time budget, installed as the ambient deadline so
+    // it reaches the policy's solvers through the virtual Allocator
+    // interface. Scoped to the allocate call only: the JCT and stability
+    // add-ons below run unbudgeted (they poll no deadline and always run
+    // to completion).
+    std::optional<util::ScopedDeadline> event_scope;
+    if (config_.event_budget_ms > 0.0)
+      event_scope.emplace(util::Deadline::after_ms(config_.event_budget_ms));
 
     core::Allocation alloc;
     if (inc) {

@@ -87,8 +87,8 @@ struct RunStats {
   long long spans_dropped = 0;
   /// Events whose policy allocate call overran the configured
   /// event_budget_ms (0 when unbudgeted). The call still returned a
-  /// feasible allocation — cooperative cancellation plus the robust
-  /// chain's salvage guarantee that — it just took longer than the slice.
+  /// feasible allocation — the polled deadline plus the robust chain's
+  /// salvage guarantee that — it just took longer than the slice.
   int events_over_budget = 0;
 };
 
@@ -140,8 +140,9 @@ struct SimulatorConfig {
   /// too long to replay in full.
   int max_events = 0;
   /// Wall-clock budget (milliseconds) for each event's policy allocate
-  /// call, installed as the ambient util::StopToken around the call so it
-  /// reaches the solvers through the Allocator interface. 0 (the default)
+  /// call, installed as the ambient deadline (util::ScopedDeadline) around
+  /// the call so it reaches the solvers through the Allocator interface.
+  /// It is the only budget a RobustAllocator policy sees. 0 (the default)
   /// = unbudgeted, and the event loop is byte-identical to earlier
   /// releases. Pair with a RobustAllocator policy: the budget makes bare
   /// solvers return *partial* allocations, which only the robust chain

@@ -65,6 +65,16 @@ std::string repl_wait_error(double id, ReplSender::WaitResult wait) {
 
 }  // namespace
 
+util::Deadline run_deadline(const std::vector<SolveBudget>& solves) {
+  util::Deadline deadline;
+  for (const SolveBudget& solve : solves)
+    if (solve.budget_ms > 0.0)
+      deadline = util::Deadline::earlier(
+          deadline, util::Deadline::at(util::saturating_after_ms(
+                        solve.enqueued, solve.budget_ms)));
+  return deadline;
+}
+
 std::unique_ptr<core::Allocator> make_policy(const std::string& name) {
   if (name == "amf") return std::make_unique<core::AmfAllocator>();
   if (name == "eamf") return std::make_unique<core::EnhancedAmfAllocator>();
@@ -865,15 +875,13 @@ void Session::serve_run(std::vector<Item>* run) {
         metrics.cache_hits.add();
         solved_this_run = true;
       } else {
-        // Tightest remaining budget across the coalesced solves; queue
-        // wait is charged against each request's own budget.
-        double budget = 0.0;
-        for (const Item& peer : kept) {
-          if (peer.req.op != Op::kSolve || peer.budget_ms <= 0.0) continue;
-          const double remaining =
-              peer.budget_ms - ms_since(peer.enqueued, start);
-          budget = budget <= 0.0 ? remaining : std::min(budget, remaining);
-        }
+        // The tightest budget across the coalesced solves, each counted
+        // from its own enqueue time.
+        std::vector<SolveBudget> budgets;
+        for (const Item& peer : kept)
+          if (peer.req.op == Op::kSolve)
+            budgets.push_back({peer.enqueued, peer.budget_ms});
+        const util::Deadline deadline = run_deadline(budgets);
         try {
           const auto solve_start = Clock::now();
           {
@@ -882,12 +890,7 @@ void Session::serve_run(std::vector<Item>* run) {
               last_allocation_ =
                   core::Allocation(flow::ShareRows{}, base_policy_->name());
             } else {
-              std::optional<util::StopToken> token;
-              std::optional<util::ScopedStop> scoped;
-              if (budget > 0.0) {
-                token.emplace(util::Deadline::after_ms(budget));
-                scoped.emplace(*token);
-              }
+              const util::ScopedDeadline scoped(deadline);
               last_allocation_ = robust_->allocate(problem_, workspace_);
             }
           }
@@ -906,7 +909,7 @@ void Session::serve_run(std::vector<Item>* run) {
           metrics.solve_calls.add();
           has_allocation_ = true;
           last_solve_seq_ = seq_;
-          cacheable_ = budget <= 0.0;
+          cacheable_ = deadline.unlimited();
           last_tier_ = problem_.jobs() == 0
                            ? ""
                            : core::to_string(robust_->fallback_stats().last);

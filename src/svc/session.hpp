@@ -50,8 +50,9 @@
 // `max_queue_age_ms`, or whose request deadline already expired, is shed
 // with the same typed error; acknowledged deltas are never shed (their
 // contract was given at admission). A solve with `budget_ms` runs under
-// a deadline of its *remaining* budget — queue wait is charged against
-// it — threaded to the solver chain as the ambient util::StopToken.
+// the deadline `enqueued + budget_ms` — queue wait, and anything its run
+// serves before the solve, are charged against it — installed around the
+// solver chain as the ambient deadline (util::ScopedDeadline).
 //
 // ## Durability (write-ahead journal) and idempotent retries
 //
@@ -91,6 +92,7 @@
 #include "svc/executor.hpp"
 #include "svc/journal.hpp"
 #include "svc/proto.hpp"
+#include "util/deadline.hpp"
 
 namespace amf::svc {
 
@@ -398,6 +400,19 @@ class Session {
   std::unique_ptr<core::Allocator> base_policy_;
   std::unique_ptr<core::RobustAllocator> robust_;
 };
+
+/// One solve of a coalesced run, as its budget sees it: when it was
+/// enqueued and its budget in milliseconds (0 = unbudgeted).
+struct SolveBudget {
+  std::chrono::steady_clock::time_point enqueued;
+  double budget_ms = 0.0;
+};
+
+/// The deadline a coalesced run's one solve runs under: the earliest
+/// `enqueued + budget_ms` (saturating) over the budgeted solves, so every
+/// request's own budget holds from the moment it was enqueued.
+/// Deadline::never() when none carries a budget.
+util::Deadline run_deadline(const std::vector<SolveBudget>& solves);
 
 /// The allocator a policy name selects ("amf", "eamf" or "psmf"), or
 /// nullptr for any other name.

@@ -52,26 +52,17 @@ double Deadline::remaining_ms() const {
   return ms > 0.0 ? ms : 0.0;
 }
 
-CancelToken CancelToken::make() {
-  CancelToken token;
-  token.flag_ = std::make_shared<std::atomic<bool>>(false);
-  return token;
-}
-
-void CancelToken::request_cancel() const {
-  if (flag_ != nullptr) flag_->store(true, std::memory_order_relaxed);
-}
-
 namespace {
-thread_local const StopToken* g_ambient_stop = nullptr;
+thread_local Deadline g_ambient_deadline;
 }  // namespace
 
-const StopToken* ambient_stop() { return g_ambient_stop; }
+const Deadline& ambient_deadline() { return g_ambient_deadline; }
 
-ScopedStop::ScopedStop(const StopToken& token) : previous_(g_ambient_stop) {
-  g_ambient_stop = &token;
+ScopedDeadline::ScopedDeadline(Deadline deadline)
+    : previous_(g_ambient_deadline) {
+  g_ambient_deadline = deadline;
 }
 
-ScopedStop::~ScopedStop() { g_ambient_stop = previous_; }
+ScopedDeadline::~ScopedDeadline() { g_ambient_deadline = previous_; }
 
 }  // namespace amf::util

@@ -1,9 +1,8 @@
-// Tests for the deadline/cancellation subsystem and the anytime
-// allocation pipeline built on it: the util primitives, cooperative
-// interruption of the solver substrate, the RobustAllocator budget
-// split + salvage path, config validation, workspace hygiene after an
-// interrupted tier, and randomized chaos runs firing tight budgets at
-// fault-heavy traces.
+// Tests for the deadline subsystem and the anytime allocation pipeline
+// built on it: the util primitives, cooperative interruption of the
+// fill and the level solve, the RobustAllocator budget split + salvage
+// path, workspace hygiene after an interrupted tier, and randomized
+// chaos runs firing tight budgets at fault-heavy traces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +16,6 @@
 #include "flow/transport.hpp"
 #include "core/robust.hpp"
 #include "core/workspace.hpp"
-#include "lp/simplex.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
@@ -62,6 +60,18 @@ TEST(Deadline, RejectsNegativeAndNonFinite) {
                util::ContractError);
 }
 
+TEST(Deadline, SimulatorRejectsBadEventBudgets) {
+  // The one budget setting is checked where it is set: the simulator
+  // refuses a negative or non-finite event budget at construction.
+  core::AmfAllocator amf;
+  for (double bad : {-5.0, std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    sim::SimulatorConfig cfg;
+    cfg.event_budget_ms = bad;
+    EXPECT_THROW((sim::Simulator(amf, cfg)), util::ContractError) << bad;
+  }
+}
+
 TEST(Deadline, EarlierPicksTheTighterOne) {
   auto never = util::Deadline::never();
   auto soon = util::Deadline::after_ms(0.0);
@@ -91,83 +101,20 @@ TEST(Deadline, HugeOffsetsSaturateInsteadOfOverflowing) {
   EXPECT_FALSE(util::Deadline::after_ms(1e300).expired());
 }
 
-TEST(CancelToken, DefaultIsInertCopiesShareTheFlag) {
-  util::CancelToken inert;
-  EXPECT_FALSE(inert.valid());
-  EXPECT_FALSE(inert.cancel_requested());
-  inert.request_cancel();  // no-op, must not crash
-  EXPECT_FALSE(inert.cancel_requested());
-
-  auto token = util::CancelToken::make();
-  auto copy = token;
-  EXPECT_TRUE(token.valid());
-  EXPECT_FALSE(copy.cancel_requested());
-  token.request_cancel();
-  EXPECT_TRUE(copy.cancel_requested());
-}
-
-TEST(StopToken, EnabledAndStopSemantics) {
-  util::StopToken inert;
-  EXPECT_FALSE(inert.enabled());
-  EXPECT_FALSE(inert.stop_requested());
-
-  util::StopToken expired{util::Deadline::after_ms(0.0)};
-  EXPECT_TRUE(expired.enabled());
-  EXPECT_TRUE(expired.stop_requested());
-
-  auto cancel = util::CancelToken::make();
-  util::StopToken cancellable{util::Deadline::never(), cancel};
-  EXPECT_TRUE(cancellable.enabled());
-  EXPECT_FALSE(cancellable.stop_requested());
-  cancel.request_cancel();
-  EXPECT_TRUE(cancellable.stop_requested());
-}
-
-TEST(StopPoller, NullAndDisabledTokensNeverStop) {
-  util::StopPoller null_poller(nullptr);
-  util::StopToken inert;
-  util::StopPoller inert_poller(&inert);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_FALSE(null_poller.should_stop());
-    EXPECT_FALSE(inert_poller.should_stop());
-  }
-}
-
-TEST(StopPoller, CancelFiresImmediatelyAndIsSticky) {
-  auto cancel = util::CancelToken::make();
-  util::StopToken token{util::Deadline::never(), cancel};
-  util::StopPoller poller(&token, 1 << 20);  // huge stride: cancel path only
-  EXPECT_FALSE(poller.should_stop());
-  cancel.request_cancel();
-  EXPECT_TRUE(poller.should_stop());
-  EXPECT_TRUE(poller.stopped());
-  EXPECT_TRUE(poller.should_stop());  // sticky
-}
-
-TEST(StopPoller, DeadlineCheckedAtStride) {
-  util::StopToken token{util::Deadline::after_ms(0.0)};
-  util::StopPoller poller(&token, 8);
-  int calls_until_stop = 0;
-  while (!poller.should_stop() && calls_until_stop < 100) ++calls_until_stop;
-  EXPECT_LE(calls_until_stop, 8);
-}
-
-TEST(ScopedStop, InstallsAndRestoresTheAmbientToken) {
-  EXPECT_EQ(util::ambient_stop(), nullptr);
+TEST(ScopedDeadline, InstallsAndRestoresTheAmbientDeadline) {
+  EXPECT_TRUE(util::ambient_deadline().unlimited());
   {
-    util::StopToken outer{util::Deadline::after_ms(1e6)};
-    util::ScopedStop outer_scope(outer);
-    EXPECT_EQ(util::ambient_stop(), &outer);
-    EXPECT_EQ(util::effective_stop(nullptr), &outer);
+    util::ScopedDeadline outer_scope(util::Deadline::after_ms(1e6));
+    EXPECT_FALSE(util::ambient_deadline().unlimited());
+    EXPECT_FALSE(util::ambient_deadline().expired());
     {
-      util::StopToken inner;
-      util::ScopedStop inner_scope(inner);
-      EXPECT_EQ(util::ambient_stop(), &inner);
-      EXPECT_EQ(util::effective_stop(&outer), &outer);  // explicit wins
+      util::ScopedDeadline inner_scope(util::Deadline::after_ms(0.0));
+      EXPECT_TRUE(util::ambient_deadline().expired());
     }
-    EXPECT_EQ(util::ambient_stop(), &outer);
+    EXPECT_FALSE(util::ambient_deadline().unlimited());
+    EXPECT_FALSE(util::ambient_deadline().expired());
   }
-  EXPECT_EQ(util::ambient_stop(), nullptr);
+  EXPECT_TRUE(util::ambient_deadline().unlimited());
 }
 
 // ---------------------------------------------------------------------------
@@ -193,34 +140,13 @@ AllocationProblem medium_problem() {
 
 TEST(AnytimeSolvers, ExpiredTokenYieldsFeasiblePartialFill) {
   auto problem = medium_problem();
-  const util::StopToken expired{util::Deadline::after_ms(0.0)};
+  const util::ScopedDeadline expired(util::Deadline::after_ms(0.0));
   flow::LevelSolveStats stats;
   std::vector<double> zeros(static_cast<std::size_t>(problem.jobs()), 0.0);
   auto alloc = core::progressive_fill(problem, zeros, "AMF", 1e-9,
-                                      flow::LevelMethod::kCutNewton, &stats,
-                                      nullptr, nullptr, &expired);
+                                      flow::LevelMethod::kCutNewton, &stats);
   EXPECT_EQ(stats.worst, flow::LevelStatus::kDeadlineExceeded);
   EXPECT_TRUE(alloc.feasible_for(problem));
-}
-
-TEST(AnytimeSolvers, SimplexReportsDeadlineWithoutASolution) {
-  // max x s.t. x <= 1 — trivially optimal, but the pre-expired token must
-  // win before the first pivot.
-  lp::LinearProgram program;
-  program.variables = 1;
-  program.objective = {1.0};
-  lp::Row row;
-  row.coeffs = {1.0};
-  row.type = lp::RowType::kLe;
-  row.rhs = 1.0;
-  program.rows.push_back(row);
-  const util::StopToken expired{util::Deadline::after_ms(0.0)};
-  auto result = lp::solve(program, 1e-9, lp::kDefaultMaxIterations, &expired);
-  EXPECT_EQ(result.status, lp::LpStatus::kDeadlineExceeded);
-
-  auto ok = lp::solve(program);
-  EXPECT_EQ(ok.status, lp::LpStatus::kOptimal);
-  EXPECT_NEAR(ok.objective, 1.0, 1e-9);
 }
 
 TEST(AnytimeSolvers, CriticalLevelReturnsBestProvenFeasibleLevel) {
@@ -229,67 +155,40 @@ TEST(AnytimeSolvers, CriticalLevelReturnsBestProvenFeasibleLevel) {
   std::vector<flow::ParametricSource> sources(
       static_cast<std::size_t>(problem.jobs()));
   for (auto& src : sources) src = {0.0, 1.0};
-  const util::StopToken expired{util::Deadline::after_ms(0.0)};
-  auto res = flow::solve_critical_level(net, sources, 0.0, 100.0, 1e-9,
-                                        flow::LevelMethod::kCutNewton,
-                                        nullptr, &expired);
+  const util::ScopedDeadline expired(util::Deadline::after_ms(0.0));
+  auto res = flow::solve_critical_level(net, sources, 0.0, 100.0, 1e-9);
   EXPECT_EQ(res.status, flow::LevelStatus::kDeadlineExceeded);
   EXPECT_GE(res.level, 0.0);  // at worst the known-feasible lower bound
 }
 
 // ---------------------------------------------------------------------------
-// RobustConfig validation: a bad budget is rejected at construction, not
-// at first use.
-
-TEST(RobustConfig, ValidationRejectsBadValues) {
-  core::AmfAllocator amf;
-  auto reject = [&](core::RobustConfig cfg) {
-    EXPECT_THROW(core::RobustAllocator(amf, cfg), util::ContractError);
-  };
-  core::RobustConfig cfg;
-  cfg.time_budget_ms = -5.0;
-  reject(cfg);
-  cfg = {};
-  cfg.time_budget_ms = std::numeric_limits<double>::infinity();
-  reject(cfg);
-  cfg = {};  // defaults must validate
-  EXPECT_NO_THROW((core::RobustAllocator(amf, cfg)));
-}
-
-// ---------------------------------------------------------------------------
 // RobustAllocator deadline handling
 
-/// A primary that fires the shared cancel token on entry and then runs a
-/// real AMF solve through the workspace: the solve observes the ambient
-/// tier token immediately and reports kDeadlineExceeded with a feasible
-/// (empty) partial fill — a deterministic tier interruption.
-class CancelOnEntryAllocator final : public core::Allocator {
+/// A primary that installs an already-expired ambient deadline around a
+/// real AMF solve through the workspace: the solve observes it
+/// immediately and reports kDeadlineExceeded with a feasible partial fill
+/// — a deterministic tier interruption, whatever the host's speed.
+class ExpiredDeadlinePrimary final : public core::Allocator {
  public:
-  explicit CancelOnEntryAllocator(util::CancelToken token)
-      : token_(std::move(token)) {}
   core::Allocation allocate(const AllocationProblem& p) const override {
-    token_.request_cancel();
+    const util::ScopedDeadline expired(util::Deadline::after_ms(0.0));
     return inner_.allocate(p);
   }
   core::Allocation allocate(const AllocationProblem& p,
                             core::SolverWorkspace& ws) const override {
-    token_.request_cancel();
+    const util::ScopedDeadline expired(util::Deadline::after_ms(0.0));
     return inner_.allocate(p, ws);
   }
-  std::string name() const override { return "CancelOnEntry"; }
+  std::string name() const override { return "ExpiredDeadline"; }
 
  private:
-  util::CancelToken token_;
   core::AmfAllocator inner_;
 };
 
 TEST(RobustDeadline, InterruptedPrimaryIsSalvagedAndCounted) {
   auto problem = medium_problem();
-  auto cancel = util::CancelToken::make();
-  CancelOnEntryAllocator primary(cancel);
-  core::RobustConfig cfg;
-  cfg.cancel = cancel;
-  core::RobustAllocator robust(primary, cfg);
+  ExpiredDeadlinePrimary primary;
+  core::RobustAllocator robust(primary);
   core::SolverWorkspace ws;
 
   auto alloc = robust.allocate(problem, ws);
@@ -316,17 +215,14 @@ TEST(RobustDeadline, InterruptedPrimaryIsSalvagedAndCounted) {
 }
 
 TEST(RobustDeadline, CancelledBudgetSkipsStraightToPerSite) {
-  // The cancel fires before the chain starts: every budgeted tier is
-  // skipped (never attempted, so no failures counted) and the exempt
-  // per-site tier serves.
+  // The budget is spent before the chain starts (an expired ambient
+  // deadline): every budgeted tier is skipped (never attempted, so no
+  // failures counted) and the exempt per-site tier serves.
   auto problem = medium_problem();
-  auto cancel = util::CancelToken::make();
-  cancel.request_cancel();
-  core::RobustConfig cfg;
-  cfg.cancel = cancel;
   core::AmfAllocator amf;
-  core::RobustAllocator robust(amf, cfg);
+  core::RobustAllocator robust(amf);
 
+  const util::ScopedDeadline expired(util::Deadline::after_ms(0.0));
   auto alloc = robust.allocate(problem);
   EXPECT_TRUE(alloc.feasible_for(problem));
   const auto fb = robust.fallback_stats();
@@ -341,18 +237,14 @@ TEST(RobustDeadline, WorkspaceIsInvalidatedAfterInterruptedTier) {
   // runs unbudgeted: the primary must serve from a re-primed workspace
   // and reproduce the stateless solve exactly.
   auto problem = medium_problem();
-  auto cancel = util::CancelToken::make();
-  CancelOnEntryAllocator primary(cancel);
-  core::RobustConfig cfg;
-  cfg.cancel = cancel;
-  core::RobustAllocator robust(primary, cfg);
+  ExpiredDeadlinePrimary primary;
+  core::RobustAllocator robust(primary);
   core::SolverWorkspace ws;
 
   auto first = robust.allocate(problem, ws);
   EXPECT_EQ(ws.serving_tier, static_cast<int>(FallbackTier::kSalvage));
 
-  // Withdraw the cancellation; from here the chain runs unbudgeted... but
-  // a CancelToken has no un-cancel, so build a fresh unbudgeted wrapper
+  // The second event goes to a fresh wrapper around a healthy primary,
   // sharing the same workspace — exactly the serving-tier handoff the
   // invalidation contract covers.
   core::AmfAllocator amf;
@@ -380,9 +272,9 @@ TEST(RobustDeadline, ContractErrorStillPropagates) {
   };
   auto problem = medium_problem();
   ContractThrowing primary;
-  core::RobustConfig cfg;
-  cfg.time_budget_ms = 1e6;  // budgeted, but nowhere near expiring
-  core::RobustAllocator robust(primary, cfg);
+  core::RobustAllocator robust(primary);
+  // Budgeted, but nowhere near expiring.
+  const util::ScopedDeadline budget(util::Deadline::after_ms(1e6));
   EXPECT_THROW(robust.allocate(problem), util::ContractError);
 }
 
@@ -440,9 +332,7 @@ workload::Trace chaos_trace(std::uint64_t seed, int jobs) {
 void run_chaos(double budget_ms, std::uint64_t seed) {
   auto trace = chaos_trace(seed, 60);
   core::AmfAllocator amf;
-  core::RobustConfig cfg;
-  cfg.time_budget_ms = budget_ms;
-  core::RobustAllocator robust(amf, cfg);
+  core::RobustAllocator robust(amf);
   AuditingAllocator audited(robust);
   sim::SimulatorConfig sim_cfg;
   sim_cfg.event_budget_ms = budget_ms;
@@ -476,6 +366,30 @@ TEST(ChaosDeadline, SeedSweepStaysFeasible) {
   for (std::uint64_t seed : {7u, 19u, 23u}) run_chaos(0.5, seed);
 }
 
+TEST(ChaosDeadline, ExpiredPrimaryIsSalvagedAtEveryEvent) {
+  // The timing-free twin of the runs above: the primary's deadline has
+  // always expired, so every event of a fault-heavy trace interrupts it
+  // inside the simulator, and the chain must serve every one from
+  // salvage, feasibly, and count it as a deadline event.
+  auto trace = chaos_trace(47, 60);
+  ExpiredDeadlinePrimary primary;
+  core::RobustAllocator robust(primary);
+  AuditingAllocator audited(robust);
+  sim::Simulator sim(audited);
+
+  auto records = sim.run(trace);
+  ASSERT_EQ(records.size(), trace.jobs.size());
+  const long events = sim.stats().events;
+  ASSERT_GT(events, 0);
+  EXPECT_EQ(audited.audited, events);
+  const auto fb = robust.fallback_stats();
+  EXPECT_EQ(fb.served[static_cast<int>(FallbackTier::kSalvage)], events);
+  EXPECT_EQ(fb.degraded_calls(), events);
+  EXPECT_EQ(robust.deadline_stats().deadline_events, events);
+  for (const auto& ev : sim.event_series())
+    EXPECT_EQ(ev.tier, static_cast<int>(FallbackTier::kSalvage));
+}
+
 TEST(ChaosDeadline, GenerousBudgetServedWithinTwiceTheBudget) {
   // Timing assertion at a budget generous enough to hold under
   // sanitizer slowdowns: every event must be served within 2x the
@@ -483,9 +397,7 @@ TEST(ChaosDeadline, GenerousBudgetServedWithinTwiceTheBudget) {
   const double budget_ms = 50.0;
   auto trace = chaos_trace(31, 50);
   core::AmfAllocator amf;
-  core::RobustConfig cfg;
-  cfg.time_budget_ms = budget_ms;
-  core::RobustAllocator robust(amf, cfg);
+  core::RobustAllocator robust(amf);
   sim::SimulatorConfig sim_cfg;
   sim_cfg.event_budget_ms = budget_ms;
   sim::Simulator sim(robust, sim_cfg);

@@ -183,7 +183,7 @@ TEST(FlowNetworkCutCache, MatchesReferenceAcrossEveryMutator) {
     // The last solve's eps, plus one it never used: a query at another eps
     // must traverse, not reuse the solve's level graph.
     double solve_eps = FlowNetwork::kDefaultEps;
-    const util::StopToken fired{util::Deadline::after_ms(0.0)};
+    const util::Deadline fired = util::Deadline::after_ms(0.0);
     for (int step = 0; step < 300; ++step) {
       const int op = static_cast<int>(rng.uniform_index(10));
       switch (op) {
@@ -193,9 +193,9 @@ TEST(FlowNetworkCutCache, MatchesReferenceAcrossEveryMutator) {
           net.max_flow(kSource, kSink, solve_eps);
           break;
         case 2: {
-          // A max flow cut short by the ambient stop token leaves no cut
+          // A max flow cut short by the ambient deadline leaves no cut
           // behind; the next query must see the current residuals.
-          util::ScopedStop scope(fired);
+          util::ScopedDeadline scope(fired);
           net.max_flow(kSource, kSink, solve_eps);
           break;
         }
@@ -253,9 +253,9 @@ TEST(FlowNetworkCutCache, StoppedMaxFlowNeverServesStaleCut) {
   // Headroom on the bottleneck reconnects the sink, but the stopped
   // max_flow below never runs a BFS that could observe it.
   net.rebase_capacity(arcs[1].id, 5.0);
-  const util::StopToken fired{util::Deadline::after_ms(0.0)};
+  const util::Deadline fired = util::Deadline::after_ms(0.0);
   {
-    util::ScopedStop scope(fired);
+    util::ScopedDeadline scope(fired);
     EXPECT_EQ(net.max_flow(0, 2), 0.0);
   }
   EXPECT_EQ(net.residual_reachable_from(0), (std::vector<char>{1, 1, 1}));
@@ -485,11 +485,11 @@ TEST(Transport, MaxFlowCutShortByStopIsNotMemoized) {
   // nothing, and the same caps solved afterwards must not return that.
   const Matrix demands{{10, 10}, {10, 10}};
   const std::vector<double> caps{5, 5};
-  const util::StopToken fired{util::Deadline::after_ms(0.0)};
+  const util::Deadline fired = util::Deadline::after_ms(0.0);
 
   TransportNetwork one_shot = dense_network(demands, kCaps2);
   {
-    util::ScopedStop scope(fired);
+    util::ScopedDeadline scope(fired);
     EXPECT_EQ(one_shot.solve(caps), 0.0);
   }
   EXPECT_EQ(one_shot.solve(caps), 10.0);
@@ -500,7 +500,7 @@ TEST(Transport, MaxFlowCutShortByStopIsNotMemoized) {
   grown.add_job({0, 1}, {10, 10});
   grown.set_active({0, 1});
   {
-    util::ScopedStop scope(fired);
+    util::ScopedDeadline scope(fired);
     EXPECT_EQ(grown.solve(caps), 0.0);
   }
   EXPECT_EQ(grown.solve(caps), 10.0);
@@ -510,7 +510,7 @@ TEST(Transport, MaxFlowCutShortByStopIsNotMemoized) {
   // flow, and the next probe at the same caps must augment it.
   EXPECT_EQ(grown.solve({1, 1}), 2.0);
   {
-    util::ScopedStop scope(fired);
+    util::ScopedDeadline scope(fired);
     EXPECT_EQ(grown.probe(caps), 2.0);
   }
   EXPECT_EQ(grown.probe(caps), 10.0);

@@ -472,7 +472,7 @@ TEST(DinicWorkPin, DemandBoundRunTakesLogarithmicProbes) {
   flow::GallopState gallop;
   const auto run = flow::solve_critical_level(
       net, sources, 0.0, 100.0, 1e-9, flow::LevelMethod::kCutNewton,
-      &galloped, nullptr, &gallop);
+      &galloped, &gallop);
   EXPECT_LE(galloped.flow_solves, kMaxProbes);
   EXPECT_EQ(run.level, net.solo_ceiling(kJobs - 1) / weights[kJobs - 1]);
   EXPECT_FALSE(run.segment_exhausted);

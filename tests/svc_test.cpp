@@ -446,6 +446,26 @@ TEST(SvcSession, HugeBudgetIsServedByPrimaryUnbudgeted) {
   session.drain();
 }
 
+TEST(SvcSession, RunDeadlineIsTheEarliestEnqueuePlusBudget) {
+  // Each budget counts from its own request's enqueue time, so whatever
+  // the run does before its solve (queue wait, snapshots served ahead of
+  // it) is charged against the budget, never added on top of it.
+  using Clock = std::chrono::steady_clock;
+  const auto now = Clock::now();
+  const auto earlier = now - std::chrono::milliseconds(50);
+  EXPECT_TRUE(run_deadline({}).unlimited());
+  EXPECT_TRUE(run_deadline({{now, 0.0}, {earlier, 0.0}}).unlimited());
+  EXPECT_TRUE(run_deadline({{earlier, 10.0}}).expired());
+  // The earliest enqueue + budget wins, not the smallest budget: 60 s
+  // from 50 ms ago ends before 1e6 ms from now.
+  const auto d = run_deadline({{now, 1e6}, {earlier, 60000.0}, {now, 0.0}});
+  EXPECT_FALSE(d.unlimited());
+  EXPECT_LE(d.remaining_ms(), 59950.0);
+  EXPECT_GT(d.remaining_ms(), 1000.0);
+  // A budget past the clock's range saturates instead of wrapping.
+  EXPECT_FALSE(run_deadline({{now, 1e300}}).expired());
+}
+
 // A capacity factor whose product with the site's nominal capacity
 // overflows is refused at admission with a typed bad_request: ACKed, it
 // would throw inside apply_delta on an executor thread.

@@ -19,11 +19,12 @@
 // and which fallback tier served the allocation events.
 //
 // With --budget-ms B, every reallocation event runs under a B-millisecond
-// wall-clock budget: the policy is wrapped in RobustAllocator (the primary
-// runs under half the budget; an interrupted primary's partial fill is
-// salvaged, else per-site max-min serves) and the engine installs the same
-// deadline ambiently around each allocate call. A '# deadline' summary line reports how many events
-// overran the budget and the worst salvage fairness gap.
+// wall-clock budget: the engine installs it as the ambient deadline around
+// each allocate call, and the policy is wrapped in RobustAllocator (the
+// primary runs under half the budget; an interrupted primary's partial
+// fill is salvaged, else per-site max-min serves). A '# deadline' summary
+// line reports how many events overran the budget and the worst salvage
+// fairness gap.
 //
 // Observability outputs: --trace-out enables scoped-span tracing and
 // writes a Chrome trace-event JSON (open in Perfetto / chrome://tracing);
@@ -204,9 +205,7 @@ int main(int argc, char** argv) {
     // Under faults or a time budget the allocator runs inside the
     // graceful-degradation chain: a solver corner case (or an interrupted
     // solve) must never kill the whole simulation.
-    core::RobustConfig robust_cfg;
-    robust_cfg.time_budget_ms = budget_ms;
-    core::RobustAllocator robust(*policy, robust_cfg);
+    core::RobustAllocator robust(*policy);
     const core::Allocator& active_policy =
         faults || budget_ms > 0.0 ? static_cast<const core::Allocator&>(robust)
                                   : *policy;
