@@ -114,13 +114,14 @@ void FlowNetwork::ensure_csr() const {
   }
   for (std::size_t v = n; v > 0; --v) first_[v] = first_[v - 1];
   first_[0] = 0;
-  queue_.resize(n);
+  queue_.resize(n + 1);  // + the entry a branch-free BFS writes past the end
   csr_stale_ = false;
 }
 
 bool FlowNetwork::bfs_levels(NodeId source, NodeId sink, double eps) {
   std::fill(level_.begin(), level_.end(), -1);
   level_[static_cast<std::size_t>(source)] = 0;
+  const int* const sink_label = &level_[static_cast<std::size_t>(sink)];
   queue_[0] = source;
   std::size_t head = 0, tail = 1;
   while (head < tail) {
@@ -128,15 +129,21 @@ bool FlowNetwork::bfs_levels(NodeId source, NodeId sink, double eps) {
     const int next = level_[v] + 1;
     const auto end = static_cast<std::size_t>(first_[v + 1]);
     for (auto k = static_cast<std::size_t>(first_[v]); k < end; ++k) {
-      const auto u = static_cast<std::size_t>(head_[k]);
-      if (level_[u] < 0 &&
-          residual_[static_cast<std::size_t>(arc_[k])] > eps) {
-        level_[u] = next;
-        // Blocking flow never uses a node at or beyond the sink's level,
-        // so the rest of the graph need not be labeled.
-        if (head_[k] == sink) return true;
-        queue_[tail++] = head_[k];
-      }
+      // Branch-free frontier step (see the header's Layout note): both
+      // tests are evaluated, the label is a select, and the head is
+      // written to the queue's next free entry whether or not it counts.
+      const NodeId u = head_[k];
+      int& label = level_[static_cast<std::size_t>(u)];
+      const bool take =
+          (label < 0) & (residual_[static_cast<std::size_t>(arc_[k])] > eps);
+      label = take ? next : label;
+      queue_[tail] = u;
+      tail += take;
+      // Blocking flow never uses a node at or beyond the sink's level,
+      // so the rest of the graph need not be labeled. Testing the sink's
+      // label (not `take`) keeps the compiler from folding the select
+      // back into a branch on `take`.
+      if (*sink_label >= 0) return true;
     }
   }
   return false;
@@ -215,12 +222,15 @@ std::vector<char> FlowNetwork::residual_bfs(NodeId start, double eps,
     const auto v = static_cast<std::size_t>(queue_[head++]);
     const auto end = static_cast<std::size_t>(first_[v + 1]);
     for (auto k = static_cast<std::size_t>(first_[v]); k < end; ++k) {
+      // The branch-free step of bfs_levels, without a sink to stop at.
       const NodeId u = head_[k];
-      if (!seen[static_cast<std::size_t>(u)] &&
-          residual_[static_cast<std::size_t>(arc_[k] ^ pair_bit)] > eps) {
-        seen[static_cast<std::size_t>(u)] = 1;
-        queue_[tail++] = u;
-      }
+      char& mark = seen[static_cast<std::size_t>(u)];
+      const bool take =
+          (mark == 0) &
+          (residual_[static_cast<std::size_t>(arc_[k] ^ pair_bit)] > eps);
+      mark = static_cast<char>(mark | take);
+      queue_[tail] = u;
+      tail += take;
     }
   }
   return seen;

@@ -17,6 +17,23 @@
 // reuse the level, cursor and queue buffers: after the first solve on a
 // topology, max_flow and the reachability queries allocate nothing beyond
 // their returned vectors.
+//
+// Both BFS loops (Dinic's level graph and the residual reachability
+// behind min cuts and can_increase) expand the frontier without
+// data-dependent branches: whether a slot is taken follows no pattern a
+// branch predictor can learn, and on warm-path networks every array is
+// in L1, so mispredictions were most of the BFS time. Per slot they
+// evaluate `unlabeled & residual > eps` in full, store the label through
+// a select, write the head into the queue's next free entry
+// unconditionally and advance the tail by the 0/1 outcome. A slot that
+// does not count leaves the label as it was and its queue write is
+// overwritten by the next one, so the slots are visited in the same order
+// and each node is labeled and enqueued at the same step as with the
+// branchy test: level graphs, augmenting paths, flows, cuts and
+// reachability sets are bit-identical. The only branch left per slot is
+// the level BFS's stop once the sink is labeled, read from the sink's own
+// label. Once every node is queued (tail == node_count()), later slots
+// still write queue[tail], so the queue holds node_count() + 1 entries.
 #pragma once
 
 #include <algorithm>
@@ -172,7 +189,7 @@ class FlowNetwork {
   mutable std::vector<int> first_;
   mutable std::vector<EdgeId> arc_;
   mutable std::vector<NodeId> head_;
-  mutable std::vector<NodeId> queue_;  // BFS queue, one entry per node
+  mutable std::vector<NodeId> queue_;  // BFS queue: one entry per node + 1
   mutable bool csr_stale_ = true;
 
   std::vector<int> level_;  // Dinic level per node (-1 = unlabeled)

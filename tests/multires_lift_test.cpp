@@ -33,6 +33,7 @@
 #include "svc/server.hpp"
 #include "svc/session.hpp"
 #include "svc_test_executor.hpp"
+#include "test_tmpdir.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "workload/faults.hpp"
@@ -557,8 +558,7 @@ TEST(MultiResSim, IncrementalMatchesColdAtR2) {
 }
 
 TEST(MultiResSvc, JournalReplayMatchesUncrashedSession) {
-  const std::string wal = ::testing::TempDir() + "multires_replay.wal";
-  std::remove(wal.c_str());
+  const std::string wal = test::fresh_path("multires_replay.wal");
   svc::SessionConfig cfg = svc::test_session_config();
   const core::Matrix nominal = {{10.0, 6.0}, {8.0, 8.0}};
 
@@ -653,9 +653,7 @@ TEST(MultiResSvc, RejectsOverflowingProductsAtAdmission) {
 }
 
 TEST(MultiResSvc, ServerRecoversMultiSessionFromJournalDir) {
-  const std::string dir = ::testing::TempDir() + "multires_server_journal";
-  ::mkdir(dir.c_str(), 0755);
-  std::remove((dir + "/m.wal").c_str());
+  const std::string dir = test::fresh_dir("multires_server_journal");
   std::string first_allocation;
   {
     svc::ServerConfig config;

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
-#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -22,17 +21,13 @@
 #include "svc/chaos.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
+#include "test_tmpdir.hpp"
 #include "util/error.hpp"
 
 namespace amf::svc {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
-  ::system(("rm -rf " + dir).c_str());
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
+using test::fresh_dir;
 
 /// Picks a currently-free loopback port (bind ephemeral, read, close).
 /// SO_REUSEADDR on the real bind makes the tiny reuse window safe.

@@ -4,7 +4,6 @@
 // request-trace propagation into the span layer, scrape-vs-traffic
 // consistency, and the client's retry/reconnect counters.
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 
 #include <atomic>
 #include <chrono>
@@ -18,6 +17,7 @@
 #include "svc/http.hpp"
 #include "svc/net.hpp"
 #include "svc/server.hpp"
+#include "test_tmpdir.hpp"
 #include "util/error.hpp"
 
 namespace amf::svc {
@@ -156,8 +156,7 @@ TEST(SvcHttp, ServerEndpointsServeTelemetry) {
 TEST(SvcHttp, TracePropagatesFromClientToTracez) {
   if (!AMF_OBS_ENABLED)
     GTEST_SKIP() << "span macros are compiled out (AMF_OBS_ENABLED=0)";
-  const std::string journal_dir = ::testing::TempDir() + "svc_http_wal";
-  ::mkdir(journal_dir.c_str(), 0755);
+  const std::string journal_dir = test::fresh_dir("svc_http_wal");
   ServerConfig config;
   config.tcp_port = 0;
   config.http_port = 0;
@@ -264,8 +263,7 @@ TEST(SvcHttp, ScrapesStayMonotonicUnderLiveTraffic) {
 }
 
 TEST(SvcClientStats, CountsRetriesReconnectsAndBackoff) {
-  const std::string sock_path = ::testing::TempDir() + "svc_stats.sock";
-  std::remove(sock_path.c_str());
+  const std::string sock_path = test::fresh_path("svc_stats.sock");
 
   RetryPolicy retry;
   retry.max_attempts = 3;

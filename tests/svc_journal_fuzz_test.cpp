@@ -6,9 +6,6 @@
 // warning that names the byte offset.
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
-#include <cstdio>
 #include <fstream>
 #include <random>
 #include <string>
@@ -17,16 +14,12 @@
 #include "svc/journal.hpp"
 #include "svc/server.hpp"
 #include "svc/session.hpp"
+#include "test_tmpdir.hpp"
 
 namespace amf::svc {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
-  ::system(("rm -rf " + dir).c_str());
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
+using test::fresh_dir;
 
 /// A pristine WAL: one create record and `deltas` add_job deltas.
 struct PristineLog {

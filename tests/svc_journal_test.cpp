@@ -5,7 +5,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -16,16 +15,13 @@
 #include "svc/server.hpp"
 #include "svc/session.hpp"
 #include "svc_test_executor.hpp"
+#include "test_tmpdir.hpp"
 #include "util/error.hpp"
 
 namespace amf::svc {
 namespace {
 
-std::string tmp_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
-}
+using test::fresh_path;
 
 void append_raw(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::app);
@@ -43,7 +39,7 @@ std::vector<std::string> payloads_of(const JournalReplay& replay) {
 // Framing and scan
 
 TEST(SvcJournal, AppendsRoundTripThroughReadAll) {
-  const std::string path = tmp_path("journal_roundtrip.wal");
+  const std::string path = fresh_path("journal_roundtrip.wal");
   {
     Journal journal(path, FsyncPolicy::kAlways);
     journal.append(R"({"t":"create","capacities":[1,2]})");
@@ -63,12 +59,12 @@ TEST(SvcJournal, AppendsRoundTripThroughReadAll) {
 }
 
 TEST(SvcJournal, MissingAndEmptyFilesAreValidEmptyReplays) {
-  const std::string missing = tmp_path("journal_missing.wal");
+  const std::string missing = fresh_path("journal_missing.wal");
   JournalReplay replay = Journal::read_all(missing);
   EXPECT_TRUE(replay.records.empty());
   EXPECT_FALSE(replay.truncated);
 
-  const std::string empty = tmp_path("journal_empty.wal");
+  const std::string empty = fresh_path("journal_empty.wal");
   append_raw(empty, "");
   replay = Journal::read_all(empty);
   EXPECT_TRUE(replay.records.empty());
@@ -77,7 +73,7 @@ TEST(SvcJournal, MissingAndEmptyFilesAreValidEmptyReplays) {
 }
 
 TEST(SvcJournal, TornFinalRecordIsTruncatedNotFatal) {
-  const std::string path = tmp_path("journal_torn.wal");
+  const std::string path = fresh_path("journal_torn.wal");
   {
     Journal journal(path, FsyncPolicy::kOff);
     journal.append("first");
@@ -105,7 +101,7 @@ TEST(SvcJournal, TornFinalRecordIsTruncatedNotFatal) {
 }
 
 TEST(SvcJournal, TornHeaderIsTruncated) {
-  const std::string path = tmp_path("journal_torn_header.wal");
+  const std::string path = fresh_path("journal_torn_header.wal");
   {
     Journal journal(path, FsyncPolicy::kOff);
     journal.append("only");
@@ -117,7 +113,7 @@ TEST(SvcJournal, TornHeaderIsTruncated) {
 }
 
 TEST(SvcJournal, CrcMismatchMidFileDropsEverythingAfter) {
-  const std::string path = tmp_path("journal_crc.wal");
+  const std::string path = fresh_path("journal_crc.wal");
   std::string corrupt = Journal::frame("second");
   corrupt[corrupt.size() - 1] ^= 0x01;  // flip a payload bit
   append_raw(path, Journal::frame("first") + corrupt +
@@ -134,7 +130,7 @@ TEST(SvcJournal, CrcMismatchMidFileDropsEverythingAfter) {
 }
 
 TEST(SvcJournal, ImplausibleLengthIsRejected) {
-  const std::string path = tmp_path("journal_length.wal");
+  const std::string path = fresh_path("journal_length.wal");
   // length field far beyond the protocol line bound.
   append_raw(path, std::string("\xff\xff\xff\x7f\x00\x00\x00\x00", 8));
   const JournalReplay replay = Journal::read_all(path);
@@ -145,7 +141,7 @@ TEST(SvcJournal, ImplausibleLengthIsRejected) {
 }
 
 TEST(SvcJournal, CompactionReplacesLogAtomicallyAndStaysAppendable) {
-  const std::string path = tmp_path("journal_compact.wal");
+  const std::string path = fresh_path("journal_compact.wal");
   Journal journal(path, FsyncPolicy::kBatch);
   for (int i = 0; i < 4; ++i) journal.append("delta-" + std::to_string(i));
   journal.sync();
@@ -171,7 +167,7 @@ TEST(SvcJournal, ParsesFsyncPolicyNames) {
 }
 
 TEST(SvcJournal, TruncateOpenDiscardsStaleContents) {
-  const std::string path = tmp_path("journal_stale.wal");
+  const std::string path = fresh_path("journal_stale.wal");
   { Journal journal(path, FsyncPolicy::kOff); journal.append("stale"); }
   Journal fresh(path, FsyncPolicy::kOff, /*truncate=*/true);
   fresh.append("new-life");
@@ -215,7 +211,7 @@ Json add_job_body(const std::vector<double>& demands,
 }
 
 TEST(SvcJournalSession, JournalsEveryAckedDeltaBeforeServing) {
-  const std::string path = tmp_path("journal_session.wal");
+  const std::string path = fresh_path("journal_session.wal");
   auto owned = fresh_session("j", std::vector<double>{100.0, 50.0});
   Session& session = *owned;
   session.attach_journal(

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
-#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -21,19 +20,13 @@
 #include "svc/client.hpp"
 #include "svc/journal.hpp"
 #include "svc/server.hpp"
+#include "test_tmpdir.hpp"
 #include "util/error.hpp"
 
 namespace amf::svc {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
-  ::mkdir(dir.c_str(), 0755);
-  // Clear any leftover logs from a previous run of this test.
-  for (const char* f : {"s.wal", "t.wal"})
-    std::remove((dir + "/" + f).c_str());
-  return dir;
-}
+using test::fresh_dir;
 
 /// The delta workload both the reference and the crashed server receive.
 void feed_session(Client* client) {

@@ -8,7 +8,6 @@
 
 #include <fcntl.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -22,17 +21,13 @@
 #include "svc/net.hpp"
 #include "svc/repl.hpp"
 #include "svc/server.hpp"
+#include "test_tmpdir.hpp"
 #include "util/error.hpp"
 
 namespace amf::svc {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
-  ::system(("rm -rf " + dir).c_str());
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
+using test::fresh_dir;
 
 /// The delta workload used across the replication tests.
 void feed_session(Client* client) {

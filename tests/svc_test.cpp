@@ -31,6 +31,7 @@
 #include "svc/server.hpp"
 #include "svc/session.hpp"
 #include "svc_test_executor.hpp"
+#include "test_tmpdir.hpp"
 
 namespace amf::svc {
 namespace {
@@ -597,8 +598,7 @@ TEST(SvcSession, SnapshotRestoreServesIdenticalAllocation) {
 // connects the moment the file is a socket. A listener that binds `path`
 // before it listens is refused a few times in 5000 rounds (about 1 s).
 TEST(SvcNet, UnixSocketFileAppearsOnlyOnceListening) {
-  std::string dir = ::testing::TempDir() + "amf_listen_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string dir = test::fresh_dir("amf_listen");
   constexpr int kRounds = 5000;
   auto path_of = [&](int i) {
     return dir + "/l" + std::to_string(i) + ".sock";
@@ -637,7 +637,6 @@ TEST(SvcNet, UnixSocketFileAppearsOnlyOnceListening) {
     ::unlink(path_of(i).c_str());
   }
   watcher.join();
-  ::rmdir(dir.c_str());
   EXPECT_EQ(refused.load(), 0);
   EXPECT_EQ(other_failures.load(), 0);
 }
@@ -721,7 +720,7 @@ TEST(SvcServer, CreateSessionRejectsOutOfRangeResourceCounts) {
 
 TEST(SvcServer, DrainRefusesNewWorkAndRestoresFromSnapshotFile) {
   const std::string snapshot_path =
-      ::testing::TempDir() + "svc_drain_snapshot.json";
+      test::fresh_path("svc_drain_snapshot.json");
   Json first_allocation;
   {
     ServerConfig config;
