@@ -16,26 +16,9 @@
 
 #include "amf.hpp"
 #include "util/csv.hpp"
-#include "util/parallel.hpp"
 #include "util/stats.hpp"
 
 namespace amf::bench {
-
-/// Runs body(rep) for every rep in [0, reps) on the process-wide shared
-/// thread pool (util::ThreadPool::shared()) and returns the results in
-/// rep order, so callers consume them deterministically no matter how
-/// the pool interleaved the work. Each rep must own its random state
-/// (split seeds) and any mutable solver state (one Simulator per rep);
-/// the allocator policies themselves are stateless and safely shared.
-template <typename Fn>
-auto parallel_repeats(int reps, Fn&& body) {
-  using Result = decltype(body(0));
-  std::vector<Result> out(static_cast<std::size_t>(reps));
-  util::parallel_for(static_cast<std::size_t>(reps), [&](std::size_t i) {
-    out[i] = body(static_cast<int>(i));
-  });
-  return out;
-}
 
 /// Prints the figure banner: id, claim being validated, expected shape.
 inline void preamble(const std::string& id, const std::string& title,

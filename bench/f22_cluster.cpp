@@ -4,7 +4,7 @@
 // Three parts, each gated (exit 3 on failure):
 //
 //   A. Session scale-out. One in-process amf_serve (event-driven epoll
-//      connection layer + shared work-stealing executor, the defaults)
+//      connection layer + shared one-queue executor, the defaults)
 //      hosts TARGET sessions at once — 10 000 in the full sweep — each
 //      created, loaded with a job, and solved. A thread per session
 //      would need TARGET OS threads here; the executor serves them all

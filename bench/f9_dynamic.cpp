@@ -35,13 +35,8 @@ int main() {
                        "time_avg_jain"});
   for (double load : {0.3, 0.5, 0.7, 0.9, 1.1}) {
     for (const auto& variant : variants) {
-      // The repetitions fan out across the shared thread pool; results
-      // come back in rep order, so the accumulators see the exact
-      // sequence a serial loop would have produced.
-      struct Rep {
-        double mean = 0.0, p95 = 0.0, max = 0.0, jain = 0.0;
-      };
-      auto reps = bench::parallel_repeats(3, [&](int rep) {
+      util::Accumulator mean, p95, max, jain;
+      for (int rep = 0; rep < 3; ++rep) {
         workload::Generator gen(workload::paper_default(
             1.2, 5000 + static_cast<std::uint64_t>(rep)));
         auto trace = workload::generate_trace(gen, load, 150);
@@ -53,19 +48,10 @@ int main() {
         for (const auto& r : records) jct.push_back(r.jct());
         double m = 0.0;
         for (double t : jct) m += t;
-        Rep out;
-        out.mean = m / static_cast<double>(jct.size());
-        out.p95 = util::percentile(jct, 95.0);
-        out.max = util::percentile(jct, 100.0);
-        out.jain = simulator.stats().time_avg_jain;
-        return out;
-      });
-      util::Accumulator mean, p95, max, jain;
-      for (const Rep& r : reps) {
-        mean.add(r.mean);
-        p95.add(r.p95);
-        max.add(r.max);
-        jain.add(r.jain);
+        mean.add(m / static_cast<double>(jct.size()));
+        p95.add(util::percentile(jct, 95.0));
+        max.add(util::percentile(jct, 100.0));
+        jain.add(simulator.stats().time_avg_jain);
       }
       csv.row({util::CsvWriter::format(load), variant.name,
                util::CsvWriter::format(mean.mean()),

@@ -10,6 +10,12 @@ namespace amf::obs {
 
 namespace {
 
+/// The serving metrics the tracker reads, and its gauges' name prefix.
+constexpr const char* kLatencyMetric = "amf_svc_turnaround_ms";
+constexpr const char* kServedCounter = "amf_svc_solves_served_total";
+constexpr const char* kShedCounter = "amf_svc_rejects_total";
+constexpr const char* kGaugePrefix = "amf_svc_slo";
+
 std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%g", v);
@@ -69,7 +75,7 @@ SloTracker::SloTracker(Registry* reg, SloConfig cfg)
   if (cfg_.error_budget <= 0.0)
     throw util::ContractError("SloTracker: error_budget must be > 0");
   ring_.resize(cfg_.windows);
-  const std::string& p = cfg_.gauge_prefix;
+  const std::string p = kGaugePrefix;
   g_p50_ = reg_->gauge(p + "_p50_ms",
                        "sliding-window median latency over the SLO ring");
   g_p99_ = reg_->gauge(p + "_p99_ms",
@@ -91,13 +97,13 @@ void SloTracker::tick() { tick(reg_->snapshot()); }
 
 void SloTracker::tick(const Snapshot& snap) {
   Window now;
-  if (const HistogramSample* h = snap.histogram(cfg_.latency_metric))
+  if (const HistogramSample* h = snap.histogram(kLatencyMetric))
     now.buckets = h->buckets;
   now.served =
       static_cast<std::uint64_t>(std::max<long long>(
-          0, snap.counter(cfg_.served_counter)));
+          0, snap.counter(kServedCounter)));
   now.shed = static_cast<std::uint64_t>(
-      std::max<long long>(0, snap.counter(cfg_.shed_counter)));
+      std::max<long long>(0, snap.counter(kShedCounter)));
 
   Report r;
   {

@@ -1,8 +1,9 @@
 // slo.hpp — rolling SLO windows computed from registry snapshots.
 //
-// An SloTracker watches three already-registered metrics — a latency
-// histogram, a "served" counter, and a "shed" counter — and keeps a
-// fixed-size ring of per-window deltas between successive snapshots.
+// An SloTracker watches three already-registered serving metrics — the
+// amf_svc_turnaround_ms histogram, the amf_svc_solves_served_total
+// counter and the amf_svc_rejects_total counter — and keeps a fixed-size
+// ring of per-window deltas between successive snapshots.
 // Each tick() closes one window, so the caller's tick period defines the
 // window width; no extra hot-path instrumentation is needed, the tracker
 // reads the same counters the hot path already maintains.
@@ -16,7 +17,7 @@
 //     slow horizon (whole ring).  A budget-based alert fires when BOTH
 //     are high — the classic multi-window multi-burn-rate rule.
 //
-// Results are republished as gauges (`<prefix>_p99_ms`, ...) so the
+// Results are republished as gauges (`amf_svc_slo_p99_ms`, ...) so the
 // Prometheus endpoint exports them with no extra wiring, and as JSON for
 // the /slo endpoint.  All entry points are thread-safe: a ticker thread
 // calls tick() while HTTP handlers call report()/to_json().
@@ -33,12 +34,6 @@
 namespace amf::obs {
 
 struct SloConfig {
-  /// Histogram the latency quantiles are computed from.
-  std::string latency_metric = "amf_svc_turnaround_ms";
-  /// Counter of successfully served requests (good events).
-  std::string served_counter = "amf_svc_solves_served_total";
-  /// Counter of load-shed / rejected requests (bad events).
-  std::string shed_counter = "amf_svc_rejects_total";
   /// Nominal window width in seconds (the caller's tick period); only
   /// used for reporting horizons, not measured internally.
   double window_s = 10.0;
@@ -51,8 +46,6 @@ struct SloConfig {
   /// Allowed bad-event fraction (sheds + slow requests). Burn rate 1.0
   /// means the budget is being consumed exactly at the sustainable rate.
   double error_budget = 0.01;
-  /// Prefix for the republished gauges.
-  std::string gauge_prefix = "amf_svc_slo";
 };
 
 class SloTracker {

@@ -224,16 +224,19 @@ void Router::handle_line(ClientConn& conn, const std::string& line) {
                            "): " + cause);
       }
       // A request that resolved its shard BEFORE a move started can
-      // reach the source after the evict and get no_session. If the
-      // session meanwhile lives elsewhere, chase it: re-resolve (which
-      // parks until the move completes) and re-forward the same bytes —
-      // rid dedup keeps deltas exactly-once. A no_session from the
-      // session's CURRENT shard is genuine and returns to the client.
-      if (response.find("\"no_session\"") != std::string::npos) {
+      // reach the source while the evict drains the session (draining)
+      // or after it (no_session). If the session meanwhile lives
+      // elsewhere, chase it: re-resolve (which parks until the move
+      // completes) and re-forward the same bytes — neither error admits
+      // the request, and rid dedup keeps deltas exactly-once. Either
+      // error from the session's CURRENT shard is genuine and returns
+      // to the client.
+      if (response.find("\"error\"") != std::string::npos) {
         const Json parsed = Json::parse(response);
         const Json* error = parsed.find("error");
-        if (error != nullptr &&
-            error->string_or("code", "") == "no_session") {
+        const std::string code =
+            error != nullptr ? error->string_or("code", "") : "";
+        if (code == "no_session" || code == "draining") {
           const std::size_t now = shard_of(session);
           if (now != shard) {
             shard = now;

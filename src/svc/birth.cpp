@@ -50,6 +50,23 @@ long long integer_field(const Json& birth, const char* key, double lo,
   return static_cast<long long>(x);
 }
 
+/// The optional rid dedup window: an array of {"rid", "ack"} objects.
+std::vector<std::pair<std::string, Json>> dedup_window(const Json& birth) {
+  std::vector<std::pair<std::string, Json>> window;
+  const Json* entries = birth.find("dedup");
+  if (entries == nullptr) return window;
+  if (!entries->is_array()) reject("dedup must be an array");
+  for (const Json& entry : entries->as_array()) {
+    if (!entry.is_object()) reject("dedup entries must be objects");
+    std::string rid = entry.string_or("rid", "");
+    const Json* ack = entry.find("ack");
+    if (rid.empty() || ack == nullptr || !ack->is_object())
+      reject("dedup entries need \"rid\" and an \"ack\" object");
+    window.emplace_back(std::move(rid), *ack);
+  }
+  return window;
+}
+
 /// Nominal capacities a session may have: at least one site, no entry
 /// below 0 (the codec already rejects non-finite entries).
 void check_nominal(const ProblemSnapshot& snap) {
@@ -84,9 +101,10 @@ ProblemSnapshot fresh_snapshot(const Json& birth) {
 }
 
 /// The birth record of a session carried as a snapshot: a drain-file
-/// entry, an evict_session snapshot, or `snapshot` op output. Config in
-/// `overrides` wins over config the snapshot carries; what neither gives
-/// falls back to the server defaults in session_from_birth.
+/// entry, an evict_session snapshot, or `snapshot` op output. Config and
+/// a rid dedup window in `overrides` win over those the snapshot
+/// carries; config neither gives falls back to the server defaults in
+/// session_from_birth.
 Json carried_birth(const Json& carried, const std::string& name,
                    const Json& overrides) {
   if (!carried.is_object()) reject("snapshot must be an object");
@@ -94,7 +112,8 @@ Json carried_birth(const Json& carried, const std::string& name,
   rec.set("t", Json("snapshot"));
   const Json* seq = carried.find("seq");
   rec.set("seq", seq != nullptr ? *seq : Json(0));
-  for (const char* key : {"policy", "batch_window_ms", "default_budget_ms"}) {
+  for (const char* key :
+       {"policy", "batch_window_ms", "default_budget_ms", "dedup"}) {
     const Json* value = overrides.find(key);
     if (value == nullptr) value = carried.find(key);
     if (value != nullptr) rec.set(key, *value);
@@ -180,7 +199,7 @@ std::unique_ptr<Session> session_from_birth(const Json& birth,
   }
   if (name.empty()) reject(kind + " record lacks a session name");
   return std::make_unique<Session>(std::move(name), std::move(snap),
-                                   std::move(cfg), seq);
+                                   std::move(cfg), seq, dedup_window(birth));
 }
 
 void Server::add_session(std::unique_ptr<Session> session) {
@@ -207,14 +226,10 @@ Json Server::handle_create_session(const Request& req) {
   const Json birth = carried != nullptr
                          ? carried_birth(*carried, req.session, req.body)
                          : create_birth(req, config_.session);
+  // Shard handoff: a carried birth keeps the source's rid dedup window
+  // so in-flight client retries stay exactly-once across the move.
   std::unique_ptr<Session> session =
       session_from_birth(birth, config_.session);
-  // Shard handoff: a restore may carry the source's rid dedup window so
-  // in-flight client retries stay exactly-once across the move.
-  if (carried != nullptr) {
-    const Json* dedup = req.body.find("dedup");
-    if (dedup != nullptr) session->seed_dedup(*dedup);
-  }
   // The journal's leading record (and the standby's copy): the create
   // record as built, or the carried state as a canonical snapshot record.
   std::string payload;

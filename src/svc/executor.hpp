@@ -1,5 +1,5 @@
-// executor.hpp — the shared session executor: a fixed-size work-stealing
-// thread pool that replaces one-worker-thread-per-session.
+// executor.hpp — the shared session executor: a fixed-size thread pool
+// with one FIFO run queue, replacing one-worker-thread-per-session.
 //
 // Sessions become runnable tasks: a session schedules itself when a
 // request arrives or its batch window expires, runs one batch drain on
@@ -11,19 +11,15 @@
 //
 // ## Scheduling
 //
-// Each worker owns a deque (its local run queue); external submitters
-// feed a shared injection queue. A worker takes, in order: the front of
-// its own deque, the front of the injection queue, then the BACK of
-// another worker's deque (the steal — counted, exported as the
-// amf_svc_executor_steal_count gauge). Tasks submitted from a worker
-// thread go to that worker's deque (locality); everything else is
-// injected. Idle workers sleep on one condition variable; every submit
-// wakes at most one.
+// Every submit appends to one run queue guarded by one mutex; idle
+// workers sleep on one condition variable and take tasks from the
+// front. Every submit wakes at most one worker. The queue's length is
+// exported as the amf_svc_executor_queue_depth gauge.
 //
 // ## Timers
 //
 // submit_after() parks a task on a dedicated timer thread (an ordered map
-// of deadlines) and injects it when due — the batch-window expiry
+// of deadlines) and submits it when due — the batch-window expiry
 // mechanism for executor-driven sessions. Timer resolution is the
 // scheduler's; the batch window is a lower bound. cancel() takes a parked
 // task back before it fires, which is how a drain serves a window-parked
@@ -45,7 +41,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -67,8 +62,7 @@ class SvcExecutor {
   SvcExecutor(const SvcExecutor&) = delete;
   SvcExecutor& operator=(const SvcExecutor&) = delete;
 
-  /// Enqueues a task: on the calling worker's own deque when called from
-  /// a pool thread, on the injection queue otherwise. No-op after stop().
+  /// Appends a task to the run queue. No-op after stop().
   void submit(Task task);
 
   /// Runs `task` no earlier than `delay_ms` from now (>= 0). The id
@@ -77,42 +71,25 @@ class SvcExecutor {
 
   /// Drops a task parked by submit_after() if it has not fired yet. True
   /// when it was dropped: it will never run. False when it already went
-  /// to the run queues (or was never parked): it runs as submitted.
+  /// to the run queue (or was never parked): it runs as submitted.
   bool cancel(const TimerId& id);
 
   /// Wakes and joins every thread; queued tasks are dropped. Idempotent.
   void stop();
 
-  std::size_t threads() const { return workers_.size(); }
-  /// Tasks taken from another worker's deque since construction.
-  long long steal_count() const;
-  /// Tasks currently queued (all deques + injection; excludes running).
+  std::size_t threads() const { return threads_.size(); }
+  /// Tasks currently queued (excludes running ones).
   long long queue_depth() const;
 
  private:
-  struct Worker {
-    std::mutex mu;
-    std::deque<Task> deque;
-  };
-  void worker_loop(std::size_t index);
+  void worker_loop();
   void timer_loop();
-  /// One scheduling round: local pop, injection pop, then steal sweep.
-  bool take_task(std::size_t index, Task* out);
-  void inject(Task task);
-  void note_submitted();
-  void note_taken();
 
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
-  std::mutex inject_mu_;
-  std::deque<Task> inject_;
-
-  /// Sleep/wake: pending_ counts queued tasks; sleepers wait on cv_.
-  std::mutex sleep_mu_;
+  mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::atomic<long long> pending_{0};
-  std::atomic<long long> steals_{0};
+  std::deque<Task> queue_;
   std::atomic<bool> stop_{false};
 
   std::mutex timer_mu_;

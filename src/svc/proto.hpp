@@ -32,8 +32,9 @@
 // ACK was lost to a connection reset can be retried blindly without
 // double-applying the mutation. Rids older than the window are evicted
 // (re-use after eviction re-applies — clients must not recycle rids).
-// The window is journaled with the delta, so dedup survives a crash for
-// every op still in the journal suffix.
+// Each delta record journals its rid, and every snapshot record (a
+// compaction, a drain file entry, a moved session's birth) carries the
+// whole window, so dedup survives a crash, a compaction and a restore.
 #pragma once
 
 #include <cmath>

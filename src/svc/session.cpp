@@ -164,9 +164,6 @@ SvcMetrics& SvcMetrics::get() {
     out.executor_queue_depth =
         reg.gauge("amf_svc_executor_queue_depth",
                   "tasks queued in the shared session executor");
-    out.executor_steal_count =
-        reg.gauge("amf_svc_executor_steal_count",
-                  "session executor work-steals since process start");
     out.batch_size =
         reg.histogram("amf_svc_batch_size", "requests per drained batch");
     out.turnaround_ms = reg.histogram(
@@ -208,7 +205,8 @@ obs::Counter& SvcMetrics::request_counter(Op op) {
 }
 
 Session::Session(std::string name, ProblemSnapshot snapshot,
-                 SessionConfig config, long long seq)
+                 SessionConfig config, long long seq,
+                 std::vector<std::pair<std::string, Json>> dedup)
     : name_(std::move(name)), config_(std::move(config)) {
   AMF_REQUIRE(config_.max_queue_depth >= 1, "max_queue_depth must be >= 1");
   AMF_REQUIRE(config_.executor != nullptr, "a session needs an executor");
@@ -233,6 +231,9 @@ Session::Session(std::string name, ProblemSnapshot snapshot,
   }
   if (problem_.jobs() > 0)
     workloads_mode_ = problem_.has_workloads() ? 1 : 0;
+  // A carried-over ACK owes no standby confirmation (repl_index 0): the
+  // birth record that carries the window already covers its delta.
+  for (const auto& [rid, ack] : dedup) remember_ack_locked(rid, ack, 0);
   util::Logger::global()
       .info("svc.session_start")
       .str("session", name_)
@@ -798,6 +799,7 @@ std::string Session::snapshot_record_payload_locked_state() const {
   rec.set("batch_window_ms", Json(config_.batch_window_ms));
   rec.set("default_budget_ms", Json(config_.default_budget_ms));
   rec.set("snapshot", snapshot_json_locked_state());
+  if (!dedup_order_.empty()) rec.set("dedup", dedup_json_locked());
   return rec.dump();
 }
 
@@ -1111,6 +1113,8 @@ Json Session::carried_json_after_drain() {
   out.set("policy", Json(config_.policy));
   out.set("batch_window_ms", Json(config_.batch_window_ms));
   out.set("default_budget_ms", Json(config_.default_budget_ms));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!dedup_order_.empty()) out.set("dedup", dedup_json_locked());
   return out;
 }
 
@@ -1118,37 +1122,18 @@ Json Session::dedup_json_after_drain() {
   std::lock_guard<std::mutex> lock(mu_);
   AMF_REQUIRE(draining_ || stopped_,
               "dedup_json_after_drain needs a drained session");
+  return dedup_json_locked();
+}
+
+Json Session::dedup_json_locked() const {
   Json out = Json::array();
   for (const std::string& rid : dedup_order_) {
-    const auto it = dedup_ack_.find(rid);
-    if (it == dedup_ack_.end()) continue;
     Json entry = Json::object();
     entry.set("rid", Json(rid));
-    entry.set("ack", it->second.ack);
+    entry.set("ack", dedup_ack_.at(rid).ack);
     out.push_back(std::move(entry));
   }
   return out;
-}
-
-void Session::seed_dedup(const Json& entries) {
-  std::lock_guard<std::mutex> lock(mu_);
-  AMF_REQUIRE(queue_.empty() && enqueued_seq_ == seq_,
-              "seed_dedup requires a quiescent session");
-  if (!entries.is_array())
-    throw SvcError(ErrorCode::kBadRequest, "dedup seed must be an array");
-  for (const Json& entry : entries.as_array()) {
-    if (!entry.is_object())
-      throw SvcError(ErrorCode::kBadRequest,
-                     "dedup seed entries must be objects");
-    const std::string rid = entry.string_or("rid", "");
-    const Json* ack = entry.find("ack");
-    if (rid.empty() || ack == nullptr || !ack->is_object())
-      throw SvcError(ErrorCode::kBadRequest,
-                     "dedup seed entries need \"rid\" and an \"ack\" object");
-    // A carried-over ACK owes no standby confirmation (repl_index 0):
-    // the target shard's seeding snapshot already covers the delta.
-    remember_ack_locked(rid, *ack, 0);
-  }
 }
 
 Json Session::info_json() {

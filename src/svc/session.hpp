@@ -82,6 +82,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/allocation.hpp"
@@ -169,7 +170,6 @@ struct SvcMetrics {
   // --- scale-out serving (see DESIGN.md §16) ---
   obs::Gauge open_connections;        ///< live client connections
   obs::Gauge executor_queue_depth;    ///< tasks queued in the executor
-  obs::Gauge executor_steal_count;    ///< work-steals since start
   obs::Histogram batch_size;     ///< requests per drained batch
   obs::Histogram turnaround_ms;  ///< enqueue -> response, solve requests
   // Per-stage request latency breakdown (one histogram per pipeline
@@ -195,12 +195,14 @@ class Session {
   using Responder = std::function<void(std::string line)>;
 
   /// A session over `snapshot` (a fresh one has no jobs) whose delta
-  /// sequence counter starts at `seq`. A multi-resource problem makes
-  /// add_job accept a "profile" row, site_event a "capacity_factors" row
-  /// and set_capacity a capacity vector. Only session_from_birth() calls
-  /// this; it validates what the constructor trusts.
+  /// sequence counter starts at `seq` and whose rid dedup window starts
+  /// as `dedup` ((rid, original ACK) pairs in admission order). A
+  /// multi-resource problem makes add_job accept a "profile" row,
+  /// site_event a "capacity_factors" row and set_capacity a capacity
+  /// vector. Only session_from_birth() calls this; it validates what the
+  /// constructor trusts.
   Session(std::string name, ProblemSnapshot snapshot, SessionConfig config,
-          long long seq);
+          long long seq, std::vector<std::pair<std::string, Json>> dedup);
 
   /// Waits out the in-flight executor task without serving the
   /// remaining queue (fast teardown); drain() first for the graceful
@@ -248,7 +250,8 @@ class Session {
   void compact_journal_after_drain();
 
   /// Snapshot-record payload for compaction ({"t":"snapshot",...} with
-  /// the session config embedded so recovery can rebuild the session).
+  /// the session config and, when non-empty, the rid dedup window
+  /// embedded so recovery can rebuild the session).
   std::string snapshot_record_payload_locked_state() const;
 
   /// Serves everything already admitted, then leaves the session idle. New
@@ -262,19 +265,16 @@ class Session {
   /// path.
   Json snapshot_json_after_drain();
 
-  /// snapshot_json_after_drain() plus policy, batch_window_ms and
-  /// default_budget_ms: a drain-file entry, and the snapshot
-  /// evict_session hands over. Only safe after drain().
+  /// snapshot_json_after_drain() plus policy, batch_window_ms,
+  /// default_budget_ms and (when non-empty) the rid dedup window: a
+  /// drain-file entry, and the snapshot evict_session hands over. Only
+  /// safe after drain().
   Json carried_json_after_drain();
 
   /// The rid dedup window as a restorable array (admission order), for
   /// shard handoff: a moved session must keep re-ACKing retried rids
   /// exactly once. Only safe after drain().
   Json dedup_json_after_drain();
-
-  /// Seeds the dedup window from dedup_json_after_drain() output. Must
-  /// run before the session sees traffic (restore path only).
-  void seed_dedup(const Json& entries);
 
   /// Queue/state counters for the stats op (thread-safe).
   Json info_json();
@@ -374,6 +374,8 @@ class Session {
   };
   std::unordered_map<std::string, DedupEntry> dedup_ack_;
   std::deque<std::string> dedup_order_;
+  /// The window as a [{"rid","ack"}] array in admission order.
+  Json dedup_json_locked() const;
   /// Write-ahead log; appends happen under mu_ so record order always
   /// matches admission (seq) order.
   std::unique_ptr<Journal> journal_;
@@ -420,12 +422,14 @@ std::unique_ptr<core::Allocator> make_policy(const std::string& name);
 
 /// The one way a session comes into being, from a journal birth record:
 /// {"t":"create","session","capacities"[,"resources"]} (seq 0) or
-/// {"t":"snapshot","seq","snapshot"} (named by the snapshot's "session"),
-/// either with optional "policy", "batch_window_ms" and
-/// "default_budget_ms" overriding `defaults`. The one validator: the
-/// policy must be known, window and budget finite and >= 0, "resources"
-/// an integer in [1, INT_MAX], "seq" an integer >= 0, capacities
-/// non-empty and >= 0, job ids distinct; else SvcError(kBadRequest).
+/// {"t":"snapshot","seq","snapshot"[,"dedup"]} (named by the snapshot's
+/// "session"), either with optional "policy", "batch_window_ms" and
+/// "default_budget_ms" overriding `defaults`. "dedup" is the rid window
+/// dedup_json_after_drain() writes. The one validator: the policy must
+/// be known, window and budget finite and >= 0, "resources" an integer
+/// in [1, INT_MAX], "seq" an integer >= 0, capacities non-empty and
+/// >= 0, job ids distinct, every dedup entry a non-empty "rid" with an
+/// "ack" object; else SvcError(kBadRequest).
 std::unique_ptr<Session> session_from_birth(const Json& birth,
                                             const SessionConfig& defaults);
 

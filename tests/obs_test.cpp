@@ -525,7 +525,6 @@ TEST(ObsSlo, BucketQuantileInterpolates) {
 TEST(ObsSlo, ConfigValidationThrows) {
   obs::Registry reg;
   obs::SloConfig cfg;
-  cfg.gauge_prefix = "amf_slo_cfg_test";
   cfg.windows = 0;
   EXPECT_THROW(obs::SloTracker(&reg, cfg), util::ContractError);
   cfg.windows = 2;
@@ -540,21 +539,18 @@ TEST(ObsSlo, ConfigValidationThrows) {
 }
 
 TEST(ObsSlo, TickRingAndBurnRates) {
+  // A local registry under the serving metric names the tracker reads.
   obs::Registry reg;
-  auto lat = reg.histogram("slo_test_latency_ms");
-  auto served = reg.counter("slo_test_served_total");
-  auto shed = reg.counter("slo_test_shed_total");
+  auto lat = reg.histogram("amf_svc_turnaround_ms");
+  auto served = reg.counter("amf_svc_solves_served_total");
+  auto shed = reg.counter("amf_svc_rejects_total");
 
   obs::SloConfig cfg;
-  cfg.latency_metric = "slo_test_latency_ms";
-  cfg.served_counter = "slo_test_served_total";
-  cfg.shed_counter = "slo_test_shed_total";
   cfg.window_s = 1.0;
   cfg.windows = 3;
   cfg.fast_windows = 1;
   cfg.p99_target_ms = 1.0;
   cfg.error_budget = 0.1;
-  cfg.gauge_prefix = "slo_test";
   obs::SloTracker tracker(&reg, cfg);
 
   // The first tick only sets the baseline: pre-start traffic must not
@@ -596,9 +592,9 @@ TEST(ObsSlo, TickRingAndBurnRates) {
   EXPECT_NEAR(r.burn_rate_slow, 4.0, 1e-9);
   // Derived gauges are republished on the registry for /metrics.
   obs::Snapshot snap = reg.snapshot();
-  EXPECT_NEAR(snap.gauge("slo_test_burn_rate_fast"), 5.0, 1e-9);
-  EXPECT_NEAR(snap.gauge("slo_test_p50_ms"), r.p50_ms, 1e-9);
-  EXPECT_EQ(snap.gauge("slo_test_windows"), 2.0);
+  EXPECT_NEAR(snap.gauge("amf_svc_slo_burn_rate_fast"), 5.0, 1e-9);
+  EXPECT_NEAR(snap.gauge("amf_svc_slo_p50_ms"), r.p50_ms, 1e-9);
+  EXPECT_EQ(snap.gauge("amf_svc_slo_windows"), 2.0);
 
   // Two idle ticks roll the ring (size 3): window 1's slow samples and
   // its latency data age out.

@@ -1,5 +1,5 @@
 // svc_executor_test.cpp — the scale-out serving layers on one node:
-// the work-stealing SvcExecutor, the epoll EventLoop, and the pinned
+// the one-queue SvcExecutor, the epoll EventLoop, and the pinned
 // contract that the server (epoll reactors + shared executor) answers a
 // fixed request stream BYTE-IDENTICALLY to the frozen transcript
 // tests/data/svc_scaleout_transcript.txt. That file was recorded from
@@ -90,17 +90,15 @@ TEST(SvcExecutor, CancelDropsAParkedTaskOnlyBeforeItFires) {
   EXPECT_FALSE(pool.cancel(soon));  // fired: it ran as submitted
 }
 
-TEST(SvcExecutor, StealsWhenOneWorkerIsSwamped) {
-  // Tasks submitted from OFF-pool land in the shared injection queue;
-  // tasks submitted from ON-pool land in the submitter's own deque. A
-  // worker that blocks while its deque is full forces the others to
-  // steal from its back.
+TEST(SvcExecutor, FollowUpsRunWhileTheirSubmitterBlocks) {
+  // A task that submits follow-ups and then blocks must not hold them
+  // back: the other workers take them from the shared run queue.
   SvcExecutor pool(4);
   std::atomic<int> ran{0};
   std::mutex gate;
   gate.lock();
   pool.submit([&] {
-    // This worker enqueues follow-ups onto its OWN deque, then stalls.
+    // This worker enqueues follow-ups, then stalls.
     for (int i = 0; i < 64; ++i)
       pool.submit([&ran] { ran.fetch_add(1); });
     std::lock_guard<std::mutex> hold(gate);  // blocks until released
@@ -110,7 +108,6 @@ TEST(SvcExecutor, StealsWhenOneWorkerIsSwamped) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   gate.unlock();
   EXPECT_EQ(ran.load(), 64);   // completed while the owner was blocked
-  EXPECT_GT(pool.steal_count(), 0);
   pool.stop();
 }
 
@@ -312,10 +309,9 @@ TEST(SvcScaleOut, OpenConnectionsGaugeTracksConnects) {
 }
 
 TEST(SvcScaleOut, ExecutorGaugesAreRegistered) {
-  // The /metrics satellite: both executor gauges exist in the registry
-  // (values are load-dependent; registration + readability is the pin).
+  // The scale-out gauges exist in the registry (values are
+  // load-dependent; registration + readability is the pin).
   EXPECT_TRUE(SvcMetrics::get().executor_queue_depth.valid());
-  EXPECT_TRUE(SvcMetrics::get().executor_steal_count.valid());
   EXPECT_TRUE(SvcMetrics::get().open_connections.valid());
 }
 

@@ -154,6 +154,82 @@ TEST(SvcRecovery, Kill9ThenRestartIsBitIdenticalToUncrashedServer) {
   }
 }
 
+/// Sends the same rid-tagged add_job and returns the parsed response.
+Json add_job_with_rid(Client* client) {
+  return Json::parse(client->call_line(
+      R"({"v":1,"id":7,"op":"add_job","session":"d",)"
+      R"("demands":[4,2],"rid":"r1"})"));
+}
+
+/// The retry after a restart: the original ACK with dup, and no second job.
+void expect_retry_is_dup(Client* client) {
+  const Json retried = add_job_with_rid(client);
+  EXPECT_TRUE(retried.bool_or("dup", false)) << retried.dump();
+  EXPECT_EQ(retried.number_or("seq", -1.0), 1.0);
+  EXPECT_EQ(retried.number_or("job", -1.0), 0.0);
+  EXPECT_EQ(client->snapshot("d").find("snapshot")->find("jobs")
+                ->as_array().size(), 1u);
+}
+
+TEST(SvcRecovery, DedupWindowSurvivesDrainCompaction) {
+  // A drain compacts the journal to one snapshot record; the rid window
+  // must travel in that record, or a retry after the restart re-applies.
+  const std::string dir = fresh_dir("svc_recovery_dedup");
+  {
+    ServerConfig config;
+    config.tcp_port = 0;
+    config.journal_dir = dir;
+    Server server(config);
+    server.start();
+    Client client = Client::connect_tcp("127.0.0.1", server.tcp_port());
+    client.create_session("d", {40, 40});
+    const Json first = add_job_with_rid(&client);
+    ASSERT_EQ(first.number_or("seq", -1.0), 1.0) << first.dump();
+    ASSERT_EQ(first.number_or("job", -1.0), 0.0) << first.dump();
+    server.trigger_drain();
+    server.wait_drained();
+  }
+  ASSERT_EQ(Journal::read_all(dir + "/d.wal").records.size(), 1u);
+  ServerConfig config;
+  config.tcp_port = 0;
+  config.journal_dir = dir;
+  Server server(config);
+  const RecoveryReport report = server.recover_from_journal();
+  EXPECT_EQ(report.sessions, 1);
+  EXPECT_EQ(report.deltas, 0);
+  server.start();
+  Client client = Client::connect_tcp("127.0.0.1", server.tcp_port());
+  expect_retry_is_dup(&client);
+  server.trigger_drain();
+  server.wait_drained();
+}
+
+TEST(SvcRecovery, DedupWindowSurvivesDrainFileRestore) {
+  const std::string dir = fresh_dir("svc_recovery_dedup_restore");
+  const std::string snapshot = dir + "/drain.json";
+  {
+    ServerConfig config;
+    config.tcp_port = 0;
+    config.snapshot_path = snapshot;
+    Server server(config);
+    server.start();
+    Client client = Client::connect_tcp("127.0.0.1", server.tcp_port());
+    client.create_session("d", {40, 40});
+    ASSERT_EQ(add_job_with_rid(&client).number_or("seq", -1.0), 1.0);
+    server.trigger_drain();
+    server.wait_drained();
+  }
+  ServerConfig config;
+  config.tcp_port = 0;
+  Server server(config);
+  server.restore_from_file(snapshot);
+  server.start();
+  Client client = Client::connect_tcp("127.0.0.1", server.tcp_port());
+  expect_retry_is_dup(&client);
+  server.trigger_drain();
+  server.wait_drained();
+}
+
 TEST(SvcRecovery, TornTailIsTruncatedAndTheServerStillStarts) {
   const std::string dir = fresh_dir("svc_recovery_torn");
   const std::string wal = dir + "/t.wal";

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "router/router.hpp"
 #include "svc/client.hpp"
 #include "svc/json.hpp"
+#include "svc/net.hpp"
 #include "svc/proto.hpp"
 #include "svc/server.hpp"
 
@@ -388,6 +390,93 @@ TEST(SvcRouter, MoveSessionMidTrafficIsExactlyOnce) {
   const Json* jobs = snapshot->find("jobs");
   ASSERT_NE(jobs, nullptr);
   EXPECT_EQ(static_cast<long long>(jobs->as_array().size()), acked.load());
+}
+
+TEST(SvcRouter, MoveSessionChasesADrainingSourceShard) {
+  // A delta that resolved shard 0 before a move can reach the source
+  // while evict_session drains the session and be refused `draining`.
+  // That refusal admitted nothing, so the router must chase the session
+  // to its new shard instead of handing the refusal to the client. Shard
+  // 0 is scripted here so the race happens on every run.
+  const std::string name = name_on_shard(0, 2);
+  // What shard 0 hands over on evict: a real session's drained state.
+  Json handover = Json::object();
+  {
+    ServerConfig sc;
+    sc.tcp_port = 0;
+    Server donor(sc);
+    donor.start();
+    Client client = Client::connect_tcp("127.0.0.1", donor.tcp_port());
+    client.create_session(name, {50.0, 50.0});
+    const Json evicted = client.evict_session(name);
+    for (const char* key : {"session", "seq", "snapshot", "dedup"})
+      handover.set(key, *evicted.find(key));
+    donor.trigger_drain();
+    donor.wait_drained();
+  }
+  int scripted_port = 0;
+  svc::Socket listener = svc::listen_tcp(0, &scripted_port);
+  ServerConfig sc;
+  sc.tcp_port = 0;
+  Server target(sc);
+  target.start();
+  RouterConfig config;
+  config.shards.resize(2);
+  config.shards[0].host = "127.0.0.1";
+  config.shards[0].port = scripted_port;
+  config.shards[1].host = "127.0.0.1";
+  config.shards[1].port = target.tcp_port();
+  config.tcp_port = 0;
+  Router router(std::move(config));
+  router.start();
+
+  std::atomic<bool> delta_arrived{false};
+  std::thread shard0([&] {
+    svc::Socket traffic = svc::accept_connection(listener);
+    svc::LineReader traffic_in(traffic.fd());
+    std::string delta;
+    ASSERT_EQ(traffic_in.read_line(&delta), svc::LineReader::Status::kLine);
+    delta_arrived.store(true);
+    svc::Socket admin = svc::accept_connection(listener);
+    svc::LineReader admin_in(admin.fd());
+    std::string evict;
+    ASSERT_EQ(admin_in.read_line(&evict), svc::LineReader::Status::kLine);
+    // The move has begun: refuse the delta the way a draining session
+    // does, then hand the session over.
+    traffic.send_all(svc::error_line(
+        Json::parse(delta).number_or("id", 0.0), ErrorCode::kDraining,
+        "session \"" + name + "\" is draining"));
+    admin.send_all(
+        svc::ok_line(Json::parse(evict).number_or("id", 0.0), handover));
+  });
+  long long job = -1;
+  std::string traffic_error;
+  std::thread traffic([&] {
+    try {
+      Client client = Client::connect_tcp("127.0.0.1", router.tcp_port());
+      job = client.add_job(name, {1.0, 1.0});
+    } catch (const std::exception& e) {
+      traffic_error = e.what();
+    }
+  });
+  while (!delta_arrived.load())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  Client admin = Client::connect_tcp("127.0.0.1", router.tcp_port());
+  const Json moved = Json::parse(admin.call_line(
+      "{\"v\":1,\"id\":50,\"op\":\"move_session\",\"session\":\"" + name +
+      "\",\"to\":1}"));
+  traffic.join();
+  shard0.join();
+  EXPECT_TRUE(moved.bool_or("moved", false)) << moved.dump();
+  EXPECT_EQ(traffic_error, "");
+  EXPECT_EQ(job, 0);
+  Client direct = Client::connect_tcp("127.0.0.1", target.tcp_port());
+  EXPECT_EQ(direct.snapshot(name).find("snapshot")->find("jobs")
+                ->as_array().size(), 1u);
+  router.trigger_drain();
+  router.wait_drained();
+  target.trigger_drain();
+  target.wait_drained();
 }
 
 TEST(SvcRouter, MoveSessionKeepsPolicyAndContinuesSeq) {

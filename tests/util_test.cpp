@@ -1,13 +1,12 @@
 // Tests for src/util: RNG determinism and distribution sanity, statistics
 // (Welford accumulator, fairness indices, percentiles, CDFs), CSV/table
-// formatting, and the parallel_for substrate.
+// formatting, strict flag parsing and the structured logger.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
 #include <set>
 #include <sstream>
-#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "util/error.hpp"
 #include "util/flags.hpp"
 #include "util/log.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -357,40 +355,6 @@ TEST(Table, AlignsColumns) {
   EXPECT_NE(text.find("longer"), std::string::npos);
   EXPECT_NE(text.find("2.5"), std::string::npos);
   EXPECT_EQ(t.rows(), 2u);
-}
-
-TEST(Parallel, RunsAllIterations) {
-  std::vector<std::atomic<int>> hits(257);
-  parallel_for(hits.size(), [&](std::size_t i) { hits[i]++; }, 4);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Parallel, PropagatesExceptions) {
-  EXPECT_THROW(
-      parallel_for(100, [](std::size_t i) {
-        if (i == 37) throw std::runtime_error("boom");
-      }),
-      std::runtime_error);
-}
-
-TEST(Parallel, ZeroIterationsIsNoop) {
-  parallel_for(0, [](std::size_t) { FAIL() << "must not run"; });
-}
-
-TEST(ThreadPool, ExecutesTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 20; ++i)
-    futures.push_back(pool.submit([&count] { count++; }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 20);
-}
-
-TEST(ThreadPool, FuturePropagatesException) {
-  ThreadPool pool(1);
-  auto f = pool.submit([] { throw std::logic_error("bad"); });
-  EXPECT_THROW(f.get(), std::logic_error);
 }
 
 TEST(Log, ParseLevelRoundTrip) {

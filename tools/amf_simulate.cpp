@@ -4,7 +4,7 @@
 //                [--sites M] [--resources R] [--skew Z] [--load L]
 //                [--seed S] [--batch]
 //                [--faults] [--mtbf T] [--mttr T] [--loss F]
-//                [--budget-ms B] [--threads N] [--cold] [--trace-out F]
+//                [--budget-ms B] [--cold] [--trace-out F]
 //                [--metrics-out F] [--prom-out F]
 //
 // Generates a synthetic arrival trace with the library's workload
@@ -46,7 +46,6 @@
 #include "amf.hpp"
 #include "util/csv.hpp"
 #include "util/flags.hpp"
-#include "util/parallel.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -57,14 +56,12 @@ int usage(bool help = false) {
                "[--jobs N] [--sites M] [--resources R] [--skew Z] "
                "[--load L] [--seed S] "
                "[--batch] [--faults] [--mtbf T] [--mttr T] [--loss F] "
-               "[--budget-ms B] [--threads N] [--cold] [--trace-out F] "
+               "[--budget-ms B] [--cold] [--trace-out F] "
                "[--metrics-out F] [--prom-out F]\n"
                "  --budget-ms B  per-event wall-clock budget (ms): wraps "
                "the policy in the\n"
                "               robust chain and bounds every allocate call "
                "(0 = unbudgeted)\n"
-               "  --threads N  size of the shared worker pool "
-               "(0 = hardware concurrency)\n"
                "  --cold       rebuild the allocation problem and flow "
                "network at every event\n"
                "               instead of the incremental delta pipeline "
@@ -107,7 +104,7 @@ int main(int argc, char** argv) {
   using namespace amf;
   std::string policy_name = "amf";
   bool use_addon = false, batch = false, faults = false, cold = false;
-  int jobs = 100, sites = 10, resources = 1, threads = 1;
+  int jobs = 100, sites = 10, resources = 1;
   double skew = 1.0, load = 0.8;
   double mtbf = 200.0, mttr = 20.0, loss = 1.0, budget_ms = 0.0;
   std::uint64_t seed = 42;
@@ -149,8 +146,6 @@ int main(int argc, char** argv) {
       if (!number(&budget_ms, 0.0)) return usage();
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       if (!number(&seed)) return usage();
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      if (!number(&threads, 0)) return usage();
     } else if (std::strcmp(argv[i], "--cold") == 0) {
       cold = true;
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
@@ -173,11 +168,6 @@ int main(int argc, char** argv) {
     policy = std::make_unique<core::PerSiteMaxMin>();
   else
     return usage();
-
-  // Size the process-wide pool before anything touches it. The single
-  // trace run here is serial either way; the flag exists so scripted
-  // sweeps spawning this tool inherit a predictable thread budget.
-  util::ThreadPool::set_shared_threads(static_cast<std::size_t>(threads));
 
   try {
     auto cfg = workload::paper_default(skew, seed);
