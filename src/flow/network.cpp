@@ -211,13 +211,18 @@ double FlowNetwork::max_flow(NodeId source, NodeId sink, double eps) {
   return total;
 }
 
-std::vector<char> FlowNetwork::residual_bfs(NodeId start, double eps,
+std::vector<char> FlowNetwork::residual_bfs(std::span<const NodeId> seeds,
+                                            double eps,
                                             EdgeId pair_bit) const {
   ensure_csr();
   std::vector<char> seen(static_cast<std::size_t>(nodes_), 0);
-  seen[static_cast<std::size_t>(start)] = 1;
-  queue_[0] = start;
-  std::size_t head = 0, tail = 1;
+  std::size_t head = 0, tail = 0;
+  for (const NodeId seed : seeds) {
+    char& mark = seen[static_cast<std::size_t>(seed)];
+    if (mark != 0) continue;  // each node is queued once
+    mark = 1;
+    queue_[tail++] = seed;
+  }
   while (head < tail) {
     const auto v = static_cast<std::size_t>(queue_[head++]);
     const auto end = static_cast<std::size_t>(first_[v + 1]);
@@ -244,7 +249,14 @@ std::vector<char> FlowNetwork::residual_reachable_from(NodeId from,
     for (std::size_t v = 0; v < seen.size(); ++v) seen[v] = level_[v] >= 0;
     return seen;
   }
-  return residual_bfs(from, eps, 0);
+  return residual_bfs({&from, 1}, eps, 0);
+}
+
+std::vector<char> FlowNetwork::residual_reachable_from(
+    std::span<const NodeId> seeds, double eps) const {
+  for (const NodeId seed : seeds)
+    AMF_REQUIRE(seed >= 0 && seed < node_count(), "bad node");
+  return residual_bfs(seeds, eps, 0);
 }
 
 std::vector<char> FlowNetwork::residual_can_reach(NodeId to,
@@ -253,7 +265,7 @@ std::vector<char> FlowNetwork::residual_can_reach(NodeId to,
   // Reverse BFS: node v can reach `to` iff some residual arc v->u exists
   // with u already known to reach `to`. Each slot of u holds an arc u->v;
   // its pair (arc ^ 1) runs v->u, so that pair's residual decides.
-  return residual_bfs(to, eps, 1);
+  return residual_bfs({&to, 1}, eps, 1);
 }
 
 double FlowNetwork::outflow(NodeId node) const {

@@ -38,6 +38,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/error.hpp"
@@ -152,6 +153,11 @@ class FlowNetwork {
   std::vector<char> residual_reachable_from(NodeId from,
                                             double eps = kDefaultEps) const;
 
+  /// Nodes residual-reachable from any node of `seeds`: the residual
+  /// closure of a node set, in one traversal (duplicate seeds are fine).
+  std::vector<char> residual_reachable_from(std::span<const NodeId> seeds,
+                                            double eps = kDefaultEps) const;
+
   /// Nodes that can reach `to` through the residual graph. After a
   /// max_flow, a job node with `true` here can still increase its
   /// throughput to the sink — the freezing test of progressive filling.
@@ -170,10 +176,10 @@ class FlowNetwork {
     return e >= 0 && e < static_cast<EdgeId>(to_.size()) && (e % 2) == 0;
   }
   void ensure_csr() const;
-  /// BFS from `start` over slots whose arc (pair_bit 0) or paired arc
-  /// (pair_bit 1) has residual > eps: the nodes `start` reaches, or the
-  /// nodes that reach `start`.
-  std::vector<char> residual_bfs(NodeId start, double eps,
+  /// BFS from `seeds` over slots whose arc (pair_bit 0) or paired arc
+  /// (pair_bit 1) has residual > eps: the nodes the seeds reach, or the
+  /// nodes that reach a seed.
+  std::vector<char> residual_bfs(std::span<const NodeId> seeds, double eps,
                                  EdgeId pair_bit) const;
   bool bfs_levels(NodeId source, NodeId sink, double eps);
   double dfs_blocking(NodeId v, NodeId sink, double pushed, double eps);

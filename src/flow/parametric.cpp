@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -53,7 +54,8 @@ struct LevelCounters {
     site_bound_rounds = reg.counter(
         "amf_flow_site_bound_rounds",
         "Newton level solves whose first step was infeasible, so a cut "
-        "through sites binds below the start (site-bound rounds)");
+        "through sites binds below the start, or closed at a certified "
+        "global-cut start (site-bound rounds)");
   }
 };
 
@@ -119,9 +121,39 @@ CriticalLevel solve_critical_level(
   bool found = false;
   bool job_cut_start = false;
   bool job_cut_first_feasible = false;
-  bool first_step_infeasible = false;
+  bool site_bound_round = false;
   LevelStatus status = LevelStatus::kConverged;
   constexpr int kMaxNewton = 64;
+
+  // A cut's value line cut_slope·t + cut_fixed, summed in a fixed order
+  // (jobs ascending, then sites ascending), so that two descents that
+  // read the same cut compute the same level bits.
+  auto cut_line = [&](const MinCut& cut) {
+    double cut_slope = 0.0, cut_fixed = 0.0;
+    for (int j = 0; j < n; ++j) {
+      if (!cut.job_in_source_side[static_cast<std::size_t>(j)]) {
+        // Source arc of j is cut: contributes cap_j(t).
+        cut_slope += sources[static_cast<std::size_t>(j)].slope;
+        cut_fixed += sources[static_cast<std::size_t>(j)].fixed;
+      } else {
+        // Job is on the source side: its crossing demand arcs are cut.
+        net.add_row_demand_across(j, cut.site_in_source_side, cut_fixed);
+      }
+    }
+    for (int s = 0; s < m; ++s)
+      if (cut.site_in_source_side[static_cast<std::size_t>(s)])
+        cut_fixed += net.site_capacity(s);
+    return std::pair{cut_slope, cut_fixed};
+  };
+  // A cut line is numerically flat when D(t) outgrows it by no more than
+  // this: Newton bisects instead of solving for its crossing.
+  const double flat_slope = eps * std::max(1.0, slope_total);
+  // Where a Newton step lands: no lower than the known-feasible bracket,
+  // and onto it when within t_tol.
+  auto land = [&](double t_new) {
+    t_new = std::max(t_new, known_feasible);
+    return t_new - known_feasible <= t_tol ? known_feasible : t_new;
+  };
 
   if (method == LevelMethod::kCutNewton) {
     // Start the descent at the tightest job cut: no flow routes more than
@@ -143,6 +175,46 @@ CriticalLevel solve_critical_level(
                              method == LevelMethod::kCutNewton &&
                              gallop->cut_level == t;
   if (gallop != nullptr) gallop->cut_valid = false;
+
+  // Otherwise start lower when the global cut (every job and site on the
+  // source side: value Σ C_s, slope 0) binds below the job-cut start, by
+  // more than t_tol so that a near tie keeps the job-cut path and its
+  // gallop. A feasible probe there is kept only under the closure
+  // certificate (DESIGN §6); without it the descent restarts at
+  // `job_cut_t`.
+  const double job_cut_t = t;
+  bool global_start = false;
+  if (method == LevelMethod::kCutNewton && !carried_first &&
+      slope_total > flat_slope) {
+    double capacity_total = 0.0;
+    for (int s = 0; s < m; ++s) capacity_total += net.site_capacity(s);
+    const double t_all = (capacity_total - fixed_total) / slope_total;
+    if (t_all < t - t_tol) {
+      t = land(t_all);
+      global_start = true;
+    }
+  }
+  // Accepts a feasible probe at the global-cut start `level` when the
+  // minimal min cut just above it, read off the probe's flow, lands a
+  // Newton step on exactly `level`: the cut and the bits the job-cut
+  // descent ends on.
+  auto closure_certifies = [&](double level) {
+    std::vector<char> rising(sources.size());
+    for (std::size_t j = 0; j < sources.size(); ++j)
+      rising[j] = sources[j].slope > 0.0;
+    const MinCut cut = net.rising_closure_cut(rising, eps);
+    // A closure holding every job and site is the global cut itself: its
+    // line, summed in cut_line's order, is the one that gave `level`.
+    auto all = [](const std::vector<char>& side) {
+      return std::find(side.begin(), side.end(), 0) == side.end();
+    };
+    if (all(cut.job_in_source_side) && all(cut.site_in_source_side))
+      return true;
+    const auto [cut_slope, cut_fixed] = cut_line(cut);
+    const double dslope = slope_total - cut_slope;
+    return dslope > flat_slope &&
+           land((cut_fixed - fixed_total) / dslope) == level;
+  };
 
   if (method == LevelMethod::kBisection) {
     // Ablation baseline: plain bisection, no cut analysis. It must close
@@ -174,6 +246,7 @@ CriticalLevel solve_critical_level(
     }
   }
 
+  bool first_step = true;  // the next probe is at the descent's start
   for (int iter = 0; !found && iter < kMaxNewton; ++iter) {
     AMF_SPAN("flow/newton_iter");
     if (deadline.expired()) {
@@ -183,37 +256,36 @@ CriticalLevel solve_critical_level(
       break;
     }
     ++newton_iters;
-    const bool carried = iter == 0 && carried_first;
+    const bool carried = first_step && carried_first;
     const bool feasible = !carried && feasible_at(t);
-    if (iter == 0) {
+    if (first_step) {
+      first_step = false;
+      if (feasible && global_start) {
+        global_start = false;
+        if (closure_certifies(t)) {
+          site_bound_round = true;  // the global cut binds
+          found = true;
+          break;
+        }
+        t = job_cut_t;
+        first_step = true;
+        continue;
+      }
       job_cut_first_feasible = job_cut_start && feasible;
-      first_step_infeasible = !feasible;
+      site_bound_round = !feasible;
     }
     if (feasible) {
       found = true;
       break;
     }
     // Read the binding min cut and jump to where its value meets demand.
-    auto cut = carried ? std::move(gallop->cut) : net.min_cut(eps);
-    double cut_slope = 0.0, cut_fixed = 0.0;
-    for (int j = 0; j < n; ++j) {
-      if (!cut.job_in_source_side[static_cast<std::size_t>(j)]) {
-        // Source arc of j is cut: contributes cap_j(t).
-        cut_slope += sources[static_cast<std::size_t>(j)].slope;
-        cut_fixed += sources[static_cast<std::size_t>(j)].fixed;
-      } else {
-        // Job is on the source side: its crossing demand arcs are cut.
-        net.add_row_demand_across(j, cut.site_in_source_side, cut_fixed);
-      }
-    }
-    for (int s = 0; s < m; ++s)
-      if (cut.site_in_source_side[static_cast<std::size_t>(s)])
-        cut_fixed += net.site_capacity(s);
+    const auto [cut_slope, cut_fixed] =
+        cut_line(carried ? std::move(gallop->cut) : net.min_cut(eps));
 
     // Solve cut_slope·t' + cut_fixed = slope_total·t' + fixed_total.
-    double dslope = slope_total - cut_slope;
+    const double dslope = slope_total - cut_slope;
     double t_new;
-    if (dslope <= eps * std::max(1.0, slope_total)) {
+    if (dslope <= flat_slope) {
       // Degenerate cut (numerically flat): bisect instead.
       t_new = 0.5 * (known_feasible + t);
     } else {
@@ -221,9 +293,8 @@ CriticalLevel solve_critical_level(
       // Newton must strictly descend; otherwise fall back to bisection.
       if (!(t_new < t - t_tol)) t_new = 0.5 * (known_feasible + t);
     }
-    t = std::clamp(t_new, known_feasible, t);
-    if (t - known_feasible <= t_tol) {
-      t = known_feasible;
+    t = land(std::min(t_new, t));
+    if (t == known_feasible) {
       // The caller guaranteed feasibility here; solve to materialize it.
       if (!feasible_at(t)) status = LevelStatus::kDegenerate;
       found = true;
@@ -339,7 +410,7 @@ CriticalLevel solve_critical_level(
   if (probe_count > 0) counters.probes.add(probe_count);
   if (rounds_at_job_cuts > 0) counters.job_cut_hits.add(rounds_at_job_cuts);
   if (gallop_probes > 0) counters.gallop_probes.add(gallop_probes);
-  if (first_step_infeasible) counters.site_bound_rounds.add(1);
+  if (site_bound_round) counters.site_bound_rounds.add(1);
 
   CriticalLevel result;
   result.status = status;

@@ -13,15 +13,16 @@
 // land exactly on the critical level after finitely many distinct cuts; a
 // bisection fallback guards against floating-point stalls.
 //
-// The descent starts at the tightest job cut, not at the segment end:
-// t_jobs = min over sources with slope > 0 of (solo_ceiling(j) − fixed_j)
-// / slope_j, clamped to [t_lo, t_hi]. No flow routes more than
-// solo_ceiling(j) into job j, so the cut around j alone is a true cut and
-// t_jobs bounds the critical level from above. Newton iterates from any
-// upper bound fall monotonically to it, and a lower start never needs more
-// distinct cuts. When the probe at t_jobs is feasible, the binding job has
-// no residual path to the sink and freezes after that one max flow: the
-// round is bound by the job's own demand.
+// The descent starts at the tightest job cut (or lower, at the global cut
+// below), not at the segment end: t_jobs = min over sources with
+// slope > 0 of (solo_ceiling(j) − fixed_j) / slope_j, clamped to
+// [t_lo, t_hi]. No flow routes more than solo_ceiling(j) into job j, so
+// the cut around j alone is a true cut and t_jobs bounds the critical
+// level from above. Newton iterates from any upper bound fall
+// monotonically to it, and a lower start never needs more distinct cuts.
+// When the probe at t_jobs is feasible, the binding job has no residual
+// path to the sink and freezes after that one max flow: the round is
+// bound by the job's own demand.
 //
 // Such rounds come in runs: small jobs reach their ceilings one after
 // another before any site binds. Given a GallopState (progressive filling
@@ -45,6 +46,22 @@
 // L. The min cut of the infeasible probe at b_{K+1}, where the next round
 // starts, is handed to that round (GallopState), so its first Newton step
 // needs no max flow.
+//
+// A second upper bound costs O(m): the global cut, with every job and
+// site on the source side, has value Σ_s C_s and no slope, so t* ≤ t_all =
+// (Σ_s C_s − Σ_j fixed_j) / Σ_j slope_j. When t_all lies below the job-cut
+// start (and no carried gallop cut applies), the descent starts at t_all,
+// landed as a Newton step is (clamped to t_lo, snapped onto it within the
+// level tolerance). An infeasible probe there continues Newton from its min
+// cut: the descent's last cut is the minimal min cut of the linear piece
+// of maxflow(t) just above t*, whatever the start, so the level comes out
+// of the same cut sums bit for bit. A feasible probe is kept only under a
+// closure certificate: the source plus the residual closure of the rising
+// jobs that cannot reach the sink is that minimal min cut, read with two
+// BFS and no max flow, and its sums must land on exactly the probed level;
+// otherwise the descent restarts at the job-cut start. On one-round
+// uncapped instances the global cut binds and a round costs one max flow
+// instead of two (DESIGN.md §6 has the argument).
 #pragma once
 
 #include <vector>
@@ -149,9 +166,10 @@ struct CriticalLevel {
 /// Demand and site-capacity values are read from `net` itself (the network
 /// is the single source of truth, enabling persistent-topology reuse).
 ///
-/// kCutNewton starts its descent at the tightest job cut and, when that
-/// level is feasible and `gallop` is given, gallops over the following job
-/// cuts (see the header comment); kBisection brackets the whole segment.
+/// kCutNewton starts its descent at the lower of the tightest job cut and
+/// the global cut's level, and, when the job cut's probe is feasible and
+/// `gallop` is given, gallops over the following job cuts (see the header
+/// comment); kBisection brackets the whole segment.
 /// The ambient deadline (util::ambient_deadline) is polled before every
 /// feasibility probe; when it expires the solve returns immediately with
 /// status kDeadlineExceeded and `level` set to the best level it had

@@ -563,7 +563,26 @@ std::vector<char> TransportNetwork::jobs_can_increase(double eps) const {
 }
 
 MinCut TransportNetwork::min_cut(double eps) const {
-  auto reach = net_.residual_reachable_from(kSource, eps * scale());
+  return cut_from(net_.residual_reachable_from(kSource, eps * scale()));
+}
+
+MinCut TransportNetwork::rising_closure_cut(const std::vector<char>& rising,
+                                            double eps) const {
+  AMF_REQUIRE(static_cast<int>(rising.size()) == jobs(),
+              "one rising flag per active job required");
+  const double flow_eps = eps * scale();
+  const auto reach = net_.residual_can_reach(kSink, flow_eps);
+  std::vector<NodeId> seeds;
+  for (int j = 0; j < jobs(); ++j) {
+    const NodeId node = active_row(j).node;
+    if (rising[static_cast<std::size_t>(j)] &&
+        !reach[static_cast<std::size_t>(node)])
+      seeds.push_back(node);
+  }
+  return cut_from(net_.residual_reachable_from(seeds, flow_eps));
+}
+
+MinCut TransportNetwork::cut_from(const std::vector<char>& reach) const {
   MinCut cut;
   cut.job_in_source_side.resize(active_.size());
   cut.site_in_source_side.resize(site_arcs_.size());

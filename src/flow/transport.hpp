@@ -267,6 +267,15 @@ class TransportNetwork {
   /// the source).
   MinCut min_cut(double eps = FlowNetwork::kDefaultEps) const;
 
+  /// After a solve: the cut whose source side is the source plus the
+  /// residual closure of the jobs flagged in `rising` that have no residual
+  /// path to the sink, both read at min_cut's eps. When the solve is a max
+  /// flow at a critical level and `rising` flags the jobs whose caps grow
+  /// with the level, this is the minimal min cut just above that level
+  /// (DESIGN §6), with no max flow spent.
+  MinCut rising_closure_cut(const std::vector<char>& rising,
+                            double eps = FlowNetwork::kDefaultEps) const;
+
   /// Maximum aggregate job j could attain if it were alone (Σ_s min(d, C)).
   double solo_ceiling(int job) const;
 
@@ -310,6 +319,9 @@ class TransportNetwork {
     return rows_[static_cast<std::size_t>(
         active_[static_cast<std::size_t>(job)])];
   }
+
+  /// The cut whose source side holds the nodes flagged in `reach`.
+  MinCut cut_from(const std::vector<char>& reach) const;
 
   void invalidate_caches();
   /// Recomputes scale_ and solo_ceiling_ after a mutation.

@@ -460,8 +460,8 @@ void Router::handle_move_session(ClientConn& conn, const Json& req,
 
   try {
     // Drain + evict on the source: the shard stops serving the session,
-    // finishes queued work, and hands back its final snapshot plus the
-    // rid dedup window (in-flight retries stay exactly-once).
+    // finishes queued work, and hands back its final snapshot, which
+    // carries the rid dedup window (in-flight retries stay exactly-once).
     svc::Client source_client = admin_client(source);
     Json evicted = source_client.evict_session(session);
     const Json* snapshot = evicted.find("snapshot");
@@ -470,8 +470,6 @@ void Router::handle_move_session(ClientConn& conn, const Json& req,
                      "evict_session returned no snapshot");
     Json body = Json::object();
     body.set("snapshot", *snapshot);
-    const Json* dedup = evicted.find("dedup");
-    if (dedup != nullptr) body.set("dedup", *dedup);
     for (const char* key :
          {"policy", "batch_window_ms", "default_budget_ms"}) {
       const Json* value = req.find(key);

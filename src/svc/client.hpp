@@ -151,8 +151,9 @@ class Client {
   /// Idempotent; returns {"role","epoch","promoted"}.
   Json promote();
   /// Admin: drains `session` on the server and removes it, returning
-  /// {"seq","snapshot","dedup"} for re-creation elsewhere (shard
-  /// handoff, DESIGN.md §16). NOT retried — a lost ACK is ambiguous.
+  /// {"session","seq","snapshot"} for re-creation elsewhere (shard
+  /// handoff, DESIGN.md §16); the snapshot carries the session's config
+  /// and its rid dedup window. NOT retried — a lost ACK is ambiguous.
   Json evict_session(const std::string& session);
 
   /// Enables wire trace propagation: every subsequent call() stamps a

@@ -598,7 +598,6 @@ void Server::handle_evict_session(const Request& req,
   out.set("session", Json(req.session));
   out.set("seq", Json(session->enqueued_seq()));
   out.set("snapshot", session->carried_json_after_drain());
-  out.set("dedup", session->dedup_json_after_drain());
   session.reset();
   // The journal must go with the session: a leftover .wal would resurrect
   // it HERE on restart while the target shard also owns it (split brain).

@@ -1118,13 +1118,6 @@ Json Session::carried_json_after_drain() {
   return out;
 }
 
-Json Session::dedup_json_after_drain() {
-  std::lock_guard<std::mutex> lock(mu_);
-  AMF_REQUIRE(draining_ || stopped_,
-              "dedup_json_after_drain needs a drained session");
-  return dedup_json_locked();
-}
-
 Json Session::dedup_json_locked() const {
   Json out = Json::array();
   for (const std::string& rid : dedup_order_) {

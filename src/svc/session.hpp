@@ -271,11 +271,6 @@ class Session {
   /// safe after drain().
   Json carried_json_after_drain();
 
-  /// The rid dedup window as a restorable array (admission order), for
-  /// shard handoff: a moved session must keep re-ACKing retried rids
-  /// exactly once. Only safe after drain().
-  Json dedup_json_after_drain();
-
   /// Queue/state counters for the stats op (thread-safe).
   Json info_json();
 

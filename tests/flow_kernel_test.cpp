@@ -6,7 +6,8 @@
 // store and enqueue) and checks, on a few hundred seeded networks, that
 // the two agree bit for bit: max_flow's return value, every arc's
 // residual (so every edge's flow), holds_max_flow(), and the
-// reachability sets of residual_reachable_from and residual_can_reach.
+// reachability sets of residual_reachable_from (from one node and from a
+// seed set) and residual_can_reach.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -88,11 +89,21 @@ class ReferenceDinic {
   /// pair_bit 0: nodes `start` reaches; 1: nodes that reach `start`.
   std::vector<char> residual_bfs(NodeId start, double eps,
                                  EdgeId pair_bit) const {
+    return residual_bfs(std::vector<NodeId>{start}, eps, pair_bit);
+  }
+
+  /// The same from every node of `seeds`, each queued once in seed order.
+  std::vector<char> residual_bfs(const std::vector<NodeId>& seeds,
+                                 double eps, EdgeId pair_bit) const {
     std::vector<char> seen(n_, 0);
     std::vector<NodeId> queue(n_);
-    seen[static_cast<std::size_t>(start)] = 1;
-    queue[0] = start;
-    std::size_t head = 0, tail = 1;
+    std::size_t head = 0, tail = 0;
+    for (const NodeId seed : seeds) {
+      if (!seen[static_cast<std::size_t>(seed)]) {
+        seen[static_cast<std::size_t>(seed)] = 1;
+        queue[tail++] = seed;
+      }
+    }
     while (head < tail) {
       const auto v = static_cast<std::size_t>(queue[head++]);
       const auto end = static_cast<std::size_t>(first_[v + 1]);
@@ -339,6 +350,17 @@ void solve_and_compare(Case& c, double eps, util::Rng& rng, Coverage& cov,
                     [](char s) { return s != 0; }))
       ++cov.all_labeled;
   }
+  // A seed set, duplicates and the source included now and then (the
+  // certificate of a global-cut start seeds it with stuck jobs).
+  std::vector<NodeId> seeds;
+  const auto seed_count = rng.uniform_index(4);
+  for (std::uint64_t k = 0; k < seed_count; ++k)
+    seeds.push_back(pick_node(rng, c.net.node_count()));
+  if (rng.bernoulli(0.3)) seeds.push_back(c.source);
+  if (!seeds.empty() && rng.bernoulli(0.3)) seeds.push_back(seeds.front());
+  ASSERT_EQ(c.net.residual_reachable_from(seeds, eps),
+            ref.residual_bfs(seeds, eps, 0))
+      << "reachable from " << seeds.size() << " seeds";
   for (const NodeId node : {c.sink, other}) {
     const std::vector<char> want_seen = ref.residual_bfs(node, eps, 1);
     ASSERT_EQ(c.net.residual_can_reach(node, eps), want_seen)

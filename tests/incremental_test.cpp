@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "dense_mirror.hpp"
@@ -31,6 +33,7 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "workload/faults.hpp"
+#include "workload/generator.hpp"
 #include "workload/scenario.hpp"
 
 namespace amf {
@@ -382,7 +385,8 @@ void expect_bit_identical(const core::Allocation& got,
 // Phases and augmenting paths depend on the per-node arc order, so a
 // kernel change that reorders traversal moves these counts. The number of
 // max flows follows the cut-Newton descent, which starts every round at
-// the tightest job cut and gallops over runs of demand-bound rounds. This
+// the tightest job cut (or at the global cut's level, when lower) and
+// gallops over runs of demand-bound rounds. This
 // instance has two runs of two such rounds; a gallop spends one probe more
 // on each than two one-round solves would (b_1, b_2, b_4, b_3 instead of
 // b_1, b_2, b_3).
@@ -399,9 +403,11 @@ TEST(DinicWorkPin, StatelessSolve) {
   EXPECT_EQ(work.paths, 576);
 }
 
-// One freeze round, uncapped demands: cut-Newton runs two cold probes and
-// the last one is feasible at exactly the frozen aggregates, so the final
-// materialization is served from the flow that probe left on the network.
+// One freeze round, uncapped demands: the global cut binds, so cut-Newton
+// runs one cold probe at its level and the closure certificate accepts it
+// with no further max flow. That probe is feasible at exactly the frozen
+// aggregates, so the final materialization is served from the flow it
+// left on the network.
 TEST(DinicWorkPin, OneRoundStatelessSolveMaterializesFromLastProbe) {
   util::Rng rng(2);
   const auto problem = uncapped_problem(rng, 16, 4);
@@ -413,7 +419,7 @@ TEST(DinicWorkPin, OneRoundStatelessSolveMaterializesFromLastProbe) {
   DinicWork work;
   add_work_since(before, work);
   EXPECT_EQ(report.trace.rounds, 1);
-  EXPECT_EQ(work.calls, 2);
+  EXPECT_EQ(work.calls, 1);
   EXPECT_EQ(counter("amf_flow_memo_hits") - hits_before, 1);
 }
 
@@ -676,6 +682,258 @@ TEST(JobCutStart, AggregatesMatchBisectionAndLp) {
       ws.apply(delta);
     }
   }
+}
+
+// The cut-Newton descent as it ran when every round started at its
+// tightest job cut, without a gallop: the reference the global-cut start
+// must reproduce bit for bit. Counts its max flows in `probes`.
+flow::CriticalLevel job_cut_descent(
+    flow::TransportNetwork& net,
+    const std::vector<flow::ParametricSource>& sources, double t_lo,
+    double t_hi, double eps, int& probes) {
+  const double t_tol = eps * std::max({1.0, std::abs(t_hi), std::abs(t_lo)});
+  double slope_total = 0.0, fixed_total = 0.0;
+  for (const auto& src : sources) {
+    slope_total += src.slope;
+    fixed_total += src.fixed;
+  }
+  std::vector<double> caps(sources.size());
+  auto feasible_at = [&](double t) {
+    for (std::size_t j = 0; j < sources.size(); ++j)
+      caps[j] = std::max(0.0, sources[j].fixed + sources[j].slope * t);
+    net.probe(caps, eps);
+    ++probes;
+    return net.saturated(eps);
+  };
+  double t = t_hi;
+  for (int j = 0; j < net.jobs(); ++j) {
+    const double t_j =
+        flow::job_cut_level(net, sources[static_cast<std::size_t>(j)], j);
+    if (t_j < t) t = std::max(t_j, t_lo);
+  }
+  flow::CriticalLevel result;
+  for (int iter = 0;; ++iter) {
+    if (iter == 64) {
+      result.status = flow::LevelStatus::kIterationCapped;
+      break;
+    }
+    if (feasible_at(t)) break;
+    const auto cut = net.min_cut(eps);
+    double cut_slope = 0.0, cut_fixed = 0.0;
+    for (int j = 0; j < net.jobs(); ++j) {
+      if (!cut.job_in_source_side[static_cast<std::size_t>(j)]) {
+        cut_slope += sources[static_cast<std::size_t>(j)].slope;
+        cut_fixed += sources[static_cast<std::size_t>(j)].fixed;
+      } else {
+        net.add_row_demand_across(j, cut.site_in_source_side, cut_fixed);
+      }
+    }
+    for (int s = 0; s < net.sites(); ++s)
+      if (cut.site_in_source_side[static_cast<std::size_t>(s)])
+        cut_fixed += net.site_capacity(s);
+    const double dslope = slope_total - cut_slope;
+    double t_new = 0.5 * (t_lo + t);
+    if (dslope > eps * std::max(1.0, slope_total)) {
+      const double newton = (cut_fixed - fixed_total) / dslope;
+      if (newton < t - t_tol) t_new = newton;
+    }
+    t = std::clamp(t_new, t_lo, t);
+    if (t - t_lo <= t_tol) {
+      t = t_lo;
+      if (!feasible_at(t)) result.status = flow::LevelStatus::kDegenerate;
+      break;
+    }
+  }
+  result.level = t;
+  result.segment_exhausted = t >= t_hi - t_tol;
+  result.can_increase = net.jobs_can_increase(16.0 * eps);
+  return result;
+}
+
+struct DescentTally {
+  int rounds = 0;
+  long long probes = 0;      // solve_critical_level's max flows
+  long long ref_probes = 0;  // the job-cut descent's
+};
+
+// Progressive filling with `floors` (E-AMF's segments between floor
+// breakpoints; all-zero floors give AMF's single segment), driven by hand
+// without a gallop. Every round solves its level on `net` with
+// solve_critical_level and on `ref` with the job-cut descent, and the two
+// must agree bit for bit on the level and on can_increase.
+void expect_fill_matches_job_cut_descent(flow::TransportNetwork& net,
+                                         flow::TransportNetwork& ref,
+                                         const core::AllocationProblem& problem,
+                                         const std::vector<double>& floors,
+                                         DescentTally& tally,
+                                         const std::string& label) {
+  constexpr double kEps = 1e-9;
+  const int n = problem.jobs();
+  const double tol = kEps * net.scale();
+  std::vector<char> frozen(static_cast<std::size_t>(n), 0);
+  std::vector<double> value(static_cast<std::size_t>(n), 0.0);
+  int unfrozen = n;
+  double t_ub = 1.0 + net.scale();
+  for (int j = 0; j < n; ++j) {
+    if (net.solo_ceiling(j) <= tol) {
+      frozen[static_cast<std::size_t>(j)] = 1;
+      --unfrozen;
+    }
+    t_ub = std::max(t_ub, net.solo_ceiling(j) / problem.weight(j) + 1.0);
+  }
+  std::set<double> bounds_set{0.0, t_ub};
+  for (int j = 0; j < n; ++j) {
+    const double b = floors[static_cast<std::size_t>(j)] / problem.weight(j);
+    if (!frozen[static_cast<std::size_t>(j)] && b > tol && b < t_ub)
+      bounds_set.insert(b);
+  }
+  const std::vector<double> bounds(bounds_set.begin(), bounds_set.end());
+  std::vector<flow::ParametricSource> sources(static_cast<std::size_t>(n));
+  double level = 0.0;
+  std::size_t seg = 0;
+  for (int round = 1; unfrozen > 0 && seg + 1 < bounds.size(); ++round) {
+    const double seg_end = bounds[seg + 1];
+    const double t_lo = std::max(level, bounds[seg]);
+    for (int j = 0; j < n; ++j) {
+      const auto jj = static_cast<std::size_t>(j);
+      const double w = problem.weight(j);
+      if (frozen[jj])
+        sources[jj] = {value[jj], 0.0, 0.0, true};
+      else if (floors[jj] >= w * seg_end - kEps * std::max(1.0, seg_end))
+        sources[jj] = {floors[jj], 0.0};
+      else
+        sources[jj] = {0.0, w, floors[jj]};
+    }
+    flow::LevelSolveStats stats;
+    const auto got = flow::solve_critical_level(net, sources, t_lo, seg_end,
+                                                kEps,
+                                                flow::LevelMethod::kCutNewton,
+                                                &stats);
+    int ref_probes = 0;
+    const auto want =
+        job_cut_descent(ref, sources, t_lo, seg_end, kEps, ref_probes);
+    ASSERT_EQ(got.status, want.status) << label << " round " << round;
+    ASSERT_EQ(got.level, want.level) << label << " round " << round;
+    ASSERT_EQ(got.can_increase, want.can_increase)
+        << label << " round " << round;
+    ASSERT_EQ(got.segment_exhausted, want.segment_exhausted)
+        << label << " round " << round;
+    ++tally.rounds;
+    tally.probes += stats.flow_solves;
+    tally.ref_probes += ref_probes;
+    level = got.level;
+    if (got.segment_exhausted) {
+      ++seg;
+      continue;
+    }
+    std::vector<int> stopped;
+    for (int j = 0; j < n; ++j)
+      if (!frozen[static_cast<std::size_t>(j)] &&
+          !got.can_increase[static_cast<std::size_t>(j)])
+        stopped.push_back(j);
+    if (stopped.empty())
+      for (int j = 0; j < n; ++j)
+        if (!frozen[static_cast<std::size_t>(j)]) stopped.push_back(j);
+    for (int j : stopped) {
+      const auto jj = static_cast<std::size_t>(j);
+      frozen[jj] = 1;
+      value[jj] = std::max(floors[jj], problem.weight(j) * level);
+      --unfrozen;
+    }
+  }
+}
+
+core::AllocationProblem generated_problem(std::uint64_t seed, int jobs,
+                                          int sites, double zipf,
+                                          workload::DemandModel model) {
+  workload::GeneratorConfig config;
+  config.jobs = jobs;
+  config.sites = sites;
+  config.zipf_skew = zipf;
+  config.sites_per_job_min = 2;
+  config.sites_per_job_max = 8;
+  config.demand_model = model;
+  config.demand_factor = 0.2;
+  config.seed = seed;
+  return workload::Generator(config).generate();
+}
+
+// The global-cut start (DESIGN §6) returns every round's level and
+// can_increase bit for bit as the job-cut descent does, over 240 seeded
+// instances of six shapes, in no more max flows per shape.
+TEST(JobCutStart, GlobalCutStartMatchesJobCutDescent) {
+  auto stateless = [&](const std::string& shape, int instances,
+                       auto make_problem, bool with_floors) {
+    DescentTally tally;
+    for (int i = 0; i < instances; ++i) {
+      const core::AllocationProblem problem = make_problem(i);
+      const auto floors =
+          with_floors ? core::EnhancedAmfAllocator::sharing_floors(problem)
+                      : std::vector<double>(
+                            static_cast<std::size_t>(problem.jobs()), 0.0);
+      flow::TransportNetwork net(problem.demands(), problem.capacities());
+      flow::TransportNetwork ref(problem.demands(), problem.capacities());
+      expect_fill_matches_job_cut_descent(
+          net, ref, problem, floors, tally,
+          shape + " instance " + std::to_string(i));
+    }
+    EXPECT_LE(tally.probes, tally.ref_probes) << shape;
+    return tally;
+  };
+  const auto wide = stateless("uncapped 1000x100 zipf 1.0", 8, [](int i) {
+    return generated_problem(100 + static_cast<std::uint64_t>(i), 1000, 100,
+                             1.0, workload::DemandModel::kUncapped);
+  }, false);
+  // One freeze round each, at the global cut, in one max flow instead of
+  // two.
+  EXPECT_LT(wide.probes, wide.ref_probes);
+  const auto uncapped = stateless("uncapped 200x100", 40, [](int i) {
+    return generated_problem(200 + static_cast<std::uint64_t>(i), 200, 100,
+                             0.5, workload::DemandModel::kUncapped);
+  }, false);
+  EXPECT_LT(uncapped.probes, uncapped.ref_probes);
+  stateless("proportional 60x12", 50, [](int i) {
+    return generated_problem(300 + static_cast<std::uint64_t>(i), 60, 12,
+                             1.0 - 0.5 * (i % 2),
+                             workload::DemandModel::kProportionalToWork);
+  }, false);
+  util::Rng rng(5150);
+  stateless("weighted", 40, [&](int i) {
+    return weighted_problem(rng, 8 + i % 24, 3 + i % 6);
+  }, false);
+  // Uncapped jobs sharing a few sites have equal-split floors at the
+  // level the global cut binds at, so a segment starts right on it: the
+  // start snaps onto the bracket there, as a Newton step would.
+  stateless("E-AMF floors", 60, [&](int i) {
+    if (i % 3 == 2) return uncapped_problem(rng, 4 + i % 9, 1 + i % 4);
+    if (i % 3 == 0) return weighted_problem(rng, 6 + i % 20, 3 + i % 5);
+    return generated_problem(400 + static_cast<std::uint64_t>(i), 40, 10,
+                             0.5, workload::DemandModel::kProportionalToWork);
+  }, true);
+
+  // Warm workspaces under churn: two with one history, one solved by each
+  // descent, so both warm-start every probe.
+  DescentTally warm;
+  for (int i = 0; i < 42; ++i) {
+    auto problem = i % 2 == 0 ? pinned_problem(rng, 20, 8)
+                              : uncapped_problem(rng, 30, 10);
+    core::SolverWorkspace ws, ws_ref;
+    ws.prime(problem);
+    ws_ref.prime(problem);
+    for (int step = 0; step < 5; ++step) {
+      expect_fill_matches_job_cut_descent(
+          ws.transport(), ws_ref.transport(), problem,
+          std::vector<double>(static_cast<std::size_t>(problem.jobs()), 0.0),
+          warm,
+          "warm instance " + std::to_string(i) + " step " +
+              std::to_string(step));
+      const auto delta = pinned_delta(rng, problem);
+      problem = std::move(problem).apply(delta);
+      ws.apply(delta);
+      ws_ref.apply(delta);
+    }
+  }
+  EXPECT_LE(warm.probes, warm.ref_probes);
 }
 
 // The probe policy follows the network's constructor. A stateless fill

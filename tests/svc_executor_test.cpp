@@ -323,10 +323,17 @@ TEST(SvcScaleOut, EvictSessionReturnsStateAndForgets) {
   {
     Client client = Client::connect_tcp("127.0.0.1", server.tcp_port());
     client.create_session("mover", {40.0, 40.0});
-    client.add_job("mover", {4.0, 2.0});
+    const std::string add_with_rid =
+        R"({"v":1,"id":7,"op":"add_job","session":"mover",)"
+        R"("demands":[4,2],"rid":"r1"})";
+    client.call_line(add_with_rid);
     Json out = client.evict_session("mover");
     ASSERT_NE(out.find("snapshot"), nullptr);
-    ASSERT_NE(out.find("dedup"), nullptr);
+    // The rid window rides in the snapshot, once.
+    EXPECT_EQ(out.find("dedup"), nullptr);
+    const Json* window = out.find("snapshot")->find("dedup");
+    ASSERT_NE(window, nullptr);
+    ASSERT_EQ(window->as_array().size(), 1u);
     EXPECT_EQ(out.number_or("seq", -1.0), 1.0);
     // The session is gone; addressing it is a typed no_session error.
     try {
@@ -339,10 +346,13 @@ TEST(SvcScaleOut, EvictSessionReturnsStateAndForgets) {
     // create_session body passthrough).
     Json body = Json::object();
     body.set("snapshot", *out.find("snapshot"));
-    body.set("dedup", *out.find("dedup"));
     client.call(Op::kCreateSession, "mover", std::move(body));
     Json solved = client.solve("mover");
     EXPECT_TRUE(solved.bool_or("ok", false));
+    // The window came along: a retry of the rid is re-ACKed, not applied.
+    const Json retried = Json::parse(client.call_line(add_with_rid));
+    EXPECT_TRUE(retried.bool_or("dup", false)) << retried.dump();
+    EXPECT_EQ(retried.number_or("seq", -1.0), 1.0);
   }
   server.trigger_drain();
   server.wait_drained();

@@ -409,7 +409,7 @@ TEST(SvcRouter, MoveSessionChasesADrainingSourceShard) {
     Client client = Client::connect_tcp("127.0.0.1", donor.tcp_port());
     client.create_session(name, {50.0, 50.0});
     const Json evicted = client.evict_session(name);
-    for (const char* key : {"session", "seq", "snapshot", "dedup"})
+    for (const char* key : {"session", "seq", "snapshot"})
       handover.set(key, *evicted.find(key));
     donor.trigger_drain();
     donor.wait_drained();
