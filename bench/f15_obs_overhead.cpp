@@ -6,7 +6,7 @@
 //     identical math, one carrying an AMF_SPAN + registry counter per
 //     outer iteration, one bare. With the tracer disabled a span costs
 //     one relaxed atomic load and a branch; the counter costs one relaxed
-//     fetch_add on the thread's shard. Min-of-N over interleaved reps
+//     fetch_add on its registry cell. Min-of-N over interleaved reps
 //     cancels frequency drift.
 //   * enabled overhead (gate: ~10%) — the same simulated trace replayed
 //     with tracing off and on; spans fire at event/solve granularity, so
@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 5 : 9;
   auto counter = obs::Registry::global().counter(
       "amf_bench_kernel_iters", "f15 twin-kernel outer iterations");
-  // Warm up both twins (page in code, settle the shard TLS).
+  // Warm up both twins (page in code, warm the counter cell).
   g_sink = kernel_plain(outer / 4, 42) + kernel_instrumented(outer / 4, 42,
                                                              counter);
   double plain_ms = 1e300, instr_ms = 1e300;

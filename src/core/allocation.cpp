@@ -7,10 +7,15 @@
 
 namespace amf::core {
 
+Allocation Allocator::allocate_with_report(const AllocationProblem& problem,
+                                           SolveReport& report) const {
+  report.reset();
+  return allocate(problem);
+}
+
 Allocation Allocator::allocate(const AllocationProblem& problem,
                                SolverWorkspace& workspace) const {
-  workspace.report().reset();
-  return allocate(problem);
+  return allocate_with_report(problem, workspace.report());
 }
 
 Allocation::Allocation(flow::ShareRows shares, std::string policy)

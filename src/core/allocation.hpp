@@ -68,6 +68,7 @@ class Allocation {
 };
 
 class SolverWorkspace;
+struct SolveReport;
 
 /// Common interface of all allocation policies.
 ///
@@ -82,11 +83,19 @@ class Allocator {
   /// feasible allocations and are deterministic.
   virtual Allocation allocate(const AllocationProblem& problem) const = 0;
 
+  /// Stateless solve that also fills `report` (solve count, convergence
+  /// status, filling trace), so a caller such as RobustAllocator learns
+  /// that a deadline interrupted the solve. The default resets the report
+  /// and delegates to allocate(problem); the progressive-filling policies
+  /// override it.
+  virtual Allocation allocate_with_report(const AllocationProblem& problem,
+                                          SolveReport& report) const;
+
   /// Workspace-aware overload for online solve streams: implementations
   /// that support warm starting reuse the workspace's persistent state and
   /// fill workspace.report(). Results are identical to the stateless
   /// overload (bit-for-bit for the in-tree implementations). The default
-  /// resets the report and delegates to the stateless overload.
+  /// delegates to allocate_with_report(problem, workspace.report()).
   virtual Allocation allocate(const AllocationProblem& problem,
                               SolverWorkspace& workspace) const;
 

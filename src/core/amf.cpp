@@ -51,16 +51,15 @@ FillCounters& fill_counters() {
 Allocation progressive_fill(const AllocationProblem& problem,
                             const std::vector<double>& floors,
                             const std::string& policy_name, double eps,
-                            flow::LevelMethod method,
-                            flow::LevelSolveStats* stats, FillTrace* trace,
+                            flow::LevelMethod method, SolveReport* report,
                             flow::TransportNetwork* external_net) {
   const util::Deadline deadline = util::ambient_deadline();
   const int n = problem.jobs();
   AMF_SPAN_ARG("core/progressive_fill", "jobs", n);
-  if (trace != nullptr) {
-    trace->freeze_round.assign(static_cast<std::size_t>(n), 0);
-    trace->freeze_level.assign(static_cast<std::size_t>(n), 0.0);
-    trace->rounds = 0;
+  if (report != nullptr) {
+    report->trace.freeze_round.assign(static_cast<std::size_t>(n), 0);
+    report->trace.freeze_level.assign(static_cast<std::size_t>(n), 0.0);
+    report->trace.rounds = 0;
   }
   AMF_REQUIRE(static_cast<int>(floors.size()) == n,
               "one floor per job required");
@@ -84,7 +83,8 @@ Allocation progressive_fill(const AllocationProblem& problem,
   // interrupted. The flow already on the network is conservative, hence a
   // feasible partial answer.
   if (deadline.expired()) {
-    if (stats != nullptr) stats->observe(flow::LevelStatus::kDeadlineExceeded);
+    if (report != nullptr)
+      report->observe(flow::LevelStatus::kDeadlineExceeded);
     return Allocation::from_network(net, policy_name);
   }
 
@@ -99,8 +99,8 @@ Allocation progressive_fill(const AllocationProblem& problem,
       // The deadline fired inside the probe itself (the flow on the
       // network is conservative, so the matrix is feasible): report an
       // interrupted fill, not a floor-contract violation.
-      if (stats != nullptr)
-        stats->observe(flow::LevelStatus::kDeadlineExceeded);
+      if (report != nullptr)
+        report->observe(flow::LevelStatus::kDeadlineExceeded);
       return Allocation::from_network(net, policy_name);
     }
     // Equal-split floors are feasible by construction, so a probe that
@@ -141,11 +141,12 @@ Allocation progressive_fill(const AllocationProblem& problem,
   std::size_t seg = 0;
   int round_counter = 0;
   auto mark_frozen = [&](int j) {
-    if (trace == nullptr) return;
-    trace->freeze_round[static_cast<std::size_t>(j)] = round_counter;
-    trace->freeze_level[static_cast<std::size_t>(j)] =
+    if (report == nullptr) return;
+    FillTrace& trace = report->trace;
+    trace.freeze_round[static_cast<std::size_t>(j)] = round_counter;
+    trace.freeze_level[static_cast<std::size_t>(j)] =
         value[static_cast<std::size_t>(j)] / problem.weight(j);
-    trace->rounds = round_counter;
+    trace.rounds = round_counter;
   };
   std::vector<flow::ParametricSource> sources(static_cast<std::size_t>(n));
   flow::GallopState gallop;
@@ -156,7 +157,8 @@ Allocation progressive_fill(const AllocationProblem& problem,
   // allocation, and every level frozen in a completed round is already
   // realized in it. kDeadlineExceeded marks the result partial.
   auto interrupted = [&]() {
-    if (stats != nullptr) stats->observe(flow::LevelStatus::kDeadlineExceeded);
+    if (report != nullptr)
+      report->observe(flow::LevelStatus::kDeadlineExceeded);
     FillCounters& counters = fill_counters();
     counters.fills.add(1);
     if (round_counter > 0) counters.rounds.add(round_counter);
@@ -188,7 +190,11 @@ Allocation progressive_fill(const AllocationProblem& problem,
     }
 
     auto res = flow::solve_critical_level(net, sources, t_lo, seg_end, eps,
-                                          method, stats, &gallop);
+                                          method, &gallop);
+    if (report != nullptr) {
+      report->flow_solves += res.probes;
+      report->observe(res.status);
+    }
     if (res.status == flow::LevelStatus::kDeadlineExceeded)
       return interrupted();
     // Iteration-capped solves are usable (bisection closed the bracket and
@@ -259,11 +265,12 @@ Allocation progressive_fill(const AllocationProblem& problem,
 
   // Materialize the allocation realizing the frozen aggregates exactly.
   net.solve(value, eps);
-  if (stats != nullptr) ++stats->flow_solves;
+  if (report != nullptr) ++report->flow_solves;
   if (deadline.expired() && !net.saturated(eps * 64.0)) {
     // The deadline fired inside the final materialization: the flow is a
     // feasible partial realization of the frozen aggregates.
-    if (stats != nullptr) stats->observe(flow::LevelStatus::kDeadlineExceeded);
+    if (report != nullptr)
+      report->observe(flow::LevelStatus::kDeadlineExceeded);
     return Allocation::from_network(net, policy_name);
   }
   AMF_ASSERT(net.saturated(eps * 64.0),
@@ -281,12 +288,8 @@ Allocation AmfAllocator::allocate_with_report(const AllocationProblem& problem,
   report.reset();
   std::vector<double> zero_floors(static_cast<std::size_t>(problem.jobs()),
                                   0.0);
-  flow::LevelSolveStats stats;
-  auto allocation = progressive_fill(problem, zero_floors, name(), eps_,
-                                     method_, &stats, &report.trace);
-  report.flow_solves = stats.flow_solves;
-  report.status = stats.worst;
-  return allocation;
+  return progressive_fill(problem, zero_floors, name(), eps_, method_,
+                          &report);
 }
 
 Allocation AmfAllocator::allocate(const AllocationProblem& problem,
@@ -297,14 +300,10 @@ Allocation AmfAllocator::allocate(const AllocationProblem& problem,
   const bool warm = workspace.primed();
   (warm ? fill_counters().warm_allocs : fill_counters().cold_allocs).add(1);
   if (!warm) workspace.prime(problem);
-  flow::LevelSolveStats stats;
   std::vector<double> zero_floors(static_cast<std::size_t>(problem.jobs()),
                                   0.0);
-  auto allocation =
-      progressive_fill(problem, zero_floors, name(), eps_, method_, &stats,
-                       &report.trace, &workspace.transport());
-  report.flow_solves = stats.flow_solves;
-  report.status = stats.worst;
+  auto allocation = progressive_fill(problem, zero_floors, name(), eps_,
+                                     method_, &report, &workspace.transport());
   report.warm = true;
   workspace.maybe_compact();
   return allocation;

@@ -47,7 +47,7 @@ class AmfAllocator final : public Allocator {
   /// Stateless solve with instrumentation: fills `report` with the solve
   /// count, convergence status and filling trace of this call.
   Allocation allocate_with_report(const AllocationProblem& problem,
-                                  SolveReport& report) const;
+                                  SolveReport& report) const override;
 
   std::string name() const override { return "AMF"; }
 
@@ -74,12 +74,15 @@ class AmfAllocator final : public Allocator {
 /// when it expires, filling halts and the allocation currently realized by
 /// the network is returned — a feasible matrix in which every level
 /// frozen before the interrupt is already served — with
-/// `stats->worst == kDeadlineExceeded` marking the result partial.
+/// `report->status == kDeadlineExceeded` marking the result partial.
+///
+/// `report`, when given, receives this fill's trace (overwritten), its
+/// max-flow count (added to flow_solves) and its worst level-solve status
+/// (merged into status); the caller resets it between calls.
 Allocation progressive_fill(
     const AllocationProblem& problem, const std::vector<double>& floors,
     const std::string& policy_name, double eps,
     flow::LevelMethod method = flow::LevelMethod::kCutNewton,
-    flow::LevelSolveStats* stats = nullptr, FillTrace* trace = nullptr,
-    flow::TransportNetwork* net = nullptr);
+    SolveReport* report = nullptr, flow::TransportNetwork* net = nullptr);
 
 }  // namespace amf::core

@@ -16,7 +16,15 @@ std::vector<double> EnhancedAmfAllocator::sharing_floors(
 
 Allocation EnhancedAmfAllocator::allocate(
     const AllocationProblem& problem) const {
-  return progressive_fill(problem, sharing_floors(problem), name(), kEps);
+  SolveReport report;
+  return allocate_with_report(problem, report);
+}
+
+Allocation EnhancedAmfAllocator::allocate_with_report(
+    const AllocationProblem& problem, SolveReport& report) const {
+  report.reset();
+  return progressive_fill(problem, sharing_floors(problem), name(), kEps,
+                          flow::LevelMethod::kCutNewton, &report);
 }
 
 }  // namespace amf::core

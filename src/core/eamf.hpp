@@ -25,6 +25,11 @@ class EnhancedAmfAllocator final : public Allocator {
  public:
   using Allocator::allocate;
   Allocation allocate(const AllocationProblem& problem) const override;
+  /// Fills `report` like AmfAllocator's: a deadline-interrupted fill
+  /// reports kDeadlineExceeded. The workspace overload (Allocator's
+  /// default) routes through here.
+  Allocation allocate_with_report(const AllocationProblem& problem,
+                                  SolveReport& report) const override;
   std::string name() const override { return "E-AMF"; }
 
   /// The floors enforced for this instance (equal-split shares).

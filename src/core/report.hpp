@@ -3,7 +3,7 @@
 // Allocators are const and thread-safe: they never store per-call state in
 // members. Callers that want diagnostics (solve counts, convergence
 // status, the filling trace) pass a SolveReport — either directly via
-// AmfAllocator::allocate_with_report or through a SolverWorkspace — and
+// Allocator::allocate_with_report or through a SolverWorkspace — and
 // read it after the call.
 #pragma once
 
@@ -34,6 +34,10 @@ struct SolveReport {
   bool warm = false; ///< served from a primed workspace network
 
   void reset() { *this = SolveReport{}; }
+  /// Keeps the worse of the current status and `s`.
+  void observe(flow::LevelStatus s) {
+    if (static_cast<int>(s) > static_cast<int>(status)) status = s;
+  }
 };
 
 }  // namespace amf::core

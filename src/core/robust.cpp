@@ -6,9 +6,9 @@
 #include <optional>
 #include <utility>
 
-#include "core/amf.hpp"
 #include "core/workspace.hpp"
 #include "flow/transport.hpp"
+#include "obs/metrics.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
 
@@ -65,9 +65,8 @@ std::string tier_metric(const char* prefix, FallbackTier tier) {
   return name;
 }
 
-// The single counting mechanism for fallback decisions: registry counters,
-// incremented on each wrapper's own shard (so per-instance reads are exact
-// even when several wrappers coexist) and merged into the global scrape.
+// The process-wide view of fallback decisions: registry counters that every
+// wrapper adds to, next to its own per-instance Telemetry.
 struct FallbackCounters {
   std::array<obs::Counter, kFallbackTierCount> served;
   std::array<obs::Counter, kFallbackTierCount> failures;
@@ -113,42 +112,17 @@ FallbackCounters& fb_counters() {
 }  // namespace
 
 RobustAllocator::RobustAllocator(const Allocator& primary)
-    : primary_(primary), telemetry_(std::make_shared<Telemetry>()) {
-  telemetry_->shard = obs::Registry::global().new_shard();
-}
+    : primary_(primary), telemetry_(std::make_shared<Telemetry>()) {}
 
 FallbackStats RobustAllocator::fallback_stats() const {
-  FallbackCounters& counters = fb_counters();
-  FallbackStats stats;
-  for (std::size_t i = 0; i < kFallbackTierCount; ++i) {
-    stats.served[i] =
-        static_cast<long>(counters.served[i].value_in(*telemetry_->shard));
-    stats.failures[i] =
-        static_cast<long>(counters.failures[i].value_in(*telemetry_->shard));
-  }
-  stats.last = telemetry_->last;
-  stats.last_error = telemetry_->last_error;
-  return stats;
+  return telemetry_->fallback;
 }
 
 DeadlineStats RobustAllocator::deadline_stats() const {
-  FallbackCounters& counters = fb_counters();
-  DeadlineStats stats;
-  for (std::size_t i = 0; i < kFallbackTierCount; ++i)
-    stats.deadline_exceeded[i] = static_cast<long>(
-        counters.deadline_exceeded[i].value_in(*telemetry_->shard));
-  stats.deadline_events = static_cast<long>(
-      counters.deadline_events.value_in(*telemetry_->shard));
-  stats.worst_salvage_gap = telemetry_->worst_salvage_gap;
-  return stats;
+  return telemetry_->deadline;
 }
 
-void RobustAllocator::reset_stats() {
-  obs::Registry::global().retire(*telemetry_->shard);
-  telemetry_->last = FallbackTier::kPrimary;
-  telemetry_->last_error.clear();
-  telemetry_->worst_salvage_gap = 0.0;
-}
+void RobustAllocator::reset_stats() { *telemetry_ = Telemetry{}; }
 
 std::string RobustAllocator::name() const {
   return "Robust(" + primary_.name() + ")";
@@ -216,18 +190,21 @@ Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
   const util::Deadline overall = util::ambient_deadline();
 
   FallbackCounters& counters = fb_counters();
-  Telemetry& telemetry = *telemetry_;
+  FallbackStats& fallback = telemetry_->fallback;
+  DeadlineStats& deadlines = telemetry_->deadline;
   constexpr auto kPrimaryIdx = static_cast<std::size_t>(FallbackTier::kPrimary);
   bool any_deadline = false;
 
   auto fail = [&](std::size_t idx, const char* what) {
-    counters.failures[idx].add_to(*telemetry.shard, 1);
-    telemetry.last_error = what;
+    counters.failures[idx].add(1);
+    ++fallback.failures[idx];
+    fallback.last_error = what;
   };
   // An interrupted primary: count it, and drop the network it left
   // holding a partial fill so it is never reused warm.
   auto interrupted = [&] {
-    counters.deadline_exceeded[kPrimaryIdx].add_to(*telemetry.shard, 1);
+    counters.deadline_exceeded[kPrimaryIdx].add(1);
+    ++deadlines.deadline_exceeded[kPrimaryIdx];
     any_deadline = true;
     if (workspace != nullptr) workspace->invalidate();
   };
@@ -238,13 +215,16 @@ Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
   };
   auto serve = [&](FallbackTier id, Allocation result) {
     const auto sidx = static_cast<std::size_t>(id);
-    counters.served[sidx].add_to(*telemetry.shard, 1);
-    if (telemetry.last != id) counters.tier_transitions.add(1);
-    telemetry.last = id;
-    if (any_deadline) counters.deadline_events.add_to(*telemetry.shard, 1);
+    counters.served[sidx].add(1);
+    ++fallback.served[sidx];
+    if (fallback.last != id) counters.tier_transitions.add(1);
+    fallback.last = id;
+    if (any_deadline) {
+      counters.deadline_events.add(1);
+      ++deadlines.deadline_events;
+    }
     if (!overall.unlimited())
-      counters.budget_remaining.observe_in(*telemetry.shard,
-                                           overall.remaining_ms());
+      counters.budget_remaining.observe(overall.remaining_ms());
     if (workspace != nullptr) workspace->serving_tier = static_cast<int>(id);
     return result;
   };
@@ -265,34 +245,26 @@ Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
                                                     kTierBudgetShare));
     const util::ScopedDeadline scoped(slice);
     try {
-      flow::LevelStatus status = flow::LevelStatus::kConverged;
-      const FillTrace* trace = nullptr;
       SolveReport local_report;
       Allocation result;
       if (workspace != nullptr) {
         enter(FallbackTier::kPrimary);
         result = primary_.allocate(problem, *workspace);
-        status = workspace->report().status;
-        trace = &workspace->report().trace;
-      } else if (const auto* amf =
-                     dynamic_cast<const AmfAllocator*>(&primary_)) {
-        result = amf->allocate_with_report(problem, local_report);
-        status = local_report.status;
-        trace = &local_report.trace;
       } else {
-        result = primary_.allocate(problem);
+        result = primary_.allocate_with_report(problem, local_report);
       }
+      const SolveReport& report =
+          workspace != nullptr ? workspace->report() : local_report;
       // Audit before accepting: a primary that silently returns an
       // infeasible matrix is as broken as one that throws.
       const bool feasible = result.feasible_for(problem, kFeasibilityEps);
-      if (status == flow::LevelStatus::kDeadlineExceeded) {
+      if (report.status == flow::LevelStatus::kDeadlineExceeded) {
         // Interrupted = failed, but the partial fill is worth finishing.
         fail(kPrimaryIdx, "primary interrupted by the time budget");
         interrupted();
         if (feasible) {
-          if (trace != nullptr)
-            for (double level : trace->freeze_level)
-              ref_level = std::max(ref_level, level);
+          for (double level : report.trace.freeze_level)
+            ref_level = std::max(ref_level, level);
           partial = std::move(result);
         }
       } else if (feasible) {
@@ -315,8 +287,8 @@ Allocation RobustAllocator::allocate_impl(const AllocationProblem& problem,
   if (partial.has_value()) {
     Allocation completed = complete_salvage(problem, *partial);
     if (completed.feasible_for(problem, kFeasibilityEps)) {
-      telemetry.worst_salvage_gap =
-          std::max(telemetry.worst_salvage_gap,
+      deadlines.worst_salvage_gap =
+          std::max(deadlines.worst_salvage_gap,
                    salvage_gap(problem, completed, ref_level));
       return serve(FallbackTier::kSalvage, std::move(completed));
     }

@@ -17,11 +17,16 @@
 // infeasible allocation; an iteration-capped but feasible result is
 // served. ContractError (malformed input) propagates — feeding the chain
 // a broken problem is a caller bug, not a solver one. Every decision is
-// counted in the obs metric registry (amf_core_fallback_served_<tier> /
-// amf_core_fallback_failures_<tier>) on a per-instance shard, so
-// operators see which tier served each event both globally
-// (Registry::global().snapshot()) and per wrapper (fallback_stats(), an
-// exact per-instance view).
+// counted twice: in the wrapper's own FallbackStats / DeadlineStats
+// (fallback_stats(), deadline_stats(); reset_stats() zeroes them) and in
+// the process-wide obs metric registry (amf_core_fallback_served_<tier> /
+// amf_core_fallback_failures_<tier>, Registry::global().snapshot()), whose
+// counters only ever rise.
+//
+// The primary's convergence status is read through
+// Allocator::allocate_with_report (stateless) or the workspace's report,
+// so any policy that fills a SolveReport — AMF and E-AMF — can be
+// salvaged after a deadline interrupt.
 //
 // Deadlines (anytime operation). The chain's budget is the ambient
 // deadline (util::ScopedDeadline) installed around the call — the
@@ -46,7 +51,6 @@
 
 #include "core/allocation.hpp"
 #include "core/persite.hpp"
-#include "obs/metrics.hpp"
 
 namespace amf::core {
 
@@ -64,10 +68,8 @@ inline constexpr int kFallbackTierCount = 3;
 /// Human-readable tier name ("primary", "per-site", "salvage").
 const char* to_string(FallbackTier tier);
 
-/// Per-tier service/failure counters since construction (or the last
-/// reset_stats()).  A value snapshot built from the wrapper's registry
-/// shard by fallback_stats() — the counting itself lives in the metric
-/// registry, this struct is only the per-instance view of it.
+/// Per-tier service/failure counts of one wrapper since construction (or
+/// the last reset_stats()).
 struct FallbackStats {
   std::array<long, kFallbackTierCount> served{};    ///< events served by tier
   std::array<long, kFallbackTierCount> failures{};  ///< tier attempts rejected
@@ -89,7 +91,7 @@ struct FallbackStats {
   std::string summary() const;
 };
 
-/// Per-instance deadline telemetry (snapshot, like FallbackStats).
+/// Per-instance deadline telemetry (like FallbackStats).
 struct DeadlineStats {
   /// Tier attempts interrupted by the deadline, by tier (only the
   /// primary polls, so only its entry can be nonzero).
@@ -124,16 +126,14 @@ class RobustAllocator final : public Allocator {
 
   std::string name() const override;
 
-  /// Exact per-instance snapshot of this wrapper's tier counters (read
-  /// from its registry shard).
+  /// This wrapper's tier counts.
   FallbackStats fallback_stats() const;
 
-  /// Exact per-instance snapshot of the deadline telemetry.
+  /// This wrapper's deadline telemetry.
   DeadlineStats deadline_stats() const;
 
-  /// Restarts the per-instance counters from zero.  The shard's values are
-  /// folded into the registry's retired base first, so globally scraped
-  /// totals stay monotonic.
+  /// Restarts the per-instance counts from zero.  The global registry
+  /// counters keep their totals.
   void reset_stats();
 
  private:
@@ -145,10 +145,8 @@ class RobustAllocator final : public Allocator {
   // not const-propagate to — no `mutable` members needed.  Not thread-safe,
   // matching the allocator itself.
   struct Telemetry {
-    std::shared_ptr<obs::Shard> shard;
-    FallbackTier last = FallbackTier::kPrimary;
-    std::string last_error;
-    double worst_salvage_gap = 0.0;
+    FallbackStats fallback;
+    DeadlineStats deadline;
   };
 
   const Allocator& primary_;

@@ -10,7 +10,7 @@ namespace amf::flow {
 namespace {
 
 // Dinic work counters. Phases and paths are accumulated locally inside
-// max_flow and published with one shard add per call, so the inner loops
+// max_flow and published with one counter add per call, so the inner loops
 // stay free of registry traffic.
 struct MaxFlowCounters {
   obs::Counter calls;

@@ -75,7 +75,7 @@ double job_cut_level(const TransportNetwork& net, const ParametricSource& src,
 CriticalLevel solve_critical_level(
     TransportNetwork& net, const std::vector<ParametricSource>& sources,
     double t_lo, double t_hi, double eps, LevelMethod method,
-    LevelSolveStats* stats, GallopState* gallop) {
+    GallopState* gallop) {
   // Polled before every probe: each is a full max flow, so one clock read
   // per probe is already amortized.
   const util::Deadline deadline = util::ambient_deadline();
@@ -107,7 +107,6 @@ CriticalLevel solve_critical_level(
     // flow-state invariants, so the network may warm-start it. The
     // allocation itself is materialized by the caller with a full solve().
     net.probe(caps, eps);
-    if (stats != nullptr) ++stats->flow_solves;
     ++probe_count;
     return net.saturated(eps);
   };
@@ -401,8 +400,6 @@ CriticalLevel solve_critical_level(
       status = LevelStatus::kDegenerate;
   }
 
-  if (stats != nullptr) stats->observe(status);
-
   LevelCounters& counters = level_counters();
   counters.level_solves.add(1);
   if (newton_iters > 0) counters.newton_iters.add(newton_iters);
@@ -414,6 +411,7 @@ CriticalLevel solve_critical_level(
 
   CriticalLevel result;
   result.status = status;
+  result.probes = static_cast<int>(probe_count);
   result.level = t;
   result.segment_exhausted = (t >= t_hi - t_tol);
   result.can_increase = can_increase.empty()

@@ -107,21 +107,6 @@ enum class LevelStatus {
                       ///< overestimate), not the critical level
 };
 
-/// Optional instrumentation collected by solve_critical_level. This is the
-/// per-invocation view a caller threads through one solve; cumulative
-/// process-wide counts (solves, Newton iterations, bisection steps, probe
-/// flows, job-cut hits) live in the obs metric registry under amf_flow_*
-/// and need no stats object to be collected.
-struct LevelSolveStats {
-  int flow_solves = 0;  ///< max-flow computations performed
-  /// Worst status observed across all solves feeding this stats object.
-  LevelStatus worst = LevelStatus::kConverged;
-
-  void observe(LevelStatus s) {
-    if (static_cast<int>(s) > static_cast<int>(worst)) worst = s;
-  }
-};
-
 /// What a progressive fill threads through its level solves to let them
 /// gallop. A solve given one gallops over a run of demand-bound rounds
 /// (header comment), and the caller then freezes every job whose job cut
@@ -144,6 +129,10 @@ struct GallopState {
 struct CriticalLevel {
   /// Convergence quality of this solve (see LevelStatus).
   LevelStatus status = LevelStatus::kConverged;
+  /// Feasibility probes (max flows) this solve ran. Process-wide counts
+  /// (solves, Newton iterations, bisection steps, probes, job-cut hits)
+  /// live in the obs metric registry under amf_flow_*.
+  int probes = 0;
   /// The largest feasible level within the segment. After a gallop it is
   /// the last job cut of the run; the jobs whose cut (at least t_lo) lies
   /// below it stopped rising at their cut.
@@ -183,6 +172,6 @@ CriticalLevel solve_critical_level(
     TransportNetwork& net, const std::vector<ParametricSource>& sources,
     double t_lo, double t_hi, double eps = FlowNetwork::kDefaultEps,
     LevelMethod method = LevelMethod::kCutNewton,
-    LevelSolveStats* stats = nullptr, GallopState* gallop = nullptr);
+    GallopState* gallop = nullptr);
 
 }  // namespace amf::flow

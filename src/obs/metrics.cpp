@@ -10,8 +10,6 @@ namespace amf::obs {
 
 namespace {
 
-std::atomic<std::uint64_t> g_next_registry_uid{1};
-
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
 }  // namespace
@@ -26,85 +24,14 @@ std::string_view to_string(MetricKind kind) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard
-
-Shard::~Shard() {
-  for (auto& slot : counter_chunks_) delete slot.load(kRelaxed);
-  for (auto& slot : hist_chunks_) delete slot.load(kRelaxed);
-}
-
-namespace {
-
-/// Loads chunk `idx` from `slots`, allocating it with a CAS race if missing.
-template <typename Chunk, std::size_t N>
-Chunk& ensure_chunk(std::array<std::atomic<Chunk*>, N>& slots,
-                    std::size_t idx) {
-  AMF_ASSERT(idx < N, "metric slot exceeds shard chunk capacity");
-  Chunk* chunk = slots[idx].load(std::memory_order_acquire);
-  if (chunk == nullptr) {
-    auto* fresh = new Chunk();
-    if (slots[idx].compare_exchange_strong(chunk, fresh,
-                                           std::memory_order_acq_rel)) {
-      chunk = fresh;
-    } else {
-      delete fresh;  // another writer won the race
-    }
-  }
-  return *chunk;
-}
-
-}  // namespace
-
-std::atomic<long long>& Shard::counter_cell(std::uint32_t slot) {
-  auto& chunk =
-      ensure_chunk(counter_chunks_, slot / detail::kCounterChunkSize);
-  return chunk.cells[slot % detail::kCounterChunkSize];
-}
-
-const std::atomic<long long>* Shard::counter_cell_if(
-    std::uint32_t slot) const {
-  const auto* chunk = counter_chunks_[slot / detail::kCounterChunkSize].load(
-      std::memory_order_acquire);
-  if (chunk == nullptr) return nullptr;
-  return &chunk->cells[slot % detail::kCounterChunkSize];
-}
-
-detail::HistCell& Shard::hist_cell(std::uint32_t slot) {
-  auto& chunk = ensure_chunk(hist_chunks_, slot / detail::kHistChunkSize);
-  return chunk.cells[slot % detail::kHistChunkSize];
-}
-
-const detail::HistCell* Shard::hist_cell_if(std::uint32_t slot) const {
-  const auto* chunk =
-      hist_chunks_[slot / detail::kHistChunkSize].load(
-          std::memory_order_acquire);
-  if (chunk == nullptr) return nullptr;
-  return &chunk->cells[slot % detail::kHistChunkSize];
-}
-
-// ---------------------------------------------------------------------------
 // Handles
 
 void Counter::add(long long delta) {
-  if (reg_ == nullptr) return;
-  add_to(reg_->local_shard(), delta);
-}
-
-void Counter::add_to(Shard& shard, long long delta) const {
-  if (reg_ == nullptr) return;
-  shard.counter_cell(slot_).fetch_add(delta, kRelaxed);
-}
-
-long long Counter::value_in(const Shard& shard) const {
-  if (reg_ == nullptr) return 0;
-  const auto* cell = shard.counter_cell_if(slot_);
-  return cell == nullptr ? 0 : cell->load(kRelaxed);
+  if (cell_ != nullptr) cell_->fetch_add(delta, kRelaxed);
 }
 
 long long Counter::value() const {
-  if (reg_ == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(reg_->mu_);
-  return reg_->counter_value_locked(slot_);
+  return cell_ == nullptr ? 0 : cell_->load(kRelaxed);
 }
 
 void Gauge::set(double v) {
@@ -136,32 +63,11 @@ std::size_t Histogram::bucket_index(double x) {
 }
 
 void Histogram::observe(double x) {
-  if (reg_ == nullptr) return;
-  observe_in(reg_->local_shard(), x);
-}
-
-void Histogram::observe_in(Shard& shard, double x) const {
-  if (reg_ == nullptr) return;
-  detail::HistCell& c = shard.hist_cell(slot_);
-  c.buckets[bucket_index(x)].fetch_add(1, kRelaxed);
-  // Single-writer Welford update (only the shard owner observes into it);
-  // atomics make concurrent scrape reads tear-free.
-  const std::uint64_t n = c.n.load(kRelaxed) + 1;
-  double mean = c.mean.load(kRelaxed);
-  double m2 = c.m2.load(kRelaxed);
-  const double delta = x - mean;
-  mean += delta / static_cast<double>(n);
-  m2 += delta * (x - mean);
-  c.mean.store(mean, kRelaxed);
-  c.m2.store(m2, kRelaxed);
-  if (n == 1) {
-    c.min.store(x, kRelaxed);
-    c.max.store(x, kRelaxed);
-  } else {
-    if (x < c.min.load(kRelaxed)) c.min.store(x, kRelaxed);
-    if (x > c.max.load(kRelaxed)) c.max.store(x, kRelaxed);
-  }
-  c.n.store(n, std::memory_order_release);
+  if (cell_ == nullptr) return;
+  const std::size_t b = bucket_index(x);
+  std::lock_guard<std::mutex> lock(cell_->mu);
+  ++cell_->buckets[b];
+  cell_->stats.add(x);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,22 +103,16 @@ const HistogramSample* Snapshot::histogram(std::string_view name) const {
 // ---------------------------------------------------------------------------
 // Registry
 
-Registry::Registry() : uid_(g_next_registry_uid.fetch_add(1, kRelaxed)) {}
-
-Registry::~Registry() = default;
-
 Registry& Registry::global() {
-  // Leaked on purpose: pool threads may record into their shards after
+  // Leaked on purpose: pool threads may write through their handles after
   // static destructors start running.
   static Registry* g = new Registry();
   return *g;
 }
 
-std::uint32_t Registry::register_metric(std::string_view name,
-                                        MetricKind kind,
-                                        std::string_view help) {
+std::size_t Registry::slot_locked(std::string_view name, MetricKind kind,
+                                  std::string_view help) {
   AMF_REQUIRE(!name.empty(), "metric name must not be empty");
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = by_name_.find(std::string(name));
   if (it != by_name_.end()) {
     const MetricInfo& info = metrics_[it->second];
@@ -228,81 +128,37 @@ std::uint32_t Registry::register_metric(std::string_view name,
   info.kind = kind;
   switch (kind) {
     case MetricKind::kCounter:
-      info.slot = n_counters_++;
-      retired_counters_.push_back(0);
+      info.slot = counters_.size();
+      counters_.emplace_back();
       break;
     case MetricKind::kGauge:
-      info.slot = n_gauges_++;
-      gauges_.push_back(std::make_unique<std::atomic<double>>(0.0));
+      info.slot = gauges_.size();
+      gauges_.emplace_back(0.0);
       break;
     case MetricKind::kHistogram:
-      info.slot = n_hists_++;
-      retired_hists_.emplace_back();
+      info.slot = hists_.size();
+      hists_.emplace_back();
       break;
   }
-  AMF_REQUIRE(info.slot < detail::kMaxChunks *
-                              (kind == MetricKind::kHistogram
-                                   ? detail::kHistChunkSize
-                                   : detail::kCounterChunkSize),
-              "metric registry full for kind " +
-                  std::string(to_string(kind)));
   by_name_.emplace(info.name, metrics_.size());
   metrics_.push_back(std::move(info));
   return metrics_.back().slot;
 }
 
 Counter Registry::counter(std::string_view name, std::string_view help) {
-  return Counter(this, register_metric(name, MetricKind::kCounter, help));
+  std::lock_guard<std::mutex> lock(mu_);
+  return Counter(
+      &counters_[slot_locked(name, MetricKind::kCounter, help)].value);
 }
 
 Gauge Registry::gauge(std::string_view name, std::string_view help) {
-  std::uint32_t slot = register_metric(name, MetricKind::kGauge, help);
   std::lock_guard<std::mutex> lock(mu_);
-  return Gauge(gauges_[slot].get());
+  return Gauge(&gauges_[slot_locked(name, MetricKind::kGauge, help)]);
 }
 
 Histogram Registry::histogram(std::string_view name, std::string_view help) {
-  return Histogram(this, register_metric(name, MetricKind::kHistogram, help));
-}
-
-std::shared_ptr<Shard> Registry::new_shard() {
   std::lock_guard<std::mutex> lock(mu_);
-  auto shard = std::make_shared<Shard>(static_cast<int>(shards_.size()));
-  shards_.push_back(shard);
-  return shard;
-}
-
-Shard& Registry::local_shard() {
-  struct CacheEntry {
-    std::uint64_t uid;
-    Shard* shard;
-  };
-  thread_local std::vector<CacheEntry> cache;
-  for (const CacheEntry& e : cache) {
-    if (e.uid == uid_) return *e.shard;
-  }
-  // Slow path: first touch of this registry from this thread.  The registry
-  // co-owns the shard, so the raw pointer stays valid for the registry's
-  // lifetime; uid keying means a dead registry's entries can never match.
-  std::shared_ptr<Shard> shard;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shard = std::make_shared<Shard>(static_cast<int>(shards_.size()));
-    shards_.push_back(shard);
-  }
-  cache.push_back(CacheEntry{uid_, shard.get()});
-  return *shard;
-}
-
-long long Registry::counter_value_locked(std::uint32_t slot) const {
-  long long total = slot < retired_counters_.size()
-                        ? retired_counters_[slot]
-                        : 0;
-  for (const auto& shard : shards_) {
-    const auto* cell = shard->counter_cell_if(slot);
-    if (cell != nullptr) total += cell->load(kRelaxed);
-  }
-  return total;
+  return Histogram(&hists_[slot_locked(name, MetricKind::kHistogram, help)]);
 }
 
 Snapshot Registry::snapshot() const {
@@ -312,30 +168,21 @@ Snapshot Registry::snapshot() const {
     switch (info.kind) {
       case MetricKind::kCounter:
         snap.counters.push_back(CounterSample{
-            info.name, counter_value_locked(info.slot), info.help});
+            info.name, counters_[info.slot].value.load(kRelaxed), info.help});
         break;
       case MetricKind::kGauge:
         snap.gauges.push_back(GaugeSample{
-            info.name, gauges_[info.slot]->load(kRelaxed), info.help});
+            info.name, gauges_[info.slot].load(kRelaxed), info.help});
         break;
       case MetricKind::kHistogram: {
         HistogramSample sample;
         sample.name = info.name;
         sample.help = info.help;
-        const HistBase& base = retired_hists_[info.slot];
-        sample.buckets = base.buckets;
-        sample.stats = base.stats;
-        for (const auto& shard : shards_) {
-          const detail::HistCell* cell = shard->hist_cell_if(info.slot);
-          if (cell == nullptr) continue;
-          const std::uint64_t n = cell->n.load(std::memory_order_acquire);
-          if (n == 0) continue;
-          for (std::size_t b = 0; b < kHistogramBuckets; ++b)
-            sample.buckets[b] += cell->buckets[b].load(kRelaxed);
-          sample.stats.merge(util::Accumulator::from_moments(
-              static_cast<std::size_t>(n), cell->mean.load(kRelaxed),
-              cell->m2.load(kRelaxed), cell->min.load(kRelaxed),
-              cell->max.load(kRelaxed)));
+        const detail::HistCell& cell = hists_[info.slot];
+        {
+          std::lock_guard<std::mutex> cell_lock(cell.mu);
+          sample.buckets = cell.buckets;
+          sample.stats = cell.stats;
         }
         snap.histograms.push_back(std::move(sample));
         break;
@@ -349,62 +196,9 @@ Snapshot Registry::snapshot() const {
   return snap;
 }
 
-void Registry::retire(Shard& shard) {
-  std::lock_guard<std::mutex> lock(mu_);
-  drain_shard_locked(shard, /*fold=*/true);
-}
-
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::fill(retired_counters_.begin(), retired_counters_.end(), 0);
-  for (HistBase& base : retired_hists_) base = HistBase{};
-  for (auto& g : gauges_) g->store(0.0, kRelaxed);
-  for (const auto& shard : shards_) drain_shard_locked(*shard, /*fold=*/false);
-}
-
 std::size_t Registry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return metrics_.size();
-}
-
-void Registry::drain_shard_locked(Shard& shard, bool fold) {
-  for (std::size_t chunk = 0; chunk < detail::kMaxChunks; ++chunk) {
-    detail::CounterChunk* cc =
-        shard.counter_chunks_[chunk].load(std::memory_order_acquire);
-    if (cc != nullptr) {
-      for (std::size_t i = 0; i < detail::kCounterChunkSize; ++i) {
-        long long v = cc->cells[i].exchange(0, kRelaxed);
-        if (v != 0 && fold) {
-          std::size_t slot = chunk * detail::kCounterChunkSize + i;
-          if (slot < retired_counters_.size()) retired_counters_[slot] += v;
-        }
-      }
-    }
-    detail::HistChunk* hc =
-        shard.hist_chunks_[chunk].load(std::memory_order_acquire);
-    if (hc != nullptr) {
-      for (std::size_t i = 0; i < detail::kHistChunkSize; ++i) {
-        detail::HistCell& cell = hc->cells[i];
-        const std::uint64_t n = cell.n.exchange(0, kRelaxed);
-        std::size_t slot = chunk * detail::kHistChunkSize + i;
-        if (n != 0 && fold && slot < retired_hists_.size()) {
-          HistBase& base = retired_hists_[slot];
-          base.stats.merge(util::Accumulator::from_moments(
-              static_cast<std::size_t>(n), cell.mean.load(kRelaxed),
-              cell.m2.load(kRelaxed), cell.min.load(kRelaxed),
-              cell.max.load(kRelaxed)));
-          for (std::size_t b = 0; b < kHistogramBuckets; ++b)
-            base.buckets[b] += cell.buckets[b].exchange(0, kRelaxed);
-        } else {
-          for (auto& b : cell.buckets) b.store(0, kRelaxed);
-        }
-        cell.mean.store(0.0, kRelaxed);
-        cell.m2.store(0.0, kRelaxed);
-        cell.min.store(0.0, kRelaxed);
-        cell.max.store(0.0, kRelaxed);
-      }
-    }
-  }
 }
 
 }  // namespace amf::obs

@@ -1,25 +1,13 @@
 // metrics.hpp — thread-safe metric registry: monotonic counters, gauges, and
 // fixed-bucket log-scale histograms.
 //
-// Design: the hot path (Counter::add, Histogram::observe) touches only a
-// per-thread shard — a chunked array of atomics owned by the calling thread —
-// so concurrent writers never contend.  A scrape (Registry::snapshot) merges
-// every shard under the registration mutex.  Histogram moments are kept as
-// raw Welford fields per shard and merged exactly with
-// util::Accumulator::from_moments + merge, so a multi-threaded run produces
-// the same count/mean/variance as a single-threaded one regardless of
-// interleaving.
-//
-// Shards come in two flavours:
-//   * thread shards — created lazily on a thread's first write through a
-//     handle (Registry::local_shard), cached in TLS keyed by a registry uid
-//     so a test-local registry that dies never leaves a matching stale entry;
-//   * instance shards — created explicitly (Registry::new_shard) for objects
-//     like core::RobustAllocator that need exact per-instance counts
-//     (Counter::add_to / value_in) while still feeding the global scrape.
-//
-// Retiring or resetting a shard folds its values into a registry-level base
-// first, so globally scraped counters stay monotonic across instance resets.
+// Design: one cell per metric, owned by the registry. A counter is one
+// atomic on its own cache line, added to with a relaxed fetch_add; a gauge
+// is one atomic double; a histogram is its bucket counts plus a
+// util::Accumulator (Welford moments) under one mutex. Handles point
+// straight at their cell, so a write takes no registry lock; a scrape
+// (Registry::snapshot) reads every cell under the registration mutex and
+// copies each histogram under its own lock.
 //
 // The registry is always compiled in — only span tracing (span.hpp) honours
 // the AMF_OBS_ENABLED kill switch — because fallback accounting and the
@@ -30,7 +18,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -48,33 +36,19 @@ std::string_view to_string(MetricKind kind);
 /// Number of histogram buckets (log2-spaced; the last bucket is +inf).
 inline constexpr std::size_t kHistogramBuckets = 40;
 
-class Registry;
-class Shard;
-
 namespace detail {
 
-inline constexpr std::size_t kCounterChunkSize = 64;
-inline constexpr std::size_t kHistChunkSize = 8;
-inline constexpr std::size_t kMaxChunks = 64;
-
-struct CounterChunk {
-  std::array<std::atomic<long long>, kCounterChunkSize> cells{};
+/// One counter on a cache line of its own, so that threads adding to
+/// neighbouring counters from other CPUs do not invalidate it.
+struct alignas(64) CounterCell {
+  std::atomic<long long> value{0};
 };
 
-/// One histogram's per-shard state.  Buckets are plain atomic counts; the
-/// Welford moment fields are written only by the shard's owning thread and
-/// read (racily but tear-free) by scrapers.
+/// One histogram's state; observe() and snapshot() hold `mu`.
 struct HistCell {
-  std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-  std::atomic<std::uint64_t> n{0};
-  std::atomic<double> mean{0.0};
-  std::atomic<double> m2{0.0};
-  std::atomic<double> min{0.0};
-  std::atomic<double> max{0.0};
-};
-
-struct HistChunk {
-  std::array<HistCell, kHistChunkSize> cells{};
+  mutable std::mutex mu;
+  std::array<std::uint64_t, kHistogramBuckets> buckets{};
+  util::Accumulator stats;
 };
 
 }  // namespace detail
@@ -83,24 +57,17 @@ struct HistChunk {
 class Counter {
  public:
   Counter() = default;
-  /// Adds to the calling thread's shard of the owning registry.
   void add(long long delta = 1);
-  /// Adds to an explicit (instance) shard instead of the thread shard.
-  void add_to(Shard& shard, long long delta = 1) const;
-  /// Exact value accumulated in one shard (per-instance view).
-  long long value_in(const Shard& shard) const;
-  /// Globally merged value (retired base + every live shard).
   long long value() const;
-  bool valid() const { return reg_ != nullptr; }
+  bool valid() const { return cell_ != nullptr; }
 
  private:
   friend class Registry;
-  Counter(Registry* reg, std::uint32_t slot) : reg_(reg), slot_(slot) {}
-  Registry* reg_ = nullptr;
-  std::uint32_t slot_ = 0;
+  explicit Counter(std::atomic<long long>* cell) : cell_(cell) {}
+  std::atomic<long long>* cell_ = nullptr;
 };
 
-/// Handle to a last-write-wins gauge (one central cell, no sharding).
+/// Handle to a last-write-wins gauge.
 class Gauge {
  public:
   Gauge() = default;
@@ -116,7 +83,7 @@ class Gauge {
 
 /// Handle to a log-scale histogram.  Bucket i covers
 /// (bucket_bound(i-1), bucket_bound(i)] with bounds kScale * 2^i; the last
-/// bucket is +inf.  observe() also maintains Welford moments per shard.
+/// bucket is +inf.  observe() also maintains Welford moments.
 class Histogram {
  public:
   static constexpr std::size_t kNumBuckets = kHistogramBuckets;
@@ -130,44 +97,12 @@ class Histogram {
 
   Histogram() = default;
   void observe(double x);
-  void observe_in(Shard& shard, double x) const;
-  bool valid() const { return reg_ != nullptr; }
+  bool valid() const { return cell_ != nullptr; }
 
  private:
   friend class Registry;
-  Histogram(Registry* reg, std::uint32_t slot) : reg_(reg), slot_(slot) {}
-  Registry* reg_ = nullptr;
-  std::uint32_t slot_ = 0;
-};
-
-/// One writer's slice of the registry's metric cells.  Chunks are allocated
-/// on demand behind atomic pointers so a scrape can race with cell creation.
-class Shard {
- public:
-  explicit Shard(int ordinal) : ordinal_(ordinal) {}
-  ~Shard();
-  Shard(const Shard&) = delete;
-  Shard& operator=(const Shard&) = delete;
-
-  /// Registration order within the owning registry (stable thread id).
-  int ordinal() const { return ordinal_; }
-
- private:
-  friend class Registry;
-  friend class Counter;
-  friend class Histogram;
-
-  std::atomic<long long>& counter_cell(std::uint32_t slot);
-  /// Read-side lookup: nullptr when the chunk was never touched.
-  const std::atomic<long long>* counter_cell_if(std::uint32_t slot) const;
-  detail::HistCell& hist_cell(std::uint32_t slot);
-  const detail::HistCell* hist_cell_if(std::uint32_t slot) const;
-
-  std::array<std::atomic<detail::CounterChunk*>, detail::kMaxChunks>
-      counter_chunks_{};
-  std::array<std::atomic<detail::HistChunk*>, detail::kMaxChunks>
-      hist_chunks_{};
-  int ordinal_ = 0;
+  explicit Histogram(detail::HistCell* cell) : cell_(cell) {}
+  detail::HistCell* cell_ = nullptr;
 };
 
 struct CounterSample {
@@ -189,7 +124,7 @@ struct HistogramSample {
   std::string help;
 };
 
-/// Point-in-time merged view of a registry, sorted by metric name.
+/// Point-in-time view of a registry, sorted by metric name.
 struct Snapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
@@ -203,13 +138,12 @@ struct Snapshot {
 
 class Registry {
  public:
-  Registry();
-  ~Registry();
+  Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
   /// Process-wide registry.  Intentionally leaked so worker threads that
-  /// outlive main() can still touch their shards during teardown.
+  /// outlive main() can still write through their handles during teardown.
   static Registry& global();
 
   /// Registration is idempotent by name; re-registering an existing name
@@ -218,63 +152,32 @@ class Registry {
   Gauge gauge(std::string_view name, std::string_view help = {});
   Histogram histogram(std::string_view name, std::string_view help = {});
 
-  /// Creates an instance shard (e.g. one per RobustAllocator).  The registry
-  /// co-owns it, so its values survive the instance and keep feeding scrapes.
-  std::shared_ptr<Shard> new_shard();
-
-  /// The calling thread's shard, created on first use.
-  Shard& local_shard();
-
-  /// Merged view: retired base + every shard, one entry per metric.
+  /// Every metric's current value, one entry per metric.
   Snapshot snapshot() const;
-
-  /// Folds a shard's current values into the retired base and zeroes the
-  /// shard.  Globally scraped totals are unchanged (monotonicity preserved);
-  /// per-instance reads via value_in restart from zero.
-  void retire(Shard& shard);
-
-  /// Zeroes everything: retired bases, all shards, all gauges.  Metric
-  /// registrations (names, handles) stay valid.
-  void reset();
 
   /// Number of registered metrics.
   std::size_t size() const;
 
  private:
-  friend class Counter;
-  friend class Gauge;
-  friend class Histogram;
-
   struct MetricInfo {
     std::string name;
     std::string help;
     MetricKind kind = MetricKind::kCounter;
-    std::uint32_t slot = 0;
+    std::size_t slot = 0;  ///< index into the kind's cell deque
   };
 
-  struct HistBase {
-    std::array<std::uint64_t, kHistogramBuckets> buckets{};
-    util::Accumulator stats;
-  };
-
-  std::uint32_t register_metric(std::string_view name, MetricKind kind,
-                                std::string_view help);
-  long long counter_value_locked(std::uint32_t slot) const;
-  /// Zeroes one shard; when fold is true its values move to the retired
-  /// bases first (so globally scraped totals are unchanged).
-  void drain_shard_locked(Shard& shard, bool fold);
+  /// The metric's slot in its kind's deque, registering it if new.
+  /// Requires mu_.
+  std::size_t slot_locked(std::string_view name, MetricKind kind,
+                          std::string_view help);
 
   mutable std::mutex mu_;
   std::vector<MetricInfo> metrics_;
   std::unordered_map<std::string, std::size_t> by_name_;
-  std::vector<std::unique_ptr<std::atomic<double>>> gauges_;
-  std::vector<std::shared_ptr<Shard>> shards_;
-  std::vector<long long> retired_counters_;
-  std::vector<HistBase> retired_hists_;
-  std::uint32_t n_counters_ = 0;
-  std::uint32_t n_gauges_ = 0;
-  std::uint32_t n_hists_ = 0;
-  std::uint64_t uid_ = 0;
+  // Deques: growing one never moves a cell a handle points at.
+  std::deque<detail::CounterCell> counters_;
+  std::deque<std::atomic<double>> gauges_;
+  std::deque<detail::HistCell> hists_;
 };
 
 }  // namespace amf::obs

@@ -22,35 +22,6 @@ void Accumulator::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-Accumulator Accumulator::from_moments(std::size_t n, double mean, double m2,
-                                      double min, double max) {
-  Accumulator acc;
-  if (n == 0) return acc;
-  acc.n_ = n;
-  acc.mean_ = mean;
-  acc.m2_ = m2;
-  acc.min_ = min;
-  acc.max_ = max;
-  return acc;
-}
-
-void Accumulator::merge(const Accumulator& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double Accumulator::mean() const { return n_ == 0 ? 0.0 : mean_; }
 
 double Accumulator::variance() const {

@@ -14,14 +14,6 @@ namespace amf::util {
 class Accumulator {
  public:
   void add(double x);
-  void merge(const Accumulator& other);
-
-  /// Rehydrates an accumulator from externally maintained Welford moments
-  /// (count, mean, sum of squared deviations, min, max) — the bridge that
-  /// lets per-thread telemetry shards (obs::Registry) carry raw moments
-  /// and still merge with the exact parallel-Welford formula in merge().
-  static Accumulator from_moments(std::size_t n, double mean, double m2,
-                                  double min, double max);
 
   std::size_t count() const { return n_; }
   double sum() const { return mean_ * static_cast<double>(n_); }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/amf.hpp"
+#include "core/eamf.hpp"
 #include "flow/transport.hpp"
 #include "core/robust.hpp"
 #include "core/workspace.hpp"
@@ -141,11 +142,11 @@ AllocationProblem medium_problem() {
 TEST(AnytimeSolvers, ExpiredTokenYieldsFeasiblePartialFill) {
   auto problem = medium_problem();
   const util::ScopedDeadline expired(util::Deadline::after_ms(0.0));
-  flow::LevelSolveStats stats;
+  core::SolveReport report;
   std::vector<double> zeros(static_cast<std::size_t>(problem.jobs()), 0.0);
   auto alloc = core::progressive_fill(problem, zeros, "AMF", 1e-9,
-                                      flow::LevelMethod::kCutNewton, &stats);
-  EXPECT_EQ(stats.worst, flow::LevelStatus::kDeadlineExceeded);
+                                      flow::LevelMethod::kCutNewton, &report);
+  EXPECT_EQ(report.status, flow::LevelStatus::kDeadlineExceeded);
   EXPECT_TRUE(alloc.feasible_for(problem));
 }
 
@@ -165,14 +166,21 @@ TEST(AnytimeSolvers, CriticalLevelReturnsBestProvenFeasibleLevel) {
 // RobustAllocator deadline handling
 
 /// A primary that installs an already-expired ambient deadline around a
-/// real AMF solve through the workspace: the solve observes it
-/// immediately and reports kDeadlineExceeded with a feasible partial fill
-/// — a deterministic tier interruption, whatever the host's speed.
+/// real progressive-filling solve (AMF or E-AMF) on both entry points: the
+/// solve observes it immediately and reports kDeadlineExceeded with a
+/// feasible partial fill — a deterministic tier interruption, whatever
+/// the host's speed.
+template <typename Inner>
 class ExpiredDeadlinePrimary final : public core::Allocator {
  public:
   core::Allocation allocate(const AllocationProblem& p) const override {
+    core::SolveReport report;
+    return allocate_with_report(p, report);
+  }
+  core::Allocation allocate_with_report(
+      const AllocationProblem& p, core::SolveReport& report) const override {
     const util::ScopedDeadline expired(util::Deadline::after_ms(0.0));
-    return inner_.allocate(p);
+    return inner_.allocate_with_report(p, report);
   }
   core::Allocation allocate(const AllocationProblem& p,
                             core::SolverWorkspace& ws) const override {
@@ -182,12 +190,14 @@ class ExpiredDeadlinePrimary final : public core::Allocator {
   std::string name() const override { return "ExpiredDeadline"; }
 
  private:
-  core::AmfAllocator inner_;
+  Inner inner_;
 };
+
+using ExpiredAmfPrimary = ExpiredDeadlinePrimary<core::AmfAllocator>;
 
 TEST(RobustDeadline, InterruptedPrimaryIsSalvagedAndCounted) {
   auto problem = medium_problem();
-  ExpiredDeadlinePrimary primary;
+  ExpiredAmfPrimary primary;
   core::RobustAllocator robust(primary);
   core::SolverWorkspace ws;
 
@@ -214,6 +224,34 @@ TEST(RobustDeadline, InterruptedPrimaryIsSalvagedAndCounted) {
   EXPECT_NE(prom.find("amf_core_deadline_events"), std::string::npos);
 }
 
+TEST(RobustDeadline, InterruptedEnhancedAmfIsSalvagedOnBothEntryPoints) {
+  // E-AMF fills under equal-split floors through the same progressive
+  // fill as AMF; an interrupted E-AMF fill must be reported as such on
+  // the stateless and the workspace entry point, not served as the
+  // primary's answer.
+  auto problem = medium_problem();
+  ExpiredDeadlinePrimary<core::EnhancedAmfAllocator> primary;
+  for (const bool with_workspace : {false, true}) {
+    SCOPED_TRACE(with_workspace ? "workspace" : "stateless");
+    core::RobustAllocator robust(primary);
+    core::SolverWorkspace ws;
+    auto alloc = with_workspace ? robust.allocate(problem, ws)
+                                : robust.allocate(problem);
+    EXPECT_TRUE(alloc.feasible_for(problem));
+    EXPECT_EQ(alloc.policy(), "Robust/salvage");
+
+    const auto fb = robust.fallback_stats();
+    EXPECT_EQ(fb.served[static_cast<int>(FallbackTier::kSalvage)], 1);
+    EXPECT_EQ(fb.served[static_cast<int>(FallbackTier::kPrimary)], 0);
+    EXPECT_EQ(fb.failures[static_cast<int>(FallbackTier::kPrimary)], 1);
+    EXPECT_EQ(fb.last, FallbackTier::kSalvage);
+    const auto ds = robust.deadline_stats();
+    EXPECT_EQ(ds.deadline_exceeded[static_cast<int>(FallbackTier::kPrimary)],
+              1);
+    EXPECT_EQ(ds.deadline_events, 1);
+  }
+}
+
 TEST(RobustDeadline, CancelledBudgetSkipsStraightToPerSite) {
   // The budget is spent before the chain starts (an expired ambient
   // deadline): every budgeted tier is skipped (never attempted, so no
@@ -237,7 +275,7 @@ TEST(RobustDeadline, WorkspaceIsInvalidatedAfterInterruptedTier) {
   // runs unbudgeted: the primary must serve from a re-primed workspace
   // and reproduce the stateless solve exactly.
   auto problem = medium_problem();
-  ExpiredDeadlinePrimary primary;
+  ExpiredAmfPrimary primary;
   core::RobustAllocator robust(primary);
   core::SolverWorkspace ws;
 
@@ -372,7 +410,7 @@ TEST(ChaosDeadline, ExpiredPrimaryIsSalvagedAtEveryEvent) {
   // inside the simulator, and the chain must serve every one from
   // salvage, feasibly, and count it as a deadline event.
   auto trace = chaos_trace(47, 60);
-  ExpiredDeadlinePrimary primary;
+  ExpiredAmfPrimary primary;
   core::RobustAllocator robust(primary);
   AuditingAllocator audited(robust);
   sim::Simulator sim(audited);

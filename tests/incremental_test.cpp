@@ -465,21 +465,18 @@ TEST(DinicWorkPin, DemandBoundRunTakesLogarithmicProbes) {
   flow::TransportNetwork net(problem.demands(), problem.capacities());
   std::vector<flow::ParametricSource> sources;
   for (double w : weights) sources.push_back({0.0, w});
-  flow::LevelSolveStats one_round;
   const auto first = flow::solve_critical_level(
-      net, sources, 0.0, 100.0, 1e-9, flow::LevelMethod::kCutNewton,
-      &one_round);
-  EXPECT_EQ(one_round.flow_solves, 1);
+      net, sources, 0.0, 100.0, 1e-9, flow::LevelMethod::kCutNewton);
+  EXPECT_EQ(first.probes, 1);
   EXPECT_EQ(first.level, net.solo_ceiling(0) / weights[0]);
   EXPECT_FALSE(first.can_increase[0]);
   for (int j = 1; j < kJobs; ++j) EXPECT_TRUE(first.can_increase[j]);
 
-  flow::LevelSolveStats galloped;
   flow::GallopState gallop;
   const auto run = flow::solve_critical_level(
       net, sources, 0.0, 100.0, 1e-9, flow::LevelMethod::kCutNewton,
-      &galloped, &gallop);
-  EXPECT_LE(galloped.flow_solves, kMaxProbes);
+      &gallop);
+  EXPECT_LE(run.probes, kMaxProbes);
   EXPECT_EQ(run.level, net.solo_ceiling(kJobs - 1) / weights[kJobs - 1]);
   EXPECT_FALSE(run.segment_exhausted);
   EXPECT_FALSE(gallop.cut_valid);  // the run ended at the last job cut
@@ -605,16 +602,14 @@ TEST(JobCutStart, NeverProbesMoreThanTheSegmentEndStart) {
           problem.weight(j)};
     double level = 0.0;
     for (int round = 1; round <= n; ++round) {
-      flow::LevelSolveStats stats;
       const auto res = flow::solve_critical_level(
-          net, sources, level, t_hi, 1e-9, flow::LevelMethod::kCutNewton,
-          &stats);
+          net, sources, level, t_hi, 1e-9, flow::LevelMethod::kCutNewton);
       ASSERT_EQ(res.status, flow::LevelStatus::kConverged);
       const int parent = probes_from_segment_end(ref, sources, level, t_hi,
                                                  1e-9);
-      EXPECT_LE(stats.flow_solves, parent)
+      EXPECT_LE(res.probes, parent)
           << "trial " << trial << " round " << round;
-      job_cut += stats.flow_solves;
+      job_cut += res.probes;
       segment_end += parent;
       level = res.level;
       int unfrozen = 0;
@@ -804,11 +799,9 @@ void expect_fill_matches_job_cut_descent(flow::TransportNetwork& net,
       else
         sources[jj] = {0.0, w, floors[jj]};
     }
-    flow::LevelSolveStats stats;
     const auto got = flow::solve_critical_level(net, sources, t_lo, seg_end,
                                                 kEps,
-                                                flow::LevelMethod::kCutNewton,
-                                                &stats);
+                                                flow::LevelMethod::kCutNewton);
     int ref_probes = 0;
     const auto want =
         job_cut_descent(ref, sources, t_lo, seg_end, kEps, ref_probes);
@@ -819,7 +812,7 @@ void expect_fill_matches_job_cut_descent(flow::TransportNetwork& net,
     ASSERT_EQ(got.segment_exhausted, want.segment_exhausted)
         << label << " round " << round;
     ++tally.rounds;
-    tally.probes += stats.flow_solves;
+    tally.probes += got.probes;
     tally.ref_probes += ref_probes;
     level = got.level;
     if (got.segment_exhausted) {

@@ -102,10 +102,10 @@ TEST(ObsHistogram, MomentsMatchAccumulator) {
   EXPECT_EQ(total, 5u);
 }
 
-// The documented determinism contract: a multi-threaded run merges to the
-// same count/mean/stddev as a single-threaded one, regardless of the
-// interleaving, because each shard's Welford moments are combined with
-// the exact pairwise merge.
+// Writers on many threads share one cell per metric: the scrape after
+// join holds every increment and every sample. Samples from different
+// threads interleave in the one Welford accumulator, so mean and stddev
+// agree with a sequential reference to rounding, not bit for bit.
 TEST(ObsRegistry, ThreadShardMergeIsDeterministic) {
   obs::Registry reg;
   auto c = reg.counter("amf_test_hits");
@@ -124,49 +124,23 @@ TEST(ObsRegistry, ThreadShardMergeIsDeterministic) {
   }
   for (auto& w : workers) w.join();
 
-  // The reference: the same per-thread moments combined with the same
-  // pairwise merge the registry uses. Every shard holds identical moments,
-  // so the scrape must reproduce this bit for bit no matter how the
-  // threads interleaved.
-  util::Accumulator single;
-  for (int i = 1; i <= kPerThread; ++i) single.add(static_cast<double>(i));
   util::Accumulator expect;
-  for (int t = 0; t < kThreads; ++t) expect.merge(single);
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 1; i <= kPerThread; ++i) expect.add(static_cast<double>(i));
 
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.counter("amf_test_hits"), kThreads * kPerThread);
   const auto* sample = snap.histogram("amf_test_obs");
   ASSERT_NE(sample, nullptr);
   EXPECT_EQ(sample->stats.count(), expect.count());
-  EXPECT_DOUBLE_EQ(sample->stats.mean(), expect.mean());
-  EXPECT_DOUBLE_EQ(sample->stats.stddev(), expect.stddev());
+  EXPECT_NEAR(sample->stats.mean(), expect.mean(), 1e-12 * expect.mean());
+  EXPECT_NEAR(sample->stats.stddev(), expect.stddev(),
+              1e-12 * expect.stddev());
   EXPECT_EQ(sample->stats.min(), 1.0);
   EXPECT_EQ(sample->stats.max(), static_cast<double>(kPerThread));
   std::uint64_t total = 0;
   for (std::uint64_t b : sample->buckets) total += b;
   EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads * kPerThread));
-}
-
-TEST(ObsRegistry, InstanceShardRetireKeepsGlobalMonotonic) {
-  obs::Registry reg;
-  auto c = reg.counter("amf_test_served");
-  auto shard = reg.new_shard();
-  c.add_to(*shard, 5);
-  EXPECT_EQ(c.value_in(*shard), 5);
-  EXPECT_EQ(c.value(), 5);
-
-  // Retiring restarts the per-instance view but the global total is folded
-  // into the retired base — a scrape never sees a counter go backwards.
-  reg.retire(*shard);
-  EXPECT_EQ(c.value_in(*shard), 0);
-  EXPECT_EQ(c.value(), 5);
-  c.add_to(*shard, 3);
-  EXPECT_EQ(c.value_in(*shard), 3);
-  EXPECT_EQ(c.value(), 8);
-
-  reg.reset();
-  EXPECT_EQ(c.value(), 0);
-  EXPECT_EQ(c.value_in(*shard), 0);
 }
 
 TEST(ObsRegistry, SnapshotLookupOnAbsentMetrics) {

@@ -121,6 +121,7 @@ const Instance kInstances[] = {
 
 TEST(ParametricGallop, MatchesSequentialFillGolden) {
   const core::AmfAllocator amf;
+  const core::EnhancedAmfAllocator eamf;
   std::string out;
   std::uint64_t seed = 1;
   for (const Instance& c : kInstances) {
@@ -132,11 +133,8 @@ TEST(ParametricGallop, MatchesSequentialFillGolden) {
       const auto a = amf.allocate_with_report(problem, report);
       append(out, "amf " + label, a, report.trace);
 
-      core::FillTrace trace;
-      const auto e = core::progressive_fill(
-          problem, core::EnhancedAmfAllocator::sharing_floors(problem),
-          "E-AMF", 1e-9, flow::LevelMethod::kCutNewton, nullptr, &trace);
-      append(out, "eamf " + label, e, trace);
+      const auto e = eamf.allocate_with_report(problem, report);
+      append(out, "eamf " + label, e, report.trace);
     }
   }
 

@@ -9,6 +9,7 @@
 #include "core/persite.hpp"
 #include "core/properties.hpp"
 #include "core/robust.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace amf::core {
@@ -126,6 +127,37 @@ TEST(RobustAllocator, NameAndStatsReset) {
   EXPECT_EQ(robust.fallback_stats().calls(), 1);
   robust.reset_stats();
   EXPECT_EQ(robust.fallback_stats().calls(), 0);
+}
+
+// Each wrapper counts its own events exactly, every wrapper adds to the
+// process-wide registry counter, and one wrapper's reset_stats() never
+// takes anything back from that global total.
+TEST(RobustAllocator, TwoWrappersCountApart) {
+  const obs::Counter global_served = obs::Registry::global().counter(
+      "amf_core_fallback_served_primary");
+  const long long before = global_served.value();
+  AmfAllocator amf;
+  RobustAllocator a(amf);
+  RobustAllocator b(amf);
+  const auto problem = small_problem();
+  for (int i = 0; i < 3; ++i) a.allocate(problem);
+  for (int i = 0; i < 2; ++i) b.allocate(problem);
+
+  constexpr auto kPrimary = static_cast<std::size_t>(FallbackTier::kPrimary);
+  EXPECT_EQ(a.fallback_stats().served[kPrimary], 3);
+  EXPECT_EQ(a.fallback_stats().calls(), 3);
+  EXPECT_EQ(b.fallback_stats().served[kPrimary], 2);
+  EXPECT_EQ(b.fallback_stats().calls(), 2);
+  const long long after = global_served.value();
+  EXPECT_EQ(after - before, 5);
+
+  a.reset_stats();
+  EXPECT_EQ(a.fallback_stats().calls(), 0);
+  EXPECT_EQ(b.fallback_stats().served[kPrimary], 2);
+  EXPECT_GE(global_served.value(), after);
+  a.allocate(problem);
+  EXPECT_EQ(a.fallback_stats().served[kPrimary], 1);
+  EXPECT_EQ(global_served.value() - before, 6);
 }
 
 TEST(RobustAllocator, PerSiteTierIsTheUnconditionalBackstop) {

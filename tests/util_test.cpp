@@ -199,22 +199,6 @@ TEST(Accumulator, BasicMoments) {
   EXPECT_DOUBLE_EQ(acc.max(), 4.0);
 }
 
-TEST(Accumulator, MergeMatchesSequential) {
-  Rng rng(53);
-  Accumulator whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    double v = rng.normal();
-    whole.add(v);
-    (i % 2 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
 TEST(Accumulator, EmptyIsZero) {
   Accumulator acc;
   EXPECT_EQ(acc.count(), 0u);
